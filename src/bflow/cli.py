@@ -94,6 +94,16 @@ def train_config_from_run(cfg):
     return training.TrainConfig(**fields)
 
 
+def _model_items(ds):
+    """Dataset items as training and the loss ops take them.
+
+    Discretised files store 1-based bin indices; the model sees bin centres.
+    """
+    if ds.modality == "discretised":
+        return dsc.BinGeometry(ds.K).centers[ds.items - 1]
+    return ds.items
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -132,7 +142,7 @@ def cmd_train(args):
             f"train: dataset ({ds.modality}, D={ds.D}, K={ds.K}) does not match "
             f"config ({config.modality}, D={config.D}, K={config.K})"
         )
-    result = training.train(Rng(config.seed), ds.items, config)
+    result = training.train(Rng(config.seed), _model_items(ds), config)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     training.save_checkpoint(ckpt_path, result, run_config=cfg)
@@ -154,7 +164,7 @@ def cmd_eval(args):
         raise SystemExit(f"eval: dataset modality {ds.modality} does not match checkpoint {config.modality}")
     n_values = tuple(int(v) for v in args.n.split(",") if v.strip())
     predictor = training.ema_predictor(result)
-    rows = training.evaluate(Rng(args.seed), predictor, config, ds.items, n_values=n_values, passes=args.passes)
+    rows = training.evaluate(Rng(args.seed), predictor, config, _model_items(ds), n_values=n_values, passes=args.passes)
     print(training.format_eval_table(rows))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -180,22 +180,6 @@ def reconstruction_loss(rng, predictor, cfg, x, K):
     return negative_log_picked(probs, idx)
 
 
-def reconstruction_loss_from_estimate(rng, predictor, cfg, x, K, std):
-    """Bin reconstruction cost for a model trained on raw continuous values.
-
-    Discretises a Gaussian centred on the continuous data estimate at t=1
-    with the given std (a tuning constant tied to the bin width).
-    """
-    if not std > 0.0:
-        raise ValueError("std must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    idx, _ = quantise(x, K)
-    p = continuous.flow_sample(rng, cfg, x, 1.0)
-    x_hat = continuous.output_prediction(predictor, cfg, p, 1.0)
-    probs = bin_probs_from_gaussian(x_hat, np.full(cfg.D, std), K)
-    return negative_log_picked(probs, idx)
-
-
 def generate(rng, predictor, cfg, n, K, return_params=False):
     """n-step ancestral sampling; returns bin centres (D,)."""
     if n < 1:

@@ -33,8 +33,8 @@ import numpy as np
 from . import continuous as cts
 from . import discrete as dd
 from . import discretised as dsc
-from .kernels import mixture_logpdf
-from .numerics import Rng, gaussian_sample
+from .kernels import logsumexp_rows, mixture_logpdf
+from .numerics import Rng, gaussian_sample, softmax_rows
 from .predictor import ConstantPredictor, DiscretisedDatumPredictor
 from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic
 
@@ -85,16 +85,14 @@ def check_additivity(seed, modality, alpha_a=1.0, alpha_b=1.0, trials=2_000_000)
         raise ValueError("accuracies must be positive")
     rng = Rng(seed, _path=(1,))
     if modality == "continuous":
-        x = 0.5
-        base_mean, base_prec = 0.0, 1.0
-        ya = gaussian_sample(rng, np.full(trials, x), 1 / alpha_a)
-        m1 = (base_mean * base_prec + ya * alpha_a) / (base_prec + alpha_a)
-        p1 = base_prec + alpha_a
-        yb = gaussian_sample(rng, np.full(trials, x), 1 / alpha_b)
-        m2 = (m1 * p1 + yb * alpha_b) / (p1 + alpha_b)
-        yc = gaussian_sample(rng, np.full(trials, x), 1 / (alpha_a + alpha_b))
-        m_one = (base_mean * base_prec + yc * (alpha_a + alpha_b)) / (base_prec + alpha_a + alpha_b)
-        prec_exact = (p1 + alpha_b) == (base_prec + (alpha_a + alpha_b))
+        # one belief per trial, as in the discrete branch below
+        x = np.full(trials, 0.5)
+        prior = cts.prior(trials)
+        pa = cts.bayes_update(prior, gaussian_sample(rng, x, 1 / alpha_a), alpha_a)
+        two = cts.bayes_update(pa, gaussian_sample(rng, x, 1 / alpha_b), alpha_b)
+        one = cts.bayes_update(prior, gaussian_sample(rng, x, 1 / (alpha_a + alpha_b)), alpha_a + alpha_b)
+        prec_exact = two.precision == one.precision
+        m2, m_one = two.mean, one.mean
         mean_err = abs(m2.mean() - m_one.mean()) / abs(m_one.mean())
         var_err = abs(m2.var(ddof=1) - m_one.var(ddof=1)) / m_one.var(ddof=1)
         stat = max(mean_err, var_err)
@@ -155,19 +153,16 @@ def check_flow_equivalence(seed, modality, n_list=(2, 16, 64), t=0.5, trials=2_0
     if modality == "continuous":
         cfg = cts.CtsConfig(sigma1=0.02, D=1)
         sched = cfg.schedule
-        x = 0.5
-        g = cts.gamma(cfg, t)
-        direct = gaussian_sample(rng, np.full(trials, g * x), g * (1 - g))
+        x = np.full(trials, 0.5)
+        direct = cts.flow_sample(rng, cfg, x, t).mean
         worst = 0.0
         details = []
         for n in n_list:
-            means = np.zeros(trials)
-            prec = np.ones(trials)
+            p = cts.prior(trials)
             for i in range(1, n + 1):
                 a = sched.beta(t * i / n) - sched.beta(t * (i - 1) / n)
-                y = gaussian_sample(rng, np.full(trials, x), 1 / a)
-                means = (means * prec + y * a) / (prec + a)
-                prec = prec + a
+                p = cts.bayes_update(p, gaussian_sample(rng, x, 1 / a), a)
+            means = p.mean
             mean_err = abs(direct.mean() - means.mean()) / abs(means.mean())
             var_err = abs(direct.var(ddof=1) - means.var(ddof=1)) / means.var(ddof=1)
             worst = max(worst, mean_err, var_err)
@@ -194,11 +189,8 @@ def check_flow_equivalence(seed, modality, n_list=(2, 16, 64), t=0.5, trials=2_0
     logits = np.zeros((trials, K))
     for i in range(1, n + 1):
         a = sched.beta(t * i / n) - sched.beta(t * (i - 1) / n)
-        mean = a * (K * np.eye(K)[0] - 1)
-        logits += mean + rng.standard_normal((trials, K)) * np.sqrt(a * K)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    seq = e / e.sum(axis=1, keepdims=True)
+        logits += dd.sender_sample(rng, x_vec, a, K)
+    seq = softmax_rows(logits)
     errs = np.abs(direct.mean(0) - seq.mean(0)) / np.abs(seq.mean(0))
     worst = float(errs.max())
     return PropertyReport(
@@ -273,11 +265,7 @@ def check_kl_closed_forms(seed, modality, samples=1_000_000, bin_probs_fn=None):
                 detail="output rows do not carry unit mass",
             )
         y = gaussian_sample(rng, np.full(samples, x), 1 / alpha)
-        with np.errstate(divide="ignore"):
-            logw = np.broadcast_to(np.log(probs[0]), (samples, K))
-        recv = mixture_logpdf(y, np.ascontiguousarray(logw), geom.centers, 1 / alpha)
-        send = -0.5 * alpha * (y - x) ** 2 + 0.5 * np.log(alpha / (2 * np.pi))
-        diff = send - recv
+        diff = _dsc_log_ratio(y, x, alpha, probs[0], geom.centers)
         # quadrature reference on a wide grid
         grid = np.linspace(x - 9 / np.sqrt(alpha), x + 9 / np.sqrt(alpha), 20001)
         send_pdf = np.exp(-0.5 * alpha * (grid - x) ** 2) * np.sqrt(alpha / (2 * np.pi))
@@ -399,6 +387,14 @@ def check_finite_m_limit(seed, K=2, alpha=0.25, m_list=(100, 1000, 10_000), tria
 # ---------------------------------------------------------------------------
 
 
+def _dsc_log_ratio(y, x, alpha, probs_row, centers):
+    """Sender minus mixture-receiver log-density of observations y of datum x."""
+    send = -0.5 * alpha * (y - x) ** 2 + 0.5 * np.log(alpha / (2 * np.pi))
+    with np.errstate(divide="ignore"):
+        logw = np.broadcast_to(np.log(probs_row), (y.size, centers.size))
+    return send - mixture_logpdf(y, np.ascontiguousarray(logw), centers, 1 / alpha)
+
+
 def _linf_mean_by_time_grid(loss_at_t, grid_points=4097):
     # Simpson over an odd uniform grid of the deterministic per-t loss
     ts = np.linspace(0.0, 1.0, grid_points)
@@ -462,30 +458,22 @@ def check_loss_convergence(seed, modality, n_list=(1, 4, 16, 64, 256),
         nodes, weights = _hermgauss(gh_nodes)
         probs_live = dsc.output_distribution(pred, cfg, cts.prior(1), 0.5, K)
         probs_prior = dsc.bin_probs_from_gaussian(np.zeros(1), np.ones(1), K)
+
+        def stratum(alpha, probs):
+            # Gauss-Hermite expectation over the sender draw y ~ N(x, 1/alpha)
+            y = x[0] + nodes / np.sqrt(alpha)
+            return float(np.sum(weights * _dsc_log_ratio(y, x[0], alpha, probs[0], geom.centers)))
+
         gaps = []
         for n in n_list:
             total = 0.0
             for i in range(1, n + 1):
                 t = (i - 1) / n
-                alpha = sched.step_alpha(i, n)
-                probs = probs_prior if t < cfg.t_min else probs_live
-                y = x[0] + nodes / np.sqrt(alpha)
-                send = -0.5 * alpha * (y - x[0]) ** 2 + 0.5 * np.log(alpha / (2 * np.pi))
-                with np.errstate(divide="ignore"):
-                    logw = np.broadcast_to(np.log(probs[0]), (y.size, K))
-                recv = mixture_logpdf(y, np.ascontiguousarray(logw), geom.centers, 1 / alpha)
-                total += float(np.sum(weights * (send - recv)))
+                total += stratum(sched.step_alpha(i, n), probs_prior if t < cfg.t_min else probs_live)
             gaps.append((total - linf) / linf)
         # consistency gate: the op's own draws at one stratum
         gate_n, gate_i = 16, 9
-        t = (gate_i - 1) / gate_n
-        alpha = sched.step_alpha(gate_i, gate_n)
-        y = x[0] + nodes / np.sqrt(alpha)
-        send = -0.5 * alpha * (y - x[0]) ** 2 + 0.5 * np.log(alpha / (2 * np.pi))
-        with np.errstate(divide="ignore"):
-            logw = np.broadcast_to(np.log(probs_live[0]), (y.size, K))
-        recv = mixture_logpdf(y, np.ascontiguousarray(logw), geom.centers, 1 / alpha)
-        stratum_ref = gate_n * float(np.sum(weights * (send - recv)))
+        stratum_ref = gate_n * stratum(sched.step_alpha(gate_i, gate_n), probs_live)
         draws = np.array([
             (loss_n_fn or (lambda r, n, i: dsc.loss_n_step(r, pred, cfg, x, n, K, i=i)))(rng, gate_n, gate_i)
             for _ in range(50_000)
@@ -512,33 +500,30 @@ def check_loss_convergence(seed, modality, n_list=(1, 4, 16, 64, 256),
     grids = np.meshgrid(*([nodes] * K), indexing="ij")
     Z = np.stack([g.ravel() for g in grids], axis=1)
     W = np.prod(np.stack(np.meshgrid(*([weights] * K), indexing="ij"), axis=0).reshape(K, -1), axis=0)
+
+    def strata(alpha):
+        # per dimension: Gauss-Hermite expectation over the sender draw,
+        # written in u = y + alpha, where the receiver is a log-sum-exp
+        for d in range(D):
+            u = alpha * K * np.eye(K)[x[d] - 1] + np.sqrt(alpha * K) * Z
+            lse = logsumexp_rows(np.log(probs_rows[d])[None, :] + u)
+            yield float(np.sum(W * (u[:, x[d] - 1] - lse)))
+
     gaps = []
     for n in n_list:
         total = 0.0
         for i in range(1, n + 1):
-            alpha = sched.step_alpha(i, n)
-            for d in range(D):
-                logw = np.log(probs_rows[d])
-                u = alpha * K * np.eye(K)[x[d] - 1] + np.sqrt(alpha * K) * Z
-                m = logw[None, :] + u
-                hi = m.max(axis=1, keepdims=True)
-                lse = (hi + np.log(np.exp(m - hi).sum(axis=1, keepdims=True))).ravel()
-                total += float(np.sum(W * (u[:, x[d] - 1] - lse)))
+            for v in strata(sched.step_alpha(i, n)):
+                total += v
         gaps.append((total - linf) / linf)
     gate_n, gate_i = 16, 9
     draws = np.array([
         (loss_n_fn or (lambda r, n, i: dd.loss_n_step(r, pred, sched, x, n, K, i=i)))(rng, gate_n, gate_i)
         for _ in range(50_000)
     ])
-    alpha = sched.step_alpha(gate_i, gate_n)
     ref = 0.0
-    for d in range(D):
-        logw = np.log(probs_rows[d])
-        u = alpha * K * np.eye(K)[x[d] - 1] + np.sqrt(alpha * K) * Z
-        m = logw[None, :] + u
-        hi = m.max(axis=1, keepdims=True)
-        lse = (hi + np.log(np.exp(m - hi).sum(axis=1, keepdims=True))).ravel()
-        ref += gate_n * float(np.sum(W * (u[:, x[d] - 1] - lse)))
+    for v in strata(sched.step_alpha(gate_i, gate_n)):
+        ref += gate_n * v
     gate_se = draws.std(ddof=1) / np.sqrt(draws.size)
     gate_dev = abs(draws.mean() - ref) / gate_se
     report = _convergence_report(

@@ -1,18 +1,8 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels in vectorised numpy.
 
 The Monte-Carlo property checks and the mixture-receiver losses spend most
 of their time in three elementwise/row-wise kernels: the error function,
-row-wise log-sum-exp and the log-density of a 1-D Gaussian mixture.  Each
-kernel exists twice:
-
-* ``*_numba`` -- an ``@njit``-compiled loop, used by default when numba
-  imports cleanly.
-* ``*_numpy`` -- vectorised numpy, selected by setting the environment
-  variable ``BFLOW_PURE_NUMPY=1`` (or when numba is unavailable).
-
-Both paths use the same operation order per element wherever possible so
-they agree to the last few ulp; ``benchmarks/bench_kernels.py`` compares
-their throughput.
+row-wise log-sum-exp and the log-density of a 1-D Gaussian mixture.
 
 The error function is evaluated locally via Cody's rational Chebyshev
 approximations (three ranges: |x| <= 0.46875, 0.46875 < |x| <= 4, |x| > 4)
@@ -20,28 +10,7 @@ so that results are identical across platforms and do not depend on the
 host libm.  Max absolute error is ~2e-16 against high-precision references.
 """
 
-import os
-
 import numpy as np
-
-_FORCE_NUMPY = os.environ.get("BFLOW_PURE_NUMPY", "0").strip().lower() not in ("", "0", "false", "no")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on hosts without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return deco
-
-NUMBA_ENABLED = _HAVE_NUMBA and not _FORCE_NUMPY
 
 # Cody's coefficients: P0/Q0 for |x| <= 0.46875 (erf), P1/Q1 for the mid
 # range and P2/Q2 for the far tail (both via erfc).
@@ -68,41 +37,9 @@ _Q2 = (2.33520497626869185443e-3, 6.05183413124413191178e-2,
 _INV_SQRT_PI = 5.6418958354775628695e-1
 
 
-@njit(cache=True)
-def _erf_scalar(x):
-    ax = abs(x)
-    if ax <= 0.46875:
-        z = x * x
-        n = (((_P0[4] * z + _P0[3]) * z + _P0[2]) * z + _P0[1]) * z + _P0[0]
-        d = (((_Q0[4] * z + _Q0[3]) * z + _Q0[2]) * z + _Q0[1]) * z + _Q0[0]
-        return x * n / d
-    if ax <= 4.0:
-        n = _P1[8]
-        d = _Q1[8]
-        for i in range(7, -1, -1):
-            n = n * ax + _P1[i]
-            d = d * ax + _Q1[i]
-        r = np.exp(-ax * ax) * n / d
-    else:
-        z = 1.0 / (ax * ax)
-        n = _P2[5]
-        d = _Q2[5]
-        for i in range(4, -1, -1):
-            n = n * z + _P2[i]
-            d = d * z + _Q2[i]
-        r = np.exp(-ax * ax) * (_INV_SQRT_PI + z * n / d) / ax
-    out = 1.0 - r
-    return -out if x < 0.0 else out
-
-
-@njit(cache=True)
-def _erf_numba(x, out):
-    for i in range(x.shape[0]):
-        out[i] = _erf_scalar(x[i])
-    return out
-
-
-def _erf_numpy(x, out):
+def erf_vec(x):
+    """Elementwise erf of a float64 array, shape preserved."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         ax = np.abs(x)
         # near zero
@@ -126,29 +63,13 @@ def _erf_numpy(x, out):
             n2 = n2 * zt + _P2[i]
             d2 = d2 * zt + _Q2[i]
         v2 = 1.0 - expterm * (_INV_SQRT_PI + zt * n2 / d2) / np.maximum(ax, 1e-300)
-        out[:] = np.where(ax <= 0.46875, v0, np.copysign(np.where(ax <= 4.0, v1, v2), x))
-    return out
+        return np.where(ax <= 0.46875, v0, np.copysign(np.where(ax <= 4.0, v1, v2), x))
 
 
-@njit(cache=True)
-def _logsumexp_rows_numba(m, out):
-    rows, cols = m.shape
-    for r in range(rows):
-        hi = -np.inf
-        for c in range(cols):
-            if m[r, c] > hi:
-                hi = m[r, c]
-        if hi == -np.inf:
-            out[r] = -np.inf
-            continue
-        s = 0.0
-        for c in range(cols):
-            s += np.exp(m[r, c] - hi)
-        out[r] = hi + np.log(s)
-    return out
-
-
-def _logsumexp_rows_numpy(m, out):
+def logsumexp_rows(m):
+    """Row-wise log(sum(exp(m))) for a 2-D array, stable for large negatives."""
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    out = np.empty(m.shape[0])
     hi = np.max(m, axis=1)
     finite = hi > -np.inf
     out[~finite] = -np.inf
@@ -159,75 +80,22 @@ def _logsumexp_rows_numpy(m, out):
     return out
 
 
-@njit(cache=True)
-def _mixture_logpdf_numba(y, logw, means, var, out):
-    # log sum_k w_k N(y | means_k, var), row-wise; tolerates w_k == 0 rows
-    # as long as at least one weight is positive.
-    rows = y.shape[0]
-    k = means.shape[0]
-    lognorm = -0.5 * np.log(2.0 * np.pi * var)
-    inv2v = 0.5 / var
-    for r in range(rows):
-        hi = -np.inf
-        for c in range(k):
-            d = y[r] - means[c]
-            t = logw[r, c] - d * d * inv2v
-            if t > hi:
-                hi = t
-        if hi == -np.inf:
-            out[r] = -np.inf
-            continue
-        s = 0.0
-        for c in range(k):
-            d = y[r] - means[c]
-            s += np.exp(logw[r, c] - d * d * inv2v - hi)
-        out[r] = hi + np.log(s) + lognorm
-    return out
-
-
-def _mixture_logpdf_numpy(y, logw, means, var, out):
-    lognorm = -0.5 * np.log(2.0 * np.pi * var)
-    d = y[:, None] - means[None, :]
-    with np.errstate(under="ignore"):
-        t = logw - d * d * (0.5 / var)
-    _logsumexp_rows_numpy(t, out)
-    out += lognorm
-    return out
-
-
-def erf_vec(x):
-    """Elementwise erf of a float64 array, shape preserved."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    flat = x.ravel()
-    out = np.empty_like(flat)
-    if NUMBA_ENABLED:
-        _erf_numba(flat, out)
-    else:
-        _erf_numpy(flat, out)
-    return out.reshape(x.shape)
-
-
-def logsumexp_rows(m):
-    """Row-wise log(sum(exp(m))) for a 2-D array, stable for large negatives."""
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    out = np.empty(m.shape[0])
-    if NUMBA_ENABLED:
-        return _logsumexp_rows_numba(m, out)
-    return _logsumexp_rows_numpy(m, out)
-
-
 def mixture_logpdf(y, logw, means, var):
     """Log-density of per-row Gaussian mixtures at scalar observations.
 
     y: (M,) observations; logw: (M, K) log mixture weights per row;
-    means: (K,) component means; var: shared scalar variance.
+    means: (K,) component means; var: shared scalar variance.  Rows with
+    some zero weights are fine as long as one weight is positive.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     logw = np.ascontiguousarray(logw, dtype=np.float64)
     means = np.ascontiguousarray(means, dtype=np.float64)
     if logw.shape != (y.shape[0], means.shape[0]):
         raise ValueError("logw must have shape (len(y), len(means))")
-    out = np.empty(y.shape[0])
-    if NUMBA_ENABLED:
-        return _mixture_logpdf_numba(y, logw, means, float(var), out)
-    return _mixture_logpdf_numpy(y, logw, means, float(var), out)
+    var = float(var)
+    d = y[:, None] - means[None, :]
+    with np.errstate(under="ignore"):
+        t = logw - d * d * (0.5 / var)
+    out = logsumexp_rows(t)
+    out += -0.5 * np.log(2.0 * np.pi * var)
+    return out

@@ -55,9 +55,6 @@ class Rng:
     def state(self):
         return self._gen.bit_generator.state
 
-    def set_state(self, state):
-        self._gen.bit_generator.state = state
-
 
 def gaussian_sample(rng, mean, var):
     """Draw mean + sqrt(var) * z with z iid standard normal.

@@ -199,6 +199,41 @@ class TestIngestCommand:
         assert raw.startswith(b"P5\n4 2\n255\n")
 
 
+class TestDiscretisedRoundTrip:
+    def test_ingest_train_eval_sample(self, tmp_path, capsys):
+        # the dataset file holds 1-based bin indices; train and eval must
+        # hand the model bin centres
+        src = tmp_path / "img.raw"
+        src.write_bytes(np.arange(0, 256, 8, dtype=np.uint8).tobytes())  # 8 items of 2x2
+        ds_path = tmp_path / "img.ds"
+        assert run_cli(
+            "ingest", "--modality", "discretised", "--input", str(src),
+            "--bins", "256", "--dim", "4", "--output", str(ds_path),
+        ) == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "modality = discretised\nD = 4\nK = 256\nschedule_preset = cts-256bin\n"
+            "batch_size = 4\nsteps = 3\nlearning_rate = 0.001\nseed = 1\nhidden = 8,8\n"
+            f"dataset = {ds_path}\n"
+        )
+        run_dir = tmp_path / "r"
+        assert run_cli("train", "--config", str(cfg), "--out", str(run_dir)) == 0
+        ckpt = run_dir / "model.ckpt"
+        out_csv = tmp_path / "eval.csv"
+        assert run_cli(
+            "eval", "--checkpoint", str(ckpt), "--dataset", str(ds_path),
+            "--n", "2", "--passes", "1", "--out", str(out_csv),
+        ) == 0
+        rows = [ln.split(",") for ln in out_csv.read_text().strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == ["2", "inf", "recon"]
+        assert all(np.isfinite(float(r[1])) for r in rows)
+        assert run_cli(
+            "sample", "--checkpoint", str(ckpt), "--count", "1", "--steps", "3", "--out", str(tmp_path / "s"),
+        ) == 0
+        raw = (tmp_path / "s" / "sample_000.pgm").read_bytes()
+        assert raw.startswith(b"P5\n2 2\n255\n") and len(raw) == len(b"P5\n2 2\n255\n") + 4
+
+
 class TestVerifyCommand:
     def test_filter_runs_subset(self, tmp_path, capsys):
         rep = tmp_path / "r.jsonl"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bflow import continuous as cts
+from bflow import discrete as dd
 from bflow import discretised as dsc
 from bflow import harness
 from bflow.harness import FiniteMSimulator
@@ -148,4 +149,23 @@ class TestMutationSensitivity:
         pred = DiscretisedDatumPredictor(x + 0.15, 0.06, cfg.sigma1)
         drifted = lambda r, n, i: dsc.loss_n_step(r, pred, cfg, x, n, 16, i=i) + 0.1
         r = harness.check_loss_convergence(7, "discretised", loss_n_fn=drifted)
+        assert not r.passed
+
+    def test_drifting_cts_update_detected(self, monkeypatch):
+        # a Bayesian update whose posterior precision runs 5% hot
+        real = cts.bayes_update
+
+        def drifting(p, y, alpha):
+            q = real(p, y, alpha)
+            return cts.CtsParams(mean=q.mean, precision=1.05 * q.precision)
+
+        monkeypatch.setattr(cts, "bayes_update", drifting)
+        r = harness.check_additivity(7, "continuous", trials=200_000)
+        assert not r.passed
+
+    def test_hot_discrete_sender_detected(self, monkeypatch):
+        # a sender drawing at 1.1x the scheduled accuracy
+        real = dd.sender_sample
+        monkeypatch.setattr(dd, "sender_sample", lambda rng, x, alpha, K: real(rng, x, 1.1 * alpha, K))
+        r = harness.check_flow_equivalence(7, "discrete")
         assert not r.passed
