@@ -70,19 +70,32 @@ def save_dataset(path, ds):
 
 
 def load_dataset(path):
+    """Read a dataset file; a payload of the wrong length raises ValueError."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
+        if len(head) != _HEADER.size:
+            raise ValueError(f"dataset header is {len(head)} bytes, expected {_HEADER.size}")
         magic, version, mod_code, D, K, count = _HEADER.unpack(head)
         if magic != MAGIC:
             raise ValueError(f"not a dataset file (magic {magic!r})")
         if version != VERSION:
             raise ValueError(f"unsupported dataset version {version}")
         blob = fh.read()
+    if mod_code not in MODALITY_NAMES:
+        raise ValueError(f"unknown modality code {mod_code}")
     modality = MODALITY_NAMES[mod_code]
+    dtype = "<f8" if modality == "continuous" else "<u4"
+    expected = count * D * np.dtype(dtype).itemsize
+    if len(blob) != expected:
+        raise ValueError(
+            f"dataset payload is {len(blob)} bytes, expected {expected} "
+            f"for {count} items of D={D}"
+        )
+    items = np.frombuffer(blob, dtype=dtype).reshape(count, D)
     if modality == "continuous":
-        items = np.frombuffer(blob, dtype="<f8", count=count * D).reshape(count, D).copy()
+        items = items.copy()
     else:
-        items = np.frombuffer(blob, dtype="<u4", count=count * D).reshape(count, D).astype(np.int64)
+        items = items.astype(np.int64)
     return Dataset(modality=modality, D=D, K=K, items=items)
 
 

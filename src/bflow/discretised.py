@@ -71,6 +71,14 @@ def discretised_cdf(mu, sigma, x):
     return 0.5 * (1.0 + float(erf_vec(np.array([(x - mu) / (sigma * _SQRT2)]))[0]))
 
 
+# Rows of the (rows, K+1) bin-edge grid handled per pass.  At K=256 a pass of
+# 128 rows makes 263 KB float64 temporaries, which stay in a core's L2 cache;
+# a whole B=32, D=64 batch (2048 rows) makes 4 MB ones.  On a 2-core x86_64
+# VM the K=256 training head took about 24 ms per step in 128-row passes and
+# 45 ms in 1024-row passes or in one pass.
+ROWS_PER_PASS = 128
+
+
 def bin_probs_from_gaussian(mu_x, sigma_x, K):
     """Per-bin masses of clipped N(mu_x, sigma_x^2) rows; shapes (D,)->(D, K)."""
     mu_x = np.atleast_1d(np.asarray(mu_x, dtype=np.float64))
@@ -78,12 +86,18 @@ def bin_probs_from_gaussian(mu_x, sigma_x, K):
     sigma_x = np.maximum(sigma_x, 1e-20)  # degenerate widths collapse to one-hot rows
     geom = BinGeometry(K)
     edges = np.concatenate([geom.centers - 1.0 / K, [1.0]])  # K+1 edges
-    z = (edges[None, :] - mu_x[:, None]) / (sigma_x[:, None] * _SQRT2)
-    cdf = 0.5 * (1.0 + erf_vec(z))
-    cdf[:, 0] = 0.0   # left edge is exactly -1: clipped
-    cdf[:, -1] = 1.0  # right edge is exactly +1: clipped
-    probs = np.diff(cdf, axis=1)
-    return np.maximum(probs, 0.0)
+    probs = np.empty(mu_x.shape + (K,))
+    for s in range(0, mu_x.shape[0], ROWS_PER_PASS):
+        r = slice(s, s + ROWS_PER_PASS)
+        z = edges[None, :] - mu_x[r, None]
+        z /= sigma_x[r, None] * _SQRT2
+        cdf = erf_vec(z)
+        cdf += 1.0
+        cdf *= 0.5
+        cdf[:, 0] = 0.0   # left edge is exactly -1: clipped
+        cdf[:, -1] = 1.0  # right edge is exactly +1: clipped
+        np.subtract(cdf[:, 1:], cdf[:, :-1], out=probs[r])
+    return np.maximum(probs, 0.0, out=probs)
 
 
 def output_distribution(predictor, cfg, p, t, K):

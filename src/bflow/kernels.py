@@ -8,6 +8,16 @@ The error function is evaluated locally via Cody's rational Chebyshev
 approximations (three ranges: |x| <= 0.46875, 0.46875 < |x| <= 4, |x| > 4)
 so that results are identical across platforms and do not depend on the
 host libm.  Max absolute error is ~2e-16 against high-precision references.
+
+Each element runs only the branch its range needs: the elements of a range
+are gathered, that range's polynomials run on them alone, and the results
+are scattered back.  From |x| >= 6 on the result is exactly copysign(1, x),
+since erfc(6) ~ 2e-17 is below half an ulp of 1 and the tail formula rounds
+to 1 there.  A branch performs the same operations in the same order on an
+element as the form that evaluates all three branches on every element and
+selects one, so every output bit is unchanged; the tests keep that form as
+the reference.  NaN fails every range comparison, falls into the computed
+tail branch and stays NaN.
 """
 
 import numpy as np
@@ -40,30 +50,56 @@ _INV_SQRT_PI = 5.6418958354775628695e-1
 def erf_vec(x):
     """Elementwise erf of a float64 array, shape preserved."""
     x = np.ascontiguousarray(x, dtype=np.float64)
+    ax = np.abs(x)
+    out = np.copysign(1.0, x)  # |x| >= 6: erfc(6) ~ 2e-17 rounds away
+    near = ax <= 0.46875
+    mid = ax <= 4.0
+    # NaN fails every comparison, so it lands in the tail branch and stays NaN
+    tail = ~(mid | (ax >= 6.0))
+    mid &= ~near
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        ax = np.abs(x)
         # near zero
-        z = x * x
-        n0 = (((_P0[4] * z + _P0[3]) * z + _P0[2]) * z + _P0[1]) * z + _P0[0]
-        d0 = (((_Q0[4] * z + _Q0[3]) * z + _Q0[2]) * z + _Q0[1]) * z + _Q0[0]
-        v0 = x * n0 / d0
-        # mid range, via erfc
-        n1 = np.full_like(ax, _P1[8])
-        d1 = np.full_like(ax, _Q1[8])
+        xs = x[near]
+        z = xs * xs
+        n0 = np.full_like(z, _P0[4])
+        d0 = np.full_like(z, _Q0[4])
+        for i in range(3, -1, -1):
+            n0 *= z
+            n0 += _P0[i]
+            d0 *= z
+            d0 += _Q0[i]
+        out[near] = xs * n0 / d0
+        # mid range, via erfc; here and in the tail a*a < 36, so exp(-a*a),
+        # 1/(a*a) and the division by a need no clamping
+        a = ax[mid]
+        n1 = np.full_like(a, _P1[8])
+        d1 = np.full_like(a, _Q1[8])
         for i in range(7, -1, -1):
-            n1 = n1 * ax + _P1[i]
-            d1 = d1 * ax + _Q1[i]
-        expterm = np.exp(-np.minimum(ax * ax, 750.0))
-        v1 = 1.0 - expterm * n1 / d1
+            n1 *= a
+            n1 += _P1[i]
+            d1 *= a
+            d1 += _Q1[i]
+        v = np.exp(-(a * a))
+        v *= n1
+        v /= d1
+        out[mid] = np.copysign(1.0 - v, x[mid])
         # far tail, via erfc
-        zt = 1.0 / np.maximum(ax * ax, 1e-300)
-        n2 = np.full_like(ax, _P2[5])
-        d2 = np.full_like(ax, _Q2[5])
+        a = ax[tail]
+        a2 = a * a
+        zt = 1.0 / a2
+        n2 = np.full_like(a, _P2[5])
+        d2 = np.full_like(a, _Q2[5])
         for i in range(4, -1, -1):
-            n2 = n2 * zt + _P2[i]
-            d2 = d2 * zt + _Q2[i]
-        v2 = 1.0 - expterm * (_INV_SQRT_PI + zt * n2 / d2) / np.maximum(ax, 1e-300)
-        return np.where(ax <= 0.46875, v0, np.copysign(np.where(ax <= 4.0, v1, v2), x))
+            n2 *= zt
+            n2 += _P2[i]
+            d2 *= zt
+            d2 += _Q2[i]
+        v = zt * n2 / d2
+        v += _INV_SQRT_PI
+        v *= np.exp(-a2)
+        v /= a
+        out[tail] = np.copysign(1.0 - v, x[tail])
+    return out
 
 
 def logsumexp_rows(m):

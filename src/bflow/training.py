@@ -175,21 +175,41 @@ def _dsc_head(config, state, net_out):
     sigma_x = np.where(live[:, None], ratio[:, None] * np.exp(ln_sigma_eps), 1.0)
 
     geom = dsc.BinGeometry(K)
-    probs = np.stack([dsc.bin_probs_from_gaussian(mu_x[b], sigma_x[b], K) for b in range(B)])
+    # the bin masses are elementwise in (mu_x, sigma_x): one call for the batch
+    probs = dsc.bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), K).reshape(B, D, K)
     k_hat = probs @ geom.centers
     resid = x - k_hat
     loss = w * np.sum(resid * resid, axis=1)
 
-    # d k_hat / d mu_x and / d sigma_x via the Gaussian pdf at interior edges
+    # d k_hat / d mu_x and / d sigma_x via the Gaussian pdf at interior edges,
+    # in passes of dsc.ROWS_PER_PASS rows of the (B*D, K+1) edge grid
     edges = np.concatenate([geom.centers - 1.0 / K, [1.0]])
-    sig = np.maximum(sigma_x, 1e-20)
-    zed = (edges[None, None, :] - mu_x[..., None]) / sig[..., None]
-    with np.errstate(under="ignore"):
-        phi = np.exp(-0.5 * zed * zed) / (sig[..., None] * np.sqrt(2 * np.pi))
-    phi[..., 0] = 0.0   # boundary edges are clipped: no density flows through
-    phi[..., -1] = 0.0
-    dP_dmu = -(phi[..., 1:] - phi[..., :-1])
-    dP_dsig = -(phi[..., 1:] * zed[..., 1:] - phi[..., :-1] * zed[..., :-1])
+    m = mu_x.ravel()
+    sig = np.maximum(sigma_x, 1e-20).ravel()
+    den = sig * np.sqrt(2 * np.pi)
+    dP_dmu = np.empty((B * D, K))
+    dP_dsig = np.empty((B * D, K))
+    for s in range(0, B * D, dsc.ROWS_PER_PASS):
+        r = slice(s, s + dsc.ROWS_PER_PASS)
+        zed = (edges[None, :] - m[r, None]) / sig[r, None]
+        # exp(-zed^2 / 2) is exactly 0 for |zed| >= 38.61, so the pdf is only
+        # evaluated inside the band; NaN stays in the band and keeps its NaN
+        band = ~(np.abs(zed) >= 39.0)
+        zb = zed[band]
+        phi = np.zeros_like(zed)
+        with np.errstate(under="ignore"):
+            phi[band] = np.exp(-0.5 * zb * zb) / np.broadcast_to(den[r, None], zed.shape)[band]
+        phi[:, 0] = 0.0   # boundary edges are clipped: no density flows through
+        phi[:, -1] = 0.0
+        np.subtract(phi[:, 1:], phi[:, :-1], out=dP_dmu[r])
+        np.negative(dP_dmu[r], out=dP_dmu[r])
+        np.multiply(phi, zed, out=zed)
+        np.subtract(zed[:, 1:], zed[:, :-1], out=dP_dsig[r])
+        np.negative(dP_dsig[r], out=dP_dsig[r])
+    # the reductions run on the full (B, D, K) arrays: their summation order,
+    # and so their bits, depend on the shape
+    dP_dmu = dP_dmu.reshape(B, D, K)
+    dP_dsig = dP_dsig.reshape(B, D, K)
     dkhat_dmu = dP_dmu @ geom.centers
     dkhat_dsig = dP_dsig @ geom.centers
     dL_dkhat = w[:, None] * 2.0 * (k_hat - x)
@@ -437,6 +457,9 @@ def eval_rows_to_csv(rows):
 # ---------------------------------------------------------------------------
 
 
+_SECTIONS = ("params", "ema", "m", "v")
+
+
 def _jsonable_rng_state(state):
     def conv(v):
         if isinstance(v, dict):
@@ -458,11 +481,8 @@ def save_checkpoint(path, result, run_config=None):
     sections = {}
     payload = []
     offset = 0
-    for name, arr in (
-        ("params", mlp.params),
-        ("ema", result.ema_params),
-        ("m", result.moments_m),
-        ("v", result.moments_v),
+    for name, arr in zip(
+        _SECTIONS, (mlp.params, result.ema_params, result.moments_m, result.moments_v)
     ):
         sections[name] = [offset, int(arr.size)]
         payload.append(np.ascontiguousarray(arr, dtype="<f8"))
@@ -488,22 +508,44 @@ def save_checkpoint(path, result, run_config=None):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; a truncated or inconsistent file raises ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        prefix = fh.read(12)
+        if len(prefix) != 12:
+            raise ValueError("checkpoint truncated inside its fixed header")
+        version, hlen = struct.unpack("<IQ", prefix)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        raw = fh.read(hlen)
+        if len(raw) != hlen:
+            raise ValueError(f"checkpoint truncated inside its {hlen}-byte JSON header")
+        header = json.loads(raw.decode("utf-8"))
         blob = fh.read()
-    flat = np.frombuffer(blob, dtype="<f8")
+    missing = [k for k in ("config", "sections") if k not in header]
+    if missing:
+        raise ValueError(f"checkpoint header lacks {', '.join(missing)}")
+    flat = np.frombuffer(blob, dtype="<f8", count=len(blob) // 8)
     cfg_dict = dict(header["config"])
     cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
     config = TrainConfig(**cfg_dict)
     mlp = MLP(config.predictor_spec(), seed=config.seed)
     sec = header["sections"]
+    for name in _SECTIONS:
+        if name not in sec:
+            raise ValueError(f"checkpoint has no section {name!r}")
+        off, count = sec[name]
+        if count != mlp.n_params:
+            raise ValueError(
+                f"checkpoint section {name!r} holds {count} values; the model has {mlp.n_params}"
+            )
+        if off < 0 or off + count > flat.size:
+            raise ValueError(
+                f"checkpoint section {name!r} spans values {off}..{off + count} "
+                f"but the payload holds {flat.size}"
+            )
 
     def take(name):
         off, count = sec[name]

@@ -32,6 +32,17 @@ class TestDatasetFile:
         with pytest.raises(ValueError):
             data.Dataset(modality="discrete", D=2, K=3, items=np.array([[1, 4]]))
 
+    @pytest.mark.parametrize("tail, actual", [(-5, 19), (12, 36)])
+    def test_wrong_payload_length_names_byte_counts(self, tmp_path, tail, actual):
+        # 2 items of D=3 uint32 indices: a 24-byte payload, cut short or extended
+        ds = data.Dataset(modality="discrete", D=3, K=5, items=np.array([[1, 5, 2], [4, 3, 3]]))
+        p = tmp_path / "d.ds"
+        data.save_dataset(p, ds)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:tail] if tail < 0 else raw + b"\1" * tail)
+        with pytest.raises(ValueError, match=f"payload is {actual} bytes, expected 24"):
+            data.load_dataset(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.ds"
         p.write_bytes(b"not a dataset at all........." + b"\0" * 16)

@@ -175,6 +175,83 @@ class TestHeadGradients:
             assert loss_vec[b] == pytest.approx(ref, rel=1e-10)
 
 
+def _dsc_head_reference(config, state, net_out):
+    """The discretised head as one bin_probs call per batch row and the pdf
+    over the whole edge grid: the reference for bitwise equality."""
+    from bflow import discretised as dsc
+
+    cfg = config.cts_config()
+    K = config.K
+    x, t, mu = state["x"], state["t"], state["mu"]
+    B, D = x.shape
+    w = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2.0 * t)
+    g = 1.0 - cfg.sigma1 ** (2.0 * t)
+    live = t >= cfg.t_min
+    mu_eps, ln_sigma_eps = net_out[:, :D], net_out[:, D:]
+    ratio = np.zeros(B)
+    ratio[live] = np.sqrt((1.0 - g[live]) / g[live])
+    mu_x = np.where(live[:, None], mu / np.maximum(g, 1e-300)[:, None] - ratio[:, None] * mu_eps, 0.0)
+    sigma_x = np.where(live[:, None], ratio[:, None] * np.exp(ln_sigma_eps), 1.0)
+    geom = dsc.BinGeometry(K)
+    probs = np.stack([dsc.bin_probs_from_gaussian(mu_x[b], sigma_x[b], K) for b in range(B)])
+    k_hat = probs @ geom.centers
+    resid = x - k_hat
+    loss = w * np.sum(resid * resid, axis=1)
+    edges = np.concatenate([geom.centers - 1.0 / K, [1.0]])
+    sig = np.maximum(sigma_x, 1e-20)
+    zed = (edges[None, None, :] - mu_x[..., None]) / sig[..., None]
+    with np.errstate(under="ignore"):
+        phi = np.exp(-0.5 * zed * zed) / (sig[..., None] * np.sqrt(2 * np.pi))
+    phi[..., 0] = 0.0
+    phi[..., -1] = 0.0
+    dP_dmu = -(phi[..., 1:] - phi[..., :-1])
+    dP_dsig = -(phi[..., 1:] * zed[..., 1:] - phi[..., :-1] * zed[..., :-1])
+    dkhat_dmu = dP_dmu @ geom.centers
+    dkhat_dsig = dP_dsig @ geom.centers
+    dL_dkhat = w[:, None] * 2.0 * (k_hat - x)
+    d_mu_eps = np.where(live[:, None], dL_dkhat * dkhat_dmu * (-ratio[:, None]), 0.0)
+    d_ln_sigma = np.where(live[:, None], dL_dkhat * dkhat_dsig * sigma_x, 0.0)
+    return loss, np.concatenate([d_mu_eps, d_ln_sigma], axis=1)
+
+
+class TestDiscretisedHeadReference:
+    """The batched head gives the same bits as the per-row reference.  B*D
+    spans several passes of dsc.ROWS_PER_PASS rows, the last one partial."""
+
+    def _assert_same_bits(self, config, state, net_out):
+        loss, d_out = training.head_loss_and_grad(config, state, net_out)
+        ref_loss, ref_d_out = _dsc_head_reference(config, state, net_out)
+        np.testing.assert_array_equal(loss.view(np.uint64), ref_loss.view(np.uint64))
+        np.testing.assert_array_equal(d_out.view(np.uint64), ref_d_out.view(np.uint64))
+
+    def test_extreme_states(self):
+        from bflow.discretised import BinGeometry
+
+        B, D, K = 6, 70, 16
+        config = _make_config("discretised", D=D, K=K, batch_size=B)
+        rng = np.random.default_rng(5)
+        x = BinGeometry(K).centers[rng.integers(0, K, size=(B, D))]
+        # t = 0 and 1e-9 lie below t_min = 1e-6; t = 1 has the narrowest flow
+        t = np.array([0.0, 1e-9, 0.03, 0.4, 0.9, 1.0])
+        mu = rng.normal(size=(B, D)) * 3.0
+        # mu_eps of +-40 puts mu_x far outside [-1, 1]; ln_sigma_eps of -80
+        # hits the 1e-20 floor on sigma_x and +25 makes sigma_x very wide
+        mu_eps = rng.choice([0.0, 0.5, -2.0, 40.0, -40.0], size=(B, D))
+        ln_sigma_eps = rng.choice([-80.0, -6.0, 0.0, 2.0, 25.0], size=(B, D))
+        state = {"t": t, "mu": mu, "state_in": mu, "x": x}
+        net_out = np.concatenate([mu_eps, ln_sigma_eps], axis=1)
+        self._assert_same_bits(config, state, net_out)
+
+    def test_sampled_states_at_k256(self):
+        config = _make_config("discretised", D=64, K=256, batch_size=3,
+                              schedule_preset="cts-256bin")
+        mlp = MLP(config.predictor_spec(), seed=8)
+        r = Rng(303)
+        x = _random_batch(r, config)
+        state = training.sample_head_state(r, config, x)
+        self._assert_same_bits(config, state, mlp.forward_batch(state["state_in"], state["t"]))
+
+
 class TestTrainLoop:
     def test_zero_learning_rate_keeps_params(self):
         config = _make_config("discrete", learning_rate=0.0, weight_decay=0.0, steps=8)
@@ -331,4 +408,32 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"nope" + b"\0" * 64)
         with pytest.raises(ValueError):
+            training.load_checkpoint(path)
+
+    def _saved_checkpoint(self, tmp_path):
+        config = _make_config("continuous", steps=2)
+        data = Rng(21).uniform(size=(6, config.D)) - 0.5
+        path = tmp_path / "t.ckpt"
+        training.save_checkpoint(path, training.train(Rng(22), data, config))
+        return path
+
+    @pytest.mark.parametrize("cut", [200, 203])
+    def test_truncated_payload_names_section(self, tmp_path, cut):
+        path = self._saved_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="section 'v'"):
+            training.load_checkpoint(path)
+
+    def test_header_without_sections_rejected(self, tmp_path):
+        import json
+        import struct
+
+        path = self._saved_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + hlen])
+        del header["sections"]
+        hb = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(hb)) + hb + raw[16 + hlen :])
+        with pytest.raises(ValueError, match="sections"):
             training.load_checkpoint(path)
