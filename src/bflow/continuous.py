@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import gaussian_sample
+from .predictor import forward_row
 from .schedule import ContinuousSigma
 
 
@@ -38,7 +39,8 @@ class CtsConfig:
 
 @dataclass
 class CtsParams:
-    """Input-distribution state: per-dimension mean, shared precision >= 1."""
+    """Input-distribution state: per-dimension mean, shared precision >= 1
+    (for a batch from flow_sample, a (B, D) mean and a (B,) precision)."""
 
     mean: np.ndarray
     precision: float
@@ -66,45 +68,100 @@ def bayes_update(p, y, alpha):
 
 
 def flow_sample(rng, cfg, x, t):
-    """Draw the belief state at time t directly, collapsing all updates.
+    """Draw belief states at times t directly, collapsing all updates.
 
-    mean ~ N(gamma(t) x, gamma(t)(1 - gamma(t)) I); precision = 1 + beta(t).
-    At t=0 the state is exactly the prior.
+    x is a (B, D) batch with t (B,), one time per row: the state's mean is
+    (B, D) and its precision (B,).  A (D,) x with a float t is one row and
+    gives one state.  mean ~ N(gamma(t) x, gamma(t)(1 - gamma(t)) I) and
+    precision = 1 + beta(t).  A row at t=0 is exactly the prior and draws
+    nothing.
     """
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x < cfg.x_min) or np.any(x > cfg.x_max):
+    if x.ndim == 1:
+        p = flow_sample(rng, cfg, x[None], t)
+        return CtsParams(mean=p.mean[0], precision=float(p.precision[0]))
+    if x.min() < cfg.x_min or x.max() > cfg.x_max:
         raise ValueError("data outside configured range")
-    g = gamma(cfg, t)
-    precision = 1.0 + cfg.schedule.beta(t)
-    if g == 0.0:
-        return CtsParams(mean=np.zeros_like(x), precision=precision)
-    mean = gaussian_sample(rng, g * x, g * (1.0 - g))
+    precision = np.full(x.shape[0], 1.0 + cfg.schedule.beta(t))
+    g = np.full(x.shape[0], gamma(cfg, t))[:, None]
+    if g.all():
+        return CtsParams(mean=gaussian_sample(rng, g * x, g * (1.0 - g)), precision=precision)
+    mean = np.zeros_like(x)
+    live = g[:, 0] != 0.0
+    if live.any():
+        mean[live] = flow_sample(rng, cfg, x[live], np.asarray(t)[live]).mean
     return CtsParams(mean=mean, precision=precision)
 
 
-def prediction_from_noise(cfg, mean, g, noise_estimate):
-    """Map a noise estimate back to a clipped data estimate."""
-    x_hat = mean / g - np.sqrt((1.0 - g) / g) * noise_estimate
-    return np.clip(x_hat, cfg.x_min, cfg.x_max)
+def noise_terms(cfg, t, B):
+    """gamma, the rows at or above t_min, and sqrt((1 - gamma) / gamma), the
+    scale from noise to data estimates; each (B, 1).  gamma is floored at
+    1e-300, so rows at t=0 divide without warnings; their values are
+    meaningless there, and the output maps mask those rows.
+
+    t is (B,) or one float for every row.  A float keeps gamma in Python
+    float arithmetic, as the per-item ops always computed it; numpy's
+    vectorised power differs from it in the last bit for about one input
+    in twenty.
+    """
+    g = np.maximum(np.full(B, gamma(cfg, t))[:, None], 1e-300)
+    live = np.full(B, t >= cfg.t_min)[:, None]
+    return g, live, np.sqrt((1.0 - g) / g)
+
+
+def loss_weight(cfg, t, B):
+    """The continuous-time loss weight -ln(sigma1) sigma1^(-2t) per row,
+    for times t as in noise_terms."""
+    return np.full(B, -np.log(cfg.sigma1) * cfg.sigma1 ** (-2.0 * t))
+
+
+def output_map(cfg, mu, t, net_out, predicts_data=False):
+    """Clipped data estimates x_hat (B, D) from the network's noise estimates
+    at belief means mu (B, D) and times t; zero on rows below t_min.
+
+    A data predictor (predicts_data) skips the noise transform.  Also
+    returns where x_hat moves with net_out and the slope there.
+    """
+    g, live, ratio = noise_terms(cfg, t, mu.shape[0])
+    if predicts_data:
+        x_raw, slope = np.where(live, net_out, 0.0), 1.0
+    else:
+        x_raw = np.where(live, mu / g - ratio * net_out, 0.0)
+        slope = -ratio
+    inside = (x_raw > cfg.x_min) & (x_raw < cfg.x_max) & live
+    return np.clip(x_raw, cfg.x_min, cfg.x_max), inside, slope
+
+
+def loss_inf(cfg, x, mu, t, net_out, grad=False, predicts_data=False):
+    """Continuous-time loss w(t) |x - x_hat|^2 per row of a (B, D) batch;
+    with grad, also its gradient w.r.t. net_out."""
+    x_hat, inside, slope = output_map(cfg, mu, t, net_out, predicts_data)
+    w = loss_weight(cfg, t, x.shape[0])
+    resid = x - x_hat
+    loss = w * np.sum(resid * resid, axis=1)
+    if not grad:
+        return loss
+    return loss, np.where(inside, w[:, None] * 2.0 * (x_hat - x) * slope, 0.0)
+
+
+def net_out_row(predictor, cfg, p, t, width):
+    """The predictor's (1, width) output at belief state p; zeros below
+    t_min, where the output maps ignore it, so the predictor is not called."""
+    if t < cfg.t_min:
+        return np.zeros((1, width))
+    return forward_row(predictor, p.mean, t, width)
 
 
 def output_prediction(predictor, cfg, p, t):
     """Data estimate at (state, time); zero below the t_min cutoff.
 
     Predictors emit noise estimates by default.  A predictor carrying a
-    truthy ``predicts_data`` attribute emits data estimates directly and
-    skips the noise transform (the two are algebraically equivalent).
+    truthy ``predicts_data`` attribute emits data estimates directly.
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    if t < cfg.t_min:
-        return np.zeros(cfg.D)
-    raw = np.asarray(predictor.forward(p.mean, t), dtype=np.float64)
-    if raw.shape != (cfg.D,):
-        raise ValueError(f"predictor returned shape {raw.shape}, expected ({cfg.D},)")
-    if getattr(predictor, "predicts_data", False):
-        return np.clip(raw, cfg.x_min, cfg.x_max)
-    return prediction_from_noise(cfg, p.mean, gamma(cfg, t), raw)
+    net_out = net_out_row(predictor, cfg, p, t, cfg.D)
+    return output_map(cfg, p.mean[None], t, net_out, getattr(predictor, "predicts_data", False))[0][0]
 
 
 def loss_n_step(rng, predictor, cfg, x, n, i=None):
@@ -132,10 +189,9 @@ def loss_cts_time(rng, predictor, cfg, x, t=None):
         raise ValueError("t must lie in [0, 1]")
     x = np.asarray(x, dtype=np.float64)
     p = flow_sample(rng, cfg, x, t)
-    x_hat = output_prediction(predictor, cfg, p, t)
-    resid = x - x_hat
-    weight = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2.0 * t)
-    return weight * float(np.dot(resid, resid))
+    net_out = net_out_row(predictor, cfg, p, t, cfg.D)
+    predicts_data = getattr(predictor, "predicts_data", False)
+    return float(loss_inf(cfg, x[None], p.mean[None], t, net_out, predicts_data=predicts_data)[0])
 
 
 def reconstruction_loss(rng, predictor, cfg, x, noise_sigma):

@@ -3,7 +3,8 @@
 File layout (little endian):
 
     magic   4 bytes  b"BFDS"
-    version u32      currently 1
+    version u32      currently 2 (version 1 stored K=256 bytes 0 and 1
+                     both as bin 1)
     modality u8      0 = continuous, 1 = discretised, 2 = discrete
     D       u32      values per item
     K       u32      class/bin count (0 for continuous)
@@ -16,9 +17,9 @@ line (a line holding a single space is the space symbol); indices are
 1-based in alphabet order.  Newline-separated text maps one line to one
 item (all lines must share one length); text without newlines is chunked.
 
-8-bit byte data ingested at K=256 keeps the byte value as the bin index
-(value 0 is clamped to bin 1, the darkest level); other bin counts scale
-bytes to [-1, 1] and quantise to the nearest centre.
+8-bit byte data ingested at K=256 stores byte b as bin b + 1, so all 256
+levels round-trip; other bin counts scale bytes to [-1, 1] and quantise to
+the nearest centre.
 """
 
 import struct
@@ -30,7 +31,7 @@ from .discretised import BinGeometry, quantise
 from .numerics import Rng
 
 MAGIC = b"BFDS"
-VERSION = 1
+VERSION = 2
 MODALITY_CODES = {"continuous": 0, "discretised": 1, "discrete": 2}
 MODALITY_NAMES = {v: k for k, v in MODALITY_CODES.items()}
 _HEADER = struct.Struct("<4sIBIIQ")
@@ -48,7 +49,7 @@ class Dataset:
         if self.items.ndim != 2 or self.items.shape[1] != self.D:
             raise ValueError("items must have shape (count, D)")
         if self.modality == "continuous":
-            if np.any(np.abs(self.items) > 1.0):
+            if not np.all(np.abs(self.items) <= 1.0):  # NaN fails too
                 raise ValueError("continuous values outside [-1, 1]")
         else:
             if self.K < 2:
@@ -166,23 +167,26 @@ def ingest_text(text, alphabet, seq_len=None):
     return Dataset(modality="discrete", D=items.shape[1], K=len(alphabet), items=items)
 
 
-def export_text(ds, alphabet):
-    """Inverse of ingest_text for line-structured corpora."""
-    if ds.modality != "discrete":
-        raise ValueError("text export requires a discrete dataset")
-    return "\n".join(decode_text(row, alphabet) for row in ds.items) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Byte (image) ingestion
 # ---------------------------------------------------------------------------
+
+
+def byte_bins(values):
+    """Bin indices 1..256 of bytes 0..255 at K=256: bin = byte + 1."""
+    return np.asarray(values).astype(np.int64) + 1
+
+
+def bin_bytes(idx):
+    """Bytes 0..255 of bin indices 1..256 at K=256, the inverse of byte_bins."""
+    return (np.asarray(idx, dtype=np.int64) - 1).astype(np.uint8)
 
 
 def ingest_bytes(raw, D, modality, K=0):
     """Dataset from raw 8-bit samples, D values per item.
 
     continuous: value/255 scaled to [-1, 1].
-    discretised, K=256: byte value used as the bin index (0 clamps to 1).
+    discretised, K=256: byte b stored as bin b + 1.
     discretised, other K: scaled then quantised to the nearest centre.
     discrete: byte values are class codes 0..K-1, stored 1-based.
     """
@@ -195,7 +199,7 @@ def ingest_bytes(raw, D, modality, K=0):
         return Dataset(modality="continuous", D=D, K=0, items=items)
     if modality == "discretised":
         if K == 256:
-            items = np.maximum(vals.astype(np.int64), 1)
+            items = byte_bins(vals)
         else:
             scaled = vals.astype(np.float64) * (2.0 / 255.0) - 1.0
             items, _ = quantise(scaled, K)
@@ -213,7 +217,7 @@ def export_bytes(ds):
     if ds.modality == "discrete":
         return (ds.items - 1).astype(np.uint8).tobytes()
     if ds.modality == "discretised" and ds.K == 256:
-        return ds.items.astype(np.uint8).tobytes()
+        return bin_bytes(ds.items).tobytes()
     if ds.modality == "continuous":
         return np.clip(np.rint((ds.items + 1.0) * 127.5), 0, 255).astype(np.uint8).tobytes()
     raise ValueError("cannot export this dataset as bytes")
@@ -224,7 +228,7 @@ def centres_to_bytes(values, K):
     values = np.asarray(values, dtype=np.float64)
     if K == 256:
         idx, _ = quantise(np.clip(values, -1, 1), 256)
-        return idx.astype(np.uint8)  # bin index == byte level by convention
+        return bin_bytes(idx)
     return np.clip(np.rint((values + 1.0) * 127.5), 0, 255).astype(np.uint8)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .kernels import logsumexp_rows
 from .numerics import gaussian_sample, sample_categorical_rows, softmax_rows
+from .predictor import forward_row
 
 ROW_SUM_TOL = 1e-9
 
@@ -37,12 +38,12 @@ def validate_rows(probs, tol=ROW_SUM_TOL):
 
 
 def one_hot(x, K):
-    """(D, K) projection of 1-based class indices."""
+    """(..., K) projection of 1-based class indices."""
     x = np.asarray(x, dtype=np.int64)
-    if np.any(x < 1) or np.any(x > K):
+    if x.min() < 1 or x.max() > K:
         raise ValueError(f"class index outside 1..{K}")
-    out = np.zeros((x.size, K))
-    out[np.arange(x.size), x - 1] = 1.0
+    out = np.zeros(x.shape + (K,))
+    out.reshape(-1, K)[np.arange(x.size), x.ravel() - 1] = 1.0
     return out
 
 
@@ -73,46 +74,83 @@ def bayes_update(theta, y):
 
 
 def flow_sample(rng, x, t, sched, K):
-    """Belief state at time t: softmax of one Gaussian logit draw per row.
+    """Belief states at times t: softmax of one Gaussian logit draw per row.
 
-    At t=0 the accuracy is zero and the state is exactly the uniform prior.
+    x is a (B, D) batch with t (B,), one time per row, and gives (B, D, K);
+    a (D,) x with a float t is one row and gives (D, K).  A row at t=0 has
+    zero accuracy: it is exactly the uniform prior and draws nothing.
     """
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
     x = np.asarray(x, dtype=np.int64)
-    beta = sched.beta(t)
-    if beta == 0.0:
-        return uniform_prior(x.size, K)
-    y = gaussian_sample(rng, beta * (K * one_hot(x, K) - 1.0), beta * K)
-    return softmax_rows(y)
+    if x.ndim == 1:
+        return flow_sample(rng, x[None], t, sched, K)[0]
+    beta = np.full(x.shape[0], sched.beta(t))[:, None, None]
+    if beta.all():
+        return softmax_rows(gaussian_sample(rng, beta * (K * one_hot(x, K) - 1.0), beta * K))
+    theta = np.full(x.shape + (K,), 1.0 / K)
+    live = beta[:, 0, 0] != 0.0
+    if live.any():
+        theta[live] = flow_sample(rng, x[live], np.asarray(t)[live], sched, K)
+    return theta
 
 
 def encode_theta(theta, K):
-    """Network input encoding: probabilities rescaled to [-1, 1].
+    """Network input encoding of (..., D, K) states: probabilities rescaled
+    to [-1, 1], one row per state.
 
     K=2 feeds only the class-1 column; K>2 feeds the full flattened rows.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if K == 2:
-        return 2.0 * theta[:, 0] - 1.0
-    return (2.0 * theta - 1.0).ravel()
+        return 2.0 * theta[..., 0] - 1.0
+    return (2.0 * theta - 1.0).reshape(theta.shape[:-2] + (-1,))
+
+
+def output_map(net_out, K):
+    """Class probabilities (B, D, K) from the network's logits (B, D*K),
+    or from its class-1 logits (B, D) through a sigmoid when K=2."""
+    if K == 2:
+        p1 = 1.0 / (1.0 + np.exp(-net_out))
+        return np.stack([p1, 1.0 - p1], axis=-1)
+    return softmax_rows(net_out.reshape(net_out.shape[0], -1, K))
+
+
+def loss_inf(sched, x, t, net_out, K, grad=False):
+    """Continuous-time loss (K alpha(t) / 2) |e_x - e_hat|^2 per row of a
+    (B, D) batch of class indices at times t, (B,) or one float for every row.
+
+    With grad, also returns its gradient w.r.t. net_out.
+    """
+    B = x.shape[0]
+    weight = 0.5 * K * np.full(B, sched.alpha(t))
+    onehot = one_hot(x, K)
+    probs = output_map(net_out, K)
+    if K == 2:
+        # |e - e_hat|^2 = 2 (e_1 - p_1)^2 per dimension
+        p1, e1 = probs[..., 0], onehot[..., 0]
+        loss = weight * 2.0 * np.sum((e1 - p1) ** 2, axis=1)
+        if not grad:
+            return loss
+        return loss, weight[:, None] * 4.0 * (p1 - e1) * p1 * (1.0 - p1)
+    diff = probs - onehot
+    loss = weight * np.sum(diff * diff, axis=(1, 2))
+    if not grad:
+        return loss
+    dL_dp = weight[:, None, None] * 2.0 * diff
+    inner = np.sum(dL_dp * probs, axis=2, keepdims=True)
+    return loss, (probs * (dL_dp - inner)).reshape(B, -1)
+
+
+def _net_out(predictor, theta, t, K):
+    """The predictor's (1, width) output row for one (D, K) state."""
+    D = theta.shape[0]
+    return forward_row(predictor, encode_theta(theta, K), t, D if K == 2 else D * K)
 
 
 def output_distribution(predictor, theta, t, K):
     """Class probabilities (D, K) from the predictor at (state, time)."""
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    theta = np.asarray(theta, dtype=np.float64)
-    D = theta.shape[0]
-    out = np.asarray(predictor.forward(encode_theta(theta, K), t), dtype=np.float64)
-    if K == 2:
-        if out.shape != (D,):
-            raise ValueError(f"predictor returned shape {out.shape}, expected ({D},)")
-        p1 = 1.0 / (1.0 + np.exp(-out))
-        return np.stack([p1, 1.0 - p1], axis=1)
-    if out.shape != (D * K,):
-        raise ValueError(f"predictor returned shape {out.shape}, expected ({D * K},)")
-    return softmax_rows(out.reshape(D, K))
+    return output_map(_net_out(predictor, np.asarray(theta, dtype=np.float64), t, K), K)[0]
 
 
 def e_hat(probs):
@@ -180,11 +218,7 @@ def loss_cts_time(rng, predictor, sched, x, K, t=None):
         raise ValueError("t must lie in [0, 1]")
     x = np.asarray(x, dtype=np.int64)
     theta = flow_sample(rng, x, t, sched, K)
-    probs = output_distribution(predictor, theta, t, K)
-    resid = one_hot(x, K) - probs
-    # alpha(t)/2 * K |e_x - e_hat|^2; for the quadratic schedule this is
-    # exactly K * beta1 * t * |e_x - e_hat|^2
-    return 0.5 * K * sched.alpha(t) * float(np.sum(resid * resid))
+    return float(loss_inf(sched, x[None], t, _net_out(predictor, theta, t, K), K)[0])
 
 
 def reconstruction_loss(rng, predictor, sched, x, K):

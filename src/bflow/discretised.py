@@ -34,12 +34,6 @@ class BinGeometry:
         self._check(k)
         return (2.0 * k - 1.0) / self.K - 1.0
 
-    def left(self, k):
-        return self.center(k) - 1.0 / self.K
-
-    def right(self, k):
-        return self.center(k) + 1.0 / self.K
-
     def _check(self, k):
         if not (1 <= k <= self.K):
             raise ValueError(f"bin index {k} outside 1..{self.K}")
@@ -58,17 +52,6 @@ def quantise(x_raw, K):
     idx = np.clip(idx, 1, K)
     geom = BinGeometry(K)
     return idx, geom.centers[idx - 1]
-
-
-def discretised_cdf(mu, sigma, x):
-    """Gaussian CDF clipped to [-1, 1]: 0 below, 1 above."""
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    if x <= -1.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return 0.5 * (1.0 + float(erf_vec(np.array([(x - mu) / (sigma * _SQRT2)]))[0]))
 
 
 # Rows of the (rows, K+1) bin-edge grid handled per pass.  At K=256 a pass of
@@ -100,6 +83,72 @@ def bin_probs_from_gaussian(mu_x, sigma_x, K):
     return np.maximum(probs, 0.0, out=probs)
 
 
+def output_map(cfg, mu, t, net_out):
+    """Data-space Gaussians (mu_x, sigma_x), each (B, D), from the network's
+    (noise mean, log noise std) outputs (B, 2D) at belief means mu and
+    times t; a unit Gaussian at zero on rows below t_min.  Also returns
+    the live rows and the noise scale (continuous.noise_terms) for the
+    gradient.
+    """
+    D = mu.shape[1]
+    g, live, ratio = continuous.noise_terms(cfg, t, mu.shape[0])
+    mu_eps, ln_sigma_eps = net_out[:, :D], net_out[:, D:]
+    mu_x = np.where(live, mu / g - ratio * mu_eps, 0.0)
+    sigma_x = np.where(live, ratio * np.exp(ln_sigma_eps), 1.0)
+    return mu_x, sigma_x, live, ratio
+
+
+def loss_inf(cfg, x, mu, t, net_out, K, grad=False):
+    """Continuous-time loss w(t) |x - k_hat|^2 per row of a (B, D) batch,
+    k_hat being the expected bin centre under the output bin masses; with
+    grad, also its gradient w.r.t. net_out."""
+    B, D = x.shape
+    mu_x, sigma_x, live, ratio = output_map(cfg, mu, t, net_out)
+    w = continuous.loss_weight(cfg, t, B)
+    geom = BinGeometry(K)
+    # the bin masses are elementwise in (mu_x, sigma_x): one call for the batch
+    probs = bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), K).reshape(B, D, K)
+    centre = k_hat(probs, K)
+    resid = x - centre
+    loss = w * np.sum(resid * resid, axis=1)
+    if not grad:
+        return loss
+
+    # d k_hat / d mu_x and / d sigma_x via the Gaussian pdf at interior edges,
+    # in passes of ROWS_PER_PASS rows of the (B*D, K+1) edge grid
+    edges = np.concatenate([geom.centers - 1.0 / K, [1.0]])
+    m = mu_x.ravel()
+    sig = np.maximum(sigma_x, 1e-20).ravel()
+    den = sig * np.sqrt(2 * np.pi)
+    dP_dmu = np.empty((B * D, K))
+    dP_dsig = np.empty((B * D, K))
+    for s in range(0, B * D, ROWS_PER_PASS):
+        r = slice(s, s + ROWS_PER_PASS)
+        zed = (edges[None, :] - m[r, None]) / sig[r, None]
+        # exp(-zed^2 / 2) is exactly 0 for |zed| >= 38.61, so the pdf is only
+        # evaluated inside the band; NaN stays in the band and keeps its NaN
+        band = ~(np.abs(zed) >= 39.0)
+        zb = zed[band]
+        phi = np.zeros_like(zed)
+        with np.errstate(under="ignore"):
+            phi[band] = np.exp(-0.5 * zb * zb) / np.broadcast_to(den[r, None], zed.shape)[band]
+        phi[:, 0] = 0.0   # boundary edges are clipped: no density flows through
+        phi[:, -1] = 0.0
+        np.subtract(phi[:, 1:], phi[:, :-1], out=dP_dmu[r])
+        np.negative(dP_dmu[r], out=dP_dmu[r])
+        np.multiply(phi, zed, out=zed)
+        np.subtract(zed[:, 1:], zed[:, :-1], out=dP_dsig[r])
+        np.negative(dP_dsig[r], out=dP_dsig[r])
+    # the reductions run on the full (B, D, K) arrays: their summation order,
+    # and so their bits, depend on the shape
+    dkhat_dmu = dP_dmu.reshape(B, D, K) @ geom.centers
+    dkhat_dsig = dP_dsig.reshape(B, D, K) @ geom.centers
+    dL_dkhat = w[:, None] * 2.0 * (centre - x)
+    d_mu_eps = np.where(live, dL_dkhat * dkhat_dmu * (-ratio), 0.0)
+    d_ln_sigma = np.where(live, dL_dkhat * dkhat_dsig * sigma_x, 0.0)
+    return loss, np.concatenate([d_mu_eps, d_ln_sigma], axis=1)
+
+
 def output_distribution(predictor, cfg, p, t, K):
     """Bin probabilities (D, K) for belief state p at time t.
 
@@ -107,20 +156,9 @@ def output_distribution(predictor, cfg, p, t, K):
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    D = cfg.D
-    if t < cfg.t_min:
-        mu_x = np.zeros(D)
-        sigma_x = np.ones(D)
-    else:
-        out = np.asarray(predictor.forward(p.mean, t), dtype=np.float64)
-        if out.shape != (2 * D,):
-            raise ValueError(f"predictor returned shape {out.shape}, expected ({2 * D},)")
-        mu_eps, ln_sigma_eps = out[:D], out[D:]
-        g = continuous.gamma(cfg, t)
-        ratio = np.sqrt((1.0 - g) / g)
-        mu_x = p.mean / g - ratio * mu_eps
-        sigma_x = ratio * np.exp(ln_sigma_eps)
-    return bin_probs_from_gaussian(mu_x, sigma_x, K)
+    net_out = continuous.net_out_row(predictor, cfg, p, t, 2 * cfg.D)
+    mu_x, sigma_x = output_map(cfg, p.mean[None], t, net_out)[:2]
+    return bin_probs_from_gaussian(mu_x[0], sigma_x[0], K)
 
 
 def k_hat(probs, K):
@@ -169,10 +207,8 @@ def loss_cts_time(rng, predictor, cfg, x, K, t=None):
         raise ValueError("t must lie in [0, 1]")
     x = np.asarray(x, dtype=np.float64)
     p = continuous.flow_sample(rng, cfg, x, t)
-    probs = output_distribution(predictor, cfg, p, t, K)
-    resid = x - k_hat(probs, K)
-    weight = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2.0 * t)
-    return weight * float(np.dot(resid, resid))
+    net_out = continuous.net_out_row(predictor, cfg, p, t, 2 * cfg.D)
+    return float(loss_inf(cfg, x[None], p.mean[None], t, net_out, K)[0])
 
 
 def negative_log_picked(probs, idx):

@@ -14,8 +14,6 @@ import hashlib
 
 import numpy as np
 
-from . import kernels
-
 
 class Rng:
     """Single-owner random stream.  Parallel users must ``split`` first."""
@@ -68,21 +66,6 @@ def gaussian_sample(rng, mean, var):
     return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
 
 
-def erf(x):
-    """Error function; scalar in, scalar out, array in, array out."""
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(kernels.erf_vec(np.array([float(x)]))[0])
-    return kernels.erf_vec(np.asarray(x, dtype=np.float64))
-
-
-def softmax(logits):
-    """Simplex projection of a 1-D logit vector, max-subtracted for stability."""
-    logits = np.asarray(logits, dtype=np.float64)
-    z = logits - np.max(logits)
-    e = np.exp(z)
-    return e / np.sum(e)
-
-
 def softmax_rows(logits):
     """Row-wise softmax of a 2-D array."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -101,17 +84,6 @@ def log_gaussian_pdf(y, mean, var):
     d = y.size
     resid = y - mean
     return -0.5 * d * np.log(2.0 * np.pi * var) - 0.5 * float(np.dot(resid.ravel(), resid.ravel())) / var
-
-
-def log_sum_exp(terms):
-    """ln(sum(exp(terms))) for a non-empty 1-D array, stable for terms <= -1e6."""
-    terms = np.asarray(terms, dtype=np.float64)
-    if terms.size == 0:
-        raise ValueError("log_sum_exp of empty input")
-    hi = np.max(terms)
-    if hi == -np.inf:
-        return -np.inf
-    return float(hi + np.log(np.sum(np.exp(terms - hi))))
 
 
 def sample_categorical_rows(rng, probs):

@@ -183,6 +183,14 @@ class MLP:
         return flat
 
 
+def forward_row(predictor, state, t, width):
+    """One predictor call as a (1, width) batch; a wrong output shape raises."""
+    out = np.asarray(predictor.forward(state, t), dtype=np.float64)
+    if out.shape != (width,):
+        raise ValueError(f"predictor returned shape {out.shape}, expected ({width},)")
+    return out[None]
+
+
 class ConstantPredictor:
     """Emits a fixed vector regardless of input; no learnable state.
 

@@ -7,11 +7,14 @@ Two closed forms cover both data families:
 * ``DiscreteQuadratic(beta1)``: beta(t) = beta1 * t**2.
 
 Schedules are immutable value objects; every quantity is a cheap closed
-form, so nothing is cached.
+form, so nothing is cached.  ``beta`` and ``alpha`` take a float or an
+array of times.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -26,8 +29,6 @@ class ContinuousSigma:
 
     def beta(self, t):
         _check_t(t)
-        if t == 0.0:
-            return 0.0
         return self.sigma1 ** (-2.0 * t) - 1.0
 
     def alpha(self, t):
@@ -63,7 +64,8 @@ class DiscreteQuadratic:
 
 
 def _check_t(t):
-    if not (0.0 <= t <= 1.0):
+    ok = (0.0 <= t) & (t <= 1.0)  # NaN fails
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise ValueError(f"t must lie in [0, 1], got {t}")
 
 

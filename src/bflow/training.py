@@ -3,13 +3,16 @@ the parameters, plus loss-table evaluation and a versioned checkpoint
 format.
 
 Training always minimises the continuous-time loss; the n-step losses are
-evaluation-only.  Each step draws one (time, flow state) pair per batch
-item, runs the network once over the whole batch, and backpropagates the
-modality head's analytic gradient through the recorded tape.
+evaluation-only.  Each step draws one time per batch item and the whole
+batch's flow state in one call of the modality's ``flow_sample``, runs the
+network once over the batch, and backpropagates the analytic gradient of
+the modality's ``loss_inf`` through the recorded tape.  The per-item
+``loss_cts_time`` ops evaluate the same ``loss_inf`` on one row, without
+the gradient.
 
-The gradient heads are deterministic functions of the sampled state, so
-their output can be checked against central finite differences; the test
-suite does exactly that for all three modalities.
+The gradients are deterministic functions of the sampled state, so they
+can be checked against central finite differences; the test suite does
+exactly that for all three modalities.
 """
 
 import json
@@ -21,7 +24,6 @@ import numpy as np
 from . import continuous as cts
 from . import discrete as dd
 from . import discretised as dsc
-from .numerics import softmax_rows
 from .predictor import MLP, PredictorSpec
 from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic
 
@@ -107,140 +109,30 @@ def adamw_step(params, grads, m, v, step, lr, weight_decay, beta1, beta2, eps=1e
 
 
 # ---------------------------------------------------------------------------
-# Modality heads: loss and gradient w.r.t. the raw network output, given the
-# sampled (t, flow state).  Each matches the corresponding sampling op
-# exactly, including clipping and the t_min branch.
+# The training head: one (time, flow state) draw per batch item, then the
+# modality's continuous-time loss with its gradient w.r.t. the raw network
+# output.  Both are the modality modules' batched ops.
 # ---------------------------------------------------------------------------
 
 
 def sample_head_state(rng, config, x_batch):
     """Draw (t, flow state, network input) for one batch."""
-    B = x_batch.shape[0]
-    t = rng.uniform(size=B)
+    t = rng.uniform(size=x_batch.shape[0])
     if config.modality == "discrete":
-        sched = config.schedule
-        K = config.K
-        theta = np.empty((B, config.D, K))
-        for b in range(B):
-            theta[b] = dd.flow_sample(rng, x_batch[b], float(t[b]), sched, K)
-        state_in = np.stack([dd.encode_theta(theta[b], K) for b in range(B)])
-        return {"t": t, "theta": theta, "state_in": state_in, "x": x_batch}
-    cfg = config.cts_config()
-    g = 1.0 - cfg.sigma1 ** (2.0 * t)
-    z = rng.standard_normal(x_batch.shape)
-    mu = g[:, None] * x_batch + np.sqrt(np.maximum(g * (1.0 - g), 0.0))[:, None] * z
-    mu[g == 0.0] = 0.0
+        theta = dd.flow_sample(rng, x_batch, t, config.schedule, config.K)
+        return {"t": t, "theta": theta, "state_in": dd.encode_theta(theta, config.K), "x": x_batch}
+    mu = cts.flow_sample(rng, config.cts_config(), x_batch, t).mean
     return {"t": t, "mu": mu, "state_in": mu, "x": x_batch}
 
 
 def head_loss_and_grad(config, state, net_out):
     """Per-item continuous-time losses and dLoss/dOutput for the batch."""
-    if config.modality == "continuous":
-        return _cts_head(config, state, net_out)
-    if config.modality == "discretised":
-        return _dsc_head(config, state, net_out)
-    return _dd_head(config, state, net_out)
-
-
-def _cts_head(config, state, net_out):
-    cfg = config.cts_config()
-    x, t, mu = state["x"], state["t"], state["mu"]
-    B, D = x.shape
-    w = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2.0 * t)
-    g = 1.0 - cfg.sigma1 ** (2.0 * t)
-    live = t >= cfg.t_min
-    ratio = np.zeros(B)
-    ratio[live] = np.sqrt((1.0 - g[live]) / g[live])
-    x_raw = np.where(live[:, None], mu / np.maximum(g, 1e-300)[:, None] - ratio[:, None] * net_out, 0.0)
-    inside = (x_raw > cfg.x_min) & (x_raw < cfg.x_max)
-    x_hat = np.clip(x_raw, cfg.x_min, cfg.x_max)
-    resid = x - x_hat
-    loss = w * np.sum(resid * resid, axis=1)
-    d_out = np.where(inside & live[:, None], w[:, None] * 2.0 * (x_hat - x) * (-ratio[:, None]), 0.0)
-    return loss, d_out
-
-
-def _dsc_head(config, state, net_out):
-    cfg = config.cts_config()
-    K = config.K
-    x, t, mu = state["x"], state["t"], state["mu"]
-    B, D = x.shape
-    w = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2.0 * t)
-    g = 1.0 - cfg.sigma1 ** (2.0 * t)
-    live = t >= cfg.t_min
-    mu_eps, ln_sigma_eps = net_out[:, :D], net_out[:, D:]
-    ratio = np.zeros(B)
-    ratio[live] = np.sqrt((1.0 - g[live]) / g[live])
-    mu_x = np.where(live[:, None], mu / np.maximum(g, 1e-300)[:, None] - ratio[:, None] * mu_eps, 0.0)
-    sigma_x = np.where(live[:, None], ratio[:, None] * np.exp(ln_sigma_eps), 1.0)
-
-    geom = dsc.BinGeometry(K)
-    # the bin masses are elementwise in (mu_x, sigma_x): one call for the batch
-    probs = dsc.bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), K).reshape(B, D, K)
-    k_hat = probs @ geom.centers
-    resid = x - k_hat
-    loss = w * np.sum(resid * resid, axis=1)
-
-    # d k_hat / d mu_x and / d sigma_x via the Gaussian pdf at interior edges,
-    # in passes of dsc.ROWS_PER_PASS rows of the (B*D, K+1) edge grid
-    edges = np.concatenate([geom.centers - 1.0 / K, [1.0]])
-    m = mu_x.ravel()
-    sig = np.maximum(sigma_x, 1e-20).ravel()
-    den = sig * np.sqrt(2 * np.pi)
-    dP_dmu = np.empty((B * D, K))
-    dP_dsig = np.empty((B * D, K))
-    for s in range(0, B * D, dsc.ROWS_PER_PASS):
-        r = slice(s, s + dsc.ROWS_PER_PASS)
-        zed = (edges[None, :] - m[r, None]) / sig[r, None]
-        # exp(-zed^2 / 2) is exactly 0 for |zed| >= 38.61, so the pdf is only
-        # evaluated inside the band; NaN stays in the band and keeps its NaN
-        band = ~(np.abs(zed) >= 39.0)
-        zb = zed[band]
-        phi = np.zeros_like(zed)
-        with np.errstate(under="ignore"):
-            phi[band] = np.exp(-0.5 * zb * zb) / np.broadcast_to(den[r, None], zed.shape)[band]
-        phi[:, 0] = 0.0   # boundary edges are clipped: no density flows through
-        phi[:, -1] = 0.0
-        np.subtract(phi[:, 1:], phi[:, :-1], out=dP_dmu[r])
-        np.negative(dP_dmu[r], out=dP_dmu[r])
-        np.multiply(phi, zed, out=zed)
-        np.subtract(zed[:, 1:], zed[:, :-1], out=dP_dsig[r])
-        np.negative(dP_dsig[r], out=dP_dsig[r])
-    # the reductions run on the full (B, D, K) arrays: their summation order,
-    # and so their bits, depend on the shape
-    dP_dmu = dP_dmu.reshape(B, D, K)
-    dP_dsig = dP_dsig.reshape(B, D, K)
-    dkhat_dmu = dP_dmu @ geom.centers
-    dkhat_dsig = dP_dsig @ geom.centers
-    dL_dkhat = w[:, None] * 2.0 * (k_hat - x)
-    d_mu_eps = np.where(live[:, None], dL_dkhat * dkhat_dmu * (-ratio[:, None]), 0.0)
-    d_ln_sigma = np.where(live[:, None], dL_dkhat * dkhat_dsig * sigma_x, 0.0)
-    return loss, np.concatenate([d_mu_eps, d_ln_sigma], axis=1)
-
-
-def _dd_head(config, state, net_out):
-    sched = config.schedule
-    K = config.K
     x, t = state["x"], state["t"]
-    B, D = x.shape
-    weight = 0.5 * K * np.array([sched.alpha(float(tb)) for tb in t])
-    eye = np.eye(K)
-    onehot = eye[np.asarray(x, dtype=np.int64) - 1]  # (B, D, K)
-    if K == 2:
-        p1 = 1.0 / (1.0 + np.exp(-net_out))
-        e1 = onehot[..., 0]
-        # |e - p|^2 = 2 (e1 - p1)^2 per dimension
-        loss = weight * 2.0 * np.sum((e1 - p1) ** 2, axis=1)
-        d_out = weight[:, None] * 4.0 * (p1 - e1) * p1 * (1.0 - p1)
-        return loss, d_out
-    logits = net_out.reshape(B, D, K)
-    p = softmax_rows(logits)
-    diff = p - onehot
-    loss = weight * np.sum(diff * diff, axis=(1, 2))
-    dL_dp = weight[:, None, None] * 2.0 * diff
-    inner = np.sum(dL_dp * p, axis=2, keepdims=True)
-    d_logits = p * (dL_dp - inner)
-    return loss, d_logits.reshape(B, D * K)
+    if config.modality == "continuous":
+        return cts.loss_inf(config.cts_config(), x, state["mu"], t, net_out, grad=True)
+    if config.modality == "discretised":
+        return dsc.loss_inf(config.cts_config(), x, state["mu"], t, net_out, config.K, grad=True)
+    return dd.loss_inf(config.schedule, x, t, net_out, config.K, grad=True)
 
 
 def batch_loss_and_grad(mlp, config, state):
@@ -254,8 +146,7 @@ def batch_loss_and_grad(mlp, config, state):
 def batch_loss(mlp, config, state):
     """Mean loss only (used by finite-difference checks)."""
     out = mlp.forward_batch(state["state_in"], state["t"])
-    loss, _ = head_loss_and_grad(config, state, out)
-    return float(loss.mean())
+    return float(head_loss_and_grad(config, state, out)[0].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +227,7 @@ def estimate_mean_loss(rng, mlp, params, config, dataset, n_draws=4):
                 x_batch = np.asarray(x_batch, dtype=np.float64)
             state = sample_head_state(rng, config, x_batch)
             out = mlp.forward_batch(state["state_in"], state["t"])
-            loss, _ = head_loss_and_grad(config, state, out)
-            losses.append(loss.mean())
+            losses.append(head_loss_and_grad(config, state, out)[0].mean())
         return float(np.mean(losses))
     finally:
         mlp.params = saved
@@ -510,33 +400,37 @@ def save_checkpoint(path, result, run_config=None):
 def load_checkpoint(path):
     """Read a checkpoint; a truncated or inconsistent file raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        prefix = fh.read(12)
-        if len(prefix) != 12:
-            raise ValueError("checkpoint truncated inside its fixed header")
-        version, hlen = struct.unpack("<IQ", prefix)
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        raw = fh.read(hlen)
-        if len(raw) != hlen:
-            raise ValueError(f"checkpoint truncated inside its {hlen}-byte JSON header")
-        header = json.loads(raw.decode("utf-8"))
-        blob = fh.read()
+        raw = fh.read()
+    if raw[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a checkpoint file (magic {raw[:4]!r})")
+    if len(raw) < 16:
+        raise ValueError("checkpoint truncated inside its fixed header")
+    version, hlen = struct.unpack_from("<IQ", raw, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    if len(raw) - 16 < hlen:
+        raise ValueError(f"checkpoint truncated inside its {hlen}-byte JSON header")
+    header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
+    blob = raw[16 + hlen :]
     missing = [k for k in ("config", "sections") if k not in header]
     if missing:
         raise ValueError(f"checkpoint header lacks {', '.join(missing)}")
     flat = np.frombuffer(blob, dtype="<f8", count=len(blob) // 8)
-    cfg_dict = dict(header["config"])
-    cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
-    config = TrainConfig(**cfg_dict)
-    mlp = MLP(config.predictor_spec(), seed=config.seed)
+    try:
+        cfg_dict = dict(header["config"])
+        cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
+        config = TrainConfig(**cfg_dict)
+        mlp = MLP(config.predictor_spec(), seed=config.seed)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"checkpoint config is malformed: {exc!r}") from None
     sec = header["sections"]
     for name in _SECTIONS:
         if name not in sec:
             raise ValueError(f"checkpoint has no section {name!r}")
-        off, count = sec[name]
+        entry = sec[name]
+        if not (isinstance(entry, list) and len(entry) == 2 and all(type(v) is int for v in entry)):
+            raise ValueError(f"checkpoint section {name!r} is not an [offset, count] pair: {entry!r}")
+        off, count = entry
         if count != mlp.n_params:
             raise ValueError(
                 f"checkpoint section {name!r} holds {count} values; the model has {mlp.n_params}"

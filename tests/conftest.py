@@ -23,3 +23,25 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + rest if rest else src
     return env
+
+
+def _damaged(raw):
+    """Strategy over damaged copies of the bytes ``raw``: cut to a shorter
+    length, extended by up to 64 bytes, or with one byte XOR-ed."""
+    from hypothesis import strategies as st
+
+    def flip(pos_mask):
+        pos, mask = pos_mask
+        return raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1 :]
+
+    return st.one_of(
+        st.integers(0, len(raw) - 1).map(lambda n: raw[:n]),
+        st.binary(min_size=1, max_size=64).map(lambda extra: raw + extra),
+        st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)).map(flip),
+    )
+
+
+@pytest.fixture(scope="session")
+def damaged():
+    """``damaged(raw)``: a hypothesis strategy over damaged copies of ``raw``."""
+    return _damaged

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bflow import data
 
@@ -50,6 +52,45 @@ class TestDatasetFile:
             data.load_dataset(p)
 
 
+class TestDamagedFiles:
+    """A truncated, extended or bit-flipped dataset file either loads or
+    raises ValueError; no other exception escapes the loader."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("ds")
+        out = {}
+        for ds in (
+            data.Dataset(modality="discrete", D=3, K=5, items=np.array([[1, 5, 2], [4, 3, 3]])),
+            data.Dataset(modality="continuous", D=2, K=0, items=np.array([[0.5, -0.25], [1.0, 0.0]])),
+        ):
+            p = d / f"{ds.modality}.ds"
+            data.save_dataset(p, ds)
+            out[ds.modality] = p.read_bytes()
+        return d / "damaged.ds", out
+
+    @pytest.mark.parametrize("modality", ["discrete", "continuous"])
+    @given(draw=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_loads_or_raises_value_error(self, files, damaged, modality, draw):
+        path, raw = files
+        path.write_bytes(draw.draw(damaged(raw[modality])))
+        try:
+            data.load_dataset(path)
+        except ValueError:
+            pass
+
+    def test_nan_value_rejected(self, tmp_path):
+        ds = data.Dataset(modality="continuous", D=2, K=0, items=np.array([[0.5, -0.25]]))
+        p = tmp_path / "n.ds"
+        data.save_dataset(p, ds)
+        raw = bytearray(p.read_bytes())
+        raw[-8:] = np.array([np.nan]).astype("<f8").tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="outside"):
+            data.load_dataset(p)
+
+
 class TestAlphabet:
     def test_round_trip_with_space(self, tmp_path):
         p = tmp_path / "alpha.txt"
@@ -93,16 +134,26 @@ class TestTextIngest:
     def test_round_trip_export(self):
         text = "the cat\nsat mat\none two"
         ds = data.ingest_text(text, data.ALPHABET_27)
-        assert data.export_text(ds, data.ALPHABET_27) == text + "\n"
+        assert "\n".join(data.decode_text(row, data.ALPHABET_27) for row in ds.items) == text
 
 
 class TestByteIngest:
-    def test_discretised_256_keeps_byte_as_index(self):
+    def test_discretised_256_stores_byte_plus_one(self):
         ds = data.ingest_bytes(bytes([110, 0, 255, 1]), 4, "discretised", K=256)
-        np.testing.assert_array_equal(ds.items[0], [110, 1, 255, 1])
+        np.testing.assert_array_equal(ds.items[0], [111, 1, 256, 2])
         from bflow.discretised import BinGeometry
 
         assert BinGeometry(256).center(110) == -0.14453125
+
+    def test_discretised_256_every_byte_round_trips(self):
+        # ingest -> export, and ingest -> stored bin centres -> display bytes
+        from bflow.discretised import BinGeometry
+
+        raw = bytes(range(256))
+        ds = data.ingest_bytes(raw, 256, "discretised", K=256)
+        assert data.export_bytes(ds) == raw
+        centres = BinGeometry(256).centers[ds.items - 1]
+        assert data.centres_to_bytes(centres, 256).tobytes() == raw
 
     def test_discretised_16_quantises(self):
         ds = data.ingest_bytes(bytes([0, 255, 128]), 3, "discretised", K=16)

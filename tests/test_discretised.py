@@ -28,8 +28,8 @@ class TestBinGeometry:
 
     def test_edges(self):
         g = dsc.BinGeometry(16)
-        assert g.left(1) == -1.0
-        assert g.right(16) == 1.0
+        assert g.center(1) - 1 / 16 == -1.0
+        assert g.center(16) + 1 / 16 == 1.0
         assert np.all(np.diff(g.centers) > 0)
 
     def test_centre_formula(self):
@@ -78,32 +78,40 @@ class TestQuantise:
 
 
 class TestDiscretisedCdf:
+    """The Gaussian CDF clipped to [-1, 1], read off bin_probs_from_gaussian
+    as the cumulative bin mass at each bin edge."""
+
+    @staticmethod
+    def _cdf_at_edges(mu, sigma, K):
+        probs = dsc.bin_probs_from_gaussian(np.array([mu]), np.array([sigma]), K)[0]
+        return np.concatenate([[0.0], np.cumsum(probs)])
+
     def test_clipping(self):
-        assert dsc.discretised_cdf(0.3, 2.0, -1.0) == 0.0
-        assert dsc.discretised_cdf(0.3, 2.0, 1.0) == 1.0
-        assert dsc.discretised_cdf(-5.0, 0.1, -1.0000001) == 0.0
+        # 0 at -1 and 1 at +1; a Gaussian far below -1 puts all its mass in bin 1
+        cdf = self._cdf_at_edges(0.3, 2.0, 16)
+        assert cdf[0] == 0.0
+        assert cdf[-1] == pytest.approx(1.0, abs=1e-15)
+        assert self._cdf_at_edges(-5.0, 0.1, 16)[1] == 1.0
 
     def test_symmetry(self):
-        assert dsc.discretised_cdf(0.0, 1.0, 0.0) == pytest.approx(0.5)
+        assert self._cdf_at_edges(0.0, 1.0, 16)[8] == pytest.approx(0.5)
 
     def test_quadrature_oracle(self):
         rng = np.random.default_rng(1)
+        K = 16
+        edges = np.linspace(-1.0, 1.0, K + 1)
         for _ in range(10):
             mu = float(rng.uniform(-0.8, 0.8))
             sig = float(rng.uniform(0.05, 0.8))
-            x = float(rng.uniform(-0.99, 0.99))
+            k = int(rng.integers(1, K))
 
             def pdf(v):
                 return np.exp(-0.5 * (v - mu) ** 2 / sig**2) / (sig * math.sqrt(2 * math.pi))
 
-            # mass on [-1, x] plus the left tail clipped into -1
+            # mass on [-1, edge k] plus the left tail clipped into -1
             tail = 0.5 * (1 + math.erf((-1 - mu) / (sig * math.sqrt(2))))
-            ref = tail + _simpson(pdf, -1.0, x, 8192)
-            assert dsc.discretised_cdf(mu, sig, x) == pytest.approx(ref, abs=1e-8)
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            dsc.discretised_cdf(0.0, 0.0, 0.5)
+            ref = tail + _simpson(pdf, -1.0, edges[k], 8192)
+            assert self._cdf_at_edges(mu, sig, K)[k] == pytest.approx(ref, abs=1e-8)
 
 
 class TestOutputDistribution:
@@ -114,8 +122,8 @@ class TestOutputDistribution:
         g = dsc.BinGeometry(16)
         expect = np.zeros(16)
         for k in range(1, 17):
-            lo = -np.inf if k == 1 else g.left(k)
-            hi = np.inf if k == 16 else g.right(k)
+            lo = -np.inf if k == 1 else g.center(k) - 1 / 16
+            hi = np.inf if k == 16 else g.center(k) + 1 / 16
             expect[k - 1] = 0.5 * (math.erf(hi / math.sqrt(2)) - math.erf(lo / math.sqrt(2)))
         np.testing.assert_allclose(probs[0], expect, atol=1e-12)
         assert probs[0].sum() == pytest.approx(1.0, abs=1e-12)
@@ -140,7 +148,7 @@ class TestOutputDistribution:
 
             g = dsc.BinGeometry(8)
             for k in range(2, 8):
-                ref = _simpson(pdf, g.left(k), g.right(k), 2048)
+                ref = _simpson(pdf, g.center(k) - 1 / 8, g.center(k) + 1 / 8, 2048)
                 assert probs[0, k - 1] == pytest.approx(ref, abs=1e-8)
 
     def test_rows_sum_to_one(self):

@@ -1,12 +1,22 @@
 """Optimizer, EMA, head gradients, the loop and checkpoint round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bflow import training
-from bflow.numerics import Rng
+from bflow import cli, training
+from bflow import continuous as cts
+from bflow import discrete as dd
+from bflow.data import toy_glyphs, toy_strings
+from bflow.numerics import Rng, gaussian_sample, softmax_rows
 from bflow.predictor import MLP
+from bflow.schedule import DiscreteQuadratic
 from bflow.training import TrainConfig, adamw_step
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestAdamW:
@@ -252,6 +262,108 @@ class TestDiscretisedHeadReference:
         self._assert_same_bits(config, state, mlp.forward_batch(state["state_in"], state["t"]))
 
 
+def _dd_flow_row_reference(rng, x, t, sched, K):
+    """One (D, K) discrete flow draw at a float t, written per row."""
+    beta = sched.beta(t)
+    if beta == 0.0:
+        return np.full((x.size, K), 1.0 / K)
+    onehot = np.eye(K)[np.asarray(x) - 1]
+    return softmax_rows(gaussian_sample(rng, beta * (K * onehot - 1.0), beta * K))
+
+
+def _cts_flow_row_reference(rng, cfg, x, t):
+    """One (D,) continuous flow mean at a float t."""
+    g = 1.0 - cfg.sigma1 ** (2.0 * t)
+    if g == 0.0:
+        return np.zeros_like(x)
+    return gaussian_sample(rng, g * x, g * (1.0 - g))
+
+
+def _sample_head_state_reference(rng, config, x_batch):
+    """The training state draw as one discrete flow draw and one encoding per
+    batch row, and the continuous flow written out over the batch: the
+    reference for bitwise equality with the batched flow ops."""
+    B = x_batch.shape[0]
+    t = rng.uniform(size=B)
+    if config.modality == "discrete":
+        K = config.K
+        theta = np.stack([_dd_flow_row_reference(rng, x_batch[b], float(t[b]), config.schedule, K)
+                          for b in range(B)])
+        state_in = np.stack([2.0 * th[:, 0] - 1.0 if K == 2 else (2.0 * th - 1.0).ravel() for th in theta])
+        return {"t": t, "theta": theta, "state_in": state_in, "x": x_batch}
+    cfg = config.cts_config()
+    g = 1.0 - cfg.sigma1 ** (2.0 * t)
+    z = rng.standard_normal(x_batch.shape)
+    mu = g[:, None] * x_batch + np.sqrt(np.maximum(g * (1.0 - g), 0.0))[:, None] * z
+    mu[g == 0.0] = 0.0
+    return {"t": t, "mu": mu, "state_in": mu, "x": x_batch}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBatchedFlow:
+    """The batched flow draws give the bits of the per-row draws they replace."""
+
+    # row 2 sits at t = 0: it is the prior and consumes no draws
+    T = np.array([0.3, 0.9, 0.0, 1.0, 0.05, 0.6])
+
+    @pytest.mark.parametrize("K", [2, 27])
+    def test_discrete_rows_equal_per_row_draws(self, K):
+        sched = DiscreteQuadratic(3.0)
+        x = Rng(40).integers(1, K + 1, size=(6, 5))
+        r_batch, r_ref, r_item = Rng(41), Rng(41), Rng(41)
+        batched = dd.flow_sample(r_batch, x, self.T, sched, K)
+        ref = np.stack([_dd_flow_row_reference(r_ref, x[b], float(self.T[b]), sched, K) for b in range(6)])
+        items = np.stack([dd.flow_sample(r_item, x[b], float(self.T[b]), sched, K) for b in range(6)])
+        assert _same_bits(batched, ref) and _same_bits(items, ref)
+        assert np.all(batched[2] == 1.0 / K)
+        assert r_batch.draws == r_ref.draws == r_item.draws == 5 * 5 * K
+
+    def test_continuous_rows_equal_per_row_draws(self):
+        cfg = cts.CtsConfig(sigma1=0.02, D=5)
+        x = Rng(42).uniform(size=(6, 5)) * 2.0 - 1.0
+        r_batch, r_rows, r_ref, r_item = Rng(43), Rng(43), Rng(43), Rng(43)
+        batched = cts.flow_sample(r_batch, cfg, x, self.T)
+        rows = np.concatenate([cts.flow_sample(r_rows, cfg, x[b : b + 1], self.T[b : b + 1]).mean
+                               for b in range(6)])
+        assert _same_bits(batched.mean, rows)
+        assert np.all(batched.mean[2] == 0.0) and batched.precision[2] == 1.0
+        # a float t is the per-item op, computed in float arithmetic as before
+        ref = np.stack([_cts_flow_row_reference(r_ref, cfg, x[b], float(self.T[b])) for b in range(6)])
+        items = np.stack([cts.flow_sample(r_item, cfg, x[b], float(self.T[b])).mean for b in range(6)])
+        assert _same_bits(items, ref)
+        assert r_batch.draws == r_rows.draws == r_ref.draws == r_item.draws == 5 * 5
+
+    @pytest.mark.parametrize("modality,K", [("discrete", 27), ("discrete", 2),
+                                            ("continuous", 0), ("discretised", 16)])
+    def test_sample_head_state_matches_reference(self, modality, K):
+        kw = {"K": K} if K else {}
+        config = _make_config(modality, D=7, batch_size=16, **kw)
+        x = _random_batch(Rng(44), config)
+        state = training.sample_head_state(Rng(45), config, x)
+        ref = _sample_head_state_reference(Rng(45), config, x)
+        assert state.keys() == ref.keys()
+        for key in state:
+            assert _same_bits(state[key], ref[key]), key
+
+    @pytest.mark.parametrize("name", ["strings", "glyphs"])
+    def test_train_matches_reference_driven_run(self, name, monkeypatch):
+        # params, EMA, moments and loss history, with eval losses every 15 steps
+        run = cli.load_run_config(CONFIG_DIR / f"train_{name}.cfg", ("steps=30", "eval_every=15"))
+        config = cli.train_config_from_run(run)
+        items = {"strings": toy_strings, "glyphs": toy_glyphs}[name]().items
+        got = training.train(Rng(7), items, config)
+        monkeypatch.setattr(training, "sample_head_state", _sample_head_state_reference)
+        ref = training.train(Rng(7), items, config)
+        for field in ("ema_params", "moments_m", "moments_v"):
+            assert _same_bits(getattr(got, field), getattr(ref, field)), field
+        assert _same_bits(got.mlp.params, ref.mlp.params)
+        assert got.history == ref.history
+
+
 class TestTrainLoop:
     def test_zero_learning_rate_keeps_params(self):
         config = _make_config("discrete", learning_rate=0.0, weight_decay=0.0, steps=8)
@@ -437,3 +549,22 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + struct.pack("<Q", len(hb)) + hb + raw[16 + hlen :])
         with pytest.raises(ValueError, match="sections"):
             training.load_checkpoint(path)
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        config = _make_config("discrete", steps=2, hidden=(4,), schedule_preset="binary", K=2)
+        items = Rng(23).integers(1, 3, size=(6, config.D))
+        path = tmp_path_factory.mktemp("ckpt") / "f.ckpt"
+        training.save_checkpoint(path, training.train(Rng(24), items, config))
+        return path, path.read_bytes()
+
+    @given(draw=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_damaged_file_loads_or_raises_value_error(self, saved, damaged, draw):
+        # truncated, extended or bit-flipped: no exception but ValueError escapes
+        path, raw = saved
+        path.write_bytes(draw.draw(damaged(raw)))
+        try:
+            training.load_checkpoint(path)
+        except ValueError:
+            pass
