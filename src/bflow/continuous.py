@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import gaussian_sample
-from .predictor import forward_row
-from .schedule import ContinuousSigma
+from .predictor import forward_rows
+from .schedule import ContinuousSigma, step_index, step_time
 
 
 @dataclass(frozen=True)
@@ -67,29 +67,31 @@ def bayes_update(p, y, alpha):
     return CtsParams(mean=mean, precision=precision)
 
 
-def flow_sample(rng, cfg, x, t):
+def flow_sample(rng, cfg, x, t, z=None):
     """Draw belief states at times t directly, collapsing all updates.
 
-    x is a (B, D) batch with t (B,), one time per row: the state's mean is
-    (B, D) and its precision (B,).  A (D,) x with a float t is one row and
-    gives one state.  mean ~ N(gamma(t) x, gamma(t)(1 - gamma(t)) I) and
+    x is a (B, D) batch with t (B,), one time per row, or one float for
+    every row: the state's mean is (B, D) and its precision (B,).  A (D,)
+    x with a float t is one row and gives one state.
+    mean ~ N(gamma(t) x, gamma(t)(1 - gamma(t)) I) and
     precision = 1 + beta(t).  A row at t=0 is exactly the prior and draws
-    nothing.
+    nothing.  z, when given, is the draw's standard-normal noise, x's
+    shape, and rng is not used; rows at t=0 ignore theirs.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
-        p = flow_sample(rng, cfg, x[None], t)
+        p = flow_sample(rng, cfg, x[None], t, None if z is None else z[None])
         return CtsParams(mean=p.mean[0], precision=float(p.precision[0]))
     if x.min() < cfg.x_min or x.max() > cfg.x_max:
         raise ValueError("data outside configured range")
     precision = np.full(x.shape[0], 1.0 + cfg.schedule.beta(t))
     g = np.full(x.shape[0], gamma(cfg, t))[:, None]
     if g.all():
-        return CtsParams(mean=gaussian_sample(rng, g * x, g * (1.0 - g)), precision=precision)
+        return CtsParams(mean=gaussian_sample(rng, g * x, g * (1.0 - g), z), precision=precision)
     mean = np.zeros_like(x)
     live = g[:, 0] != 0.0
     if live.any():
-        mean[live] = flow_sample(rng, cfg, x[live], np.asarray(t)[live]).mean
+        mean[live] = flow_sample(rng, cfg, x[live], np.asarray(t)[live], None if z is None else z[live]).mean
     return CtsParams(mean=mean, precision=precision)
 
 
@@ -144,54 +146,80 @@ def loss_inf(cfg, x, mu, t, net_out, grad=False, predicts_data=False):
     return loss, np.where(inside, w[:, None] * 2.0 * (x_hat - x) * slope, 0.0)
 
 
-def net_out_row(predictor, cfg, p, t, width):
-    """The predictor's (1, width) output at belief state p; zeros below
-    t_min, where the output maps ignore it, so the predictor is not called."""
-    if t < cfg.t_min:
-        return np.zeros((1, width))
-    return forward_row(predictor, p.mean, t, width)
+def net_out(predictor, cfg, mu, t, width):
+    """The predictor's (B, width) outputs at belief means mu (B, D) and
+    times t; zeros on rows below t_min, where the output maps ignore them,
+    so the predictor never sees those rows."""
+    live = np.full(mu.shape[0], t >= cfg.t_min)
+    if live.all():
+        return forward_rows(predictor, mu, t, width)
+    out = np.zeros((mu.shape[0], width))
+    if live.any():
+        out[live] = forward_rows(predictor, mu[live], np.asarray(t)[live], width)
+    return out
 
 
-def output_prediction(predictor, cfg, p, t):
-    """Data estimate at (state, time); zero below the t_min cutoff.
+def _x_hat(predictor, cfg, mu, t):
+    """Clipped data estimates (B, D) at belief means mu (B, D) and times t.
 
     Predictors emit noise estimates by default.  A predictor carrying a
     truthy ``predicts_data`` attribute emits data estimates directly.
     """
+    predicts_data = getattr(predictor, "predicts_data", False)
+    return output_map(cfg, mu, t, net_out(predictor, cfg, mu, t, cfg.D), predicts_data)[0]
+
+
+def output_prediction(predictor, cfg, p, t):
+    """Data estimate at (state, time); zero below the t_min cutoff."""
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    net_out = net_out_row(predictor, cfg, p, t, cfg.D)
-    return output_map(cfg, p.mean[None], t, net_out, getattr(predictor, "predicts_data", False))[0][0]
+    return _x_hat(predictor, cfg, p.mean[None], t)[0]
+
+
+def loss_n(rng, predictor, cfg, x, n, i):
+    """n-step transmission loss estimates (B,), in nats, for a (B, D) batch
+    at step i of n: one int for every row, or (B,) ints.
+
+    Each row draws its flow state (none at t=0), and the predictor runs
+    once on the batch.  An int i keeps the time factors in Python float
+    arithmetic, so row b equals the b-th of B one-row calls on the same
+    stream, bit for bit; per-row steps compute them in numpy, whose
+    vectorised power can differ in the last bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    t = step_time(i, n)
+    p = flow_sample(rng, cfg, x, t)
+    resid = x - _x_hat(predictor, cfg, p.mean, t)
+    weight = n * (1.0 - cfg.sigma1 ** (2.0 / n)) / (2.0 * cfg.sigma1 ** (2.0 * i / n))
+    # vecdot is np.dot row by row, the per-item op's sum; a row sum differs in the last bit
+    return weight * np.vecdot(resid, resid)
 
 
 def loss_n_step(rng, predictor, cfg, x, n, i=None):
-    """Single-sample estimate of the n-step transmission loss, in nats."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if i is None:
-        i = int(rng.integers(1, n + 1))
-    elif not (1 <= i <= n):
-        raise ValueError(f"need 1 <= i <= n, got i={i}")
+    """Single-sample estimate of the n-step transmission loss, in nats: the
+    one-row call of loss_n, at a step drawn from rng when i is None."""
+    i = step_index(rng, n, i)
+    return float(loss_n(rng, predictor, cfg, np.asarray(x, dtype=np.float64)[None], n, i)[0])
+
+
+def loss_cts(rng, predictor, cfg, x, t):
+    """Continuous-time loss estimates (B,), in nats, for a (B, D) batch at
+    times t, one float for every row or (B,): each row draws its flow
+    state (none at t=0), and the predictor runs once on the batch."""
     x = np.asarray(x, dtype=np.float64)
-    t = (i - 1) / n
     p = flow_sample(rng, cfg, x, t)
-    x_hat = output_prediction(predictor, cfg, p, t)
-    resid = x - x_hat
-    weight = n * (1.0 - cfg.sigma1 ** (2.0 / n)) / (2.0 * cfg.sigma1 ** (2.0 * i / n))
-    return weight * float(np.dot(resid, resid))
+    out = net_out(predictor, cfg, p.mean, t, cfg.D)
+    return loss_inf(cfg, x, p.mean, t, out, predicts_data=getattr(predictor, "predicts_data", False))
 
 
 def loss_cts_time(rng, predictor, cfg, x, t=None):
-    """Single-sample estimate of the continuous-time loss, in nats."""
+    """Single-sample estimate of the continuous-time loss, in nats: the
+    one-row call of loss_cts, at a time drawn from rng when t is None."""
     if t is None:
         t = float(rng.uniform())
     elif not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    x = np.asarray(x, dtype=np.float64)
-    p = flow_sample(rng, cfg, x, t)
-    net_out = net_out_row(predictor, cfg, p, t, cfg.D)
-    predicts_data = getattr(predictor, "predicts_data", False)
-    return float(loss_inf(cfg, x[None], p.mean[None], t, net_out, predicts_data=predicts_data)[0])
+    return float(loss_cts(rng, predictor, cfg, np.asarray(x, dtype=np.float64)[None], t)[0])
 
 
 def reconstruction_loss(rng, predictor, cfg, x, noise_sigma):

@@ -16,8 +16,9 @@ path keeps the redundant class and uses a row softmax.
 import numpy as np
 
 from .kernels import logsumexp_rows
-from .numerics import gaussian_sample, sample_categorical_rows, softmax_rows
-from .predictor import forward_row
+from .numerics import gaussian_sample, paired_normals, sample_categorical_rows, softmax_rows
+from .predictor import forward_rows
+from .schedule import step_index, step_time
 
 ROW_SUM_TOL = 1e-9
 
@@ -51,11 +52,16 @@ def sender_mean(x, alpha, K):
     return alpha * (K * one_hot(x, K) - 1.0)
 
 
-def sender_sample(rng, x, alpha, K):
-    """Draw logit-space observations: N(alpha(K e_x - 1), alpha K I) per dim."""
-    if not alpha > 0.0:
+def sender_sample(rng, x, alpha, K, z=None):
+    """Draw logit-space observations: N(alpha(K e_x - 1), alpha K I) per dim.
+
+    alpha is one accuracy or broadcasts against the (..., D, K) draw; z,
+    when given, is the draw's standard-normal noise and rng is not used.
+    """
+    ok = alpha > 0.0  # NaN fails
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise ValueError("alpha must be positive")
-    return gaussian_sample(rng, sender_mean(x, alpha, K), alpha * K)
+    return gaussian_sample(rng, sender_mean(x, alpha, K), alpha * K, z)
 
 
 def bayes_update(theta, y):
@@ -73,23 +79,26 @@ def bayes_update(theta, y):
     return softmax_rows(logits)
 
 
-def flow_sample(rng, x, t, sched, K):
+def flow_sample(rng, x, t, sched, K, z=None):
     """Belief states at times t: softmax of one Gaussian logit draw per row.
 
-    x is a (B, D) batch with t (B,), one time per row, and gives (B, D, K);
-    a (D,) x with a float t is one row and gives (D, K).  A row at t=0 has
-    zero accuracy: it is exactly the uniform prior and draws nothing.
+    x is a (B, D) batch with t (B,), one time per row, or one float for
+    every row, and gives (B, D, K); a (D,) x with a float t is one row and
+    gives (D, K).  A row at t=0 has zero accuracy: it is exactly the
+    uniform prior and draws nothing.  z, when given, is the draw's
+    standard-normal noise, (B, D, K), and rng is not used; rows at t=0
+    ignore theirs.
     """
     x = np.asarray(x, dtype=np.int64)
     if x.ndim == 1:
-        return flow_sample(rng, x[None], t, sched, K)[0]
+        return flow_sample(rng, x[None], t, sched, K, None if z is None else z[None])[0]
     beta = np.full(x.shape[0], sched.beta(t))[:, None, None]
     if beta.all():
-        return softmax_rows(gaussian_sample(rng, beta * (K * one_hot(x, K) - 1.0), beta * K))
+        return softmax_rows(gaussian_sample(rng, beta * (K * one_hot(x, K) - 1.0), beta * K, z))
     theta = np.full(x.shape + (K,), 1.0 / K)
     live = beta[:, 0, 0] != 0.0
     if live.any():
-        theta[live] = flow_sample(rng, x[live], np.asarray(t)[live], sched, K)
+        theta[live] = flow_sample(rng, x[live], np.asarray(t)[live], sched, K, None if z is None else z[live])
     return theta
 
 
@@ -141,16 +150,17 @@ def loss_inf(sched, x, t, net_out, K, grad=False):
 
 
 def _net_out(predictor, theta, t, K):
-    """The predictor's (1, width) output row for one (D, K) state."""
-    D = theta.shape[0]
-    return forward_row(predictor, encode_theta(theta, K), t, D if K == 2 else D * K)
+    """The predictor's (B, width) outputs at states theta (B, D, K) and
+    times t."""
+    D = theta.shape[1]
+    return forward_rows(predictor, encode_theta(theta, K), t, D if K == 2 else D * K)
 
 
 def output_distribution(predictor, theta, t, K):
     """Class probabilities (D, K) from the predictor at (state, time)."""
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    return output_map(_net_out(predictor, np.asarray(theta, dtype=np.float64), t, K), K)[0]
+    return output_map(_net_out(predictor, np.asarray(theta, dtype=np.float64)[None], t, K), K)[0]
 
 
 def e_hat(probs):
@@ -158,8 +168,19 @@ def e_hat(probs):
     return validate_rows(probs)
 
 
+def _log_norm(u, alpha, K):
+    """The class-independent part of the sender and receiver log-densities
+    at u = y + alpha, per (..., D) row."""
+    return (
+        -0.5 * K * np.log(2.0 * np.pi * alpha * K)
+        - np.sum(u * u, axis=-1, keepdims=True) / (2.0 * alpha * K)
+        - 0.5 * alpha * K
+    )[..., 0]
+
+
 def receiver_log_likelihood(y, probs, alpha, K):
-    """Log-density of (D, K) sender draws under the mixture receiver.
+    """Log-density of (..., D, K) sender draws under the mixture receiver,
+    summed over D; alpha is one accuracy or broadcasts against y.
 
     Per dimension the receiver mixes N(alpha(K e_k - 1), alpha K I) over
     classes k weighted by the output row.  Writing u = y + alpha, the
@@ -167,58 +188,70 @@ def receiver_log_likelihood(y, probs, alpha, K):
     so the mixture collapses to a row log-sum-exp over log w_k + u_k.
     """
     y = np.asarray(y, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    D = y.shape[0]
     u = y + alpha
     with np.errstate(divide="ignore"):
-        logw = np.log(probs)
-    lse = logsumexp_rows(logw + u)
-    common = (
-        -0.5 * K * np.log(2.0 * np.pi * alpha * K)
-        - np.sum(u * u, axis=1) / (2.0 * alpha * K)
-        - 0.5 * alpha * K
-    )
-    return float(np.sum(common + lse))
+        logw = np.log(np.asarray(probs, dtype=np.float64))
+    lse = logsumexp_rows((logw + u).reshape(-1, K)).reshape(u.shape[:-1])
+    return np.sum(_log_norm(u, alpha, K) + lse, axis=-1)
 
 
 def sender_log_likelihood(y, x, alpha, K):
-    y = np.asarray(y, dtype=np.float64)
-    u = y + alpha
-    ux = u[np.arange(y.shape[0]), np.asarray(x, dtype=np.int64) - 1]
-    common = (
-        -0.5 * K * np.log(2.0 * np.pi * alpha * K)
-        - np.sum(u * u, axis=1) / (2.0 * alpha * K)
-        - 0.5 * alpha * K
-    )
-    return float(np.sum(common + ux))
-
-
-def loss_n_step(rng, predictor, sched, x, n, K, i=None):
-    """Single-sample estimate of the n-step loss for class-valued data."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if i is None:
-        i = int(rng.integers(1, n + 1))
-    elif not (1 <= i <= n):
-        raise ValueError(f"need 1 <= i <= n, got i={i}")
+    """Log-density of (..., D, K) sender draws of classes x (..., D) under
+    the sender, summed over D; alpha as in receiver_log_likelihood."""
+    u = np.asarray(y, dtype=np.float64) + alpha
     x = np.asarray(x, dtype=np.int64)
-    t = (i - 1) / n
-    theta = flow_sample(rng, x, t, sched, K)
-    probs = output_distribution(predictor, theta, t, K)
+    ux = u.reshape(-1, K)[np.arange(x.size), x.ravel() - 1].reshape(x.shape)
+    return np.sum(_log_norm(u, alpha, K) + ux, axis=-1)
+
+
+def loss_n(rng, predictor, sched, x, n, K, i):
+    """n-step loss estimates (B,), in nats, for a (B, D) batch of class
+    indices at step i of n: one int for every row, or (B,) ints.
+
+    Row by row the noise is drawn as B one-row calls draw it: the flow
+    state (none at t=0), then the sender sample; all of it in one call.
+    The predictor runs once on the batch.  An int i keeps the time
+    factors in Python float arithmetic, so row b equals the b-th one-row
+    call bit for bit; per-row steps compute them in numpy, whose
+    vectorised power can differ in the last bit.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    t = step_time(i, n)
     alpha = sched.step_alpha(i, n)
-    y = sender_sample(rng, x, alpha, K)
+    if not np.isscalar(alpha):
+        alpha = alpha[:, None, None]
+    # the flow draws no noise for rows at beta(t) = 0, as in flow_sample
+    z_flow, z_send = paired_normals(rng, np.full(x.shape[0], sched.beta(t)) != 0.0, x.shape + (K,))
+    theta = flow_sample(rng, x, t, sched, K, z_flow)
+    y = sender_sample(rng, x, alpha, K, z_send)
+    probs = output_map(_net_out(predictor, theta, t, K), K)
     return n * (sender_log_likelihood(y, x, alpha, K) - receiver_log_likelihood(y, probs, alpha, K))
 
 
+def loss_n_step(rng, predictor, sched, x, n, K, i=None):
+    """Single-sample estimate of the n-step loss for class-valued data: the
+    one-row call of loss_n, at a step drawn from rng when i is None."""
+    i = step_index(rng, n, i)
+    return float(loss_n(rng, predictor, sched, np.asarray(x, dtype=np.int64)[None], n, K, i)[0])
+
+
+def loss_cts(rng, predictor, sched, x, K, t):
+    """Continuous-time loss estimates (B,) for a (B, D) batch of class
+    indices at times t, one float for every row or (B,): each row draws
+    its flow state (none at t=0), and the predictor runs once."""
+    x = np.asarray(x, dtype=np.int64)
+    theta = flow_sample(rng, x, t, sched, K)
+    return loss_inf(sched, x, t, _net_out(predictor, theta, t, K), K)
+
+
 def loss_cts_time(rng, predictor, sched, x, K, t=None):
-    """Single-sample estimate of the continuous-time loss for class data."""
+    """Single-sample estimate of the continuous-time loss for class data:
+    the one-row call of loss_cts, at a time drawn from rng when t is None."""
     if t is None:
         t = float(rng.uniform())
     elif not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    x = np.asarray(x, dtype=np.int64)
-    theta = flow_sample(rng, x, t, sched, K)
-    return float(loss_inf(sched, x[None], t, _net_out(predictor, theta, t, K), K)[0])
+    return float(loss_cts(rng, predictor, sched, np.asarray(x, dtype=np.int64)[None], K, t)[0])
 
 
 def reconstruction_loss(rng, predictor, sched, x, K):

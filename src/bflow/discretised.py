@@ -13,7 +13,8 @@ import numpy as np
 
 from . import continuous
 from .kernels import erf_vec, mixture_logpdf
-from .numerics import gaussian_sample, log_gaussian_pdf, sample_categorical_rows
+from .numerics import gaussian_sample, log_gaussian_pdf, paired_normals, sample_categorical_rows
+from .schedule import step_index, step_time
 
 _SQRT2 = np.sqrt(2.0)
 # floor applied to log-probabilities so pathological predictors yield a
@@ -149,6 +150,15 @@ def loss_inf(cfg, x, mu, t, net_out, K, grad=False):
     return loss, np.concatenate([d_mu_eps, d_ln_sigma], axis=1)
 
 
+def _probs(predictor, cfg, mu, t, K):
+    """Bin masses (B, D, K) at belief means mu (B, D) and times t; a unit
+    Gaussian at zero below t_min."""
+    B, D = mu.shape
+    net_out = continuous.net_out(predictor, cfg, mu, t, 2 * cfg.D)
+    mu_x, sigma_x = output_map(cfg, mu, t, net_out)[:2]
+    return bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), K).reshape(B, D, K)
+
+
 def output_distribution(predictor, cfg, p, t, K):
     """Bin probabilities (D, K) for belief state p at time t.
 
@@ -156,9 +166,7 @@ def output_distribution(predictor, cfg, p, t, K):
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    net_out = continuous.net_out_row(predictor, cfg, p, t, 2 * cfg.D)
-    mu_x, sigma_x = output_map(cfg, p.mean[None], t, net_out)[:2]
-    return bin_probs_from_gaussian(mu_x[0], sigma_x[0], K)
+    return _probs(predictor, cfg, p.mean[None], t, K)[0]
 
 
 def k_hat(probs, K):
@@ -171,44 +179,65 @@ def k_hat(probs, K):
 def receiver_log_likelihood(y, probs, K, alpha):
     """Log-density of observations under the per-dimension mixture receiver.
 
-    y: (D,) sender draws; probs: (D, K) bin masses.  Each dimension mixes
+    y: (..., D) sender draws; probs: (..., D, K) bin masses; alpha: one
+    accuracy, or one per row of a (B, D) y.  Each dimension mixes
     Gaussians at the bin centres with variance 1/alpha; summed over D.
     """
     geom = BinGeometry(K)
+    y = np.asarray(y, dtype=np.float64)
+    var = 1.0 / alpha if np.isscalar(alpha) else np.repeat(1.0 / np.asarray(alpha), y.shape[-1])
     with np.errstate(divide="ignore"):
-        logw = np.log(probs)
-    return float(np.sum(mixture_logpdf(np.asarray(y, dtype=np.float64), logw, geom.centers, 1.0 / alpha)))
+        logw = np.log(probs).reshape(-1, K)
+    return np.sum(mixture_logpdf(y.ravel(), logw, geom.centers, var).reshape(y.shape), axis=-1)
+
+
+def loss_n(rng, predictor, cfg, x, n, K, i):
+    """n-step loss estimates (B,), in nats, for a (B, D) batch of bin
+    centres at step i of n: one int for every row, or (B,) ints.
+
+    Row by row the noise is drawn as B one-row calls draw it: the flow
+    state (none at t=0), then the sender sample; all of it in one call.
+    The predictor runs once on the batch.  An int i keeps the time
+    factors in Python float arithmetic, so row b equals the b-th one-row
+    call bit for bit; per-row steps compute them in numpy, whose
+    vectorised power can differ in the last bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    t = step_time(i, n)
+    alpha = cfg.schedule.step_alpha(i, n)
+    var = 1.0 / alpha
+    # the flow draws no noise for rows at gamma(t) = 0, as in flow_sample
+    z_flow, z_send = paired_normals(rng, np.full(x.shape[0], continuous.gamma(cfg, t)) != 0.0, x.shape)
+    p = continuous.flow_sample(rng, cfg, x, t, z_flow)
+    y = gaussian_sample(rng, x, var if np.isscalar(var) else var[:, None], z_send)
+    probs = _probs(predictor, cfg, p.mean, t, K)
+    return n * (log_gaussian_pdf(y, x, var) - receiver_log_likelihood(y, probs, K, alpha))
 
 
 def loss_n_step(rng, predictor, cfg, x, n, K, i=None):
-    """Single-sample estimate of the n-step loss for bin-valued data."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if i is None:
-        i = int(rng.integers(1, n + 1))
-    elif not (1 <= i <= n):
-        raise ValueError(f"need 1 <= i <= n, got i={i}")
+    """Single-sample estimate of the n-step loss for bin-valued data: the
+    one-row call of loss_n, at a step drawn from rng when i is None."""
+    i = step_index(rng, n, i)
+    return float(loss_n(rng, predictor, cfg, np.asarray(x, dtype=np.float64)[None], n, K, i)[0])
+
+
+def loss_cts(rng, predictor, cfg, x, K, t):
+    """Continuous-time loss estimates (B,) for a (B, D) batch of bin
+    centres at times t, one float for every row or (B,): each row draws
+    its flow state (none at t=0), and the predictor runs once."""
     x = np.asarray(x, dtype=np.float64)
-    t = (i - 1) / n
     p = continuous.flow_sample(rng, cfg, x, t)
-    alpha = cfg.schedule.step_alpha(i, n)
-    y = gaussian_sample(rng, x, 1.0 / alpha)
-    probs = output_distribution(predictor, cfg, p, t, K)
-    sender_ll = log_gaussian_pdf(y, x, 1.0 / alpha)
-    receiver_ll = receiver_log_likelihood(y, probs, K, alpha)
-    return n * (sender_ll - receiver_ll)
+    return loss_inf(cfg, x, p.mean, t, continuous.net_out(predictor, cfg, p.mean, t, 2 * cfg.D), K)
 
 
 def loss_cts_time(rng, predictor, cfg, x, K, t=None):
-    """Single-sample estimate of the continuous-time loss for bin data."""
+    """Single-sample estimate of the continuous-time loss for bin data: the
+    one-row call of loss_cts, at a time drawn from rng when t is None."""
     if t is None:
         t = float(rng.uniform())
     elif not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
-    x = np.asarray(x, dtype=np.float64)
-    p = continuous.flow_sample(rng, cfg, x, t)
-    net_out = continuous.net_out_row(predictor, cfg, p, t, 2 * cfg.D)
-    return float(loss_inf(cfg, x[None], p.mean[None], t, net_out, K)[0])
+    return float(loss_cts(rng, predictor, cfg, np.asarray(x, dtype=np.float64)[None], K, t)[0])
 
 
 def negative_log_picked(probs, idx):

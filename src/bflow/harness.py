@@ -19,6 +19,11 @@ separate consistency gate then draws real samples from the stochastic op
 and requires agreement with the deterministic estimate within standard
 errors, so the stochastic path cannot drift from the verified one.
 
+The loss checks run on the modalities' batched ops: the continuous-time
+grid is one ``loss_cts`` call over all its times, and each gate is one
+``loss_n`` call over all its draws.  Both draw the stream exactly as the
+equivalent run of one-row calls would.
+
 Moment comparisons for the categorical sender happen in shift-centered
 coordinates: the multiplicative update is invariant to adding a constant
 to every logit in a block, and the multinomial construction fixes the
@@ -395,10 +400,11 @@ def _dsc_log_ratio(y, x, alpha, probs_row, centers):
     return send - mixture_logpdf(y, np.ascontiguousarray(logw), centers, 1 / alpha)
 
 
-def _linf_mean_by_time_grid(loss_at_t, grid_points=4097):
-    # Simpson over an odd uniform grid of the deterministic per-t loss
+def _linf_mean_by_time_grid(loss_at_ts, grid_points=4097):
+    # Simpson over an odd uniform grid of the deterministic per-t loss,
+    # evaluated in one batched call over the grid
     ts = np.linspace(0.0, 1.0, grid_points)
-    vals = np.array([loss_at_t(float(t)) for t in ts])
+    vals = loss_at_ts(ts)
     h = 1.0 / (grid_points - 1)
     return h / 3 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-2:2].sum())
 
@@ -429,18 +435,22 @@ def check_loss_convergence(seed, modality, n_list=(1, 4, 16, 64, 256),
     stratum (exactly for the continuous modality, via Gauss-Hermite over
     the sender draw otherwise).  A sampled consistency gate ties the
     stochastic op to the stratum values.
+
+    The hooks replace the batched ops: ``loss_n_fn(rng, n, i, B)`` returns
+    B n-step losses at step i, and ``loss_inf_fn(rng, ts)`` the
+    continuous-time loss at each time of ts.
     """
     rng = Rng(seed, _path=(5,))
     if modality == "continuous":
         cfg = cts.CtsConfig(sigma1=0.02, D=1)
         x = np.array([0.5])
         pred = ConstantPredictor(x + 0.1, predicts_data=True)
-        base_n = loss_n_fn or (lambda r, n, i: cts.loss_n_step(r, pred, cfg, x, n, i=i))
-        base_inf = loss_inf_fn or (lambda r, t: cts.loss_cts_time(r, pred, cfg, x, t=t))
-        linf = _linf_mean_by_time_grid(lambda t: base_inf(rng, t))
+        base_n = loss_n_fn or (lambda r, n, i, B: cts.loss_n(r, pred, cfg, np.tile(x, (B, 1)), n, i))
+        base_inf = loss_inf_fn or (lambda r, ts: cts.loss_cts(r, pred, cfg, np.tile(x, (ts.size, 1)), ts))
+        linf = _linf_mean_by_time_grid(lambda ts: base_inf(rng, ts))
         gaps = []
         for n in n_list:
-            ln = np.mean([base_n(rng, n, i) for i in range(1, n + 1)])
+            ln = np.mean([base_n(rng, n, i, 1)[0] for i in range(1, n + 1)])
             gaps.append((ln - linf) / linf)
         return _convergence_report(
             "loss-convergence-continuous", "continuous", gaps, 0.005,
@@ -453,8 +463,9 @@ def check_loss_convergence(seed, modality, n_list=(1, 4, 16, 64, 256),
         x = np.array([geom.center(11)])
         pred = DiscretisedDatumPredictor(x + 0.15, 0.06, cfg.sigma1)
         sched = cfg.schedule
-        base_inf = loss_inf_fn or (lambda r, t: dsc.loss_cts_time(r, pred, cfg, x, K, t=t))
-        linf = _linf_mean_by_time_grid(lambda t: base_inf(rng, t))
+        base_n = loss_n_fn or (lambda r, n, i, B: dsc.loss_n(r, pred, cfg, np.tile(x, (B, 1)), n, K, i))
+        base_inf = loss_inf_fn or (lambda r, ts: dsc.loss_cts(r, pred, cfg, np.tile(x, (ts.size, 1)), K, ts))
+        linf = _linf_mean_by_time_grid(lambda ts: base_inf(rng, ts))
         nodes, weights = _hermgauss(gh_nodes)
         probs_live = dsc.output_distribution(pred, cfg, cts.prior(1), 0.5, K)
         probs_prior = dsc.bin_probs_from_gaussian(np.zeros(1), np.ones(1), K)
@@ -474,10 +485,7 @@ def check_loss_convergence(seed, modality, n_list=(1, 4, 16, 64, 256),
         # consistency gate: the op's own draws at one stratum
         gate_n, gate_i = 16, 9
         stratum_ref = gate_n * stratum(sched.step_alpha(gate_i, gate_n), probs_live)
-        draws = np.array([
-            (loss_n_fn or (lambda r, n, i: dsc.loss_n_step(r, pred, cfg, x, n, K, i=i)))(rng, gate_n, gate_i)
-            for _ in range(50_000)
-        ])
+        draws = base_n(rng, gate_n, gate_i, 50_000)
         gate_se = draws.std(ddof=1) / np.sqrt(draws.size)
         gate_dev = abs(draws.mean() - stratum_ref) / gate_se
         report = _convergence_report(
@@ -494,8 +502,9 @@ def check_loss_convergence(seed, modality, n_list=(1, 4, 16, 64, 256),
     p_star = np.array([0.5, 1.0 / 3.0, 1.0 / 6.0])
     probs_rows = np.stack([np.roll(p_star, xi - 1) for xi in x])  # mass 1/2 on the true class
     pred = _RowsPredictor(probs_rows)
-    base_inf = loss_inf_fn or (lambda r, t: dd.loss_cts_time(r, pred, sched, x, K, t=t))
-    linf = _linf_mean_by_time_grid(lambda t: base_inf(rng, t))
+    base_n = loss_n_fn or (lambda r, n, i, B: dd.loss_n(r, pred, sched, np.tile(x, (B, 1)), n, K, i))
+    base_inf = loss_inf_fn or (lambda r, ts: dd.loss_cts(r, pred, sched, np.tile(x, (ts.size, 1)), K, ts))
+    linf = _linf_mean_by_time_grid(lambda ts: base_inf(rng, ts))
     nodes, weights = _hermgauss(24)
     grids = np.meshgrid(*([nodes] * K), indexing="ij")
     Z = np.stack([g.ravel() for g in grids], axis=1)
@@ -517,10 +526,7 @@ def check_loss_convergence(seed, modality, n_list=(1, 4, 16, 64, 256),
                 total += v
         gaps.append((total - linf) / linf)
     gate_n, gate_i = 16, 9
-    draws = np.array([
-        (loss_n_fn or (lambda r, n, i: dd.loss_n_step(r, pred, sched, x, n, K, i=i)))(rng, gate_n, gate_i)
-        for _ in range(50_000)
-    ])
+    draws = base_n(rng, gate_n, gate_i, 50_000)
     ref = 0.0
     for v in strata(sched.step_alpha(gate_i, gate_n)):
         ref += gate_n * v
@@ -541,10 +547,12 @@ class _RowsPredictor:
     def __init__(self, rows):
         self.logits = np.log(np.asarray(rows, dtype=np.float64))
 
-    def forward(self, state, t):
+    def forward_batch(self, X, t):
         if self.logits.shape[1] == 2:
-            return self.logits[:, 0] - self.logits[:, 1]
-        return self.logits.ravel()
+            row = self.logits[:, 0] - self.logits[:, 1]
+        else:
+            row = self.logits.ravel()
+        return np.tile(row, (len(X), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -120,18 +120,19 @@ def mixture_logpdf(y, logw, means, var):
     """Log-density of per-row Gaussian mixtures at scalar observations.
 
     y: (M,) observations; logw: (M, K) log mixture weights per row;
-    means: (K,) component means; var: shared scalar variance.  Rows with
-    some zero weights are fine as long as one weight is positive.
+    means: (K,) component means; var: the components' variance, shared or
+    one per row (M,).  Rows with some zero weights are fine as long as one
+    weight is positive.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     logw = np.ascontiguousarray(logw, dtype=np.float64)
     means = np.ascontiguousarray(means, dtype=np.float64)
     if logw.shape != (y.shape[0], means.shape[0]):
         raise ValueError("logw must have shape (len(y), len(means))")
-    var = float(var)
+    var = np.asarray(var, dtype=np.float64)
     d = y[:, None] - means[None, :]
     with np.errstate(under="ignore"):
-        t = logw - d * d * (0.5 / var)
+        t = logw - d * d * (0.5 / var)[..., None]
     out = logsumexp_rows(t)
     out += -0.5 * np.log(2.0 * np.pi * var)
     return out

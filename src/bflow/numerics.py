@@ -54,16 +54,39 @@ class Rng:
         return self._gen.bit_generator.state
 
 
-def gaussian_sample(rng, mean, var):
+def gaussian_sample(rng, mean, var, z=None):
     """Draw mean + sqrt(var) * z with z iid standard normal.
 
     var may be a positive scalar or a positive array broadcastable to mean.
+    z, when given, is noise of mean's shape drawn beforehand, and rng is
+    not used.
     """
     mean = np.asarray(mean, dtype=np.float64)
     var = np.asarray(var, dtype=np.float64)
     if np.any(var <= 0.0):
         raise ValueError("variance must be positive")
-    return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
+    if z is None:
+        z = rng.standard_normal(mean.shape)
+    return mean + np.sqrt(var) * z
+
+
+def paired_normals(rng, first, shape):
+    """Standard normals for a batch whose row b draws a block of shape[1:]
+    twice: a first block where first[b] holds ((B,) bools), then a second
+    block.
+
+    All rows are drawn in one call, in the order of shape[0] one-row draws.
+    Returns the (B, ...) first and second blocks; a row without a first
+    draw holds zeros there.
+    """
+    B, block = shape[0], tuple(shape[1:])
+    if first.all():
+        z = rng.standard_normal((B, 2) + block)
+    else:
+        takes = np.stack([first, np.ones(B, dtype=bool)], axis=1)
+        z = np.zeros((B, 2) + block)
+        z[takes] = rng.standard_normal((int(takes.sum()),) + block)
+    return z[:, 0], z[:, 1]
 
 
 def softmax_rows(logits):
@@ -75,15 +98,18 @@ def softmax_rows(logits):
 
 
 def log_gaussian_pdf(y, mean, var):
-    """Log-density of an isotropic Gaussian, summed over dimensions."""
-    var = float(var)
-    if var <= 0.0:
+    """Log-density of an isotropic Gaussian, summed over the last axis.
+
+    y (..., D) gives (...); var is a scalar or one variance per row.
+    """
+    var = np.asarray(var, dtype=np.float64)
+    if (var <= 0.0).any():
         raise ValueError("variance must be positive")
     y = np.asarray(y, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
-    d = y.size
+    d = y.shape[-1]
     resid = y - mean
-    return -0.5 * d * np.log(2.0 * np.pi * var) - 0.5 * float(np.dot(resid.ravel(), resid.ravel())) / var
+    return -0.5 * d * np.log(2.0 * np.pi * var) - 0.5 * np.vecdot(resid, resid) / var
 
 
 def sample_categorical_rows(rng, probs):

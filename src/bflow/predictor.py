@@ -183,12 +183,24 @@ class MLP:
         return flat
 
 
-def forward_row(predictor, state, t, width):
-    """One predictor call as a (1, width) batch; a wrong output shape raises."""
-    out = np.asarray(predictor.forward(state, t), dtype=np.float64)
-    if out.shape != (width,):
-        raise ValueError(f"predictor returned shape {out.shape}, expected ({width},)")
-    return out[None]
+def forward_rows(predictor, X, t, width):
+    """The predictor's (B, width) outputs at states X (B, state width) and
+    times t, one float for every row or (B,); a wrong output shape raises.
+
+    Every predictor answers ``forward_batch(X, t)``; a one-row call is a
+    batch of one.
+    """
+    out = np.asarray(predictor.forward_batch(X, t), dtype=np.float64)
+    if out.shape != (X.shape[0], width):
+        raise ValueError(f"predictor returned shape {out.shape}, expected {(X.shape[0], width)}")
+    return out
+
+
+def _gamma(sigma1, t):
+    """1 - sigma1^(2t): a float for a float t (Python arithmetic, as the
+    modality ops compute it), else a (B, 1) column."""
+    t = float(t) if np.isscalar(t) else np.asarray(t, dtype=np.float64)[:, None]
+    return 1.0 - sigma1 ** (2.0 * t)
 
 
 class ConstantPredictor:
@@ -203,8 +215,8 @@ class ConstantPredictor:
         self.values = np.asarray(values, dtype=np.float64)
         self.predicts_data = bool(predicts_data)
 
-    def forward(self, state, t):
-        return self.values.copy()
+    def forward_batch(self, X, t):
+        return np.tile(self.values, (len(X), 1))
 
 
 class CtsDatumPredictor:
@@ -219,9 +231,9 @@ class CtsDatumPredictor:
         self.x_star = np.asarray(x_star, dtype=np.float64)
         self.sigma1 = float(sigma1)
 
-    def forward(self, state, t):
-        g = 1.0 - self.sigma1 ** (2.0 * float(t))
-        return (np.asarray(state) - g * self.x_star) / np.sqrt(g * (1.0 - g))
+    def forward_batch(self, X, t):
+        g = _gamma(self.sigma1, t)
+        return (np.asarray(X, dtype=np.float64) - g * self.x_star) / np.sqrt(g * (1.0 - g))
 
 
 class CtsPosteriorPredictor:
@@ -248,11 +260,14 @@ class CtsPosteriorPredictor:
         w /= w.sum()
         return w @ self.dataset
 
-    def forward(self, state, t):
-        state = np.asarray(state, dtype=np.float64)
-        g = 1.0 - self.sigma1 ** (2.0 * float(t))
-        x_hat = self.posterior_mean(state, t)
-        return (state - g * x_hat) / np.sqrt(g * (1.0 - g))
+    def forward_batch(self, X, t):
+        X = np.asarray(X, dtype=np.float64)
+        ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (len(X),))
+        out = np.empty_like(X)
+        for b, (state, tb) in enumerate(zip(X, ts)):
+            g = 1.0 - self.sigma1 ** (2.0 * float(tb))
+            out[b] = (state - g * self.posterior_mean(state, tb)) / np.sqrt(g * (1.0 - g))
+        return out
 
 
 class DiscretisedDatumPredictor:
@@ -264,13 +279,13 @@ class DiscretisedDatumPredictor:
         self.sigma_star = float(sigma_star)
         self.sigma1 = float(sigma1)
 
-    def forward(self, state, t):
-        state = np.asarray(state, dtype=np.float64)
-        g = 1.0 - self.sigma1 ** (2.0 * float(t))
+    def forward_batch(self, X, t):
+        X = np.asarray(X, dtype=np.float64)
+        g = _gamma(self.sigma1, t)
         ratio = np.sqrt((1.0 - g) / g)
-        mu_eps = (state / g - self.mu_star) / ratio
-        ln_sigma_eps = np.full_like(state, np.log(self.sigma_star / ratio))
-        return np.concatenate([mu_eps, ln_sigma_eps])
+        mu_eps = (X / g - self.mu_star) / ratio
+        ln_sigma_eps = np.full_like(X, np.log(self.sigma_star / ratio))
+        return np.concatenate([mu_eps, ln_sigma_eps], axis=1)
 
 
 class DiscreteOneHotPredictor:
@@ -281,14 +296,15 @@ class DiscreteOneHotPredictor:
         self.K = int(K)
         self.sharpness = float(sharpness)
 
-    def forward(self, state, t):
+    def forward_batch(self, X, t):
         D = self.x_star.size
         if self.K == 2:
-            sign = np.where(self.x_star == 1, 1.0, -1.0)
-            return self.sharpness * sign
-        logits = np.zeros((D, self.K))
-        logits[np.arange(D), self.x_star - 1] = self.sharpness
-        return logits.ravel()
+            row = self.sharpness * np.where(self.x_star == 1, 1.0, -1.0)
+        else:
+            logits = np.zeros((D, self.K))
+            logits[np.arange(D), self.x_star - 1] = self.sharpness
+            row = logits.ravel()
+        return np.tile(row, (len(X), 1))
 
 
 class DiscreteConstantProbsPredictor:
@@ -300,8 +316,8 @@ class DiscreteConstantProbsPredictor:
         self.K = p_star.size
         self.D = D
 
-    def forward(self, state, t):
+    def forward_batch(self, X, t):
         if self.K == 2:
             row = self.logits[: self.K]
-            return np.full(self.D, row[0] - row[1])
-        return self.logits.copy()
+            return np.full((len(X), self.D), row[0] - row[1])
+        return np.tile(self.logits, (len(X), 1))

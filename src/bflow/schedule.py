@@ -8,7 +8,8 @@ Two closed forms cover both data families:
 
 Schedules are immutable value objects; every quantity is a cheap closed
 form, so nothing is cached.  ``beta`` and ``alpha`` take a float or an
-array of times.
+array of times, and ``step_alpha`` an integer step or an integer array of
+steps.
 """
 
 import math
@@ -70,10 +71,26 @@ def _check_t(t):
 
 
 def _check_step(i, n):
-    if not (isinstance(i, int) and isinstance(n, int)):
+    integral = isinstance(i, int) or (isinstance(i, np.ndarray) and i.dtype.kind in "iu")
+    if not (integral and isinstance(n, int)):
         raise ValueError("step index and count must be integers")
-    if n < 1 or not (1 <= i <= n):
+    ok = (1 <= i) & (i <= n)
+    if n < 1 or not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
+
+
+def step_index(rng, n, i=None):
+    """Step i of n, drawn uniformly from rng when None (checked by step_time)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return int(rng.integers(1, n + 1)) if i is None else i
+
+
+def step_time(i, n):
+    """Start time (i - 1) / n of step i of n: a float for an int i, one
+    time per row for an integer array."""
+    _check_step(i, n)
+    return (i - 1) / n
 
 
 # Default hyperparameter presets (finely vs coarsely discretised images,

@@ -174,6 +174,12 @@ def train(rng, dataset, config):
     dataset = np.asarray(dataset)
     if dataset.size == 0:
         raise ValueError("dataset is empty")
+    bad = np.argwhere(~np.isfinite(dataset))
+    if bad.size:
+        raise ValueError(
+            f"dataset holds non-finite values ({len(bad)} of {dataset.size}), "
+            f"the first {dataset[tuple(bad[0])]} at index {tuple(bad[0].tolist())}"
+        )
     if config.modality == "discrete":
         if np.any(dataset < 1) or np.any(dataset > config.K):
             raise ValueError("class indices outside 1..K")

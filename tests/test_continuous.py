@@ -168,6 +168,38 @@ class TestLossNStep:
             cts.loss_n_step(Rng(0), ConstantPredictor(np.zeros(1)), CFG, np.zeros(1), 4, i=5)
 
 
+class TestLossNBatch:
+    """Batched loss_n draws each row's noise as one-row loss_n_step calls
+    on the same stream do."""
+
+    cfg = cts.CtsConfig(sigma1=0.02, D=2)
+    x = np.random.default_rng(3).uniform(-1, 1, size=(16, 2))
+    pred = CtsDatumPredictor(np.array([0.3, -0.2]), 0.02)
+
+    def test_one_step_matches_sequential_calls(self):
+        a, b = Rng(20), Rng(20)
+        got = cts.loss_n(a, self.pred, self.cfg, self.x, 10, 4)
+        want = [cts.loss_n_step(b, self.pred, self.cfg, row, 10, i=4) for row in self.x]
+        assert np.array_equal(got, want)
+        assert a.draws == b.draws == 32
+
+    def test_first_step_single_row_draws_nothing(self):
+        a, b = Rng(21), Rng(21)
+        got = cts.loss_n(a, self.pred, self.cfg, self.x[:1], 10, 1)
+        assert got[0] == cts.loss_n_step(b, self.pred, self.cfg, self.x[0], 10, i=1)
+        assert a.draws == b.draws == 0
+
+    def test_mixed_steps_match_per_row_calls(self):
+        """Per-row steps make t an array, and numpy's vectorised power can
+        differ from Python's in the last bit, so rows agree to 1e-12."""
+        i = np.arange(16) % 10 + 1
+        a, b = Rng(22), Rng(22)
+        got = cts.loss_n(a, self.pred, self.cfg, self.x, 10, i)
+        want = [cts.loss_n_step(b, self.pred, self.cfg, row, 10, i=int(k)) for row, k in zip(self.x, i)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert a.draws == b.draws
+
+
 class TestLossCtsTime:
     def test_perfect_predictor_zero(self):
         x = np.array([0.2])
@@ -212,9 +244,9 @@ class TestGenerate:
         calls = []
 
         class Counting(ConstantPredictor):
-            def forward(self, state, t):
+            def forward_batch(self, X, t):
                 calls.append(t)
-                return super().forward(state, t)
+                return super().forward_batch(X, t)
 
         pred = Counting(np.array([0.1]), predicts_data=True)
         cts.generate(Rng(13), pred, CFG, 1)

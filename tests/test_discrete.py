@@ -143,9 +143,9 @@ class TestOutputDistribution:
         seen = {}
 
         class Capture:
-            def forward(self, state, t):
-                seen["state"] = np.array(state)
-                return np.zeros(6)
+            def forward_batch(self, X, t):
+                seen["state"] = np.array(X[0])
+                return np.zeros((1, 6))
 
         theta = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
         dd.output_distribution(Capture(), theta, 0.1, 3)
@@ -188,7 +188,7 @@ class TestLossNStep:
         alpha = sched.step_alpha(i, n)
         r = Rng(11)
         trials = 150_000
-        mc = np.array([dd.loss_n_step(r, pred, sched, x, n, K, i=i) for _ in range(trials)]) / n
+        mc = dd.loss_n(r, pred, sched, np.tile(x, (trials, 1)), n, K, i) / n
 
         # 2-D Gaussian mixture KL collapses to 1-D: with u = y + alpha,
         # the log ratio is u_x - lse(log w + u); u ~ N(alpha K e_x, alpha K I)
@@ -214,6 +214,45 @@ class TestLossNStep:
         a = dd.loss_n_step(Rng(12), pred, SCHED, x, 5, 3, i=1)
         b = dd.loss_n_step(Rng(12), pred, SCHED, x, 5, 3, i=1)
         assert a == b
+
+
+class _StateLogits:
+    """Logits 3 state + t, elementwise, so a row's output does not depend
+    on the batch around it."""
+
+    def forward_batch(self, X, t):
+        return 3.0 * X + np.reshape(t, (-1, 1))
+
+
+class TestLossNBatch:
+    """Batched loss_n draws each row's noise (flow block, then sender
+    block) as one-row loss_n_step calls on the same stream do."""
+
+    K = 4
+    x = np.random.default_rng(5).integers(1, 5, size=(16, 3))
+
+    def test_one_step_matches_sequential_calls(self):
+        a, b = Rng(26), Rng(26)
+        got = dd.loss_n(a, _StateLogits(), SCHED, self.x, 10, self.K, 4)
+        want = [dd.loss_n_step(b, _StateLogits(), SCHED, row, 10, self.K, i=4) for row in self.x]
+        assert np.array_equal(got, want)
+        assert a.draws == b.draws == 16 * 2 * 3 * 4
+
+    def test_first_step_single_row_draws_sender_only(self):
+        a, b = Rng(27), Rng(27)
+        got = dd.loss_n(a, _StateLogits(), SCHED, self.x[:1], 10, self.K, 1)
+        assert got[0] == dd.loss_n_step(b, _StateLogits(), SCHED, self.x[0], 10, self.K, i=1)
+        assert a.draws == b.draws == 3 * 4
+
+    def test_mixed_steps_match_per_row_calls(self):
+        """Per-row steps make t an array, and numpy's vectorised power can
+        differ from Python's in the last bit, so rows agree to 1e-12."""
+        i = np.arange(16) % 10 + 1
+        a, b = Rng(28), Rng(28)
+        got = dd.loss_n(a, _StateLogits(), SCHED, self.x, 10, self.K, i)
+        want = [dd.loss_n_step(b, _StateLogits(), SCHED, row, 10, self.K, i=int(k)) for row, k in zip(self.x, i)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert a.draws == b.draws
 
 
 class TestLossCtsTime:

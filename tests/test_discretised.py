@@ -212,7 +212,7 @@ class TestLossNStep:
         alpha = cfg.schedule.step_alpha(i, n)
         r = Rng(7)
         trials = 200_000
-        mc = np.array([dsc.loss_n_step(r, pred, cfg, x, n, K, i=i) for _ in range(trials)]) / n
+        mc = dsc.loss_n(r, pred, cfg, np.tile(x, (trials, 1)), n, K, i) / n
 
         t = (i - 1) / n
         p = cts.flow_sample(Rng(8), cfg, x, t)
@@ -240,6 +240,39 @@ class TestLossNStep:
         sched = CFG.schedule
         assert sched.step_alpha(3, 8) == pytest.approx(sched.beta(3 / 8) - sched.beta(2 / 8), rel=1e-10)
         assert sched.step_alpha(6, 16) == pytest.approx(sched.beta(6 / 16) - sched.beta(5 / 16), rel=1e-10)
+
+
+class TestLossNBatch:
+    """Batched loss_n draws each row's noise (flow block, then sender
+    block) as one-row loss_n_step calls on the same stream do."""
+
+    K = 8
+    cfg = cts.CtsConfig(sigma1=math.sqrt(0.001), D=2)
+    x = dsc.BinGeometry(8).centers[np.random.default_rng(4).integers(0, 8, size=(16, 2))]
+    pred = DiscretisedDatumPredictor(np.array([0.1, -0.4]), 0.3, cfg.sigma1)
+
+    def test_one_step_matches_sequential_calls(self):
+        a, b = Rng(23), Rng(23)
+        got = dsc.loss_n(a, self.pred, self.cfg, self.x, 10, self.K, 4)
+        want = [dsc.loss_n_step(b, self.pred, self.cfg, row, 10, self.K, i=4) for row in self.x]
+        assert np.array_equal(got, want)
+        assert a.draws == b.draws == 64
+
+    def test_first_step_single_row_draws_sender_only(self):
+        a, b = Rng(24), Rng(24)
+        got = dsc.loss_n(a, self.pred, self.cfg, self.x[:1], 10, self.K, 1)
+        assert got[0] == dsc.loss_n_step(b, self.pred, self.cfg, self.x[0], 10, self.K, i=1)
+        assert a.draws == b.draws == 2
+
+    def test_mixed_steps_match_per_row_calls(self):
+        """Per-row steps make t an array, and numpy's vectorised power can
+        differ from Python's in the last bit, so rows agree to 1e-12."""
+        i = np.arange(16) % 10 + 1
+        a, b = Rng(25), Rng(25)
+        got = dsc.loss_n(a, self.pred, self.cfg, self.x, 10, self.K, i)
+        want = [dsc.loss_n_step(b, self.pred, self.cfg, row, 10, self.K, i=int(k)) for row, k in zip(self.x, i)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert a.draws == b.draws
 
 
 class TestLossCtsTime:

@@ -99,7 +99,7 @@ class TestMutationSensitivity:
         from bflow.predictor import ConstantPredictor
 
         pred = ConstantPredictor(x + 0.1, predicts_data=True)
-        mutated = lambda r, t: 1.01 * cts.loss_cts_time(r, pred, cfg, x, t=t)
+        mutated = lambda r, ts: 1.01 * cts.loss_cts(r, pred, cfg, np.tile(x, (ts.size, 1)), ts)
         r = harness.check_loss_convergence(7, "continuous", loss_inf_fn=mutated)
         assert not r.passed
 
@@ -109,7 +109,7 @@ class TestMutationSensitivity:
         from bflow.predictor import ConstantPredictor
 
         pred = ConstantPredictor(x + 0.1, predicts_data=True)
-        mutated = lambda r, n, i: cts.loss_n_step(r, pred, cfg, x, n, i=i) / n
+        mutated = lambda r, n, i, B: cts.loss_n(r, pred, cfg, np.tile(x, (B, 1)), n, i) / n
         r = harness.check_loss_convergence(7, "continuous", loss_n_fn=mutated)
         assert not r.passed
 
@@ -120,7 +120,7 @@ class TestMutationSensitivity:
         from bflow.predictor import ConstantPredictor
 
         pred = ConstantPredictor(x + 0.1, predicts_data=True)
-        mutated = lambda r, n, i: 1.1 * cts.loss_n_step(r, pred, cfg, x, n, i=i)
+        mutated = lambda r, n, i, B: 1.1 * cts.loss_n(r, pred, cfg, np.tile(x, (B, 1)), n, i)
         r = harness.check_loss_convergence(7, "continuous", loss_n_fn=mutated)
         assert not r.passed
 
@@ -147,7 +147,7 @@ class TestMutationSensitivity:
         geom = dsc.BinGeometry(16)
         x = np.array([geom.center(11)])
         pred = DiscretisedDatumPredictor(x + 0.15, 0.06, cfg.sigma1)
-        drifted = lambda r, n, i: dsc.loss_n_step(r, pred, cfg, x, n, 16, i=i) + 0.1
+        drifted = lambda r, n, i, B: dsc.loss_n(r, pred, cfg, np.tile(x, (B, 1)), n, 16, i) + 0.1
         r = harness.check_loss_convergence(7, "discretised", loss_n_fn=drifted)
         assert not r.passed
 

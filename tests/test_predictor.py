@@ -129,11 +129,11 @@ class TestMLP:
 class TestOracles:
     def test_constant(self):
         p = ConstantPredictor(np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(p.forward(np.zeros(9), 0.9), [1.0, 2.0])
+        np.testing.assert_array_equal(p.forward_batch(np.zeros((1, 9)), 0.9), [[1.0, 2.0]])
 
     def test_discrete_one_hot_softmaxes_to_one_hot(self):
         p = DiscreteOneHotPredictor(np.array([2, 1]), 3)
-        logits = p.forward(None, 0.5).reshape(2, 3)
+        logits = p.forward_batch(np.zeros((1, 6)), 0.5).reshape(2, 3)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         sm = e / e.sum(axis=1, keepdims=True)
         assert abs(sm[0, 1] - 1.0) < 1e-6

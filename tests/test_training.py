@@ -401,6 +401,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             training.train(Rng(0), np.array([[0, 1, 2]]), config)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_dataset_rejected(self, bad):
+        # NaN fails every range comparison, so only an explicit finiteness
+        # check stops it before the first step
+        config = _make_config("continuous", D=2)
+        with pytest.raises(ValueError, match=r"non-finite values \(1 of 4\), the first (nan|inf) at index \(0, 1\)"):
+            training.train(Rng(0), np.array([[0.1, bad], [0.2, 0.3]]), config)
+
     def test_non_finite_loss_aborts_with_step(self):
         # an absurd learning rate overflows the parameters within a few
         # steps; the abort message must carry the step and batch stream id
