@@ -163,6 +163,8 @@ def cmd_eval(args):
     if ds.modality != config.modality:
         raise SystemExit(f"eval: dataset modality {ds.modality} does not match checkpoint {config.modality}")
     n_values = tuple(int(v) for v in args.n.split(",") if v.strip())
+    if any(n < 1 for n in n_values):
+        raise SystemExit(f"eval: step counts must be >= 1, got {args.n}")
     predictor = training.ema_predictor(result)
     rows = training.evaluate(Rng(args.seed), predictor, config, _model_items(ds), n_values=n_values, passes=args.passes)
     print(training.format_eval_table(rows))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .numerics import gaussian_sample
 from .predictor import forward_rows
-from .schedule import ContinuousSigma, step_index, step_time
+from .schedule import ContinuousSigma, step_time
 
 
 @dataclass(frozen=True)
@@ -191,15 +191,8 @@ def loss_n(rng, predictor, cfg, x, n, i):
     p = flow_sample(rng, cfg, x, t)
     resid = x - _x_hat(predictor, cfg, p.mean, t)
     weight = n * (1.0 - cfg.sigma1 ** (2.0 / n)) / (2.0 * cfg.sigma1 ** (2.0 * i / n))
-    # vecdot is np.dot row by row, the per-item op's sum; a row sum differs in the last bit
+    # vecdot is np.dot row by row; a row sum would differ from it in the last bit
     return weight * np.vecdot(resid, resid)
-
-
-def loss_n_step(rng, predictor, cfg, x, n, i=None):
-    """Single-sample estimate of the n-step transmission loss, in nats: the
-    one-row call of loss_n, at a step drawn from rng when i is None."""
-    i = step_index(rng, n, i)
-    return float(loss_n(rng, predictor, cfg, np.asarray(x, dtype=np.float64)[None], n, i)[0])
 
 
 def loss_cts(rng, predictor, cfg, x, t):
@@ -212,25 +205,16 @@ def loss_cts(rng, predictor, cfg, x, t):
     return loss_inf(cfg, x, p.mean, t, out, predicts_data=getattr(predictor, "predicts_data", False))
 
 
-def loss_cts_time(rng, predictor, cfg, x, t=None):
-    """Single-sample estimate of the continuous-time loss, in nats: the
-    one-row call of loss_cts, at a time drawn from rng when t is None."""
-    if t is None:
-        t = float(rng.uniform())
-    elif not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    return float(loss_cts(rng, predictor, cfg, np.asarray(x, dtype=np.float64)[None], t)[0])
-
-
-def reconstruction_loss(rng, predictor, cfg, x, noise_sigma):
-    """Final-transmission cost under measurement noise of std noise_sigma."""
+def recon(rng, predictor, cfg, x, noise_sigma):
+    """Reconstruction loss estimates (B,), in nats, for a (B, D) batch: the
+    cost of the final transmission under measurement noise of std
+    noise_sigma, at a flow state drawn at t=1 for each row."""
     if not noise_sigma > 0.0:
         raise ValueError("noise_sigma must be positive")
     x = np.asarray(x, dtype=np.float64)
     p = flow_sample(rng, cfg, x, 1.0)
-    x_hat = output_prediction(predictor, cfg, p, 1.0)
-    resid = x - x_hat
-    return float(np.dot(resid, resid)) / (2.0 * noise_sigma**2)
+    resid = x - _x_hat(predictor, cfg, p.mean, 1.0)
+    return np.vecdot(resid, resid) / (2.0 * noise_sigma**2)
 
 
 def generate(rng, predictor, cfg, n, return_params=False):

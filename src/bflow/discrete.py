@@ -16,9 +16,9 @@ path keeps the redundant class and uses a row softmax.
 import numpy as np
 
 from .kernels import logsumexp_rows
-from .numerics import gaussian_sample, paired_normals, sample_categorical_rows, softmax_rows
+from .numerics import gaussian_sample, neg_log_true_class, paired_normals, sample_categorical_rows, softmax_rows
 from .predictor import forward_rows
-from .schedule import step_index, step_time
+from .schedule import step_time
 
 ROW_SUM_TOL = 1e-9
 
@@ -124,8 +124,9 @@ def output_map(net_out, K):
 
 
 def loss_inf(sched, x, t, net_out, K, grad=False):
-    """Continuous-time loss (K alpha(t) / 2) |e_x - e_hat|^2 per row of a
-    (B, D) batch of class indices at times t, (B,) or one float for every row.
+    """Continuous-time loss (K alpha(t) / 2) |e_x - p|^2 per row of a (B, D)
+    batch of class indices at times t, (B,) or one float for every row; p
+    is the output class probabilities, the expected one-hot.
 
     With grad, also returns its gradient w.r.t. net_out.
     """
@@ -134,7 +135,7 @@ def loss_inf(sched, x, t, net_out, K, grad=False):
     onehot = one_hot(x, K)
     probs = output_map(net_out, K)
     if K == 2:
-        # |e - e_hat|^2 = 2 (e_1 - p_1)^2 per dimension
+        # |e - p|^2 = 2 (e_1 - p_1)^2 per dimension
         p1, e1 = probs[..., 0], onehot[..., 0]
         loss = weight * 2.0 * np.sum((e1 - p1) ** 2, axis=1)
         if not grad:
@@ -161,11 +162,6 @@ def output_distribution(predictor, theta, t, K):
     if not (0.0 <= t <= 1.0):
         raise ValueError("t must lie in [0, 1]")
     return output_map(_net_out(predictor, np.asarray(theta, dtype=np.float64)[None], t, K), K)[0]
-
-
-def e_hat(probs):
-    """Expected one-hot under the output distribution: the rows themselves."""
-    return validate_rows(probs)
 
 
 def _log_norm(u, alpha, K):
@@ -228,13 +224,6 @@ def loss_n(rng, predictor, sched, x, n, K, i):
     return n * (sender_log_likelihood(y, x, alpha, K) - receiver_log_likelihood(y, probs, alpha, K))
 
 
-def loss_n_step(rng, predictor, sched, x, n, K, i=None):
-    """Single-sample estimate of the n-step loss for class-valued data: the
-    one-row call of loss_n, at a step drawn from rng when i is None."""
-    i = step_index(rng, n, i)
-    return float(loss_n(rng, predictor, sched, np.asarray(x, dtype=np.int64)[None], n, K, i)[0])
-
-
 def loss_cts(rng, predictor, sched, x, K, t):
     """Continuous-time loss estimates (B,) for a (B, D) batch of class
     indices at times t, one float for every row or (B,): each row draws
@@ -244,25 +233,13 @@ def loss_cts(rng, predictor, sched, x, K, t):
     return loss_inf(sched, x, t, _net_out(predictor, theta, t, K), K)
 
 
-def loss_cts_time(rng, predictor, sched, x, K, t=None):
-    """Single-sample estimate of the continuous-time loss for class data:
-    the one-row call of loss_cts, at a time drawn from rng when t is None."""
-    if t is None:
-        t = float(rng.uniform())
-    elif not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    return float(loss_cts(rng, predictor, sched, np.asarray(x, dtype=np.int64)[None], K, t)[0])
-
-
-def reconstruction_loss(rng, predictor, sched, x, K):
-    """Negative log-probability of the true classes at t=1."""
+def recon(rng, predictor, sched, x, K):
+    """Reconstruction loss estimates (B,), in nats, for a (B, D) batch of
+    class indices: -log of the true classes' probabilities at a flow state
+    drawn at t=1 for each row."""
     x = np.asarray(x, dtype=np.int64)
     theta = flow_sample(rng, x, 1.0, sched, K)
-    probs = output_distribution(predictor, theta, 1.0, K)
-    picked = probs[np.arange(x.size), x - 1]
-    with np.errstate(divide="ignore"):
-        logs = np.log(picked)
-    return -float(np.sum(np.maximum(logs, -1e6)))
+    return neg_log_true_class(output_map(_net_out(predictor, theta, 1.0, K), K), x)
 
 
 def generate(rng, predictor, sched, n, K, D, return_theta=False):

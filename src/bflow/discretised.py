@@ -13,13 +13,10 @@ import numpy as np
 
 from . import continuous
 from .kernels import erf_vec, mixture_logpdf
-from .numerics import gaussian_sample, log_gaussian_pdf, paired_normals, sample_categorical_rows
-from .schedule import step_index, step_time
+from .numerics import gaussian_sample, log_gaussian_pdf, neg_log_true_class, paired_normals, sample_categorical_rows
+from .schedule import step_time
 
 _SQRT2 = np.sqrt(2.0)
-# floor applied to log-probabilities so pathological predictors yield a
-# large finite loss instead of -inf
-LOG_PROB_FLOOR = -1e6
 
 
 class BinGeometry:
@@ -214,13 +211,6 @@ def loss_n(rng, predictor, cfg, x, n, K, i):
     return n * (log_gaussian_pdf(y, x, var) - receiver_log_likelihood(y, probs, K, alpha))
 
 
-def loss_n_step(rng, predictor, cfg, x, n, K, i=None):
-    """Single-sample estimate of the n-step loss for bin-valued data: the
-    one-row call of loss_n, at a step drawn from rng when i is None."""
-    i = step_index(rng, n, i)
-    return float(loss_n(rng, predictor, cfg, np.asarray(x, dtype=np.float64)[None], n, K, i)[0])
-
-
 def loss_cts(rng, predictor, cfg, x, K, t):
     """Continuous-time loss estimates (B,) for a (B, D) batch of bin
     centres at times t, one float for every row or (B,): each row draws
@@ -230,33 +220,14 @@ def loss_cts(rng, predictor, cfg, x, K, t):
     return loss_inf(cfg, x, p.mean, t, continuous.net_out(predictor, cfg, p.mean, t, 2 * cfg.D), K)
 
 
-def loss_cts_time(rng, predictor, cfg, x, K, t=None):
-    """Single-sample estimate of the continuous-time loss for bin data: the
-    one-row call of loss_cts, at a time drawn from rng when t is None."""
-    if t is None:
-        t = float(rng.uniform())
-    elif not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    return float(loss_cts(rng, predictor, cfg, np.asarray(x, dtype=np.float64)[None], K, t)[0])
-
-
-def negative_log_picked(probs, idx):
-    """-sum_d log probs[d, idx_d], floored so the result stays finite."""
-    probs = np.asarray(probs, dtype=np.float64)
-    idx = np.asarray(idx, dtype=np.int64)
-    picked = probs[np.arange(probs.shape[0]), idx - 1]
-    with np.errstate(divide="ignore"):
-        logs = np.log(picked)
-    return -float(np.sum(np.maximum(logs, LOG_PROB_FLOOR)))
-
-
-def reconstruction_loss(rng, predictor, cfg, x, K):
-    """Negative log-probability of the true bins at t=1."""
+def recon(rng, predictor, cfg, x, K):
+    """Reconstruction loss estimates (B,), in nats, for a (B, D) batch of
+    bin centres: -log of the true bins' masses at a flow state drawn at t=1
+    for each row."""
     x = np.asarray(x, dtype=np.float64)
     idx, _ = quantise(x, K)
     p = continuous.flow_sample(rng, cfg, x, 1.0)
-    probs = output_distribution(predictor, cfg, p, 1.0, K)
-    return negative_log_picked(probs, idx)
+    return neg_log_true_class(_probs(predictor, cfg, p.mean, 1.0, K), idx)
 
 
 def generate(rng, predictor, cfg, n, K, return_params=False):

@@ -112,6 +112,21 @@ def log_gaussian_pdf(y, mean, var):
     return -0.5 * d * np.log(2.0 * np.pi * var) - 0.5 * np.vecdot(resid, resid) / var
 
 
+# floor applied to log-probabilities so a predictor that gives the true
+# class no mass yields a large finite loss instead of inf
+LOG_PROB_FLOOR = -1e6
+
+
+def neg_log_true_class(probs, idx):
+    """-sum_d log probs[b, d, idx[b, d] - 1] per row: (B, D, K) class
+    probabilities and (B, D) 1-based classes give (B,), each log floored
+    at LOG_PROB_FLOOR."""
+    picked = np.take_along_axis(probs, idx[..., None] - 1, axis=-1)[..., 0]
+    with np.errstate(divide="ignore"):
+        logs = np.log(picked)
+    return -np.sum(np.maximum(logs, LOG_PROB_FLOOR), axis=-1)
+
+
 def sample_categorical_rows(rng, probs):
     """One draw per row of a (D, K) probability matrix; 1-based indices."""
     probs = np.asarray(probs, dtype=np.float64)

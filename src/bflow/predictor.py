@@ -1,5 +1,7 @@
 """Predictors: the trainable MLP with hand-written reverse-mode gradients,
-plus exact oracle predictors used by the verification harness and tests.
+plus the two oracle predictors the verification harness uses: a constant
+output, and a discretised predictor that places its data Gaussian at a
+fixed point.
 
 A predictor maps a modality-encoded state vector and a process time to a
 raw output vector:
@@ -219,57 +221,6 @@ class ConstantPredictor:
         return np.tile(self.values, (len(X), 1))
 
 
-class CtsDatumPredictor:
-    """Noise estimate consistent with a fixed data estimate x_star.
-
-    Inverting the noise-to-data map at the observed belief mean recovers
-    x_star exactly (before clipping), so with x_star equal to the true
-    datum this is a perfect predictor.
-    """
-
-    def __init__(self, x_star, sigma1):
-        self.x_star = np.asarray(x_star, dtype=np.float64)
-        self.sigma1 = float(sigma1)
-
-    def forward_batch(self, X, t):
-        g = _gamma(self.sigma1, t)
-        return (np.asarray(X, dtype=np.float64) - g * self.x_star) / np.sqrt(g * (1.0 - g))
-
-
-class CtsPosteriorPredictor:
-    """Exact posterior-mean predictor for a small finite dataset.
-
-    Weights each dataset atom by the Gaussian likelihood of the observed
-    belief mean and returns the noise estimate consistent with the
-    resulting posterior mean.
-    """
-
-    def __init__(self, dataset, sigma1):
-        self.dataset = np.asarray(dataset, dtype=np.float64)
-        if self.dataset.ndim != 2 or len(self.dataset) > 64:
-            raise ValueError("dataset must be (N<=64, D)")
-        self.sigma1 = float(sigma1)
-
-    def posterior_mean(self, mean, t):
-        g = 1.0 - self.sigma1 ** (2.0 * float(t))
-        var = g * (1.0 - g)
-        d2 = np.sum((mean[None, :] - g * self.dataset) ** 2, axis=1)
-        logw = -0.5 * d2 / var
-        logw -= logw.max()
-        w = np.exp(logw)
-        w /= w.sum()
-        return w @ self.dataset
-
-    def forward_batch(self, X, t):
-        X = np.asarray(X, dtype=np.float64)
-        ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (len(X),))
-        out = np.empty_like(X)
-        for b, (state, tb) in enumerate(zip(X, ts)):
-            g = 1.0 - self.sigma1 ** (2.0 * float(tb))
-            out[b] = (state - g * self.posterior_mean(state, tb)) / np.sqrt(g * (1.0 - g))
-        return out
-
-
 class DiscretisedDatumPredictor:
     """(noise mean, log noise std) pair placing the data Gaussian at
     mu_star with width sigma_star, independent of the belief state."""
@@ -286,38 +237,3 @@ class DiscretisedDatumPredictor:
         mu_eps = (X / g - self.mu_star) / ratio
         ln_sigma_eps = np.full_like(X, np.log(self.sigma_star / ratio))
         return np.concatenate([mu_eps, ln_sigma_eps], axis=1)
-
-
-class DiscreteOneHotPredictor:
-    """Logits that softmax to a one-hot at fixed classes (within 1e-6)."""
-
-    def __init__(self, x_star, K, sharpness=40.0):
-        self.x_star = np.asarray(x_star, dtype=np.int64)
-        self.K = int(K)
-        self.sharpness = float(sharpness)
-
-    def forward_batch(self, X, t):
-        D = self.x_star.size
-        if self.K == 2:
-            row = self.sharpness * np.where(self.x_star == 1, 1.0, -1.0)
-        else:
-            logits = np.zeros((D, self.K))
-            logits[np.arange(D), self.x_star - 1] = self.sharpness
-            row = logits.ravel()
-        return np.tile(row, (len(X), 1))
-
-
-class DiscreteConstantProbsPredictor:
-    """Fixed output row p_star for every dimension, independent of state."""
-
-    def __init__(self, p_star, D):
-        p_star = np.asarray(p_star, dtype=np.float64)
-        self.logits = np.tile(np.log(p_star), (D, 1)).ravel()
-        self.K = p_star.size
-        self.D = D
-
-    def forward_batch(self, X, t):
-        if self.K == 2:
-            row = self.logits[: self.K]
-            return np.full((len(X), self.D), row[0] - row[1])
-        return np.tile(self.logits, (len(X), 1))

@@ -79,13 +79,6 @@ def _check_step(i, n):
         raise ValueError(f"need 1 <= i <= n, got i={i}, n={n}")
 
 
-def step_index(rng, n, i=None):
-    """Step i of n, drawn uniformly from rng when None (checked by step_time)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return int(rng.integers(1, n + 1)) if i is None else i
-
-
 def step_time(i, n):
     """Start time (i - 1) / n of step i of n: a float for an int i, one
     time per row for an integer array."""

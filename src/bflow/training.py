@@ -6,9 +6,9 @@ Training always minimises the continuous-time loss; the n-step losses are
 evaluation-only.  Each step draws one time per batch item and the whole
 batch's flow state in one call of the modality's ``flow_sample``, runs the
 network once over the batch, and backpropagates the analytic gradient of
-the modality's ``loss_inf`` through the recorded tape.  The per-item
-``loss_cts_time`` ops evaluate the same ``loss_inf`` on one row, without
-the gradient.
+the modality's ``loss_inf`` through the recorded tape.  Evaluation scores a
+chunk of items per call of the modality's batched ``loss_cts`` (the same
+``loss_inf``, without the gradient), ``loss_n`` or ``recon``.
 
 The gradients are deterministic functions of the sampled state, so they
 can be checked against central finite differences; the test suite does
@@ -227,13 +227,9 @@ def estimate_mean_loss(rng, mlp, params, config, dataset, n_draws=4):
         take = min(len(dataset), 64)
         losses = []
         for _ in range(n_draws):
-            idx = rng.integers(0, len(dataset), size=take)
-            x_batch = dataset[idx]
-            if config.modality != "discrete":
-                x_batch = np.asarray(x_batch, dtype=np.float64)
-            state = sample_head_state(rng, config, x_batch)
-            out = mlp.forward_batch(state["state_in"], state["t"])
-            losses.append(head_loss_and_grad(config, state, out)[0].mean())
+            x_batch = dataset[rng.integers(0, len(dataset), size=take)]
+            t = rng.uniform(size=take)
+            losses.append(item_losses(rng, mlp, config, x_batch, "inf", t).mean())
         return float(np.mean(losses))
     finally:
         mlp.params = saved
@@ -252,68 +248,72 @@ def history_to_csv(history):
 # ---------------------------------------------------------------------------
 
 
-def _loss_ops(config):
+def item_losses(rng, predictor, config, x, kind, arg):
+    """Per-item losses (B,), in nats, for a (B, D) batch by the modality's
+    batched op: kind "inf" is loss_cts at times arg (B,), "recon" is recon,
+    and an int n is loss_n at steps arg (B,) of n."""
+    if config.modality == "discrete":
+        if kind == "inf":
+            return dd.loss_cts(rng, predictor, config.schedule, x, config.K, arg)
+        if kind == "recon":
+            return dd.recon(rng, predictor, config.schedule, x, config.K)
+        return dd.loss_n(rng, predictor, config.schedule, x, kind, config.K, arg)
+    cfg = config.cts_config()
     if config.modality == "continuous":
-        cfg = config.cts_config()
-        return {
-            "n": lambda rng, pred, x, n: cts.loss_n_step(rng, pred, cfg, x, n),
-            "inf": lambda rng, pred, x: cts.loss_cts_time(rng, pred, cfg, x),
-            "recon": lambda rng, pred, x: (
-                cts.reconstruction_loss(rng, pred, cfg, x, config.recon_sigma)
-                if config.recon_sigma > 0 else None
-            ),
-        }
-    if config.modality == "discretised":
-        cfg = config.cts_config()
-        K = config.K
-        return {
-            "n": lambda rng, pred, x, n: dsc.loss_n_step(rng, pred, cfg, x, n, K),
-            "inf": lambda rng, pred, x: dsc.loss_cts_time(rng, pred, cfg, x, K),
-            "recon": lambda rng, pred, x: dsc.reconstruction_loss(rng, pred, cfg, x, K),
-        }
-    sched = config.schedule
-    K = config.K
-    return {
-        "n": lambda rng, pred, x, n: dd.loss_n_step(rng, pred, sched, x, n, K),
-        "inf": lambda rng, pred, x: dd.loss_cts_time(rng, pred, sched, x, K),
-        "recon": lambda rng, pred, x: dd.reconstruction_loss(rng, pred, sched, x, K),
-    }
+        if kind == "inf":
+            return cts.loss_cts(rng, predictor, cfg, x, arg)
+        if kind == "recon":
+            return cts.recon(rng, predictor, cfg, x, config.recon_sigma)
+        return cts.loss_n(rng, predictor, cfg, x, kind, arg)
+    if kind == "inf":
+        return dsc.loss_cts(rng, predictor, cfg, x, config.K, arg)
+    if kind == "recon":
+        return dsc.recon(rng, predictor, cfg, x, config.K)
+    return dsc.loss_n(rng, predictor, cfg, x, kind, config.K, arg)
+
+
+# Items per batched loss call in evaluate, to bound memory: one unchunked pass
+# over 10,000 8x8 images at K=256 would allocate about 1.3 GB of bin masses, a
+# chunk of 128 images 17 MB.  The draws do not depend on it: a pass draws every
+# item's step or time first, then each item's noise in dataset order.
+EVAL_CHUNK = 128
 
 
 def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes=2):
     """Loss table: one row per step count plus the continuous-time limit
     and the reconstruction loss, each sampled once per item per pass.
 
+    Pass p of table row li draws a step or time for every item from
+    ``rng.split(li * 1_000_003 + p)``, then the items' noise, EVAL_CHUNK
+    items per call.  The continuous recon row needs recon_sigma > 0.
+
     Returns a list of dicts with nats, nats per dimension, bits per
     dimension and the standard error of the mean.
     """
     dataset = np.asarray(dataset)
-    ops = _loss_ops(config)
+    N = len(dataset)
     ln2 = np.log(2.0)
     rows = []
-    labels = [str(n) for n in n_values] + ["inf", "recon"]
-    for li, label in enumerate(labels):
+    for li, kind in enumerate([int(n) for n in n_values] + ["inf", "recon"]):
+        if kind == "recon" and config.modality == "continuous" and not config.recon_sigma > 0:
+            continue
         samples = []
         for p in range(passes):
             prng = rng.split(li * 1_000_003 + p)
-            for item in dataset:
-                x = item if config.modality == "discrete" else np.asarray(item, dtype=np.float64)
-                if label == "inf":
-                    val = ops["inf"](prng, predictor, x)
-                elif label == "recon":
-                    val = ops["recon"](prng, predictor, x)
-                    if val is None:
-                        break
-                else:
-                    val = ops["n"](prng, predictor, x, int(label))
-                samples.append(val)
+            if kind == "inf":
+                arg = prng.uniform(size=N)
+            elif kind != "recon":
+                arg = prng.integers(1, kind + 1, size=N)
+            for s in range(0, N, EVAL_CHUNK):
+                part = None if kind == "recon" else arg[s : s + EVAL_CHUNK]
+                samples.append(item_losses(prng, predictor, config, dataset[s : s + EVAL_CHUNK], kind, part))
         if not samples:
             continue
-        samples = np.asarray(samples)
+        samples = np.concatenate(samples)
         mean = float(samples.mean())
         se = float(samples.std(ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else 0.0
         rows.append({
-            "label": label,
+            "label": str(kind),
             "nats": mean,
             "se_nats": se,
             "nats_per_dim": mean / config.D,

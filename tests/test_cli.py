@@ -117,6 +117,13 @@ class TestEval:
                 "--dataset", str(toy_run["paths"]["mixture"]),
             )
 
+    def test_step_count_below_one_rejected(self, toy_run):
+        with pytest.raises(SystemExit, match="step counts must be >= 1"):
+            run_cli(
+                "eval", "--checkpoint", str(toy_run["ckpt"]),
+                "--dataset", str(toy_run["paths"]["strings"]), "--n", "4,0",
+            )
+
 
 class TestSample:
     def test_zero_count_no_files(self, toy_run, tmp_path):

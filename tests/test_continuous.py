@@ -5,7 +5,8 @@ import pytest
 
 from bflow import continuous as cts
 from bflow.numerics import Rng, gaussian_sample, log_gaussian_pdf
-from bflow.predictor import ConstantPredictor, CtsDatumPredictor
+from bflow.predictor import ConstantPredictor
+from oracle_predictors import CtsDatumPredictor
 
 CFG = cts.CtsConfig(sigma1=0.02, D=1)
 
@@ -131,21 +132,20 @@ class TestLossNStep:
         pred = ConstantPredictor(x, predicts_data=True)
         r = Rng(5)
         for n in (2, 5, 30):
-            for _ in range(20):
-                i = int(r.integers(2, n + 1))
-                assert cts.loss_n_step(r, pred, cfg, x, n, i=i) == 0.0
+            i = r.integers(2, n + 1, size=20)
+            assert np.all(cts.loss_n(r, pred, cfg, np.tile(x, (20, 1)), n, i) == 0.0)
         # the zero datum is perfectly predicted even at i=1 (t < t_min branch)
-        zero = np.zeros(2)
-        zpred = ConstantPredictor(zero, predicts_data=True)
+        zero = np.zeros((1, 2))
+        zpred = ConstantPredictor(zero[0], predicts_data=True)
         for n in (1, 2, 5, 30):
-            assert cts.loss_n_step(r, zpred, cfg, zero, n) == 0.0
+            assert cts.loss_n(r, zpred, cfg, zero, n, r.integers(1, n + 1, size=1))[0] == 0.0
 
     def test_single_step_closed_form(self):
         # n=1 forces i=1, t=0, zero prediction
         x = np.array([0.5])
         pred = ConstantPredictor(x, predicts_data=True)
         expected = (1 - CFG.sigma1**2) / 2 * 0.25 / CFG.sigma1**2
-        assert cts.loss_n_step(Rng(6), pred, CFG, x, 1) == pytest.approx(expected, rel=1e-12)
+        assert cts.loss_n(Rng(6), pred, CFG, x[None], 1, 1)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_mean_matches_quadrature_oracle(self):
         # biased datum predictor: residual is constant, so the expectation
@@ -155,7 +155,8 @@ class TestLossNStep:
         pred = ConstantPredictor(x + e, predicts_data=True)
         n = 8
         r = Rng(7)
-        mc = np.mean([cts.loss_n_step(r, pred, CFG, x, n) for _ in range(100_000)])
+        trials = 100_000
+        mc = cts.loss_n(r, pred, CFG, np.tile(x, (trials, 1)), n, r.integers(1, n + 1, size=trials)).mean()
         sched = CFG.schedule
         exact = 0.0
         for i in range(1, n + 1):
@@ -165,12 +166,12 @@ class TestLossNStep:
 
     def test_index_domain(self):
         with pytest.raises(ValueError):
-            cts.loss_n_step(Rng(0), ConstantPredictor(np.zeros(1)), CFG, np.zeros(1), 4, i=5)
+            cts.loss_n(Rng(0), ConstantPredictor(np.zeros(1)), CFG, np.zeros((1, 1)), 4, 5)
 
 
 class TestLossNBatch:
-    """Batched loss_n draws each row's noise as one-row loss_n_step calls
-    on the same stream do."""
+    """Batched loss_n draws each row's noise as one-row loss_n calls on
+    the same stream do."""
 
     cfg = cts.CtsConfig(sigma1=0.02, D=2)
     x = np.random.default_rng(3).uniform(-1, 1, size=(16, 2))
@@ -179,14 +180,14 @@ class TestLossNBatch:
     def test_one_step_matches_sequential_calls(self):
         a, b = Rng(20), Rng(20)
         got = cts.loss_n(a, self.pred, self.cfg, self.x, 10, 4)
-        want = [cts.loss_n_step(b, self.pred, self.cfg, row, 10, i=4) for row in self.x]
+        want = [cts.loss_n(b, self.pred, self.cfg, row[None], 10, 4)[0] for row in self.x]
         assert np.array_equal(got, want)
         assert a.draws == b.draws == 32
 
     def test_first_step_single_row_draws_nothing(self):
         a, b = Rng(21), Rng(21)
         got = cts.loss_n(a, self.pred, self.cfg, self.x[:1], 10, 1)
-        assert got[0] == cts.loss_n_step(b, self.pred, self.cfg, self.x[0], 10, i=1)
+        assert got[0] == cts.loss_n(b, self.pred, self.cfg, self.x[:1], 10, 1)[0]
         assert a.draws == b.draws == 0
 
     def test_mixed_steps_match_per_row_calls(self):
@@ -195,7 +196,7 @@ class TestLossNBatch:
         i = np.arange(16) % 10 + 1
         a, b = Rng(22), Rng(22)
         got = cts.loss_n(a, self.pred, self.cfg, self.x, 10, i)
-        want = [cts.loss_n_step(b, self.pred, self.cfg, row, 10, i=int(k)) for row, k in zip(self.x, i)]
+        want = [cts.loss_n(b, self.pred, self.cfg, row[None], 10, int(k))[0] for row, k in zip(self.x, i)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert a.draws == b.draws
 
@@ -204,7 +205,7 @@ class TestLossCtsTime:
     def test_perfect_predictor_zero(self):
         x = np.array([0.2])
         pred = ConstantPredictor(x, predicts_data=True)
-        assert cts.loss_cts_time(Rng(8), pred, CFG, x, t=0.7) == 0.0
+        assert cts.loss_cts(Rng(8), pred, CFG, x[None], 0.7)[0] == 0.0
 
     def test_constant_error_closed_form(self):
         x = np.array([0.1, 0.2])
@@ -213,24 +214,24 @@ class TestLossCtsTime:
         pred = ConstantPredictor(x + e, predicts_data=True)
         t = 0.43
         expected = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2 * t) * 2 * e**2
-        assert cts.loss_cts_time(Rng(9), pred, cfg, x, t=t) == pytest.approx(expected, rel=1e-12)
+        assert cts.loss_cts(Rng(9), pred, cfg, x[None], t)[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestReconstructionLoss:
     def test_perfect_zero(self):
         x = np.array([0.9])
         pred = ConstantPredictor(x, predicts_data=True)
-        assert cts.reconstruction_loss(Rng(10), pred, CFG, x, noise_sigma=0.1) == 0.0
+        assert cts.recon(Rng(10), pred, CFG, x[None], noise_sigma=0.1)[0] == 0.0
 
     def test_constant_error(self):
         x = np.array([0.0])
         pred = ConstantPredictor(x + 0.2, predicts_data=True)
-        got = cts.reconstruction_loss(Rng(11), pred, CFG, x, noise_sigma=0.5)
+        got = cts.recon(Rng(11), pred, CFG, x[None], noise_sigma=0.5)[0]
         assert got == pytest.approx(0.2**2 / (2 * 0.25), rel=1e-12)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            cts.reconstruction_loss(Rng(0), ConstantPredictor(np.zeros(1)), CFG, np.zeros(1), 0.0)
+            cts.recon(Rng(0), ConstantPredictor(np.zeros(1)), CFG, np.zeros((1, 1)), 0.0)
 
 
 class TestGenerate:

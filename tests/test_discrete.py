@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from bflow import discrete as dd
 from bflow.numerics import Rng
-from bflow.predictor import ConstantPredictor, DiscreteConstantProbsPredictor, DiscreteOneHotPredictor
+from bflow.predictor import ConstantPredictor
 from bflow.schedule import DiscreteQuadratic
+from oracle_predictors import DiscreteConstantProbsPredictor, DiscreteOneHotPredictor
 
 SCHED = DiscreteQuadratic(0.75)
 
@@ -157,26 +158,13 @@ class TestOutputDistribution:
             dd.output_distribution(pred, dd.uniform_prior(2, 3), 0.5, 3)
 
 
-class TestEHat:
-    def test_identity_on_rows(self):
-        rng = np.random.default_rng(9)
-        probs = rng.dirichlet(np.ones(4), size=3)
-        np.testing.assert_array_equal(dd.e_hat(probs), probs)
-
-    def test_one_hot_and_uniform(self):
-        oh = dd.one_hot(np.array([2]), 4)
-        np.testing.assert_array_equal(dd.e_hat(oh), oh)
-        u = dd.uniform_prior(2, 4)
-        np.testing.assert_array_equal(dd.e_hat(u), u)
-
-
 class TestLossNStep:
     def test_one_hot_correct_zero_every_draw(self):
         x = np.array([1, 3, 2])
         pred = DiscreteOneHotPredictor(x, 4, sharpness=800.0)
         r = Rng(10)
-        for _ in range(50):
-            assert dd.loss_n_step(r, pred, SCHED, x, 6, 4) == 0.0
+        i = r.integers(1, 7, size=50)
+        assert np.all(dd.loss_n(r, pred, SCHED, np.tile(x, (50, 1)), 6, 4, i) == 0.0)
 
     def test_binary_quadrature_oracle(self):
         # K=2, D=1: MC mean vs numeric integration of the mixture KL
@@ -211,8 +199,8 @@ class TestLossNStep:
         # estimate is a deterministic function of the sender draw only
         x = np.array([2])
         pred = DiscreteConstantProbsPredictor(np.array([0.3, 0.3, 0.4]), 1)
-        a = dd.loss_n_step(Rng(12), pred, SCHED, x, 5, 3, i=1)
-        b = dd.loss_n_step(Rng(12), pred, SCHED, x, 5, 3, i=1)
+        a = dd.loss_n(Rng(12), pred, SCHED, x[None], 5, 3, 1)
+        b = dd.loss_n(Rng(12), pred, SCHED, x[None], 5, 3, 1)
         assert a == b
 
 
@@ -226,7 +214,7 @@ class _StateLogits:
 
 class TestLossNBatch:
     """Batched loss_n draws each row's noise (flow block, then sender
-    block) as one-row loss_n_step calls on the same stream do."""
+    block) as one-row loss_n calls on the same stream do."""
 
     K = 4
     x = np.random.default_rng(5).integers(1, 5, size=(16, 3))
@@ -234,14 +222,14 @@ class TestLossNBatch:
     def test_one_step_matches_sequential_calls(self):
         a, b = Rng(26), Rng(26)
         got = dd.loss_n(a, _StateLogits(), SCHED, self.x, 10, self.K, 4)
-        want = [dd.loss_n_step(b, _StateLogits(), SCHED, row, 10, self.K, i=4) for row in self.x]
+        want = [dd.loss_n(b, _StateLogits(), SCHED, row[None], 10, self.K, 4)[0] for row in self.x]
         assert np.array_equal(got, want)
         assert a.draws == b.draws == 16 * 2 * 3 * 4
 
     def test_first_step_single_row_draws_sender_only(self):
         a, b = Rng(27), Rng(27)
         got = dd.loss_n(a, _StateLogits(), SCHED, self.x[:1], 10, self.K, 1)
-        assert got[0] == dd.loss_n_step(b, _StateLogits(), SCHED, self.x[0], 10, self.K, i=1)
+        assert got[0] == dd.loss_n(b, _StateLogits(), SCHED, self.x[:1], 10, self.K, 1)[0]
         assert a.draws == b.draws == 3 * 4
 
     def test_mixed_steps_match_per_row_calls(self):
@@ -250,7 +238,7 @@ class TestLossNBatch:
         i = np.arange(16) % 10 + 1
         a, b = Rng(28), Rng(28)
         got = dd.loss_n(a, _StateLogits(), SCHED, self.x, 10, self.K, i)
-        want = [dd.loss_n_step(b, _StateLogits(), SCHED, row, 10, self.K, i=int(k)) for row, k in zip(self.x, i)]
+        want = [dd.loss_n(b, _StateLogits(), SCHED, row[None], 10, self.K, int(k))[0] for row, k in zip(self.x, i)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert a.draws == b.draws
 
@@ -259,14 +247,14 @@ class TestLossCtsTime:
     def test_one_hot_correct_zero(self):
         x = np.array([2, 2])
         pred = DiscreteOneHotPredictor(x, 3, sharpness=800.0)
-        assert dd.loss_cts_time(Rng(13), pred, SCHED, x, 3, t=0.6) == 0.0
+        assert dd.loss_cts(Rng(13), pred, SCHED, x[None], 3, 0.6)[0] == 0.0
 
     def test_uniform_output_closed_form(self):
         K, D = 4, 3
         x = np.array([1, 2, 4])
         pred = ConstantPredictor(np.zeros(K * D))
         t = 0.37
-        got = dd.loss_cts_time(Rng(14), pred, SCHED, x, K, t=t)
+        got = dd.loss_cts(Rng(14), pred, SCHED, x[None], K, t)[0]
         expected = SCHED.beta1 * t * (K - 1) * D
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -275,13 +263,13 @@ class TestReconstructionLoss:
     def test_one_hot_correct_zero(self):
         x = np.array([3])
         pred = DiscreteOneHotPredictor(x, 4, sharpness=800.0)
-        assert dd.reconstruction_loss(Rng(15), pred, SCHED, x, 4) == 0.0
+        assert dd.recon(Rng(15), pred, SCHED, x[None], 4)[0] == 0.0
 
     def test_uniform_value(self):
         K, D = 5, 4
         x = np.array([1, 2, 3, 4])
         pred = ConstantPredictor(np.zeros(K * D))
-        got = dd.reconstruction_loss(Rng(16), pred, SCHED, x, K)
+        got = dd.recon(Rng(16), pred, SCHED, x[None], K)[0]
         assert got == pytest.approx(D * math.log(K), rel=1e-12)
 
     def test_direct_log_prob_oracle(self):
@@ -290,7 +278,7 @@ class TestReconstructionLoss:
         logits = rng.normal(size=(D, K))
         pred = ConstantPredictor(logits.ravel())
         x = np.array([2, 1, 4])
-        got = dd.reconstruction_loss(Rng(18), pred, SCHED, x, K)
+        got = dd.recon(Rng(18), pred, SCHED, x[None], K)[0]
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         ref = -sum(math.log(probs[d, x[d] - 1]) for d in range(D))

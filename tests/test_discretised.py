@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bflow import continuous as cts
 from bflow import discretised as dsc
-from bflow.numerics import Rng, gaussian_sample
+from bflow.numerics import Rng, gaussian_sample, neg_log_true_class
 from bflow.predictor import ConstantPredictor, DiscretisedDatumPredictor
 
 CFG = cts.CtsConfig(sigma1=math.sqrt(0.001), D=1)
@@ -196,9 +196,8 @@ class TestLossNStep:
         x = np.array([g.center(11)])
         pred = DiscretisedDatumPredictor(x, 1e-9, CFG.sigma1)
         r = Rng(6)
-        for _ in range(50):
-            i = int(r.integers(2, 9))
-            assert abs(dsc.loss_n_step(r, pred, CFG, x, 8, K, i=i)) < 1e-9
+        i = r.integers(2, 9, size=50)
+        assert np.all(np.abs(dsc.loss_n(r, pred, CFG, np.tile(x, (50, 1)), 8, K, i)) < 1e-9)
 
     def test_two_bin_quadrature_oracle(self):
         # K=2, D=1: Monte-Carlo mean must match numeric integration of the
@@ -244,7 +243,7 @@ class TestLossNStep:
 
 class TestLossNBatch:
     """Batched loss_n draws each row's noise (flow block, then sender
-    block) as one-row loss_n_step calls on the same stream do."""
+    block) as one-row loss_n calls on the same stream do."""
 
     K = 8
     cfg = cts.CtsConfig(sigma1=math.sqrt(0.001), D=2)
@@ -254,14 +253,14 @@ class TestLossNBatch:
     def test_one_step_matches_sequential_calls(self):
         a, b = Rng(23), Rng(23)
         got = dsc.loss_n(a, self.pred, self.cfg, self.x, 10, self.K, 4)
-        want = [dsc.loss_n_step(b, self.pred, self.cfg, row, 10, self.K, i=4) for row in self.x]
+        want = [dsc.loss_n(b, self.pred, self.cfg, row[None], 10, self.K, 4)[0] for row in self.x]
         assert np.array_equal(got, want)
         assert a.draws == b.draws == 64
 
     def test_first_step_single_row_draws_sender_only(self):
         a, b = Rng(24), Rng(24)
         got = dsc.loss_n(a, self.pred, self.cfg, self.x[:1], 10, self.K, 1)
-        assert got[0] == dsc.loss_n_step(b, self.pred, self.cfg, self.x[0], 10, self.K, i=1)
+        assert got[0] == dsc.loss_n(b, self.pred, self.cfg, self.x[:1], 10, self.K, 1)[0]
         assert a.draws == b.draws == 2
 
     def test_mixed_steps_match_per_row_calls(self):
@@ -270,7 +269,7 @@ class TestLossNBatch:
         i = np.arange(16) % 10 + 1
         a, b = Rng(25), Rng(25)
         got = dsc.loss_n(a, self.pred, self.cfg, self.x, 10, self.K, i)
-        want = [dsc.loss_n_step(b, self.pred, self.cfg, row, 10, self.K, i=int(k)) for row, k in zip(self.x, i)]
+        want = [dsc.loss_n(b, self.pred, self.cfg, row[None], 10, self.K, int(k))[0] for row, k in zip(self.x, i)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert a.draws == b.draws
 
@@ -281,7 +280,7 @@ class TestLossCtsTime:
         g = dsc.BinGeometry(K)
         x = np.array([g.center(3)])
         pred = DiscretisedDatumPredictor(x, 1e-9, CFG.sigma1)
-        assert dsc.loss_cts_time(Rng(9), pred, CFG, x, K, t=0.5) == pytest.approx(0.0, abs=1e-12)
+        assert dsc.loss_cts(Rng(9), pred, CFG, x[None], K, 0.5)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_output_closed_form(self):
         # uniform rows have expected centre zero by symmetry, so the loss
@@ -302,12 +301,12 @@ class TestReconstructionLoss:
         K = 16
         x = np.array([dsc.BinGeometry(K).center(9)])
         pred = DiscretisedDatumPredictor(x, 1e-9, CFG.sigma1)
-        assert dsc.reconstruction_loss(Rng(10), pred, CFG, x, K) == 0.0
+        assert dsc.recon(Rng(10), pred, CFG, x[None], K)[0] == 0.0
 
     def test_uniform_value(self):
         K = 16
-        probs = np.full((3, K), 1 / K)
-        got = dsc.negative_log_picked(probs, np.array([4, 1, 16]))
+        probs = np.full((1, 3, K), 1 / K)
+        got = neg_log_true_class(probs, np.array([[4, 1, 16]]))[0]
         assert got == pytest.approx(3 * math.log(K), rel=1e-12)
 
     def test_log_prob_oracle(self):
@@ -325,7 +324,7 @@ class TestReconstructionLoss:
         x = np.array([g.center(1)])
         # predictor concentrated on the wrong bin: true-bin mass underflows
         pred = DiscretisedDatumPredictor(np.array([g.center(16)]), 1e-9, CFG.sigma1)
-        got = dsc.reconstruction_loss(Rng(13), pred, CFG, x, K)
+        got = dsc.recon(Rng(13), pred, CFG, x[None], K)[0]
         assert np.isfinite(got) and got == 1e6
 
 

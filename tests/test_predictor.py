@@ -5,15 +5,8 @@ import pytest
 
 from bflow import continuous as cts
 from bflow.numerics import Rng
-from bflow.predictor import (
-    MLP,
-    ConstantPredictor,
-    CtsDatumPredictor,
-    CtsPosteriorPredictor,
-    DiscreteOneHotPredictor,
-    PredictorSpec,
-    time_features,
-)
+from bflow.predictor import MLP, ConstantPredictor, PredictorSpec, time_features
+from oracle_predictors import CtsDatumPredictor, CtsPosteriorPredictor, DiscreteOneHotPredictor
 
 
 class TestSpecWidths:

@@ -61,18 +61,12 @@ class TestEvalTableBehaviour:
         sched = result.config.schedule
         rng = Rng(32)
         n = 100
-        ln_samples = []
-        for rep in range(40):
-            for item in items:
-                for i in range(1, n + 1):
-                    ln_samples.append(dd.loss_n_step(rng, predictor, sched, item, n, 27, i=i))
-        ln_mean = float(np.mean(ln_samples))
-        linf_samples = [
-            dd.loss_cts_time(rng, predictor, sched, item, 27)
-            for _ in range(4000)
-            for item in items
-        ]
-        linf_mean = float(np.mean(linf_samples))
+        # 40 repeats of every item at every step i = 1..n
+        x = np.repeat(np.tile(items, (40, 1)), n, axis=0)
+        i = np.tile(np.arange(1, n + 1), 40 * len(items))
+        ln_mean = float(np.mean(dd.loss_n(rng, predictor, sched, x, n, 27, i)))
+        x = np.tile(items, (4000, 1))
+        linf_mean = float(np.mean(dd.loss_cts(rng, predictor, sched, x, 27, rng.uniform(size=len(x)))))
         assert ln_mean == pytest.approx(linf_mean, rel=0.05)
 
 
@@ -117,10 +111,6 @@ class TestReconstructionShare:
         cfg = config.cts_config()
         rng = Rng(77)
         noise_sigma = 0.3
-        recon = np.mean([
-            cts.reconstruction_loss(rng, predictor, cfg, item, noise_sigma)
-            for _ in range(20)
-            for item in items[:64]
-        ])
+        recon = np.mean(cts.recon(rng, predictor, cfg, np.tile(items[:64], (20, 1)), noise_sigma))
         total = training.estimate_mean_loss(Rng(88), result.mlp, result.mlp.params, config, items, n_draws=200)
         assert recon / (recon + total) < 0.02

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from bflow import cli, training
 from bflow import continuous as cts
 from bflow import discrete as dd
-from bflow.data import toy_glyphs, toy_strings
+from bflow import discretised as dsc
+from bflow.data import toy_glyphs, toy_mixture, toy_strings
 from bflow.numerics import Rng, gaussian_sample, softmax_rows
-from bflow.predictor import MLP
+from bflow.predictor import MLP, ConstantPredictor, DiscretisedDatumPredictor
 from bflow.schedule import DiscreteQuadratic
 from bflow.training import TrainConfig, adamw_step
+from oracle_predictors import DiscreteOneHotPredictor
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -458,10 +460,31 @@ class TestNatsBitsReporting:
             assert r["nats_per_dim"] == pytest.approx(r["nats"] / config.D, rel=1e-12)
 
 
+class _RowLocal:
+    """Outputs elementwise in (state, t), so a row's output does not depend
+    on the rows batched with it; an MLP's matrix products can change in the
+    last bit with the number of rows."""
+
+    def __init__(self, spec):
+        self.reps = spec.output_width // spec.state_width
+
+    def forward_batch(self, X, t):
+        t = np.broadcast_to(np.reshape(t, (-1, 1)), (len(X), 1))
+        return np.tile(0.7 * np.asarray(X) - 0.3 + t, (1, self.reps))
+
+
+def _eval_case(modality):
+    """(config, dataset, row-local predictor) with 7 items."""
+    config = _make_config(modality, recon_sigma=0.3)
+    if modality == "discrete":
+        data = Rng(60).integers(1, config.K + 1, size=(7, config.D))
+    else:
+        data = dsc.BinGeometry(8).centers[Rng(60).integers(0, 8, size=(7, config.D))]
+    return config, data, _RowLocal(config.predictor_spec())
+
+
 class TestEvaluate:
     def test_perfect_oracle_all_zero(self):
-        from bflow.predictor import DiscreteOneHotPredictor
-
         config = _make_config("discrete", K=4)
         x = np.array([[1, 3, 2]])
         pred = DiscreteOneHotPredictor(x[0], 4, sharpness=800.0)
@@ -469,6 +492,59 @@ class TestEvaluate:
         for r in rows:
             assert r["nats"] == 0.0
             assert r["se_nats"] == 0.0
+
+    def test_perfect_oracle_all_zero_continuous(self):
+        # the prediction is pinned to zero below t_min, so the step-1 cost of
+        # a nonzero datum is real: only the zero datum is perfect at every step
+        config = _make_config("continuous", recon_sigma=0.25)
+        for x, n_values in ((np.array([[0.3, -0.5, 0.8]]), ()), (np.zeros((1, 3)), (2, 8))):
+            pred = ConstantPredictor(x[0], predicts_data=True)
+            rows = training.evaluate(Rng(12), pred, config, x, n_values=n_values, passes=3)
+            assert [r["label"] for r in rows] == [str(n) for n in n_values] + ["inf", "recon"]
+            for r in rows:
+                assert r["nats"] == 0.0
+                assert r["se_nats"] == 0.0
+
+    def test_perfect_oracle_near_zero_discretised(self):
+        # below t_min the output is a unit Gaussian at zero, so n-step rows
+        # pay for step 1; the continuous-time and reconstruction rows vanish
+        config = _make_config("discretised", K=16)
+        x = dsc.BinGeometry(16).centers[[[3, 12, 7]]]
+        pred = DiscretisedDatumPredictor(x[0], 1e-9, config.sigma1)
+        rows = training.evaluate(Rng(12), pred, config, x, n_values=(), passes=3)
+        assert [r["label"] for r in rows] == ["inf", "recon"]
+        for r in rows:
+            assert abs(r["nats"]) < 1e-9
+
+    @pytest.mark.parametrize("modality", ["continuous", "discretised", "discrete"])
+    def test_table_independent_of_chunk_size(self, modality, monkeypatch):
+        config, data, pred = _eval_case(modality)
+        # n=3 puts about a third of the items at step 1, t=0
+        tables = []
+        for chunk in (2, 3, 7, 64):
+            monkeypatch.setattr(training, "EVAL_CHUNK", chunk)
+            tables.append(training.evaluate(Rng(61), pred, config, data, n_values=(3, 10), passes=2))
+        assert all(t == tables[0] for t in tables[1:])
+        assert [r["samples"] for r in tables[0]] == [14] * 4
+
+    @pytest.mark.parametrize("modality", ["continuous", "discretised", "discrete"])
+    def test_row_is_mean_of_direct_batched_call(self, modality):
+        config, data, pred = _eval_case(modality)
+        rows = training.evaluate(Rng(62), pred, config, data, n_values=(6,), passes=2)
+        if modality == "discrete":
+            mod, spec = dd, config.schedule
+        else:
+            mod, spec = (cts if modality == "continuous" else dsc), config.cts_config()
+        K = () if modality == "continuous" else (config.K,)
+        want = {"6": [], "inf": [], "recon": []}
+        for p in range(2):
+            prng = Rng(62).split(p)
+            want["6"].append(mod.loss_n(prng, pred, spec, data, 6, *K, prng.integers(1, 7, size=7)))
+            prng = Rng(62).split(1_000_003 + p)
+            want["inf"].append(mod.loss_cts(prng, pred, spec, data, *K, prng.uniform(size=7)))
+            prng = Rng(62).split(2 * 1_000_003 + p)
+            want["recon"].append(mod.recon(prng, pred, spec, data, config.K if K else config.recon_sigma))
+        assert {r["label"]: r["nats"] for r in rows} == {k: float(np.concatenate(v).mean()) for k, v in want.items()}
 
     def test_rows_cover_requested_grid(self):
         config = _make_config("discrete", K=4)
@@ -497,6 +573,43 @@ class TestEvaluate:
         se1 = r1[0]["se_nats"]
         se4 = r4[0]["se_nats"]
         assert se4 == pytest.approx(se1 / 2, rel=0.35)
+
+
+def _estimate_mean_loss_reference(rng, mlp, params, config, dataset, n_draws=4):
+    """estimate_mean_loss as it was before it called the loss_cts dispatch:
+    the training head's state draw, a forward pass and the head's loss."""
+    saved = mlp.params
+    mlp.params = params
+    try:
+        take = min(len(dataset), 64)
+        losses = []
+        for _ in range(n_draws):
+            idx = rng.integers(0, len(dataset), size=take)
+            x_batch = dataset[idx]
+            if config.modality != "discrete":
+                x_batch = np.asarray(x_batch, dtype=np.float64)
+            state = training.sample_head_state(rng, config, x_batch)
+            out = mlp.forward_batch(state["state_in"], state["t"])
+            losses.append(training.head_loss_and_grad(config, state, out)[0].mean())
+        return float(np.mean(losses))
+    finally:
+        mlp.params = saved
+
+
+class TestEstimateMeanLoss:
+    @pytest.mark.parametrize("name", ["strings", "glyphs", "mixture", "discretised"])
+    def test_matches_frozen_head_reference(self, name):
+        if name == "discretised":
+            config = _make_config("discretised", D=6, K=16)
+            items = dsc.BinGeometry(16).centers[Rng(70).integers(0, 16, size=(40, 6))]
+        else:
+            config = cli.train_config_from_run(cli.load_run_config(CONFIG_DIR / f"train_{name}.cfg", ()))
+            items = {"strings": toy_strings, "glyphs": toy_glyphs, "mixture": toy_mixture}[name]().items
+        mlp = MLP(config.predictor_spec(), seed=config.seed)
+        params = mlp.params + 0.05 * Rng(71).standard_normal(mlp.n_params)
+        for seed in range(5):
+            got = training.estimate_mean_loss(Rng(seed), mlp, params, config, items)
+            assert _same_bits(got, _estimate_mean_loss_reference(Rng(seed), mlp, params, config, items))
 
 
 class TestCheckpoint:
