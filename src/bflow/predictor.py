@@ -127,11 +127,9 @@ class MLP:
         self._act, self._act_grad = _ACTIVATIONS[spec.activation]
         self._tape = None
 
-    def _weights(self):
-        out = {}
-        for name, shape, off in self.layout:
-            out[name] = self.params[off : off + int(np.prod(shape))].reshape(shape)
-        return out
+    def _views(self, flat):
+        """Per-layer views, by layout name, into a flat parameter-sized vector."""
+        return {name: flat[off : off + int(np.prod(shape))].reshape(shape) for name, shape, off in self.layout}
 
     def forward_batch(self, X, t, record=False):
         """(B, state_width), (B,) -> (B, output_width)."""
@@ -142,7 +140,7 @@ class MLP:
         if feats.shape[0] == 1 and X.shape[0] > 1:
             feats = np.broadcast_to(feats, (X.shape[0], feats.shape[1]))
         h = np.concatenate([X, feats], axis=1)
-        w = self._weights()
+        w = self._views(self.params)
         n_layers = len(self.layout) // 2
         tape = [h]
         pre = []
@@ -162,7 +160,8 @@ class MLP:
         return self.forward_batch(np.asarray(state, dtype=np.float64)[None, :], float(t))[0]
 
     def backward_batch(self, d_out):
-        """Gradient of sum(output * d_out) w.r.t. params, as a flat vector.
+        """Gradient of sum(output * d_out) w.r.t. params, as a flat vector;
+        each layer's gradient is written straight into its slice of it.
 
         Requires a preceding ``forward_batch(..., record=True)``.
         """
@@ -170,18 +169,16 @@ class MLP:
             raise ValueError("no recorded forward pass")
         tape, pre = self._tape
         d_out = np.asarray(d_out, dtype=np.float64)
-        w = self._weights()
+        w = self._views(self.params)
         n_layers = len(self.layout) // 2
-        grads = {}
+        flat = np.empty_like(self.params)
+        grads = self._views(flat)
         delta = d_out
         for li in range(n_layers - 1, -1, -1):
-            grads[f"W{li}"] = tape[li].T @ delta
-            grads[f"b{li}"] = delta.sum(axis=0)
+            np.matmul(tape[li].T, delta, out=grads[f"W{li}"])
+            np.sum(delta, axis=0, out=grads[f"b{li}"])
             if li > 0:
                 delta = (delta @ w[f"W{li}"].T) * self._act_grad(pre[li - 1])
-        flat = np.zeros_like(self.params)
-        for name, shape, off in self.layout:
-            flat[off : off + int(np.prod(shape))] = grads[name].ravel()
         return flat
 
 

@@ -6,15 +6,20 @@ Training always minimises the continuous-time loss; the n-step losses are
 evaluation-only.  Each step draws one time per batch item and the whole
 batch's flow state in one call of the modality's ``flow_sample``, runs the
 network once over the batch, and backpropagates the analytic gradient of
-the modality's ``loss_inf`` through the recorded tape.  Evaluation scores a
-chunk of items per call of the modality's batched ``loss_cts`` (the same
-``loss_inf``, without the gradient), ``loss_n`` or ``recon``.
+the modality's ``loss_inf`` through the recorded tape, which writes the
+gradient straight into one flat vector.  ``adamw_step`` then updates the
+parameters, both moments and the EMA in place, in one cache-sized pass per
+chunk of the vector, so a step allocates no parameter-sized temporaries
+beyond that gradient.  Evaluation scores a chunk of items per call of the
+modality's batched ``loss_cts`` (the same ``loss_inf``, without the
+gradient), ``loss_n`` or ``recon``.
 
 The gradients are deterministic functions of the sampled state, so they
 can be checked against central finite differences; the test suite does
 exactly that for all three modalities.
 """
 
+import itertools
 import json
 import struct
 from dataclasses import asdict, dataclass, field
@@ -93,19 +98,77 @@ class TrainConfig:
         return cts.CtsConfig(sigma1=self.sigma1, D=self.D, t_min=self.t_min)
 
 
-def adamw_step(params, grads, m, v, step, lr, weight_decay, beta1, beta2, eps=1e-8):
-    """One decoupled-weight-decay adaptive-moment update with bias correction.
+# Elements per pass of adamw_step.  A pass touches seven 128 KiB float64
+# slices (params, grads, m, v, ema and two scratch buffers), 896 KiB in all,
+# which stays in a core's L2 cache, so each state element travels to and from
+# memory once per step.  For the 291k-parameter strings model on a 2-core
+# x86_64 VM the update took about 2.0 ms in 16k-element passes, 2.4 ms in 4k
+# ones (per-call overhead), 3.9 ms in one whole-vector in-place pass, and
+# 4.0 ms out of place, which allocates about ten 2.3 MB temporaries.
+ADAMW_CHUNK = 16384
 
-    Returns (params', m', v'); inputs are not modified.
+
+def adamw_step(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, ema_decay, eps=1e-8):
+    """One decoupled-weight-decay adaptive-moment update with bias
+    correction, then the EMA of the updated parameters.
+
+    Updates ``params``, ``m``, ``v`` and ``ema`` in place and returns them
+    as (params, m, v, ema).  It walks the vectors ADAMW_CHUNK elements at a
+    time with ``out=`` ufuncs into two chunk-sized scratch buffers: a
+    chunk's working set stays in L2 cache, so the update allocates no
+    full-size temporaries and reads and writes the state once.  Per element
+    it computes
+
+        m = b1*m + (1-b1)*g
+        v = b2*v + ((1-b2)*g)*g
+        p = (p - lr*(m/c1) / (sqrt(v/c2) + eps)) - (lr*wd)*p_old
+        ema = d*ema + (1-d)*p
+
+    with c1 = 1 - b1**step and c2 = 1 - b2**step, in that operation order.
+    The five arrays must be distinct, non-overlapping, C-contiguous float64
+    arrays of one shape: an in-place update on aliased arrays would corrupt
+    the state silently, so that raises ValueError.
     """
-    if params.shape != grads.shape or params.shape != m.shape or params.shape != v.shape:
-        raise ValueError("parameter/gradient/moment shapes do not match")
-    m = beta1 * m + (1.0 - beta1) * grads
-    v = beta2 * v + (1.0 - beta2) * grads * grads
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    params = params - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * params
-    return params, m, v
+    arrays = {"params": params, "grads": grads, "m": m, "v": v, "ema": ema}
+    for name, a in arrays.items():
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous):
+            raise ValueError(f"{name} must be a C-contiguous float64 array")
+        if a.shape != params.shape:
+            raise ValueError(f"{name} has shape {a.shape}, params {params.shape}")
+    for (a, x), (b, y) in itertools.combinations(arrays.items(), 2):
+        # contiguous arrays share memory exactly when their extents overlap
+        if np.may_share_memory(x, y):
+            raise ValueError(f"{a} and {b} share memory")
+    c1 = 1.0 - beta1**step
+    c2 = 1.0 - beta2**step
+    decay = lr * weight_decay
+    n = params.size
+    s1 = np.empty(min(n, ADAMW_CHUNK))
+    s2 = np.empty_like(s1)
+    flat = [a.reshape(-1) for a in (params, grads, m, v, ema)]
+    for s in range(0, n, ADAMW_CHUNK):
+        p, g, mc, vc, ec = (a[s : s + ADAMW_CHUNK] for a in flat)
+        t1, t2 = s1[: p.size], s2[: p.size]
+        np.multiply(mc, beta1, out=mc)
+        np.multiply(g, 1.0 - beta1, out=t1)
+        np.add(mc, t1, out=mc)
+        np.multiply(vc, beta2, out=vc)
+        np.multiply(g, 1.0 - beta2, out=t1)
+        np.multiply(t1, g, out=t1)
+        np.add(vc, t1, out=vc)
+        np.divide(mc, c1, out=t1)
+        np.multiply(t1, lr, out=t1)
+        np.divide(vc, c2, out=t2)
+        np.sqrt(t2, out=t2)
+        np.add(t2, eps, out=t2)
+        np.divide(t1, t2, out=t1)
+        np.multiply(p, decay, out=t2)
+        np.subtract(p, t1, out=p)
+        np.subtract(p, t2, out=p)
+        np.multiply(ec, ema_decay, out=ec)
+        np.multiply(p, 1.0 - ema_decay, out=t1)
+        np.add(ec, t1, out=ec)
+    return params, m, v, ema
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +204,6 @@ def batch_loss_and_grad(mlp, config, state):
     loss, d_out = head_loss_and_grad(config, state, out)
     grad = mlp.backward_batch(d_out / loss.shape[0])
     return float(loss.mean()), grad
-
-
-def batch_loss(mlp, config, state):
-    """Mean loss only (used by finite-difference checks)."""
-    out = mlp.forward_batch(state["state_in"], state["t"])
-    return float(head_loss_and_grad(config, state, out)[0].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +260,11 @@ def train(rng, dataset, config):
             raise RuntimeError(
                 f"non-finite loss at step {step} (batch stream id {step}, seed {config.seed})"
             )
-        mlp.params, m, v = adamw_step(
-            mlp.params, grad, m, v, step,
+        mlp.params, m, v, ema = adamw_step(
+            mlp.params, grad, m, v, ema, step,
             config.learning_rate, config.weight_decay,
-            config.adam_beta1, config.adam_beta2,
+            config.adam_beta1, config.adam_beta2, config.ema_decay,
         )
-        ema = config.ema_decay * ema + (1.0 - config.ema_decay) * mlp.params
         eval_loss = None
         if config.eval_every and step % config.eval_every == 0:
             eval_loss = estimate_mean_loss(rng.split(10**9 + step), mlp, ema, config, dataset)

@@ -24,39 +24,106 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 class TestAdamW:
     def test_zero_grad_no_decay_is_identity(self):
         p = np.array([1.0, -2.0])
-        p2, m, v = adamw_step(p, np.zeros(2), np.zeros(2), np.zeros(2), 1, 1e-3, 0.0, 0.9, 0.98)
+        p2, m, v, _ = adamw_step(p.copy(), np.zeros(2), np.zeros(2), np.zeros(2), p.copy(),
+                                 1, 1e-3, 0.0, 0.9, 0.98, 0.99)
         np.testing.assert_array_equal(p2, p)
 
     def test_zero_grad_decay_scales(self):
         p = np.array([1.0, -2.0])
         lr, wd = 1e-2, 0.1
-        p2, _, _ = adamw_step(p, np.zeros(2), np.zeros(2), np.zeros(2), 1, lr, wd, 0.9, 0.98)
+        p2, _, _, _ = adamw_step(p.copy(), np.zeros(2), np.zeros(2), np.zeros(2), p.copy(),
+                                 1, lr, wd, 0.9, 0.98, 0.99)
         np.testing.assert_allclose(p2, p * (1 - lr * wd), rtol=1e-15)
 
     def test_three_step_hand_trace(self):
         # single scalar parameter, constant gradient, no decay; the oracle
-        # below replays the update rule by hand
-        lr, b1, b2, eps = 0.1, 0.9, 0.98, 1e-8
+        # below replays the update rule and the EMA by hand
+        lr, b1, b2, eps, d = 0.1, 0.9, 0.98, 1e-8, 0.5
         g = 0.5
         p = np.array([1.0])
         m = np.zeros(1)
         v = np.zeros(1)
-        p_ref, m_ref, v_ref = 1.0, 0.0, 0.0
+        ema = np.array([1.0])
+        p_ref, m_ref, v_ref, ema_ref = 1.0, 0.0, 0.0, 1.0
         for step in (1, 2, 3):
-            p, m, v = adamw_step(p, np.array([g]), m, v, step, lr, 0.0, b1, b2, eps)
+            p, m, v, ema = adamw_step(p, np.array([g]), m, v, ema, step, lr, 0.0, b1, b2, d, eps)
             m_ref = b1 * m_ref + (1 - b1) * g
             v_ref = b2 * v_ref + (1 - b2) * g * g
             mh = m_ref / (1 - b1**step)
             vh = v_ref / (1 - b2**step)
             p_ref = p_ref - lr * mh / (np.sqrt(vh) + eps)
+            ema_ref = d * ema_ref + (1 - d) * p_ref
             assert p[0] == pytest.approx(p_ref, rel=1e-14)
+            assert ema[0] == pytest.approx(ema_ref, rel=1e-14)
         # first step moves by about -lr regardless of gradient scale
-        first = adamw_step(np.array([0.0]), np.array([g]), np.zeros(1), np.zeros(1), 1, lr, 0.0, b1, b2, eps)[0]
+        first = adamw_step(np.array([0.0]), np.array([g]), np.zeros(1), np.zeros(1), np.zeros(1),
+                           1, lr, 0.0, b1, b2, 0.0, eps)[0]
         assert first[0] == pytest.approx(-lr, rel=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            adamw_step(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), 1, 1e-3, 0.0, 0.9, 0.98)
+            adamw_step(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), np.zeros(2),
+                       1, 1e-3, 0.0, 0.9, 0.98, 0.99)
+
+    def test_returns_the_arrays_passed_in(self):
+        arrays = [np.full(5, 0.5) for _ in range(5)]
+        out = adamw_step(*arrays, 1, 1e-3, 0.01, 0.9, 0.98, 0.99)
+        assert len(out) == 4
+        for got, passed in zip(out, [arrays[0], *arrays[2:]]):
+            assert got is passed
+
+    @staticmethod
+    def _state(n=6):
+        return {name: np.full(n, i + 1.0) for i, name in enumerate(("params", "grads", "m", "v", "ema"))}
+
+    @pytest.mark.parametrize("a,b", [("params", "ema"), ("m", "v"), ("grads", "m"), ("params", "grads")])
+    def test_shared_memory_rejected(self, a, b):
+        # b overlaps a by all but one element: an in-place pass would read
+        # values it has already overwritten
+        state = self._state()
+        buf = np.arange(7.0)
+        state[a], state[b] = buf[:6], buf[1:]
+        before = {k: x.copy() for k, x in state.items()}
+        with pytest.raises(ValueError, match=f"{a} and {b} share memory"):
+            adamw_step(*state.values(), 1, 1e-3, 0.01, 0.9, 0.98, 0.99)
+        for k, x in state.items():
+            assert _same_bits(x, before[k]), k
+
+    def test_same_array_twice_rejected(self):
+        state = self._state()
+        state["v"] = state["m"]
+        with pytest.raises(ValueError, match="m and v share memory"):
+            adamw_step(*state.values(), 1, 1e-3, 0.01, 0.9, 0.98, 0.99)
+
+    def test_non_contiguous_rejected(self):
+        state = self._state()
+        state["grads"] = np.ones(12)[::2]
+        with pytest.raises(ValueError, match="grads must be a C-contiguous float64 array"):
+            adamw_step(*state.values(), 1, 1e-3, 0.01, 0.9, 0.98, 0.99)
+
+    def test_non_float64_rejected(self):
+        state = self._state()
+        state["ema"] = state["ema"].astype(np.float32)
+        with pytest.raises(ValueError, match="ema must be a C-contiguous float64 array"):
+            adamw_step(*state.values(), 1, 1e-3, 0.01, 0.9, 0.98, 0.99)
+
+    def test_shape_mismatch_names_the_array(self):
+        state = self._state()
+        state["v"] = np.zeros((2, 3))
+        with pytest.raises(ValueError, match=r"v has shape \(2, 3\), params \(6,\)"):
+            adamw_step(*state.values(), 1, 1e-3, 0.01, 0.9, 0.98, 0.99)
+
+
+def _adamw_ema_reference(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, ema_decay, eps=1e-8):
+    """The out-of-place update plus the separate EMA line that the in-place
+    chunked adamw_step replaced, kept to pin its bits."""
+    m = beta1 * m + (1.0 - beta1) * grads
+    v = beta2 * v + (1.0 - beta2) * grads * grads
+    m_hat = m / (1.0 - beta1**step)
+    v_hat = v / (1.0 - beta2**step)
+    params = params - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * params
+    ema = ema_decay * ema + (1.0 - ema_decay) * params
+    return params, m, v, ema
 
 
 def _make_config(modality, **kw):
@@ -87,6 +154,12 @@ def _random_batch(rng, config):
     return rng.uniform(size=(config.batch_size, config.D)) * 1.6 - 0.8
 
 
+def _mean_head_loss(mlp, config, state):
+    """Mean continuous-time loss of the batch, for finite differences."""
+    out = mlp.forward_batch(state["state_in"], state["t"])
+    return float(training.head_loss_and_grad(config, state, out)[0].mean())
+
+
 class TestHeadGradients:
     @pytest.mark.parametrize("modality", ["continuous", "discretised", "discrete"])
     def test_matches_central_finite_differences(self, modality):
@@ -102,9 +175,9 @@ class TestHeadGradients:
         for j in idxs:
             saved = mlp.params[j]
             mlp.params[j] = saved + h
-            lp = training.batch_loss(mlp, config, state)
+            lp = _mean_head_loss(mlp, config, state)
             mlp.params[j] = saved - h
-            lm = training.batch_loss(mlp, config, state)
+            lm = _mean_head_loss(mlp, config, state)
             mlp.params[j] = saved
             fd = (lp - lm) / (2 * h)
             denom = max(abs(fd), abs(grad[j]), 1e-6)
@@ -122,9 +195,9 @@ class TestHeadGradients:
         for j in rng.choice(mlp.n_params, size=25, replace=False):
             saved = mlp.params[j]
             mlp.params[j] = saved + h
-            lp = training.batch_loss(mlp, config, state)
+            lp = _mean_head_loss(mlp, config, state)
             mlp.params[j] = saved - h
-            lm = training.batch_loss(mlp, config, state)
+            lm = _mean_head_loss(mlp, config, state)
             mlp.params[j] = saved
             fd = (lp - lm) / (2 * h)
             denom = max(abs(fd), abs(grad[j]), 1e-6)
@@ -360,6 +433,38 @@ class TestBatchedFlow:
         got = training.train(Rng(7), items, config)
         monkeypatch.setattr(training, "sample_head_state", _sample_head_state_reference)
         ref = training.train(Rng(7), items, config)
+        for field in ("ema_params", "moments_m", "moments_v"):
+            assert _same_bits(getattr(got, field), getattr(ref, field)), field
+        assert _same_bits(got.mlp.params, ref.mlp.params)
+        assert got.history == ref.history
+
+
+class TestInPlaceOptimizer:
+    """train() with the in-place chunked adamw_step gives the bits of a run
+    driven by the out-of-place update and EMA line it replaced."""
+
+    @staticmethod
+    def _config(case, seed):
+        if case == "strings":  # 291,760 parameters: 17 full chunks and a partial one
+            run = cli.load_run_config(CONFIG_DIR / "train_strings.cfg",
+                                      ("steps=30", "eval_every=15", f"seed={seed}"))
+            return cli.train_config_from_run(run), toy_strings().items
+        if case == "discretised":  # 43,392 parameters, weight decay on
+            config = _make_config("discretised", D=64, K=16, hidden=(128, 128), batch_size=8,
+                                  steps=20, weight_decay=0.05, ema_decay=0.9, seed=seed)
+        else:  # fewer parameters than one chunk
+            config = _make_config("continuous", steps=20, weight_decay=0.02, ema_decay=0.9, seed=seed)
+        return config, Rng(seed).uniform(size=(12, config.D)) * 1.6 - 0.8
+
+    @pytest.mark.parametrize("seed", [1, 7, 37])
+    @pytest.mark.parametrize("case", ["strings", "discretised", "small"])
+    def test_train_matches_out_of_place_reference(self, case, seed, monkeypatch):
+        config, items = self._config(case, seed)
+        n = MLP(config.predictor_spec()).n_params
+        assert n < training.ADAMW_CHUNK if case == "small" else n % training.ADAMW_CHUNK != 0
+        got = training.train(Rng(seed), items, config)
+        monkeypatch.setattr(training, "adamw_step", _adamw_ema_reference)
+        ref = training.train(Rng(seed), items, config)
         for field in ("ema_params", "moments_m", "moments_v"):
             assert _same_bits(getattr(got, field), getattr(ref, field)), field
         assert _same_bits(got.mlp.params, ref.mlp.params)
