@@ -193,40 +193,41 @@ def write_pgm(path, values, width, height):
 
 
 def cmd_sample(args):
+    if args.steps < 1:
+        raise SystemExit(f"sample: --steps must be >= 1, got {args.steps}")
+    if args.count < 0:
+        raise SystemExit(f"sample: --count must be >= 0, got {args.count}")
     result, header = training.load_checkpoint(args.checkpoint)
     config = result.config
     predictor = training.ema_predictor(result)
-    rng = Rng(args.seed)
     os.makedirs(args.out, exist_ok=True)
-    paths = []
     alphabet = None
     if config.modality == "discrete" and config.K == 27:
         alphabet = data.ALPHABET_27
     if args.alphabet:
         alphabet = data.load_alphabet(args.alphabet)
-    for idx in range(args.count):
-        srng = rng.split(idx)
-        if config.modality == "discrete":
-            out = dd.generate(srng, predictor, config.schedule, args.steps, config.K, config.D)
-            if alphabet is not None and len(alphabet) == config.K:
-                path = os.path.join(args.out, f"sample_{idx:03d}.txt")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(data.decode_text(out, alphabet) + "\n")
-            else:
-                path = os.path.join(args.out, f"sample_{idx:03d}.pgm")
-                scale = 255 // max(config.K - 1, 1)
-                w, h = _sample_shape(header.get("run_config", {}), config.D)
-                write_pgm(path, (out - 1) * scale, w, h)
-        elif config.modality == "discretised":
-            out = dsc.generate(srng, predictor, config.cts_config(), args.steps, config.K)
-            w, h = _sample_shape(header.get("run_config", {}), config.D)
-            path = os.path.join(args.out, f"sample_{idx:03d}.pgm")
-            write_pgm(path, data.centres_to_bytes(out, config.K), w, h)
+    if args.count == 0:
+        return 0
+    # one call draws every sample: sample idx from stream idx of the seed
+    rngs = [Rng(args.seed).split(idx) for idx in range(args.count)]
+    if config.modality == "discrete":
+        samples = dd.generate(rngs, predictor, config.schedule, args.steps, config.K, config.D)
+    elif config.modality == "discretised":
+        samples = dsc.generate(rngs, predictor, config.cts_config(), args.steps, config.K)
+    else:
+        samples = cts.generate(rngs, predictor, config.cts_config(), args.steps)
+    as_text = config.modality == "discrete" and alphabet is not None and len(alphabet) == config.K
+    w, h = _sample_shape(header.get("run_config", {}), config.D)
+    paths = []
+    for idx, out in enumerate(samples):
+        path = os.path.join(args.out, f"sample_{idx:03d}.{'txt' if as_text else 'pgm'}")
+        if as_text:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(data.decode_text(out, alphabet) + "\n")
+        elif config.modality == "discrete":
+            write_pgm(path, (out - 1) * (255 // max(config.K - 1, 1)), w, h)
         else:
-            out = cts.generate(srng, predictor, config.cts_config(), args.steps)
-            w, h = _sample_shape(header.get("run_config", {}), config.D)
-            path = os.path.join(args.out, f"sample_{idx:03d}.pgm")
-            write_pgm(path, data.centres_to_bytes(out, 0), w, h)
+            write_pgm(path, data.centres_to_bytes(out, config.K if config.modality == "discretised" else 0), w, h)
         paths.append(path)
     for p in paths:
         print(p)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gaussian_sample
+from .numerics import Rng, gaussian_sample
 from .predictor import forward_rows
 from .schedule import ContinuousSigma, step_time
 
@@ -169,13 +169,6 @@ def _x_hat(predictor, cfg, mu, t):
     return output_map(cfg, mu, t, net_out(predictor, cfg, mu, t, cfg.D), predicts_data)[0]
 
 
-def output_prediction(predictor, cfg, p, t):
-    """Data estimate at (state, time); zero below the t_min cutoff."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    return _x_hat(predictor, cfg, p.mean[None], t)[0]
-
-
 def loss_n(rng, predictor, cfg, x, n, i):
     """n-step transmission loss estimates (B,), in nats, for a (B, D) batch
     at step i of n: one int for every row, or (B,) ints.
@@ -220,25 +213,29 @@ def recon(rng, predictor, cfg, x, noise_sigma):
 def generate(rng, predictor, cfg, n, return_params=False):
     """n-step ancestral sampling; returns the final clipped data estimate.
 
-    The output prediction is evaluated once per step plus once at t=1;
+    rng is one Rng, which gives one (D,) sample, or a sequence of B Rngs,
+    which gives (B, D) samples and a (B, D) belief mean.  Row b draws its
+    sender normals from stream b as a one-stream call does.  The output
+    prediction runs on the batch once per step plus once at t=1;
     the first step sits below t_min, where the prediction is pinned to
     zero without reaching the predictor.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     sched = cfg.schedule
-    p = prior(cfg.D)
+    rngs = [rng] if isinstance(rng, Rng) else list(rng)
+    p = CtsParams(mean=np.zeros((len(rngs), cfg.D)), precision=1.0)
     for i in range(1, n + 1):
-        t = (i - 1) / n
-        x_hat = output_prediction(predictor, cfg, p, t)
+        x_hat = _x_hat(predictor, cfg, p.mean, (i - 1) / n)
         alpha = sched.step_alpha(i, n)
-        y = gaussian_sample(rng, x_hat, 1.0 / alpha)
+        z = np.array([r.standard_normal(cfg.D) for r in rngs])
+        y = gaussian_sample(None, x_hat, 1.0 / alpha, z)
         # precision in closed form: identical in exact arithmetic to
         # p.precision + alpha, avoids accumulated rounding over many steps
         precision = 1.0 + sched.beta(i / n)
         mean = (p.mean * p.precision + y * alpha) / precision
         p = CtsParams(mean=mean, precision=precision)
-    x_final = output_prediction(predictor, cfg, p, 1.0)
-    if return_params:
-        return x_final, p
-    return x_final
+    x_final = _x_hat(predictor, cfg, p.mean, 1.0)
+    if isinstance(rng, Rng):
+        x_final, p = x_final[0], CtsParams(mean=p.mean[0], precision=p.precision)
+    return (x_final, p) if return_params else x_final

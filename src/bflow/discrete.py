@@ -16,7 +16,7 @@ path keeps the redundant class and uses a row softmax.
 import numpy as np
 
 from .kernels import logsumexp_rows
-from .numerics import gaussian_sample, neg_log_true_class, paired_normals, sample_categorical_rows, softmax_rows
+from .numerics import Rng, gaussian_sample, neg_log_true_class, paired_normals, sample_categorical_rows, softmax_rows
 from .predictor import forward_rows
 from .schedule import step_time
 
@@ -29,11 +29,11 @@ def uniform_prior(D, K):
 
 def validate_rows(probs, tol=ROW_SUM_TOL):
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2:
-        raise ValueError("expected a (D, K) matrix")
+    if probs.ndim < 2:
+        raise ValueError("expected (..., D, K) probability rows")
     if np.any(probs < 0.0):
         raise ValueError("negative probability entry")
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > tol):
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > tol):
         raise ValueError("row does not sum to 1")
     return probs
 
@@ -157,13 +157,6 @@ def _net_out(predictor, theta, t, K):
     return forward_rows(predictor, encode_theta(theta, K), t, D if K == 2 else D * K)
 
 
-def output_distribution(predictor, theta, t, K):
-    """Class probabilities (D, K) from the predictor at (state, time)."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    return output_map(_net_out(predictor, np.asarray(theta, dtype=np.float64)[None], t, K), K)[0]
-
-
 def _log_norm(u, alpha, K):
     """The class-independent part of the sender and receiver log-densities
     at u = y + alpha, per (..., D) row."""
@@ -243,19 +236,26 @@ def recon(rng, predictor, sched, x, K):
 
 
 def generate(rng, predictor, sched, n, K, D, return_theta=False):
-    """n-step ancestral sampling; returns 1-based class indices (D,)."""
+    """n-step ancestral sampling; returns 1-based class indices.
+
+    rng is one Rng, which gives one (D,) sample, or a sequence of B Rngs,
+    which gives (B, D) samples and a (B, D, K) state.  Row b draws
+    from stream b as a one-stream call does: per step a categorical
+    uniform per dimension, then the sender normals.  The predictor runs
+    once per step on the batch; every other op is row-local.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    theta = uniform_prior(D, K)
-    for i in range(1, n + 1):
-        t = (i - 1) / n
-        probs = output_distribution(predictor, theta, t, K)
-        k = sample_categorical_rows(rng, probs)
-        alpha = sched.step_alpha(i, n)
-        y = sender_sample(rng, k, alpha, K)
-        theta = bayes_update(theta, y)
-    probs = output_distribution(predictor, theta, 1.0, K)
-    k = sample_categorical_rows(rng, probs)
-    if return_theta:
-        return k, theta
-    return k
+    rngs = [rng] if isinstance(rng, Rng) else list(rng)
+    theta = np.full((len(rngs), D, K), 1.0 / K)
+    # step n + 1 is the final draw, from the output distribution at t = 1
+    for i in range(1, n + 2):
+        u = np.array([r.uniform(size=(D, 1)) for r in rngs])
+        k = sample_categorical_rows(None, output_map(_net_out(predictor, theta, (i - 1) / n, K), K), u)
+        if i > n:
+            break
+        z = np.array([r.standard_normal((D, K)) for r in rngs])
+        theta = bayes_update(theta, sender_sample(None, k, sched.step_alpha(i, n), K, z))
+    if isinstance(rng, Rng):
+        k, theta = k[0], theta[0]
+    return (k, theta) if return_theta else k

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import continuous
 from .kernels import erf_vec, mixture_logpdf
-from .numerics import gaussian_sample, log_gaussian_pdf, neg_log_true_class, paired_normals, sample_categorical_rows
+from .numerics import Rng, gaussian_sample, log_gaussian_pdf, neg_log_true_class, paired_normals, sample_categorical_rows
 from .schedule import step_time
 
 _SQRT2 = np.sqrt(2.0)
@@ -147,23 +147,13 @@ def loss_inf(cfg, x, mu, t, net_out, K, grad=False):
     return loss, np.concatenate([d_mu_eps, d_ln_sigma], axis=1)
 
 
-def _probs(predictor, cfg, mu, t, K):
+def probs(predictor, cfg, mu, t, K):
     """Bin masses (B, D, K) at belief means mu (B, D) and times t; a unit
     Gaussian at zero below t_min."""
     B, D = mu.shape
     net_out = continuous.net_out(predictor, cfg, mu, t, 2 * cfg.D)
     mu_x, sigma_x = output_map(cfg, mu, t, net_out)[:2]
     return bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), K).reshape(B, D, K)
-
-
-def output_distribution(predictor, cfg, p, t, K):
-    """Bin probabilities (D, K) for belief state p at time t.
-
-    Below t_min the prediction falls back to a unit Gaussian at zero.
-    """
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0, 1]")
-    return _probs(predictor, cfg, p.mean[None], t, K)[0]
 
 
 def k_hat(probs, K):
@@ -207,8 +197,8 @@ def loss_n(rng, predictor, cfg, x, n, K, i):
     z_flow, z_send = paired_normals(rng, np.full(x.shape[0], continuous.gamma(cfg, t)) != 0.0, x.shape)
     p = continuous.flow_sample(rng, cfg, x, t, z_flow)
     y = gaussian_sample(rng, x, var if np.isscalar(var) else var[:, None], z_send)
-    probs = _probs(predictor, cfg, p.mean, t, K)
-    return n * (log_gaussian_pdf(y, x, var) - receiver_log_likelihood(y, probs, K, alpha))
+    recv = receiver_log_likelihood(y, probs(predictor, cfg, p.mean, t, K), K, alpha)
+    return n * (log_gaussian_pdf(y, x, var) - recv)
 
 
 def loss_cts(rng, predictor, cfg, x, K, t):
@@ -227,28 +217,37 @@ def recon(rng, predictor, cfg, x, K):
     x = np.asarray(x, dtype=np.float64)
     idx, _ = quantise(x, K)
     p = continuous.flow_sample(rng, cfg, x, 1.0)
-    return neg_log_true_class(_probs(predictor, cfg, p.mean, 1.0, K), idx)
+    return neg_log_true_class(probs(predictor, cfg, p.mean, 1.0, K), idx)
 
 
 def generate(rng, predictor, cfg, n, K, return_params=False):
-    """n-step ancestral sampling; returns bin centres (D,)."""
+    """n-step ancestral sampling; returns bin centres.
+
+    rng is one Rng, which gives one (D,) sample, or a sequence of B Rngs,
+    which gives (B, D) samples and a (B, D) belief mean.  Row b draws
+    from stream b as a one-stream call does: per step a categorical
+    uniform per dimension, then the sender normals.  The predictor runs
+    once per step on the batch; every other op is row-local.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     sched = cfg.schedule
     geom = BinGeometry(K)
-    p = continuous.prior(cfg.D)
-    for i in range(1, n + 1):
-        t = (i - 1) / n
-        probs = output_distribution(predictor, cfg, p, t, K)
-        k = sample_categorical_rows(rng, probs)
+    rngs = [rng] if isinstance(rng, Rng) else list(rng)
+    p = continuous.CtsParams(mean=np.zeros((len(rngs), cfg.D)), precision=1.0)
+    # step n + 1 is the final draw, from the output distribution at t = 1
+    for i in range(1, n + 2):
+        u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])
+        k = sample_categorical_rows(None, probs(predictor, cfg, p.mean, (i - 1) / n, K), u)
+        if i > n:
+            break
         alpha = sched.step_alpha(i, n)
-        y = gaussian_sample(rng, geom.centers[k - 1], 1.0 / alpha)
+        z = np.array([r.standard_normal(cfg.D) for r in rngs])
+        y = gaussian_sample(None, geom.centers[k - 1], 1.0 / alpha, z)
         precision = 1.0 + sched.beta(i / n)
         mean = (p.mean * p.precision + y * alpha) / precision
         p = continuous.CtsParams(mean=mean, precision=precision)
-    probs = output_distribution(predictor, cfg, p, 1.0, K)
-    k = sample_categorical_rows(rng, probs)
     out = geom.centers[k - 1]
-    if return_params:
-        return out, p
-    return out
+    if isinstance(rng, Rng):
+        out, p = out[0], continuous.CtsParams(mean=p.mean[0], precision=p.precision)
+    return (out, p) if return_params else out

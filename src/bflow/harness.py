@@ -467,7 +467,7 @@ def check_loss_convergence(seed, modality, n_list=(1, 4, 16, 64, 256),
         base_inf = loss_inf_fn or (lambda r, ts: dsc.loss_cts(r, pred, cfg, np.tile(x, (ts.size, 1)), K, ts))
         linf = _linf_mean_by_time_grid(lambda ts: base_inf(rng, ts))
         nodes, weights = _hermgauss(gh_nodes)
-        probs_live = dsc.output_distribution(pred, cfg, cts.prior(1), 0.5, K)
+        probs_live = dsc.probs(pred, cfg, np.zeros((1, 1)), 0.5, K)[0]
         probs_prior = dsc.bin_probs_from_gaussian(np.zeros(1), np.ones(1), K)
 
         def stratum(alpha, probs):

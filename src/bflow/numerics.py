@@ -50,9 +50,6 @@ class Rng:
         self.draws += int(np.size(out))
         return out
 
-    def state(self):
-        return self._gen.bit_generator.state
-
 
 def gaussian_sample(rng, mean, var, z=None):
     """Draw mean + sqrt(var) * z with z iid standard normal.
@@ -127,11 +124,16 @@ def neg_log_true_class(probs, idx):
     return -np.sum(np.maximum(logs, LOG_PROB_FLOOR), axis=-1)
 
 
-def sample_categorical_rows(rng, probs):
-    """One draw per row of a (D, K) probability matrix; 1-based indices."""
+def sample_categorical_rows(rng, probs, u=None):
+    """One draw per row of (..., D, K) probabilities; 1-based indices (..., D).
+
+    u, when given, is the draw's uniforms, (..., D, 1), drawn beforehand,
+    and rng is not used.
+    """
     probs = np.asarray(probs, dtype=np.float64)
-    cum = np.cumsum(probs, axis=1)
+    cum = np.cumsum(probs, axis=-1)
     # guard against rounding in the final column
-    cum[:, -1] = np.maximum(cum[:, -1], 1.0)
-    u = rng.uniform(size=(probs.shape[0], 1))
-    return 1 + np.sum(u > cum, axis=1).astype(np.int64)
+    cum[..., -1] = np.maximum(cum[..., -1], 1.0)
+    if u is None:
+        u = rng.uniform(size=probs.shape[:-1] + (1,))
+    return 1 + np.sum(u > cum, axis=-1).astype(np.int64)

@@ -156,9 +156,6 @@ class MLP:
             self._tape = (tape, pre)
         return h
 
-    def forward(self, state, t):
-        return self.forward_batch(np.asarray(state, dtype=np.float64)[None, :], float(t))[0]
-
     def backward_batch(self, d_out):
         """Gradient of sum(output * d_out) w.r.t. params, as a flat vector;
         each layer's gradient is written straight into its slice of it.

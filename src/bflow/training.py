@@ -33,7 +33,7 @@ from .predictor import MLP, PredictorSpec
 from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic
 
 CHECKPOINT_MAGIC = b"BFCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -219,7 +219,6 @@ class TrainResult:
     moments_v: np.ndarray
     history: list = field(default_factory=list)  # (step, train_loss, eval_loss|None)
     config: TrainConfig = None
-    final_rng_state: dict = None
 
 
 def train(rng, dataset, config):
@@ -269,10 +268,7 @@ def train(rng, dataset, config):
         if config.eval_every and step % config.eval_every == 0:
             eval_loss = estimate_mean_loss(rng.split(10**9 + step), mlp, ema, config, dataset)
         history.append((step, loss, eval_loss))
-    return TrainResult(
-        mlp=mlp, ema_params=ema, moments_m=m, moments_v=v,
-        history=history, config=config, final_rng_state=rng.state(),
-    )
+    return TrainResult(mlp=mlp, ema_params=ema, moments_m=m, moments_v=v, history=history, config=config)
 
 
 def estimate_mean_loss(rng, mlp, params, config, dataset, n_draws=4):
@@ -412,19 +408,6 @@ def eval_rows_to_csv(rows):
 _SECTIONS = ("params", "ema", "m", "v")
 
 
-def _jsonable_rng_state(state):
-    def conv(v):
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, np.ndarray):
-            return [int(x) for x in v.ravel()]
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        return v
-
-    return conv(state)
-
-
 def save_checkpoint(path, result, run_config=None):
     """Write the versioned container; ``run_config`` is an optional raw
     key-value snapshot (paths, display shape) stored for provenance."""
@@ -447,7 +430,6 @@ def save_checkpoint(path, result, run_config=None):
         "step": len(result.history),
         "layout": [[name, list(shape), off] for name, shape, off in mlp.layout],
         "sections": sections,
-        "rng_state": _jsonable_rng_state(result.final_rng_state) if result.final_rng_state else None,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -515,7 +497,6 @@ def load_checkpoint(path):
         moments_v=take("v"),
         history=[],
         config=config,
-        final_rng_state=header.get("rng_state"),
     )
     return result, header
 

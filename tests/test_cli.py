@@ -141,6 +141,14 @@ class TestSample:
         for name in ("sample_000.txt", "sample_001.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_steps_below_one_rejected(self, toy_run, tmp_path):
+        with pytest.raises(SystemExit, match="--steps must be >= 1"):
+            run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--steps", "0", "--out", str(tmp_path / "s"))
+
+    def test_negative_count_rejected(self, toy_run, tmp_path):
+        with pytest.raises(SystemExit, match="--count must be >= 0"):
+            run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--count", "-1", "--out", str(tmp_path / "s"))
+
     def test_text_samples_decode(self, toy_run, tmp_path):
         out = tmp_path / "st"
         run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--count", "1", "--steps", "4", "--out", str(out))

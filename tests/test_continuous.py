@@ -94,7 +94,7 @@ class TestOutputPrediction:
     def test_below_tmin_is_zero(self):
         pred = ConstantPredictor(np.array([9.9]))
         p = cts.CtsParams(mean=np.array([0.7]), precision=1.0)
-        assert cts.output_prediction(pred, CFG, p, 0.0)[0] == 0.0
+        assert cts._x_hat(pred, CFG, p.mean[None], 0.0)[0, 0] == 0.0
 
     def test_noise_inversion_recovers_datum(self):
         x = np.array([0.43])
@@ -102,25 +102,25 @@ class TestOutputPrediction:
         r = Rng(4)
         for t in (0.2, 0.6, 0.95):
             p = cts.flow_sample(r, CFG, x, t)
-            np.testing.assert_allclose(cts.output_prediction(pred, CFG, p, t), x, atol=1e-12)
+            np.testing.assert_allclose(cts._x_hat(pred, CFG, p.mean[None], t)[0], x, atol=1e-12)
 
     def test_zero_noise_estimate(self):
         # gamma = 0.5 at t = ln(0.5)/(2 ln sigma1); x_hat = mean / gamma
         t = np.log(0.5) / (2 * np.log(CFG.sigma1))
         pred = ConstantPredictor(np.array([0.0]))
         p = cts.CtsParams(mean=np.array([0.3]), precision=1.0)
-        assert cts.output_prediction(pred, CFG, p, t)[0] == pytest.approx(0.6, rel=1e-12)
+        assert cts._x_hat(pred, CFG, p.mean[None], t)[0, 0] == pytest.approx(0.6, rel=1e-12)
 
     def test_wrong_width_rejected(self):
         pred = ConstantPredictor(np.zeros(3))
         p = cts.prior(1)
         with pytest.raises(ValueError):
-            cts.output_prediction(pred, CFG, p, 0.5)
+            cts._x_hat(pred, CFG, p.mean[None], 0.5)
 
     def test_clipping(self):
         pred = ConstantPredictor(np.array([5.0]), predicts_data=True)
         p = cts.prior(1)
-        assert cts.output_prediction(pred, CFG, p, 0.5)[0] == CFG.x_max
+        assert cts._x_hat(pred, CFG, p.mean[None], 0.5)[0, 0] == CFG.x_max
 
 
 class TestLossNStep:

@@ -113,21 +113,26 @@ class TestFlowSample:
         assert abs(direct.mean() - seq.mean()) / seq.mean() < 0.01
 
 
+def _output_probs(pred, theta, t, K):
+    """Class probabilities (D, K) at one state: the batched map on one row."""
+    return dd.output_map(dd._net_out(pred, np.asarray(theta)[None], t, K), K)[0]
+
+
 class TestOutputDistribution:
     def test_zero_logits_uniform(self):
         pred = ConstantPredictor(np.zeros(8))
-        probs = dd.output_distribution(pred, dd.uniform_prior(2, 4), 0.5, 4)
+        probs = _output_probs(pred, dd.uniform_prior(2, 4), 0.5, 4)
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
     def test_binary_zero_logit(self):
         pred = ConstantPredictor(np.zeros(3))
-        probs = dd.output_distribution(pred, dd.uniform_prior(3, 2), 0.5, 2)
+        probs = _output_probs(pred, dd.uniform_prior(3, 2), 0.5, 2)
         np.testing.assert_allclose(probs, 0.5, atol=1e-12)
 
     def test_rows_sum_to_one_random_logits(self):
         rng = np.random.default_rng(7)
         pred = ConstantPredictor(rng.normal(0, 30, size=12))
-        probs = dd.output_distribution(pred, dd.uniform_prior(3, 4), 0.2, 4)
+        probs = _output_probs(pred, dd.uniform_prior(3, 4), 0.2, 4)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_binary_sigmoid_equals_two_class_softmax(self):
@@ -149,13 +154,13 @@ class TestOutputDistribution:
                 return np.zeros((1, 6))
 
         theta = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
-        dd.output_distribution(Capture(), theta, 0.1, 3)
+        _output_probs(Capture(), theta, 0.1, 3)
         np.testing.assert_allclose(seen["state"], (2 * theta - 1).ravel())
 
     def test_wrong_width_rejected(self):
         pred = ConstantPredictor(np.zeros(5))
         with pytest.raises(ValueError):
-            dd.output_distribution(pred, dd.uniform_prior(2, 3), 0.5, 3)
+            _output_probs(pred, dd.uniform_prior(2, 3), 0.5, 3)
 
 
 class TestLossNStep:
@@ -307,19 +312,17 @@ class TestGenerate:
 
 class TestDistributionalAdditivity:
     def test_two_stage_vs_one_stage_mean(self):
+        # one row per trial; one draw holds every trial's three sender
+        # noises in the order a per-trial loop draws them: ya, yb, yc
         r = Rng(22)
         K, trials = 3, 100_000
-        x = np.array([1])
+        x = np.ones(trials, dtype=np.int64)
         aa, ab = 0.6, 1.1
-        theta0 = dd.uniform_prior(1, K)
-        two = np.zeros((trials, K))
-        one = np.zeros((trials, K))
-        for j in range(trials):
-            ya = dd.sender_sample(r, x, aa, K)
-            yb = dd.sender_sample(r, x, ab, K)
-            two[j] = dd.bayes_update(dd.bayes_update(theta0, ya), yb)[0]
-            yc = dd.sender_sample(r, x, aa + ab, K)
-            one[j] = dd.bayes_update(theta0, yc)[0]
+        z = r.standard_normal((trials, 3, K))
+        ya, yb, yc = (dd.sender_sample(None, x, a, K, z[:, s]) for s, a in enumerate((aa, ab, aa + ab)))
+        theta0 = dd.uniform_prior(trials, K)
+        two = dd.bayes_update(dd.bayes_update(theta0, ya), yb)
+        one = dd.bayes_update(theta0, yc)
         for k in range(K):
             denom = abs(one[:, k].mean())
             assert abs(two[:, k].mean() - one[:, k].mean()) / denom < 0.015

@@ -117,7 +117,7 @@ class TestDiscretisedCdf:
 class TestOutputDistribution:
     def test_prior_branch_below_tmin(self):
         pred = ConstantPredictor(np.full(2, 99.0))
-        probs = dsc.output_distribution(pred, CFG, cts.prior(1), 0.0, 16)
+        probs = dsc.probs(pred, CFG, cts.prior(1).mean[None], 0.0, 16)[0]
         # standard-normal masses with tails folded into the end bins
         g = dsc.BinGeometry(16)
         expect = np.zeros(16)
@@ -132,7 +132,7 @@ class TestOutputDistribution:
         x = np.array([dsc.BinGeometry(16).center(5)])
         pred = DiscretisedDatumPredictor(x, 1e-9, CFG.sigma1)
         p = cts.flow_sample(Rng(0), CFG, x, 0.5)
-        probs = dsc.output_distribution(pred, CFG, p, 0.5, 16)
+        probs = dsc.probs(pred, CFG, p.mean[None], 0.5, 16)[0]
         assert probs[0, 4] == 1.0
         assert probs[0].sum() == 1.0
 
@@ -161,7 +161,7 @@ class TestOutputDistribution:
     def test_wrong_predictor_width(self):
         pred = ConstantPredictor(np.zeros(3))
         with pytest.raises(ValueError):
-            dsc.output_distribution(pred, CFG, cts.prior(1), 0.5, 16)
+            dsc.probs(pred, CFG, cts.prior(1).mean[None], 0.5, 16)
 
 
 class TestKHat:
@@ -215,7 +215,7 @@ class TestLossNStep:
 
         t = (i - 1) / n
         p = cts.flow_sample(Rng(8), cfg, x, t)
-        probs = dsc.output_distribution(pred, cfg, p, t, K)[0]
+        probs = dsc.probs(pred, cfg, p.mean[None], t, K)[0, 0]
 
         def integrand(y):
             send = np.exp(-0.5 * alpha * (y - x[0]) ** 2) * math.sqrt(alpha / (2 * math.pi))

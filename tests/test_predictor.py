@@ -56,20 +56,20 @@ class TestMLP:
     def test_zero_params_zero_output(self):
         mlp = MLP(PredictorSpec("continuous", D=3, hidden=(4,)), seed=0)
         mlp.params = np.zeros_like(mlp.params)
-        np.testing.assert_array_equal(mlp.forward(np.ones(3), 0.5), np.zeros(3))
+        np.testing.assert_array_equal(mlp.forward_batch(np.ones((1, 3)), 0.5), np.zeros((1, 3)))
 
     def test_deterministic(self):
         spec = PredictorSpec("continuous", D=3, hidden=(8, 8))
         a = MLP(spec, seed=7)
         b = MLP(spec, seed=7)
-        x = np.array([0.1, -0.2, 0.4])
-        assert np.array_equal(a.forward(x, 0.3), b.forward(x, 0.3))
+        x = np.array([[0.1, -0.2, 0.4]])
+        assert np.array_equal(a.forward_batch(x, 0.3), b.forward_batch(x, 0.3))
         assert np.array_equal(a.params, b.params)
 
     def test_wrong_input_width(self):
         mlp = MLP(PredictorSpec("continuous", D=3, hidden=(4,)), seed=0)
         with pytest.raises(ValueError):
-            mlp.forward(np.zeros(5), 0.1)
+            mlp.forward_batch(np.zeros((1, 5)), 0.1)
 
     def test_backward_requires_forward(self):
         mlp = MLP(PredictorSpec("continuous", D=2, hidden=(4,)), seed=1)
@@ -137,7 +137,7 @@ class TestOracles:
         c = np.array([[0.3, -0.1]])
         oracle = CtsPosteriorPredictor(c, cfg.sigma1)
         p = cts.flow_sample(Rng(0), cfg, c[0], 0.4)
-        np.testing.assert_allclose(cts.output_prediction(oracle, cfg, p, 0.4), c[0], atol=1e-10)
+        np.testing.assert_allclose(cts._x_hat(oracle, cfg, p.mean[None], 0.4)[0], c[0], atol=1e-10)
 
     def test_posterior_oracle_symmetry(self):
         cfg = cts.CtsConfig(sigma1=0.02, D=1)
@@ -164,4 +164,4 @@ class TestOracles:
         x = np.array([0.7])
         oracle = CtsDatumPredictor(x, cfg.sigma1)
         p = cts.flow_sample(Rng(2), cfg, x, 0.8)
-        np.testing.assert_allclose(cts.output_prediction(oracle, cfg, p, 0.8), x, atol=1e-12)
+        np.testing.assert_allclose(cts._x_hat(oracle, cfg, p.mean[None], 0.8)[0], x, atol=1e-12)

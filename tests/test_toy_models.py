@@ -1,16 +1,18 @@
 """Behaviour of small trained models: eval tables, reconstruction share,
-generation statistics.  Models are trained once per module and shared."""
+generation statistics.  Models are trained once per module and shared.
+Batched generation is checked against one-stream calls on small random
+MLPs."""
 
 import numpy as np
 import pytest
 
+from bflow import cli, data
 from bflow import continuous as cts
-from bflow import data
 from bflow import discrete as dd
 from bflow import discretised as dsc
 from bflow import training
 from bflow.numerics import Rng
-from bflow.predictor import DiscretisedDatumPredictor
+from bflow.predictor import MLP, MODALITIES, DiscretisedDatumPredictor
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +78,8 @@ class TestGenerationStatistics:
         predictor = training.ema_predictor(result)
         rng = Rng(55)
         n_samples = 10_000
-        ones = 0
-        for j in range(n_samples):
-            out = dd.generate(rng.split(j), predictor, result.config.schedule, 10, 2, 1)
-            ones += int(out[0] == 1)
+        out = dd.generate([rng.split(j) for j in range(n_samples)], predictor, result.config.schedule, 10, 2, 1)
+        ones = int(np.sum(out[:, 0] == 1))
         assert abs(ones / n_samples - 0.5) <= 0.03
 
     def test_discretised_datum_oracle_generation_frequency(self):
@@ -114,3 +114,63 @@ class TestReconstructionShare:
         recon = np.mean(cts.recon(rng, predictor, cfg, np.tile(items[:64], (20, 1)), noise_sigma))
         total = training.estimate_mean_loss(Rng(88), result.mlp, result.mlp.params, config, items, n_draws=200)
         assert recon / (recon + total) < 0.02
+
+
+_SMALL_CONFIGS = {
+    "continuous": dict(D=4, sigma1=0.1, t_min=1e-3),
+    "discretised": dict(D=4, K=16, sigma1=0.1),
+    "discrete": dict(D=6, K=27, beta1=3.0),
+}
+
+
+def _random_mlp(modality, seed):
+    """A small MLP whose output layer is random too (at init it is zero)."""
+    config = training.TrainConfig(modality=modality, hidden=(32, 32), **_SMALL_CONFIGS[modality])
+    mlp = MLP(config.predictor_spec(), seed=seed)
+    _, (fan_in, _), off = mlp.layout[-2]
+    mlp.params[off:] = 2.0 * Rng(seed).standard_normal(mlp.n_params - off) / np.sqrt(fan_in)
+    return config, mlp
+
+
+def _generate(rng, pred, config, n):
+    if config.modality == "discrete":
+        return dd.generate(rng, pred, config.schedule, n, config.K, config.D)
+    if config.modality == "discretised":
+        return dsc.generate(rng, pred, config.cts_config(), n, config.K)
+    return cts.generate(rng, pred, config.cts_config(), n)
+
+
+class TestBatchedGenerate:
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_rows_equal_one_stream_calls(self, modality):
+        # classes and bin centres match exactly; continuous rows carry the
+        # last-bit differences of MLP products over different row counts
+        config, pred = _random_mlp(modality, 3)
+        batched = _generate([Rng(40).split(j) for j in range(5)], pred, config, 20)
+        assert batched.shape == (5, config.D)
+        for j in range(5):
+            one = _generate(Rng(40).split(j), pred, config, 20)
+            if modality == "continuous":
+                np.testing.assert_allclose(batched[j], one, rtol=1e-12)
+            else:
+                np.testing.assert_array_equal(batched[j], one)
+
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_cli_count_writes_one_stream_bytes(self, modality, tmp_path):
+        config, pred = _random_mlp(modality, 4)
+        ckpt = tmp_path / "m.ckpt"
+        moments = np.zeros_like(pred.params)
+        training.save_checkpoint(
+            ckpt, training.TrainResult(pred, pred.params.copy(), moments, moments.copy(), config=config)
+        )
+        args = ["--count", "4", "--steps", "12", "--seed", "9", "--out", str(tmp_path / "s")]
+        assert cli.main(["sample", "--checkpoint", str(ckpt), *args]) == 0
+        for j in range(4):
+            out = _generate(Rng(9).split(j), pred, config, 12)
+            if modality == "discrete":
+                got = (tmp_path / "s" / f"sample_{j:03d}.txt").read_bytes()
+                assert got == (data.decode_text(out, data.ALPHABET_27) + "\n").encode("utf-8")
+                continue
+            ref = tmp_path / f"ref_{j}.pgm"
+            cli.write_pgm(ref, data.centres_to_bytes(out, config.K), 2, 2)
+            assert (tmp_path / "s" / f"sample_{j:03d}.pgm").read_bytes() == ref.read_bytes()

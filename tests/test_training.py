@@ -217,14 +217,12 @@ class TestHeadGradients:
         loss_vec, _ = training.head_loss_and_grad(config, state, out)
         cfg = config.cts_config()
         for b in range(config.batch_size):
-            p = cts.CtsParams(mean=state["mu"][b], precision=1.0)
-            x_hat = cts.output_prediction(mlp, cfg, p, float(state["t"][b]))
+            x_hat = cts._x_hat(mlp, cfg, state["mu"][b][None], float(state["t"][b]))[0]
             resid = x[b] - x_hat
             w = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2 * state["t"][b])
             assert loss_vec[b] == pytest.approx(w * resid @ resid, rel=1e-12)
 
     def test_discretised_head_matches_sampling_op(self):
-        from bflow import continuous as cts
         from bflow import discretised as dsc
 
         config = _make_config("discretised")
@@ -236,8 +234,7 @@ class TestHeadGradients:
         loss_vec, _ = training.head_loss_and_grad(config, state, out)
         cfg = config.cts_config()
         for b in range(config.batch_size):
-            p = cts.CtsParams(mean=state["mu"][b], precision=1.0)
-            probs = dsc.output_distribution(mlp, cfg, p, float(state["t"][b]), config.K)
+            probs = dsc.probs(mlp, cfg, state["mu"][b][None], float(state["t"][b]), config.K)[0]
             resid = x[b] - dsc.k_hat(probs, config.K)
             w = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2 * state["t"][b])
             assert loss_vec[b] == pytest.approx(w * resid @ resid, rel=1e-10)
@@ -254,7 +251,8 @@ class TestHeadGradients:
         loss_vec, _ = training.head_loss_and_grad(config, state, out)
         sched = config.schedule
         for b in range(config.batch_size):
-            probs = dd.output_distribution(mlp, state["theta"][b], float(state["t"][b]), config.K)
+            net_out = dd._net_out(mlp, state["theta"][b][None], float(state["t"][b]), config.K)
+            probs = dd.output_map(net_out, config.K)[0]
             resid = dd.one_hot(x[b], config.K) - probs
             ref = 0.5 * config.K * sched.alpha(float(state["t"][b])) * float(np.sum(resid * resid))
             assert loss_vec[b] == pytest.approx(ref, rel=1e-10)
@@ -538,13 +536,16 @@ class TestTrainLoop:
 
 class TestEMA:
     def test_converges_to_frozen_params(self):
-        # park the raw parameters, then run many EMA updates; the gap decays
-        # geometrically, so a small initial gap lands below 1e-8 after 1e5
-        decay = 0.9999
+        # zero gradients without weight decay make the AdamW update exactly
+        # 0, so the parameters stay parked while the EMA gap decays
+        # geometrically: 1e-4 * 0.999**10_000 = 4.5e-9 < 1e-8
+        decay = 0.999
         params = np.array([0.3])
         ema = params + 1e-4
-        for _ in range(100_000):
-            ema = decay * ema + (1 - decay) * params
+        grads, m, v = np.zeros(1), np.zeros(1), np.zeros(1)
+        for step in range(1, 10_001):
+            training.adamw_step(params, grads, m, v, ema, step, 1e-3, 0.0, 0.9, 0.98, decay)
+        assert params[0] == 0.3
         assert np.max(np.abs(ema - params)) < 1e-8
 
     def test_ema_tracks_training(self):
@@ -754,6 +755,15 @@ class TestCheckpoint:
         path = tmp_path / "t.ckpt"
         training.save_checkpoint(path, training.train(Rng(22), data, config))
         return path
+
+    def test_version_1_rejected(self, tmp_path):
+        import struct
+
+        path = self._saved_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            training.load_checkpoint(path)
 
     @pytest.mark.parametrize("cut", [200, 203])
     def test_truncated_payload_names_section(self, tmp_path, cut):
