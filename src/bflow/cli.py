@@ -7,6 +7,7 @@ bit-reproducible.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -19,35 +20,10 @@ from . import discretised as dsc
 from . import harness, training
 from .numerics import Rng
 
-RUN_CONFIG_KEYS = {
-    "modality": str,
-    "D": int,
-    "K": int,
-    "sigma1": float,
-    "beta1": float,
-    "schedule_preset": str,
-    "batch_size": int,
-    "steps": int,
-    "learning_rate": float,
-    "weight_decay": float,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "ema_decay": float,
-    "seed": int,
-    "eval_every": int,
-    "hidden": tuple,
-    "activation": str,
-    "time_feature": str,
-    "n_freqs": int,
-    "t_min": float,
-    "recon_sigma": float,
-    "dataset": str,
-    "alphabet": str,
-    "width": int,
-    "height": int,
-}
-PATH_KEYS = ("dataset", "alphabet")
-SHAPE_KEYS = ("width", "height")
+# the run keys beside the model's: where the data live and the image shape
+RUN_KEYS = {"dataset": str, "alphabet": str, "width": int, "height": int}
+# every TrainConfig field, coerced to its declared type, plus the run keys
+RUN_CONFIG_KEYS = {f.name: f.type for f in dataclasses.fields(training.TrainConfig)} | RUN_KEYS
 
 
 def parse_config_text(text):
@@ -90,7 +66,7 @@ def load_run_config(path, overrides=()):
 
 
 def train_config_from_run(cfg):
-    fields = {k: v for k, v in cfg.items() if k not in PATH_KEYS + SHAPE_KEYS}
+    fields = {k: v for k, v in cfg.items() if k not in RUN_KEYS}
     return training.TrainConfig(**fields)
 
 

@@ -17,19 +17,19 @@ from .predictor import forward_rows
 from .schedule import ContinuousSigma, step_time
 
 
+# the data range; datasets, quantise and train's input check fix it too
+X_MIN, X_MAX = -1.0, 1.0
+
+
 @dataclass(frozen=True)
 class CtsConfig:
     sigma1: float
     D: int
     t_min: float = 1e-6
-    x_min: float = -1.0
-    x_max: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.t_min < 0.1):
             raise ValueError("t_min must lie in (0, 0.1)")
-        if not self.x_min < self.x_max:
-            raise ValueError("x_min must be below x_max")
         ContinuousSigma(self.sigma1)  # validates range
 
     @property
@@ -82,8 +82,8 @@ def flow_sample(rng, cfg, x, t, z=None):
     if x.ndim == 1:
         p = flow_sample(rng, cfg, x[None], t, None if z is None else z[None])
         return CtsParams(mean=p.mean[0], precision=float(p.precision[0]))
-    if x.min() < cfg.x_min or x.max() > cfg.x_max:
-        raise ValueError("data outside configured range")
+    if x.min() < X_MIN or x.max() > X_MAX:
+        raise ValueError(f"data outside [{X_MIN}, {X_MAX}]")
     precision = np.full(x.shape[0], 1.0 + cfg.schedule.beta(t))
     g = np.full(x.shape[0], gamma(cfg, t))[:, None]
     if g.all():
@@ -130,8 +130,8 @@ def output_map(cfg, mu, t, net_out, predicts_data=False):
     else:
         x_raw = np.where(live, mu / g - ratio * net_out, 0.0)
         slope = -ratio
-    inside = (x_raw > cfg.x_min) & (x_raw < cfg.x_max) & live
-    return np.clip(x_raw, cfg.x_min, cfg.x_max), inside, slope
+    inside = (x_raw > X_MIN) & (x_raw < X_MAX) & live
+    return np.clip(x_raw, X_MIN, X_MAX), inside, slope
 
 
 def loss_inf(cfg, x, mu, t, net_out, grad=False, predicts_data=False):

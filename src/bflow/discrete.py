@@ -247,6 +247,9 @@ def generate(rng, predictor, sched, n, K, D, return_theta=False):
     if n < 1:
         raise ValueError("n must be >= 1")
     rngs = [rng] if isinstance(rng, Rng) else list(rng)
+    # the state is the softmax of the summed sender draws: the uniform prior
+    # adds the same constant to every logit, so it drops out
+    logits = np.zeros((len(rngs), D, K))
     theta = np.full((len(rngs), D, K), 1.0 / K)
     # step n + 1 is the final draw, from the output distribution at t = 1
     for i in range(1, n + 2):
@@ -255,7 +258,8 @@ def generate(rng, predictor, sched, n, K, D, return_theta=False):
         if i > n:
             break
         z = np.array([r.standard_normal((D, K)) for r in rngs])
-        theta = bayes_update(theta, sender_sample(None, k, sched.step_alpha(i, n), K, z))
+        logits += sender_sample(None, k, sched.step_alpha(i, n), K, z)
+        theta = softmax_rows(logits)
     if isinstance(rng, Rng):
         k, theta = k[0], theta[0]
     return (k, theta) if return_theta else k

@@ -10,19 +10,23 @@ an explicit statistic, tolerance, sample count and seed:
 * n-step losses converging onto the continuous-time loss
 * accuracy-schedule bookkeeping (telescoping, entropy behaviour, presets)
 
+Every check is a fixed property of its seed (plus the modality or K it
+covers), and runs on the production ops that train, eval and sample run:
+the updates, flow draws and samplers, the batched losses, and the sender
+and receiver log-densities.  The harness restates none of them; its only
+formulas of its own are the closed forms under test and a trapezoid
+reference integral.  A mutation test patches the op it breaks.
+
 Estimator notes.  Where a claim involves the expectation of a sampling
 op, the check either stratifies the op's own discrete randomness (the
 step index, the time grid) or integrates the op's integrand over
-Gauss-Hermite nodes; both reuse the production code paths and remove the
-Monte-Carlo noise that would otherwise swamp sub-percent tolerances.  A
-separate consistency gate then draws real samples from the stochastic op
-and requires agreement with the deterministic estimate within standard
-errors, so the stochastic path cannot drift from the verified one.
-
-The loss checks run on the modalities' batched ops: the continuous-time
-grid is one ``loss_cts`` call over all its times, and each gate is one
-``loss_n`` call over all its draws.  Both draw the stream exactly as the
-equivalent run of one-row calls would.
+Gauss-Hermite nodes; both remove the Monte-Carlo noise that would
+otherwise swamp sub-percent tolerances.  A separate consistency gate then
+draws real samples from the stochastic op and requires agreement with the
+deterministic estimate within standard errors, so the stochastic path
+cannot drift from the verified one.  The loss checks run on the batched
+ops, one call per time grid, per n or per gate, each drawing its stream
+exactly as the equivalent run of one-row calls would.
 
 Moment comparisons for the categorical sender happen in shift-centered
 coordinates: the multiplicative update is invariant to adding a constant
@@ -31,16 +35,15 @@ block sum, so only the quotient space is statistically meaningful.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import continuous as cts
 from . import discrete as dd
 from . import discretised as dsc
-from .kernels import logsumexp_rows, mixture_logpdf
-from .numerics import Rng, gaussian_sample, softmax_rows
-from .predictor import ConstantPredictor, DiscretisedDatumPredictor
+from .numerics import Rng, gaussian_sample, log_gaussian_pdf, softmax_rows
+from .predictor import ConstantPredictor, ConstantProbsPredictor, DiscretisedDatumPredictor
 from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic
 
 
@@ -57,18 +60,8 @@ class PropertyReport:
     detail: str = ""
 
     def to_line(self):
-        record = {
-            "property_id": self.property_id,
-            "modality": self.modality,
-            "statistic": self.statistic,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "samples": self.samples,
-            "seed": self.seed,
-            "params": self.params,
-            "detail": self.detail,
-        }
-        return json.dumps(record, sort_keys=False, separators=(",", ":"))
+        """One JSON record, its keys in field order."""
+        return json.dumps(asdict(self), separators=(",", ":"))
 
     def summary(self):
         mark = "PASS" if self.passed else "FAIL"
@@ -85,12 +78,12 @@ def _hermgauss(nodes):
 # ---------------------------------------------------------------------------
 
 
-def check_additivity(seed, modality, alpha_a=1.0, alpha_b=1.0, trials=2_000_000):
-    if alpha_a <= 0.0 or alpha_b <= 0.0:
-        raise ValueError("accuracies must be positive")
+def check_additivity(seed, modality):
     rng = Rng(seed, _path=(1,))
+    alpha_a = alpha_b = 1.0
     if modality == "continuous":
         # one belief per trial, as in the discrete branch below
+        trials = 2_000_000
         x = np.full(trials, 0.5)
         prior = cts.prior(trials)
         pa = cts.bayes_update(prior, gaussian_sample(rng, x, 1 / alpha_a), alpha_a)
@@ -112,17 +105,16 @@ def check_additivity(seed, modality, alpha_a=1.0, alpha_b=1.0, trials=2_000_000)
             params={"alpha_a": alpha_a, "alpha_b": alpha_b},
             detail=f"mean_err={mean_err:.2e} var_err={var_err:.2e} precision_exact={prec_exact}",
         )
-    # discrete: exact functional identity plus two-stage sampling of the mean
+    # discrete: exact functional identity over 1000 random two-row cases,
+    # drawn case by case and updated in one batch, plus two-stage sampling
+    # of the mean
     K = 3
     gen = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(1000):
-        theta = gen.dirichlet(np.ones(K), size=2)
-        ya = gen.normal(0, 3, size=(2, K))
-        yb = gen.normal(0, 3, size=(2, K))
-        two = dd.bayes_update(dd.bayes_update(theta, ya), yb)
-        one = dd.bayes_update(theta, ya + yb)
-        worst = max(worst, float(np.max(np.abs(two - one))))
+    cases = [(gen.dirichlet(np.ones(K), size=2), gen.normal(0, 3, size=(2, K)), gen.normal(0, 3, size=(2, K)))
+             for _ in range(1000)]
+    theta, ya, yb = (np.concatenate(c) for c in zip(*cases))
+    two = dd.bayes_update(dd.bayes_update(theta, ya), yb)
+    worst = float(np.max(np.abs(two - dd.bayes_update(theta, ya + yb))))
     # one belief row per trial: the update ops treat rows independently,
     # so a (trials, K) state runs every trial through the real code path
     mtrials = 1_000_000
@@ -153,9 +145,10 @@ def check_additivity(seed, modality, alpha_a=1.0, alpha_b=1.0, trials=2_000_000)
 # ---------------------------------------------------------------------------
 
 
-def check_flow_equivalence(seed, modality, n_list=(2, 16, 64), t=0.5, trials=2_000_000):
+def check_flow_equivalence(seed, modality):
     rng = Rng(seed, _path=(2,))
     if modality == "continuous":
+        n_list, t, trials = (2, 16, 64), 0.5, 2_000_000
         cfg = cts.CtsConfig(sigma1=0.02, D=1)
         sched = cfg.schedule
         x = np.full(trials, 0.5)
@@ -184,11 +177,8 @@ def check_flow_equivalence(seed, modality, n_list=(2, 16, 64), t=0.5, trials=2_0
             detail=" ".join(details),
         )
     # discrete
-    K = 3
+    K, n, t, trials = 3, 32, 0.7, 500_000
     sched = DiscreteQuadratic(2.0)
-    t = 0.7
-    n = 32
-    trials = 500_000
     x_vec = np.ones(trials, dtype=np.int64)
     direct = dd.flow_sample(rng, x_vec, t, sched, K)
     logits = np.zeros((trials, K))
@@ -216,18 +206,19 @@ def check_flow_equivalence(seed, modality, n_list=(2, 16, 64), t=0.5, trials=2_0
 # ---------------------------------------------------------------------------
 
 
-def check_kl_closed_forms(seed, modality, samples=1_000_000, bin_probs_fn=None):
+def check_kl_closed_forms(seed, modality):
     rng = Rng(seed, _path=(3,))
+    samples = 1_000_000
+    gen = np.random.default_rng(seed)
+    worst_sigma = 0.0
+    details = []
     if modality == "continuous":
-        gen = np.random.default_rng(seed)
-        worst_sigma = 0.0
-        details = []
         for _ in range(5):
             x = float(gen.uniform(-1, 1))
             x_hat = float(gen.uniform(-1, 1))
             alpha = float(gen.uniform(0.5, 4.0))
-            y = gaussian_sample(rng, np.full(samples, x), 1 / alpha)
-            log_ratio = -0.5 * alpha * ((y - x) ** 2 - (y - x_hat) ** 2)
+            y = gaussian_sample(rng, np.full((samples, 1), x), 1 / alpha)
+            log_ratio = log_gaussian_pdf(y, x, 1 / alpha) - log_gaussian_pdf(y, x_hat, 1 / alpha)
             closed = alpha / 2 * (x - x_hat) ** 2
             se = log_ratio.std(ddof=1) / np.sqrt(samples)
             dev = abs(log_ratio.mean() - closed) / se
@@ -245,19 +236,14 @@ def check_kl_closed_forms(seed, modality, samples=1_000_000, bin_probs_fn=None):
             detail=" ".join(details),
         )
     # discretised, K=2: quadrature of the mixture KL vs Monte-Carlo
-    if bin_probs_fn is None:
-        bin_probs_fn = dsc.bin_probs_from_gaussian
     K = 2
     geom = dsc.BinGeometry(K)
-    gen = np.random.default_rng(seed)
-    worst_sigma = 0.0
-    details = []
     for _ in range(3):
         x = geom.center(int(gen.integers(1, K + 1)))
         mu_pred = float(gen.uniform(-0.8, 0.8))
         s_pred = float(gen.uniform(0.3, 0.8))
         alpha = float(gen.uniform(1.0, 3.0))
-        probs = bin_probs_fn(np.array([mu_pred]), np.array([s_pred]), K)
+        probs = dsc.bin_probs_from_gaussian(np.array([mu_pred]), np.array([s_pred]), K)
         if abs(probs.sum() - 1.0) > 1e-9:
             return PropertyReport(
                 property_id="kl-closed-form-discretised",
@@ -269,8 +255,9 @@ def check_kl_closed_forms(seed, modality, samples=1_000_000, bin_probs_fn=None):
                 seed=seed,
                 detail="output rows do not carry unit mass",
             )
-        y = gaussian_sample(rng, np.full(samples, x), 1 / alpha)
-        diff = _dsc_log_ratio(y, x, alpha, probs[0], geom.centers)
+        y = gaussian_sample(rng, np.full((samples, 1), x), 1 / alpha)
+        recv = dsc.receiver_log_likelihood(y, np.broadcast_to(probs, (samples, 1, K)), K, alpha)
+        diff = log_gaussian_pdf(y, x, 1 / alpha) - recv
         # quadrature reference on a wide grid
         grid = np.linspace(x - 9 / np.sqrt(alpha), x + 9 / np.sqrt(alpha), 20001)
         send_pdf = np.exp(-0.5 * alpha * (grid - x) ** 2) * np.sqrt(alpha / (2 * np.pi))
@@ -327,14 +314,15 @@ class FiniteMSimulator:
         return (counts - self.m / self.K) * np.log(xi)
 
     def posterior_from_counts(self, theta, counts):
+        """Posterior rows (..., K) from prior rows theta and class counts."""
         xi = 1.0 + self.omega * self.K / (1.0 - self.omega)
         post = theta * xi ** np.asarray(counts, dtype=np.float64)
-        return post / post.sum()
+        return post / post.sum(axis=-1, keepdims=True)
 
 
-def check_finite_m_limit(seed, K=2, alpha=0.25, m_list=(100, 1000, 10_000), trials=1_000_000):
+def check_finite_m_limit(seed, K):
     rng = Rng(seed, _path=(4,))
-    x = 1
+    x, alpha, m_list, trials = 1, 0.25, (100, 1000, 10_000), 1_000_000
     sender_mean = alpha * (K * np.eye(K)[x - 1] - 1.0)
     mean_c = sender_mean - sender_mean.mean()
     cov_c = alpha * K * (np.eye(K) - np.ones((K, K)) / K)
@@ -359,17 +347,14 @@ def check_finite_m_limit(seed, K=2, alpha=0.25, m_list=(100, 1000, 10_000), tria
         for a, b in zip(errs, errs[1:])
     )
     final_ok = mean_errs[-1] < 0.01 and cov_errs[-1] < 0.03
-    # posterior identity at the largest m, raw counts vs update function
+    # posterior identity at the largest m, raw counts vs update function,
+    # over 50 cases drawn case by case and updated in one batch
     sim = FiniteMSimulator(m=m_list[-1], K=K, alpha=alpha)
     gen = np.random.default_rng(seed)
-    ident_worst = 0.0
-    for _ in range(50):
-        theta = gen.dirichlet(np.ones(K))
-        counts = gen.multinomial(sim.m, np.full(K, 1.0 / K))
-        post = sim.posterior_from_counts(theta, counts)
-        y = (counts - sim.m / K) * np.log(1.0 + sim.omega * K / (1.0 - sim.omega))
-        h = dd.bayes_update(theta[None, :], y[None, :])[0]
-        ident_worst = max(ident_worst, float(np.max(np.abs(post - h))))
+    cases = [(gen.dirichlet(np.ones(K)), gen.multinomial(sim.m, np.full(K, 1.0 / K))) for _ in range(50)]
+    theta, counts = (np.array(c) for c in zip(*cases))
+    y = (counts - sim.m / K) * np.log(1.0 + sim.omega * K / (1.0 - sim.omega))
+    ident_worst = float(np.max(np.abs(sim.posterior_from_counts(theta, counts) - dd.bayes_update(theta, y))))
     passed = decreasing and final_ok and ident_worst < 1e-10
     return PropertyReport(
         property_id=f"finite-m-limit-K{K}",
@@ -391,43 +376,46 @@ def check_finite_m_limit(seed, K=2, alpha=0.25, m_list=(100, 1000, 10_000), tria
 # n-step loss converging onto the continuous-time loss
 # ---------------------------------------------------------------------------
 
-
-def _dsc_log_ratio(y, x, alpha, probs_row, centers):
-    """Sender minus mixture-receiver log-density of observations y of datum x."""
-    send = -0.5 * alpha * (y - x) ** 2 + 0.5 * np.log(alpha / (2 * np.pi))
-    with np.errstate(divide="ignore"):
-        logw = np.broadcast_to(np.log(probs_row), (y.size, centers.size))
-    return send - mixture_logpdf(y, np.ascontiguousarray(logw), centers, 1 / alpha)
+N_LIST = (1, 4, 16, 64, 256)
+# an odd uniform grid of times for Simpson's rule
+TIME_GRID = np.linspace(0.0, 1.0, 4097)
+# the sampled consistency gate: 50,000 draws of step GATE_I of GATE_N
+GATE_N, GATE_I, GATE_DRAWS = 16, 9, 50_000
 
 
-def _linf_mean_by_time_grid(loss_at_ts, grid_points=4097):
-    # Simpson over an odd uniform grid of the deterministic per-t loss,
-    # evaluated in one batched call over the grid
-    ts = np.linspace(0.0, 1.0, grid_points)
-    vals = loss_at_ts(ts)
-    h = 1.0 / (grid_points - 1)
+def _simpson(vals):
+    """Simpson's rule over TIME_GRID of the per-time losses vals."""
+    h = 1.0 / (TIME_GRID.size - 1)
     return h / 3 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum() + 2 * vals[2:-2:2].sum())
 
 
-def _convergence_report(prop_id, modality, gaps, final_tol, samples, seed, params, extra=""):
+def _convergence_report(prop_id, modality, gaps, final_tol, samples, seed, params, gate_dev=None):
     magnitudes = [abs(g) for g in gaps]
     decreasing = all(b < a for a, b in zip(magnitudes, magnitudes[1:]))
-    final_ok = magnitudes[-1] < final_tol
+    passed = decreasing and magnitudes[-1] < final_tol
+    detail = "gaps=" + " ".join(f"{g:+.4%}" for g in gaps)
+    if gate_dev is not None:
+        passed = passed and gate_dev <= 4.0
+        detail += f" mc_gate={gate_dev:.2f}se"
     return PropertyReport(
         property_id=prop_id,
         modality=modality,
         statistic=float(magnitudes[-1]),
         tolerance=final_tol,
-        passed=bool(decreasing and final_ok),
+        passed=bool(passed),
         samples=samples,
         seed=seed,
-        params=params,
-        detail="gaps=" + " ".join(f"{g:+.4%}" for g in gaps) + (" " + extra if extra else ""),
+        params={"n_list": list(N_LIST), **params},
+        detail=detail,
     )
 
 
-def check_loss_convergence(seed, modality, n_list=(1, 4, 16, 64, 256),
-                           loss_n_fn=None, loss_inf_fn=None, gh_nodes=40):
+def _gate_dev(draws, ref):
+    """|mean of the sampled losses - the stratum's value| in standard errors."""
+    return abs(draws.mean() - ref) / (draws.std(ddof=1) / np.sqrt(draws.size))
+
+
+def check_loss_convergence(seed, modality):
     """Stratified expectation of the n-step loss vs the continuous-time mean.
 
     The predictors are state-independent oracles, which makes the per-t
@@ -435,26 +423,19 @@ def check_loss_convergence(seed, modality, n_list=(1, 4, 16, 64, 256),
     stratum (exactly for the continuous modality, via Gauss-Hermite over
     the sender draw otherwise).  A sampled consistency gate ties the
     stochastic op to the stratum values.
-
-    The hooks replace the batched ops: ``loss_n_fn(rng, n, i, B)`` returns
-    B n-step losses at step i, and ``loss_inf_fn(rng, ts)`` the
-    continuous-time loss at each time of ts.
     """
     rng = Rng(seed, _path=(5,))
     if modality == "continuous":
         cfg = cts.CtsConfig(sigma1=0.02, D=1)
         x = np.array([0.5])
         pred = ConstantPredictor(x + 0.1, predicts_data=True)
-        base_n = loss_n_fn or (lambda r, n, i, B: cts.loss_n(r, pred, cfg, np.tile(x, (B, 1)), n, i))
-        base_inf = loss_inf_fn or (lambda r, ts: cts.loss_cts(r, pred, cfg, np.tile(x, (ts.size, 1)), ts))
-        linf = _linf_mean_by_time_grid(lambda ts: base_inf(rng, ts))
-        gaps = []
-        for n in n_list:
-            ln = np.mean([base_n(rng, n, i, 1)[0] for i in range(1, n + 1)])
-            gaps.append((ln - linf) / linf)
+        linf = _simpson(cts.loss_cts(rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
+        # every step of an n-step run in one call: the exact stratified mean
+        gaps = [(cts.loss_n(rng, pred, cfg, np.tile(x, (n, 1)), n, np.arange(1, n + 1)).mean() - linf) / linf
+                for n in N_LIST]
         return _convergence_report(
             "loss-convergence-continuous", "continuous", gaps, 0.005,
-            sum(n_list) + 4097, seed, {"n_list": list(n_list), "sigma1": cfg.sigma1},
+            sum(N_LIST) + TIME_GRID.size, seed, {"sigma1": cfg.sigma1},
         )
     if modality == "discretised":
         K = 16
@@ -463,96 +444,70 @@ def check_loss_convergence(seed, modality, n_list=(1, 4, 16, 64, 256),
         x = np.array([geom.center(11)])
         pred = DiscretisedDatumPredictor(x + 0.15, 0.06, cfg.sigma1)
         sched = cfg.schedule
-        base_n = loss_n_fn or (lambda r, n, i, B: dsc.loss_n(r, pred, cfg, np.tile(x, (B, 1)), n, K, i))
-        base_inf = loss_inf_fn or (lambda r, ts: dsc.loss_cts(r, pred, cfg, np.tile(x, (ts.size, 1)), K, ts))
-        linf = _linf_mean_by_time_grid(lambda ts: base_inf(rng, ts))
-        nodes, weights = _hermgauss(gh_nodes)
+        linf = _simpson(dsc.loss_cts(rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), K, TIME_GRID))
+        nodes, weights = _hermgauss(40)
         probs_live = dsc.probs(pred, cfg, np.zeros((1, 1)), 0.5, K)[0]
         probs_prior = dsc.bin_probs_from_gaussian(np.zeros(1), np.ones(1), K)
 
         def stratum(alpha, probs):
             # Gauss-Hermite expectation over the sender draw y ~ N(x, 1/alpha)
-            y = x[0] + nodes / np.sqrt(alpha)
-            return float(np.sum(weights * _dsc_log_ratio(y, x[0], alpha, probs[0], geom.centers)))
+            # of the sender minus the receiver log-density
+            y = (x[0] + nodes / np.sqrt(alpha))[:, None]
+            recv = dsc.receiver_log_likelihood(y, np.broadcast_to(probs, (nodes.size, 1, K)), K, alpha)
+            return float(np.sum(weights * (log_gaussian_pdf(y, x, 1 / alpha) - recv)))
 
         gaps = []
-        for n in n_list:
+        for n in N_LIST:
             total = 0.0
             for i in range(1, n + 1):
                 t = (i - 1) / n
                 total += stratum(sched.step_alpha(i, n), probs_prior if t < cfg.t_min else probs_live)
             gaps.append((total - linf) / linf)
-        # consistency gate: the op's own draws at one stratum
-        gate_n, gate_i = 16, 9
-        stratum_ref = gate_n * stratum(sched.step_alpha(gate_i, gate_n), probs_live)
-        draws = base_n(rng, gate_n, gate_i, 50_000)
-        gate_se = draws.std(ddof=1) / np.sqrt(draws.size)
-        gate_dev = abs(draws.mean() - stratum_ref) / gate_se
-        report = _convergence_report(
+        ref = GATE_N * stratum(sched.step_alpha(GATE_I, GATE_N), probs_live)
+        draws = dsc.loss_n(rng, pred, cfg, np.tile(x, (GATE_DRAWS, 1)), GATE_N, K, GATE_I)
+        return _convergence_report(
             "loss-convergence-discretised", "discretised", gaps, 0.01,
-            50_000 + 4097, seed, {"n_list": list(n_list), "K": K, "sigma1": cfg.sigma1},
-            extra=f"mc_gate={gate_dev:.2f}se",
+            GATE_DRAWS + TIME_GRID.size, seed, {"K": K, "sigma1": cfg.sigma1}, _gate_dev(draws, ref),
         )
-        report.passed = bool(report.passed and gate_dev <= 4.0)
-        return report
     # discrete
     K, D = 3, 2
     sched = DiscreteQuadratic(0.75)
     x = np.array([1, 2])
     p_star = np.array([0.5, 1.0 / 3.0, 1.0 / 6.0])
     probs_rows = np.stack([np.roll(p_star, xi - 1) for xi in x])  # mass 1/2 on the true class
-    pred = _RowsPredictor(probs_rows)
-    base_n = loss_n_fn or (lambda r, n, i, B: dd.loss_n(r, pred, sched, np.tile(x, (B, 1)), n, K, i))
-    base_inf = loss_inf_fn or (lambda r, ts: dd.loss_cts(r, pred, sched, np.tile(x, (ts.size, 1)), K, ts))
-    linf = _linf_mean_by_time_grid(lambda ts: base_inf(rng, ts))
+    pred = ConstantProbsPredictor(probs_rows)
+    linf = _simpson(dd.loss_cts(rng, pred, sched, np.tile(x, (TIME_GRID.size, 1)), K, TIME_GRID))
+    # a product grid of Gauss-Hermite nodes over the K sender coordinates,
+    # shared by every dimension.  A third of its 24^K nodes weigh under
+    # 1e-20, 3e-18 of the rule's unit mass together: less than the rounding
+    # of a stratum's sum of O(1) log-ratios, so they are left out
     nodes, weights = _hermgauss(24)
-    grids = np.meshgrid(*([nodes] * K), indexing="ij")
-    Z = np.stack([g.ravel() for g in grids], axis=1)
-    W = np.prod(np.stack(np.meshgrid(*([weights] * K), indexing="ij"), axis=0).reshape(K, -1), axis=0)
+    grid = lambda v: np.stack(np.meshgrid(*([v] * K), indexing="ij"), axis=-1).reshape(-1, K)
+    w = grid(weights).prod(axis=1)
+    keep = w > 1e-20
+    z = np.repeat(grid(nodes)[keep][:, None, :], D, axis=1)
+    w = w[keep]
+    xs = np.tile(x, (w.size, 1))
 
-    def strata(alpha):
-        # per dimension: Gauss-Hermite expectation over the sender draw,
-        # written in u = y + alpha, where the receiver is a log-sum-exp
-        for d in range(D):
-            u = alpha * K * np.eye(K)[x[d] - 1] + np.sqrt(alpha * K) * Z
-            lse = logsumexp_rows(np.log(probs_rows[d])[None, :] + u)
-            yield float(np.sum(W * (u[:, x[d] - 1] - lse)))
+    def stratum(alpha):
+        # Gauss-Hermite expectation over the sender draw of the sender minus
+        # the receiver log-density, summed over dimensions
+        y = dd.sender_sample(None, xs, alpha, K, z=z)
+        log_ratio = dd.sender_log_likelihood(y, xs, alpha, K) - dd.receiver_log_likelihood(y, probs_rows, alpha, K)
+        return float(np.sum(w * log_ratio))
 
     gaps = []
-    for n in n_list:
+    for n in N_LIST:
         total = 0.0
         for i in range(1, n + 1):
-            for v in strata(sched.step_alpha(i, n)):
-                total += v
+            total += stratum(sched.step_alpha(i, n))
         gaps.append((total - linf) / linf)
-    gate_n, gate_i = 16, 9
-    draws = base_n(rng, gate_n, gate_i, 50_000)
-    ref = 0.0
-    for v in strata(sched.step_alpha(gate_i, gate_n)):
-        ref += gate_n * v
-    gate_se = draws.std(ddof=1) / np.sqrt(draws.size)
-    gate_dev = abs(draws.mean() - ref) / gate_se
-    report = _convergence_report(
+    draws = dd.loss_n(rng, pred, sched, np.tile(x, (GATE_DRAWS, 1)), GATE_N, K, GATE_I)
+    ref = GATE_N * stratum(sched.step_alpha(GATE_I, GATE_N))
+    return _convergence_report(
         "loss-convergence-discrete", "discrete", gaps, 0.01,
-        50_000 + 4097, seed, {"n_list": list(n_list), "K": K, "D": D, "beta1": sched.beta1},
-        extra=f"mc_gate={gate_dev:.2f}se",
+        GATE_DRAWS + TIME_GRID.size, seed, {"K": K, "D": D, "beta1": sched.beta1}, _gate_dev(draws, ref),
     )
-    report.passed = bool(report.passed and gate_dev <= 4.0)
-    return report
-
-
-class _RowsPredictor:
-    """Fixed per-dimension output rows, independent of the belief state."""
-
-    def __init__(self, rows):
-        self.logits = np.log(np.asarray(rows, dtype=np.float64))
-
-    def forward_batch(self, X, t):
-        if self.logits.shape[1] == 2:
-            row = self.logits[:, 0] - self.logits[:, 1]
-        else:
-            row = self.logits.ravel()
-        return np.tile(row, (len(X), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +520,7 @@ def check_schedule_telescoping(seed):
     for sched in (ContinuousSigma(0.02), ContinuousSigma(0.001), DiscreteQuadratic(0.75), DiscreteQuadratic(3.0)):
         total = sched.beta(1.0)
         for n in (1, 2, 7, 100):
-            s = sum(sched.step_alpha(i, n) for i in range(1, n + 1))
+            s = float(np.sum(sched.step_alpha(np.arange(1, n + 1), n)))
             worst = max(worst, abs(s - total) / max(1.0, total))
     presets_ok = (
         PRESETS["cts-256bin"].sigma1 == 0.001
@@ -585,33 +540,27 @@ def check_schedule_telescoping(seed):
     )
 
 
-def check_schedule_entropy(seed, trials=20_000):
+def check_schedule_entropy(seed):
     # continuous: ln(1 + beta(t)) must be exactly affine in t
-    s = ContinuousSigma(0.001)
-    ts = np.linspace(0, 1, 101)
-    vals = np.array([np.log1p(s.beta(float(t))) for t in ts])
-    second = np.diff(vals, 2)
-    affine_err = float(np.max(np.abs(second)) / np.max(np.abs(vals)))
-    # discrete: expected belief entropy decreases with t (qualitative)
+    vals = np.log1p(ContinuousSigma(0.001).beta(np.linspace(0, 1, 101)))
+    affine_err = float(np.max(np.abs(np.diff(vals, 2))) / np.max(np.abs(vals)))
+    # discrete: expected belief entropy decreases with t (qualitative); one
+    # flow draw of 2,000 dimensions at each of 10 times, all in one call
     rng = Rng(seed, _path=(6,))
-    sched = DiscreteQuadratic(3.0)
-    K = 3
-    draws = trials // 10
-    x_vec = np.ones(draws, dtype=np.int64)
-    ent = []
-    for t in np.linspace(0.1, 1.0, 10):
-        theta = dd.flow_sample(rng, x_vec, float(t), sched, K)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logt = np.where(theta > 0, np.log(theta), 0.0)
-        ent.append(-float(np.sum(theta * logt)) / draws)
-    monotone = all(b < a for a, b in zip(ent, ent[1:]))
+    K, draws = 3, 2000
+    ts = np.linspace(0.1, 1.0, 10)
+    theta = dd.flow_sample(rng, np.ones((ts.size, draws), dtype=np.int64), ts, DiscreteQuadratic(3.0), K)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logt = np.where(theta > 0, np.log(theta), 0.0)
+    ent = -np.sum(theta * logt, axis=(1, 2)) / draws
+    monotone = bool(np.all(np.diff(ent) < 0))
     return PropertyReport(
         property_id="schedule-entropy",
         modality="both",
         statistic=affine_err,
         tolerance=1e-9,
         passed=bool(affine_err < 1e-9 and monotone),
-        samples=trials,
+        samples=ts.size * draws,
         seed=seed,
         detail=f"affine_err={affine_err:.1e} discrete_entropy_monotone={monotone}",
     )
@@ -621,41 +570,31 @@ def check_schedule_entropy(seed, trials=20_000):
 # Suite driver
 # ---------------------------------------------------------------------------
 
-ALL_PROPERTIES = (
-    "schedule-telescoping",
-    "schedule-entropy",
-    "additivity-continuous",
-    "additivity-discrete",
-    "flow-equivalence-continuous",
-    "flow-equivalence-discrete",
-    "kl-closed-form-continuous",
-    "kl-closed-form-discretised",
-    "finite-m-limit-K2",
-    "finite-m-limit-K5",
-    "loss-convergence-continuous",
-    "loss-convergence-discretised",
-    "loss-convergence-discrete",
-)
+# property id -> (check name, selector), in run order.  run_all looks each
+# check up by name when it calls it, so a wrapped or patched module
+# attribute is the one that runs.
+CHECKS = {
+    "schedule-telescoping": ("check_schedule_telescoping", {}),
+    "schedule-entropy": ("check_schedule_entropy", {}),
+    "additivity-continuous": ("check_additivity", {"modality": "continuous"}),
+    "additivity-discrete": ("check_additivity", {"modality": "discrete"}),
+    "flow-equivalence-continuous": ("check_flow_equivalence", {"modality": "continuous"}),
+    "flow-equivalence-discrete": ("check_flow_equivalence", {"modality": "discrete"}),
+    "kl-closed-form-continuous": ("check_kl_closed_forms", {"modality": "continuous"}),
+    "kl-closed-form-discretised": ("check_kl_closed_forms", {"modality": "discretised"}),
+    "finite-m-limit-K2": ("check_finite_m_limit", {"K": 2}),
+    "finite-m-limit-K5": ("check_finite_m_limit", {"K": 5}),
+    "loss-convergence-continuous": ("check_loss_convergence", {"modality": "continuous"}),
+    "loss-convergence-discretised": ("check_loss_convergence", {"modality": "discretised"}),
+    "loss-convergence-discrete": ("check_loss_convergence", {"modality": "discrete"}),
+}
+ALL_PROPERTIES = tuple(CHECKS)
 
 
 def run_all(seed, name_filter=None):
-    """Run every property (or the matching subset); returns the reports."""
-    runners = {
-        "schedule-telescoping": lambda: check_schedule_telescoping(seed),
-        "schedule-entropy": lambda: check_schedule_entropy(seed),
-        "additivity-continuous": lambda: check_additivity(seed, "continuous"),
-        "additivity-discrete": lambda: check_additivity(seed, "discrete"),
-        "flow-equivalence-continuous": lambda: check_flow_equivalence(seed, "continuous"),
-        "flow-equivalence-discrete": lambda: check_flow_equivalence(seed, "discrete"),
-        "kl-closed-form-continuous": lambda: check_kl_closed_forms(seed, "continuous"),
-        "kl-closed-form-discretised": lambda: check_kl_closed_forms(seed, "discretised"),
-        "finite-m-limit-K2": lambda: check_finite_m_limit(seed, K=2),
-        "finite-m-limit-K5": lambda: check_finite_m_limit(seed, K=5),
-        "loss-convergence-continuous": lambda: check_loss_convergence(seed, "continuous"),
-        "loss-convergence-discretised": lambda: check_loss_convergence(seed, "discretised"),
-        "loss-convergence-discrete": lambda: check_loss_convergence(seed, "discrete"),
-    }
-    names = [n for n in ALL_PROPERTIES if (name_filter is None or name_filter in n)]
+    """Run every property (or those whose id contains name_filter); returns
+    the reports."""
+    names = [n for n in ALL_PROPERTIES if name_filter is None or name_filter in n]
     if not names:
         raise ValueError(f"no properties match filter {name_filter!r}")
-    return [runners[n]() for n in names]
+    return [globals()[CHECKS[n][0]](seed, **CHECKS[n][1]) for n in names]

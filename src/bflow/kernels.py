@@ -105,15 +105,15 @@ def erf_vec(x):
 def logsumexp_rows(m):
     """Row-wise log(sum(exp(m))) for a 2-D array, stable for large negatives."""
     m = np.ascontiguousarray(m, dtype=np.float64)
-    out = np.empty(m.shape[0])
     hi = np.max(m, axis=1)
     finite = hi > -np.inf
-    out[~finite] = -np.inf
-    if np.any(finite):
-        mf = m[finite]
-        hf = hi[finite]
-        out[finite] = hf + np.log(np.sum(np.exp(mf - hf[:, None]), axis=1))
-    return out
+    if not finite.all():
+        # rows without a finite maximum give -inf; the rest are gathered,
+        # which costs a copy, so only a batch that has such rows pays it
+        out = np.full(m.shape[0], -np.inf)
+        out[finite] = logsumexp_rows(m[finite])
+        return out
+    return hi + np.log(np.sum(np.exp(m - hi[:, None]), axis=1))
 
 
 def mixture_logpdf(y, logw, means, var):

@@ -1,7 +1,7 @@
 """Predictors: the trainable MLP with hand-written reverse-mode gradients,
-plus the two oracle predictors the verification harness uses: a constant
-output, and a discretised predictor that places its data Gaussian at a
-fixed point.
+plus the three oracle predictors the verification harness uses: a constant
+output, fixed class probabilities per dimension, and a discretised
+predictor that places its data Gaussian at a fixed point.
 
 A predictor maps a modality-encoded state vector and a process time to a
 raw output vector:
@@ -213,6 +213,22 @@ class ConstantPredictor:
 
     def forward_batch(self, X, t):
         return np.tile(self.values, (len(X), 1))
+
+
+class ConstantProbsPredictor:
+    """Logits of fixed class probability rows (D, K), one row per
+    dimension, independent of the belief state; for K=2 the class-1
+    log-odds, as the discrete output map reads them."""
+
+    def __init__(self, rows):
+        self.logits = np.log(np.asarray(rows, dtype=np.float64))
+
+    def forward_batch(self, X, t):
+        if self.logits.shape[1] == 2:
+            row = self.logits[:, 0] - self.logits[:, 1]
+        else:
+            row = self.logits.ravel()
+        return np.tile(row, (len(X), 1))
 
 
 class DiscretisedDatumPredictor:

@@ -1,5 +1,5 @@
 """Oracle predictors that only the tests use: exact noise estimates for a
-known datum or a small dataset, and fixed class logits.  Like every
+known datum or a small dataset, and one-hot class logits.  Like every
 predictor they answer ``forward_batch(X, t)``.
 """
 
@@ -77,18 +77,3 @@ class DiscreteOneHotPredictor:
             row = logits.ravel()
         return np.tile(row, (len(X), 1))
 
-
-class DiscreteConstantProbsPredictor:
-    """Fixed output row p_star for every dimension, independent of state."""
-
-    def __init__(self, p_star, D):
-        p_star = np.asarray(p_star, dtype=np.float64)
-        self.logits = np.tile(np.log(p_star), (D, 1)).ravel()
-        self.K = p_star.size
-        self.D = D
-
-    def forward_batch(self, X, t):
-        if self.K == 2:
-            row = self.logits[: self.K]
-            return np.full((len(X), self.D), row[0] - row[1])
-        return np.tile(self.logits, (len(X), 1))

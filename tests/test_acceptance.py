@@ -91,7 +91,7 @@ def test_criterion_02_distributional_additivity_and_flow():
 
 def test_criterion_03_kl_closed_form_continuous():
     t0 = time.time()
-    r = harness.check_kl_closed_forms(SEED, "continuous", samples=1_000_000)
+    r = harness.check_kl_closed_forms(SEED, "continuous")
     assert r.passed, r.summary()
     assert r.samples == 5_000_000
     elapsed = time.time() - t0
@@ -117,7 +117,7 @@ def test_criterion_05_multinomial_limit():
     t0 = time.time()
     details = []
     for K in (2, 5):
-        r = harness.check_finite_m_limit(SEED, K=K, alpha=0.25, m_list=(100, 1000, 10_000))
+        r = harness.check_finite_m_limit(SEED, K=K)
         assert r.passed, r.summary()
         details.append(f"K={K}: {r.detail.split(' identity')[0]}")
     elapsed = time.time() - t0

@@ -1,5 +1,6 @@
 """CLI behaviour: config parsing, command wiring, reproducibility."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from bflow import cli, data
+from bflow import cli, data, training
 
 TRAIN_CFG = """\
 # toy discrete run
@@ -48,6 +49,18 @@ class TestConfigParsing:
         p.write_text("modality = discrete\nD = 4\nK = 2\nbeta1 = 1.0\n")
         cfg = cli.load_run_config(p, overrides=["steps=9", "learning_rate=0.5"])
         assert cfg["steps"] == 9 and cfg["learning_rate"] == 0.5
+
+    def test_set_accepts_every_train_config_field(self, tmp_path):
+        # the model keys are TrainConfig's fields, each coerced to its type
+        p = tmp_path / "c.cfg"
+        p.write_text("modality = discrete\n")
+        texts = {str: ("silu", "silu"), int: ("3", 3), float: ("0.25", 0.25), tuple: ("8,4", (8, 4))}
+        fields = dataclasses.fields(training.TrainConfig)
+        for f in fields:
+            text, value = texts[f.type]
+            cfg = cli.load_run_config(p, overrides=[f"{f.name}={text}"])
+            assert cfg[f.name] == value and type(cfg[f.name]) is f.type, f.name
+        assert set(cli.RUN_CONFIG_KEYS) == {f.name for f in fields} | {"dataset", "alphabet", "width", "height"}
 
     def test_bad_override_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -120,7 +120,7 @@ class TestOutputPrediction:
     def test_clipping(self):
         pred = ConstantPredictor(np.array([5.0]), predicts_data=True)
         p = cts.prior(1)
-        assert cts._x_hat(pred, CFG, p.mean[None], 0.5)[0, 0] == CFG.x_max
+        assert cts._x_hat(pred, CFG, p.mean[None], 0.5)[0, 0] == cts.X_MAX
 
 
 class TestLossNStep:
@@ -271,7 +271,7 @@ class TestGenerate:
     def test_output_in_range(self):
         pred = ConstantPredictor(np.array([3.0]))
         out = cts.generate(Rng(16), pred, CFG, 5)
-        assert CFG.x_min <= out[0] <= CFG.x_max
+        assert cts.X_MIN <= out[0] <= cts.X_MAX
 
 
 class TestAdditivityDistribution:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from bflow import discrete as dd
 from bflow.numerics import Rng
-from bflow.predictor import ConstantPredictor
+from bflow.predictor import ConstantPredictor, ConstantProbsPredictor
 from bflow.schedule import DiscreteQuadratic
-from oracle_predictors import DiscreteConstantProbsPredictor, DiscreteOneHotPredictor
+from oracle_predictors import DiscreteOneHotPredictor
 
 SCHED = DiscreteQuadratic(0.75)
 
@@ -176,7 +176,7 @@ class TestLossNStep:
         K, n, i = 2, 4, 3
         x = np.array([1])
         p_star = np.array([0.65, 0.35])
-        pred = DiscreteConstantProbsPredictor(p_star, 1)
+        pred = ConstantProbsPredictor(np.tile(p_star, (1, 1)))
         sched = DiscreteQuadratic(2.0)
         alpha = sched.step_alpha(i, n)
         r = Rng(11)
@@ -203,7 +203,7 @@ class TestLossNStep:
         # i=1 uses t=0: flow is exactly uniform, so with a fixed seed the
         # estimate is a deterministic function of the sender draw only
         x = np.array([2])
-        pred = DiscreteConstantProbsPredictor(np.array([0.3, 0.3, 0.4]), 1)
+        pred = ConstantProbsPredictor(np.tile(np.array([0.3, 0.3, 0.4]), (1, 1)))
         a = dd.loss_n(Rng(12), pred, SCHED, x[None], 5, 3, 1)
         b = dd.loss_n(Rng(12), pred, SCHED, x[None], 5, 3, 1)
         assert a == b
