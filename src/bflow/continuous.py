@@ -74,9 +74,10 @@ def flow_sample(rng, cfg, x, t, z=None):
     every row: the state's mean is (B, D) and its precision (B,).  A (D,)
     x with a float t is one row and gives one state.
     mean ~ N(gamma(t) x, gamma(t)(1 - gamma(t)) I) and
-    precision = 1 + beta(t).  A row at t=0 is exactly the prior and draws
-    nothing.  z, when given, is the draw's standard-normal noise, x's
-    shape, and rng is not used; rows at t=0 ignore theirs.
+    precision = 1 + beta(t).  Every row draws its block of noise; at t=0
+    gamma is 0, so the noise is scaled by zero and the row is exactly the
+    prior.  z, when given, is the draw's standard-normal noise, x's shape,
+    and rng is not used.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -86,13 +87,9 @@ def flow_sample(rng, cfg, x, t, z=None):
         raise ValueError(f"data outside [{X_MIN}, {X_MAX}]")
     precision = np.full(x.shape[0], 1.0 + cfg.schedule.beta(t))
     g = np.full(x.shape[0], gamma(cfg, t))[:, None]
-    if g.all():
-        return CtsParams(mean=gaussian_sample(rng, g * x, g * (1.0 - g), z), precision=precision)
-    mean = np.zeros_like(x)
-    live = g[:, 0] != 0.0
-    if live.any():
-        mean[live] = flow_sample(rng, cfg, x[live], np.asarray(t)[live], None if z is None else z[live]).mean
-    return CtsParams(mean=mean, precision=precision)
+    if z is None:
+        z = rng.standard_normal(x.shape)
+    return CtsParams(mean=g * x + np.sqrt(g * (1.0 - g)) * z, precision=precision)
 
 
 def noise_terms(cfg, t, B):
@@ -173,10 +170,10 @@ def loss_n(rng, predictor, cfg, x, n, i):
     """n-step transmission loss estimates (B,), in nats, for a (B, D) batch
     at step i of n: one int for every row, or (B,) ints.
 
-    Each row draws its flow state (none at t=0), and the predictor runs
-    once on the batch.  An int i keeps the time factors in Python float
-    arithmetic, so row b equals the b-th of B one-row calls on the same
-    stream, bit for bit; per-row steps compute them in numpy, whose
+    Each row draws its flow state, whatever its step, and the predictor
+    runs once on the batch.  An int i keeps the time factors in Python
+    float arithmetic, so row b equals the b-th of B one-row calls on the
+    same stream, bit for bit; per-row steps compute them in numpy, whose
     vectorised power can differ in the last bit.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -191,7 +188,7 @@ def loss_n(rng, predictor, cfg, x, n, i):
 def loss_cts(rng, predictor, cfg, x, t):
     """Continuous-time loss estimates (B,), in nats, for a (B, D) batch at
     times t, one float for every row or (B,): each row draws its flow
-    state (none at t=0), and the predictor runs once on the batch."""
+    state, and the predictor runs once on the batch."""
     x = np.asarray(x, dtype=np.float64)
     p = flow_sample(rng, cfg, x, t)
     out = net_out(predictor, cfg, p.mean, t, cfg.D)

@@ -212,17 +212,6 @@ def ingest_bytes(raw, D, modality, K=0):
     raise ValueError(f"unknown modality {modality!r}")
 
 
-def export_bytes(ds):
-    """Bytes for a discrete/discretised dataset (inverse of ingest_bytes)."""
-    if ds.modality == "discrete":
-        return (ds.items - 1).astype(np.uint8).tobytes()
-    if ds.modality == "discretised" and ds.K == 256:
-        return bin_bytes(ds.items).tobytes()
-    if ds.modality == "continuous":
-        return np.clip(np.rint((ds.items + 1.0) * 127.5), 0, 255).astype(np.uint8).tobytes()
-    raise ValueError("cannot export this dataset as bytes")
-
-
 def centres_to_bytes(values, K):
     """Map bin centres (or clipped reals) back to display bytes 0..255."""
     values = np.asarray(values, dtype=np.float64)

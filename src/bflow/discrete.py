@@ -16,7 +16,7 @@ path keeps the redundant class and uses a row softmax.
 import numpy as np
 
 from .kernels import logsumexp_rows
-from .numerics import Rng, gaussian_sample, neg_log_true_class, paired_normals, sample_categorical_rows, softmax_rows
+from .numerics import Rng, gaussian_sample, neg_log_true_class, sample_categorical_rows, softmax_rows
 from .predictor import forward_rows
 from .schedule import step_time
 
@@ -80,26 +80,23 @@ def bayes_update(theta, y):
 
 
 def flow_sample(rng, x, t, sched, K, z=None):
-    """Belief states at times t: softmax of one Gaussian logit draw per row.
+    """Belief states at times t: softmax of one Gaussian logit draw per row,
+    N(beta(t)(K e_x - 1), beta(t) K I).
 
     x is a (B, D) batch with t (B,), one time per row, or one float for
     every row, and gives (B, D, K); a (D,) x with a float t is one row and
-    gives (D, K).  A row at t=0 has zero accuracy: it is exactly the
-    uniform prior and draws nothing.  z, when given, is the draw's
-    standard-normal noise, (B, D, K), and rng is not used; rows at t=0
-    ignore theirs.
+    gives (D, K).  Every row draws its block of noise; at t=0 beta is 0,
+    so the logits are all zero and the row is exactly the uniform prior.
+    z, when given, is the draw's standard-normal noise, (B, D, K), and rng
+    is not used.
     """
     x = np.asarray(x, dtype=np.int64)
     if x.ndim == 1:
         return flow_sample(rng, x[None], t, sched, K, None if z is None else z[None])[0]
     beta = np.full(x.shape[0], sched.beta(t))[:, None, None]
-    if beta.all():
-        return softmax_rows(gaussian_sample(rng, beta * (K * one_hot(x, K) - 1.0), beta * K, z))
-    theta = np.full(x.shape + (K,), 1.0 / K)
-    live = beta[:, 0, 0] != 0.0
-    if live.any():
-        theta[live] = flow_sample(rng, x[live], np.asarray(t)[live], sched, K, None if z is None else z[live])
-    return theta
+    if z is None:
+        z = rng.standard_normal(x.shape + (K,))
+    return softmax_rows(beta * (K * one_hot(x, K) - 1.0) + np.sqrt(beta * K) * z)
 
 
 def encode_theta(theta, K):
@@ -157,70 +154,54 @@ def _net_out(predictor, theta, t, K):
     return forward_rows(predictor, encode_theta(theta, K), t, D if K == 2 else D * K)
 
 
-def _log_norm(u, alpha, K):
-    """The class-independent part of the sender and receiver log-densities
-    at u = y + alpha, per (..., D) row."""
-    return (
-        -0.5 * K * np.log(2.0 * np.pi * alpha * K)
-        - np.sum(u * u, axis=-1, keepdims=True) / (2.0 * alpha * K)
-        - 0.5 * alpha * K
-    )[..., 0]
+def log_ratio(y, x, probs, alpha, K):
+    """Sender minus receiver log-density of (..., D, K) sender draws y of
+    classes x (..., D), summed over D; probs are the receiver's class
+    probabilities, broadcasting against y, and alpha is one accuracy or
+    broadcasts against y.
 
-
-def receiver_log_likelihood(y, probs, alpha, K):
-    """Log-density of (..., D, K) sender draws under the mixture receiver,
-    summed over D; alpha is one accuracy or broadcasts against y.
-
-    Per dimension the receiver mixes N(alpha(K e_k - 1), alpha K I) over
-    classes k weighted by the output row.  Writing u = y + alpha, the
+    Per dimension the receiver mixes the sender's N(alpha(K e_k - 1),
+    alpha K I) over classes k weighted by probs.  Writing u = y + alpha, the
     squared distance to component k is |u|^2 - 2 alpha K u_k + alpha^2 K^2,
-    so the mixture collapses to a row log-sum-exp over log w_k + u_k.
+    so every term but u_k is shared by sender and receiver, and the ratio
+    is u_x - logsumexp_k(log p_k + u_k).
     """
-    y = np.asarray(y, dtype=np.float64)
-    u = y + alpha
+    u = np.asarray(y, dtype=np.float64) + alpha
+    ux = np.take_along_axis(u, np.asarray(x, dtype=np.int64)[..., None] - 1, axis=-1)[..., 0]
     with np.errstate(divide="ignore"):
         logw = np.log(np.asarray(probs, dtype=np.float64))
     lse = logsumexp_rows((logw + u).reshape(-1, K)).reshape(u.shape[:-1])
-    return np.sum(_log_norm(u, alpha, K) + lse, axis=-1)
-
-
-def sender_log_likelihood(y, x, alpha, K):
-    """Log-density of (..., D, K) sender draws of classes x (..., D) under
-    the sender, summed over D; alpha as in receiver_log_likelihood."""
-    u = np.asarray(y, dtype=np.float64) + alpha
-    x = np.asarray(x, dtype=np.int64)
-    ux = u.reshape(-1, K)[np.arange(x.size), x.ravel() - 1].reshape(x.shape)
-    return np.sum(_log_norm(u, alpha, K) + ux, axis=-1)
+    return np.sum(ux - lse, axis=-1)
 
 
 def loss_n(rng, predictor, sched, x, n, K, i):
     """n-step loss estimates (B,), in nats, for a (B, D) batch of class
     indices at step i of n: one int for every row, or (B,) ints.
 
-    Row by row the noise is drawn as B one-row calls draw it: the flow
-    state (none at t=0), then the sender sample; all of it in one call.
-    The predictor runs once on the batch.  An int i keeps the time
-    factors in Python float arithmetic, so row b equals the b-th one-row
-    call bit for bit; per-row steps compute them in numpy, whose
-    vectorised power can differ in the last bit.
+    Each row draws one (2, D, K) block of noise, the flow state's and then
+    the sender sample's, whatever its step, so a row's loss depends only on
+    its own stream position; all rows are drawn in one call.  The
+    predictor runs once on the batch.  An int i keeps the time factors in
+    Python float arithmetic, so row b equals the b-th of B one-row calls
+    bit for bit; per-row steps compute them in numpy, whose vectorised
+    power can differ in the last bit.
     """
     x = np.asarray(x, dtype=np.int64)
     t = step_time(i, n)
     alpha = sched.step_alpha(i, n)
     if not np.isscalar(alpha):
         alpha = alpha[:, None, None]
-    # the flow draws no noise for rows at beta(t) = 0, as in flow_sample
-    z_flow, z_send = paired_normals(rng, np.full(x.shape[0], sched.beta(t)) != 0.0, x.shape + (K,))
-    theta = flow_sample(rng, x, t, sched, K, z_flow)
-    y = sender_sample(rng, x, alpha, K, z_send)
+    z = rng.standard_normal((x.shape[0], 2) + x.shape[1:] + (K,))
+    theta = flow_sample(rng, x, t, sched, K, z[:, 0])
+    y = sender_sample(rng, x, alpha, K, z[:, 1])
     probs = output_map(_net_out(predictor, theta, t, K), K)
-    return n * (sender_log_likelihood(y, x, alpha, K) - receiver_log_likelihood(y, probs, alpha, K))
+    return n * log_ratio(y, x, probs, alpha, K)
 
 
 def loss_cts(rng, predictor, sched, x, K, t):
     """Continuous-time loss estimates (B,) for a (B, D) batch of class
     indices at times t, one float for every row or (B,): each row draws
-    its flow state (none at t=0), and the predictor runs once."""
+    its flow state, and the predictor runs once."""
     x = np.asarray(x, dtype=np.int64)
     theta = flow_sample(rng, x, t, sched, K)
     return loss_inf(sched, x, t, _net_out(predictor, theta, t, K), K)
@@ -254,7 +235,7 @@ def generate(rng, predictor, sched, n, K, D, return_theta=False):
     # step n + 1 is the final draw, from the output distribution at t = 1
     for i in range(1, n + 2):
         u = np.array([r.uniform(size=(D, 1)) for r in rngs])
-        k = sample_categorical_rows(None, output_map(_net_out(predictor, theta, (i - 1) / n, K), K), u)
+        k = sample_categorical_rows(output_map(_net_out(predictor, theta, (i - 1) / n, K), K), u)
         if i > n:
             break
         z = np.array([r.standard_normal((D, K)) for r in rngs])

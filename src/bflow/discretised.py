@@ -13,7 +13,7 @@ import numpy as np
 
 from . import continuous
 from .kernels import erf_vec, mixture_logpdf
-from .numerics import Rng, gaussian_sample, log_gaussian_pdf, neg_log_true_class, paired_normals, sample_categorical_rows
+from .numerics import Rng, gaussian_sample, log_gaussian_pdf, neg_log_true_class, sample_categorical_rows
 from .schedule import step_time
 
 _SQRT2 = np.sqrt(2.0)
@@ -182,21 +182,21 @@ def loss_n(rng, predictor, cfg, x, n, K, i):
     """n-step loss estimates (B,), in nats, for a (B, D) batch of bin
     centres at step i of n: one int for every row, or (B,) ints.
 
-    Row by row the noise is drawn as B one-row calls draw it: the flow
-    state (none at t=0), then the sender sample; all of it in one call.
-    The predictor runs once on the batch.  An int i keeps the time
-    factors in Python float arithmetic, so row b equals the b-th one-row
-    call bit for bit; per-row steps compute them in numpy, whose
-    vectorised power can differ in the last bit.
+    Each row draws one (2, D) block of noise, the flow state's and then
+    the sender sample's, whatever its step, so a row's loss depends only on
+    its own stream position; all rows are drawn in one call.  The
+    predictor runs once on the batch.  An int i keeps the time factors in
+    Python float arithmetic, so row b equals the b-th of B one-row calls
+    bit for bit; per-row steps compute them in numpy, whose vectorised
+    power can differ in the last bit.
     """
     x = np.asarray(x, dtype=np.float64)
     t = step_time(i, n)
     alpha = cfg.schedule.step_alpha(i, n)
     var = 1.0 / alpha
-    # the flow draws no noise for rows at gamma(t) = 0, as in flow_sample
-    z_flow, z_send = paired_normals(rng, np.full(x.shape[0], continuous.gamma(cfg, t)) != 0.0, x.shape)
-    p = continuous.flow_sample(rng, cfg, x, t, z_flow)
-    y = gaussian_sample(rng, x, var if np.isscalar(var) else var[:, None], z_send)
+    z = rng.standard_normal((x.shape[0], 2) + x.shape[1:])
+    p = continuous.flow_sample(rng, cfg, x, t, z[:, 0])
+    y = gaussian_sample(rng, x, var if np.isscalar(var) else var[:, None], z[:, 1])
     recv = receiver_log_likelihood(y, probs(predictor, cfg, p.mean, t, K), K, alpha)
     return n * (log_gaussian_pdf(y, x, var) - recv)
 
@@ -204,7 +204,7 @@ def loss_n(rng, predictor, cfg, x, n, K, i):
 def loss_cts(rng, predictor, cfg, x, K, t):
     """Continuous-time loss estimates (B,) for a (B, D) batch of bin
     centres at times t, one float for every row or (B,): each row draws
-    its flow state (none at t=0), and the predictor runs once."""
+    its flow state, and the predictor runs once."""
     x = np.asarray(x, dtype=np.float64)
     p = continuous.flow_sample(rng, cfg, x, t)
     return loss_inf(cfg, x, p.mean, t, continuous.net_out(predictor, cfg, p.mean, t, 2 * cfg.D), K)
@@ -238,7 +238,7 @@ def generate(rng, predictor, cfg, n, K, return_params=False):
     # step n + 1 is the final draw, from the output distribution at t = 1
     for i in range(1, n + 2):
         u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])
-        k = sample_categorical_rows(None, probs(predictor, cfg, p.mean, (i - 1) / n, K), u)
+        k = sample_categorical_rows(probs(predictor, cfg, p.mean, (i - 1) / n, K), u)
         if i > n:
             break
         alpha = sched.step_alpha(i, n)

@@ -12,8 +12,9 @@ an explicit statistic, tolerance, sample count and seed:
 
 Every check is a fixed property of its seed (plus the modality or K it
 covers), and runs on the production ops that train, eval and sample run:
-the updates, flow draws and samplers, the batched losses, and the sender
-and receiver log-densities.  The harness restates none of them; its only
+the updates, flow draws and samplers, the batched losses, the
+discretised receiver log-density and the discrete sender-to-receiver
+log-ratio.  The harness restates none of them; its only
 formulas of its own are the closed forms under test and a trapezoid
 reference integral.  A mutation test patches the op it breaks.
 
@@ -493,8 +494,7 @@ def check_loss_convergence(seed, modality):
         # Gauss-Hermite expectation over the sender draw of the sender minus
         # the receiver log-density, summed over dimensions
         y = dd.sender_sample(None, xs, alpha, K, z=z)
-        log_ratio = dd.sender_log_likelihood(y, xs, alpha, K) - dd.receiver_log_likelihood(y, probs_rows, alpha, K)
-        return float(np.sum(w * log_ratio))
+        return float(np.sum(w * dd.log_ratio(y, xs, probs_rows, alpha, K)))
 
     gaps = []
     for n in N_LIST:

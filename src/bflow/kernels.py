@@ -106,12 +106,13 @@ def logsumexp_rows(m):
     """Row-wise log(sum(exp(m))) for a 2-D array, stable for large negatives."""
     m = np.ascontiguousarray(m, dtype=np.float64)
     hi = np.max(m, axis=1)
-    finite = hi > -np.inf
-    if not finite.all():
-        # rows without a finite maximum give -inf; the rest are gathered,
-        # which costs a copy, so only a batch that has such rows pays it
+    empty = hi == -np.inf
+    if empty.any():
+        # all -inf rows give -inf; the rest are gathered, which costs a
+        # copy, so only a batch that has such rows pays it.  A row holding
+        # NaN has a NaN maximum, is not empty, and stays NaN
         out = np.full(m.shape[0], -np.inf)
-        out[finite] = logsumexp_rows(m[finite])
+        out[~empty] = logsumexp_rows(m[~empty])
         return out
     return hi + np.log(np.sum(np.exp(m - hi[:, None]), axis=1))
 

@@ -67,25 +67,6 @@ def gaussian_sample(rng, mean, var, z=None):
     return mean + np.sqrt(var) * z
 
 
-def paired_normals(rng, first, shape):
-    """Standard normals for a batch whose row b draws a block of shape[1:]
-    twice: a first block where first[b] holds ((B,) bools), then a second
-    block.
-
-    All rows are drawn in one call, in the order of shape[0] one-row draws.
-    Returns the (B, ...) first and second blocks; a row without a first
-    draw holds zeros there.
-    """
-    B, block = shape[0], tuple(shape[1:])
-    if first.all():
-        z = rng.standard_normal((B, 2) + block)
-    else:
-        takes = np.stack([first, np.ones(B, dtype=bool)], axis=1)
-        z = np.zeros((B, 2) + block)
-        z[takes] = rng.standard_normal((int(takes.sum()),) + block)
-    return z[:, 0], z[:, 1]
-
-
 def softmax_rows(logits):
     """Row-wise softmax of a 2-D array."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -124,16 +105,11 @@ def neg_log_true_class(probs, idx):
     return -np.sum(np.maximum(logs, LOG_PROB_FLOOR), axis=-1)
 
 
-def sample_categorical_rows(rng, probs, u=None):
-    """One draw per row of (..., D, K) probabilities; 1-based indices (..., D).
-
-    u, when given, is the draw's uniforms, (..., D, 1), drawn beforehand,
-    and rng is not used.
-    """
+def sample_categorical_rows(probs, u):
+    """One draw per row of (..., D, K) probabilities with the uniforms u,
+    (..., D, 1), drawn beforehand; 1-based indices (..., D)."""
     probs = np.asarray(probs, dtype=np.float64)
     cum = np.cumsum(probs, axis=-1)
     # guard against rounding in the final column
     cum[..., -1] = np.maximum(cum[..., -1], 1.0)
-    if u is None:
-        u = rng.uniform(size=probs.shape[:-1] + (1,))
     return 1 + np.sum(u > cum, axis=-1).astype(np.int64)

@@ -337,7 +337,10 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
 
     Pass p of table row li draws a step or time for every item from
     ``rng.split(li * 1_000_003 + p)``, then the items' noise, EVAL_CHUNK
-    items per call.  The continuous recon row needs recon_sigma > 0.
+    items per call.  Every item draws the same size of noise block at any
+    step or time, t = 0 included, so an item's loss depends only on the
+    seed, the item and its position, not on the other items' steps.  The
+    continuous recon row needs recon_sigma > 0.
 
     Returns a list of dicts with nats, nats per dimension, bits per
     dimension and the standard error of the mean.

@@ -185,10 +185,12 @@ class TestLossNBatch:
         assert a.draws == b.draws == 32
 
     def test_first_step_single_row_draws_nothing(self):
+        """Step 1 sits at t=0, where the flow state is the prior; the row
+        still draws its flow noise, scaled by zero."""
         a, b = Rng(21), Rng(21)
         got = cts.loss_n(a, self.pred, self.cfg, self.x[:1], 10, 1)
         assert got[0] == cts.loss_n(b, self.pred, self.cfg, self.x[:1], 10, 1)[0]
-        assert a.draws == b.draws == 0
+        assert a.draws == b.draws == 2
 
     def test_mixed_steps_match_per_row_calls(self):
         """Per-row steps make t an array, and numpy's vectorised power can

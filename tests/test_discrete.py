@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bflow import discrete as dd
-from bflow.numerics import Rng
+from bflow.numerics import Rng, log_gaussian_pdf
 from bflow.predictor import ConstantPredictor, ConstantProbsPredictor
 from bflow.schedule import DiscreteQuadratic
 from oracle_predictors import DiscreteOneHotPredictor
@@ -209,6 +209,40 @@ class TestLossNStep:
         assert a == b
 
 
+class TestLogRatio:
+    """log_ratio against the sender density minus the K-component mixture
+    density, each written out with log_gaussian_pdf."""
+
+    K, D = 4, 3
+
+    def _reference(self, y, x, probs, alpha):
+        eye = np.eye(self.K)
+        total = 0.0
+        for d in range(self.D):
+            send = log_gaussian_pdf(y[d], alpha * (self.K * eye[x[d] - 1] - 1.0), alpha * self.K)
+            comps = [math.log(probs[d, k]) + log_gaussian_pdf(y[d], alpha * (self.K * eye[k] - 1.0), alpha * self.K)
+                     for k in range(self.K)]
+            total += send - np.logaddexp.reduce(comps)
+        return total
+
+    def test_matches_written_out_densities(self):
+        gen = np.random.default_rng(9)
+        for alpha in (0.05, 0.7, 4.0):
+            x = gen.integers(1, self.K + 1, size=(5, self.D))
+            probs = gen.dirichlet(np.ones(self.K), size=(5, self.D))
+            y = dd.sender_sample(Rng(30), x, alpha, self.K)
+            got = dd.log_ratio(y, x, probs, alpha, self.K)
+            want = [self._reference(y[b], x[b], probs[b], alpha) for b in range(5)]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_nan_probability_gives_nan(self):
+        x = np.array([[1, 2, 3]])
+        probs = np.full((1, self.D, self.K), 1.0 / self.K)
+        probs[0, 1, 2] = np.nan
+        y = dd.sender_sample(Rng(31), x, 0.5, self.K)
+        assert np.isnan(dd.log_ratio(y, x, probs, 0.5, self.K)[0])
+
+
 class _StateLogits:
     """Logits 3 state + t, elementwise, so a row's output does not depend
     on the batch around it."""
@@ -232,10 +266,12 @@ class TestLossNBatch:
         assert a.draws == b.draws == 16 * 2 * 3 * 4
 
     def test_first_step_single_row_draws_sender_only(self):
+        """Step 1 sits at t=0, where the flow state is the prior; the row
+        still draws its flow block, scaled by zero, before the sender's."""
         a, b = Rng(27), Rng(27)
         got = dd.loss_n(a, _StateLogits(), SCHED, self.x[:1], 10, self.K, 1)
         assert got[0] == dd.loss_n(b, _StateLogits(), SCHED, self.x[:1], 10, self.K, 1)[0]
-        assert a.draws == b.draws == 3 * 4
+        assert a.draws == b.draws == 2 * 3 * 4
 
     def test_mixed_steps_match_per_row_calls(self):
         """Per-row steps make t an array, and numpy's vectorised power can

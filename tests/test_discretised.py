@@ -258,10 +258,12 @@ class TestLossNBatch:
         assert a.draws == b.draws == 64
 
     def test_first_step_single_row_draws_sender_only(self):
+        """Step 1 sits at t=0, where the flow state is the prior; the row
+        still draws its flow block, scaled by zero, before the sender's."""
         a, b = Rng(24), Rng(24)
         got = dsc.loss_n(a, self.pred, self.cfg, self.x[:1], 10, self.K, 1)
         assert got[0] == dsc.loss_n(b, self.pred, self.cfg, self.x[:1], 10, self.K, 1)[0]
-        assert a.draws == b.draws == 2
+        assert a.draws == b.draws == 2 * 2
 
     def test_mixed_steps_match_per_row_calls(self):
         """Per-row steps make t an array, and numpy's vectorised power can

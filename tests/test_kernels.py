@@ -34,6 +34,15 @@ def test_logsumexp_rows_handles_neg_inf():
     assert abs(out[2]) < 1e-12
 
 
+def test_logsumexp_rows_nan_row_stays_nan():
+    finite = np.array([[0.3, -1.7, 2.2]])
+    m = np.concatenate([[[np.nan, 0.0, 1.0]], np.full((1, 3), -np.inf), finite])
+    out = kernels.logsumexp_rows(m)
+    assert np.isnan(out[0])
+    assert out[1] == -np.inf
+    assert out[2:].tobytes() == kernels.logsumexp_rows(finite).tobytes()
+
+
 def test_mixture_logpdf_vs_naive():
     rng = np.random.default_rng(11)
     y = rng.uniform(-2, 2, size=40)

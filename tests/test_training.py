@@ -12,7 +12,7 @@ from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
 from bflow.data import toy_glyphs, toy_mixture, toy_strings
-from bflow.numerics import Rng, gaussian_sample, softmax_rows
+from bflow.numerics import Rng, softmax_rows
 from bflow.predictor import MLP, ConstantPredictor, DiscretisedDatumPredictor
 from bflow.schedule import DiscreteQuadratic
 from bflow.training import TrainConfig, adamw_step
@@ -336,20 +336,20 @@ class TestDiscretisedHeadReference:
 
 
 def _dd_flow_row_reference(rng, x, t, sched, K):
-    """One (D, K) discrete flow draw at a float t, written per row."""
+    """One (D, K) discrete flow draw at a float t, written per row; a row
+    at t = 0 draws its block too."""
     beta = sched.beta(t)
-    if beta == 0.0:
-        return np.full((x.size, K), 1.0 / K)
     onehot = np.eye(K)[np.asarray(x) - 1]
-    return softmax_rows(gaussian_sample(rng, beta * (K * onehot - 1.0), beta * K))
+    z = rng.standard_normal(onehot.shape)
+    return softmax_rows(beta * (K * onehot - 1.0) + np.sqrt(beta * K) * z)
 
 
 def _cts_flow_row_reference(rng, cfg, x, t):
-    """One (D,) continuous flow mean at a float t."""
+    """One (D,) continuous flow mean at a float t; a row at t = 0 draws its
+    block too."""
     g = 1.0 - cfg.sigma1 ** (2.0 * t)
-    if g == 0.0:
-        return np.zeros_like(x)
-    return gaussian_sample(rng, g * x, g * (1.0 - g))
+    z = rng.standard_normal(x.shape)
+    return g * x + np.sqrt(g * (1.0 - g)) * z
 
 
 def _sample_head_state_reference(rng, config, x_batch):
@@ -380,7 +380,7 @@ def _same_bits(a, b):
 class TestBatchedFlow:
     """The batched flow draws give the bits of the per-row draws they replace."""
 
-    # row 2 sits at t = 0: it is the prior and consumes no draws
+    # row 2 sits at t = 0: it is exactly the prior, and draws its block too
     T = np.array([0.3, 0.9, 0.0, 1.0, 0.05, 0.6])
 
     @pytest.mark.parametrize("K", [2, 27])
@@ -393,7 +393,7 @@ class TestBatchedFlow:
         items = np.stack([dd.flow_sample(r_item, x[b], float(self.T[b]), sched, K) for b in range(6)])
         assert _same_bits(batched, ref) and _same_bits(items, ref)
         assert np.all(batched[2] == 1.0 / K)
-        assert r_batch.draws == r_ref.draws == r_item.draws == 5 * 5 * K
+        assert r_batch.draws == r_ref.draws == r_item.draws == 6 * 5 * K
 
     def test_continuous_rows_equal_per_row_draws(self):
         cfg = cts.CtsConfig(sigma1=0.02, D=5)
@@ -408,7 +408,7 @@ class TestBatchedFlow:
         ref = np.stack([_cts_flow_row_reference(r_ref, cfg, x[b], float(self.T[b])) for b in range(6)])
         items = np.stack([cts.flow_sample(r_item, cfg, x[b], float(self.T[b])).mean for b in range(6)])
         assert _same_bits(items, ref)
-        assert r_batch.draws == r_rows.draws == r_ref.draws == r_item.draws == 5 * 5
+        assert r_batch.draws == r_rows.draws == r_ref.draws == r_item.draws == 6 * 5
 
     @pytest.mark.parametrize("modality,K", [("discrete", 27), ("discrete", 2),
                                             ("continuous", 0), ("discretised", 16)])
@@ -587,6 +587,42 @@ def _eval_case(modality):
     else:
         data = dsc.BinGeometry(8).centers[Rng(60).integers(0, 8, size=(7, config.D))]
     return config, data, _RowLocal(config.predictor_spec())
+
+
+class TestRowIndependence:
+    """Results depend only on (seed, item): with a row-local predictor, a
+    row's loss does not move when another row's step or value changes."""
+
+    @pytest.mark.parametrize("modality", ["continuous", "discretised", "discrete"])
+    def test_loss_n_row_ignores_other_rows_steps(self, modality):
+        config, data, pred = _eval_case(modality)
+        steps = np.array([4, 7, 2, 9, 5, 3, 8])
+        base = training.item_losses(Rng(70), pred, config, data, 10, steps)
+        for b in range(len(data)):
+            for step in (1, 6):
+                moved = steps.copy()
+                moved[b] = step
+                got = training.item_losses(Rng(70), pred, config, data, 10, moved)
+                keep = np.arange(len(data)) != b
+                assert got[keep].tobytes() == base[keep].tobytes()
+
+    @pytest.mark.parametrize("modality", ["continuous", "discretised", "discrete"])
+    def test_evaluate_item_ignores_other_items_values(self, modality, monkeypatch):
+        config, data, pred = _eval_case(modality)
+        changed = data.copy()
+        changed[2] = changed[2] % config.K + 1 if modality == "discrete" else -changed[2]
+        per_item = []
+        for ds in (data, changed):
+            calls = []
+            real = training.item_losses
+            monkeypatch.setattr(training, "item_losses", lambda *a: calls.append(real(*a)) or calls[-1])
+            # n=3 puts about a third of the items at step 1, t=0
+            training.evaluate(Rng(71), pred, config, ds, n_values=(3, 10), passes=2)
+            monkeypatch.undo()
+            per_item.append(np.stack(calls))
+        keep = np.arange(len(data)) != 2
+        assert per_item[1][:, keep].tobytes() == per_item[0][:, keep].tobytes()
+        assert not np.array_equal(per_item[1][:, 2], per_item[0][:, 2])
 
 
 class TestEvaluate:
