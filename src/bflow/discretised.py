@@ -1,12 +1,12 @@
 """Discretised data: K bins tiling [-1, 1], clipped-Gaussian bin masses,
-mixture receiver, losses and sampling.
+the expected bin centre, mixture receiver, losses and sampling.
 
 Belief state, schedule, sender and flow are shared with the continuous
 module; only the prediction side changes.  The predictor emits a
 (noise-mean, log-noise-std) pair per dimension, which is mapped to a
-Gaussian over data space and then integrated over each bin.  Tail mass
-outside [-1, 1] folds into the end bins, so every row sums to one by
-construction.
+Gaussian over data space whose tails fold into the end bins.  The
+continuous-time loss needs only the expected bin centre, a closed-form sum
+over the interior edges; the other losses and sampling use the bin masses.
 """
 
 import numpy as np
@@ -52,11 +52,12 @@ def quantise(x_raw, K):
     return idx, geom.centers[idx - 1]
 
 
-# Rows of the (rows, K+1) bin-edge grid handled per pass.  At K=256 a pass of
-# 128 rows makes 263 KB float64 temporaries, which stay in a core's L2 cache;
-# a whole B=32, D=64 batch (2048 rows) makes 4 MB ones.  On a 2-core x86_64
-# VM the K=256 training head took about 24 ms per step in 128-row passes and
-# 45 ms in 1024-row passes or in one pass.
+# Rows of the bin-edge grid (K+1 edges for the bin masses, K-1 for the
+# expected centre) handled per pass.  At K=256 a 128-row pass makes 260 KB
+# float64 temporaries, which stay in a core's L2 cache; a B=32, D=64 batch
+# (2048 rows) makes 4 MB ones.  On a 2-core x86_64 VM the K=256 closed-form
+# loss and gradient took 14-15 ms per such batch in passes of 128 or 256
+# rows, 18 ms in 64-row passes, 28 ms in 1024-row ones and 37 ms in one.
 ROWS_PER_PASS = 128
 
 
@@ -96,6 +97,39 @@ def output_map(cfg, mu, t, net_out):
     return mu_x, sigma_x, live, ratio
 
 
+def expected_centre(mu_x, sigma_x, K, grad=False):
+    """Expected bin centre k_hat of clipped N(mu_x, sigma_x^2), elementwise
+    over same-shape arrays, and with grad its derivatives by mu_x and by
+    sigma_x (else None, None).  Summing by parts over the K-1 interior
+    edges e_j of the uniform bins gives k_hat = -(1/K) sum_j erf(u_j),
+    u_j = (e_j - mu_x) / (sigma_x sqrt 2), whose derivatives are sums of
+    exp(-u_j^2) and u_j exp(-u_j^2): one erf and one exp per edge.
+    """
+    shape = np.shape(mu_x)
+    m = np.ravel(mu_x)
+    sig = np.maximum(sigma_x, 1e-20).ravel()  # degenerate widths give a step at mu_x
+    edges = BinGeometry(K).centers[1:] - 1.0 / K
+    sums = np.empty((3, m.size))
+    for s in range(0, m.size, ROWS_PER_PASS):
+        r = slice(s, s + ROWS_PER_PASS)
+        u = edges[None, :] - m[r, None]
+        u /= sig[r, None] * _SQRT2
+        sums[0, r] = np.sum(erf_vec(u), axis=1)
+        if grad:
+            # floored at exp(-700) ~ 1e-304, below any term that moves a sum:
+            # a subnormal or 0 result costs 15-150 normal exps on x86_64
+            pdf = np.minimum(u * u, 700.0)
+            np.exp(np.negative(pdf, out=pdf), out=pdf)
+            sums[1, r] = np.sum(pdf, axis=1)
+            pdf *= u
+            sums[2, r] = np.sum(pdf, axis=1)
+    centre = (sums[0] / -K).reshape(shape)
+    if not grad:
+        return centre, None, None
+    scale = (2.0 / (K * np.sqrt(np.pi))) / sig
+    return centre, (scale * sums[1] / _SQRT2).reshape(shape), (scale * sums[2]).reshape(shape)
+
+
 def loss_inf(cfg, x, mu, t, net_out, K, grad=False):
     """Continuous-time loss w(t) |x - k_hat|^2 per row of a (B, D) batch,
     k_hat being the expected bin centre under the output bin masses; with
@@ -103,44 +137,11 @@ def loss_inf(cfg, x, mu, t, net_out, K, grad=False):
     B, D = x.shape
     mu_x, sigma_x, live, ratio = output_map(cfg, mu, t, net_out)
     w = continuous.loss_weight(cfg, t, B)
-    geom = BinGeometry(K)
-    # the bin masses are elementwise in (mu_x, sigma_x): one call for the batch
-    probs = bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), K).reshape(B, D, K)
-    centre = k_hat(probs, K)
+    centre, dkhat_dmu, dkhat_dsig = expected_centre(mu_x, sigma_x, K, grad)
     resid = x - centre
     loss = w * np.sum(resid * resid, axis=1)
     if not grad:
         return loss
-
-    # d k_hat / d mu_x and / d sigma_x via the Gaussian pdf at interior edges,
-    # in passes of ROWS_PER_PASS rows of the (B*D, K+1) edge grid
-    edges = np.concatenate([geom.centers - 1.0 / K, [1.0]])
-    m = mu_x.ravel()
-    sig = np.maximum(sigma_x, 1e-20).ravel()
-    den = sig * np.sqrt(2 * np.pi)
-    dP_dmu = np.empty((B * D, K))
-    dP_dsig = np.empty((B * D, K))
-    for s in range(0, B * D, ROWS_PER_PASS):
-        r = slice(s, s + ROWS_PER_PASS)
-        zed = (edges[None, :] - m[r, None]) / sig[r, None]
-        # exp(-zed^2 / 2) is exactly 0 for |zed| >= 38.61, so the pdf is only
-        # evaluated inside the band; NaN stays in the band and keeps its NaN
-        band = ~(np.abs(zed) >= 39.0)
-        zb = zed[band]
-        phi = np.zeros_like(zed)
-        with np.errstate(under="ignore"):
-            phi[band] = np.exp(-0.5 * zb * zb) / np.broadcast_to(den[r, None], zed.shape)[band]
-        phi[:, 0] = 0.0   # boundary edges are clipped: no density flows through
-        phi[:, -1] = 0.0
-        np.subtract(phi[:, 1:], phi[:, :-1], out=dP_dmu[r])
-        np.negative(dP_dmu[r], out=dP_dmu[r])
-        np.multiply(phi, zed, out=zed)
-        np.subtract(zed[:, 1:], zed[:, :-1], out=dP_dsig[r])
-        np.negative(dP_dsig[r], out=dP_dsig[r])
-    # the reductions run on the full (B, D, K) arrays: their summation order,
-    # and so their bits, depend on the shape
-    dkhat_dmu = dP_dmu.reshape(B, D, K) @ geom.centers
-    dkhat_dsig = dP_dsig.reshape(B, D, K) @ geom.centers
     dL_dkhat = w[:, None] * 2.0 * (centre - x)
     d_mu_eps = np.where(live, dL_dkhat * dkhat_dmu * (-ratio), 0.0)
     d_ln_sigma = np.where(live, dL_dkhat * dkhat_dsig * sigma_x, 0.0)
@@ -154,13 +155,6 @@ def probs(predictor, cfg, mu, t, K):
     net_out = continuous.net_out(predictor, cfg, mu, t, 2 * cfg.D)
     mu_x, sigma_x = output_map(cfg, mu, t, net_out)[:2]
     return bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), K).reshape(B, D, K)
-
-
-def k_hat(probs, K):
-    """Expected bin centre per dimension."""
-    probs = np.asarray(probs, dtype=np.float64)
-    geom = BinGeometry(K)
-    return probs @ geom.centers
 
 
 def receiver_log_likelihood(y, probs, K, alpha):

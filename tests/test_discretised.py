@@ -169,24 +169,50 @@ class TestKHat:
         g = dsc.BinGeometry(16)
         probs = np.zeros((1, 16))
         probs[0, 6] = 1.0
-        assert dsc.k_hat(probs, 16)[0] == g.center(7)
+        assert (probs @ g.centers)[0] == g.center(7)
 
     def test_uniform_row_is_zero(self):
         probs = np.full((1, 16), 1 / 16)
-        assert dsc.k_hat(probs, 16)[0] == pytest.approx(0.0, abs=1e-15)
+        assert (probs @ dsc.BinGeometry(16).centers)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_dot_product_oracle(self):
         rng = np.random.default_rng(4)
         probs = rng.dirichlet(np.ones(16), size=3)
         g = dsc.BinGeometry(16)
         ref = np.array([sum(probs[d, k] * g.center(k + 1) for k in range(16)) for d in range(3)])
-        np.testing.assert_allclose(dsc.k_hat(probs, 16), ref, atol=1e-12)
+        np.testing.assert_allclose(probs @ g.centers, ref, atol=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(5)
         probs = rng.dirichlet(np.ones(16), size=50)
-        kh = dsc.k_hat(probs, 16)
+        kh = probs @ dsc.BinGeometry(16).centers
         assert np.all(kh >= -1 + 1 / 16) and np.all(kh <= 1 - 1 / 16)
+
+
+class TestExpectedCentre:
+    def test_closed_form_matches_fsum_of_bin_masses(self):
+        # oracle: math.erfc bin masses times centres, summed exactly; rows
+        # with k_hat near -1 and +1, and the narrowest and widest sigma_x
+        K = 256
+        rng = np.random.default_rng(12)
+        mu = rng.uniform(-1.3, 1.3, size=200)
+        sigma = np.exp(rng.uniform(math.log(1e-5), math.log(3.0), size=200))
+        mu[:24] = np.repeat([-1.2, -1.0, -0.995, 0.995, 1.0, 1.2], 4)
+        sigma[:24] = np.tile([1e-3, 1e-2, 5e-2, 0.2], 6)
+        sigma[24:40] = 1e-5
+        sigma[40:56] = 3.0
+        g = dsc.BinGeometry(K)
+        edges = g.centers[1:] - 1.0 / K
+
+        def oracle(m, s):
+            cdf = [0.0] + [0.5 * math.erfc((m - e) / (s * math.sqrt(2.0))) for e in edges] + [1.0]
+            return math.fsum((cdf[k + 1] - cdf[k]) * c for k, c in enumerate(g.centers))
+
+        ref = np.array([oracle(float(m), float(s)) for m, s in zip(mu, sigma)])
+        assert np.max(np.abs(ref[:24])) > 1.0 - 2.0 / K
+        centre, d_mu, d_sig = dsc.expected_centre(mu, sigma, K)
+        assert d_mu is None and d_sig is None
+        assert np.max(np.abs(centre - ref)) <= 4e-16
 
 
 class TestLossNStep:
@@ -288,13 +314,14 @@ class TestLossCtsTime:
         # uniform rows have expected centre zero by symmetry, so the loss
         # reduces to the time weight times x^2
         K = 16
+        centers = dsc.BinGeometry(K).centers
         probs = np.full((1, K), 1 / K)
-        assert dsc.k_hat(probs, K)[0] == pytest.approx(0.0, abs=1e-15)
-        x = np.array([dsc.BinGeometry(K).center(12)])
+        assert (probs @ centers)[0] == pytest.approx(0.0, abs=1e-15)
+        x = np.array([centers[11]])
         t = 0.4
         weight = -math.log(CFG.sigma1) * CFG.sigma1 ** (-2 * t)
         expected = weight * x[0] ** 2
-        resid = x - dsc.k_hat(probs, K)
+        resid = x - probs @ centers
         assert weight * float(resid @ resid) == pytest.approx(expected, rel=1e-12)
 
 

@@ -162,6 +162,20 @@ class TestLogGaussianPdf:
         with pytest.raises(ValueError):
             log_gaussian_pdf(np.zeros(1), np.zeros(1), 0.0)
 
+    @pytest.mark.parametrize("per_row_var", [False, True])
+    def test_one_dimension_matches_vecdot_bits(self, per_row_var):
+        # the (N, 1) path squares the one residual instead of calling vecdot
+        rng = np.random.default_rng(6)
+        y = rng.normal(size=(1000, 1)) * 10.0 ** rng.integers(-160, 160, size=(1000, 1))
+        y[:4, 0] = [np.nan, np.inf, -0.0, 1e200]
+        m = rng.normal(size=(1000, 1))
+        var = rng.uniform(1e-3, 5.0, size=1000) if per_row_var else 0.37
+        resid = y - m
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = -0.5 * np.log(2.0 * np.pi * np.asarray(var)) - 0.5 * np.vecdot(resid, resid) / var
+            got = log_gaussian_pdf(y, m, var)
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
 
 class TestLogSumExp:
     def test_known_value(self):

@@ -12,6 +12,7 @@ from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
 from bflow.data import toy_glyphs, toy_mixture, toy_strings
+from bflow.kernels import erf_vec
 from bflow.numerics import Rng, softmax_rows
 from bflow.predictor import MLP, ConstantPredictor, DiscretisedDatumPredictor
 from bflow.schedule import DiscreteQuadratic
@@ -203,6 +204,37 @@ class TestHeadGradients:
             denom = max(abs(fd), abs(grad[j]), 1e-6)
             assert abs(grad[j] - fd) / denom < 1e-5
 
+    def test_discretised_head_at_k256_matches_central_differences(self):
+        # targets (mu_x, sigma_x) per dimension: widths below one bin
+        # (2/K ~ 0.0078) and means outside [-1, 1]
+        K = 256
+        mu_x = np.array([0.3, -1.003, 1.01, -1.5, 0.52, 0.999, -0.2, 1.2])
+        sigma_x = np.array([0.002, 0.005, 0.02, 0.3, 0.004, 0.0015, 1.5, 0.05])
+        D = mu_x.size
+        t = np.array([0.1, 0.5, 0.9])
+        config = _make_config("discretised", D=D, K=K, batch_size=t.size,
+                              schedule_preset="cts-256bin")
+        cfg = config.cts_config()
+        rng = np.random.default_rng(9)
+        mu = rng.normal(size=(t.size, D)) * 0.5
+        x = dsc.BinGeometry(K).centers[rng.integers(0, K, size=(t.size, D))]
+        g = 1.0 - cfg.sigma1 ** (2.0 * t[:, None])
+        ratio = np.sqrt((1.0 - g) / g)
+        net_out = np.concatenate([(mu / g - mu_x) / ratio, np.log(sigma_x / ratio)], axis=1)
+        state = {"t": t, "mu": mu, "state_in": mu, "x": x}
+        _, d_out = training.head_loss_and_grad(config, state, net_out)
+        for b in range(t.size):
+            for j in range(2 * D):
+                # a step of 1e-4 sigma_x in mu_x, or of 1e-4 in ln sigma_x
+                h = 1e-4 * (sigma_x[j] / ratio[b, 0] if j < D else 1.0)
+                step = np.zeros_like(net_out)
+                step[b, j] = h
+                lp = training.head_loss_and_grad(config, state, net_out + step)[0][b]
+                lm = training.head_loss_and_grad(config, state, net_out - step)[0][b]
+                fd = (lp - lm) / (2 * h)
+                tol = 1e-6 * max(abs(fd), abs(d_out[b, j])) + 1e-7 * np.max(np.abs(d_out[b]))
+                assert abs(d_out[b, j] - fd) <= tol
+
     def test_head_matches_sampling_op(self):
         # the head's loss must equal the sampling op evaluated at the same
         # (t, flow state) for the continuous modality
@@ -235,7 +267,7 @@ class TestHeadGradients:
         cfg = config.cts_config()
         for b in range(config.batch_size):
             probs = dsc.probs(mlp, cfg, state["mu"][b][None], float(state["t"][b]), config.K)[0]
-            resid = x[b] - dsc.k_hat(probs, config.K)
+            resid = x[b] - probs @ dsc.BinGeometry(config.K).centers
             w = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2 * state["t"][b])
             assert loss_vec[b] == pytest.approx(w * resid @ resid, rel=1e-10)
 
@@ -258,15 +290,12 @@ class TestHeadGradients:
             assert loss_vec[b] == pytest.approx(ref, rel=1e-10)
 
 
-def _dsc_head_reference(config, state, net_out):
-    """The discretised head as one bin_probs call per batch row and the pdf
-    over the whole edge grid: the reference for bitwise equality."""
-    from bflow import discretised as dsc
-
+def _dsc_output_map_reference(config, state, net_out):
+    """Time weight, live rows, noise ratio and data-space Gaussians of the
+    discretised head, restated."""
     cfg = config.cts_config()
-    K = config.K
-    x, t, mu = state["x"], state["t"], state["mu"]
-    B, D = x.shape
+    t, mu = state["t"], state["mu"]
+    B, D = mu.shape
     w = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2.0 * t)
     g = 1.0 - cfg.sigma1 ** (2.0 * t)
     live = t >= cfg.t_min
@@ -275,11 +304,46 @@ def _dsc_head_reference(config, state, net_out):
     ratio[live] = np.sqrt((1.0 - g[live]) / g[live])
     mu_x = np.where(live[:, None], mu / np.maximum(g, 1e-300)[:, None] - ratio[:, None] * mu_eps, 0.0)
     sigma_x = np.where(live[:, None], ratio[:, None] * np.exp(ln_sigma_eps), 1.0)
-    geom = dsc.BinGeometry(K)
-    probs = np.stack([dsc.bin_probs_from_gaussian(mu_x[b], sigma_x[b], K) for b in range(B)])
-    k_hat = probs @ geom.centers
+    return w, live, ratio, mu_x, sigma_x
+
+
+def _dsc_head_from_centre(state, w, live, ratio, sigma_x, k_hat, dkhat_dmu, dkhat_dsig):
+    x = state["x"]
     resid = x - k_hat
     loss = w * np.sum(resid * resid, axis=1)
+    dL_dkhat = w[:, None] * 2.0 * (k_hat - x)
+    d_mu_eps = np.where(live[:, None], dL_dkhat * dkhat_dmu * (-ratio[:, None]), 0.0)
+    d_ln_sigma = np.where(live[:, None], dL_dkhat * dkhat_dsig * sigma_x, 0.0)
+    return loss, np.concatenate([d_mu_eps, d_ln_sigma], axis=1)
+
+
+def _dsc_head_reference(config, state, net_out):
+    """The discretised head in closed form, k_hat = -(1/K) sum_j erf(u_j)
+    over the interior edges, each batch row on its whole (D, K-1) edge
+    grid: the reference for bitwise equality."""
+    K = config.K
+    w, live, ratio, mu_x, sigma_x = _dsc_output_map_reference(config, state, net_out)
+    edges = dsc.BinGeometry(K).centers[1:] - 1.0 / K
+    k_hat, dkhat_dmu, dkhat_dsig = (np.empty_like(mu_x) for _ in range(3))
+    for b in range(mu_x.shape[0]):
+        sig = np.maximum(sigma_x[b], 1e-20)
+        u = (edges[None, :] - mu_x[b][:, None]) / (sig[:, None] * np.sqrt(2.0))
+        k_hat[b] = np.sum(erf_vec(u), axis=1) / -K
+        e = np.exp(-np.minimum(u * u, 700.0))
+        scale = (2.0 / (K * np.sqrt(np.pi))) / sig
+        dkhat_dmu[b] = scale * np.sum(e, axis=1) / np.sqrt(2.0)
+        dkhat_dsig[b] = scale * np.sum(e * u, axis=1)
+    return _dsc_head_from_centre(state, w, live, ratio, sigma_x, k_hat, dkhat_dmu, dkhat_dsig)
+
+
+def _dsc_head_bin_mass_reference(config, state, net_out):
+    """The discretised head from the bin masses, k_hat = sum_k p_k c_k, and
+    their derivatives from the pdf at every edge: a second oracle, which
+    differs from the closed form in summation order and the exp floor."""
+    K = config.K
+    w, live, ratio, mu_x, sigma_x = _dsc_output_map_reference(config, state, net_out)
+    geom = dsc.BinGeometry(K)
+    probs = np.stack([dsc.bin_probs_from_gaussian(mu_x[b], sigma_x[b], K) for b in range(mu_x.shape[0])])
     edges = np.concatenate([geom.centers - 1.0 / K, [1.0]])
     sig = np.maximum(sigma_x, 1e-20)
     zed = (edges[None, None, :] - mu_x[..., None]) / sig[..., None]
@@ -289,23 +353,24 @@ def _dsc_head_reference(config, state, net_out):
     phi[..., -1] = 0.0
     dP_dmu = -(phi[..., 1:] - phi[..., :-1])
     dP_dsig = -(phi[..., 1:] * zed[..., 1:] - phi[..., :-1] * zed[..., :-1])
-    dkhat_dmu = dP_dmu @ geom.centers
-    dkhat_dsig = dP_dsig @ geom.centers
-    dL_dkhat = w[:, None] * 2.0 * (k_hat - x)
-    d_mu_eps = np.where(live[:, None], dL_dkhat * dkhat_dmu * (-ratio[:, None]), 0.0)
-    d_ln_sigma = np.where(live[:, None], dL_dkhat * dkhat_dsig * sigma_x, 0.0)
-    return loss, np.concatenate([d_mu_eps, d_ln_sigma], axis=1)
+    return _dsc_head_from_centre(state, w, live, ratio, sigma_x, probs @ geom.centers,
+                                 dP_dmu @ geom.centers, dP_dsig @ geom.centers)
 
 
 class TestDiscretisedHeadReference:
-    """The batched head gives the same bits as the per-row reference.  B*D
-    spans several passes of dsc.ROWS_PER_PASS rows, the last one partial."""
+    """The batched head gives the same bits as the per-row closed-form
+    reference, and agrees with the bin-mass form to rounding.  B*D spans
+    several passes of dsc.ROWS_PER_PASS rows, the last one partial."""
 
     def _assert_same_bits(self, config, state, net_out):
         loss, d_out = training.head_loss_and_grad(config, state, net_out)
+        assert np.isfinite(loss).all() and np.isfinite(d_out).all()
         ref_loss, ref_d_out = _dsc_head_reference(config, state, net_out)
         np.testing.assert_array_equal(loss.view(np.uint64), ref_loss.view(np.uint64))
         np.testing.assert_array_equal(d_out.view(np.uint64), ref_d_out.view(np.uint64))
+        mass_loss, mass_d_out = _dsc_head_bin_mass_reference(config, state, net_out)
+        np.testing.assert_allclose(loss, mass_loss, rtol=1e-10, atol=0)
+        assert np.max(np.abs(d_out - mass_d_out)) <= 1e-12 * np.max(np.abs(mass_d_out))
 
     def test_extreme_states(self):
         from bflow.discretised import BinGeometry
