@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from . import continuous as cts
 from . import data
 from . import discrete as dd
 from . import discretised as dsc
@@ -70,6 +69,15 @@ def train_config_from_run(cfg):
     return training.TrainConfig(**fields)
 
 
+def _check_dataset(command, ds, config):
+    """Exit unless the dataset has the model's modality, D and K (not for continuous data)."""
+    if ds.modality != config.modality or ds.D != config.D or (config.modality != "continuous" and ds.K != config.K):
+        raise SystemExit(
+            f"{command}: dataset (modality {ds.modality}, D={ds.D}, K={ds.K}) does not match "
+            f"the model (modality {config.modality}, D={config.D}, K={config.K})"
+        )
+
+
 def _model_items(ds):
     """Dataset items as training and the loss ops take them.
 
@@ -113,11 +121,7 @@ def cmd_train(args):
     dataset_path = _resolve(cfg["dataset"], args.config)
     ds = data.load_dataset(dataset_path)
     config = train_config_from_run(cfg)
-    if ds.modality != config.modality or ds.D != config.D or (config.modality != "continuous" and ds.K != config.K):
-        raise SystemExit(
-            f"train: dataset ({ds.modality}, D={ds.D}, K={ds.K}) does not match "
-            f"config ({config.modality}, D={config.D}, K={config.K})"
-        )
+    _check_dataset("train", ds, config)
     result = training.train(Rng(config.seed), _model_items(ds), config)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
@@ -136,8 +140,7 @@ def cmd_eval(args):
     result, _ = training.load_checkpoint(args.checkpoint)
     ds = data.load_dataset(args.dataset)
     config = result.config
-    if ds.modality != config.modality:
-        raise SystemExit(f"eval: dataset modality {ds.modality} does not match checkpoint {config.modality}")
+    _check_dataset("eval", ds, config)
     n_values = tuple(int(v) for v in args.n.split(",") if v.strip())
     if any(n < 1 for n in n_values):
         raise SystemExit(f"eval: step counts must be >= 1, got {args.n}")
@@ -188,10 +191,8 @@ def cmd_sample(args):
     rngs = [Rng(args.seed).split(idx) for idx in range(args.count)]
     if config.modality == "discrete":
         samples = dd.generate(rngs, predictor, config.schedule, args.steps, config.K, config.D)
-    elif config.modality == "discretised":
-        samples = dsc.generate(rngs, predictor, config.cts_config(), args.steps, config.K)
     else:
-        samples = cts.generate(rngs, predictor, config.cts_config(), args.steps)
+        samples = training.OPS[config.modality].generate(rngs, predictor, config.flow, args.steps)
     as_text = config.modality == "discrete" and alphabet is not None and len(alphabet) == config.K
     w, h = _sample_shape(header.get("run_config", {}), config.D)
     paths = []

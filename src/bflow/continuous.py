@@ -6,6 +6,8 @@ shared scalar precision.  Precision is data-independent (every update adds
 the same accuracy to every dimension), so along a schedule it can always be
 recomputed as ``1 + beta(t)``; the sampling loop uses that closed form so
 the final precision is exact rather than an accumulated float sum.
+The ops take one ``schedule.FlowConfig`` holding a ``ContinuousSigma``
+schedule; the reconstruction loss needs its ``recon_sigma`` > 0.
 """
 
 from dataclasses import dataclass
@@ -14,27 +16,11 @@ import numpy as np
 
 from .numerics import Rng, gaussian_sample
 from .predictor import forward_rows
-from .schedule import ContinuousSigma, step_time
+from .schedule import step_time
 
 
-# the data range; datasets, quantise and train's input check fix it too
+# the data range; datasets, quantise and check_data fix it too
 X_MIN, X_MAX = -1.0, 1.0
-
-
-@dataclass(frozen=True)
-class CtsConfig:
-    sigma1: float
-    D: int
-    t_min: float = 1e-6
-
-    def __post_init__(self):
-        if not (0.0 < self.t_min < 0.1):
-            raise ValueError("t_min must lie in (0, 0.1)")
-        ContinuousSigma(self.sigma1)  # validates range
-
-    @property
-    def schedule(self):
-        return ContinuousSigma(self.sigma1)
 
 
 @dataclass
@@ -50,19 +36,27 @@ def prior(D):
     return CtsParams(mean=np.zeros(D), precision=1.0)
 
 
+def check_data(cfg, x):
+    """Raise unless every value of the dataset x lies in [X_MIN, X_MAX]."""
+    if np.any(np.abs(x) > 1.0):
+        raise ValueError("values outside [-1, 1]")
+
+
 def gamma(cfg, t):
     """Fraction of the data present in the expected belief mean at time t."""
-    return 1.0 - cfg.sigma1 ** (2.0 * t)
+    return 1.0 - cfg.schedule.sigma1 ** (2.0 * t)
 
 
-def bayes_update(p, y, alpha):
-    """Precision-weighted posterior after observing y at accuracy alpha."""
+def bayes_update(p, y, alpha, precision=None):
+    """Precision-weighted posterior after observing y at accuracy alpha;
+    precision, when given, is p.precision + alpha in a closed form."""
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != p.mean.shape:
         raise ValueError("observation length does not match state dimension")
-    precision = p.precision + alpha
+    if precision is None:
+        precision = p.precision + alpha
     mean = (p.mean * p.precision + y * alpha) / precision
     return CtsParams(mean=mean, precision=precision)
 
@@ -111,7 +105,7 @@ def noise_terms(cfg, t, B):
 def loss_weight(cfg, t, B):
     """The continuous-time loss weight -ln(sigma1) sigma1^(-2t) per row,
     for times t as in noise_terms."""
-    return np.full(B, -np.log(cfg.sigma1) * cfg.sigma1 ** (-2.0 * t))
+    return np.full(B, -np.log(cfg.schedule.sigma1) * cfg.schedule.sigma1 ** (-2.0 * t))
 
 
 def output_map(cfg, mu, t, net_out, predicts_data=False):
@@ -131,10 +125,15 @@ def output_map(cfg, mu, t, net_out, predicts_data=False):
     return np.clip(x_raw, X_MIN, X_MAX), inside, slope
 
 
-def loss_inf(cfg, x, mu, t, net_out, grad=False, predicts_data=False):
-    """Continuous-time loss w(t) |x - x_hat|^2 per row of a (B, D) batch;
-    with grad, also its gradient w.r.t. net_out."""
-    x_hat, inside, slope = output_map(cfg, mu, t, net_out, predicts_data)
+def net_input(cfg, state):
+    """The network's (B, D) input for flow states: the belief means."""
+    return state.mean
+
+
+def loss_inf(cfg, x, state, t, net_out, grad=False, predicts_data=False):
+    """Continuous-time loss w(t) |x - x_hat|^2 per row of a (B, D) batch
+    at flow states state; with grad, also its gradient w.r.t. net_out."""
+    x_hat, inside, slope = output_map(cfg, state.mean, t, net_out, predicts_data)
     w = loss_weight(cfg, t, x.shape[0])
     resid = x - x_hat
     loss = w * np.sum(resid * resid, axis=1)
@@ -180,7 +179,7 @@ def loss_n(rng, predictor, cfg, x, n, i):
     t = step_time(i, n)
     p = flow_sample(rng, cfg, x, t)
     resid = x - _x_hat(predictor, cfg, p.mean, t)
-    weight = n * (1.0 - cfg.sigma1 ** (2.0 / n)) / (2.0 * cfg.sigma1 ** (2.0 * i / n))
+    weight = n * (1.0 - cfg.schedule.sigma1 ** (2.0 / n)) / (2.0 * cfg.schedule.sigma1 ** (2.0 * i / n))
     # vecdot is np.dot row by row; a row sum would differ from it in the last bit
     return weight * np.vecdot(resid, resid)
 
@@ -192,30 +191,38 @@ def loss_cts(rng, predictor, cfg, x, t):
     x = np.asarray(x, dtype=np.float64)
     p = flow_sample(rng, cfg, x, t)
     out = net_out(predictor, cfg, p.mean, t, cfg.D)
-    return loss_inf(cfg, x, p.mean, t, out, predicts_data=getattr(predictor, "predicts_data", False))
+    return loss_inf(cfg, x, p, t, out, predicts_data=getattr(predictor, "predicts_data", False))
 
 
-def recon(rng, predictor, cfg, x, noise_sigma):
+def recon(rng, predictor, cfg, x):
     """Reconstruction loss estimates (B,), in nats, for a (B, D) batch: the
     cost of the final transmission under measurement noise of std
-    noise_sigma, at a flow state drawn at t=1 for each row."""
-    if not noise_sigma > 0.0:
-        raise ValueError("noise_sigma must be positive")
+    cfg.recon_sigma, at a flow state drawn at t=1 for each row."""
+    if not cfg.recon_sigma > 0.0:
+        raise ValueError("recon_sigma must be positive")
     x = np.asarray(x, dtype=np.float64)
     p = flow_sample(rng, cfg, x, 1.0)
     resid = x - _x_hat(predictor, cfg, p.mean, 1.0)
-    return np.vecdot(resid, resid) / (2.0 * noise_sigma**2)
+    return np.vecdot(resid, resid) / (2.0 * cfg.recon_sigma**2)
 
 
 def generate(rng, predictor, cfg, n, return_params=False):
-    """n-step ancestral sampling; returns the final clipped data estimate.
+    """n-step ancestral sampling (sample_chain); returns the final clipped
+    data estimate.  The first step sits below t_min, where the estimate is
+    pinned to zero without reaching the predictor.
+    """
+    return sample_chain(rng, cfg, n, lambda mean, t, rngs: _x_hat(predictor, cfg, mean, t), return_params)
+
+
+def sample_chain(rng, cfg, n, estimate, return_params):
+    """n-step ancestral sampling for the Gaussian beliefs.
 
     rng is one Rng, which gives one (D,) sample, or a sequence of B Rngs,
-    which gives (B, D) samples and a (B, D) belief mean.  Row b draws its
-    sender normals from stream b as a one-stream call does.  The output
-    prediction runs on the batch once per step plus once at t=1;
-    the first step sits below t_min, where the prediction is pinned to
-    zero without reaching the predictor.
+    which gives (B, D) samples and a (B, D) belief mean; row b draws from
+    stream b as a one-stream call does.  estimate(mean, t, rngs) gives the
+    (B, D) data estimates at belief means (B, D) and time t, one batched
+    predictor call.  Step i sends the estimate at t = (i - 1) / n through
+    the sender, and the estimate at t = 1 is the sample.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -223,16 +230,12 @@ def generate(rng, predictor, cfg, n, return_params=False):
     rngs = [rng] if isinstance(rng, Rng) else list(rng)
     p = CtsParams(mean=np.zeros((len(rngs), cfg.D)), precision=1.0)
     for i in range(1, n + 1):
-        x_hat = _x_hat(predictor, cfg, p.mean, (i - 1) / n)
+        x_hat = estimate(p.mean, (i - 1) / n, rngs)
         alpha = sched.step_alpha(i, n)
         z = np.array([r.standard_normal(cfg.D) for r in rngs])
         y = gaussian_sample(None, x_hat, 1.0 / alpha, z)
-        # precision in closed form: identical in exact arithmetic to
-        # p.precision + alpha, avoids accumulated rounding over many steps
-        precision = 1.0 + sched.beta(i / n)
-        mean = (p.mean * p.precision + y * alpha) / precision
-        p = CtsParams(mean=mean, precision=precision)
-    x_final = _x_hat(predictor, cfg, p.mean, 1.0)
+        p = bayes_update(p, y, alpha, 1.0 + sched.beta(i / n))
+    out = estimate(p.mean, 1.0, rngs)
     if isinstance(rng, Rng):
-        x_final, p = x_final[0], CtsParams(mean=p.mean[0], precision=p.precision)
-    return (x_final, p) if return_params else x_final
+        out, p = out[0], CtsParams(mean=p.mean[0], precision=p.precision)
+    return (out, p) if return_params else out

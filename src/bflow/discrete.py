@@ -11,6 +11,9 @@ detail.
 For binary data (K=2) only the class-1 probability is fed to the network
 and a logistic sigmoid produces the class-1 output probability; the K>2
 path keeps the redundant class and uses a row softmax.
+
+The ops take one ``schedule.FlowConfig`` holding a ``DiscreteQuadratic``
+schedule and the class count K.
 """
 
 import numpy as np
@@ -18,24 +21,17 @@ import numpy as np
 from .kernels import logsumexp_rows
 from .numerics import Rng, gaussian_sample, neg_log_true_class, sample_categorical_rows, softmax_rows
 from .predictor import forward_rows
-from .schedule import step_time
-
-ROW_SUM_TOL = 1e-9
+from .schedule import FlowConfig, step_time
 
 
 def uniform_prior(D, K):
     return np.full((D, K), 1.0 / K)
 
 
-def validate_rows(probs, tol=ROW_SUM_TOL):
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim < 2:
-        raise ValueError("expected (..., D, K) probability rows")
-    if np.any(probs < 0.0):
-        raise ValueError("negative probability entry")
-    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > tol):
-        raise ValueError("row does not sum to 1")
-    return probs
+def check_data(cfg, x):
+    """Raise unless every entry of the dataset x is a class index in 1..K."""
+    if np.any(x < 1) or np.any(x > cfg.K):
+        raise ValueError(f"class indices outside 1..{cfg.K}")
 
 
 def one_hot(x, K):
@@ -70,7 +66,13 @@ def bayes_update(theta, y):
     Computed in log space; exact additivity holds: updating with y_a then
     y_b equals one update with y_a + y_b.
     """
-    theta = validate_rows(theta)
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim < 2:
+        raise ValueError("expected (..., D, K) probability rows")
+    if np.any(theta < 0.0):
+        raise ValueError("negative probability entry")
+    if np.any(np.abs(theta.sum(axis=-1) - 1.0) > 1e-9):
+        raise ValueError("row does not sum to 1")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != theta.shape:
         raise ValueError("observation shape does not match state shape")
@@ -79,7 +81,7 @@ def bayes_update(theta, y):
     return softmax_rows(logits)
 
 
-def flow_sample(rng, x, t, sched, K, z=None):
+def flow_sample(rng, cfg, x, t, z=None):
     """Belief states at times t: softmax of one Gaussian logit draw per row,
     N(beta(t)(K e_x - 1), beta(t) K I).
 
@@ -92,21 +94,22 @@ def flow_sample(rng, x, t, sched, K, z=None):
     """
     x = np.asarray(x, dtype=np.int64)
     if x.ndim == 1:
-        return flow_sample(rng, x[None], t, sched, K, None if z is None else z[None])[0]
-    beta = np.full(x.shape[0], sched.beta(t))[:, None, None]
+        return flow_sample(rng, cfg, x[None], t, None if z is None else z[None])[0]
+    K = cfg.K
+    beta = np.full(x.shape[0], cfg.schedule.beta(t))[:, None, None]
     if z is None:
         z = rng.standard_normal(x.shape + (K,))
     return softmax_rows(beta * (K * one_hot(x, K) - 1.0) + np.sqrt(beta * K) * z)
 
 
-def encode_theta(theta, K):
+def net_input(cfg, state):
     """Network input encoding of (..., D, K) states: probabilities rescaled
     to [-1, 1], one row per state.
 
     K=2 feeds only the class-1 column; K>2 feeds the full flattened rows.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    if K == 2:
+    theta = np.asarray(state, dtype=np.float64)
+    if cfg.K == 2:
         return 2.0 * theta[..., 0] - 1.0
     return (2.0 * theta - 1.0).reshape(theta.shape[:-2] + (-1,))
 
@@ -120,15 +123,16 @@ def output_map(net_out, K):
     return softmax_rows(net_out.reshape(net_out.shape[0], -1, K))
 
 
-def loss_inf(sched, x, t, net_out, K, grad=False):
+def loss_inf(cfg, x, state, t, net_out, grad=False):
     """Continuous-time loss (K alpha(t) / 2) |e_x - p|^2 per row of a (B, D)
     batch of class indices at times t, (B,) or one float for every row; p
-    is the output class probabilities, the expected one-hot.
+    is the output class probabilities, the expected one-hot, and depends on
+    the flow states only through net_out.
 
     With grad, also returns its gradient w.r.t. net_out.
     """
-    B = x.shape[0]
-    weight = 0.5 * K * np.full(B, sched.alpha(t))
+    B, K = x.shape[0], cfg.K
+    weight = 0.5 * K * np.full(B, cfg.schedule.alpha(t))
     onehot = one_hot(x, K)
     probs = output_map(net_out, K)
     if K == 2:
@@ -147,11 +151,11 @@ def loss_inf(sched, x, t, net_out, K, grad=False):
     return loss, (probs * (dL_dp - inner)).reshape(B, -1)
 
 
-def _net_out(predictor, theta, t, K):
+def _net_out(predictor, cfg, theta, t):
     """The predictor's (B, width) outputs at states theta (B, D, K) and
     times t."""
-    D = theta.shape[1]
-    return forward_rows(predictor, encode_theta(theta, K), t, D if K == 2 else D * K)
+    X = net_input(cfg, theta)
+    return forward_rows(predictor, X, t, X.shape[1])
 
 
 def log_ratio(y, x, probs, alpha, K):
@@ -174,46 +178,45 @@ def log_ratio(y, x, probs, alpha, K):
     return np.sum(ux - lse, axis=-1)
 
 
-def loss_n(rng, predictor, sched, x, n, K, i):
+def loss_n(rng, predictor, cfg, x, n, i):
     """n-step loss estimates (B,), in nats, for a (B, D) batch of class
     indices at step i of n: one int for every row, or (B,) ints.
 
     Each row draws one (2, D, K) block of noise, the flow state's and then
     the sender sample's, whatever its step, so a row's loss depends only on
     its own stream position; all rows are drawn in one call.  The
-    predictor runs once on the batch.  An int i keeps the time factors in
-    Python float arithmetic, so row b equals the b-th of B one-row calls
-    bit for bit; per-row steps compute them in numpy, whose vectorised
-    power can differ in the last bit.
+    predictor runs once on the batch.  Row b equals the b-th of B one-row
+    calls as in continuous.loss_n.
     """
     x = np.asarray(x, dtype=np.int64)
     t = step_time(i, n)
-    alpha = sched.step_alpha(i, n)
+    K = cfg.K
+    alpha = cfg.schedule.step_alpha(i, n)
     if not np.isscalar(alpha):
         alpha = alpha[:, None, None]
     z = rng.standard_normal((x.shape[0], 2) + x.shape[1:] + (K,))
-    theta = flow_sample(rng, x, t, sched, K, z[:, 0])
+    theta = flow_sample(rng, cfg, x, t, z[:, 0])
     y = sender_sample(rng, x, alpha, K, z[:, 1])
-    probs = output_map(_net_out(predictor, theta, t, K), K)
+    probs = output_map(_net_out(predictor, cfg, theta, t), K)
     return n * log_ratio(y, x, probs, alpha, K)
 
 
-def loss_cts(rng, predictor, sched, x, K, t):
+def loss_cts(rng, predictor, cfg, x, t):
     """Continuous-time loss estimates (B,) for a (B, D) batch of class
     indices at times t, one float for every row or (B,): each row draws
     its flow state, and the predictor runs once."""
     x = np.asarray(x, dtype=np.int64)
-    theta = flow_sample(rng, x, t, sched, K)
-    return loss_inf(sched, x, t, _net_out(predictor, theta, t, K), K)
+    theta = flow_sample(rng, cfg, x, t)
+    return loss_inf(cfg, x, theta, t, _net_out(predictor, cfg, theta, t))
 
 
-def recon(rng, predictor, sched, x, K):
+def recon(rng, predictor, cfg, x):
     """Reconstruction loss estimates (B,), in nats, for a (B, D) batch of
     class indices: -log of the true classes' probabilities at a flow state
     drawn at t=1 for each row."""
     x = np.asarray(x, dtype=np.int64)
-    theta = flow_sample(rng, x, 1.0, sched, K)
-    return neg_log_true_class(output_map(_net_out(predictor, theta, 1.0, K), K), x)
+    theta = flow_sample(rng, cfg, x, 1.0)
+    return neg_log_true_class(output_map(_net_out(predictor, cfg, theta, 1.0), cfg.K), x)
 
 
 def generate(rng, predictor, sched, n, K, D, return_theta=False):
@@ -227,6 +230,7 @@ def generate(rng, predictor, sched, n, K, D, return_theta=False):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    cfg = FlowConfig(sched, D, K)
     rngs = [rng] if isinstance(rng, Rng) else list(rng)
     # the state is the softmax of the summed sender draws: the uniform prior
     # adds the same constant to every logit, so it drops out
@@ -235,7 +239,7 @@ def generate(rng, predictor, sched, n, K, D, return_theta=False):
     # step n + 1 is the final draw, from the output distribution at t = 1
     for i in range(1, n + 2):
         u = np.array([r.uniform(size=(D, 1)) for r in rngs])
-        k = sample_categorical_rows(output_map(_net_out(predictor, theta, (i - 1) / n, K), K), u)
+        k = sample_categorical_rows(output_map(_net_out(predictor, cfg, theta, (i - 1) / n), K), u)
         if i > n:
             break
         z = np.array([r.standard_normal((D, K)) for r in rngs])

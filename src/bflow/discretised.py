@@ -7,13 +7,15 @@ module; only the prediction side changes.  The predictor emits a
 Gaussian over data space whose tails fold into the end bins.  The
 continuous-time loss needs only the expected bin centre, a closed-form sum
 over the interior edges; the other losses and sampling use the bin masses.
+The ops take one ``schedule.FlowConfig`` holding a ``ContinuousSigma``
+schedule and the bin count K.
 """
 
 import numpy as np
 
 from . import continuous
 from .kernels import erf_vec, mixture_logpdf
-from .numerics import Rng, gaussian_sample, log_gaussian_pdf, neg_log_true_class, sample_categorical_rows
+from .numerics import gaussian_sample, log_gaussian_pdf, neg_log_true_class, sample_categorical_rows
 from .schedule import step_time
 
 _SQRT2 = np.sqrt(2.0)
@@ -82,6 +84,15 @@ def bin_probs_from_gaussian(mu_x, sigma_x, K):
     return np.maximum(probs, 0.0, out=probs)
 
 
+check_data = continuous.check_data
+net_input = continuous.net_input
+
+
+def flow_sample(rng, cfg, x, t, z=None):
+    """Belief states at times t: the continuous flow (continuous.flow_sample)."""
+    return continuous.flow_sample(rng, cfg, x, t, z)
+
+
 def output_map(cfg, mu, t, net_out):
     """Data-space Gaussians (mu_x, sigma_x), each (B, D), from the network's
     (noise mean, log noise std) outputs (B, 2D) at belief means mu and
@@ -130,14 +141,14 @@ def expected_centre(mu_x, sigma_x, K, grad=False):
     return centre, (scale * sums[1] / _SQRT2).reshape(shape), (scale * sums[2]).reshape(shape)
 
 
-def loss_inf(cfg, x, mu, t, net_out, K, grad=False):
-    """Continuous-time loss w(t) |x - k_hat|^2 per row of a (B, D) batch,
-    k_hat being the expected bin centre under the output bin masses; with
-    grad, also its gradient w.r.t. net_out."""
+def loss_inf(cfg, x, state, t, net_out, grad=False):
+    """Continuous-time loss w(t) |x - k_hat|^2 per row of a (B, D) batch
+    at flow states state, k_hat being the expected bin centre under the
+    output bin masses; with grad, also its gradient w.r.t. net_out."""
     B, D = x.shape
-    mu_x, sigma_x, live, ratio = output_map(cfg, mu, t, net_out)
+    mu_x, sigma_x, live, ratio = output_map(cfg, state.mean, t, net_out)
     w = continuous.loss_weight(cfg, t, B)
-    centre, dkhat_dmu, dkhat_dsig = expected_centre(mu_x, sigma_x, K, grad)
+    centre, dkhat_dmu, dkhat_dsig = expected_centre(mu_x, sigma_x, cfg.K, grad)
     resid = x - centre
     loss = w * np.sum(resid * resid, axis=1)
     if not grad:
@@ -148,13 +159,13 @@ def loss_inf(cfg, x, mu, t, net_out, K, grad=False):
     return loss, np.concatenate([d_mu_eps, d_ln_sigma], axis=1)
 
 
-def probs(predictor, cfg, mu, t, K):
+def probs(predictor, cfg, mu, t):
     """Bin masses (B, D, K) at belief means mu (B, D) and times t; a unit
     Gaussian at zero below t_min."""
     B, D = mu.shape
     net_out = continuous.net_out(predictor, cfg, mu, t, 2 * cfg.D)
     mu_x, sigma_x = output_map(cfg, mu, t, net_out)[:2]
-    return bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), K).reshape(B, D, K)
+    return bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), cfg.K).reshape(B, D, cfg.K)
 
 
 def receiver_log_likelihood(y, probs, K, alpha):
@@ -172,17 +183,15 @@ def receiver_log_likelihood(y, probs, K, alpha):
     return np.sum(mixture_logpdf(y.ravel(), logw, geom.centers, var).reshape(y.shape), axis=-1)
 
 
-def loss_n(rng, predictor, cfg, x, n, K, i):
+def loss_n(rng, predictor, cfg, x, n, i):
     """n-step loss estimates (B,), in nats, for a (B, D) batch of bin
     centres at step i of n: one int for every row, or (B,) ints.
 
     Each row draws one (2, D) block of noise, the flow state's and then
     the sender sample's, whatever its step, so a row's loss depends only on
     its own stream position; all rows are drawn in one call.  The
-    predictor runs once on the batch.  An int i keeps the time factors in
-    Python float arithmetic, so row b equals the b-th of B one-row calls
-    bit for bit; per-row steps compute them in numpy, whose vectorised
-    power can differ in the last bit.
+    predictor runs once on the batch.  Row b equals the b-th of B one-row
+    calls as in continuous.loss_n.
     """
     x = np.asarray(x, dtype=np.float64)
     t = step_time(i, n)
@@ -191,57 +200,39 @@ def loss_n(rng, predictor, cfg, x, n, K, i):
     z = rng.standard_normal((x.shape[0], 2) + x.shape[1:])
     p = continuous.flow_sample(rng, cfg, x, t, z[:, 0])
     y = gaussian_sample(rng, x, var if np.isscalar(var) else var[:, None], z[:, 1])
-    recv = receiver_log_likelihood(y, probs(predictor, cfg, p.mean, t, K), K, alpha)
+    recv = receiver_log_likelihood(y, probs(predictor, cfg, p.mean, t), cfg.K, alpha)
     return n * (log_gaussian_pdf(y, x, var) - recv)
 
 
-def loss_cts(rng, predictor, cfg, x, K, t):
+def loss_cts(rng, predictor, cfg, x, t):
     """Continuous-time loss estimates (B,) for a (B, D) batch of bin
     centres at times t, one float for every row or (B,): each row draws
     its flow state, and the predictor runs once."""
     x = np.asarray(x, dtype=np.float64)
     p = continuous.flow_sample(rng, cfg, x, t)
-    return loss_inf(cfg, x, p.mean, t, continuous.net_out(predictor, cfg, p.mean, t, 2 * cfg.D), K)
+    return loss_inf(cfg, x, p, t, continuous.net_out(predictor, cfg, p.mean, t, 2 * cfg.D))
 
 
-def recon(rng, predictor, cfg, x, K):
+def recon(rng, predictor, cfg, x):
     """Reconstruction loss estimates (B,), in nats, for a (B, D) batch of
     bin centres: -log of the true bins' masses at a flow state drawn at t=1
     for each row."""
     x = np.asarray(x, dtype=np.float64)
-    idx, _ = quantise(x, K)
+    idx, _ = quantise(x, cfg.K)
     p = continuous.flow_sample(rng, cfg, x, 1.0)
-    return neg_log_true_class(probs(predictor, cfg, p.mean, 1.0, K), idx)
+    return neg_log_true_class(probs(predictor, cfg, p.mean, 1.0), idx)
 
 
-def generate(rng, predictor, cfg, n, K, return_params=False):
-    """n-step ancestral sampling; returns bin centres.
-
-    rng is one Rng, which gives one (D,) sample, or a sequence of B Rngs,
-    which gives (B, D) samples and a (B, D) belief mean.  Row b draws
-    from stream b as a one-stream call does: per step a categorical
-    uniform per dimension, then the sender normals.  The predictor runs
-    once per step on the batch; every other op is row-local.
+def generate(rng, predictor, cfg, n, return_params=False):
+    """n-step ancestral sampling (continuous.sample_chain); returns bin
+    centres.  Each step's estimate is a bin centre per dimension drawn from
+    the output bin masses with one categorical uniform per dimension from
+    each stream, before the sender normals.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sched = cfg.schedule
-    geom = BinGeometry(K)
-    rngs = [rng] if isinstance(rng, Rng) else list(rng)
-    p = continuous.CtsParams(mean=np.zeros((len(rngs), cfg.D)), precision=1.0)
-    # step n + 1 is the final draw, from the output distribution at t = 1
-    for i in range(1, n + 2):
+    centers = BinGeometry(cfg.K).centers
+
+    def draw_centres(mean, t, rngs):
         u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])
-        k = sample_categorical_rows(probs(predictor, cfg, p.mean, (i - 1) / n, K), u)
-        if i > n:
-            break
-        alpha = sched.step_alpha(i, n)
-        z = np.array([r.standard_normal(cfg.D) for r in rngs])
-        y = gaussian_sample(None, geom.centers[k - 1], 1.0 / alpha, z)
-        precision = 1.0 + sched.beta(i / n)
-        mean = (p.mean * p.precision + y * alpha) / precision
-        p = continuous.CtsParams(mean=mean, precision=precision)
-    out = geom.centers[k - 1]
-    if isinstance(rng, Rng):
-        out, p = out[0], continuous.CtsParams(mean=p.mean[0], precision=p.precision)
-    return (out, p) if return_params else out
+        return centers[sample_categorical_rows(probs(predictor, cfg, mean, t), u) - 1]
+
+    return continuous.sample_chain(rng, cfg, n, draw_centres, return_params)

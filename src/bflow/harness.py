@@ -45,7 +45,7 @@ from . import discrete as dd
 from . import discretised as dsc
 from .numerics import Rng, gaussian_sample, log_gaussian_pdf, softmax_rows
 from .predictor import ConstantPredictor, ConstantProbsPredictor, DiscretisedDatumPredictor
-from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic
+from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig
 
 
 @dataclass
@@ -150,8 +150,8 @@ def check_flow_equivalence(seed, modality):
     rng = Rng(seed, _path=(2,))
     if modality == "continuous":
         n_list, t, trials = (2, 16, 64), 0.5, 2_000_000
-        cfg = cts.CtsConfig(sigma1=0.02, D=1)
-        sched = cfg.schedule
+        sched = ContinuousSigma(0.02)
+        cfg = FlowConfig(sched, D=1)
         x = np.full(trials, 0.5)
         direct = cts.flow_sample(rng, cfg, x, t).mean
         worst = 0.0
@@ -181,7 +181,7 @@ def check_flow_equivalence(seed, modality):
     K, n, t, trials = 3, 32, 0.7, 500_000
     sched = DiscreteQuadratic(2.0)
     x_vec = np.ones(trials, dtype=np.int64)
-    direct = dd.flow_sample(rng, x_vec, t, sched, K)
+    direct = dd.flow_sample(rng, FlowConfig(sched, trials, K), x_vec, t)
     logits = np.zeros((trials, K))
     for i in range(1, n + 1):
         a = sched.beta(t * i / n) - sched.beta(t * (i - 1) / n)
@@ -427,7 +427,7 @@ def check_loss_convergence(seed, modality):
     """
     rng = Rng(seed, _path=(5,))
     if modality == "continuous":
-        cfg = cts.CtsConfig(sigma1=0.02, D=1)
+        cfg = FlowConfig(ContinuousSigma(0.02), D=1)
         x = np.array([0.5])
         pred = ConstantPredictor(x + 0.1, predicts_data=True)
         linf = _simpson(cts.loss_cts(rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
@@ -436,18 +436,18 @@ def check_loss_convergence(seed, modality):
                 for n in N_LIST]
         return _convergence_report(
             "loss-convergence-continuous", "continuous", gaps, 0.005,
-            sum(N_LIST) + TIME_GRID.size, seed, {"sigma1": cfg.sigma1},
+            sum(N_LIST) + TIME_GRID.size, seed, {"sigma1": cfg.schedule.sigma1},
         )
     if modality == "discretised":
         K = 16
-        cfg = cts.CtsConfig(sigma1=0.2, D=1)
+        sched = ContinuousSigma(0.2)
+        cfg = FlowConfig(sched, D=1, K=K)
         geom = dsc.BinGeometry(K)
         x = np.array([geom.center(11)])
-        pred = DiscretisedDatumPredictor(x + 0.15, 0.06, cfg.sigma1)
-        sched = cfg.schedule
-        linf = _simpson(dsc.loss_cts(rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), K, TIME_GRID))
+        pred = DiscretisedDatumPredictor(x + 0.15, 0.06, sched.sigma1)
+        linf = _simpson(dsc.loss_cts(rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
         nodes, weights = _hermgauss(40)
-        probs_live = dsc.probs(pred, cfg, np.zeros((1, 1)), 0.5, K)[0]
+        probs_live = dsc.probs(pred, cfg, np.zeros((1, 1)), 0.5)[0]
         probs_prior = dsc.bin_probs_from_gaussian(np.zeros(1), np.ones(1), K)
 
         def stratum(alpha, probs):
@@ -465,19 +465,20 @@ def check_loss_convergence(seed, modality):
                 total += stratum(sched.step_alpha(i, n), probs_prior if t < cfg.t_min else probs_live)
             gaps.append((total - linf) / linf)
         ref = GATE_N * stratum(sched.step_alpha(GATE_I, GATE_N), probs_live)
-        draws = dsc.loss_n(rng, pred, cfg, np.tile(x, (GATE_DRAWS, 1)), GATE_N, K, GATE_I)
+        draws = dsc.loss_n(rng, pred, cfg, np.tile(x, (GATE_DRAWS, 1)), GATE_N, GATE_I)
         return _convergence_report(
             "loss-convergence-discretised", "discretised", gaps, 0.01,
-            GATE_DRAWS + TIME_GRID.size, seed, {"K": K, "sigma1": cfg.sigma1}, _gate_dev(draws, ref),
+            GATE_DRAWS + TIME_GRID.size, seed, {"K": K, "sigma1": sched.sigma1}, _gate_dev(draws, ref),
         )
     # discrete
     K, D = 3, 2
     sched = DiscreteQuadratic(0.75)
+    cfg = FlowConfig(sched, D, K)
     x = np.array([1, 2])
     p_star = np.array([0.5, 1.0 / 3.0, 1.0 / 6.0])
     probs_rows = np.stack([np.roll(p_star, xi - 1) for xi in x])  # mass 1/2 on the true class
     pred = ConstantProbsPredictor(probs_rows)
-    linf = _simpson(dd.loss_cts(rng, pred, sched, np.tile(x, (TIME_GRID.size, 1)), K, TIME_GRID))
+    linf = _simpson(dd.loss_cts(rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
     # a product grid of Gauss-Hermite nodes over the K sender coordinates,
     # shared by every dimension.  A third of its 24^K nodes weigh under
     # 1e-20, 3e-18 of the rule's unit mass together: less than the rounding
@@ -502,7 +503,7 @@ def check_loss_convergence(seed, modality):
         for i in range(1, n + 1):
             total += stratum(sched.step_alpha(i, n))
         gaps.append((total - linf) / linf)
-    draws = dd.loss_n(rng, pred, sched, np.tile(x, (GATE_DRAWS, 1)), GATE_N, K, GATE_I)
+    draws = dd.loss_n(rng, pred, cfg, np.tile(x, (GATE_DRAWS, 1)), GATE_N, GATE_I)
     ref = GATE_N * stratum(sched.step_alpha(GATE_I, GATE_N))
     return _convergence_report(
         "loss-convergence-discrete", "discrete", gaps, 0.01,
@@ -549,7 +550,8 @@ def check_schedule_entropy(seed):
     rng = Rng(seed, _path=(6,))
     K, draws = 3, 2000
     ts = np.linspace(0.1, 1.0, 10)
-    theta = dd.flow_sample(rng, np.ones((ts.size, draws), dtype=np.int64), ts, DiscreteQuadratic(3.0), K)
+    cfg = FlowConfig(DiscreteQuadratic(3.0), draws, K)
+    theta = dd.flow_sample(rng, cfg, np.ones((ts.size, draws), dtype=np.int64), ts)
     with np.errstate(divide="ignore", invalid="ignore"):
         logt = np.where(theta > 0, np.log(theta), 0.0)
     ent = -np.sum(theta * logt, axis=(1, 2)) / draws

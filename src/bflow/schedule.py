@@ -9,7 +9,8 @@ Two closed forms cover both data families:
 Schedules are immutable value objects; every quantity is a cheap closed
 form, so nothing is cached.  ``beta`` and ``alpha`` take a float or an
 array of times, and ``step_alpha`` an integer step or an integer array of
-steps.
+steps.  ``FlowConfig`` bundles a schedule with what else a modality's ops
+take.
 """
 
 import math
@@ -62,6 +63,23 @@ class DiscreteQuadratic:
     def step_alpha(self, i, n):
         _check_step(i, n)
         return self.beta1 * (2.0 * i - 1.0) / (n * n)
+
+
+@dataclass(frozen=True)
+class FlowConfig:
+    """The schedule, D, the class or bin count K (0 for continuous data),
+    the time below which the output maps ignore the network, and the
+    continuous reconstruction noise std (0: no reconstruction loss)."""
+
+    schedule: object
+    D: int
+    K: int = 0
+    t_min: float = 1e-6
+    recon_sigma: float = 0.0
+
+    def __post_init__(self):
+        if not (0.0 < self.t_min < 0.1):
+            raise ValueError("t_min must lie in (0, 0.1)")
 
 
 def _check_t(t):

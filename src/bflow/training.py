@@ -2,17 +2,21 @@
 the parameters, plus loss-table evaluation and a versioned checkpoint
 format.
 
+The modality modules share one op set over one ``FlowConfig``, which
+``TrainConfig`` builds once; every call here finds the module in ``OPS``.
+
 Training always minimises the continuous-time loss; the n-step losses are
 evaluation-only.  Each step draws one time per batch item and the whole
 batch's flow state in one call of the modality's ``flow_sample``, runs the
-network once over the batch, and backpropagates the analytic gradient of
-the modality's ``loss_inf`` through the recorded tape, which writes the
-gradient straight into one flat vector.  ``adamw_step`` then updates the
-parameters, both moments and the EMA in place, in one cache-sized pass per
-chunk of the vector, so a step allocates no parameter-sized temporaries
-beyond that gradient.  Evaluation scores a chunk of items per call of the
-modality's batched ``loss_cts`` (the same ``loss_inf``, without the
-gradient), ``loss_n`` or ``recon``.
+network once over the batch on ``net_input`` of that state, and
+backpropagates the analytic gradient of the modality's ``loss_inf``
+through the recorded tape, which writes the gradient straight into one
+flat vector.  ``adamw_step`` then updates the parameters, both moments and
+the EMA in place, in one cache-sized pass per chunk of the vector, so a
+step allocates no parameter-sized temporaries beyond that gradient.
+Evaluation scores a chunk of items per call of the modality's batched
+``loss_cts`` (the same ``loss_inf``, without the gradient), ``loss_n`` or
+``recon``.
 
 The gradients are deterministic functions of the sampled state, so they
 can be checked against central finite differences; the test suite does
@@ -30,10 +34,13 @@ from . import continuous as cts
 from . import discrete as dd
 from . import discretised as dsc
 from .predictor import MLP, PredictorSpec
-from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic
+from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig
 
 CHECKPOINT_MAGIC = b"BFCK"
 CHECKPOINT_VERSION = 2
+
+# the modality modules, one op set each over one FlowConfig
+OPS = {"continuous": cts, "discretised": dsc, "discrete": dd}
 
 
 @dataclass
@@ -61,6 +68,8 @@ class TrainConfig:
     recon_sigma: float = 0.0  # continuous reconstruction noise; caller-set
 
     def __post_init__(self):
+        if self.modality not in OPS:
+            raise ValueError(f"unknown modality {self.modality!r}; expected one of {', '.join(OPS)}")
         if not (0 < self.learning_rate or self.learning_rate == 0.0):
             raise ValueError("learning_rate must be non-negative")
         for name in ("adam_beta1", "adam_beta2", "ema_decay"):
@@ -69,19 +78,20 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        if self.schedule_preset:
-            sched = PRESETS[self.schedule_preset]
-            if isinstance(sched, ContinuousSigma):
-                object.__setattr__(self, "sigma1", sched.sigma1)
-            else:
-                object.__setattr__(self, "beta1", sched.beta1)
-        self.schedule  # validates the relevant parameter
+        if self.schedule_preset:  # its sigma1 or beta1 replaces the field's
+            for name, value in vars(PRESETS[self.schedule_preset]).items():
+                setattr(self, name, value)
+        # built once; not a field, so asdict and the checkpoint header omit it
+        sched = DiscreteQuadratic(self.beta1) if self.modality == "discrete" else ContinuousSigma(self.sigma1)
+        self.flow = FlowConfig(sched, self.D, self.K, self.t_min, self.recon_sigma)
 
     @property
     def schedule(self):
-        if self.modality == "discrete":
-            return DiscreteQuadratic(self.beta1)
-        return ContinuousSigma(self.sigma1)
+        return self.flow.schedule
+
+    @property
+    def has_recon(self):  # the continuous reconstruction loss needs a noise std
+        return self.modality != "continuous" or self.recon_sigma > 0
 
     def predictor_spec(self):
         return PredictorSpec(
@@ -93,9 +103,6 @@ class TrainConfig:
             time_feature=self.time_feature,
             n_freqs=self.n_freqs,
         )
-
-    def cts_config(self):
-        return cts.CtsConfig(sigma1=self.sigma1, D=self.D, t_min=self.t_min)
 
 
 # Elements per pass of adamw_step.  A pass touches seven 128 KiB float64
@@ -179,23 +186,16 @@ def adamw_step(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, e
 
 
 def sample_head_state(rng, config, x_batch):
-    """Draw (t, flow state, network input) for one batch."""
+    """Draw (t, flow state theta, network input) for one batch."""
     t = rng.uniform(size=x_batch.shape[0])
-    if config.modality == "discrete":
-        theta = dd.flow_sample(rng, x_batch, t, config.schedule, config.K)
-        return {"t": t, "theta": theta, "state_in": dd.encode_theta(theta, config.K), "x": x_batch}
-    mu = cts.flow_sample(rng, config.cts_config(), x_batch, t).mean
-    return {"t": t, "mu": mu, "state_in": mu, "x": x_batch}
+    ops = OPS[config.modality]
+    theta = ops.flow_sample(rng, config.flow, x_batch, t)
+    return {"t": t, "theta": theta, "state_in": ops.net_input(config.flow, theta), "x": x_batch}
 
 
 def head_loss_and_grad(config, state, net_out):
     """Per-item continuous-time losses and dLoss/dOutput for the batch."""
-    x, t = state["x"], state["t"]
-    if config.modality == "continuous":
-        return cts.loss_inf(config.cts_config(), x, state["mu"], t, net_out, grad=True)
-    if config.modality == "discretised":
-        return dsc.loss_inf(config.cts_config(), x, state["mu"], t, net_out, config.K, grad=True)
-    return dd.loss_inf(config.schedule, x, t, net_out, config.K, grad=True)
+    return OPS[config.modality].loss_inf(config.flow, state["x"], state["theta"], state["t"], net_out, grad=True)
 
 
 def batch_loss_and_grad(mlp, config, state):
@@ -236,12 +236,7 @@ def train(rng, dataset, config):
             f"dataset holds non-finite values ({len(bad)} of {dataset.size}), "
             f"the first {dataset[tuple(bad[0])]} at index {tuple(bad[0].tolist())}"
         )
-    if config.modality == "discrete":
-        if np.any(dataset < 1) or np.any(dataset > config.K):
-            raise ValueError("class indices outside 1..K")
-    else:
-        if np.any(np.abs(dataset) > 1.0):
-            raise ValueError("values outside [-1, 1]")
+    OPS[config.modality].check_data(config.flow, dataset)
     mlp = MLP(config.predictor_spec(), seed=config.seed)
     ema = mlp.params.copy()
     m = np.zeros_like(mlp.params)
@@ -250,10 +245,7 @@ def train(rng, dataset, config):
     for step in range(1, config.steps + 1):
         srng = rng.split(step)
         idx = srng.integers(0, len(dataset), size=config.batch_size)
-        x_batch = dataset[idx]
-        if config.modality != "discrete":
-            x_batch = np.asarray(x_batch, dtype=np.float64)
-        state = sample_head_state(srng, config, x_batch)
+        state = sample_head_state(srng, config, dataset[idx])
         loss, grad = batch_loss_and_grad(mlp, config, state)
         if not np.isfinite(loss):
             raise RuntimeError(
@@ -304,24 +296,12 @@ def item_losses(rng, predictor, config, x, kind, arg):
     """Per-item losses (B,), in nats, for a (B, D) batch by the modality's
     batched op: kind "inf" is loss_cts at times arg (B,), "recon" is recon,
     and an int n is loss_n at steps arg (B,) of n."""
-    if config.modality == "discrete":
-        if kind == "inf":
-            return dd.loss_cts(rng, predictor, config.schedule, x, config.K, arg)
-        if kind == "recon":
-            return dd.recon(rng, predictor, config.schedule, x, config.K)
-        return dd.loss_n(rng, predictor, config.schedule, x, kind, config.K, arg)
-    cfg = config.cts_config()
-    if config.modality == "continuous":
-        if kind == "inf":
-            return cts.loss_cts(rng, predictor, cfg, x, arg)
-        if kind == "recon":
-            return cts.recon(rng, predictor, cfg, x, config.recon_sigma)
-        return cts.loss_n(rng, predictor, cfg, x, kind, arg)
+    ops = OPS[config.modality]
     if kind == "inf":
-        return dsc.loss_cts(rng, predictor, cfg, x, config.K, arg)
+        return ops.loss_cts(rng, predictor, config.flow, x, arg)
     if kind == "recon":
-        return dsc.recon(rng, predictor, cfg, x, config.K)
-    return dsc.loss_n(rng, predictor, cfg, x, kind, config.K, arg)
+        return ops.recon(rng, predictor, config.flow, x)
+    return ops.loss_n(rng, predictor, config.flow, x, kind, arg)
 
 
 # Items per batched loss call in evaluate, to bound memory: one unchunked pass
@@ -340,7 +320,7 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
     items per call.  Every item draws the same size of noise block at any
     step or time, t = 0 included, so an item's loss depends only on the
     seed, the item and its position, not on the other items' steps.  The
-    continuous recon row needs recon_sigma > 0.
+    recon row is left out unless config.has_recon.
 
     Returns a list of dicts with nats, nats per dimension, bits per
     dimension and the standard error of the mean.
@@ -350,7 +330,7 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
     ln2 = np.log(2.0)
     rows = []
     for li, kind in enumerate([int(n) for n in n_values] + ["inf", "recon"]):
-        if kind == "recon" and config.modality == "continuous" and not config.recon_sigma > 0:
+        if kind == "recon" and not config.has_recon:
             continue
         samples = []
         for p in range(passes):

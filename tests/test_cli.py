@@ -4,11 +4,15 @@ import dataclasses
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bflow import cli, data, training
+from bflow.predictor import MLP
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 TRAIN_CFG = """\
 # toy discrete run
@@ -61,6 +65,24 @@ class TestConfigParsing:
             cfg = cli.load_run_config(p, overrides=[f"{f.name}={text}"])
             assert cfg[f.name] == value and type(cfg[f.name]) is f.type, f.name
         assert set(cli.RUN_CONFIG_KEYS) == {f.name for f in fields} | {"dataset", "alphabet", "width", "height"}
+
+    def test_unknown_modality_named(self, tmp_path):
+        msg = r"unknown modality 'discreet'; expected one of continuous, discretised, discrete"
+        with pytest.raises(ValueError, match=msg):
+            training.TrainConfig(modality="discreet", D=4, K=3, beta1=1.0)
+        p = tmp_path / "c.cfg"
+        p.write_text("modality = discreet\nD = 4\nK = 3\nbeta1 = 1.0\n")
+        with pytest.raises(ValueError, match=msg):
+            cli.train_config_from_run(cli.load_run_config(p))
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_bundled_config_matches_its_toy(self, path, tmp_path):
+        # each config names its dataset relative to itself, under toys/
+        run = cli.load_run_config(path)
+        config = cli.train_config_from_run(run)
+        data.write_toys(tmp_path / "toys")
+        ds = data.load_dataset(cli._resolve(run["dataset"], str(tmp_path / path.name)))
+        assert (ds.modality, ds.D, ds.K) == (config.modality, config.D, config.K)
 
     def test_bad_override_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -129,6 +151,37 @@ class TestEval:
                 "eval", "--checkpoint", str(toy_run["ckpt"]),
                 "--dataset", str(toy_run["paths"]["mixture"]),
             )
+
+    @staticmethod
+    def _eval_rejected(monkeypatch, ckpt, ds_path, shapes):
+        # the check runs before the predictor is built or any loss is drawn
+        def no_compute(*a, **k):
+            raise AssertionError("eval computed on a mismatched dataset")
+
+        monkeypatch.setattr(training, "ema_predictor", no_compute)
+        monkeypatch.setattr(training, "evaluate", no_compute)
+        with pytest.raises(SystemExit, match=shapes):
+            run_cli("eval", "--checkpoint", str(ckpt), "--dataset", str(ds_path))
+
+    def test_bin_count_mismatch_rejected(self, tmp_path, monkeypatch):
+        config = training.TrainConfig(modality="discretised", D=4, K=256, sigma1=0.02, hidden=(8,))
+        mlp = MLP(config.predictor_spec(), seed=0)
+        ckpt = tmp_path / "k256.ckpt"
+        zeros = np.zeros_like(mlp.params)
+        training.save_checkpoint(ckpt, training.TrainResult(mlp, mlp.params.copy(), zeros, zeros.copy(), config=config))
+        ds_path = tmp_path / "k16.ds"
+        data.save_dataset(ds_path, data.ingest_bytes(bytes(range(0, 256, 8)), 4, "discretised", K=16))
+        self._eval_rejected(monkeypatch, ckpt, ds_path,
+                            r"\(modality discretised, D=4, K=16\) does not match "
+                            r"the model \(modality discretised, D=4, K=256\)")
+
+    def test_dimension_mismatch_rejected(self, toy_run, tmp_path, monkeypatch):
+        ds_path = tmp_path / "d8.ds"
+        items = data.toy_strings().items[:, :8]
+        data.save_dataset(ds_path, data.Dataset(modality="discrete", D=8, K=27, items=items))
+        self._eval_rejected(monkeypatch, toy_run["ckpt"], ds_path,
+                            r"\(modality discrete, D=8, K=27\) does not match "
+                            r"the model \(modality discrete, D=16, K=27\)")
 
     def test_step_count_below_one_rejected(self, toy_run):
         with pytest.raises(SystemExit, match="step counts must be >= 1"):

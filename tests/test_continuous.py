@@ -1,14 +1,17 @@
 """Continuous-data operations: updates, flow, losses, sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bflow import continuous as cts
 from bflow.numerics import Rng, gaussian_sample, log_gaussian_pdf
 from bflow.predictor import ConstantPredictor
+from bflow.schedule import ContinuousSigma, FlowConfig
 from oracle_predictors import CtsDatumPredictor
 
-CFG = cts.CtsConfig(sigma1=0.02, D=1)
+CFG = FlowConfig(ContinuousSigma(0.02), D=1)
 
 
 class TestBayesUpdate:
@@ -98,7 +101,7 @@ class TestOutputPrediction:
 
     def test_noise_inversion_recovers_datum(self):
         x = np.array([0.43])
-        pred = CtsDatumPredictor(x, CFG.sigma1)
+        pred = CtsDatumPredictor(x, CFG.schedule.sigma1)
         r = Rng(4)
         for t in (0.2, 0.6, 0.95):
             p = cts.flow_sample(r, CFG, x, t)
@@ -106,7 +109,7 @@ class TestOutputPrediction:
 
     def test_zero_noise_estimate(self):
         # gamma = 0.5 at t = ln(0.5)/(2 ln sigma1); x_hat = mean / gamma
-        t = np.log(0.5) / (2 * np.log(CFG.sigma1))
+        t = np.log(0.5) / (2 * np.log(CFG.schedule.sigma1))
         pred = ConstantPredictor(np.array([0.0]))
         p = cts.CtsParams(mean=np.array([0.3]), precision=1.0)
         assert cts._x_hat(pred, CFG, p.mean[None], t)[0, 0] == pytest.approx(0.6, rel=1e-12)
@@ -128,7 +131,7 @@ class TestLossNStep:
         # away from the t=0 step (where the prediction is pinned to zero)
         # a perfect predictor gives exactly zero loss
         x = np.array([0.31, -0.6])
-        cfg = cts.CtsConfig(sigma1=0.02, D=2)
+        cfg = FlowConfig(ContinuousSigma(0.02), D=2)
         pred = ConstantPredictor(x, predicts_data=True)
         r = Rng(5)
         for n in (2, 5, 30):
@@ -144,7 +147,7 @@ class TestLossNStep:
         # n=1 forces i=1, t=0, zero prediction
         x = np.array([0.5])
         pred = ConstantPredictor(x, predicts_data=True)
-        expected = (1 - CFG.sigma1**2) / 2 * 0.25 / CFG.sigma1**2
+        expected = (1 - CFG.schedule.sigma1**2) / 2 * 0.25 / CFG.schedule.sigma1**2
         assert cts.loss_n(Rng(6), pred, CFG, x[None], 1, 1)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_mean_matches_quadrature_oracle(self):
@@ -173,7 +176,7 @@ class TestLossNBatch:
     """Batched loss_n draws each row's noise as one-row loss_n calls on
     the same stream do."""
 
-    cfg = cts.CtsConfig(sigma1=0.02, D=2)
+    cfg = FlowConfig(ContinuousSigma(0.02), D=2)
     x = np.random.default_rng(3).uniform(-1, 1, size=(16, 2))
     pred = CtsDatumPredictor(np.array([0.3, -0.2]), 0.02)
 
@@ -211,11 +214,11 @@ class TestLossCtsTime:
 
     def test_constant_error_closed_form(self):
         x = np.array([0.1, 0.2])
-        cfg = cts.CtsConfig(sigma1=0.02, D=2)
+        cfg = FlowConfig(ContinuousSigma(0.02), D=2)
         e = 0.05
         pred = ConstantPredictor(x + e, predicts_data=True)
         t = 0.43
-        expected = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2 * t) * 2 * e**2
+        expected = -np.log(cfg.schedule.sigma1) * cfg.schedule.sigma1 ** (-2 * t) * 2 * e**2
         assert cts.loss_cts(Rng(9), pred, cfg, x[None], t)[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -223,17 +226,17 @@ class TestReconstructionLoss:
     def test_perfect_zero(self):
         x = np.array([0.9])
         pred = ConstantPredictor(x, predicts_data=True)
-        assert cts.recon(Rng(10), pred, CFG, x[None], noise_sigma=0.1)[0] == 0.0
+        assert cts.recon(Rng(10), pred, replace(CFG, recon_sigma=0.1), x[None])[0] == 0.0
 
     def test_constant_error(self):
         x = np.array([0.0])
         pred = ConstantPredictor(x + 0.2, predicts_data=True)
-        got = cts.recon(Rng(11), pred, CFG, x[None], noise_sigma=0.5)[0]
+        got = cts.recon(Rng(11), pred, replace(CFG, recon_sigma=0.5), x[None])[0]
         assert got == pytest.approx(0.2**2 / (2 * 0.25), rel=1e-12)
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            cts.recon(Rng(0), ConstantPredictor(np.zeros(1)), CFG, np.zeros((1, 1)), 0.0)
+            cts.recon(Rng(0), ConstantPredictor(np.zeros(1)), CFG, np.zeros((1, 1)))
 
 
 class TestGenerate:
@@ -241,7 +244,7 @@ class TestGenerate:
         c = 0.37
         pred = ConstantPredictor(np.array([c]), predicts_data=True)
         out = cts.generate(Rng(12), pred, CFG, 50)
-        assert abs(out[0] - c) <= 3 * CFG.sigma1
+        assert abs(out[0] - c) <= 3 * CFG.schedule.sigma1
 
     def test_predictor_called_exactly_twice_for_one_step(self):
         calls = []
@@ -259,7 +262,7 @@ class TestGenerate:
         cts.generate(Rng(13), pred, CFG, 2)
 
     def test_deterministic_under_seed(self):
-        pred = CtsDatumPredictor(np.array([0.2]), CFG.sigma1)
+        pred = CtsDatumPredictor(np.array([0.2]), CFG.schedule.sigma1)
         a = cts.generate(Rng(14), pred, CFG, 10)
         b = cts.generate(Rng(14), pred, CFG, 10)
         assert np.array_equal(a, b)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bflow import discrete as dd
 from bflow.numerics import Rng, log_gaussian_pdf
 from bflow.predictor import ConstantPredictor, ConstantProbsPredictor
-from bflow.schedule import DiscreteQuadratic
+from bflow.schedule import DiscreteQuadratic, FlowConfig
 from oracle_predictors import DiscreteOneHotPredictor
 
 SCHED = DiscreteQuadratic(0.75)
@@ -79,7 +79,7 @@ class TestBayesUpdate:
 
 class TestFlowSample:
     def test_prior_at_zero_time(self):
-        theta = dd.flow_sample(Rng(4), np.array([1, 3]), 0.0, SCHED, 4)
+        theta = dd.flow_sample(Rng(4), FlowConfig(SCHED, 2, 4), np.array([1, 3]), 0.0)
         np.testing.assert_array_equal(theta, dd.uniform_prior(2, 4))
 
     def test_concentrates_at_high_accuracy(self):
@@ -87,7 +87,7 @@ class TestFlowSample:
         r = Rng(5)
         hits = 0
         for _ in range(200):
-            theta = dd.flow_sample(r, np.array([2]), 1.0, sched, 3)
+            theta = dd.flow_sample(r, FlowConfig(sched, 1, 3), np.array([2]), 1.0)
             if theta[0, 1] > 0.999:
                 hits += 1
         assert hits / 200 > 0.99
@@ -100,7 +100,7 @@ class TestFlowSample:
         sched = DiscreteQuadratic(2.0)
         direct = np.zeros(trials)
         for j in range(trials):
-            direct[j] = dd.flow_sample(r, x, t, sched, K)[0, 0]
+            direct[j] = dd.flow_sample(r, FlowConfig(sched, 1, K), x, t)[0, 0]
         seq = np.zeros(trials)
         logits = np.zeros((trials, K))
         for i in range(1, n + 1):
@@ -115,7 +115,7 @@ class TestFlowSample:
 
 def _output_probs(pred, theta, t, K):
     """Class probabilities (D, K) at one state: the batched map on one row."""
-    return dd.output_map(dd._net_out(pred, np.asarray(theta)[None], t, K), K)[0]
+    return dd.output_map(dd._net_out(pred, FlowConfig(SCHED, len(theta), K), np.asarray(theta)[None], t), K)[0]
 
 
 class TestOutputDistribution:
@@ -169,7 +169,7 @@ class TestLossNStep:
         pred = DiscreteOneHotPredictor(x, 4, sharpness=800.0)
         r = Rng(10)
         i = r.integers(1, 7, size=50)
-        assert np.all(dd.loss_n(r, pred, SCHED, np.tile(x, (50, 1)), 6, 4, i) == 0.0)
+        assert np.all(dd.loss_n(r, pred, FlowConfig(SCHED, 3, 4), np.tile(x, (50, 1)), 6, i) == 0.0)
 
     def test_binary_quadrature_oracle(self):
         # K=2, D=1: MC mean vs numeric integration of the mixture KL
@@ -181,7 +181,7 @@ class TestLossNStep:
         alpha = sched.step_alpha(i, n)
         r = Rng(11)
         trials = 150_000
-        mc = dd.loss_n(r, pred, sched, np.tile(x, (trials, 1)), n, K, i) / n
+        mc = dd.loss_n(r, pred, FlowConfig(sched, 1, K), np.tile(x, (trials, 1)), n, i) / n
 
         # 2-D Gaussian mixture KL collapses to 1-D: with u = y + alpha,
         # the log ratio is u_x - lse(log w + u); u ~ N(alpha K e_x, alpha K I)
@@ -204,8 +204,9 @@ class TestLossNStep:
         # estimate is a deterministic function of the sender draw only
         x = np.array([2])
         pred = ConstantProbsPredictor(np.tile(np.array([0.3, 0.3, 0.4]), (1, 1)))
-        a = dd.loss_n(Rng(12), pred, SCHED, x[None], 5, 3, 1)
-        b = dd.loss_n(Rng(12), pred, SCHED, x[None], 5, 3, 1)
+        cfg = FlowConfig(SCHED, 1, 3)
+        a = dd.loss_n(Rng(12), pred, cfg, x[None], 5, 1)
+        b = dd.loss_n(Rng(12), pred, cfg, x[None], 5, 1)
         assert a == b
 
 
@@ -255,13 +256,13 @@ class TestLossNBatch:
     """Batched loss_n draws each row's noise (flow block, then sender
     block) as one-row loss_n calls on the same stream do."""
 
-    K = 4
+    cfg = FlowConfig(SCHED, 3, 4)
     x = np.random.default_rng(5).integers(1, 5, size=(16, 3))
 
     def test_one_step_matches_sequential_calls(self):
         a, b = Rng(26), Rng(26)
-        got = dd.loss_n(a, _StateLogits(), SCHED, self.x, 10, self.K, 4)
-        want = [dd.loss_n(b, _StateLogits(), SCHED, row[None], 10, self.K, 4)[0] for row in self.x]
+        got = dd.loss_n(a, _StateLogits(), self.cfg, self.x, 10, 4)
+        want = [dd.loss_n(b, _StateLogits(), self.cfg, row[None], 10, 4)[0] for row in self.x]
         assert np.array_equal(got, want)
         assert a.draws == b.draws == 16 * 2 * 3 * 4
 
@@ -269,8 +270,8 @@ class TestLossNBatch:
         """Step 1 sits at t=0, where the flow state is the prior; the row
         still draws its flow block, scaled by zero, before the sender's."""
         a, b = Rng(27), Rng(27)
-        got = dd.loss_n(a, _StateLogits(), SCHED, self.x[:1], 10, self.K, 1)
-        assert got[0] == dd.loss_n(b, _StateLogits(), SCHED, self.x[:1], 10, self.K, 1)[0]
+        got = dd.loss_n(a, _StateLogits(), self.cfg, self.x[:1], 10, 1)
+        assert got[0] == dd.loss_n(b, _StateLogits(), self.cfg, self.x[:1], 10, 1)[0]
         assert a.draws == b.draws == 2 * 3 * 4
 
     def test_mixed_steps_match_per_row_calls(self):
@@ -278,8 +279,8 @@ class TestLossNBatch:
         differ from Python's in the last bit, so rows agree to 1e-12."""
         i = np.arange(16) % 10 + 1
         a, b = Rng(28), Rng(28)
-        got = dd.loss_n(a, _StateLogits(), SCHED, self.x, 10, self.K, i)
-        want = [dd.loss_n(b, _StateLogits(), SCHED, row[None], 10, self.K, int(k))[0] for row, k in zip(self.x, i)]
+        got = dd.loss_n(a, _StateLogits(), self.cfg, self.x, 10, i)
+        want = [dd.loss_n(b, _StateLogits(), self.cfg, row[None], 10, int(k))[0] for row, k in zip(self.x, i)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert a.draws == b.draws
 
@@ -288,14 +289,14 @@ class TestLossCtsTime:
     def test_one_hot_correct_zero(self):
         x = np.array([2, 2])
         pred = DiscreteOneHotPredictor(x, 3, sharpness=800.0)
-        assert dd.loss_cts(Rng(13), pred, SCHED, x[None], 3, 0.6)[0] == 0.0
+        assert dd.loss_cts(Rng(13), pred, FlowConfig(SCHED, 2, 3), x[None], 0.6)[0] == 0.0
 
     def test_uniform_output_closed_form(self):
         K, D = 4, 3
         x = np.array([1, 2, 4])
         pred = ConstantPredictor(np.zeros(K * D))
         t = 0.37
-        got = dd.loss_cts(Rng(14), pred, SCHED, x[None], K, t)[0]
+        got = dd.loss_cts(Rng(14), pred, FlowConfig(SCHED, D, K), x[None], t)[0]
         expected = SCHED.beta1 * t * (K - 1) * D
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -304,13 +305,13 @@ class TestReconstructionLoss:
     def test_one_hot_correct_zero(self):
         x = np.array([3])
         pred = DiscreteOneHotPredictor(x, 4, sharpness=800.0)
-        assert dd.recon(Rng(15), pred, SCHED, x[None], 4)[0] == 0.0
+        assert dd.recon(Rng(15), pred, FlowConfig(SCHED, 1, 4), x[None])[0] == 0.0
 
     def test_uniform_value(self):
         K, D = 5, 4
         x = np.array([1, 2, 3, 4])
         pred = ConstantPredictor(np.zeros(K * D))
-        got = dd.recon(Rng(16), pred, SCHED, x[None], K)[0]
+        got = dd.recon(Rng(16), pred, FlowConfig(SCHED, D, K), x[None])[0]
         assert got == pytest.approx(D * math.log(K), rel=1e-12)
 
     def test_direct_log_prob_oracle(self):
@@ -319,7 +320,7 @@ class TestReconstructionLoss:
         logits = rng.normal(size=(D, K))
         pred = ConstantPredictor(logits.ravel())
         x = np.array([2, 1, 4])
-        got = dd.recon(Rng(18), pred, SCHED, x[None], K)[0]
+        got = dd.recon(Rng(18), pred, FlowConfig(SCHED, D, K), x[None])[0]
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         ref = -sum(math.log(probs[d, x[d] - 1]) for d in range(D))

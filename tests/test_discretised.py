@@ -1,6 +1,7 @@
 """Discretised-data operations: bins, CDF clipping, mixture losses."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from bflow import continuous as cts
 from bflow import discretised as dsc
 from bflow.numerics import Rng, gaussian_sample, neg_log_true_class
 from bflow.predictor import ConstantPredictor, DiscretisedDatumPredictor
+from bflow.schedule import ContinuousSigma, FlowConfig
 
-CFG = cts.CtsConfig(sigma1=math.sqrt(0.001), D=1)
+CFG = FlowConfig(ContinuousSigma(math.sqrt(0.001)), D=1, K=16)
 
 
 def _simpson(f, a, b, n=4096):
@@ -117,7 +119,7 @@ class TestDiscretisedCdf:
 class TestOutputDistribution:
     def test_prior_branch_below_tmin(self):
         pred = ConstantPredictor(np.full(2, 99.0))
-        probs = dsc.probs(pred, CFG, cts.prior(1).mean[None], 0.0, 16)[0]
+        probs = dsc.probs(pred, CFG, cts.prior(1).mean[None], 0.0)[0]
         # standard-normal masses with tails folded into the end bins
         g = dsc.BinGeometry(16)
         expect = np.zeros(16)
@@ -130,9 +132,9 @@ class TestOutputDistribution:
 
     def test_degenerate_width_one_hot(self):
         x = np.array([dsc.BinGeometry(16).center(5)])
-        pred = DiscretisedDatumPredictor(x, 1e-9, CFG.sigma1)
+        pred = DiscretisedDatumPredictor(x, 1e-9, CFG.schedule.sigma1)
         p = cts.flow_sample(Rng(0), CFG, x, 0.5)
-        probs = dsc.probs(pred, CFG, p.mean[None], 0.5, 16)[0]
+        probs = dsc.probs(pred, CFG, p.mean[None], 0.5)[0]
         assert probs[0, 4] == 1.0
         assert probs[0].sum() == 1.0
 
@@ -161,7 +163,7 @@ class TestOutputDistribution:
     def test_wrong_predictor_width(self):
         pred = ConstantPredictor(np.zeros(3))
         with pytest.raises(ValueError):
-            dsc.probs(pred, CFG, cts.prior(1).mean[None], 0.5, 16)
+            dsc.probs(pred, CFG, cts.prior(1).mean[None], 0.5)
 
 
 class TestKHat:
@@ -220,10 +222,10 @@ class TestLossNStep:
         K = 16
         g = dsc.BinGeometry(K)
         x = np.array([g.center(11)])
-        pred = DiscretisedDatumPredictor(x, 1e-9, CFG.sigma1)
+        pred = DiscretisedDatumPredictor(x, 1e-9, CFG.schedule.sigma1)
         r = Rng(6)
         i = r.integers(2, 9, size=50)
-        assert np.all(np.abs(dsc.loss_n(r, pred, CFG, np.tile(x, (50, 1)), 8, K, i)) < 1e-9)
+        assert np.all(np.abs(dsc.loss_n(r, pred, CFG, np.tile(x, (50, 1)), 8, i)) < 1e-9)
 
     def test_two_bin_quadrature_oracle(self):
         # K=2, D=1: Monte-Carlo mean must match numeric integration of the
@@ -231,17 +233,17 @@ class TestLossNStep:
         K = 2
         g = dsc.BinGeometry(K)
         x = np.array([g.center(2)])
-        cfg = cts.CtsConfig(sigma1=0.4, D=1)
-        pred = DiscretisedDatumPredictor(x - 0.3, 0.45, cfg.sigma1)
+        cfg = FlowConfig(ContinuousSigma(0.4), D=1, K=K)
+        pred = DiscretisedDatumPredictor(x - 0.3, 0.45, cfg.schedule.sigma1)
         n, i = 4, 3
         alpha = cfg.schedule.step_alpha(i, n)
         r = Rng(7)
         trials = 200_000
-        mc = dsc.loss_n(r, pred, cfg, np.tile(x, (trials, 1)), n, K, i) / n
+        mc = dsc.loss_n(r, pred, cfg, np.tile(x, (trials, 1)), n, i) / n
 
         t = (i - 1) / n
         p = cts.flow_sample(Rng(8), cfg, x, t)
-        probs = dsc.probs(pred, cfg, p.mean[None], t, K)[0, 0]
+        probs = dsc.probs(pred, cfg, p.mean[None], t)[0, 0]
 
         def integrand(y):
             send = np.exp(-0.5 * alpha * (y - x[0]) ** 2) * math.sqrt(alpha / (2 * math.pi))
@@ -271,15 +273,14 @@ class TestLossNBatch:
     """Batched loss_n draws each row's noise (flow block, then sender
     block) as one-row loss_n calls on the same stream do."""
 
-    K = 8
-    cfg = cts.CtsConfig(sigma1=math.sqrt(0.001), D=2)
+    cfg = FlowConfig(ContinuousSigma(math.sqrt(0.001)), D=2, K=8)
     x = dsc.BinGeometry(8).centers[np.random.default_rng(4).integers(0, 8, size=(16, 2))]
-    pred = DiscretisedDatumPredictor(np.array([0.1, -0.4]), 0.3, cfg.sigma1)
+    pred = DiscretisedDatumPredictor(np.array([0.1, -0.4]), 0.3, cfg.schedule.sigma1)
 
     def test_one_step_matches_sequential_calls(self):
         a, b = Rng(23), Rng(23)
-        got = dsc.loss_n(a, self.pred, self.cfg, self.x, 10, self.K, 4)
-        want = [dsc.loss_n(b, self.pred, self.cfg, row[None], 10, self.K, 4)[0] for row in self.x]
+        got = dsc.loss_n(a, self.pred, self.cfg, self.x, 10, 4)
+        want = [dsc.loss_n(b, self.pred, self.cfg, row[None], 10, 4)[0] for row in self.x]
         assert np.array_equal(got, want)
         assert a.draws == b.draws == 64
 
@@ -287,8 +288,8 @@ class TestLossNBatch:
         """Step 1 sits at t=0, where the flow state is the prior; the row
         still draws its flow block, scaled by zero, before the sender's."""
         a, b = Rng(24), Rng(24)
-        got = dsc.loss_n(a, self.pred, self.cfg, self.x[:1], 10, self.K, 1)
-        assert got[0] == dsc.loss_n(b, self.pred, self.cfg, self.x[:1], 10, self.K, 1)[0]
+        got = dsc.loss_n(a, self.pred, self.cfg, self.x[:1], 10, 1)
+        assert got[0] == dsc.loss_n(b, self.pred, self.cfg, self.x[:1], 10, 1)[0]
         assert a.draws == b.draws == 2 * 2
 
     def test_mixed_steps_match_per_row_calls(self):
@@ -296,8 +297,8 @@ class TestLossNBatch:
         differ from Python's in the last bit, so rows agree to 1e-12."""
         i = np.arange(16) % 10 + 1
         a, b = Rng(25), Rng(25)
-        got = dsc.loss_n(a, self.pred, self.cfg, self.x, 10, self.K, i)
-        want = [dsc.loss_n(b, self.pred, self.cfg, row[None], 10, self.K, int(k))[0] for row, k in zip(self.x, i)]
+        got = dsc.loss_n(a, self.pred, self.cfg, self.x, 10, i)
+        want = [dsc.loss_n(b, self.pred, self.cfg, row[None], 10, int(k))[0] for row, k in zip(self.x, i)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert a.draws == b.draws
 
@@ -307,8 +308,8 @@ class TestLossCtsTime:
         K = 16
         g = dsc.BinGeometry(K)
         x = np.array([g.center(3)])
-        pred = DiscretisedDatumPredictor(x, 1e-9, CFG.sigma1)
-        assert dsc.loss_cts(Rng(9), pred, CFG, x[None], K, 0.5)[0] == pytest.approx(0.0, abs=1e-12)
+        pred = DiscretisedDatumPredictor(x, 1e-9, CFG.schedule.sigma1)
+        assert dsc.loss_cts(Rng(9), pred, CFG, x[None], 0.5)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_output_closed_form(self):
         # uniform rows have expected centre zero by symmetry, so the loss
@@ -319,7 +320,7 @@ class TestLossCtsTime:
         assert (probs @ centers)[0] == pytest.approx(0.0, abs=1e-15)
         x = np.array([centers[11]])
         t = 0.4
-        weight = -math.log(CFG.sigma1) * CFG.sigma1 ** (-2 * t)
+        weight = -math.log(CFG.schedule.sigma1) * CFG.schedule.sigma1 ** (-2 * t)
         expected = weight * x[0] ** 2
         resid = x - probs @ centers
         assert weight * float(resid @ resid) == pytest.approx(expected, rel=1e-12)
@@ -329,8 +330,8 @@ class TestReconstructionLoss:
     def test_one_hot_correct_zero(self):
         K = 16
         x = np.array([dsc.BinGeometry(K).center(9)])
-        pred = DiscretisedDatumPredictor(x, 1e-9, CFG.sigma1)
-        assert dsc.recon(Rng(10), pred, CFG, x[None], K)[0] == 0.0
+        pred = DiscretisedDatumPredictor(x, 1e-9, CFG.schedule.sigma1)
+        assert dsc.recon(Rng(10), pred, CFG, x[None])[0] == 0.0
 
     def test_uniform_value(self):
         K = 16
@@ -352,8 +353,8 @@ class TestReconstructionLoss:
         g = dsc.BinGeometry(K)
         x = np.array([g.center(1)])
         # predictor concentrated on the wrong bin: true-bin mass underflows
-        pred = DiscretisedDatumPredictor(np.array([g.center(16)]), 1e-9, CFG.sigma1)
-        got = dsc.recon(Rng(13), pred, CFG, x[None], K)[0]
+        pred = DiscretisedDatumPredictor(np.array([g.center(16)]), 1e-9, CFG.schedule.sigma1)
+        got = dsc.recon(Rng(13), pred, CFG, x[None])[0]
         assert np.isfinite(got) and got == 1e6
 
 
@@ -362,21 +363,20 @@ class TestGenerate:
         K = 16
         g = dsc.BinGeometry(K)
         target = np.array([g.center(13)])
-        pred = DiscretisedDatumPredictor(target, 1e-9, CFG.sigma1)
-        out = dsc.generate(Rng(14), pred, CFG, 12, K)
+        pred = DiscretisedDatumPredictor(target, 1e-9, CFG.schedule.sigma1)
+        out = dsc.generate(Rng(14), pred, CFG, 12)
         assert out[0] == g.center(13)
 
     def test_seed_determinism(self):
-        K = 8
-        pred = DiscretisedDatumPredictor(np.array([0.1]), 0.2, CFG.sigma1)
-        a = dsc.generate(Rng(15), pred, CFG, 6, K)
-        b = dsc.generate(Rng(15), pred, CFG, 6, K)
+        cfg = replace(CFG, K=8)
+        pred = DiscretisedDatumPredictor(np.array([0.1]), 0.2, CFG.schedule.sigma1)
+        a = dsc.generate(Rng(15), pred, cfg, 6)
+        b = dsc.generate(Rng(15), pred, cfg, 6)
         assert np.array_equal(a, b)
 
     def test_final_precision(self):
-        K = 8
-        pred = DiscretisedDatumPredictor(np.array([0.1]), 0.2, CFG.sigma1)
-        _, p = dsc.generate(Rng(16), pred, CFG, 9, K, return_params=True)
+        pred = DiscretisedDatumPredictor(np.array([0.1]), 0.2, CFG.schedule.sigma1)
+        _, p = dsc.generate(Rng(16), pred, replace(CFG, K=8), 9, return_params=True)
         assert p.precision == 1.0 + CFG.schedule.beta(1.0)
 
 

@@ -6,6 +6,7 @@ import pytest
 from bflow import continuous as cts
 from bflow.numerics import Rng
 from bflow.predictor import MLP, ConstantPredictor, PredictorSpec, time_features
+from bflow.schedule import ContinuousSigma, FlowConfig
 from oracle_predictors import CtsDatumPredictor, CtsPosteriorPredictor, DiscreteOneHotPredictor
 
 
@@ -133,16 +134,16 @@ class TestOracles:
         assert abs(sm[1, 0] - 1.0) < 1e-6
 
     def test_posterior_oracle_single_atom(self):
-        cfg = cts.CtsConfig(sigma1=0.02, D=2)
+        cfg = FlowConfig(ContinuousSigma(0.02), D=2)
         c = np.array([[0.3, -0.1]])
-        oracle = CtsPosteriorPredictor(c, cfg.sigma1)
+        oracle = CtsPosteriorPredictor(c, cfg.schedule.sigma1)
         p = cts.flow_sample(Rng(0), cfg, c[0], 0.4)
         np.testing.assert_allclose(cts._x_hat(oracle, cfg, p.mean[None], 0.4)[0], c[0], atol=1e-10)
 
     def test_posterior_oracle_symmetry(self):
-        cfg = cts.CtsConfig(sigma1=0.02, D=1)
+        cfg = FlowConfig(ContinuousSigma(0.02), D=1)
         data = np.array([[-0.6], [0.6]])
-        oracle = CtsPosteriorPredictor(data, cfg.sigma1)
+        oracle = CtsPosteriorPredictor(data, cfg.schedule.sigma1)
         assert oracle.posterior_mean(np.array([0.0]), 0.5)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_posterior_oracle_enumeration(self):
@@ -160,8 +161,8 @@ class TestOracles:
         np.testing.assert_allclose(oracle.posterior_mean(mean, t), ref, atol=1e-10)
 
     def test_datum_oracle_perfect_recovery(self):
-        cfg = cts.CtsConfig(sigma1=0.02, D=1)
+        cfg = FlowConfig(ContinuousSigma(0.02), D=1)
         x = np.array([0.7])
-        oracle = CtsDatumPredictor(x, cfg.sigma1)
+        oracle = CtsDatumPredictor(x, cfg.schedule.sigma1)
         p = cts.flow_sample(Rng(2), cfg, x, 0.8)
         np.testing.assert_allclose(cts._x_hat(oracle, cfg, p.mean[None], 0.8)[0], x, atol=1e-12)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from bflow import cli, data
-from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
 from bflow import training
 from bflow.numerics import Rng
 from bflow.predictor import MLP, MODALITIES, DiscretisedDatumPredictor
+from bflow.schedule import ContinuousSigma, FlowConfig
 
 
 @pytest.fixture(scope="module")
@@ -60,15 +60,15 @@ class TestEvalTableBehaviour:
         # the estimated expectation
         result, items = char_model
         predictor = training.ema_predictor(result)
-        sched = result.config.schedule
+        cfg = result.config.flow
         rng = Rng(32)
         n = 100
         # 40 repeats of every item at every step i = 1..n
         x = np.repeat(np.tile(items, (40, 1)), n, axis=0)
         i = np.tile(np.arange(1, n + 1), 40 * len(items))
-        ln_mean = float(np.mean(dd.loss_n(rng, predictor, sched, x, n, 27, i)))
+        ln_mean = float(np.mean(dd.loss_n(rng, predictor, cfg, x, n, i)))
         x = np.tile(items, (4000, 1))
-        linf_mean = float(np.mean(dd.loss_cts(rng, predictor, sched, x, 27, rng.uniform(size=len(x)))))
+        linf_mean = float(np.mean(dd.loss_cts(rng, predictor, cfg, x, rng.uniform(size=len(x)))))
         assert ln_mean == pytest.approx(linf_mean, rel=0.05)
 
 
@@ -83,14 +83,13 @@ class TestGenerationStatistics:
         assert abs(ones / n_samples - 0.5) <= 0.03
 
     def test_discretised_datum_oracle_generation_frequency(self):
-        cfg = cts.CtsConfig(sigma1=np.sqrt(0.001), D=1)
-        K = 16
-        geom = dsc.BinGeometry(K)
+        cfg = FlowConfig(ContinuousSigma(np.sqrt(0.001)), D=1, K=16)
+        geom = dsc.BinGeometry(cfg.K)
         target = np.array([geom.center(13)])
-        pred = DiscretisedDatumPredictor(target, 0.01, cfg.sigma1)
+        pred = DiscretisedDatumPredictor(target, 0.01, cfg.schedule.sigma1)
         rng = Rng(66)
         hits = sum(
-            dsc.generate(rng.split(j), pred, cfg, 50, K)[0] == target[0] for j in range(200)
+            dsc.generate(rng.split(j), pred, cfg, 50)[0] == target[0] for j in range(200)
         )
         assert hits / 200 > 0.99
 
@@ -103,15 +102,13 @@ class TestReconstructionShare:
         config = training.TrainConfig(
             modality="continuous", D=2, sigma1=0.1, batch_size=128,
             steps=1500, learning_rate=3e-3, weight_decay=0.0, seed=11,
-            hidden=(64, 64), t_min=1e-3, n_freqs=10,
+            hidden=(64, 64), t_min=1e-3, n_freqs=10, recon_sigma=0.3,
         )
         items = data.toy_mixture().items
         result = training.train(Rng(6), items, config)
         predictor = result.mlp
-        cfg = config.cts_config()
         rng = Rng(77)
-        noise_sigma = 0.3
-        recon = np.mean(cts.recon(rng, predictor, cfg, np.tile(items[:64], (20, 1)), noise_sigma))
+        recon = np.mean(training.item_losses(rng, predictor, config, np.tile(items[:64], (20, 1)), "recon", None))
         total = training.estimate_mean_loss(Rng(88), result.mlp, result.mlp.params, config, items, n_draws=200)
         assert recon / (recon + total) < 0.02
 
@@ -135,9 +132,7 @@ def _random_mlp(modality, seed):
 def _generate(rng, pred, config, n):
     if config.modality == "discrete":
         return dd.generate(rng, pred, config.schedule, n, config.K, config.D)
-    if config.modality == "discretised":
-        return dsc.generate(rng, pred, config.cts_config(), n, config.K)
-    return cts.generate(rng, pred, config.cts_config(), n)
+    return training.OPS[config.modality].generate(rng, pred, config.flow, n)
 
 
 class TestBatchedGenerate:

@@ -1,5 +1,6 @@
 """Optimizer, EMA, head gradients, the loop and checkpoint round-trips."""
 
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from bflow import discretised as dsc
 from bflow.data import toy_glyphs, toy_mixture, toy_strings
 from bflow.kernels import erf_vec
 from bflow.numerics import Rng, softmax_rows
-from bflow.predictor import MLP, ConstantPredictor, DiscretisedDatumPredictor
-from bflow.schedule import DiscreteQuadratic
+from bflow.predictor import MODALITIES, MLP, ConstantPredictor, DiscretisedDatumPredictor
+from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig
 from bflow.training import TrainConfig, adamw_step
 from oracle_predictors import DiscreteOneHotPredictor
 
@@ -214,14 +215,14 @@ class TestHeadGradients:
         t = np.array([0.1, 0.5, 0.9])
         config = _make_config("discretised", D=D, K=K, batch_size=t.size,
                               schedule_preset="cts-256bin")
-        cfg = config.cts_config()
         rng = np.random.default_rng(9)
         mu = rng.normal(size=(t.size, D)) * 0.5
         x = dsc.BinGeometry(K).centers[rng.integers(0, K, size=(t.size, D))]
-        g = 1.0 - cfg.sigma1 ** (2.0 * t[:, None])
+        g = 1.0 - config.sigma1 ** (2.0 * t[:, None])
         ratio = np.sqrt((1.0 - g) / g)
         net_out = np.concatenate([(mu / g - mu_x) / ratio, np.log(sigma_x / ratio)], axis=1)
-        state = {"t": t, "mu": mu, "state_in": mu, "x": x}
+        theta = cts.CtsParams(mean=mu, precision=1.0 + config.schedule.beta(t))
+        state = {"t": t, "theta": theta, "state_in": mu, "x": x}
         _, d_out = training.head_loss_and_grad(config, state, net_out)
         for b in range(t.size):
             for j in range(2 * D):
@@ -247,11 +248,10 @@ class TestHeadGradients:
         state = training.sample_head_state(r, config, x)
         out = mlp.forward_batch(state["state_in"], state["t"])
         loss_vec, _ = training.head_loss_and_grad(config, state, out)
-        cfg = config.cts_config()
         for b in range(config.batch_size):
-            x_hat = cts._x_hat(mlp, cfg, state["mu"][b][None], float(state["t"][b]))[0]
+            x_hat = cts._x_hat(mlp, config.flow, state["theta"].mean[b][None], float(state["t"][b]))[0]
             resid = x[b] - x_hat
-            w = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2 * state["t"][b])
+            w = -np.log(config.sigma1) * config.sigma1 ** (-2 * state["t"][b])
             assert loss_vec[b] == pytest.approx(w * resid @ resid, rel=1e-12)
 
     def test_discretised_head_matches_sampling_op(self):
@@ -264,11 +264,10 @@ class TestHeadGradients:
         state = training.sample_head_state(r, config, x)
         out = mlp.forward_batch(state["state_in"], state["t"])
         loss_vec, _ = training.head_loss_and_grad(config, state, out)
-        cfg = config.cts_config()
         for b in range(config.batch_size):
-            probs = dsc.probs(mlp, cfg, state["mu"][b][None], float(state["t"][b]), config.K)[0]
+            probs = dsc.probs(mlp, config.flow, state["theta"].mean[b][None], float(state["t"][b]))[0]
             resid = x[b] - probs @ dsc.BinGeometry(config.K).centers
-            w = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2 * state["t"][b])
+            w = -np.log(config.sigma1) * config.sigma1 ** (-2 * state["t"][b])
             assert loss_vec[b] == pytest.approx(w * resid @ resid, rel=1e-10)
 
     def test_discrete_head_matches_sampling_op(self):
@@ -283,7 +282,7 @@ class TestHeadGradients:
         loss_vec, _ = training.head_loss_and_grad(config, state, out)
         sched = config.schedule
         for b in range(config.batch_size):
-            net_out = dd._net_out(mlp, state["theta"][b][None], float(state["t"][b]), config.K)
+            net_out = dd._net_out(mlp, config.flow, state["theta"][b][None], float(state["t"][b]))
             probs = dd.output_map(net_out, config.K)[0]
             resid = dd.one_hot(x[b], config.K) - probs
             ref = 0.5 * config.K * sched.alpha(float(state["t"][b])) * float(np.sum(resid * resid))
@@ -293,12 +292,11 @@ class TestHeadGradients:
 def _dsc_output_map_reference(config, state, net_out):
     """Time weight, live rows, noise ratio and data-space Gaussians of the
     discretised head, restated."""
-    cfg = config.cts_config()
-    t, mu = state["t"], state["mu"]
+    t, mu = state["t"], state["theta"].mean
     B, D = mu.shape
-    w = -np.log(cfg.sigma1) * cfg.sigma1 ** (-2.0 * t)
-    g = 1.0 - cfg.sigma1 ** (2.0 * t)
-    live = t >= cfg.t_min
+    w = -np.log(config.sigma1) * config.sigma1 ** (-2.0 * t)
+    g = 1.0 - config.sigma1 ** (2.0 * t)
+    live = t >= config.t_min
     mu_eps, ln_sigma_eps = net_out[:, :D], net_out[:, D:]
     ratio = np.zeros(B)
     ratio[live] = np.sqrt((1.0 - g[live]) / g[live])
@@ -386,7 +384,8 @@ class TestDiscretisedHeadReference:
         # hits the 1e-20 floor on sigma_x and +25 makes sigma_x very wide
         mu_eps = rng.choice([0.0, 0.5, -2.0, 40.0, -40.0], size=(B, D))
         ln_sigma_eps = rng.choice([-80.0, -6.0, 0.0, 2.0, 25.0], size=(B, D))
-        state = {"t": t, "mu": mu, "state_in": mu, "x": x}
+        theta = cts.CtsParams(mean=mu, precision=1.0 + config.schedule.beta(t))
+        state = {"t": t, "theta": theta, "state_in": mu, "x": x}
         net_out = np.concatenate([mu_eps, ln_sigma_eps], axis=1)
         self._assert_same_bits(config, state, net_out)
 
@@ -412,7 +411,7 @@ def _dd_flow_row_reference(rng, x, t, sched, K):
 def _cts_flow_row_reference(rng, cfg, x, t):
     """One (D,) continuous flow mean at a float t; a row at t = 0 draws its
     block too."""
-    g = 1.0 - cfg.sigma1 ** (2.0 * t)
+    g = 1.0 - cfg.schedule.sigma1 ** (2.0 * t)
     z = rng.standard_normal(x.shape)
     return g * x + np.sqrt(g * (1.0 - g)) * z
 
@@ -429,12 +428,18 @@ def _sample_head_state_reference(rng, config, x_batch):
                           for b in range(B)])
         state_in = np.stack([2.0 * th[:, 0] - 1.0 if K == 2 else (2.0 * th - 1.0).ravel() for th in theta])
         return {"t": t, "theta": theta, "state_in": state_in, "x": x_batch}
-    cfg = config.cts_config()
-    g = 1.0 - cfg.sigma1 ** (2.0 * t)
+    g = 1.0 - config.sigma1 ** (2.0 * t)
     z = rng.standard_normal(x_batch.shape)
     mu = g[:, None] * x_batch + np.sqrt(np.maximum(g * (1.0 - g), 0.0))[:, None] * z
     mu[g == 0.0] = 0.0
-    return {"t": t, "mu": mu, "state_in": mu, "x": x_batch}
+    theta = cts.CtsParams(mean=mu, precision=1.0 + config.schedule.beta(t))
+    return {"t": t, "theta": theta, "state_in": mu, "x": x_batch}
+
+
+def _arrays(value):
+    """A state dict entry as arrays: a continuous flow state is its mean and
+    its precision."""
+    return (value.mean, value.precision) if isinstance(value, cts.CtsParams) else (value,)
 
 
 def _same_bits(a, b):
@@ -451,17 +456,18 @@ class TestBatchedFlow:
     @pytest.mark.parametrize("K", [2, 27])
     def test_discrete_rows_equal_per_row_draws(self, K):
         sched = DiscreteQuadratic(3.0)
+        cfg = FlowConfig(sched, 5, K)
         x = Rng(40).integers(1, K + 1, size=(6, 5))
         r_batch, r_ref, r_item = Rng(41), Rng(41), Rng(41)
-        batched = dd.flow_sample(r_batch, x, self.T, sched, K)
+        batched = dd.flow_sample(r_batch, cfg, x, self.T)
         ref = np.stack([_dd_flow_row_reference(r_ref, x[b], float(self.T[b]), sched, K) for b in range(6)])
-        items = np.stack([dd.flow_sample(r_item, x[b], float(self.T[b]), sched, K) for b in range(6)])
+        items = np.stack([dd.flow_sample(r_item, cfg, x[b], float(self.T[b])) for b in range(6)])
         assert _same_bits(batched, ref) and _same_bits(items, ref)
         assert np.all(batched[2] == 1.0 / K)
         assert r_batch.draws == r_ref.draws == r_item.draws == 6 * 5 * K
 
     def test_continuous_rows_equal_per_row_draws(self):
-        cfg = cts.CtsConfig(sigma1=0.02, D=5)
+        cfg = FlowConfig(ContinuousSigma(0.02), D=5)
         x = Rng(42).uniform(size=(6, 5)) * 2.0 - 1.0
         r_batch, r_rows, r_ref, r_item = Rng(43), Rng(43), Rng(43), Rng(43)
         batched = cts.flow_sample(r_batch, cfg, x, self.T)
@@ -485,7 +491,7 @@ class TestBatchedFlow:
         ref = _sample_head_state_reference(Rng(45), config, x)
         assert state.keys() == ref.keys()
         for key in state:
-            assert _same_bits(state[key], ref[key]), key
+            assert all(map(_same_bits, _arrays(state[key]), _arrays(ref[key]))), key
 
     @pytest.mark.parametrize("name", ["strings", "glyphs"])
     def test_train_matches_reference_driven_run(self, name, monkeypatch):
@@ -738,19 +744,15 @@ class TestEvaluate:
     def test_row_is_mean_of_direct_batched_call(self, modality):
         config, data, pred = _eval_case(modality)
         rows = training.evaluate(Rng(62), pred, config, data, n_values=(6,), passes=2)
-        if modality == "discrete":
-            mod, spec = dd, config.schedule
-        else:
-            mod, spec = (cts if modality == "continuous" else dsc), config.cts_config()
-        K = () if modality == "continuous" else (config.K,)
+        mod, cfg = training.OPS[modality], config.flow
         want = {"6": [], "inf": [], "recon": []}
         for p in range(2):
             prng = Rng(62).split(p)
-            want["6"].append(mod.loss_n(prng, pred, spec, data, 6, *K, prng.integers(1, 7, size=7)))
+            want["6"].append(mod.loss_n(prng, pred, cfg, data, 6, prng.integers(1, 7, size=7)))
             prng = Rng(62).split(1_000_003 + p)
-            want["inf"].append(mod.loss_cts(prng, pred, spec, data, *K, prng.uniform(size=7)))
+            want["inf"].append(mod.loss_cts(prng, pred, cfg, data, prng.uniform(size=7)))
             prng = Rng(62).split(2 * 1_000_003 + p)
-            want["recon"].append(mod.recon(prng, pred, spec, data, config.K if K else config.recon_sigma))
+            want["recon"].append(mod.recon(prng, pred, cfg, data))
         assert {r["label"]: r["nats"] for r in rows} == {k: float(np.concatenate(v).mean()) for k, v in want.items()}
 
     def test_rows_cover_requested_grid(self):
@@ -905,3 +907,31 @@ class TestCheckpoint:
             training.load_checkpoint(path)
         except ValueError:
             pass
+
+
+# the required parameters of every modality module's op set
+OP_SET = {
+    "flow_sample": ["rng", "cfg", "x", "t"],
+    "net_input": ["cfg", "state"],
+    "loss_inf": ["cfg", "x", "state", "t", "net_out"],
+    "loss_n": ["rng", "predictor", "cfg", "x", "n", "i"],
+    "loss_cts": ["rng", "predictor", "cfg", "x", "t"],
+    "recon": ["rng", "predictor", "cfg", "x"],
+}
+
+
+class TestOpSet:
+    @staticmethod
+    def _required(fn):
+        params = inspect.signature(fn).parameters.values()
+        return [p.name for p in params if p.default is inspect.Parameter.empty]
+
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_module_exports_the_op_set(self, modality):
+        ops = training.OPS[modality]
+        assert {name: self._required(getattr(ops, name)) for name in OP_SET} == OP_SET
+        if modality != "discrete":  # discrete.generate keeps (rng, predictor, sched, n, K, D)
+            assert self._required(ops.generate) == ["rng", "predictor", "cfg", "n"]
+
+    def test_table_covers_the_modalities(self):
+        assert tuple(training.OPS) == MODALITIES
