@@ -78,6 +78,14 @@ def _check_dataset(command, ds, config):
         )
 
 
+def _load(command, what, load, *args):
+    """load(*args); a bad config, dataset or checkpoint file exits with a usage error naming it."""
+    try:
+        return load(*args)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{command}: {what}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _model_items(ds):
     """Dataset items as training and the loss ops take them.
 
@@ -115,12 +123,12 @@ def cmd_ingest(args):
 
 
 def cmd_train(args):
-    cfg = load_run_config(args.config, args.set or ())
+    cfg = _load("train", f"config {args.config}", load_run_config, args.config, args.set or ())
     if "dataset" not in cfg:
         raise SystemExit("train: config must name a dataset")
+    config = _load("train", f"config {args.config}", train_config_from_run, cfg)
     dataset_path = _resolve(cfg["dataset"], args.config)
-    ds = data.load_dataset(dataset_path)
-    config = train_config_from_run(cfg)
+    ds = _load("train", f"dataset {dataset_path}", data.load_dataset, dataset_path)
     _check_dataset("train", ds, config)
     result = training.train(Rng(config.seed), _model_items(ds), config)
     os.makedirs(args.out, exist_ok=True)
@@ -137,8 +145,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    result, _ = training.load_checkpoint(args.checkpoint)
-    ds = data.load_dataset(args.dataset)
+    result, _ = _load("eval", f"checkpoint {args.checkpoint}", training.load_checkpoint, args.checkpoint)
+    ds = _load("eval", f"dataset {args.dataset}", data.load_dataset, args.dataset)
     config = result.config
     _check_dataset("eval", ds, config)
     n_values = tuple(int(v) for v in args.n.split(",") if v.strip())
@@ -176,7 +184,7 @@ def cmd_sample(args):
         raise SystemExit(f"sample: --steps must be >= 1, got {args.steps}")
     if args.count < 0:
         raise SystemExit(f"sample: --count must be >= 0, got {args.count}")
-    result, header = training.load_checkpoint(args.checkpoint)
+    result, header = _load("sample", f"checkpoint {args.checkpoint}", training.load_checkpoint, args.checkpoint)
     config = result.config
     predictor = training.ema_predictor(result)
     os.makedirs(args.out, exist_ok=True)

@@ -437,7 +437,10 @@ def load_checkpoint(path):
         raise ValueError(f"unsupported checkpoint version {version}")
     if len(raw) - 16 < hlen:
         raise ValueError(f"checkpoint truncated inside its {hlen}-byte JSON header")
-    header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"checkpoint JSON header is corrupt: {exc}") from None
     blob = raw[16 + hlen :]
     missing = [k for k in ("config", "sections") if k not in header]
     if missing:
@@ -467,6 +470,9 @@ def load_checkpoint(path):
                 f"checkpoint section {name!r} spans values {off}..{off + count} "
                 f"but the payload holds {flat.size}"
             )
+    extra = len(blob) - 8 * max(off + count for off, count in (sec[name] for name in _SECTIONS))
+    if extra > 0:
+        raise ValueError(f"checkpoint payload runs {extra} bytes ({extra / 8:g} float64 values) past its last section")
 
     def take(name):
         off, count = sec[name]

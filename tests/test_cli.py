@@ -120,6 +120,17 @@ class TestTrain:
         with pytest.raises(SystemExit):
             run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
 
+    @pytest.mark.parametrize("text, message", [
+        (TRAIN_CFG.replace("{dataset}", "absent.ds"), r"train: dataset .*absent\.ds: No such file"),
+        (TRAIN_CFG + "lr = 0.1\n", r"train: config .*c\.cfg: line 14: unknown config key 'lr'"),
+        (TRAIN_CFG.replace("= discrete", "= discreet"), r"train: config .*c\.cfg: unknown modality 'discreet'"),
+    ], ids=["missing-dataset-file", "unknown-key", "unknown-modality"])
+    def test_bad_input_is_usage_error(self, toy_run, tmp_path, text, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text.format(dataset=toy_run["paths"]["strings"]))
+        with pytest.raises(SystemExit, match=message):
+            run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+
     def test_mismatched_dataset_rejected_before_compute(self, toy_run, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
@@ -183,6 +194,23 @@ class TestEval:
                             r"\(modality discrete, D=8, K=27\) does not match "
                             r"the model \(modality discrete, D=16, K=27\)")
 
+    def test_missing_checkpoint_is_usage_error(self, toy_run, tmp_path):
+        with pytest.raises(SystemExit, match=r"eval: checkpoint .*absent\.ckpt: No such file"):
+            run_cli("eval", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                    "--dataset", str(toy_run["paths"]["strings"]))
+
+    def test_corrupt_checkpoint_is_usage_error(self, toy_run, tmp_path):
+        ckpt = tmp_path / "bad.ckpt"
+        raw = bytearray(toy_run["ckpt"].read_bytes())
+        raw[16] = ord(" ")  # blank the header's opening brace
+        ckpt.write_bytes(bytes(raw))
+        with pytest.raises(SystemExit, match=r"eval: checkpoint .*bad\.ckpt: checkpoint JSON header is corrupt"):
+            run_cli("eval", "--checkpoint", str(ckpt), "--dataset", str(toy_run["paths"]["strings"]))
+
+    def test_missing_dataset_file_is_usage_error(self, toy_run, tmp_path):
+        with pytest.raises(SystemExit, match=r"eval: dataset .*absent\.ds: No such file"):
+            run_cli("eval", "--checkpoint", str(toy_run["ckpt"]), "--dataset", str(tmp_path / "absent.ds"))
+
     def test_step_count_below_one_rejected(self, toy_run):
         with pytest.raises(SystemExit, match="step counts must be >= 1"):
             run_cli(
@@ -214,6 +242,10 @@ class TestSample:
     def test_negative_count_rejected(self, toy_run, tmp_path):
         with pytest.raises(SystemExit, match="--count must be >= 0"):
             run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--count", "-1", "--out", str(tmp_path / "s"))
+
+    def test_missing_checkpoint_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"sample: checkpoint .*absent\.ckpt: No such file"):
+            run_cli("sample", "--checkpoint", str(tmp_path / "absent.ckpt"), "--out", str(tmp_path / "s"))
 
     def test_text_samples_decode(self, toy_run, tmp_path):
         out = tmp_path / "st"

@@ -192,10 +192,33 @@ class TestKHat:
 
 
 class TestExpectedCentre:
-    def test_closed_form_matches_fsum_of_bin_masses(self):
-        # oracle: math.erfc bin masses times centres, summed exactly; rows
-        # with k_hat near -1 and +1, and the narrowest and widest sigma_x
-        K = 256
+    """expected_centre at K=256 against oracles summed exactly with
+    math.fsum."""
+
+    K = 256
+
+    @staticmethod
+    def _oracle(m, s, K):
+        """k_hat from math.erfc bin masses times centres, and sigma_x times
+        its derivatives by mu_x and sigma_x from the edge sums of exp(-u^2)
+        and u exp(-u^2)."""
+        g = dsc.BinGeometry(K)
+        edges = g.centers[1:] - 1.0 / K
+        c = max(s, 1e-20) * math.sqrt(2.0)
+        cdf = [0.0] + [0.5 * math.erfc((m - e) / c) for e in edges] + [1.0]
+        centre = math.fsum((cdf[k + 1] - cdf[k]) * x for k, x in enumerate(g.centers))
+        u = [(e - m) / c for e in edges]
+        pdf = [math.exp(-v * v) for v in u]
+        scale = 2.0 / (K * math.sqrt(math.pi))
+        return centre, scale * math.fsum(pdf) / math.sqrt(2.0), scale * math.fsum(v * p for v, p in zip(u, pdf))
+
+    def _rows(self):
+        """Random rows, with k_hat near -1 and +1 and the narrowest and
+        widest sigma_x; then rows on each side of the wide-row threshold h*
+        on the edge spacing h = (2/K) / (sigma_x sqrt 2) and exactly at it,
+        wide rows, mu_x far outside [-1, 1] and sigma_x at or below the
+        1e-20 floor, each at 15 mu_x."""
+        K = self.K
         rng = np.random.default_rng(12)
         mu = rng.uniform(-1.3, 1.3, size=200)
         sigma = np.exp(rng.uniform(math.log(1e-5), math.log(3.0), size=200))
@@ -203,18 +226,36 @@ class TestExpectedCentre:
         sigma[:24] = np.tile([1e-3, 1e-2, 5e-2, 0.2], 6)
         sigma[24:40] = 1e-5
         sigma[40:56] = 3.0
-        g = dsc.BinGeometry(K)
-        edges = g.centers[1:] - 1.0 / K
+        h_star = dsc._H_WIDE
+        s_star = (2.0 / K) / (h_star * math.sqrt(2.0))
+        while (2.0 / K) / (s_star * math.sqrt(2.0)) != h_star:
+            s_star = np.nextafter(s_star, 0.0 if (2.0 / K) / (s_star * math.sqrt(2.0)) < h_star else 1.0)
+        sides = [(2.0 / K) / (h * math.sqrt(2.0)) for h in (h_star * (1 - 1e-9), h_star * (1 + 1e-9), 0.2, 0.3)]
+        sigmas = [s_star, np.nextafter(s_star, 0.0), np.nextafter(s_star, 1.0), *sides,
+                  20.0, 1e3, 1e10, 1e-20, 1e-25, 0.0]
+        mus = [-1.3, -1.0, -0.99, -0.3, 0.0, 0.002, 0.5, 0.995, 1.0, 1.2, 3.0, -40.0, 40.0, 1e3, -1e3]
+        return (np.concatenate([mu, np.tile(mus, len(sigmas))]),
+                np.concatenate([sigma, np.repeat(sigmas, len(mus))]))
 
-        def oracle(m, s):
-            cdf = [0.0] + [0.5 * math.erfc((m - e) / (s * math.sqrt(2.0))) for e in edges] + [1.0]
-            return math.fsum((cdf[k + 1] - cdf[k]) * c for k, c in enumerate(g.centers))
-
-        ref = np.array([oracle(float(m), float(s)) for m, s in zip(mu, sigma)])
-        assert np.max(np.abs(ref[:24])) > 1.0 - 2.0 / K
-        centre, d_mu, d_sig = dsc.expected_centre(mu, sigma, K)
+    def test_closed_form_matches_fsum_of_bin_masses(self):
+        mu, sigma = self._rows()
+        ref = np.array([self._oracle(float(m), float(s), self.K)[0] for m, s in zip(mu, sigma)])
+        assert np.max(np.abs(ref[:24])) > 1.0 - 2.0 / self.K
+        assert np.any((2.0 / self.K) / (np.maximum(sigma, 1e-20) * math.sqrt(2.0)) == dsc._H_WIDE)
+        centre, d_mu, d_sig = dsc.expected_centre(mu, sigma, self.K)
         assert d_mu is None and d_sig is None
         assert np.max(np.abs(centre - ref)) <= 4e-16
+
+    def test_gradient_sums_match_fsum(self):
+        # sigma_x times each derivative: on these rows the largest miss read
+        # 4.2e-16 of the largest value, about two roundings of a value near
+        # 1, so the bound is 1e-15 of it
+        mu, sigma = self._rows()
+        ref = np.array([self._oracle(float(m), float(s), self.K) for m, s in zip(mu, sigma)])
+        _, d_mu, d_sig = dsc.expected_centre(mu, sigma, self.K, grad=True)
+        sig = np.maximum(sigma, 1e-20)
+        for got, want in ((d_mu * sig, ref[:, 1]), (d_sig * sig, ref[:, 2])):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestLossNStep:

@@ -1,6 +1,9 @@
 """Optimizer, EMA, head gradients, the loop and checkpoint round-trips."""
 
+import bisect
 import inspect
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -315,10 +318,88 @@ def _dsc_head_from_centre(state, w, live, ratio, sigma_x, k_hat, dkhat_dmu, dkha
     return loss, np.concatenate([d_mu_eps, d_ln_sigma], axis=1)
 
 
+# B_2k for k = 1..9: the Euler-Maclaurin coefficients are B_2k / (2k)!
+_BERNOULLI_2K = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66),
+                 Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798))
+
+
+def _row_exp(v):
+    return float(np.exp(np.array([v]))[0])
+
+
+def _row_erf(v):
+    return float(erf_vec(np.array([v]))[0])
+
+
+def _row_hermite_gauss(u, n):
+    u = min(max(u, -26.5), 26.5)
+    g = [_row_exp(-u * u)]
+    g.append(2.0 * u * g[0])
+    for k in range(1, n):
+        g.append(2.0 * u * g[k] - 2.0 * k * g[k - 1])
+    return g
+
+
+def _row_sums(m, sig, K):
+    """erf(u_j), exp(-u_j^2) and u_j exp(-u_j^2) summed over one row's
+    interior edges in the form of dsc.expected_centre, one row at a time:
+    Euler-Maclaurin in closed form for edge spacings h <= h*, an edge window
+    otherwise."""
+    edges = [float(e) for e in dsc.BinGeometry(K).centers[1:] - 1.0 / K]
+    c = sig * math.sqrt(2.0)
+    h = (2.0 / K) / c
+    if h > dsc._H_WIDE:
+        W = min(math.ceil(2 * dsc._U_SAT / dsc._H_WIDE) + 1, K - 1)
+        j0 = min(bisect.bisect_left(edges, m - dsc._U_SAT * c), K - 1 - W)
+        u = (np.array(edges[j0 : j0 + W]) - m) / c
+        pdf = np.exp(-np.minimum(u * u, 700.0))
+        return float(np.sum(erf_vec(u))) + (K - 1 - W - 2 * j0), float(np.sum(pdf)), float(np.sum(pdf * u))
+    a, b = (edges[0] - m) / c, (edges[-1] - m) / c
+    mid, w = (a + b) / 2, (b - a) / 2
+    n = max(2 * len(_BERNOULLI_2K), 2 * dsc._TAYLOR_TERMS - 1)
+    ga, gb, gm = (_row_hermite_gauss(v, n) for v in (a, b, mid))
+    ea, eb = _row_erf(a), _row_erf(b)
+    s = [(ea + eb) / 2, (ga[0] + gb[0]) / 2, (ga[1] + gb[1]) / 4]
+    hk = h
+    for k, b2k in enumerate(_BERNOULLI_2K, 1):
+        t = float(b2k / math.factorial(2 * k)) * hk
+        s[0] += t * (2.0 / math.sqrt(math.pi)) * (gb[2 * k - 2] - ga[2 * k - 2])
+        s[1] -= t * (gb[2 * k - 1] - ga[2 * k - 1])
+        s[2] -= t * 0.5 * (gb[2 * k] - ga[2 * k])
+        hk = hk * h * h
+    if w < 0.5:  # Taylor series of the integrals about the midpoint
+        wk = 1.0
+        t = [_row_erf(mid), gm[0], gm[1] / 2]
+        for k in range(1, dsc._TAYLOR_TERMS):
+            wk = wk * (w * w) / (2 * k * (2 * k + 1))
+            t[0] -= (2.0 / math.sqrt(math.pi)) * gm[2 * k - 1] * wk
+            t[1] += gm[2 * k] * wk
+            t[2] += 0.5 * gm[2 * k + 1] * wk
+        return tuple(sk + (K - 2) * tk for sk, tk in zip(s, t))
+    tail_a = abs(a) * (1.0 - abs(ea)) - ga[0] / math.sqrt(math.pi)
+    tail_b = abs(b) * (1.0 - abs(eb)) - gb[0] / math.sqrt(math.pi)
+    full = (((edges[0] + edges[-1]) / 2 - min(max(m, edges[0]), edges[-1])) * K - (tail_b - tail_a) / h,
+            (math.sqrt(math.pi) / 2) * (eb - ea) / h, (ga[0] - gb[0]) / (2.0 * h))
+    return tuple(sk + fk for sk, fk in zip(s, full))
+
+
 def _dsc_head_reference(config, state, net_out):
+    """The discretised head with each of the B*D rows' edge sums taken by
+    _row_sums: the reference for bitwise equality."""
+    K = config.K
+    w, live, ratio, mu_x, sigma_x = _dsc_output_map_reference(config, state, net_out)
+    sig = np.maximum(sigma_x, 1e-20)
+    sums = np.array([_row_sums(float(m), float(s), K) for m, s in zip(mu_x.ravel(), sig.ravel())])
+    sums = sums.T.reshape((3,) + mu_x.shape)
+    scale = (2.0 / (K * np.sqrt(np.pi))) / sig
+    return _dsc_head_from_centre(state, w, live, ratio, sigma_x, sums[0] / -K,
+                                 scale * sums[1] / np.sqrt(2.0), scale * sums[2])
+
+
+def _dsc_head_dense_reference(config, state, net_out):
     """The discretised head in closed form, k_hat = -(1/K) sum_j erf(u_j)
     over the interior edges, each batch row on its whole (D, K-1) edge
-    grid: the reference for bitwise equality."""
+    grid: a second oracle."""
     K = config.K
     w, live, ratio, mu_x, sigma_x = _dsc_output_map_reference(config, state, net_out)
     edges = dsc.BinGeometry(K).centers[1:] - 1.0 / K
@@ -355,10 +436,18 @@ def _dsc_head_bin_mass_reference(config, state, net_out):
                                  dP_dmu @ geom.centers, dP_dsig @ geom.centers)
 
 
+# The head against the dense closed form: on the two cases below the loss
+# read within 3.6e-16 relative and the gradient within 8.2e-15 of its
+# largest entry (K=256), where the dense form itself misses the bin-mass
+# form by 9.0e-15; the bounds keep a factor of 2-3 over those readings.
+DENSE_LOSS_RTOL = 1e-15
+DENSE_GRAD_TOL = 2e-14
+
+
 class TestDiscretisedHeadReference:
-    """The batched head gives the same bits as the per-row closed-form
-    reference, and agrees with the bin-mass form to rounding.  B*D spans
-    several passes of dsc.ROWS_PER_PASS rows, the last one partial."""
+    """The batched head gives the same bits as the per-row reference of its
+    Euler-Maclaurin and edge-window sums, agrees with the dense closed form
+    over every edge, and with the bin-mass form, to rounding."""
 
     def _assert_same_bits(self, config, state, net_out):
         loss, d_out = training.head_loss_and_grad(config, state, net_out)
@@ -366,6 +455,9 @@ class TestDiscretisedHeadReference:
         ref_loss, ref_d_out = _dsc_head_reference(config, state, net_out)
         np.testing.assert_array_equal(loss.view(np.uint64), ref_loss.view(np.uint64))
         np.testing.assert_array_equal(d_out.view(np.uint64), ref_d_out.view(np.uint64))
+        dense_loss, dense_d_out = _dsc_head_dense_reference(config, state, net_out)
+        np.testing.assert_allclose(loss, dense_loss, rtol=DENSE_LOSS_RTOL, atol=0)
+        assert np.max(np.abs(d_out - dense_d_out)) <= DENSE_GRAD_TOL * np.max(np.abs(dense_d_out))
         mass_loss, mass_d_out = _dsc_head_bin_mass_reference(config, state, net_out)
         np.testing.assert_allclose(loss, mass_loss, rtol=1e-10, atol=0)
         assert np.max(np.abs(d_out - mass_d_out)) <= 1e-12 * np.max(np.abs(mass_d_out))
@@ -397,6 +489,33 @@ class TestDiscretisedHeadReference:
         x = _random_batch(r, config)
         state = training.sample_head_state(r, config, x)
         self._assert_same_bits(config, state, mlp.forward_batch(state["state_in"], state["t"]))
+
+
+class TestDiscretisedHeadCost:
+    """The head's erf work per row does not grow with K: the dense edge grid
+    would take 255 elements a row at K=256 and 1023 at K=1024."""
+
+    def test_erf_elements_per_training_batch(self, monkeypatch):
+        counts = []
+
+        def counted_erf(x):
+            counts.append(np.size(x))
+            return erf_vec(x)
+
+        monkeypatch.setattr(dsc, "erf_vec", counted_erf)
+        config = _make_config("discretised", D=64, K=256, batch_size=32, hidden=(256, 256),
+                              schedule_preset="cts-256bin")
+        mlp = MLP(config.predictor_spec(), seed=9)
+        r = Rng(304)
+        state = training.sample_head_state(r, config, _random_batch(r, config))
+        net_out = mlp.forward_batch(state["state_in"], state["t"])
+        training.head_loss_and_grad(config, state, net_out)
+        at_256 = sum(counts)
+        assert 0 < at_256 < 64 * 2048
+        mu_x, sigma_x = dsc.output_map(config.flow, state["theta"].mean, state["t"], net_out)[:2]
+        counts.clear()
+        dsc.expected_centre(mu_x, sigma_x, 1024, grad=True)
+        assert sum(counts) <= at_256
 
 
 def _dd_flow_row_reference(rng, x, t, sched, K):
@@ -887,6 +1006,25 @@ class TestCheckpoint:
         hb = json.dumps(header).encode("utf-8")
         path.write_bytes(raw[:8] + struct.pack("<Q", len(hb)) + hb + raw[16 + hlen :])
         with pytest.raises(ValueError, match="sections"):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("at, byte, why", [(20, 0xFF, "invalid start byte"), (16, ord(" "), "Extra data")])
+    def test_corrupt_header_named(self, tmp_path, at, byte, why):
+        # a byte that is not UTF-8, and a blanked opening brace
+        path = self._saved_checkpoint(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[at] = byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"checkpoint JSON header is corrupt: .*{why}"):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra, what", [(b"\0\0\0", r"3 bytes \(0.375 float64 values\)"),
+                                             (bytes(16), r"16 bytes \(2 float64 values\)")])
+    def test_bytes_past_last_section_rejected(self, tmp_path, extra, what):
+        # part of one float64 value, and two whole ones
+        path = self._saved_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(ValueError, match=f"payload runs {what} past its last section"):
             training.load_checkpoint(path)
 
     @pytest.fixture(scope="class")
