@@ -79,7 +79,7 @@ def _check_dataset(command, ds, config):
 
 
 def _load(command, what, load, *args):
-    """load(*args); a bad config, dataset or checkpoint file exits with a usage error naming it."""
+    """load(*args); a bad file, output path or option value exits with a usage error naming it."""
     try:
         return load(*args)
     except (OSError, ValueError) as exc:
@@ -130,8 +130,8 @@ def cmd_train(args):
     dataset_path = _resolve(cfg["dataset"], args.config)
     ds = _load("train", f"dataset {dataset_path}", data.load_dataset, dataset_path)
     _check_dataset("train", ds, config)
+    _load("train", f"--out {args.out}", lambda: os.makedirs(args.out, exist_ok=True))
     result = training.train(Rng(config.seed), _model_items(ds), config)
-    os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     training.save_checkpoint(ckpt_path, result, run_config=cfg)
     with open(os.path.join(args.out, "history.csv"), "w", encoding="utf-8") as fh:
@@ -149,7 +149,7 @@ def cmd_eval(args):
     ds = _load("eval", f"dataset {args.dataset}", data.load_dataset, args.dataset)
     config = result.config
     _check_dataset("eval", ds, config)
-    n_values = tuple(int(v) for v in args.n.split(",") if v.strip())
+    n_values = _load("eval", f"--n {args.n}", lambda: tuple(int(v) for v in args.n.split(",") if v.strip()))
     if any(n < 1 for n in n_values):
         raise SystemExit(f"eval: step counts must be >= 1, got {args.n}")
     predictor = training.ema_predictor(result)
@@ -187,7 +187,7 @@ def cmd_sample(args):
     result, header = _load("sample", f"checkpoint {args.checkpoint}", training.load_checkpoint, args.checkpoint)
     config = result.config
     predictor = training.ema_predictor(result)
-    os.makedirs(args.out, exist_ok=True)
+    _load("sample", f"--out {args.out}", lambda: os.makedirs(args.out, exist_ok=True))
     alphabet = None
     if config.modality == "discrete" and config.K == 27:
         alphabet = data.ALPHABET_27

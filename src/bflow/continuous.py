@@ -229,10 +229,12 @@ def sample_chain(rng, cfg, n, estimate, return_params):
     sched = cfg.schedule
     rngs = [rng] if isinstance(rng, Rng) else list(rng)
     p = CtsParams(mean=np.zeros((len(rngs), cfg.D)), precision=1.0)
+    z = np.empty((len(rngs), cfg.D))
     for i in range(1, n + 1):
         x_hat = estimate(p.mean, (i - 1) / n, rngs)
         alpha = sched.step_alpha(i, n)
-        z = np.array([r.standard_normal(cfg.D) for r in rngs])
+        for b, r in enumerate(rngs):
+            z[b] = r.standard_normal(cfg.D)
         y = gaussian_sample(None, x_hat, 1.0 / alpha, z)
         p = bayes_update(p, y, alpha, 1.0 + sched.beta(i / n))
     out = estimate(p.mean, 1.0, rngs)

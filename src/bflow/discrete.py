@@ -232,18 +232,28 @@ def generate(rng, predictor, sched, n, K, D, return_theta=False):
         raise ValueError("n must be >= 1")
     cfg = FlowConfig(sched, D, K)
     rngs = [rng] if isinstance(rng, Rng) else list(rng)
+    B = len(rngs)
     # the state is the softmax of the summed sender draws: the uniform prior
     # adds the same constant to every logit, so it drops out
-    logits = np.zeros((len(rngs), D, K))
-    theta = np.full((len(rngs), D, K), 1.0 / K)
+    logits = np.zeros((B, D, K))
+    theta = np.full((B, D, K), 1.0 / K)
+    u, z, mean = np.empty((B, D, 1)), np.empty((B, D, K)), np.empty((B, D, K))
     # step n + 1 is the final draw, from the output distribution at t = 1
     for i in range(1, n + 2):
-        u = np.array([r.uniform(size=(D, 1)) for r in rngs])
+        for b, r in enumerate(rngs):
+            u[b] = r.uniform(size=(D, 1))
         k = sample_categorical_rows(output_map(_net_out(predictor, cfg, theta, (i - 1) / n), K), u)
         if i > n:
             break
-        z = np.array([r.standard_normal((D, K)) for r in rngs])
-        logits += sender_sample(None, k, sched.step_alpha(i, n), K, z)
+        for b, r in enumerate(rngs):
+            z[b] = r.standard_normal((D, K))
+        # sender_sample's draw, same bits; k from sample_categorical_rows is in 1..K
+        alpha = sched.step_alpha(i, n)
+        mean.fill(-alpha)
+        mean.reshape(-1, K)[np.arange(B * D), k.ravel() - 1] = alpha * (K - 1.0)
+        z *= np.sqrt(alpha * K)
+        z += mean
+        logits += z
         theta = softmax_rows(logits)
     if isinstance(rng, Rng):
         k, theta = k[0], theta[0]

@@ -70,9 +70,9 @@ def gaussian_sample(rng, mean, var, z=None):
 def softmax_rows(logits):
     """Row-wise softmax of a 2-D array."""
     logits = np.asarray(logits, dtype=np.float64)
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_gaussian_pdf(y, mean, var):
@@ -110,8 +110,7 @@ def neg_log_true_class(probs, idx):
 def sample_categorical_rows(probs, u):
     """One draw per row of (..., D, K) probabilities with the uniforms u,
     (..., D, 1), drawn beforehand; 1-based indices (..., D)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    cum = np.cumsum(probs, axis=-1)
+    cum = np.asarray(probs, dtype=np.float64).cumsum(axis=-1)
     # guard against rounding in the final column
-    cum[..., -1] = np.maximum(cum[..., -1], 1.0)
-    return 1 + np.sum(u > cum, axis=-1).astype(np.int64)
+    np.maximum(cum[..., -1], 1.0, out=cum[..., -1])
+    return 1 + (u > cum).sum(axis=-1, dtype=np.int64)

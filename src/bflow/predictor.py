@@ -16,6 +16,7 @@ framework, which keeps the package self-contained and makes the
 finite-difference checks in the test suite meaningful.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,17 +71,20 @@ class PredictorSpec:
 
 def time_features(spec, t):
     """Encode times (scalar or (B,)) as (B, time_width)."""
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
     if spec.time_feature == "raw":
-        return t[:, None]
-    j = np.arange(spec.n_freqs)
-    ang = (2.0**j)[None, :] * np.pi * t[:, None]
+        return t
+    ang = 2.0 ** np.arange(spec.n_freqs) * np.pi * t
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
 def _silu(z):
-    s = 1.0 / (1.0 + np.exp(-z))
-    return z * s
+    s = np.negative(z)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    s *= z
+    return s
 
 
 def _silu_grad(z):
@@ -127,9 +131,26 @@ class MLP:
         self._act, self._act_grad = _ACTIVATIONS[spec.activation]
         self._tape = None
 
+    @property
+    def params(self):
+        """The flat parameter vector: a whole C-contiguous float64 array, never
+        copied, so in-place edits reach the layer views built on assignment."""
+        return self._params
+
+    @params.setter
+    def params(self, flat):
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.shape == (self.n_params,)):
+            got = f"{flat.dtype} {flat.shape}" if isinstance(flat, np.ndarray) else type(flat).__name__
+            raise ValueError(f"params must be a float64 array of shape ({self.n_params},), got {got}")
+        if not flat.flags.c_contiguous:
+            raise ValueError("params must be C-contiguous, got a strided view")
+        self._params = flat
+        w = self._views(flat)
+        self._layers = [(w[f"W{li}"], w[f"b{li}"]) for li in range(len(self.layout) // 2)]
+
     def _views(self, flat):
         """Per-layer views, by layout name, into a flat parameter-sized vector."""
-        return {name: flat[off : off + int(np.prod(shape))].reshape(shape) for name, shape, off in self.layout}
+        return {name: flat[off : off + math.prod(shape)].reshape(shape) for name, shape, off in self.layout}
 
     def forward_batch(self, X, t, record=False):
         """(B, state_width), (B,) -> (B, output_width)."""
@@ -140,13 +161,12 @@ class MLP:
         if feats.shape[0] == 1 and X.shape[0] > 1:
             feats = np.broadcast_to(feats, (X.shape[0], feats.shape[1]))
         h = np.concatenate([X, feats], axis=1)
-        w = self._views(self.params)
-        n_layers = len(self.layout) // 2
         tape = [h]
         pre = []
-        for li in range(n_layers):
-            z = h @ w[f"W{li}"] + w[f"b{li}"]
-            if li < n_layers - 1:
+        for li, (W, b) in enumerate(self._layers):
+            z = h @ W
+            z += b
+            if li < len(self._layers) - 1:
                 pre.append(z)
                 h = self._act(z)
                 tape.append(h)
@@ -166,16 +186,14 @@ class MLP:
             raise ValueError("no recorded forward pass")
         tape, pre = self._tape
         d_out = np.asarray(d_out, dtype=np.float64)
-        w = self._views(self.params)
-        n_layers = len(self.layout) // 2
         flat = np.empty_like(self.params)
         grads = self._views(flat)
         delta = d_out
-        for li in range(n_layers - 1, -1, -1):
+        for li in range(len(self._layers) - 1, -1, -1):
             np.matmul(tape[li].T, delta, out=grads[f"W{li}"])
             np.sum(delta, axis=0, out=grads[f"b{li}"])
             if li > 0:
-                delta = (delta @ w[f"W{li}"].T) * self._act_grad(pre[li - 1])
+                delta = (delta @ self._layers[li][0].T) * self._act_grad(pre[li - 1])
         return flat
 
 

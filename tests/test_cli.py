@@ -131,6 +131,13 @@ class TestTrain:
         with pytest.raises(SystemExit, match=message):
             run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
 
+    def test_uncreatable_out_is_usage_error_before_compute(self, toy_run, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained with no output directory"))
+        with pytest.raises(SystemExit, match=r"train: --out .*file/run: Not a directory"):
+            run_cli("train", "--config", str(toy_run["cfg"]), "--out", str(blocker / "run"))
+
     def test_mismatched_dataset_rejected_before_compute(self, toy_run, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
@@ -218,6 +225,13 @@ class TestEval:
                 "--dataset", str(toy_run["paths"]["strings"]), "--n", "4,0",
             )
 
+    def test_malformed_step_count_is_usage_error(self, toy_run):
+        with pytest.raises(SystemExit, match=r"eval: --n 4,x: invalid literal for int\(\) with base 10: 'x'"):
+            run_cli(
+                "eval", "--checkpoint", str(toy_run["ckpt"]),
+                "--dataset", str(toy_run["paths"]["strings"]), "--n", "4,x",
+            )
+
 
 class TestSample:
     def test_zero_count_no_files(self, toy_run, tmp_path):
@@ -246,6 +260,12 @@ class TestSample:
     def test_missing_checkpoint_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit, match=r"sample: checkpoint .*absent\.ckpt: No such file"):
             run_cli("sample", "--checkpoint", str(tmp_path / "absent.ckpt"), "--out", str(tmp_path / "s"))
+
+    def test_uncreatable_out_is_usage_error(self, toy_run, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(SystemExit, match=r"sample: --out .*file/s: Not a directory"):
+            run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--out", str(blocker / "s"))
 
     def test_text_samples_decode(self, toy_run, tmp_path):
         out = tmp_path / "st"

@@ -7,7 +7,7 @@ import pytest
 
 from bflow import continuous as cts
 from bflow.numerics import Rng, gaussian_sample, log_gaussian_pdf
-from bflow.predictor import ConstantPredictor
+from bflow.predictor import MLP, ConstantPredictor, PredictorSpec
 from bflow.schedule import ContinuousSigma, FlowConfig
 from oracle_predictors import CtsDatumPredictor
 
@@ -277,6 +277,35 @@ class TestGenerate:
         pred = ConstantPredictor(np.array([3.0]))
         out = cts.generate(Rng(16), pred, CFG, 5)
         assert cts.X_MIN <= out[0] <= cts.X_MAX
+
+
+def _sample_chain_reference(rng, cfg, n, estimate):
+    """continuous.sample_chain as it stood before the noise buffer was
+    reused: the per-stream noise rebuilt with np.array every step."""
+    sched = cfg.schedule
+    rngs = [rng] if isinstance(rng, Rng) else list(rng)
+    p = cts.CtsParams(mean=np.zeros((len(rngs), cfg.D)), precision=1.0)
+    for i in range(1, n + 1):
+        x_hat = estimate(p.mean, (i - 1) / n, rngs)
+        alpha = sched.step_alpha(i, n)
+        z = np.array([r.standard_normal(cfg.D) for r in rngs])
+        p = cts.bayes_update(p, gaussian_sample(None, x_hat, 1.0 / alpha, z), alpha, 1.0 + sched.beta(i / n))
+    out = estimate(p.mean, 1.0, rngs)
+    if isinstance(rng, Rng):
+        out, p = out[0], cts.CtsParams(mean=p.mean[0], precision=p.precision)
+    return out, p
+
+
+class TestSampleChainMatchesReference:
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_bits(self, n):
+        cfg = FlowConfig(ContinuousSigma(0.02), D=3)
+        mlp = MLP(PredictorSpec("continuous", D=3, hidden=(16, 16)), seed=5)
+        mlp.params += 0.5 * Rng(51).standard_normal(mlp.n_params)
+        for rng in (lambda: Rng(52), lambda: [Rng(53).split(j) for j in range(5)]):
+            out, p = cts.generate(rng(), mlp, cfg, n, return_params=True)
+            ref, p_ref = _sample_chain_reference(rng(), cfg, n, lambda mean, t, rngs: cts._x_hat(mlp, cfg, mean, t))
+            assert np.array_equal(out, ref) and np.array_equal(p.mean, p_ref.mean) and p.precision == p_ref.precision
 
 
 class TestAdditivityDistribution:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bflow import discrete as dd
 from bflow.numerics import Rng, log_gaussian_pdf
-from bflow.predictor import ConstantPredictor, ConstantProbsPredictor
+from bflow.predictor import MLP, ConstantPredictor, ConstantProbsPredictor, PredictorSpec
 from bflow.schedule import DiscreteQuadratic, FlowConfig
 from oracle_predictors import DiscreteOneHotPredictor
 
@@ -345,6 +345,74 @@ class TestGenerate:
         _, theta = dd.generate(Rng(21), pred, DiscreteQuadratic(50.0), 40, 3, 2, return_theta=True)
         np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(theta >= 0)
+
+
+def _generate_reference(rng, predictor, sched, n, K, D):
+    """discrete.generate as its loop stood before the buffers were reused:
+    per-stream arrays rebuilt every step, the draw through sender_sample,
+    and softmax and the categorical draw in their allocating forms."""
+
+    def softmax(a):
+        e = np.exp(a - np.max(a, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
+
+    cfg = FlowConfig(sched, D, K)
+    rngs = [rng] if isinstance(rng, Rng) else list(rng)
+    logits = np.zeros((len(rngs), D, K))
+    theta = np.full((len(rngs), D, K), 1.0 / K)
+    for i in range(1, n + 2):
+        u = np.array([r.uniform(size=(D, 1)) for r in rngs])
+        out = predictor.forward_batch(dd.net_input(cfg, theta), (i - 1) / n)
+        if K == 2:
+            p1 = 1.0 / (1.0 + np.exp(-out))
+            probs = np.stack([p1, 1.0 - p1], axis=-1)
+        else:
+            probs = softmax(out.reshape(len(rngs), D, K))
+        cum = np.cumsum(probs, axis=-1)
+        cum[..., -1] = np.maximum(cum[..., -1], 1.0)
+        k = 1 + np.sum(u > cum, axis=-1).astype(np.int64)
+        if i > n:
+            break
+        z = np.array([r.standard_normal((D, K)) for r in rngs])
+        logits += dd.sender_sample(None, k, sched.step_alpha(i, n), K, z)
+        theta = softmax(logits)
+    if isinstance(rng, Rng):
+        k, theta = k[0], theta[0]
+    return k, theta
+
+
+class TestGenerateMatchesReference:
+    """The buffer-reusing loop gives the reference loop's samples and states
+    bit for bit, for one stream and for a batch of streams."""
+
+    @pytest.mark.parametrize("K, D", [(27, 4), (2, 5)])
+    @pytest.mark.parametrize("n", [1, 12])
+    def test_bits(self, K, D, n):
+        mlp = MLP(PredictorSpec("discrete", D=D, K=K, hidden=(16, 16)), seed=3)
+        mlp.params += 0.5 * Rng(31).standard_normal(mlp.n_params)
+        sched = DiscreteQuadratic(3.0)
+        for rng in (lambda: Rng(32), lambda: [Rng(33).split(j) for j in range(5)]):
+            k, theta = dd.generate(rng(), mlp, sched, n, K, D, return_theta=True)
+            k_ref, theta_ref = _generate_reference(rng(), mlp, sched, n, K, D)
+            assert np.array_equal(k, k_ref) and np.array_equal(theta, theta_ref)
+            assert np.array_equal(dd.generate(rng(), mlp, sched, n, K, D), k_ref)
+
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_stream_layout(self, B):
+        """Byte-identical samples rest on this layout: n + 1 predictor calls,
+        and per stream (n + 1) D uniforms and n D K normals."""
+        n, K, D = 6, 5, 3
+        calls = []
+
+        class Counting(ConstantPredictor):
+            def forward_batch(self, X, t):
+                calls.append(t)
+                return super().forward_batch(X, t)
+
+        rngs = [Rng(34).split(j) for j in range(B)]
+        dd.generate(rngs, Counting(np.zeros(D * K)), SCHED, n, K, D)
+        assert calls == [(i - 1) / n for i in range(1, n + 2)]
+        assert [r.draws for r in rngs] == [(n + 1) * D + n * D * K] * B
 
 
 class TestDistributionalAdditivity:

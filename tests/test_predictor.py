@@ -120,6 +120,98 @@ class TestMLP:
             assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
+def _forward_reference(mlp, X, t):
+    """forward_batch as it stood before the layer views were cached: views
+    rebuilt per call, z = h @ W + b, and SiLU as z * (1 / (1 + exp(-z)))
+    with a new array per step."""
+    act = {"silu": lambda z: z * (1.0 / (1.0 + np.exp(-z))), "tanh": np.tanh}[mlp.spec.activation]
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if mlp.spec.time_feature == "raw":
+        feats = t[:, None]
+    else:
+        ang = (2.0 ** np.arange(mlp.spec.n_freqs))[None, :] * np.pi * t[:, None]
+        feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    h = np.concatenate([X, np.broadcast_to(feats, (X.shape[0], feats.shape[1]))], axis=1)
+    w = {name: mlp.params[off : off + int(np.prod(shape))].reshape(shape) for name, shape, off in mlp.layout}
+    n_layers = len(mlp.layout) // 2
+    for li in range(n_layers):
+        h = h @ w[f"W{li}"] + w[f"b{li}"]
+        if li < n_layers - 1:
+            h = act(h)
+    return h
+
+
+def _perturbed_mlp(spec, seed=2):
+    mlp = MLP(spec, seed=seed)
+    mlp.params += 0.3 * Rng(seed + 100).standard_normal(mlp.n_params)
+    return mlp
+
+
+class TestParamsContract:
+    """``params`` is a whole C-contiguous float64 vector; assigning one builds
+    the layer views, and in-place edits reach them."""
+
+    SPEC = PredictorSpec("discrete", D=3, K=4, hidden=(8, 6))
+
+    @pytest.mark.parametrize("make, fault", [
+        (lambda n: np.zeros(n + 1), r"shape \(\d+,\), got float64 \(\d+,\)"),
+        (lambda n: np.zeros(n - 1), r"shape \(\d+,\), got float64 \(\d+,\)"),
+        (lambda n: np.zeros((1, n)), r"got float64 \(1, \d+\)"),
+        (lambda n: np.zeros(n, dtype=np.int64), r"float64 array .* got int64"),
+        (lambda n: np.zeros(n, dtype=np.float32), r"float64 array .* got float32"),
+        (lambda n: [0.0] * n, r"got list"),
+        (lambda n: np.zeros(2 * n)[::2], r"C-contiguous"),
+    ], ids=["too-long", "too-short", "2-d", "int64", "float32", "list", "strided"])
+    def test_rejected(self, make, fault):
+        # a too-long vector once had its tail ignored, and backward_batch
+        # returned a gradient of its length with uninitialised values there
+        mlp = MLP(self.SPEC, seed=1)
+        before = mlp.params
+        with pytest.raises(ValueError, match=fault):
+            mlp.params = make(mlp.n_params)
+        assert mlp.params is before
+
+    @pytest.mark.parametrize("spec", [
+        PredictorSpec("discrete", D=3, K=4, hidden=(8, 6)),
+        PredictorSpec("continuous", D=2, hidden=(5,), activation="tanh", time_feature="raw"),
+    ], ids=["silu-fourier", "tanh-raw"])
+    def test_assignment_matches_fresh_mlp(self, spec):
+        q = _perturbed_mlp(spec, seed=4).params.copy()
+        mlp = _perturbed_mlp(spec, seed=9)
+        mlp.params = q
+        fresh = MLP(spec, seed=9)
+        fresh.params = q.copy()
+        X = Rng(3).uniform(size=(5, spec.state_width))
+        t = Rng(4).uniform(size=5)
+        out = mlp.forward_batch(X, t, record=True)
+        assert np.array_equal(out, fresh.forward_batch(X, t, record=True))
+        up = Rng(5).standard_normal(out.shape)
+        assert np.array_equal(mlp.backward_batch(up), fresh.backward_batch(up))
+
+    def test_in_place_edit_moves_output(self):
+        mlp = MLP(self.SPEC, seed=1)
+        X = np.full((1, 12), 0.25)
+        before = mlp.forward_batch(X, 0.5)
+        # the output layer's weights start at zero, so output 0 is its bias
+        last_bias = mlp.layout[-1][2]
+        mlp.params[last_bias] += 0.125
+        after = mlp.forward_batch(X, 0.5)
+        assert after[0, 0] == before[0, 0] + 0.125
+        assert np.array_equal(after[0, 1:], before[0, 1:])
+
+    @pytest.mark.parametrize("spec", [
+        PredictorSpec("discrete", D=4, K=27, hidden=(16, 16)),
+        PredictorSpec("discretised", D=3, hidden=(7,), activation="tanh", n_freqs=3),
+        PredictorSpec("continuous", D=2, hidden=(6, 5), time_feature="raw"),
+    ], ids=["silu-fourier", "tanh-fourier3", "silu-raw"])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_forward_bits_match_reference(self, spec, rows):
+        mlp = _perturbed_mlp(spec)
+        X = 2.0 * Rng(6).uniform(size=(rows, spec.state_width)) - 1.0
+        for t in (0.0, 0.37, Rng(7).uniform(size=rows)):
+            assert np.array_equal(mlp.forward_batch(X, t), _forward_reference(mlp, X, t))
+
+
 class TestOracles:
     def test_constant(self):
         p = ConstantPredictor(np.array([1.0, 2.0]))

@@ -939,6 +939,20 @@ class TestEstimateMeanLoss:
             got = training.estimate_mean_loss(Rng(seed), mlp, params, config, items)
             assert _same_bits(got, _estimate_mean_loss_reference(Rng(seed), mlp, params, config, items))
 
+    def test_restores_the_original_views(self):
+        config = _make_config("discrete", steps=3)
+        items = Rng(72).integers(1, config.K + 1, size=(8, config.D))
+        mlp = MLP(config.predictor_spec(), seed=config.seed)
+        saved = mlp.params
+        X = Rng(73).uniform(size=(2, config.predictor_spec().state_width))
+        before = mlp.forward_batch(X, 0.5)
+        training.estimate_mean_loss(Rng(74), mlp, saved + 1.0, config, items)
+        assert mlp.params is saved
+        assert np.array_equal(mlp.forward_batch(X, 0.5), before)
+        # the restored views read the saved vector, not the evaluated one
+        saved[mlp.layout[-1][2]] += 0.5
+        assert not np.array_equal(mlp.forward_batch(X, 0.5), before)
+
 
 class TestCheckpoint:
     def test_round_trip_byte_identical(self, tmp_path):
