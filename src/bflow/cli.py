@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -102,22 +103,21 @@ def _model_items(ds):
 
 
 def cmd_ingest(args):
+    source = Path(args.input)
     if args.modality == "discrete" and args.alphabet:
-        alphabet = data.load_alphabet(args.alphabet)
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
+        alphabet = _load("ingest", f"--alphabet {args.alphabet}", data.load_alphabet, args.alphabet)
+        text = _load("ingest", f"--input {args.input}", source.read_text, "utf-8")
         if text.endswith("\n"):
             text = text[:-1]
-        ds = data.ingest_text(text, alphabet, seq_len=args.dim)
+        ds = _load("ingest", f"--input {args.input}", data.ingest_text, text, alphabet, args.dim)
     else:
         if args.modality != "continuous" and args.bins < 2:
             raise SystemExit("ingest: --bins is required for discretised/discrete byte data")
         if not args.dim:
             raise SystemExit("ingest: --dim is required for byte data")
-        with open(args.input, "rb") as fh:
-            raw = fh.read()
-        ds = data.ingest_bytes(raw, args.dim, args.modality, K=args.bins)
-    data.save_dataset(args.output, ds)
+        raw = _load("ingest", f"--input {args.input}", source.read_bytes)
+        ds = _load("ingest", f"--input {args.input}", data.ingest_bytes, raw, args.dim, args.modality, args.bins)
+    _load("ingest", f"--output {args.output}", data.save_dataset, args.output, ds)
     print(f"wrote {args.output}: modality={ds.modality} D={ds.D} K={ds.K} items={ds.items.shape[0]}")
     return 0
 
@@ -152,6 +152,8 @@ def cmd_eval(args):
     n_values = _load("eval", f"--n {args.n}", lambda: tuple(int(v) for v in args.n.split(",") if v.strip()))
     if any(n < 1 for n in n_values):
         raise SystemExit(f"eval: step counts must be >= 1, got {args.n}")
+    if args.passes < 1:
+        raise SystemExit(f"eval: --passes must be >= 1, got {args.passes}")
     predictor = training.ema_predictor(result)
     rows = training.evaluate(Rng(args.seed), predictor, config, _model_items(ds), n_values=n_values, passes=args.passes)
     print(training.format_eval_table(rows))
@@ -192,7 +194,7 @@ def cmd_sample(args):
     if config.modality == "discrete" and config.K == 27:
         alphabet = data.ALPHABET_27
     if args.alphabet:
-        alphabet = data.load_alphabet(args.alphabet)
+        alphabet = _load("sample", f"--alphabet {args.alphabet}", data.load_alphabet, args.alphabet)
     if args.count == 0:
         return 0
     # one call draws every sample: sample idx from stream idx of the seed

@@ -125,6 +125,12 @@ def output_map(cfg, mu, t, net_out, predicts_data=False):
     return np.clip(x_raw, X_MIN, X_MAX), inside, slope
 
 
+def net_widths(cfg):
+    """The network's (state, output) widths: D belief means in, D noise
+    estimates out."""
+    return cfg.D, cfg.D
+
+
 def net_input(cfg, state):
     """The network's (B, D) input for flow states: the belief means."""
     return state.mean

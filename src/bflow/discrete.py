@@ -102,6 +102,15 @@ def flow_sample(rng, cfg, x, t, z=None):
     return softmax_rows(beta * (K * one_hot(x, K) - 1.0) + np.sqrt(beta * K) * z)
 
 
+def net_widths(cfg):
+    """The network's (state, output) widths: D*K in and out, one value per
+    class, or D (the class-1 column in, its logit out) when K=2."""
+    if cfg.K < 2:
+        raise ValueError(f"discrete data needs K >= 2, got K={cfg.K}")
+    width = cfg.D if cfg.K == 2 else cfg.D * cfg.K
+    return width, width
+
+
 def net_input(cfg, state):
     """Network input encoding of (..., D, K) states: probabilities rescaled
     to [-1, 1], one row per state.

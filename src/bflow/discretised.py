@@ -57,8 +57,11 @@ def quantise(x_raw, K):
 
 # Rows of bin_probs_from_gaussian's (rows, K+1) edge grid per pass.  At
 # K=256 a 128-row pass makes 260 KB float64 temporaries, which stay in a
-# core's L2 cache.  On a 2-core x86_64 VM a 2048-row batch took 11.5 ms in
-# 128-row passes, 11.8 ms in 256, 12.8 ms in 64, 17 ms in 1024 and 23 ms in one.
+# core's L2 cache.  Its callers are eval's loss_n and recon (EVAL_CHUNK * D
+# rows a call, 8192 for 8x8 images), sampling (one row per stream and
+# dimension) and the harness.  On a 2-core x86_64 VM 2048 rows at K=256 took
+# 11.5 ms in 128-row passes, 11.8 ms in 256, 12.8 ms in 64, 17 ms in 1024 and
+# 23 ms in one.
 ROWS_PER_PASS = 128
 
 
@@ -85,6 +88,12 @@ def bin_probs_from_gaussian(mu_x, sigma_x, K):
 
 check_data = continuous.check_data
 net_input = continuous.net_input
+
+
+def net_widths(cfg):
+    """The network's (state, output) widths: D belief means in, a (noise
+    mean, log noise std) pair per dimension out."""
+    return cfg.D, 2 * cfg.D
 
 
 def flow_sample(rng, cfg, x, t, z=None):

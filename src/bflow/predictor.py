@@ -4,12 +4,8 @@ output, fixed class probabilities per dimension, and a discretised
 predictor that places its data Gaussian at a fixed point.
 
 A predictor maps a modality-encoded state vector and a process time to a
-raw output vector:
-
-* continuous:  D inputs (belief means) -> D noise estimates
-* discretised: D inputs -> 2D outputs (noise mean, log noise std)
-* discrete:    K*D inputs (rescaled probabilities) -> K*D logits,
-               or D -> D when K == 2
+raw output vector; each modality module's ``net_widths`` gives the two
+widths, and ``PredictorSpec`` holds them.
 
 Gradients are written per layer rather than pulled from an autodiff
 framework, which keeps the package self-contained and makes the
@@ -23,57 +19,25 @@ import numpy as np
 
 from .numerics import Rng
 
-MODALITIES = ("continuous", "discretised", "discrete")
-
 
 @dataclass(frozen=True)
 class PredictorSpec:
-    modality: str
-    D: int
-    K: int = 0
+    """Network widths: the modality's state and output widths (its module's
+    ``net_widths``), the hidden layers and the Fourier time-feature count."""
+
+    state_width: int
+    output_width: int
     hidden: tuple = (256, 256)
-    activation: str = "silu"
-    time_feature: str = "fourier"  # or "raw"
     n_freqs: int = 8
-
-    def __post_init__(self):
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}")
-        if self.modality == "discrete" and self.K < 2:
-            raise ValueError("discrete modality needs K >= 2")
-        if self.activation not in ("silu", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.time_feature not in ("fourier", "raw"):
-            raise ValueError(f"unknown time feature {self.time_feature!r}")
-
-    @property
-    def state_width(self):
-        if self.modality in ("continuous", "discretised"):
-            return self.D
-        return self.D if self.K == 2 else self.D * self.K
-
-    @property
-    def output_width(self):
-        if self.modality == "continuous":
-            return self.D
-        if self.modality == "discretised":
-            return 2 * self.D
-        return self.D if self.K == 2 else self.D * self.K
-
-    @property
-    def time_width(self):
-        return 1 if self.time_feature == "raw" else 2 * self.n_freqs
 
     @property
     def input_width(self):
-        return self.state_width + self.time_width
+        return self.state_width + 2 * self.n_freqs
 
 
 def time_features(spec, t):
-    """Encode times (scalar or (B,)) as (B, time_width)."""
+    """Encode times (scalar or (B,)) as (B, 2 * n_freqs) Fourier features."""
     t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
-    if spec.time_feature == "raw":
-        return t
     ang = 2.0 ** np.arange(spec.n_freqs) * np.pi * t
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
@@ -90,12 +54,6 @@ def _silu(z):
 def _silu_grad(z):
     s = 1.0 / (1.0 + np.exp(-z))
     return s * (1.0 + z * (1.0 - s))
-
-
-_ACTIVATIONS = {
-    "silu": (_silu, _silu_grad),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-}
 
 
 class MLP:
@@ -128,7 +86,6 @@ class MLP:
                 fan_in = shape[0]
                 w = rng.standard_normal(shape) / np.sqrt(fan_in)
                 self.params[off : off + w.size] = w.ravel()
-        self._act, self._act_grad = _ACTIVATIONS[spec.activation]
         self._tape = None
 
     @property
@@ -168,7 +125,7 @@ class MLP:
             z += b
             if li < len(self._layers) - 1:
                 pre.append(z)
-                h = self._act(z)
+                h = _silu(z)
                 tape.append(h)
             else:
                 h = z
@@ -193,7 +150,7 @@ class MLP:
             np.matmul(tape[li].T, delta, out=grads[f"W{li}"])
             np.sum(delta, axis=0, out=grads[f"b{li}"])
             if li > 0:
-                delta = (delta @ self._layers[li][0].T) * self._act_grad(pre[li - 1])
+                delta = (delta @ self._layers[li][0].T) * _silu_grad(pre[li - 1])
         return flat
 
 

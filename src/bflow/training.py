@@ -37,7 +37,7 @@ from .predictor import MLP, PredictorSpec
 from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig
 
 CHECKPOINT_MAGIC = b"BFCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # the modality modules, one op set each over one FlowConfig
 OPS = {"continuous": cts, "discretised": dsc, "discrete": dd}
@@ -55,14 +55,10 @@ class TrainConfig:
     steps: int = 1000
     learning_rate: float = 1e-4
     weight_decay: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
     ema_decay: float = 0.9999
     seed: int = 0
     eval_every: int = 0
     hidden: tuple = (256, 256)
-    activation: str = "silu"
-    time_feature: str = "fourier"
     n_freqs: int = 8
     t_min: float = 1e-6
     recon_sigma: float = 0.0  # continuous reconstruction noise; caller-set
@@ -72,13 +68,21 @@ class TrainConfig:
             raise ValueError(f"unknown modality {self.modality!r}; expected one of {', '.join(OPS)}")
         if not (0 < self.learning_rate or self.learning_rate == 0.0):
             raise ValueError("learning_rate must be non-negative")
-        for name in ("adam_beta1", "adam_beta2", "ema_decay"):
-            v = getattr(self, name)
-            if not (0.0 <= v < 1.0):
-                raise ValueError(f"{name} must lie in [0, 1)")
+        if not (0.0 <= self.ema_decay < 1.0):
+            raise ValueError("ema_decay must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
+        for name, low in (("batch_size", 1), ("steps", 1), ("eval_every", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.schedule_preset:  # its sigma1 or beta1 replaces the field's
+            family = DiscreteQuadratic if self.modality == "discrete" else ContinuousSigma
+            names = [name for name, sched in PRESETS.items() if isinstance(sched, family)]
+            if self.schedule_preset not in names:
+                raise ValueError(
+                    f"schedule_preset {self.schedule_preset!r} is not a {self.modality} preset; "
+                    f"expected one of {', '.join(names)}"
+                )
             for name, value in vars(PRESETS[self.schedule_preset]).items():
                 setattr(self, name, value)
         # built once; not a field, so asdict and the checkpoint header omit it
@@ -94,16 +98,11 @@ class TrainConfig:
         return self.modality != "continuous" or self.recon_sigma > 0
 
     def predictor_spec(self):
-        return PredictorSpec(
-            modality=self.modality,
-            D=self.D,
-            K=self.K,
-            hidden=tuple(self.hidden),
-            activation=self.activation,
-            time_feature=self.time_feature,
-            n_freqs=self.n_freqs,
-        )
+        return PredictorSpec(*OPS[self.modality].net_widths(self.flow), tuple(self.hidden), self.n_freqs)
 
+
+# (beta1, beta2) of every training run's adamw_step.
+ADAM_BETAS = (0.9, 0.98)
 
 # Elements per pass of adamw_step.  A pass touches seven 128 KiB float64
 # slices (params, grads, m, v, ema and two scratch buffers), 896 KiB in all,
@@ -253,8 +252,7 @@ def train(rng, dataset, config):
             )
         mlp.params, m, v, ema = adamw_step(
             mlp.params, grad, m, v, ema, step,
-            config.learning_rate, config.weight_decay,
-            config.adam_beta1, config.adam_beta2, config.ema_decay,
+            config.learning_rate, config.weight_decay, *ADAM_BETAS, config.ema_decay,
         )
         eval_loss = None
         if config.eval_every and step % config.eval_every == 0:
@@ -325,6 +323,8 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
     Returns a list of dicts with nats, nats per dimension, bits per
     dimension and the standard error of the mean.
     """
+    if passes < 1:
+        raise ValueError(f"passes must be >= 1, got {passes}")
     dataset = np.asarray(dataset)
     N = len(dataset)
     ln2 = np.log(2.0)
@@ -407,7 +407,6 @@ def save_checkpoint(path, result, run_config=None):
         offset += int(arr.size)
     header = {
         "version": CHECKPOINT_VERSION,
-        "spec": asdict(config.predictor_spec()),
         "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(config).items()},
         "run_config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in (run_config or {}).items()},
         "step": len(result.history),

@@ -131,6 +131,29 @@ class TestTrain:
         with pytest.raises(SystemExit, match=message):
             run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
 
+    @pytest.mark.parametrize("setting, message", [
+        ("schedule_preset=foo", r"schedule_preset 'foo' is not a discrete preset; expected one of binary, chars27"),
+        ("schedule_preset=cts-256bin", r"schedule_preset 'cts-256bin' is not a discrete preset"),
+        ("batch_size=0", r"batch_size must be >= 1, got 0"),
+        ("steps=0", r"steps must be >= 1, got 0"),
+        ("eval_every=-1", r"eval_every must be >= 0, got -1"),
+        ("activation=tanh", r"unknown config key 'activation'"),
+        ("adam_beta1=0.8", r"unknown config key 'adam_beta1'"),
+    ], ids=["unknown-preset", "preset-of-other-family", "batch-size-0", "steps-0", "eval-every-negative",
+            "deleted-activation", "deleted-adam-beta"])
+    def test_bad_setting_is_usage_error_before_compute(self, toy_run, monkeypatch, setting, message):
+        monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained on a bad setting"))
+        with pytest.raises(SystemExit, match=rf"train: config .*train\.cfg: {message}"):
+            run_cli("train", "--config", str(toy_run["cfg"]), "--set", setting, "--out", str(toy_run["root"] / "x"))
+
+    @pytest.mark.parametrize("line", ["time_feature = raw", "adam_beta2 = 0.99"])
+    def test_deleted_key_in_config_file_rejected(self, toy_run, tmp_path, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TRAIN_CFG.format(dataset=toy_run["paths"]["strings"]) + line + "\n")
+        key = line.split()[0]
+        with pytest.raises(SystemExit, match=rf"train: config .*c\.cfg: line 14: unknown config key '{key}'"):
+            run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+
     def test_uncreatable_out_is_usage_error_before_compute(self, toy_run, tmp_path, monkeypatch):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -225,6 +248,16 @@ class TestEval:
                 "--dataset", str(toy_run["paths"]["strings"]), "--n", "4,0",
             )
 
+    @pytest.mark.parametrize("passes", ["0", "-1"])
+    def test_passes_below_one_rejected(self, toy_run, passes, capsys):
+        # both once printed an empty table and exited 0
+        with pytest.raises(SystemExit, match=f"eval: --passes must be >= 1, got {passes}"):
+            run_cli(
+                "eval", "--checkpoint", str(toy_run["ckpt"]),
+                "--dataset", str(toy_run["paths"]["strings"]), "--passes", passes,
+            )
+        assert capsys.readouterr().out == ""
+
     def test_malformed_step_count_is_usage_error(self, toy_run):
         with pytest.raises(SystemExit, match=r"eval: --n 4,x: invalid literal for int\(\) with base 10: 'x'"):
             run_cli(
@@ -267,6 +300,11 @@ class TestSample:
         with pytest.raises(SystemExit, match=r"sample: --out .*file/s: Not a directory"):
             run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--out", str(blocker / "s"))
 
+    def test_missing_alphabet_is_usage_error(self, toy_run, tmp_path):
+        with pytest.raises(SystemExit, match=r"sample: --alphabet .*absent\.txt: No such file"):
+            run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--alphabet", str(tmp_path / "absent.txt"),
+                    "--out", str(tmp_path / "s"))
+
     def test_text_samples_decode(self, toy_run, tmp_path):
         out = tmp_path / "st"
         run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--count", "1", "--steps", "4", "--out", str(out))
@@ -288,6 +326,27 @@ class TestIngestCommand:
         ) == 0
         ds = data.load_dataset(out)
         assert [data.decode_text(row, data.ALPHABET_27) for row in ds.items] == ["abc def", "xyz qrs"]
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing-input", r"ingest: --input .*absent\.txt: No such file"),
+        ("bad-alphabet", r"ingest: --alphabet .*a\.txt: alphabet symbols must be single characters"),
+        ("short-text", r"ingest: --input .*corpus\.txt: text shorter than one sequence"),
+        ("unwritable-output", r"ingest: --output .*file/c\.ds: Not a directory"),
+    ], ids=["missing-input", "bad-alphabet", "short-text", "unwritable-output"])
+    def test_bad_input_is_usage_error(self, tmp_path, case, message):
+        alpha = tmp_path / "a.txt"
+        data.save_alphabet(alpha, ["ab", "c"] if case == "bad-alphabet" else data.ALPHABET_27)
+        src = tmp_path / "corpus.txt"
+        src.write_text("abc")
+        (tmp_path / "file").write_text("")
+        args = {
+            "--input": str(tmp_path / "absent.txt" if case == "missing-input" else src),
+            "--alphabet": str(alpha),
+            "--dim": "4" if case == "short-text" else "3",
+            "--output": str(tmp_path / ("file/c.ds" if case == "unwritable-output" else "c.ds")),
+        }
+        with pytest.raises(SystemExit, match=message):
+            run_cli("ingest", "--modality", "discrete", *(x for kv in args.items() for x in kv))
 
     def test_byte_ingest(self, tmp_path):
         src = tmp_path / "img.raw"

@@ -300,7 +300,7 @@ class TestSampleChainMatchesReference:
     @pytest.mark.parametrize("n", [1, 9])
     def test_bits(self, n):
         cfg = FlowConfig(ContinuousSigma(0.02), D=3)
-        mlp = MLP(PredictorSpec("continuous", D=3, hidden=(16, 16)), seed=5)
+        mlp = MLP(PredictorSpec(3, 3, hidden=(16, 16)), seed=5)
         mlp.params += 0.5 * Rng(51).standard_normal(mlp.n_params)
         for rng in (lambda: Rng(52), lambda: [Rng(53).split(j) for j in range(5)]):
             out, p = cts.generate(rng(), mlp, cfg, n, return_params=True)

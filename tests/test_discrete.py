@@ -388,9 +388,9 @@ class TestGenerateMatchesReference:
     @pytest.mark.parametrize("K, D", [(27, 4), (2, 5)])
     @pytest.mark.parametrize("n", [1, 12])
     def test_bits(self, K, D, n):
-        mlp = MLP(PredictorSpec("discrete", D=D, K=K, hidden=(16, 16)), seed=3)
-        mlp.params += 0.5 * Rng(31).standard_normal(mlp.n_params)
         sched = DiscreteQuadratic(3.0)
+        mlp = MLP(PredictorSpec(*dd.net_widths(FlowConfig(sched, D, K)), hidden=(16, 16)), seed=3)
+        mlp.params += 0.5 * Rng(31).standard_normal(mlp.n_params)
         for rng in (lambda: Rng(32), lambda: [Rng(33).split(j) for j in range(5)]):
             k, theta = dd.generate(rng(), mlp, sched, n, K, D, return_theta=True)
             k_ref, theta_ref = _generate_reference(rng(), mlp, sched, n, K, D)

@@ -11,7 +11,7 @@ from bflow import discrete as dd
 from bflow import discretised as dsc
 from bflow import training
 from bflow.numerics import Rng
-from bflow.predictor import MLP, MODALITIES, DiscretisedDatumPredictor
+from bflow.predictor import MLP, DiscretisedDatumPredictor
 from bflow.schedule import ContinuousSigma, FlowConfig
 
 
@@ -136,7 +136,7 @@ def _generate(rng, pred, config, n):
 
 
 class TestBatchedGenerate:
-    @pytest.mark.parametrize("modality", MODALITIES)
+    @pytest.mark.parametrize("modality", tuple(training.OPS))
     def test_rows_equal_one_stream_calls(self, modality):
         # classes and bin centres match exactly; continuous rows carry the
         # last-bit differences of MLP products over different row counts
@@ -150,7 +150,7 @@ class TestBatchedGenerate:
             else:
                 np.testing.assert_array_equal(batched[j], one)
 
-    @pytest.mark.parametrize("modality", MODALITIES)
+    @pytest.mark.parametrize("modality", tuple(training.OPS))
     def test_cli_count_writes_one_stream_bytes(self, modality, tmp_path):
         config, pred = _random_mlp(modality, 4)
         ckpt = tmp_path / "m.ckpt"

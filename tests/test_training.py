@@ -1,6 +1,8 @@
 """Optimizer, EMA, head gradients, the loop and checkpoint round-trips."""
 
 import bisect
+import dataclasses
+import hashlib
 import inspect
 import math
 from fractions import Fraction
@@ -18,7 +20,7 @@ from bflow import discretised as dsc
 from bflow.data import toy_glyphs, toy_mixture, toy_strings
 from bflow.kernels import erf_vec
 from bflow.numerics import Rng, softmax_rows
-from bflow.predictor import MODALITIES, MLP, ConstantPredictor, DiscretisedDatumPredictor
+from bflow.predictor import MLP, ConstantPredictor, DiscretisedDatumPredictor, PredictorSpec
 from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig
 from bflow.training import TrainConfig, adamw_step
 from oracle_predictors import DiscreteOneHotPredictor
@@ -902,6 +904,14 @@ class TestEvaluate:
         se4 = r4[0]["se_nats"]
         assert se4 == pytest.approx(se1 / 2, rel=0.35)
 
+    @pytest.mark.parametrize("passes", [0, -1])
+    def test_passes_below_one_rejected(self, passes):
+        # zero or negative passes once returned an empty table
+        config = _make_config("discrete", K=4, D=2)
+        pred = MLP(config.predictor_spec(), seed=2)
+        with pytest.raises(ValueError, match=f"passes must be >= 1, got {passes}"):
+            training.evaluate(Rng(16), pred, config, np.ones((3, 2), dtype=np.int64), passes=passes)
+
 
 def _estimate_mean_loss_reference(rng, mlp, params, config, dataset, n_draws=4):
     """estimate_mean_loss as it was before it called the loss_cts dispatch:
@@ -992,6 +1002,33 @@ class TestCheckpoint:
         training.save_checkpoint(path, training.train(Rng(22), data, config))
         return path
 
+    def test_header_holds_config_layout_and_no_spec(self, tmp_path):
+        import json
+        import struct
+
+        raw = self._saved_checkpoint(tmp_path).read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + hlen])
+        assert struct.unpack("<I", raw[4:8]) == (3,) and header["version"] == 3
+        assert set(header) == {"version", "config", "run_config", "step", "layout", "sections"}
+        assert set(header["config"]) == {f.name for f in dataclasses.fields(TrainConfig)}
+
+    def test_version_2_rejected(self, tmp_path):
+        # a version-2 header carries the deleted activation, time-feature and
+        # Adam-beta keys; the version check names the file's version first
+        import json
+        import struct
+
+        raw = self._saved_checkpoint(tmp_path).read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + hlen])
+        header["config"].update(activation="silu", time_feature="fourier", adam_beta1=0.9, adam_beta2=0.98)
+        hb = json.dumps(header).encode("utf-8")
+        path = tmp_path / "v2.ckpt"
+        path.write_bytes(raw[:4] + struct.pack("<IQ", 2, len(hb)) + hb + raw[16 + hlen :])
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+            training.load_checkpoint(path)
+
     def test_version_1_rejected(self, tmp_path):
         import struct
 
@@ -1063,6 +1100,7 @@ class TestCheckpoint:
 
 # the required parameters of every modality module's op set
 OP_SET = {
+    "net_widths": ["cfg"],
     "flow_sample": ["rng", "cfg", "x", "t"],
     "net_input": ["cfg", "state"],
     "loss_inf": ["cfg", "x", "state", "t", "net_out"],
@@ -1078,7 +1116,7 @@ class TestOpSet:
         params = inspect.signature(fn).parameters.values()
         return [p.name for p in params if p.default is inspect.Parameter.empty]
 
-    @pytest.mark.parametrize("modality", MODALITIES)
+    @pytest.mark.parametrize("modality", tuple(training.OPS))
     def test_module_exports_the_op_set(self, modality):
         ops = training.OPS[modality]
         assert {name: self._required(getattr(ops, name)) for name in OP_SET} == OP_SET
@@ -1086,4 +1124,73 @@ class TestOpSet:
             assert self._required(ops.generate) == ["rng", "predictor", "cfg", "n"]
 
     def test_table_covers_the_modalities(self):
-        assert tuple(training.OPS) == MODALITIES
+        assert tuple(training.OPS) == ("continuous", "discretised", "discrete")
+
+    @pytest.mark.parametrize("modality, K", [("continuous", 0), ("discretised", 8), ("discrete", 2), ("discrete", 4)])
+    def test_net_widths_match_net_input_and_loss_gradient(self, modality, K):
+        config = _make_config(modality, K=K, batch_size=5)
+        ops = training.OPS[modality]
+        state_width, output_width = ops.net_widths(config.flow)
+        x = _random_batch(Rng(80), config)
+        state = training.sample_head_state(Rng(81), config, x)
+        assert state["state_in"].shape == (5, state_width)
+        net_out = 0.1 * Rng(82).standard_normal((5, output_width))
+        _, d_out = ops.loss_inf(config.flow, x, state["theta"], state["t"], net_out, grad=True)
+        assert d_out.shape == (5, output_width)
+        spec = config.predictor_spec()
+        assert (spec.state_width, spec.output_width) == (state_width, output_width)
+
+
+def _bundled_config(name):
+    return cli.train_config_from_run(cli.load_run_config(CONFIG_DIR / f"{name}.cfg"))
+
+
+# perfbench's train-image-k256 model
+_IMAGE_K256 = dict(modality="discretised", D=64, K=256, schedule_preset="cts-256bin", hidden=(256, 256))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("make, n_params, sha256", [
+        (lambda: _bundled_config("train_strings"), 291_760,
+         "de5767f95e15c59fa0a46a0255706865f0ffe14b2613110d501f481dec28983e"),
+        (lambda: _bundled_config("train_glyphs"), 102_976,
+         "89b07e49944fffac89aa67671fafb0dabfe1d8ac1f7595b053c6065b2003201e"),
+        (lambda: _bundled_config("train_mixture"), 5_762,
+         "c60f12236acda3b08e6b257a18de9bf59fc7de7cf4b925e477885300bfe7279f"),
+        (lambda: TrainConfig(**_IMAGE_K256), 119_424,
+         "6bc448fa53b0e4b81c8ebfbf15ec219bec1936e07aea69b27b179555ebefd7fa"),
+    ], ids=["strings", "glyphs", "mixture", "image-k256"])
+    def test_initial_network_unchanged(self, make, n_params, sha256):
+        # the parameter count and initial vector from when PredictorSpec
+        # derived the widths from the modality name itself
+        config = make()
+        mlp = MLP(config.predictor_spec(), config.seed)
+        assert mlp.n_params == n_params
+        assert hashlib.sha256(mlp.params.tobytes()).hexdigest() == sha256
+
+    def test_field_count(self):
+        assert len(dataclasses.fields(TrainConfig)) == 17
+        names = [f.name for f in dataclasses.fields(PredictorSpec)]
+        assert names == ["state_width", "output_width", "hidden", "n_freqs"]
+
+    def test_unknown_schedule_preset_named(self):
+        msg = "schedule_preset 'foo' is not a discrete preset; expected one of binary, chars27"
+        with pytest.raises(ValueError, match=msg):
+            _make_config("discrete", schedule_preset="foo")
+
+    @pytest.mark.parametrize("modality, preset", [("discrete", "cts-256bin"), ("continuous", "binary"),
+                                                  ("discretised", "chars27")])
+    def test_preset_of_the_other_family_rejected(self, modality, preset):
+        # a continuous preset once set sigma1 on a discrete config and trained with its beta1
+        with pytest.raises(ValueError, match=f"schedule_preset {preset!r} is not a {modality} preset"):
+            _make_config(modality, schedule_preset=preset)
+
+    def test_preset_of_the_family_applies(self):
+        assert _make_config("discrete", schedule_preset="chars27").beta1 == 0.75
+        assert _make_config("discretised", schedule_preset="cts-16bin").sigma1 == math.sqrt(0.001)
+
+    @pytest.mark.parametrize("name, value, low", [("batch_size", 0, 1), ("steps", 0, 1), ("steps", -3, 1),
+                                                  ("eval_every", -1, 0)])
+    def test_count_below_its_floor_rejected(self, name, value, low):
+        with pytest.raises(ValueError, match=f"{name} must be >= {low}, got {value}"):
+            _make_config("continuous", **{name: value})
