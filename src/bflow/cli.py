@@ -188,13 +188,18 @@ def cmd_sample(args):
         raise SystemExit(f"sample: --count must be >= 0, got {args.count}")
     result, header = _load("sample", f"checkpoint {args.checkpoint}", training.load_checkpoint, args.checkpoint)
     config = result.config
-    predictor = training.ema_predictor(result)
-    _load("sample", f"--out {args.out}", lambda: os.makedirs(args.out, exist_ok=True))
     alphabet = None
     if config.modality == "discrete" and config.K == 27:
         alphabet = data.ALPHABET_27
     if args.alphabet:
         alphabet = _load("sample", f"--alphabet {args.alphabet}", data.load_alphabet, args.alphabet)
+        if config.modality != "discrete":
+            raise SystemExit(f"sample: --alphabet decodes discrete samples, but the model is {config.modality}")
+        if len(alphabet) != config.K:
+            raise SystemExit(f"sample: --alphabet {args.alphabet} has {len(alphabet)} symbols, "
+                             f"but the model has K={config.K} classes")
+    predictor = training.ema_predictor(result)
+    _load("sample", f"--out {args.out}", lambda: os.makedirs(args.out, exist_ok=True))
     if args.count == 0:
         return 0
     # one call draws every sample: sample idx from stream idx of the seed
@@ -203,7 +208,7 @@ def cmd_sample(args):
         samples = dd.generate(rngs, predictor, config.schedule, args.steps, config.K, config.D)
     else:
         samples = training.OPS[config.modality].generate(rngs, predictor, config.flow, args.steps)
-    as_text = config.modality == "discrete" and alphabet is not None and len(alphabet) == config.K
+    as_text = alphabet is not None
     w, h = _sample_shape(header.get("run_config", {}), config.D)
     paths = []
     for idx, out in enumerate(samples):
@@ -221,21 +226,42 @@ def cmd_sample(args):
     return 0
 
 
-def cmd_verify(args):
+def seed_or_range(text):
+    """--seed for verify: one seed, or an inclusive range A..B of seeds."""
+    lo, dots, hi = text.partition("..")
     try:
-        reports = harness.run_all(args.seed, name_filter=args.filter)
+        seeds = range(int(lo), int(hi) + 1) if dots else int(lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a seed or a range A..B, got {text!r}") from None
+    if dots and not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return seeds
+
+
+def cmd_verify(args):
+    sweep = isinstance(args.seed, range)
+    try:
+        runs = [harness.run_all(seed, name_filter=args.filter) for seed in (args.seed if sweep else [args.seed])]
     except ValueError as exc:
         raise SystemExit(f"verify: {exc}")
-    for r in reports:
-        print(r.summary())
+    by_property = list(zip(*runs))  # each property's reports, one per seed
+    for reports in by_property:
+        if not sweep:
+            print(reports[0].summary())
+            continue
+        worst = max(reports, key=lambda r: r.statistic / r.tolerance)
+        failed = sum(not r.passed for r in reports)
+        print(f"[{'FAIL' if failed else 'PASS'}] {worst.property_id:<34} worst stat/tol="
+              f"{worst.statistic / worst.tolerance:.3e} at seed {worst.seed}, {failed}/{len(reports)} seeds failed")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            for r in reports:
+            for r in (r for reports in runs for r in reports):
                 fh.write(r.to_line() + "\n")
         print(f"report: {args.report}")
-    failed = [r for r in reports if not r.passed]
-    print(f"{len(reports) - len(failed)}/{len(reports)} properties passed")
-    return 1 if failed else 0
+    passed = sum(all(r.passed for r in reports) for reports in by_property)
+    over = f" at every seed of {args.seed.start}..{args.seed.stop - 1}" if sweep else ""
+    print(f"{passed}/{len(by_property)} properties passed{over}")
+    return 0 if passed == len(by_property) else 1
 
 
 def _resolve(path, config_path):
@@ -282,7 +308,7 @@ def build_parser():
     ps.set_defaults(func=cmd_sample)
 
     pv = sub.add_parser("verify", help="run the analytic-property verification suite")
-    pv.add_argument("--seed", type=int, default=7)
+    pv.add_argument("--seed", type=seed_or_range, default=7, help="a seed, or an inclusive range A..B of seeds")
     pv.add_argument("--filter", help="run only properties whose id contains this substring")
     pv.add_argument("--report", help="write line-delimited records here")
     pv.set_defaults(func=cmd_verify)

@@ -3,8 +3,8 @@
 Each check turns one mathematical statement into a pass/fail report with
 an explicit statistic, tolerance, sample count and seed:
 
-* update additivity (exact algebra and two-stage vs one-stage sampling)
-* flow draws vs long chains of sequential Bayesian updates
+* update additivity (exact algebra and two-stage vs one-stage laws)
+* flow draws vs chains of sequential Bayesian updates
 * closed-form transmission KLs vs Monte-Carlo log-ratio estimates
 * the multinomial-count construction of the categorical sender
 * n-step losses converging onto the continuous-time loss
@@ -14,36 +14,39 @@ Every check is a fixed property of its seed (plus the modality or K it
 covers), and runs on the production ops that train, eval and sample run:
 the updates, flow draws and samplers, the batched losses, the
 discretised receiver log-density and the discrete sender-to-receiver
-log-ratio.  The harness restates none of them; its only
-formulas of its own are the closed forms under test and a trapezoid
-reference integral.  A mutation test patches the op it breaks.
+log-ratio.  The harness restates none of them.  Its only formulas of its
+own are the closed forms under test, the multinomial's moments, the
+noise-row construction below and a trapezoid reference integral.  A
+mutation test patches the op it breaks.
 
-Estimator notes.  Where a claim involves the expectation of a sampling
-op, the check either stratifies the op's own discrete randomness (the
-step index, the time grid) or integrates the op's integrand over
-Gauss-Hermite nodes; both remove the Monte-Carlo noise that would
-otherwise swamp sub-percent tolerances.  A separate consistency gate then
-draws real samples from the stochastic op and requires agreement with the
-deterministic estimate within standard errors, so the stochastic path
-cannot drift from the verified one.  The loss checks run on the batched
-ops, one call per time grid, per n or per gate, each drawing its stream
-exactly as the equivalent run of one-row calls would.
-
-Moment comparisons for the categorical sender happen in shift-centered
-coordinates: the multiplicative update is invariant to adding a constant
-to every logit in a block, and the multinomial construction fixes the
-block sum, so only the quotient space is statistically meaningful.
+Estimator notes.  Outside the KL checks each main statistic is exact or
+quadrature, the same at every seed.  Where the claim is linear-Gaussian
+algebra (additivity, flow equivalence) the state is affine in the ops'
+standard-normal noise, so a zero row and one unit draw per noise
+coordinate, run through the ops, give its mean and covariance exactly;
+the finite-m construction uses the multinomial's moments.  The loss
+checks stratify the ops' own discrete randomness (step index, time grid)
+or integrate over Gauss-Hermite nodes, one batched call per time grid, n
+or gate, each drawing its stream as the run of one-row calls would.  A
+gate then draws real samples from the stochastic ops and requires
+agreement within 4 standard errors, so the sampled path cannot drift from
+the verified one and an op not affine in its noise still shows; the
+affine checks' reports state the gate's false-alarm rate.  Categorical
+log-beliefs are compared less each row's mean: the update is invariant to
+a shift of a row's logits, so only that quotient is meaningful.
 """
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import continuous as cts
 from . import discrete as dd
 from . import discretised as dsc
-from .numerics import Rng, gaussian_sample, log_gaussian_pdf, softmax_rows
+from .numerics import Rng, gaussian_sample, log_gaussian_pdf
 from .predictor import ConstantPredictor, ConstantProbsPredictor, DiscretisedDatumPredictor
 from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig
 
@@ -75,69 +78,127 @@ def _hermgauss(nodes):
 
 
 # ---------------------------------------------------------------------------
-# Additivity
+# Affine claims: exact moments from noise rows, and a sampled gate
 # ---------------------------------------------------------------------------
+
+# the exact statistics' tolerance (a few thousand ulps of O(1) moments); the
+# draws per sampled path of a gate and the gate in standard errors: each
+# deviation is near |N(0, 1)| when the ops are right and passes 4 se with
+# probability under 6.4e-5, so a gate of k deviations false-alarms below k times it
+EXACT_TOL, GATE_TRIALS, GATE_SE, GATE_FA = 1e-12, 100_000, 4.0, 6.4e-5
+
+
+def _unit_noise(draws, width):
+    """Noise for `draws` draws of `width` coordinates on 1 + draws * width
+    rows: row 0 is zero, row 1 + i * width + k a unit value at coordinate
+    k of draw i.  One rng stand-in per draw, whose standard_normal hands
+    out that draw's block, so the rows run through an op's own sampling."""
+    eye = np.eye(1 + draws * width)
+    return [SimpleNamespace(standard_normal=partial(np.reshape, eye[:, 1 + i * width:1 + (i + 1) * width]))
+            for i in range(draws)]
+
+
+def _affine_moments(rows):
+    """Mean and covariance of an output affine in standard-normal noise,
+    from its values at the rows of _unit_noise."""
+    rows = np.reshape(rows, (len(rows), -1))
+    jac = rows[1:] - rows[0]
+    return rows[0], jac.T @ jac
+
+
+def _chain_moments(chain, alphas, width):
+    return _affine_moments(chain(_unit_noise(len(alphas), width), alphas, 1 + len(alphas) * width))
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def _affine_err(ref, moments):
+    """Worst relative difference of exact (mean, covariance) pairs."""
+    return max(map(_rel, moments, ref))
+
+
+def _gate_dev(draws, ref):
+    """|mean of the sampled values - their exact expectation| in standard errors."""
+    return abs(draws.mean() - ref) / (draws.std(ddof=1) / np.sqrt(draws.size))
+
+
+def _gate(ref, *sampled):
+    """Worst deviation of sampled (T, d) draws from the exact moments ref of
+    the first coordinate's mean and the squared distance from the mean, and
+    its report text with the gate's false-alarm bound."""
+    mean, cov = ref
+    dev = max(max(_gate_dev(s[:, 0], mean[0]), _gate_dev(np.vecdot(s - mean, s - mean), np.trace(cov)))
+              for s in sampled)
+    return dev, f"gate={dev:.2f}se fa<{2 * len(sampled) * GATE_FA:.1e}"
+
+
+def _centred_log(theta):
+    """Log-beliefs less each row's mean: the update's shift-free part."""
+    logs = np.log(theta)
+    return logs - logs.mean(axis=-1, keepdims=True)
+
+
+def _cts_chain(noise, alphas, rows, x=0.5):
+    """The states of `rows` chains of cts.bayes_update from the prior, one
+    update per accuracy in alphas, observed through gaussian_sample with
+    the stream noise[i]."""
+    p = cts.prior(rows)
+    for src, a in zip(noise, alphas):
+        p = cts.bayes_update(p, gaussian_sample(src, np.full(rows, x), 1 / a), a)
+    return p
+
+
+def _cts_means(noise, alphas, rows):
+    return _cts_chain(noise, alphas, rows).mean[:, None]
+
+
+def _dd_chain(noise, alphas, rows, K=3):
+    """The centred log-beliefs of `rows` class-1 chains of dd.bayes_update
+    from the uniform prior, one dd.sender_sample draw per accuracy in
+    alphas, with the stream noise[i]."""
+    x = np.ones(rows, dtype=np.int64)
+    theta = dd.uniform_prior(rows, K)
+    for src, a in zip(noise, alphas):
+        theta = dd.bayes_update(theta, dd.sender_sample(src, x, a, K))
+    return _centred_log(theta)
+
+
+def _step_alphas(sched, t, n):
+    return [sched.beta(t * i / n) - sched.beta(t * (i - 1) / n) for i in range(1, n + 1)]
 
 
 def check_additivity(seed, modality):
+    """Updates at alpha_a then alpha_b against one at their sum: the worst
+    relative difference of the two laws' exact moments, a gate on both
+    sampled paths (four deviations), and exact precisions (continuous) or
+    the update identity over 1000 random cases (discrete)."""
     rng = Rng(seed, _path=(1,))
     alpha_a = alpha_b = 1.0
+    stages = ((alpha_a, alpha_b), (alpha_a + alpha_b,))
+    chain, width = (_cts_means, 1) if modality == "continuous" else (_dd_chain, 3)
+    ref = _chain_moments(chain, stages[1], width)
+    stat = _affine_err(ref, _chain_moments(chain, stages[0], width))
+    gate, gate_text = _gate(ref, *(chain([rng] * len(s), s, GATE_TRIALS) for s in stages))
+    params = {"alpha_a": alpha_a, "alpha_b": alpha_b}
     if modality == "continuous":
-        # one belief per trial, as in the discrete branch below
-        trials = 2_000_000
-        x = np.full(trials, 0.5)
-        prior = cts.prior(trials)
-        pa = cts.bayes_update(prior, gaussian_sample(rng, x, 1 / alpha_a), alpha_a)
-        two = cts.bayes_update(pa, gaussian_sample(rng, x, 1 / alpha_b), alpha_b)
-        one = cts.bayes_update(prior, gaussian_sample(rng, x, 1 / (alpha_a + alpha_b)), alpha_a + alpha_b)
-        prec_exact = two.precision == one.precision
-        m2, m_one = two.mean, one.mean
-        mean_err = abs(m2.mean() - m_one.mean()) / abs(m_one.mean())
-        var_err = abs(m2.var(ddof=1) - m_one.var(ddof=1)) / m_one.var(ddof=1)
-        stat = max(mean_err, var_err)
-        return PropertyReport(
-            property_id="additivity-continuous",
-            modality="continuous",
-            statistic=float(stat),
-            tolerance=0.01,
-            passed=bool(prec_exact and stat < 0.01),
-            samples=trials,
-            seed=seed,
-            params={"alpha_a": alpha_a, "alpha_b": alpha_b},
-            detail=f"mean_err={mean_err:.2e} var_err={var_err:.2e} precision_exact={prec_exact}",
-        )
-    # discrete: exact functional identity over 1000 random two-row cases,
-    # drawn case by case and updated in one batch, plus two-stage sampling
-    # of the mean
-    K = 3
-    gen = np.random.default_rng(seed)
-    cases = [(gen.dirichlet(np.ones(K), size=2), gen.normal(0, 3, size=(2, K)), gen.normal(0, 3, size=(2, K)))
-             for _ in range(1000)]
-    theta, ya, yb = (np.concatenate(c) for c in zip(*cases))
-    two = dd.bayes_update(dd.bayes_update(theta, ya), yb)
-    worst = float(np.max(np.abs(two - dd.bayes_update(theta, ya + yb))))
-    # one belief row per trial: the update ops treat rows independently,
-    # so a (trials, K) state runs every trial through the real code path
-    mtrials = 1_000_000
-    x_vec = np.ones(mtrials, dtype=np.int64)
-    theta0 = dd.uniform_prior(mtrials, K)
-    ya = dd.sender_sample(rng, x_vec, alpha_a, K)
-    yb = dd.sender_sample(rng, x_vec, alpha_b, K)
-    two_m = dd.bayes_update(dd.bayes_update(theta0, ya), yb)
-    yc = dd.sender_sample(rng, x_vec, alpha_a + alpha_b, K)
-    one_m = dd.bayes_update(theta0, yc)
-    mean_err = float(np.max(np.abs(two_m.mean(0) - one_m.mean(0)) / np.abs(one_m.mean(0))))
-    passed = worst < 1e-12 and mean_err < 0.015
+        two, one = (_cts_chain(_unit_noise(len(s), 1), s, 1 + len(s)).precision for s in stages)
+        exact_ok, exact = two == one, f"precision_exact={two == one}"
+    else:
+        # the exact functional identity over 1000 random two-row cases,
+        # drawn case by case and updated in one batch
+        gen = np.random.default_rng(seed)
+        cases = [(gen.dirichlet(np.ones(width), size=2), gen.normal(0, 3, size=(2, width)),
+                  gen.normal(0, 3, size=(2, width))) for _ in range(1000)]
+        theta, ya, yb = (np.concatenate(c) for c in zip(*cases))
+        worst = float(np.max(np.abs(dd.bayes_update(dd.bayes_update(theta, ya), yb) - dd.bayes_update(theta, ya + yb))))
+        exact_ok, exact = worst < 1e-12, f"identity_max={worst:.2e}"
+        params["K"] = width
     return PropertyReport(
-        property_id="additivity-discrete",
-        modality="discrete",
-        statistic=mean_err,
-        tolerance=0.015,
-        passed=bool(passed),
-        samples=1000 + mtrials,
-        seed=seed,
-        params={"alpha_a": alpha_a, "alpha_b": alpha_b, "K": K},
-        detail=f"identity_max={worst:.2e} mean_err={mean_err:.2e}",
+        property_id=f"additivity-{modality}", modality=modality, statistic=stat, tolerance=EXACT_TOL,
+        passed=bool(exact_ok and stat < EXACT_TOL and gate <= GATE_SE), samples=2 * GATE_TRIALS, seed=seed,
+        params=params, detail=f"{exact} {gate_text}",
     )
 
 
@@ -147,58 +208,40 @@ def check_additivity(seed, modality):
 
 
 def check_flow_equivalence(seed, modality):
+    """Flow draws against chains of sequential updates: the worst relative
+    difference of their exact moments over the chain lengths (and of the
+    continuous chain's summed precision from the flow's), and a gate
+    holding a sampled flow draw and chain to the flow's moments (four
+    deviations)."""
     rng = Rng(seed, _path=(2,))
     if modality == "continuous":
-        n_list, t, trials = (2, 16, 64), 0.5, 2_000_000
+        n_list, t, gate_n, width = (2, 16, 64), 0.5, 16, 1
         sched = ContinuousSigma(0.02)
-        cfg = FlowConfig(sched, D=1)
-        x = np.full(trials, 0.5)
-        direct = cts.flow_sample(rng, cfg, x, t).mean
-        worst = 0.0
-        details = []
-        for n in n_list:
-            p = cts.prior(trials)
-            for i in range(1, n + 1):
-                a = sched.beta(t * i / n) - sched.beta(t * (i - 1) / n)
-                p = cts.bayes_update(p, gaussian_sample(rng, x, 1 / a), a)
-            means = p.mean
-            mean_err = abs(direct.mean() - means.mean()) / abs(means.mean())
-            var_err = abs(direct.var(ddof=1) - means.var(ddof=1)) / means.var(ddof=1)
-            worst = max(worst, mean_err, var_err)
-            details.append(f"n={n}:{max(mean_err, var_err):.2e}")
-        return PropertyReport(
-            property_id="flow-equivalence-continuous",
-            modality="continuous",
-            statistic=float(worst),
-            tolerance=0.01,
-            passed=bool(worst < 0.01),
-            samples=trials * (len(n_list) + 1),
-            seed=seed,
-            params={"t": t, "n_list": list(n_list)},
-            detail=" ".join(details),
-        )
-    # discrete
-    K, n, t, trials = 3, 32, 0.7, 500_000
-    sched = DiscreteQuadratic(2.0)
-    x_vec = np.ones(trials, dtype=np.int64)
-    direct = dd.flow_sample(rng, FlowConfig(sched, trials, K), x_vec, t)
-    logits = np.zeros((trials, K))
-    for i in range(1, n + 1):
-        a = sched.beta(t * i / n) - sched.beta(t * (i - 1) / n)
-        logits += dd.sender_sample(rng, x_vec, a, K)
-    seq = softmax_rows(logits)
-    errs = np.abs(direct.mean(0) - seq.mean(0)) / np.abs(seq.mean(0))
-    worst = float(errs.max())
+        flow = lambda noise, rows: cts.flow_sample(noise, FlowConfig(sched, D=1), np.full((rows, 1), 0.5), t)
+        state = flow(_unit_noise(1, width)[0], 1 + width)
+        ref = _affine_moments(state.mean)
+        chains = [_cts_chain(_unit_noise(n, width), _step_alphas(sched, t, n), 1 + n) for n in n_list]
+        errs = [max(_affine_err(ref, _affine_moments(p.mean)), abs(p.precision / state.precision[0] - 1.0))
+                for p in chains]
+        gate, gate_text = _gate(ref, flow(rng, GATE_TRIALS).mean,
+                                _cts_means([rng] * gate_n, _step_alphas(sched, t, gate_n), GATE_TRIALS))
+        params = {"t": t, "n_list": list(n_list)}
+    else:
+        n_list, t, gate_n, width = (32,), 0.7, 4, 3
+        sched = DiscreteQuadratic(2.0)
+        flow = lambda noise, rows: _centred_log(
+            dd.flow_sample(noise, FlowConfig(sched, rows, width), np.ones(rows, dtype=np.int64), t))
+        ref = _affine_moments(flow(_unit_noise(1, width)[0], 1 + width))
+        errs = [_affine_err(ref, _chain_moments(_dd_chain, _step_alphas(sched, t, n), width)) for n in n_list]
+        gate, gate_text = _gate(ref, flow(rng, GATE_TRIALS),
+                                _dd_chain([rng] * gate_n, _step_alphas(sched, t, gate_n), GATE_TRIALS))
+        params = {"t": t, "n": n_list[0], "K": width}
+    stat = max(errs)
     return PropertyReport(
-        property_id="flow-equivalence-discrete",
-        modality="discrete",
-        statistic=worst,
-        tolerance=0.015,
-        passed=bool(worst < 0.015),
-        samples=trials * 2,
-        seed=seed,
-        params={"t": t, "n": n, "K": K},
-        detail=" ".join(f"class{k + 1}:{e:.2e}" for k, e in enumerate(errs)),
+        property_id=f"flow-equivalence-{modality}", modality=modality, statistic=stat, tolerance=EXACT_TOL,
+        passed=bool(stat < EXACT_TOL and gate <= GATE_SE), samples=2 * GATE_TRIALS, seed=seed,
+        params={**params, "gate_n": gate_n},
+        detail=" ".join(f"n={n}:{e:.1e}" for n, e in zip(n_list, errs)) + f" {gate_text}",
     )
 
 
@@ -226,14 +269,8 @@ def check_kl_closed_forms(seed, modality):
             worst_sigma = max(worst_sigma, dev)
             details.append(f"{dev:.2f}se")
         return PropertyReport(
-            property_id="kl-closed-form-continuous",
-            modality="continuous",
-            statistic=float(worst_sigma),
-            tolerance=3.0,
-            passed=bool(worst_sigma <= 3.0),
-            samples=5 * samples,
-            seed=seed,
-            params={"configs": 5},
+            property_id="kl-closed-form-continuous", modality="continuous", statistic=float(worst_sigma),
+            tolerance=3.0, passed=bool(worst_sigma <= 3.0), samples=5 * samples, seed=seed, params={"configs": 5},
             detail=" ".join(details),
         )
     # discretised, K=2: quadrature of the mixture KL vs Monte-Carlo
@@ -247,13 +284,8 @@ def check_kl_closed_forms(seed, modality):
         probs = dsc.bin_probs_from_gaussian(np.array([mu_pred]), np.array([s_pred]), K)
         if abs(probs.sum() - 1.0) > 1e-9:
             return PropertyReport(
-                property_id="kl-closed-form-discretised",
-                modality="discretised",
-                statistic=float(abs(probs.sum() - 1.0)),
-                tolerance=1e-9,
-                passed=False,
-                samples=0,
-                seed=seed,
+                property_id="kl-closed-form-discretised", modality="discretised",
+                statistic=float(abs(probs.sum() - 1.0)), tolerance=1e-9, passed=False, samples=0, seed=seed,
                 detail="output rows do not carry unit mass",
             )
         y = gaussian_sample(rng, np.full((samples, 1), x), 1 / alpha)
@@ -273,14 +305,8 @@ def check_kl_closed_forms(seed, modality):
         worst_sigma = max(worst_sigma, dev)
         details.append(f"{dev:.2f}se")
     return PropertyReport(
-        property_id="kl-closed-form-discretised",
-        modality="discretised",
-        statistic=float(worst_sigma),
-        tolerance=3.0,
-        passed=bool(worst_sigma <= 3.0),
-        samples=3 * samples,
-        seed=seed,
-        params={"K": K},
+        property_id="kl-closed-form-discretised", modality="discretised", statistic=float(worst_sigma),
+        tolerance=3.0, passed=bool(worst_sigma <= 3.0), samples=3 * samples, seed=seed, params={"K": K},
         detail=" ".join(details),
     )
 
@@ -306,70 +332,67 @@ class FiniteMSimulator:
             raise ValueError(f"alpha={self.alpha}, m={self.m} imply omega={w} >= 1")
         return w
 
+    @property
+    def xi(self):
+        return 1.0 + self.omega * self.K / (1.0 - self.omega)
+
+    def probs(self, x):
+        """The blended class distribution the m draws come from."""
+        p = np.full(self.K, (1.0 - self.omega) / self.K)
+        p[x - 1] += self.omega
+        return p
+
     def sample_y(self, rng, x, trials):
-        w = self.omega
-        p = np.full(self.K, (1.0 - w) / self.K)
-        p[x - 1] += w
-        xi = 1.0 + w * self.K / (1.0 - w)
-        counts = rng.multinomial(self.m, p, size=trials).astype(np.float64)
-        return (counts - self.m / self.K) * np.log(xi)
+        counts = rng.multinomial(self.m, self.probs(x), size=trials).astype(np.float64)
+        return (counts - self.m / self.K) * np.log(self.xi)
+
+    def centred_moments(self, x):
+        """The exact mean and covariance of sample_y's rows less their row
+        means, from the multinomial's E = m p and Cov = m (diag p - p p^T)."""
+        p, scale, centre = self.probs(x), np.log(self.xi), np.eye(self.K) - 1.0 / self.K
+        return scale * self.m * centre @ p, scale**2 * self.m * centre @ (np.diag(p) - np.outer(p, p)) @ centre
 
     def posterior_from_counts(self, theta, counts):
         """Posterior rows (..., K) from prior rows theta and class counts."""
-        xi = 1.0 + self.omega * self.K / (1.0 - self.omega)
-        post = theta * xi ** np.asarray(counts, dtype=np.float64)
+        post = theta * self.xi ** np.asarray(counts, dtype=np.float64)
         return post / post.sum(axis=-1, keepdims=True)
 
 
 def check_finite_m_limit(seed, K):
+    """The centred count observations tend to the categorical sender's law:
+    the errors of their exact moments fall strictly over m_list, with a
+    log-log slope of at most -0.4 over the last decade (the law is
+    O(m^-1/2), O(1/m) for K=2), towards a limit L of L + b m^-1/2 + c/m
+    through the three points, the statistic.  A gate holds sample_y at the
+    largest m to its moments (two deviations), and the count posterior
+    must equal the update function."""
     rng = Rng(seed, _path=(4,))
-    x, alpha, m_list, trials = 1, 0.25, (100, 1000, 10_000), 1_000_000
-    sender_mean = alpha * (K * np.eye(K)[x - 1] - 1.0)
-    mean_c = sender_mean - sender_mean.mean()
-    cov_c = alpha * K * (np.eye(K) - np.ones((K, K)) / K)
-    mean_scale = np.linalg.norm(mean_c)
-    cov_scale = np.linalg.norm(cov_c)
-    mean_errs, cov_errs = [], []
-    for m in m_list:
-        sim = FiniteMSimulator(m=m, K=K, alpha=alpha)
-        y = sim.sample_y(rng, x, trials)
-        yc = y - y.mean(axis=1, keepdims=True)
-        mean_errs.append(float(np.linalg.norm(yc.mean(axis=0) - mean_c) / mean_scale))
-        diff = yc - yc.mean(axis=0)
-        cov = diff.T @ diff / (trials - 1)
-        cov_errs.append(float(np.linalg.norm(cov - cov_c) / cov_scale))
-    # sampling noise floor: errors below it are indistinguishable from zero
-    per_coord_sd = np.sqrt(alpha * K * (1 - 1 / K))
-    mean_floor = 3.0 * per_coord_sd * np.sqrt(K / trials) / mean_scale
-    cov_floor = 3.0 * alpha * K * np.sqrt(2.0 * K * K / trials) / cov_scale
-    decreasing = all(
-        (b < a) or (b < floor)
-        for errs, floor in ((mean_errs, mean_floor), (cov_errs, cov_floor))
-        for a, b in zip(errs, errs[1:])
-    )
-    final_ok = mean_errs[-1] < 0.01 and cov_errs[-1] < 0.03
+    x, alpha, m_list, tol = 1, 0.25, np.array([100, 1000, 10_000]), 1e-3
+    centre = np.eye(K) - 1.0 / K
+    sender = (centre @ dd.sender_mean(x, alpha, K), alpha * K * centre)
+    sims = [FiniteMSimulator(m=int(m), K=K, alpha=alpha) for m in m_list]
+    errs = np.array([[_rel(a, b) for a, b in zip(sim.centred_moments(x), sender)] for sim in sims]).T
+    slopes = np.log(errs[:, -1] / errs[:, -2]) / np.log(m_list[-1] / m_list[-2])
+    fit = np.stack([np.ones(m_list.size), m_list**-0.5, 1.0 / m_list], axis=1)
+    limits = np.linalg.solve(fit, errs.T)[0]
+    stat = float(np.max(np.abs(limits)))
+    sim = sims[-1]
+    gate, gate_text = _gate(sim.centred_moments(x), sim.sample_y(rng, x, GATE_TRIALS) @ centre)
     # posterior identity at the largest m, raw counts vs update function,
     # over 50 cases drawn case by case and updated in one batch
-    sim = FiniteMSimulator(m=m_list[-1], K=K, alpha=alpha)
     gen = np.random.default_rng(seed)
     cases = [(gen.dirichlet(np.ones(K)), gen.multinomial(sim.m, np.full(K, 1.0 / K))) for _ in range(50)]
     theta, counts = (np.array(c) for c in zip(*cases))
-    y = (counts - sim.m / K) * np.log(1.0 + sim.omega * K / (1.0 - sim.omega))
+    y = (counts - sim.m / K) * np.log(sim.xi)
     ident_worst = float(np.max(np.abs(sim.posterior_from_counts(theta, counts) - dd.bayes_update(theta, y))))
-    passed = decreasing and final_ok and ident_worst < 1e-10
+    law_ok = np.all(np.diff(errs) < 0) and np.all(slopes <= -0.4) and stat < tol
     return PropertyReport(
-        property_id=f"finite-m-limit-K{K}",
-        modality="discrete",
-        statistic=float(max(mean_errs[-1], cov_errs[-1] / 3.0)),
-        tolerance=0.01,
-        passed=bool(passed),
-        samples=trials * len(m_list),
-        seed=seed,
-        params={"K": K, "alpha": alpha, "m_list": list(m_list)},
-        detail=(
-            f"mean_errs={['%.4f' % e for e in mean_errs]} cov_errs={['%.4f' % e for e in cov_errs]} "
-            f"identity={ident_worst:.1e} decreasing={decreasing}"
-        ),
+        property_id=f"finite-m-limit-K{K}", modality="discrete", statistic=stat, tolerance=tol,
+        passed=bool(law_ok and gate <= GATE_SE and ident_worst < 1e-10), samples=GATE_TRIALS, seed=seed,
+        params={"K": K, "alpha": alpha, "m_list": m_list.tolist()},
+        detail=f"mean_errs={['%.2e' % e for e in errs[0]]} cov_errs={['%.2e' % e for e in errs[1]]} "
+               f"slopes={slopes[0]:.3f},{slopes[1]:.3f} limits={limits[0]:.1e},{limits[1]:.1e} "
+               f"identity={ident_worst:.1e} {gate_text}",
     )
 
 
@@ -396,24 +419,12 @@ def _convergence_report(prop_id, modality, gaps, final_tol, samples, seed, param
     passed = decreasing and magnitudes[-1] < final_tol
     detail = "gaps=" + " ".join(f"{g:+.4%}" for g in gaps)
     if gate_dev is not None:
-        passed = passed and gate_dev <= 4.0
+        passed = passed and gate_dev <= GATE_SE
         detail += f" mc_gate={gate_dev:.2f}se"
     return PropertyReport(
-        property_id=prop_id,
-        modality=modality,
-        statistic=float(magnitudes[-1]),
-        tolerance=final_tol,
-        passed=bool(passed),
-        samples=samples,
-        seed=seed,
-        params={"n_list": list(N_LIST), **params},
-        detail=detail,
+        property_id=prop_id, modality=modality, statistic=float(magnitudes[-1]), tolerance=final_tol,
+        passed=bool(passed), samples=samples, seed=seed, params={"n_list": list(N_LIST), **params}, detail=detail,
     )
-
-
-def _gate_dev(draws, ref):
-    """|mean of the sampled losses - the stratum's value| in standard errors."""
-    return abs(draws.mean() - ref) / (draws.std(ddof=1) / np.sqrt(draws.size))
 
 
 def check_loss_convergence(seed, modality):
@@ -530,14 +541,8 @@ def check_schedule_telescoping(seed):
         and PRESETS["chars27"].beta1 == 0.75
     )
     return PropertyReport(
-        property_id="schedule-telescoping",
-        modality="both",
-        statistic=float(worst),
-        tolerance=1e-10,
-        passed=bool(worst <= 1e-10 and presets_ok),
-        samples=440,
-        seed=seed,
-        detail=f"presets_ok={presets_ok}",
+        property_id="schedule-telescoping", modality="both", statistic=float(worst), tolerance=1e-10,
+        passed=bool(worst <= 1e-10 and presets_ok), samples=440, seed=seed, detail=f"presets_ok={presets_ok}",
     )
 
 
@@ -557,13 +562,8 @@ def check_schedule_entropy(seed):
     ent = -np.sum(theta * logt, axis=(1, 2)) / draws
     monotone = bool(np.all(np.diff(ent) < 0))
     return PropertyReport(
-        property_id="schedule-entropy",
-        modality="both",
-        statistic=affine_err,
-        tolerance=1e-9,
-        passed=bool(affine_err < 1e-9 and monotone),
-        samples=ts.size * draws,
-        seed=seed,
+        property_id="schedule-entropy", modality="both", statistic=affine_err, tolerance=1e-9,
+        passed=bool(affine_err < 1e-9 and monotone), samples=ts.size * draws, seed=seed,
         detail=f"affine_err={affine_err:.1e} discrete_entropy_monotone={monotone}",
     )
 

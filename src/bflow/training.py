@@ -72,9 +72,11 @@ class TrainConfig:
             raise ValueError("ema_decay must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        for name, low in (("batch_size", 1), ("steps", 1), ("eval_every", 0)):
+        for name, low in (("batch_size", 1), ("steps", 1), ("eval_every", 0), ("n_freqs", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {','.join(map(str, self.hidden))}")
         if self.schedule_preset:  # its sigma1 or beta1 replaces the field's
             family = DiscreteQuadratic if self.modality == "discrete" else ContinuousSigma
             names = [name for name, sched in PRESETS.items() if isinstance(sched, family)]

@@ -1,6 +1,7 @@
 """CLI behaviour: config parsing, command wiring, reproducibility."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -139,8 +140,13 @@ class TestTrain:
         ("eval_every=-1", r"eval_every must be >= 0, got -1"),
         ("activation=tanh", r"unknown config key 'activation'"),
         ("adam_beta1=0.8", r"unknown config key 'adam_beta1'"),
+        ("n_freqs=-1", r"n_freqs must be >= 1, got -1"),
+        ("n_freqs=0", r"n_freqs must be >= 1, got 0"),
+        ("hidden=0", r"hidden widths must be >= 1, got 0"),
+        ("hidden=32,-4", r"hidden widths must be >= 1, got 32,-4"),
     ], ids=["unknown-preset", "preset-of-other-family", "batch-size-0", "steps-0", "eval-every-negative",
-            "deleted-activation", "deleted-adam-beta"])
+            "deleted-activation", "deleted-adam-beta", "n-freqs-negative", "n-freqs-0", "hidden-0",
+            "hidden-negative"])
     def test_bad_setting_is_usage_error_before_compute(self, toy_run, monkeypatch, setting, message):
         monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained on a bad setting"))
         with pytest.raises(SystemExit, match=rf"train: config .*train\.cfg: {message}"):
@@ -305,6 +311,14 @@ class TestSample:
             run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--alphabet", str(tmp_path / "absent.txt"),
                     "--out", str(tmp_path / "s"))
 
+    def test_alphabet_of_other_size_is_usage_error(self, toy_run, tmp_path):
+        alpha = tmp_path / "a.txt"
+        data.save_alphabet(alpha, list("abcde"))
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit, match=r"sample: --alphabet .*a\.txt has 5 symbols, but the model has K=27"):
+            run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--alphabet", str(alpha), "--out", str(out))
+        assert not out.exists()
+
     def test_text_samples_decode(self, toy_run, tmp_path):
         out = tmp_path / "st"
         run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--count", "1", "--steps", "4", "--out", str(out))
@@ -424,6 +438,10 @@ class TestDiscretisedRoundTrip:
         ) == 0
         raw = (tmp_path / "s" / "sample_000.pgm").read_bytes()
         assert raw.startswith(b"P5\n2 2\n255\n") and len(raw) == len(b"P5\n2 2\n255\n") + 4
+        alpha = tmp_path / "a.txt"
+        data.save_alphabet(alpha, data.ALPHABET_27)
+        with pytest.raises(SystemExit, match="sample: --alphabet decodes discrete samples, but the model is discretised"):
+            run_cli("sample", "--checkpoint", str(ckpt), "--alphabet", str(alpha), "--out", str(tmp_path / "s2"))
 
 
 class TestVerifyCommand:
@@ -438,6 +456,31 @@ class TestVerifyCommand:
     def test_unknown_filter_usage_error(self):
         with pytest.raises(SystemExit):
             run_cli("verify", "--filter", "bogus-property")
+
+    def test_seed_range_one_line_per_property(self, tmp_path, capsys):
+        rep = tmp_path / "r.jsonl"
+        assert run_cli("verify", "--seed", "3..4", "--filter", "schedule", "--report", str(rep)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines[:2]] == ["schedule-telescoping", "schedule-entropy"]
+        assert all(" at seed " in line and "0/2 seeds failed" in line for line in lines[:2])
+        assert lines[-1] == "2/2 properties passed at every seed of 3..4"
+        records = [json.loads(line) for line in rep.read_text().splitlines()]
+        assert [(r["seed"], r["property_id"]) for r in records] == [
+            (3, "schedule-telescoping"), (3, "schedule-entropy"), (4, "schedule-telescoping"), (4, "schedule-entropy"),
+        ]
+
+    def test_seed_range_failure_exits_nonzero(self, monkeypatch, capsys):
+        from bflow import schedule
+
+        monkeypatch.setitem(schedule.PRESETS, "binary", schedule.DiscreteQuadratic(3.01))
+        assert run_cli("verify", "--seed", "0..1", "--filter", "schedule-telescoping") == 1
+        assert "[FAIL] schedule-telescoping" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["4..3", "a..b", "1..", "x"])
+    def test_bad_seed_is_usage_error(self, seed):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--seed", seed, "--filter", "schedule")
+        assert exc.value.code == 2
 
     def test_corrupted_build_exits_nonzero(self, monkeypatch):
         # simulate a mutated constant: a preset drifting off its value must

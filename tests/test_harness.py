@@ -9,8 +9,13 @@ import pytest
 from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
-from bflow import harness
+from bflow import harness, numerics
 from bflow.harness import FiniteMSimulator
+from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig
+
+# the properties whose main statistic is exact: moments from noise rows
+AFFINE = ("additivity-continuous", "additivity-discrete", "flow-equivalence-continuous",
+          "flow-equivalence-discrete", "finite-m-limit-K2", "finite-m-limit-K5")
 
 
 class TestReports:
@@ -72,6 +77,44 @@ class TestIndividualChecks:
     def test_schedule_checks(self):
         assert harness.check_schedule_telescoping(7).passed
         assert harness.check_schedule_entropy(7).passed
+
+
+class TestExactMoments:
+    """The noise-row moments of the flow ops against their closed forms."""
+
+    def test_continuous_flow(self):
+        cfg, t, x = FlowConfig(ContinuousSigma(0.02), D=1), 0.5, 0.5
+        state = cts.flow_sample(harness._unit_noise(1, 1)[0], cfg, np.full((2, 1), x), t)
+        mean, cov = harness._affine_moments(state.mean)
+        g = cts.gamma(cfg, t)
+        assert abs(mean[0] - g * x) < 1e-12 and abs(cov[0, 0] - g * (1 - g)) < 1e-12
+
+    def test_discrete_flow(self):
+        K, t = 3, 0.7
+        sched = DiscreteQuadratic(2.0)
+        noise = harness._unit_noise(1, K)[0]
+        theta = dd.flow_sample(noise, FlowConfig(sched, K + 1, K), np.ones(K + 1, dtype=np.int64), t)
+        mean, cov = harness._affine_moments(harness._centred_log(theta))
+        centre = np.eye(K) - 1.0 / K
+        beta = sched.beta(t)
+        assert np.abs(mean - centre @ dd.sender_mean(1, beta, K)).max() < 1e-12
+        assert np.abs(cov - beta * K * centre).max() < 1e-12
+
+    def test_multinomial_moments_match_sampled(self):
+        sim = FiniteMSimulator(m=50, K=3, alpha=0.25)
+        mean, cov = sim.centred_moments(2)
+        y = sim.sample_y(np.random.default_rng(0), 2, 200_000)
+        y -= y.mean(axis=1, keepdims=True)
+        assert np.abs(y.mean(0) - mean).max() < 5 * np.sqrt(cov.diagonal().max() / y.shape[0])
+        assert np.abs(np.cov(y.T) - cov).max() < 0.02 * np.abs(cov).max()
+
+
+class TestSeedSweep:
+    def test_affine_properties_pass_with_seed_free_exact_statistics(self):
+        reports = {pid: [harness.run_all(seed, pid)[0] for seed in range(20)] for pid in AFFINE}
+        for pid, rs in reports.items():
+            assert all(r.passed for r in rs), [r.summary() for r in rs if not r.passed]
+            assert len({r.statistic for r in rs}) == 1, pid
 
 
 class TestRunAll:
@@ -153,3 +196,34 @@ class TestMutationSensitivity:
         real = dd.sender_sample
         monkeypatch.setattr(dd, "sender_sample", lambda rng, x, alpha, K: real(rng, x, 1.1 * alpha, K))
         assert not harness.check_flow_equivalence(7, "discrete").passed
+
+    def test_non_affine_noise_caught_by_gate(self, monkeypatch):
+        # noise z + 0.2 (z^3 - z) is exact at the noise rows' z in {0, 1},
+        # so only the sampled gates can see it
+        real = numerics.gaussian_sample
+
+        def cubic(rng, mean, var, z=None):
+            if z is None:
+                z = rng.standard_normal(np.shape(mean))
+            return real(None, mean, var, z + 0.2 * (z**3 - z))
+
+        for module in (numerics, cts, dd, harness):
+            monkeypatch.setattr(module, "gaussian_sample", cubic)
+        for pid in AFFINE[:4]:
+            r = harness.run_all(7, pid)[0]
+            assert not r.passed and r.statistic < r.tolerance, r.summary()
+            assert float(r.detail.split("gate=")[1].split("se")[0]) > harness.GATE_SE
+
+    def test_scaled_count_observations_caught_by_gate(self, monkeypatch):
+        real = FiniteMSimulator.sample_y
+        monkeypatch.setattr(FiniteMSimulator, "sample_y", lambda self, *a: 1.02 * real(self, *a))
+        for K in (2, 5):
+            r = harness.check_finite_m_limit(7, K)
+            assert not r.passed and r.statistic < r.tolerance, r.summary()
+
+    def test_biased_count_weight_breaks_the_limit(self, monkeypatch):
+        # a log-odds weight 1% off makes the errors level off instead of vanishing
+        hot = property(lambda self: 1.0 + 1.01 * self.omega * self.K / (1.0 - self.omega))
+        monkeypatch.setattr(FiniteMSimulator, "xi", hot)
+        for K in (2, 5):
+            assert not harness.check_finite_m_limit(7, K).passed
