@@ -7,6 +7,7 @@ bit-reproducible.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -240,10 +241,14 @@ def seed_or_range(text):
 
 def cmd_verify(args):
     sweep = isinstance(args.seed, range)
-    try:
+    _load("verify", f"--filter {args.filter}", harness.select_properties, args.filter)
+    # opened before any property runs, so a bad path costs no run
+    report = (_load("verify", f"--report {args.report}", lambda: open(args.report, "w", encoding="utf-8"))
+              if args.report else contextlib.nullcontext())
+    with report as fh:
         runs = [harness.run_all(seed, name_filter=args.filter) for seed in (args.seed if sweep else [args.seed])]
-    except ValueError as exc:
-        raise SystemExit(f"verify: {exc}")
+        if fh is not None:
+            fh.writelines(r.to_line() + "\n" for reports in runs for r in reports)
     by_property = list(zip(*runs))  # each property's reports, one per seed
     for reports in by_property:
         if not sweep:
@@ -254,9 +259,6 @@ def cmd_verify(args):
         print(f"[{'FAIL' if failed else 'PASS'}] {worst.property_id:<34} worst stat/tol="
               f"{worst.statistic / worst.tolerance:.3e} at seed {worst.seed}, {failed}/{len(reports)} seeds failed")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            for r in (r for reports in runs for r in reports):
-                fh.write(r.to_line() + "\n")
         print(f"report: {args.report}")
     passed = sum(all(r.passed for r in reports) for reports in by_property)
     over = f" at every seed of {args.seed.start}..{args.seed.stop - 1}" if sweep else ""

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -453,9 +454,11 @@ class TestVerifyCommand:
         assert "schedule-telescoping" in out and "additivity" not in out
         assert len(rep.read_text().strip().split("\n")) == 2
 
-    def test_unknown_filter_usage_error(self):
-        with pytest.raises(SystemExit):
-            run_cli("verify", "--filter", "bogus-property")
+    def test_unknown_filter_usage_error(self, tmp_path):
+        rep = tmp_path / "r.jsonl"
+        with pytest.raises(SystemExit, match="verify: --filter bogus-property: no properties match"):
+            run_cli("verify", "--filter", "bogus-property", "--report", str(rep))
+        assert not rep.exists()
 
     def test_seed_range_one_line_per_property(self, tmp_path, capsys):
         rep = tmp_path / "r.jsonl"
@@ -468,6 +471,14 @@ class TestVerifyCommand:
         assert [(r["seed"], r["property_id"]) for r in records] == [
             (3, "schedule-telescoping"), (3, "schedule-entropy"), (4, "schedule-telescoping"), (4, "schedule-entropy"),
         ]
+
+    def test_unwritable_report_is_usage_error_before_any_property(self, tmp_path, monkeypatch):
+        from bflow import harness
+
+        monkeypatch.setattr(harness, "run_all", lambda *a, **k: pytest.fail("ran with no report file"))
+        bad = tmp_path / "missing" / "r.jsonl"
+        with pytest.raises(SystemExit, match=rf"verify: --report {re.escape(str(bad))}: No such file or directory"):
+            run_cli("verify", "--seed", "0..99", "--report", str(bad))
 
     def test_seed_range_failure_exits_nonzero(self, monkeypatch, capsys):
         from bflow import schedule

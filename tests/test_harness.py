@@ -109,12 +109,56 @@ class TestExactMoments:
         assert np.abs(np.cov(y.T) - cov).max() < 0.02 * np.abs(cov).max()
 
 
+def _full_rule_log_ratio_means(alphas, x, probs, K, nodes=24):
+    """E[dd.log_ratio] by a K-dim product Gauss-Hermite rule over
+    the raw sender noise, shared by every dimension, nodes weighing under
+    1e-20 left out: the rule the discrete loss strata used before they
+    integrated over the K - 1 noise differences only."""
+    points, weights = harness._hermgauss(nodes)
+    grid = lambda v: np.stack(np.meshgrid(*([v] * K), indexing="ij"), axis=-1).reshape(-1, K)
+    w = grid(weights).prod(axis=1)
+    keep = w > 1e-20
+    z = np.repeat(grid(points)[keep][:, None, :], x.size, axis=1)
+    xs = np.tile(x, (keep.sum(), 1))
+    return np.array([np.sum(w[keep] * dd.log_ratio(dd.sender_sample(None, xs, a, K, z=z), xs, probs, a, K))
+                     for a in alphas])
+
+
+class TestDiscreteStrata:
+    """loss-convergence-discrete's setting: mass 1/2 on each true class."""
+
+    K, x = 3, np.array([1, 2])
+    probs = np.stack([np.roll([0.5, 1 / 3, 1 / 6], xi - 1) for xi in x])
+
+    def test_difference_rule_matches_full_product_rule(self):
+        sched = DiscreteQuadratic(0.75)
+        # one accuracy on the 80-node side of the rule's 0.1 split
+        alphas = np.array([sched.step_alpha(1, 16), sched.step_alpha(9, 16), sched.step_alpha(2, 4)])
+        got = harness._dd_log_ratio_means(alphas, self.x, self.probs, self.K)
+        want = _full_rule_log_ratio_means(alphas, self.x, self.probs, self.K)
+        assert np.all(np.abs(got / want - 1.0) < 1e-12), (got, want)
+
+    def test_difference_rule_converged_where_the_24_node_full_rule_is_not(self):
+        alpha = np.array([0.75])
+        got = harness._dd_log_ratio_means(alpha, self.x, self.probs, self.K)[0]
+        fine = _full_rule_log_ratio_means(alpha, self.x, self.probs, self.K, nodes=40)[0]
+        coarse = _full_rule_log_ratio_means(alpha, self.x, self.probs, self.K)[0]
+        assert abs(got / fine - 1.0) < 1e-12
+        assert abs(coarse / fine - 1.0) > 1e-10
+
+
 class TestSeedSweep:
     def test_affine_properties_pass_with_seed_free_exact_statistics(self):
         reports = {pid: [harness.run_all(seed, pid)[0] for seed in range(20)] for pid in AFFINE}
         for pid, rs in reports.items():
             assert all(r.passed for r in rs), [r.summary() for r in rs if not r.passed]
             assert len({r.statistic for r in rs}) == 1, pid
+
+    def test_kl_properties_pass_with_exact_statistics(self):
+        # 26 and 37 failed the sampled z-score design of these checks
+        for pid in ("kl-closed-form-continuous", "kl-closed-form-discretised"):
+            rs = [harness.run_all(seed, pid)[0] for seed in (*range(20), 26, 37)]
+            assert all(r.passed and r.statistic <= harness.EXACT_TOL for r in rs), [r.summary() for r in rs]
 
 
 class TestRunAll:
@@ -172,6 +216,27 @@ class TestMutationSensitivity:
 
         monkeypatch.setattr(dsc, "bin_probs_from_gaussian", unclipped)
         assert not harness.check_kl_closed_forms(7, "discretised").passed
+
+    def test_shifted_mixture_receiver_detected(self, monkeypatch):
+        # a bias far below the sampled standard error (about 1e-3 nats)
+        real = dsc.receiver_log_likelihood
+        monkeypatch.setattr(dsc, "receiver_log_likelihood", lambda *a: real(*a) + 1e-6)
+        r = harness.check_kl_closed_forms(7, "discretised")
+        assert not r.passed and r.statistic > r.tolerance, r.summary()
+
+    @pytest.mark.parametrize("modality", ["continuous", "discretised"])
+    def test_biased_kl_sender_caught_by_gate(self, monkeypatch, modality):
+        real = numerics.gaussian_sample
+        monkeypatch.setattr(harness, "gaussian_sample", lambda rng, mean, var, z=None: real(rng, mean + 0.05, var, z))
+        r = harness.check_kl_closed_forms(7, modality)
+        assert not r.passed and r.statistic < r.tolerance, r.summary()
+        assert float(r.detail.split("gate=")[1].split("se")[0]) > harness.GATE_SE
+
+    def test_receiver_weights_ignored_detected(self, monkeypatch):
+        real = dd.log_ratio
+        monkeypatch.setattr(dd, "log_ratio", lambda y, x, probs, alpha, K: real(y, x, np.full(K, 1 / K), alpha, K))
+        r = harness.check_loss_convergence(7, "discrete")
+        assert not r.passed, r.summary()
 
     def test_mc_gate_detects_op_drift(self, monkeypatch):
         # an op whose samples are biased away from the verified expectation
