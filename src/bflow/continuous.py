@@ -127,8 +127,18 @@ def output_map(cfg, mu, t, net_out, predicts_data=False):
 
 def net_widths(cfg):
     """The network's (state, output) widths: D belief means in, D noise
-    estimates out."""
+    estimates out.  Continuous data has no class count, so K must be 0."""
+    if cfg.K != 0:
+        raise ValueError(f"continuous data takes no class count, got K={cfg.K}")
     return cfg.D, cfg.D
+
+
+def render(cfg, samples, alphabet):
+    """PGM grey levels (B, D) of a (B, D) sample batch: [-1, 1] scaled to
+    0..255 and rounded.  Only discrete samples decode with an alphabet."""
+    if alphabet is not None:
+        raise ValueError("an alphabet decodes discrete samples, but the model is continuous")
+    return np.clip(np.rint((samples + 1.0) * 127.5), 0, 255).astype(np.uint8)
 
 
 def net_input(cfg, state):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discrete import ALPHABET_27
 from .discretised import BinGeometry, quantise
 from .numerics import Rng
 
@@ -98,6 +99,14 @@ def load_dataset(path):
     else:
         items = items.astype(np.int64)
     return Dataset(modality=modality, D=D, K=K, items=items)
+
+
+def model_items(ds):
+    """Dataset items as training and the loss ops take them: discretised
+    files store 1-based bin indices, and the model sees bin centres."""
+    if ds.modality == "discretised":
+        return BinGeometry(ds.K).centers[ds.items - 1]
+    return ds.items
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +181,6 @@ def ingest_text(text, alphabet, seq_len=None):
 # ---------------------------------------------------------------------------
 
 
-def byte_bins(values):
-    """Bin indices 1..256 of bytes 0..255 at K=256: bin = byte + 1."""
-    return np.asarray(values).astype(np.int64) + 1
-
-
-def bin_bytes(idx):
-    """Bytes 0..255 of bin indices 1..256 at K=256, the inverse of byte_bins."""
-    return (np.asarray(idx, dtype=np.int64) - 1).astype(np.uint8)
-
-
 def ingest_bytes(raw, D, modality, K=0):
     """Dataset from raw 8-bit samples, D values per item.
 
@@ -199,7 +198,7 @@ def ingest_bytes(raw, D, modality, K=0):
         return Dataset(modality="continuous", D=D, K=0, items=items)
     if modality == "discretised":
         if K == 256:
-            items = byte_bins(vals)
+            items = vals.astype(np.int64) + 1
         else:
             scaled = vals.astype(np.float64) * (2.0 / 255.0) - 1.0
             items, _ = quantise(scaled, K)
@@ -212,20 +211,9 @@ def ingest_bytes(raw, D, modality, K=0):
     raise ValueError(f"unknown modality {modality!r}")
 
 
-def centres_to_bytes(values, K):
-    """Map bin centres (or clipped reals) back to display bytes 0..255."""
-    values = np.asarray(values, dtype=np.float64)
-    if K == 256:
-        idx, _ = quantise(np.clip(values, -1, 1), 256)
-        return bin_bytes(idx)
-    return np.clip(np.rint((values + 1.0) * 127.5), 0, 255).astype(np.uint8)
-
-
 # ---------------------------------------------------------------------------
 # Bundled toys (all deterministic)
 # ---------------------------------------------------------------------------
-
-ALPHABET_27 = [chr(c) for c in range(ord("a"), ord("z") + 1)] + [" "]
 
 TOY_STRINGS = [
     "the rain in maui",

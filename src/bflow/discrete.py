@@ -24,6 +24,10 @@ from .predictor import forward_rows
 from .schedule import FlowConfig, step_time
 
 
+# the default alphabet of K=27 data: a to z, then space
+ALPHABET_27 = [chr(c) for c in range(ord("a"), ord("z") + 1)] + [" "]
+
+
 def uniform_prior(D, K):
     return np.full((D, K), 1.0 / K)
 
@@ -109,6 +113,20 @@ def net_widths(cfg):
         raise ValueError(f"discrete data needs K >= 2, got K={cfg.K}")
     width = cfg.D if cfg.K == 2 else cfg.D * cfg.K
     return width, width
+
+
+def render(cfg, samples, alphabet):
+    """Sample-file content of a (B, D) batch of class indices: one line of
+    text per sample when an alphabet is in effect (the given one or, at
+    K=27, ALPHABET_27), otherwise (B, D) PGM grey levels with class k at
+    (k - 1) * (255 // (K - 1))."""
+    if alphabet is None and cfg.K == 27:
+        alphabet = ALPHABET_27
+    if alphabet is None:
+        return ((samples - 1) * (255 // (cfg.K - 1))).astype(np.uint8)
+    if len(alphabet) != cfg.K:
+        raise ValueError(f"the alphabet has {len(alphabet)} symbols, but the model has K={cfg.K} classes")
+    return ["".join(alphabet[k - 1] for k in row) + "\n" for row in samples]
 
 
 def net_input(cfg, state):

@@ -93,7 +93,20 @@ net_input = continuous.net_input
 def net_widths(cfg):
     """The network's (state, output) widths: D belief means in, a (noise
     mean, log noise std) pair per dimension out."""
+    if cfg.K < 2:
+        raise ValueError(f"discretised data needs K >= 2 bins, got K={cfg.K}")
     return cfg.D, 2 * cfg.D
+
+
+def render(cfg, samples, alphabet):
+    """PGM grey levels (B, D) of a (B, D) batch of bin centres.  At K=256
+    bin k is byte k - 1, the inverse of ``data.ingest_bytes``, so 8-bit
+    data round-trips; other bin counts scale as ``continuous.render`` does."""
+    if alphabet is not None:
+        raise ValueError("an alphabet decodes discrete samples, but the model is discretised")
+    if cfg.K != 256:
+        return continuous.render(cfg, samples, None)
+    return (quantise(samples, 256)[0] - 1).astype(np.uint8)
 
 
 def flow_sample(rng, cfg, x, t, z=None):

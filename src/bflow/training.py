@@ -37,7 +37,7 @@ from .predictor import MLP, PredictorSpec
 from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig
 
 CHECKPOINT_MAGIC = b"BFCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # the modality modules, one op set each over one FlowConfig
 OPS = {"continuous": cts, "discretised": dsc, "discrete": dd}
@@ -87,9 +87,11 @@ class TrainConfig:
                 )
             for name, value in vars(PRESETS[self.schedule_preset]).items():
                 setattr(self, name, value)
-        # built once; not a field, so asdict and the checkpoint header omit it
+        # built once; not fields, so asdict and the checkpoint header omit
+        # them.  net_widths rejects a K that the modality cannot take.
         sched = DiscreteQuadratic(self.beta1) if self.modality == "discrete" else ContinuousSigma(self.sigma1)
         self.flow = FlowConfig(sched, self.D, self.K, self.t_min, self.recon_sigma)
+        self.widths = OPS[self.modality].net_widths(self.flow)
 
     @property
     def schedule(self):
@@ -100,7 +102,7 @@ class TrainConfig:
         return self.modality != "continuous" or self.recon_sigma > 0
 
     def predictor_spec(self):
-        return PredictorSpec(*OPS[self.modality].net_widths(self.flow), tuple(self.hidden), self.n_freqs)
+        return PredictorSpec(*self.widths, tuple(self.hidden), self.n_freqs)
 
 
 # (beta1, beta2) of every training run's adamw_step.
@@ -384,49 +386,34 @@ def eval_rows_to_csv(rows):
 
 # ---------------------------------------------------------------------------
 # Checkpoints: magic | u32 version | u64 header length | JSON header |
-# float64 payload sections.  The header's "sections" map gives the offset
-# and element count of every array in the payload, so the layout is fully
-# self-describing.
+# payload.  The header's config fixes the parameter count n, so the payload
+# is the parameters, the EMA and the two AdamW moments, each n little-endian
+# float64, in that order.
 # ---------------------------------------------------------------------------
-
-
-_SECTIONS = ("params", "ema", "m", "v")
 
 
 def save_checkpoint(path, result, run_config=None):
     """Write the versioned container; ``run_config`` is an optional raw
     key-value snapshot (paths, display shape) stored for provenance."""
-    config = result.config
-    mlp = result.mlp
-    sections = {}
-    payload = []
-    offset = 0
-    for name, arr in zip(
-        _SECTIONS, (mlp.params, result.ema_params, result.moments_m, result.moments_v)
-    ):
-        sections[name] = [offset, int(arr.size)]
-        payload.append(np.ascontiguousarray(arr, dtype="<f8"))
-        offset += int(arr.size)
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(config).items()},
-        "run_config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in (run_config or {}).items()},
+        "config": asdict(result.config),
+        "run_config": run_config or {},
         "step": len(result.history),
-        "layout": [[name, list(shape), off] for name, shape, off in mlp.layout],
-        "sections": sections,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for arr in payload:
-            fh.write(arr.tobytes())
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)) + header_bytes)
+        for arr in (result.mlp.params, result.ema_params, result.moments_m, result.moments_v):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; a truncated or inconsistent file raises ValueError."""
+    """Read a checkpoint; a truncated or inconsistent file raises ValueError.
+
+    Every returned array is its own C-contiguous copy, as ``adamw_step``
+    requires.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -442,11 +429,8 @@ def load_checkpoint(path):
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"checkpoint JSON header is corrupt: {exc}") from None
-    blob = raw[16 + hlen :]
-    missing = [k for k in ("config", "sections") if k not in header]
-    if missing:
-        raise ValueError(f"checkpoint header lacks {', '.join(missing)}")
-    flat = np.frombuffer(blob, dtype="<f8", count=len(blob) // 8)
+    if "config" not in header:
+        raise ValueError("checkpoint header lacks config")
     try:
         cfg_dict = dict(header["config"])
         cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
@@ -454,41 +438,16 @@ def load_checkpoint(path):
         mlp = MLP(config.predictor_spec(), seed=config.seed)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"checkpoint config is malformed: {exc!r}") from None
-    sec = header["sections"]
-    for name in _SECTIONS:
-        if name not in sec:
-            raise ValueError(f"checkpoint has no section {name!r}")
-        entry = sec[name]
-        if not (isinstance(entry, list) and len(entry) == 2 and all(type(v) is int for v in entry)):
-            raise ValueError(f"checkpoint section {name!r} is not an [offset, count] pair: {entry!r}")
-        off, count = entry
-        if count != mlp.n_params:
-            raise ValueError(
-                f"checkpoint section {name!r} holds {count} values; the model has {mlp.n_params}"
-            )
-        if off < 0 or off + count > flat.size:
-            raise ValueError(
-                f"checkpoint section {name!r} spans values {off}..{off + count} "
-                f"but the payload holds {flat.size}"
-            )
-    extra = len(blob) - 8 * max(off + count for off, count in (sec[name] for name in _SECTIONS))
-    if extra > 0:
-        raise ValueError(f"checkpoint payload runs {extra} bytes ({extra / 8:g} float64 values) past its last section")
-
-    def take(name):
-        off, count = sec[name]
-        return flat[off : off + count].copy()
-
-    mlp.params = take("params")
-    result = TrainResult(
-        mlp=mlp,
-        ema_params=take("ema"),
-        moments_m=take("m"),
-        moments_v=take("v"),
-        history=[],
-        config=config,
-    )
-    return result, header
+    n = mlp.n_params
+    blob = raw[16 + hlen :]
+    if len(blob) != 32 * n:
+        raise ValueError(
+            f"checkpoint payload is {len(blob)} bytes, expected {32 * n}: "
+            f"params, EMA, m and v of {n} float64 values each"
+        )
+    params, ema, m, v = (row.copy() for row in np.frombuffer(blob, dtype="<f8").reshape(4, n))
+    mlp.params = params
+    return TrainResult(mlp=mlp, ema_params=ema, moments_m=m, moments_v=v, history=[], config=config), header
 
 
 def ema_predictor(result):

@@ -1,5 +1,6 @@
 """CLI behaviour: config parsing, command wiring, reproducibility."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -168,6 +169,18 @@ class TestTrain:
         with pytest.raises(SystemExit, match=r"train: --out .*file/run: Not a directory"):
             run_cli("train", "--config", str(toy_run["cfg"]), "--out", str(blocker / "run"))
 
+    @pytest.mark.parametrize("name, setting, message", [
+        ("train_mixture", "K=5", "continuous data takes no class count, got K=5"),
+        ("train_glyphs", "K=1", r"discrete data needs K >= 2, got K=1"),
+    ], ids=["continuous-with-K", "discrete-K1"])
+    def test_class_count_the_modality_cannot_take_is_usage_error(self, monkeypatch, tmp_path, name, setting, message):
+        # a continuous config once trained with K=5 and evaluated on K=0 data
+        monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained on a bad class count"))
+        with pytest.raises(SystemExit, match=rf"train: config .*{name}\.cfg: {message}"):
+            run_cli("train", "--config", str(CONFIG_DIR / f"{name}.cfg"), "--set", setting,
+                    "--out", str(tmp_path / "o"))
+        assert not (tmp_path / "o").exists()
+
     def test_mismatched_dataset_rejected_before_compute(self, toy_run, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
@@ -316,7 +329,8 @@ class TestSample:
         alpha = tmp_path / "a.txt"
         data.save_alphabet(alpha, list("abcde"))
         out = tmp_path / "s"
-        with pytest.raises(SystemExit, match=r"sample: --alphabet .*a\.txt has 5 symbols, but the model has K=27"):
+        message = r"sample: --alphabet .*a\.txt: the alphabet has 5 symbols, but the model has K=27"
+        with pytest.raises(SystemExit, match=message):
             run_cli("sample", "--checkpoint", str(toy_run["ckpt"]), "--alphabet", str(alpha), "--out", str(out))
         assert not out.exists()
 
@@ -362,6 +376,19 @@ class TestIngestCommand:
         }
         with pytest.raises(SystemExit, match=message):
             run_cli("ingest", "--modality", "discrete", *(x for kv in args.items() for x in kv))
+
+    @pytest.mark.parametrize("modality", ["continuous", "discretised"])
+    def test_alphabet_with_other_modality_is_usage_error(self, tmp_path, modality):
+        # --alphabet always ingests text; it was once ignored for non-discrete data
+        alpha = tmp_path / "a.txt"
+        data.save_alphabet(alpha, data.ALPHABET_27)
+        src = tmp_path / "t.txt"
+        src.write_text("abcdefgh")
+        out = tmp_path / "c.ds"
+        with pytest.raises(SystemExit, match=f"ingest: --alphabet ingests text as discrete data, not {modality}"):
+            run_cli("ingest", "--modality", modality, "--input", str(src), "--alphabet", str(alpha),
+                    "--dim", "4", "--output", str(out))
+        assert not out.exists()
 
     def test_byte_ingest(self, tmp_path):
         src = tmp_path / "img.raw"
@@ -441,7 +468,8 @@ class TestDiscretisedRoundTrip:
         assert raw.startswith(b"P5\n2 2\n255\n") and len(raw) == len(b"P5\n2 2\n255\n") + 4
         alpha = tmp_path / "a.txt"
         data.save_alphabet(alpha, data.ALPHABET_27)
-        with pytest.raises(SystemExit, match="sample: --alphabet decodes discrete samples, but the model is discretised"):
+        message = r"sample: --alphabet .*a\.txt: an alphabet decodes discrete samples, but the model is discretised"
+        with pytest.raises(SystemExit, match=message):
             run_cli("sample", "--checkpoint", str(ckpt), "--alphabet", str(alpha), "--out", str(tmp_path / "s2"))
 
 
@@ -509,3 +537,18 @@ def test_entry_point_subprocess(tmp_path, child_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert "1/1 properties passed" in proc.stdout
+
+
+def test_cli_compares_modality_names_in_two_places():
+    # ROADMAP item 13: the modality modules decide everything else, so a
+    # modality name is compared only in ingest's --bins check and in the
+    # discrete.generate branch that perfbench's positional call pins
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    owner = {node: fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+
+    def names_a_modality(node):
+        return any(isinstance(c, ast.Constant) and c.value in training.OPS for c in ast.walk(node))
+
+    found = sorted((owner.get(node), ast.unparse(node))
+                   for node in ast.walk(tree) if isinstance(node, ast.Compare) and names_a_modality(node))
+    assert found == [("cmd_ingest", "args.modality != 'continuous'"), ("cmd_sample", "config.modality == 'discrete'")]

@@ -146,15 +146,16 @@ class TestByteIngest:
         assert BinGeometry(256).center(110) == -0.14453125
 
     def test_discretised_256_every_byte_round_trips(self):
-        # ingest -> stored bins -> bytes, and ingest -> stored bin centres
-        # -> display bytes
-        from bflow.discretised import BinGeometry
+        # ingest -> stored bins -> bytes, and ingest -> model bin centres
+        # -> sample-file grey levels
+        from bflow import discretised
+        from bflow.schedule import ContinuousSigma, FlowConfig
 
         raw = bytes(range(256))
         ds = data.ingest_bytes(raw, 256, "discretised", K=256)
-        assert data.bin_bytes(ds.items).tobytes() == raw
-        centres = BinGeometry(256).centers[ds.items - 1]
-        assert data.centres_to_bytes(centres, 256).tobytes() == raw
+        assert (ds.items - 1).astype(np.uint8).tobytes() == raw
+        cfg = FlowConfig(ContinuousSigma(0.02), D=256, K=256)
+        assert discretised.render(cfg, data.model_items(ds), None).tobytes() == raw
 
     def test_discretised_16_quantises(self):
         ds = data.ingest_bytes(bytes([0, 255, 128]), 3, "discretised", K=16)

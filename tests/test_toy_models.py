@@ -120,9 +120,9 @@ _SMALL_CONFIGS = {
 }
 
 
-def _random_mlp(modality, seed):
+def _random_mlp(modality, seed, **overrides):
     """A small MLP whose output layer is random too (at init it is zero)."""
-    config = training.TrainConfig(modality=modality, hidden=(32, 32), **_SMALL_CONFIGS[modality])
+    config = training.TrainConfig(modality=modality, hidden=(32, 32), **(_SMALL_CONFIGS[modality] | overrides))
     mlp = MLP(config.predictor_spec(), seed=seed)
     _, (fan_in, _), off = mlp.layout[-2]
     mlp.params[off:] = 2.0 * Rng(seed).standard_normal(mlp.n_params - off) / np.sqrt(fan_in)
@@ -150,9 +150,11 @@ class TestBatchedGenerate:
             else:
                 np.testing.assert_array_equal(batched[j], one)
 
-    @pytest.mark.parametrize("modality", tuple(training.OPS))
-    def test_cli_count_writes_one_stream_bytes(self, modality, tmp_path):
-        config, pred = _random_mlp(modality, 4)
+    @pytest.mark.parametrize("modality, K", [("continuous", 0), ("discretised", 16), ("discrete", 27),
+                                             ("discrete", 2), ("discretised", 256)],
+                             ids=["continuous", "discretised", "discrete", "discrete-K2", "discretised-K256"])
+    def test_cli_count_writes_one_stream_bytes(self, modality, K, tmp_path):
+        config, pred = _random_mlp(modality, 4, K=K)
         ckpt = tmp_path / "m.ckpt"
         moments = np.zeros_like(pred.params)
         training.save_checkpoint(
@@ -162,10 +164,17 @@ class TestBatchedGenerate:
         assert cli.main(["sample", "--checkpoint", str(ckpt), *args]) == 0
         for j in range(4):
             out = _generate(Rng(9).split(j), pred, config, 12)
-            if modality == "discrete":
+            if modality == "discrete" and K == 27:  # the 27-symbol alphabet, a to z then space
                 got = (tmp_path / "s" / f"sample_{j:03d}.txt").read_bytes()
-                assert got == (data.decode_text(out, data.ALPHABET_27) + "\n").encode("utf-8")
+                assert got == ("".join(" " if k == 27 else chr(ord("a") + k - 1) for k in out) + "\n").encode()
                 continue
-            ref = tmp_path / f"ref_{j}.pgm"
-            cli.write_pgm(ref, data.centres_to_bytes(out, config.K), 2, 2)
-            assert (tmp_path / "s" / f"sample_{j:03d}.pgm").read_bytes() == ref.read_bytes()
+            if modality == "discrete":  # class k of K as grey level (k - 1) * (255 // (K - 1))
+                levels = (out - 1) * (255 // (K - 1))
+            elif K == 256:  # bin k, centred at (2k - 1)/256 - 1, is byte k - 1
+                levels = (out + 1.0) * 128.0 - 0.5
+            else:  # [-1, 1] scaled to 0..255 and rounded
+                levels = np.rint((out + 1.0) * 127.5)
+            assert np.all((0 <= levels) & (levels <= 255) & (levels == np.round(levels)))
+            w, h = (2, 2) if config.D == 4 else (config.D, 1)
+            ref = f"P5\n{w} {h}\n255\n".encode() + levels.astype(np.uint8).tobytes()
+            assert (tmp_path / "s" / f"sample_{j:03d}.pgm").read_bytes() == ref

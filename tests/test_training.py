@@ -4,6 +4,7 @@ import bisect
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -1002,16 +1003,33 @@ class TestCheckpoint:
         training.save_checkpoint(path, training.train(Rng(22), data, config))
         return path
 
-    def test_header_holds_config_layout_and_no_spec(self, tmp_path):
+    def test_header_holds_config_and_no_layout(self, tmp_path):
         import json
         import struct
 
         raw = self._saved_checkpoint(tmp_path).read_bytes()
         (hlen,) = struct.unpack("<Q", raw[8:16])
         header = json.loads(raw[16 : 16 + hlen])
-        assert struct.unpack("<I", raw[4:8]) == (3,) and header["version"] == 3
-        assert set(header) == {"version", "config", "run_config", "step", "layout", "sections"}
+        assert struct.unpack("<I", raw[4:8]) == (4,) and header["version"] == 4
+        assert set(header) == {"version", "config", "run_config", "step"}
         assert set(header["config"]) == {f.name for f in dataclasses.fields(TrainConfig)}
+
+    def test_payload_is_the_four_arrays_in_order(self, tmp_path):
+        import struct
+
+        config = _make_config("discrete", steps=2)
+        result = training.train(Rng(25), Rng(26).integers(1, config.K + 1, size=(6, config.D)), config)
+        path = tmp_path / "p.ckpt"
+        training.save_checkpoint(path, result)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        arrays = (result.mlp.params, result.ema_params, result.moments_m, result.moments_v)
+        assert raw[16 + hlen :] == b"".join(a.astype("<f8").tobytes() for a in arrays)
+        loaded, _ = training.load_checkpoint(path)
+        got = (loaded.mlp.params, loaded.ema_params, loaded.moments_m, loaded.moments_v)
+        for a, b in itertools.combinations(got, 2):  # adamw_step rejects shared memory
+            assert not np.shares_memory(a, b)
+        assert all(a.flags.c_contiguous for a in got)
 
     def test_version_2_rejected(self, tmp_path):
         # a version-2 header carries the deleted activation, time-feature and
@@ -1038,25 +1056,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             training.load_checkpoint(path)
 
-    @pytest.mark.parametrize("cut", [200, 203])
-    def test_truncated_payload_names_section(self, tmp_path, cut):
+    def test_version_3_rejected(self, tmp_path):
+        import struct
+
         path = self._saved_checkpoint(tmp_path)
-        path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(ValueError, match="section 'v'"):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 3) + raw[8:])
+        with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
             training.load_checkpoint(path)
 
-    def test_header_without_sections_rejected(self, tmp_path):
-        import json
+    def _payload_message(self, path, found):
+        n = training.load_checkpoint(path)[0].mlp.n_params
+        return rf"checkpoint payload is {found} bytes, expected {32 * n}: params, EMA, m and v of {n} float64"
+
+    @pytest.mark.parametrize("cut", [200, 203])
+    def test_truncated_payload_names_byte_counts(self, tmp_path, cut):
         import struct
 
         path = self._saved_checkpoint(tmp_path)
         raw = path.read_bytes()
         (hlen,) = struct.unpack("<Q", raw[8:16])
-        header = json.loads(raw[16 : 16 + hlen])
-        del header["sections"]
-        hb = json.dumps(header).encode("utf-8")
-        path.write_bytes(raw[:8] + struct.pack("<Q", len(hb)) + hb + raw[16 + hlen :])
-        with pytest.raises(ValueError, match="sections"):
+        message = self._payload_message(path, len(raw) - 16 - hlen - cut)
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(ValueError, match=message):
             training.load_checkpoint(path)
 
     @pytest.mark.parametrize("at, byte, why", [(20, 0xFF, "invalid start byte"), (16, ord(" "), "Extra data")])
@@ -1069,13 +1091,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"checkpoint JSON header is corrupt: .*{why}"):
             training.load_checkpoint(path)
 
-    @pytest.mark.parametrize("extra, what", [(b"\0\0\0", r"3 bytes \(0.375 float64 values\)"),
-                                             (bytes(16), r"16 bytes \(2 float64 values\)")])
-    def test_bytes_past_last_section_rejected(self, tmp_path, extra, what):
+    @pytest.mark.parametrize("extra", [3, 16])
+    def test_extended_payload_names_byte_counts(self, tmp_path, extra):
         # part of one float64 value, and two whole ones
+        import struct
+
         path = self._saved_checkpoint(tmp_path)
-        path.write_bytes(path.read_bytes() + extra)
-        with pytest.raises(ValueError, match=f"payload runs {what} past its last section"):
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        message = self._payload_message(path, len(raw) - 16 - hlen + extra)
+        path.write_bytes(raw + bytes(extra))
+        with pytest.raises(ValueError, match=message):
             training.load_checkpoint(path)
 
     @pytest.fixture(scope="class")
@@ -1107,6 +1133,7 @@ OP_SET = {
     "loss_n": ["rng", "predictor", "cfg", "x", "n", "i"],
     "loss_cts": ["rng", "predictor", "cfg", "x", "t"],
     "recon": ["rng", "predictor", "cfg", "x"],
+    "render": ["cfg", "samples", "alphabet"],
 }
 
 
@@ -1184,6 +1211,17 @@ class TestTrainConfig:
         # a continuous preset once set sigma1 on a discrete config and trained with its beta1
         with pytest.raises(ValueError, match=f"schedule_preset {preset!r} is not a {modality} preset"):
             _make_config(modality, schedule_preset=preset)
+
+    @pytest.mark.parametrize("modality, K, message", [
+        ("continuous", 5, "continuous data takes no class count, got K=5"),
+        ("discrete", 1, "discrete data needs K >= 2, got K=1"),
+        ("discretised", 0, "discretised data needs K >= 2 bins, got K=0"),
+    ])
+    def test_class_count_checked_when_built(self, modality, K, message, monkeypatch):
+        # the modality's net_widths runs once, in TrainConfig, not first in train
+        monkeypatch.setattr(training, "MLP", lambda *a, **k: pytest.fail("built a network"))
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(modality=modality, D=4, K=K, sigma1=0.1, beta1=1.0)
 
     def test_preset_of_the_family_applies(self):
         assert _make_config("discrete", schedule_preset="chars27").beta1 == 0.75
