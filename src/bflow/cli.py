@@ -21,7 +21,7 @@ from . import harness, training
 from .numerics import Rng
 
 # the run keys beside the model's: where the data live and the image shape
-RUN_KEYS = {"dataset": str, "alphabet": str, "width": int, "height": int}
+RUN_KEYS = {"dataset": str, "width": int, "height": int}
 # every TrainConfig field, coerced to its declared type, plus the run keys
 RUN_CONFIG_KEYS = {f.name: f.type for f in dataclasses.fields(training.TrainConfig)} | RUN_KEYS
 
@@ -70,8 +70,10 @@ def train_config_from_run(cfg):
     return training.TrainConfig(**fields)
 
 
-def _check_dataset(command, ds, config):
-    """Exit unless the dataset has the model's modality, D and K."""
+def _check_dataset(command, path, ds, config):
+    """Exit unless the dataset at path holds items of the model's modality, D and K."""
+    if not len(ds.items):
+        raise SystemExit(f"{command}: dataset {path} holds no items")
     if (ds.modality, ds.D, ds.K) != (config.modality, config.D, config.K):
         raise SystemExit(
             f"{command}: dataset (modality {ds.modality}, D={ds.D}, K={ds.K}) does not match "
@@ -121,7 +123,7 @@ def cmd_train(args):
     config = _load("train", f"config {args.config}", train_config_from_run, cfg)
     dataset_path = _resolve(cfg["dataset"], args.config)
     ds = _load("train", f"dataset {dataset_path}", data.load_dataset, dataset_path)
-    _check_dataset("train", ds, config)
+    _check_dataset("train", dataset_path, ds, config)
     _load("train", f"--out {args.out}", lambda: os.makedirs(args.out, exist_ok=True))
     result = training.train(Rng(config.seed), data.model_items(ds), config)
     ckpt_path = os.path.join(args.out, "model.ckpt")
@@ -140,7 +142,7 @@ def cmd_eval(args):
     result, _ = _load("eval", f"checkpoint {args.checkpoint}", training.load_checkpoint, args.checkpoint)
     ds = _load("eval", f"dataset {args.dataset}", data.load_dataset, args.dataset)
     config = result.config
-    _check_dataset("eval", ds, config)
+    _check_dataset("eval", args.dataset, ds, config)
     n_values = _load("eval", f"--n {args.n}", lambda: tuple(int(v) for v in args.n.split(",") if v.strip()))
     if any(n < 1 for n in n_values):
         raise SystemExit(f"eval: step counts must be >= 1, got {args.n}")

@@ -65,8 +65,7 @@ def flow_sample(rng, cfg, x, t, z=None):
     """Draw belief states at times t directly, collapsing all updates.
 
     x is a (B, D) batch with t (B,), one time per row, or one float for
-    every row: the state's mean is (B, D) and its precision (B,).  A (D,)
-    x with a float t is one row and gives one state.
+    every row: the state's mean is (B, D) and its precision (B,).
     mean ~ N(gamma(t) x, gamma(t)(1 - gamma(t)) I) and
     precision = 1 + beta(t).  Every row draws its block of noise; at t=0
     gamma is 0, so the noise is scaled by zero and the row is exactly the
@@ -74,9 +73,6 @@ def flow_sample(rng, cfg, x, t, z=None):
     and rng is not used.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        p = flow_sample(rng, cfg, x[None], t, None if z is None else z[None])
-        return CtsParams(mean=p.mean[0], precision=float(p.precision[0]))
     if x.min() < X_MIN or x.max() > X_MAX:
         raise ValueError(f"data outside [{X_MIN}, {X_MAX}]")
     precision = np.full(x.shape[0], 1.0 + cfg.schedule.beta(t))
@@ -100,12 +96,6 @@ def noise_terms(cfg, t, B):
     g = np.maximum(np.full(B, gamma(cfg, t))[:, None], 1e-300)
     live = np.full(B, t >= cfg.t_min)[:, None]
     return g, live, np.sqrt((1.0 - g) / g)
-
-
-def loss_weight(cfg, t, B):
-    """The continuous-time loss weight -ln(sigma1) sigma1^(-2t) per row,
-    for times t as in noise_terms."""
-    return np.full(B, -np.log(cfg.schedule.sigma1) * cfg.schedule.sigma1 ** (-2.0 * t))
 
 
 def output_map(cfg, mu, t, net_out, predicts_data=False):
@@ -147,10 +137,11 @@ def net_input(cfg, state):
 
 
 def loss_inf(cfg, x, state, t, net_out, grad=False, predicts_data=False):
-    """Continuous-time loss w(t) |x - x_hat|^2 per row of a (B, D) batch
-    at flow states state; with grad, also its gradient w.r.t. net_out."""
+    """Continuous-time loss (alpha(t) / 2) |x - x_hat|^2 per row of a (B, D)
+    batch at flow states state and times t, (B,) or one float for every
+    row; with grad, also its gradient w.r.t. net_out."""
     x_hat, inside, slope = output_map(cfg, state.mean, t, net_out, predicts_data)
-    w = loss_weight(cfg, t, x.shape[0])
+    w = 0.5 * np.full(x.shape[0], cfg.schedule.alpha(t))
     resid = x - x_hat
     loss = w * np.sum(resid * resid, axis=1)
     if not grad:

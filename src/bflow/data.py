@@ -146,13 +146,6 @@ def encode_text(text, alphabet):
     return out
 
 
-def decode_text(indices, alphabet):
-    indices = np.asarray(indices, dtype=np.int64)
-    if np.any(indices < 1) or np.any(indices > len(alphabet)):
-        raise ValueError("index outside the alphabet")
-    return "".join(alphabet[i - 1] for i in indices)
-
-
 def ingest_text(text, alphabet, seq_len=None):
     """Dataset from UTF-8 text.
 
@@ -201,7 +194,7 @@ def ingest_bytes(raw, D, modality, K=0):
             items = vals.astype(np.int64) + 1
         else:
             scaled = vals.astype(np.float64) * (2.0 / 255.0) - 1.0
-            items, _ = quantise(scaled, K)
+            items = quantise(scaled, K)
         return Dataset(modality="discretised", D=D, K=K, items=items)
     if modality == "discrete":
         if np.any(vals >= K):

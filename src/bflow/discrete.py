@@ -90,15 +90,12 @@ def flow_sample(rng, cfg, x, t, z=None):
     N(beta(t)(K e_x - 1), beta(t) K I).
 
     x is a (B, D) batch with t (B,), one time per row, or one float for
-    every row, and gives (B, D, K); a (D,) x with a float t is one row and
-    gives (D, K).  Every row draws its block of noise; at t=0 beta is 0,
-    so the logits are all zero and the row is exactly the uniform prior.
-    z, when given, is the draw's standard-normal noise, (B, D, K), and rng
-    is not used.
+    every row, and gives (B, D, K).  Every row draws its block of noise; at
+    t=0 beta is 0, so the logits are all zero and the row is exactly the
+    uniform prior.  z, when given, is the draw's standard-normal noise,
+    (B, D, K), and rng is not used.
     """
     x = np.asarray(x, dtype=np.int64)
-    if x.ndim == 1:
-        return flow_sample(rng, cfg, x[None], t, None if z is None else z[None])[0]
     K = cfg.K
     beta = np.full(x.shape[0], cfg.schedule.beta(t))[:, None, None]
     if z is None:

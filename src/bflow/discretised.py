@@ -43,26 +43,24 @@ class BinGeometry:
 def quantise(x_raw, K):
     """Assign values in [-1, 1] to the nearest bin centre.
 
-    Boundary values go to the higher-index bin.  Returns (1-based indices,
-    corresponding centres).
+    Boundary values go to the higher-index bin.  Returns the 1-based bin
+    indices; bin k's centre is BinGeometry(K).centers[k - 1].
     """
     x_raw = np.asarray(x_raw, dtype=np.float64)
     if np.any(x_raw < -1.0) or np.any(x_raw > 1.0):
         raise ValueError("values outside [-1, 1]")
     idx = np.floor((x_raw + 1.0) * K / 2.0).astype(np.int64) + 1
-    idx = np.clip(idx, 1, K)
-    geom = BinGeometry(K)
-    return idx, geom.centers[idx - 1]
+    return np.clip(idx, 1, K)
 
 
-# Rows of bin_probs_from_gaussian's (rows, K+1) edge grid per pass.  At
-# K=256 a 128-row pass makes 260 KB float64 temporaries, which stay in a
-# core's L2 cache.  Its callers are eval's loss_n and recon (EVAL_CHUNK * D
-# rows a call, 8192 for 8x8 images), sampling (one row per stream and
-# dimension) and the harness.  On a 2-core x86_64 VM 2048 rows at K=256 took
-# 11.5 ms in 128-row passes, 11.8 ms in 256, 12.8 ms in 64, 17 ms in 1024 and
-# 23 ms in one.
-ROWS_PER_PASS = 128
+# Edges of bin_probs_from_gaussian's (rows, K+1) edge grid per pass, as
+# many rows as fit whole.  At K=256 a pass is 128 rows, whose 260 KB
+# float64 temporaries stay in a core's L2 cache; on a 2-core x86_64 VM 2048
+# rows at K=256 took 11.5 ms in 128-row passes, 11.8 ms in 256, 12.8 ms in
+# 64, 17 ms in 1024 and 23 ms in one.  Its callers are eval's loss_n and
+# recon (EVAL_CHUNK * D rows a call, 8192 for 8x8 images), sampling (one
+# row per stream and dimension) and the harness.
+EDGES_PER_PASS = 128 * 257
 
 
 def bin_probs_from_gaussian(mu_x, sigma_x, K):
@@ -73,8 +71,9 @@ def bin_probs_from_gaussian(mu_x, sigma_x, K):
     geom = BinGeometry(K)
     edges = np.concatenate([geom.centers - 1.0 / K, [1.0]])  # K+1 edges
     probs = np.empty(mu_x.shape + (K,))
-    for s in range(0, mu_x.shape[0], ROWS_PER_PASS):
-        r = slice(s, s + ROWS_PER_PASS)
+    rows = max(1, EDGES_PER_PASS // (K + 1))
+    for s in range(0, mu_x.shape[0], rows):
+        r = slice(s, s + rows)
         z = edges[None, :] - mu_x[r, None]
         z /= sigma_x[r, None] * _SQRT2
         cdf = erf_vec(z)
@@ -106,7 +105,7 @@ def render(cfg, samples, alphabet):
         raise ValueError("an alphabet decodes discrete samples, but the model is discretised")
     if cfg.K != 256:
         return continuous.render(cfg, samples, None)
-    return (quantise(samples, 256)[0] - 1).astype(np.uint8)
+    return (quantise(samples, 256) - 1).astype(np.uint8)
 
 
 def flow_sample(rng, cfg, x, t, z=None):
@@ -215,12 +214,12 @@ def expected_centre(mu_x, sigma_x, K, grad=False):
 
 
 def loss_inf(cfg, x, state, t, net_out, grad=False):
-    """Continuous-time loss w(t) |x - k_hat|^2 per row of a (B, D) batch
-    at flow states state, k_hat being the expected bin centre under the
-    output bin masses; with grad, also its gradient w.r.t. net_out."""
+    """Continuous-time loss (alpha(t) / 2) |x - k_hat|^2 per row of a (B, D)
+    batch at flow states state, k_hat being the expected bin centre under
+    the output bin masses; with grad, also its gradient w.r.t. net_out."""
     B, D = x.shape
     mu_x, sigma_x, live, ratio = output_map(cfg, state.mean, t, net_out)
-    w = continuous.loss_weight(cfg, t, B)
+    w = 0.5 * np.full(B, cfg.schedule.alpha(t))
     centre, dkhat_dmu, dkhat_dsig = expected_centre(mu_x, sigma_x, cfg.K, grad)
     resid = x - centre
     loss = w * np.sum(resid * resid, axis=1)
@@ -291,7 +290,7 @@ def recon(rng, predictor, cfg, x):
     bin centres: -log of the true bins' masses at a flow state drawn at t=1
     for each row."""
     x = np.asarray(x, dtype=np.float64)
-    idx, _ = quantise(x, cfg.K)
+    idx = quantise(x, cfg.K)
     p = continuous.flow_sample(rng, cfg, x, 1.0)
     return neg_log_true_class(probs(predictor, cfg, p.mean, 1.0), idx)
 

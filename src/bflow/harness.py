@@ -243,7 +243,7 @@ def check_flow_equivalence(seed, modality):
         n_list, t, gate_n, width = (32,), 0.7, 4, 3
         sched = DiscreteQuadratic(2.0)
         flow = lambda noise, rows: _centred_log(
-            dd.flow_sample(noise, FlowConfig(sched, rows, width), np.ones(rows, dtype=np.int64), t))
+            dd.flow_sample(noise, FlowConfig(sched, rows, width), np.ones((1, rows), dtype=np.int64), t)[0])
         ref = _affine_moments(flow(_unit_noise(1, width)[0], 1 + width))
         errs = [_affine_err(ref, _chain_moments(_dd_chain, _step_alphas(sched, t, n), width)) for n in n_list]
         gate, gate_text = _gate(ref, flow(rng, GATE_TRIALS),
@@ -502,7 +502,8 @@ def check_loss_convergence(seed, modality):
     stratum (exactly for the continuous modality, via Gauss-Hermite over
     the sender draw otherwise, every n's strata and the gate's batched
     together).  A sampled consistency gate ties the stochastic op to
-    the stratum values.
+    the stratum values.  The discretised report's doubled= is the largest
+    change of a gap when its 80-node rule takes twice the nodes.
     """
     rng = Rng(seed, _path=(5,))
     if modality == "continuous":
@@ -525,23 +526,29 @@ def check_loss_convergence(seed, modality):
         x = np.array([geom.center(11)])
         pred = DiscretisedDatumPredictor(x + 0.15, 0.06, sched.sigma1)
         linf = _simpson(dsc.loss_cts(rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
-        # every stratum's Gauss-Hermite expectation over the sender draw
-        # y ~ N(x, 1/alpha) of the sender minus the receiver log-density, in one call
-        nodes, weights = _hermgauss(40)
+        # every stratum's receiver at its own time (the belief mean is
+        # immaterial to the oracle), then its Gauss-Hermite expectation over
+        # the sender draw y ~ N(x, 1/alpha) of the sender minus the receiver
+        # log-density, all strata in one call, at 80 nodes and at 160
         alpha = _strata(sched.step_alpha)
-        live = dsc.probs(pred, cfg, np.zeros((1, 1)), 0.5)[0]
-        prior = dsc.bin_probs_from_gaussian(np.zeros(1), np.ones(1), K)
-        probs = np.where((_strata(step_time) < cfg.t_min)[:, None, None], prior, live)
-        y = x[0] + nodes / np.sqrt(alpha[:, None])
-        recv = dsc.receiver_log_likelihood(y.reshape(-1, 1), np.repeat(probs, nodes.size, axis=0),
-                                           K, np.repeat(alpha, nodes.size))
-        strata = (log_gaussian_pdf(y[..., None], x, 1 / alpha[:, None]) - recv.reshape(y.shape)) @ weights
-        gaps, ref = _strata_gaps(strata, linf)
+        probs = dsc.probs(pred, cfg, np.zeros((alpha.size, 1)), _strata(step_time))
+
+        def strata(nodes):
+            g, w = _hermgauss(nodes)
+            y = x[0] + g / np.sqrt(alpha[:, None])
+            recv = dsc.receiver_log_likelihood(y.reshape(-1, 1), np.repeat(probs, nodes, axis=0),
+                                               K, np.repeat(alpha, nodes))
+            return (log_gaussian_pdf(y[..., None], x, 1 / alpha[:, None]) - recv.reshape(y.shape)) @ w
+
+        gaps, ref = _strata_gaps(strata(80), linf)
+        doubled = _strata_gaps(strata(160), linf)[0]
         draws = dsc.loss_n(rng, pred, cfg, np.tile(x, (GATE_DRAWS, 1)), GATE_N, GATE_I)
-        return _convergence_report(
+        report = _convergence_report(
             "loss-convergence-discretised", "discretised", gaps, 0.01,
             GATE_DRAWS + TIME_GRID.size, seed, {"K": K, "sigma1": sched.sigma1}, _gate_dev(draws, ref),
         )
+        report.detail += f" doubled={max(abs(b - a) for a, b in zip(gaps, doubled)):.1e}"
+        return report
     # discrete
     K, D = 3, 2
     sched = DiscreteQuadratic(0.75)

@@ -1,8 +1,11 @@
 """Hot numeric kernels in vectorised numpy.
 
-The Monte-Carlo property checks and the mixture-receiver losses spend most
-of their time in three elementwise/row-wise kernels: the error function,
-row-wise log-sum-exp and the log-density of a 1-D Gaussian mixture.
+Three elementwise/row-wise kernels: the error function, row-wise
+log-sum-exp and the log-density of a 1-D Gaussian mixture.  erf's main
+users are the discretised head (the expected bin centre) and the bin
+masses of its n-step loss, reconstruction loss and sampler; the mixture
+log-density is the discretised receiver, and log-sum-exp runs inside it
+and in the discrete log-ratio.
 
 The error function is evaluated locally via Cody's rational Chebyshev
 approximations (three ranges: |x| <= 0.46875, 0.46875 < |x| <= 4, |x| > 4)

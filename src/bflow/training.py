@@ -72,9 +72,11 @@ class TrainConfig:
             raise ValueError("ema_decay must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        for name, low in (("batch_size", 1), ("steps", 1), ("eval_every", 0), ("n_freqs", 1)):
+        for name, low in (("D", 1), ("batch_size", 1), ("steps", 1), ("eval_every", 0), ("n_freqs", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.recon_sigma >= 0.0:  # NaN fails
+            raise ValueError(f"recon_sigma must be >= 0, got {self.recon_sigma}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {','.join(map(str, self.hidden))}")
         if self.schedule_preset:  # its sigma1 or beta1 replaces the field's

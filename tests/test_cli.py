@@ -38,6 +38,12 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def _empty_dataset(path):
+    """A valid dataset file of the strings toy's shape that holds no items."""
+    data.save_dataset(path, data.Dataset("discrete", 16, 27, np.empty((0, 16), dtype=np.int64)))
+    return path
+
+
 class TestConfigParsing:
     def test_basic_pairs_and_comments(self):
         cfg = cli.parse_config_text("modality = discrete\n# note\nD = 4\nhidden = 8,8\n")
@@ -67,7 +73,7 @@ class TestConfigParsing:
             text, value = texts[f.type]
             cfg = cli.load_run_config(p, overrides=[f"{f.name}={text}"])
             assert cfg[f.name] == value and type(cfg[f.name]) is f.type, f.name
-        assert set(cli.RUN_CONFIG_KEYS) == {f.name for f in fields} | {"dataset", "alphabet", "width", "height"}
+        assert set(cli.RUN_CONFIG_KEYS) == {f.name for f in fields} | {"dataset", "width", "height"}
 
     def test_unknown_modality_named(self, tmp_path):
         msg = r"unknown modality 'discreet'; expected one of continuous, discretised, discrete"
@@ -146,15 +152,17 @@ class TestTrain:
         ("n_freqs=0", r"n_freqs must be >= 1, got 0"),
         ("hidden=0", r"hidden widths must be >= 1, got 0"),
         ("hidden=32,-4", r"hidden widths must be >= 1, got 32,-4"),
+        ("alphabet=/nonexistent/alpha.txt", r"unknown config key 'alphabet'"),
     ], ids=["unknown-preset", "preset-of-other-family", "batch-size-0", "steps-0", "eval-every-negative",
             "deleted-activation", "deleted-adam-beta", "n-freqs-negative", "n-freqs-0", "hidden-0",
-            "hidden-negative"])
+            "hidden-negative", "deleted-alphabet"])
     def test_bad_setting_is_usage_error_before_compute(self, toy_run, monkeypatch, setting, message):
         monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained on a bad setting"))
         with pytest.raises(SystemExit, match=rf"train: config .*train\.cfg: {message}"):
             run_cli("train", "--config", str(toy_run["cfg"]), "--set", setting, "--out", str(toy_run["root"] / "x"))
 
-    @pytest.mark.parametrize("line", ["time_feature = raw", "adam_beta2 = 0.99"])
+    # alphabet was a run key that nothing read; bflow sample takes --alphabet
+    @pytest.mark.parametrize("line", ["time_feature = raw", "adam_beta2 = 0.99", "alphabet = toys/alphabet27.txt"])
     def test_deleted_key_in_config_file_rejected(self, toy_run, tmp_path, line):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TRAIN_CFG.format(dataset=toy_run["paths"]["strings"]) + line + "\n")
@@ -180,6 +188,14 @@ class TestTrain:
             run_cli("train", "--config", str(CONFIG_DIR / f"{name}.cfg"), "--set", setting,
                     "--out", str(tmp_path / "o"))
         assert not (tmp_path / "o").exists()
+
+    def test_empty_dataset_is_usage_error_before_compute(self, tmp_path, monkeypatch):
+        # it once stopped with a traceback from training.train
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TRAIN_CFG.format(dataset=_empty_dataset(tmp_path / "empty.ds")))
+        monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained on no items"))
+        with pytest.raises(SystemExit, match=r"train: dataset .*empty\.ds holds no items"):
+            run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
 
     def test_mismatched_dataset_rejected_before_compute(self, toy_run, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -260,6 +276,12 @@ class TestEval:
     def test_missing_dataset_file_is_usage_error(self, toy_run, tmp_path):
         with pytest.raises(SystemExit, match=r"eval: dataset .*absent\.ds: No such file"):
             run_cli("eval", "--checkpoint", str(toy_run["ckpt"]), "--dataset", str(tmp_path / "absent.ds"))
+
+    def test_empty_dataset_is_usage_error(self, toy_run, tmp_path):
+        # it once printed a header-only table and exited 0
+        empty = _empty_dataset(tmp_path / "empty.ds")
+        with pytest.raises(SystemExit, match=r"eval: dataset .*empty\.ds holds no items"):
+            run_cli("eval", "--checkpoint", str(toy_run["ckpt"]), "--dataset", str(empty))
 
     def test_step_count_below_one_rejected(self, toy_run):
         with pytest.raises(SystemExit, match="step counts must be >= 1"):
@@ -354,7 +376,7 @@ class TestIngestCommand:
             "--alphabet", str(alpha), "--output", str(out),
         ) == 0
         ds = data.load_dataset(out)
-        assert [data.decode_text(row, data.ALPHABET_27) for row in ds.items] == ["abc def", "xyz qrs"]
+        np.testing.assert_array_equal(ds.items, [data.encode_text(s, data.ALPHABET_27) for s in ("abc def", "xyz qrs")])
 
     @pytest.mark.parametrize("case, message", [
         ("missing-input", r"ingest: --input .*absent\.txt: No such file"),

@@ -52,21 +52,21 @@ class TestBayesUpdate:
 
 class TestFlowSample:
     def test_degenerate_at_zero(self):
-        p = cts.flow_sample(Rng(0), CFG, np.array([0.9]), 0.0)
-        assert p.mean[0] == 0.0
-        assert p.precision == 1.0
+        p = cts.flow_sample(Rng(0), CFG, np.array([[0.9]]), 0.0)
+        assert p.mean[0, 0] == 0.0
+        assert p.precision[0] == 1.0
 
     def test_moments_at_one(self):
         r = Rng(1)
         x = np.array([0.8])
         g = 1 - 0.02**2
-        draws = np.array([cts.flow_sample(r, CFG, x, 1.0).mean[0] for _ in range(100_000)])
+        draws = np.array([cts.flow_sample(r, CFG, x[None], 1.0).mean[0, 0] for _ in range(100_000)])
         se = np.sqrt(g * (1 - g) / draws.size)
         assert abs(draws.mean() - g * 0.8) < 4 * se
 
     def test_precision_is_closed_form(self):
-        p = cts.flow_sample(Rng(2), CFG, np.array([0.0]), 0.6)
-        assert p.precision == 1.0 + CFG.schedule.beta(0.6)
+        p = cts.flow_sample(Rng(2), CFG, np.array([[0.0]]), 0.6)
+        assert p.precision[0] == 1.0 + CFG.schedule.beta(0.6)
 
     def test_matches_sequential_updates(self):
         # flow at t must agree with n sequential noisy updates in
@@ -75,7 +75,7 @@ class TestFlowSample:
         x = np.array([0.5])
         t, n, trials = 0.5, 64, 100_000
         sched = CFG.schedule
-        direct = np.array([cts.flow_sample(r, CFG, x, t).mean[0] for _ in range(trials)])
+        direct = np.array([cts.flow_sample(r, CFG, x[None], t).mean[0, 0] for _ in range(trials)])
         seq = np.zeros(trials)
         means = np.zeros(trials)
         prec = np.ones(trials)
@@ -90,7 +90,7 @@ class TestFlowSample:
 
     def test_range_precondition(self):
         with pytest.raises(ValueError):
-            cts.flow_sample(Rng(0), CFG, np.array([1.5]), 0.5)
+            cts.flow_sample(Rng(0), CFG, np.array([[1.5]]), 0.5)
 
 
 class TestOutputPrediction:
@@ -104,8 +104,8 @@ class TestOutputPrediction:
         pred = CtsDatumPredictor(x, CFG.schedule.sigma1)
         r = Rng(4)
         for t in (0.2, 0.6, 0.95):
-            p = cts.flow_sample(r, CFG, x, t)
-            np.testing.assert_allclose(cts._x_hat(pred, CFG, p.mean[None], t)[0], x, atol=1e-12)
+            p = cts.flow_sample(r, CFG, x[None], t)
+            np.testing.assert_allclose(cts._x_hat(pred, CFG, p.mean, t)[0], x, atol=1e-12)
 
     def test_zero_noise_estimate(self):
         # gamma = 0.5 at t = ln(0.5)/(2 ln sigma1); x_hat = mean / gamma

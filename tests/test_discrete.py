@@ -79,7 +79,7 @@ class TestBayesUpdate:
 
 class TestFlowSample:
     def test_prior_at_zero_time(self):
-        theta = dd.flow_sample(Rng(4), FlowConfig(SCHED, 2, 4), np.array([1, 3]), 0.0)
+        theta = dd.flow_sample(Rng(4), FlowConfig(SCHED, 2, 4), np.array([1, 3])[None], 0.0)[0]
         np.testing.assert_array_equal(theta, dd.uniform_prior(2, 4))
 
     def test_concentrates_at_high_accuracy(self):
@@ -87,7 +87,7 @@ class TestFlowSample:
         r = Rng(5)
         hits = 0
         for _ in range(200):
-            theta = dd.flow_sample(r, FlowConfig(sched, 1, 3), np.array([2]), 1.0)
+            theta = dd.flow_sample(r, FlowConfig(sched, 1, 3), np.array([2])[None], 1.0)[0]
             if theta[0, 1] > 0.999:
                 hits += 1
         assert hits / 200 > 0.99
@@ -100,7 +100,7 @@ class TestFlowSample:
         sched = DiscreteQuadratic(2.0)
         direct = np.zeros(trials)
         for j in range(trials):
-            direct[j] = dd.flow_sample(r, FlowConfig(sched, 1, K), x, t)[0, 0]
+            direct[j] = dd.flow_sample(r, FlowConfig(sched, 1, K), x[None], t)[0, 0, 0]
         seq = np.zeros(trials)
         logits = np.zeros((trials, K))
         for i in range(1, n + 1):

@@ -45,25 +45,28 @@ class TestBinGeometry:
 
 class TestQuantise:
     def test_byte_level_golden_value(self):
-        idx, cents = dsc.quantise(np.array([-0.14453125]), 256)
+        idx = dsc.quantise(np.array([-0.14453125]), 256)
+        cents = dsc.BinGeometry(256).centers[idx - 1]
         assert idx[0] == 110
         assert cents[0] == -0.14453125
 
     def test_two_bins(self):
-        idx, cents = dsc.quantise(np.array([-0.3]), 2)
+        idx = dsc.quantise(np.array([-0.3]), 2)
+        cents = dsc.BinGeometry(2).centers[idx - 1]
         assert idx[0] == 1
         assert cents[0] == -0.5
 
     @pytest.mark.parametrize("K", [2, 16, 256])
     def test_centres_are_fixed_points(self, K):
         g = dsc.BinGeometry(K)
-        idx, cents = dsc.quantise(g.centers, K)
+        idx = dsc.quantise(g.centers, K)
+        cents = g.centers[idx - 1]
         np.testing.assert_array_equal(idx, np.arange(1, K + 1))
         np.testing.assert_array_equal(cents, g.centers)
 
     def test_tie_goes_to_higher_bin(self):
         # 0.0 is the shared edge of bins 8 and 9 for K=16
-        idx, _ = dsc.quantise(np.array([0.0]), 16)
+        idx = dsc.quantise(np.array([0.0]), 16)
         assert idx[0] == 9
 
     def test_out_of_range(self):
@@ -73,8 +76,9 @@ class TestQuantise:
     @given(st.floats(-1, 1), st.sampled_from([2, 5, 16, 256]))
     @settings(max_examples=200, deadline=None)
     def test_nearest_centre_property(self, x, K):
-        idx, cent = dsc.quantise(np.array([x]), K)
+        idx = dsc.quantise(np.array([x]), K)
         g = dsc.BinGeometry(K)
+        cent = g.centers[idx - 1]
         best = np.min(np.abs(g.centers - x))
         assert abs(abs(cent[0] - x) - best) < 1e-12
 
@@ -115,6 +119,19 @@ class TestDiscretisedCdf:
             ref = tail + _simpson(pdf, -1.0, edges[k], 8192)
             assert self._cdf_at_edges(mu, sig, K)[k] == pytest.approx(ref, abs=1e-8)
 
+    @pytest.mark.parametrize("K", [2, 16, 256])
+    def test_masses_do_not_depend_on_the_pass_size(self, K, monkeypatch):
+        # erf is elementwise and each mass a difference within its row, so
+        # the rows one pass carries cannot move a bit of any mass
+        gen = np.random.default_rng(K)
+        rows = 300
+        mu = gen.uniform(-1.3, 1.3, rows)
+        sigma = np.exp(gen.uniform(np.log(1e-3), 0.0, rows))
+        default = dsc.bin_probs_from_gaussian(mu, sigma, K)
+        for budget in (K + 1, rows * (K + 1)):  # one row a pass, and all rows in one
+            monkeypatch.setattr(dsc, "EDGES_PER_PASS", budget)
+            np.testing.assert_array_equal(dsc.bin_probs_from_gaussian(mu, sigma, K), default)
+
 
 class TestOutputDistribution:
     def test_prior_branch_below_tmin(self):
@@ -133,8 +150,8 @@ class TestOutputDistribution:
     def test_degenerate_width_one_hot(self):
         x = np.array([dsc.BinGeometry(16).center(5)])
         pred = DiscretisedDatumPredictor(x, 1e-9, CFG.schedule.sigma1)
-        p = cts.flow_sample(Rng(0), CFG, x, 0.5)
-        probs = dsc.probs(pred, CFG, p.mean[None], 0.5)[0]
+        p = cts.flow_sample(Rng(0), CFG, x[None], 0.5)
+        probs = dsc.probs(pred, CFG, p.mean, 0.5)[0]
         assert probs[0, 4] == 1.0
         assert probs[0].sum() == 1.0
 
@@ -283,8 +300,8 @@ class TestLossNStep:
         mc = dsc.loss_n(r, pred, cfg, np.tile(x, (trials, 1)), n, i) / n
 
         t = (i - 1) / n
-        p = cts.flow_sample(Rng(8), cfg, x, t)
-        probs = dsc.probs(pred, cfg, p.mean[None], t)[0, 0]
+        p = cts.flow_sample(Rng(8), cfg, x[None], t)
+        probs = dsc.probs(pred, cfg, p.mean, t)[0, 0]
 
         def integrand(y):
             send = np.exp(-0.5 * alpha * (y - x[0]) ** 2) * math.sqrt(alpha / (2 * math.pi))

@@ -93,7 +93,7 @@ class TestExactMoments:
         K, t = 3, 0.7
         sched = DiscreteQuadratic(2.0)
         noise = harness._unit_noise(1, K)[0]
-        theta = dd.flow_sample(noise, FlowConfig(sched, K + 1, K), np.ones(K + 1, dtype=np.int64), t)
+        theta = dd.flow_sample(noise, FlowConfig(sched, K + 1, K), np.ones((1, K + 1), dtype=np.int64), t)[0]
         mean, cov = harness._affine_moments(harness._centred_log(theta))
         centre = np.eye(K) - 1.0 / K
         beta = sched.beta(t)

@@ -212,8 +212,8 @@ class TestOracles:
         cfg = FlowConfig(ContinuousSigma(0.02), D=2)
         c = np.array([[0.3, -0.1]])
         oracle = CtsPosteriorPredictor(c, cfg.schedule.sigma1)
-        p = cts.flow_sample(Rng(0), cfg, c[0], 0.4)
-        np.testing.assert_allclose(cts._x_hat(oracle, cfg, p.mean[None], 0.4)[0], c[0], atol=1e-10)
+        p = cts.flow_sample(Rng(0), cfg, c[0][None], 0.4)
+        np.testing.assert_allclose(cts._x_hat(oracle, cfg, p.mean, 0.4)[0], c[0], atol=1e-10)
 
     def test_posterior_oracle_symmetry(self):
         cfg = FlowConfig(ContinuousSigma(0.02), D=1)
@@ -239,5 +239,5 @@ class TestOracles:
         cfg = FlowConfig(ContinuousSigma(0.02), D=1)
         x = np.array([0.7])
         oracle = CtsDatumPredictor(x, cfg.schedule.sigma1)
-        p = cts.flow_sample(Rng(2), cfg, x, 0.8)
-        np.testing.assert_allclose(cts._x_hat(oracle, cfg, p.mean[None], 0.8)[0], x, atol=1e-12)
+        p = cts.flow_sample(Rng(2), cfg, x[None], 0.8)
+        np.testing.assert_allclose(cts._x_hat(oracle, cfg, p.mean, 0.8)[0], x, atol=1e-12)

@@ -583,7 +583,7 @@ class TestBatchedFlow:
         r_batch, r_ref, r_item = Rng(41), Rng(41), Rng(41)
         batched = dd.flow_sample(r_batch, cfg, x, self.T)
         ref = np.stack([_dd_flow_row_reference(r_ref, x[b], float(self.T[b]), sched, K) for b in range(6)])
-        items = np.stack([dd.flow_sample(r_item, cfg, x[b], float(self.T[b])) for b in range(6)])
+        items = np.stack([dd.flow_sample(r_item, cfg, x[b][None], float(self.T[b]))[0] for b in range(6)])
         assert _same_bits(batched, ref) and _same_bits(items, ref)
         assert np.all(batched[2] == 1.0 / K)
         assert r_batch.draws == r_ref.draws == r_item.draws == 6 * 5 * K
@@ -599,7 +599,7 @@ class TestBatchedFlow:
         assert np.all(batched.mean[2] == 0.0) and batched.precision[2] == 1.0
         # a float t is the per-item op, computed in float arithmetic as before
         ref = np.stack([_cts_flow_row_reference(r_ref, cfg, x[b], float(self.T[b])) for b in range(6)])
-        items = np.stack([cts.flow_sample(r_item, cfg, x[b], float(self.T[b])).mean for b in range(6)])
+        items = np.stack([cts.flow_sample(r_item, cfg, x[b][None], float(self.T[b])).mean[0] for b in range(6)])
         assert _same_bits(items, ref)
         assert r_batch.draws == r_rows.draws == r_ref.draws == r_item.draws == 6 * 5
 
@@ -1228,7 +1228,13 @@ class TestTrainConfig:
         assert _make_config("discretised", schedule_preset="cts-16bin").sigma1 == math.sqrt(0.001)
 
     @pytest.mark.parametrize("name, value, low", [("batch_size", 0, 1), ("steps", 0, 1), ("steps", -3, 1),
-                                                  ("eval_every", -1, 0)])
+                                                  ("eval_every", -1, 0), ("D", 0, 1), ("D", -2, 1)])
     def test_count_below_its_floor_rejected(self, name, value, low):
         with pytest.raises(ValueError, match=f"{name} must be >= {low}, got {value}"):
             _make_config("continuous", **{name: value})
+
+    @pytest.mark.parametrize("value", [-0.3, math.nan])
+    def test_recon_sigma_below_zero_rejected(self, value):
+        # a negative one once dropped a continuous model's recon row silently
+        with pytest.raises(ValueError, match=f"recon_sigma must be >= 0, got {value}"):
+            _make_config("continuous", recon_sigma=value)
