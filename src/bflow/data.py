@@ -155,6 +155,8 @@ def ingest_text(text, alphabet, seq_len=None):
     """
     if "\n" in text:
         lines = [ln for ln in text.split("\n") if ln != ""]
+        if not lines:
+            raise ValueError("the text holds no lines")
         lengths = {len(ln) for ln in lines}
         if len(lengths) != 1:
             raise ValueError(f"lines have unequal lengths {sorted(lengths)}")

@@ -19,7 +19,7 @@ schedule and the class count K.
 import numpy as np
 
 from .kernels import logsumexp_rows
-from .numerics import Rng, gaussian_sample, neg_log_true_class, sample_categorical_rows, softmax_rows
+from .numerics import Rng, gaussian_sample, neg_log_true_class, row_sum, sample_categorical_rows, softmax_rows
 from .predictor import forward_rows
 from .schedule import FlowConfig, step_time
 
@@ -75,7 +75,7 @@ def bayes_update(theta, y):
         raise ValueError("expected (..., D, K) probability rows")
     if np.any(theta < 0.0):
         raise ValueError("negative probability entry")
-    if np.any(np.abs(theta.sum(axis=-1) - 1.0) > 1e-9):
+    if np.any(np.abs(row_sum(theta) - 1.0) > 1e-9):
         raise ValueError("row does not sum to 1")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != theta.shape:
@@ -199,7 +199,7 @@ def log_ratio(y, x, probs, alpha, K):
     with np.errstate(divide="ignore"):
         logw = np.log(np.asarray(probs, dtype=np.float64))
     lse = logsumexp_rows((logw + u).reshape(-1, K)).reshape(u.shape[:-1])
-    return np.sum(ux - lse, axis=-1)
+    return row_sum(ux - lse)
 
 
 def loss_n(rng, predictor, cfg, x, n, i):

@@ -49,7 +49,7 @@ import numpy as np
 from . import continuous as cts
 from . import discrete as dd
 from . import discretised as dsc
-from .numerics import Rng, gaussian_sample, log_gaussian_pdf
+from .numerics import Rng, gaussian_sample, log_gaussian_pdf, row_sum
 from .predictor import ConstantPredictor, ConstantProbsPredictor, DiscretisedDatumPredictor
 from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig, step_time
 
@@ -150,7 +150,8 @@ def _gate_text(dev, k):
 def _centred_log(theta):
     """Log-beliefs less each row's mean: the update's shift-free part."""
     logs = np.log(theta)
-    return logs - logs.mean(axis=-1, keepdims=True)
+    # numpy computes the mean as this sum over the count, so the bits match
+    return logs - (row_sum(logs) / logs.shape[-1])[..., None]
 
 
 def _cts_chain(noise, alphas, rows, x=0.5):

@@ -7,6 +7,15 @@ masses of its n-step loss, reconstruction loss and sampler; the mixture
 log-density is the discretised receiver, and log-sum-exp runs inside it
 and in the discrete log-ratio.
 
+Log-sum-exp takes each row's maximum and sum through ``numerics.row_max``
+and ``numerics.row_sum``.  numpy reduces a short last axis row by row, at
+5-15 ns an element, so for K < 8 columns and at least ``ROWS_MIN`` rows
+they reduce over the K column views instead, one elementwise ufunc call a
+column.  For fewer than 8 terms numpy itself sums left to right from
++0.0, which is the column order, and a maximum does not depend on the
+order, so both paths give the same bits and batch size cannot move a
+result; smaller batches and rows of 8 or more run numpy's own reductions.
+
 The error function is evaluated locally via Cody's rational Chebyshev
 approximations (three ranges: |x| <= 0.46875, 0.46875 < |x| <= 4, |x| > 4)
 so that results are identical across platforms and do not depend on the
@@ -24,6 +33,8 @@ tail branch and stays NaN.
 """
 
 import numpy as np
+
+from .numerics import row_max, row_sum
 
 # Cody's coefficients: P0/Q0 for |x| <= 0.46875 (erf), P1/Q1 for the mid
 # range and P2/Q2 for the far tail (both via erfc).
@@ -108,7 +119,7 @@ def erf_vec(x):
 def logsumexp_rows(m):
     """Row-wise log(sum(exp(m))) for a 2-D array, stable for large negatives."""
     m = np.ascontiguousarray(m, dtype=np.float64)
-    hi = np.max(m, axis=1)
+    hi = row_max(m)
     empty = hi == -np.inf
     if empty.any():
         # all -inf rows give -inf; the rest are gathered, which costs a
@@ -117,7 +128,7 @@ def logsumexp_rows(m):
         out = np.full(m.shape[0], -np.inf)
         out[~empty] = logsumexp_rows(m[~empty])
         return out
-    return hi + np.log(np.sum(np.exp(m - hi[:, None]), axis=1))
+    return hi + np.log(row_sum(np.exp(m - hi[:, None])))
 
 
 def mixture_logpdf(y, logw, means, var):

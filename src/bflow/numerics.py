@@ -67,11 +67,56 @@ def gaussian_sample(rng, mean, var, z=None):
     return mean + np.sqrt(var) * z
 
 
+# Rows from which row_max and row_sum reduce an (..., K) array with K < 8
+# over its K columns.  numpy reduces a short last axis row by row, at 5-15
+# ns an element; a column pass is one strided ufunc call over all rows, at
+# about 1 us a call and 0.5-2 ns an element.  On a 2-core x86_64 VM
+# softmax_rows took, old path against column path, 16.4 vs 19.4 us at
+# (64, 3), 23.0 vs 19.8 at (128, 3), 38.5 vs 23.7 at (256, 3) and 120 vs
+# 46 at (1024, 3); at K=7 it crossed between 128 rows (31.5 vs 33.9 us) and
+# 256 (53.2 vs 40.9), and logsumexp_rows crossed at the same sizes.
+ROWS_MIN = 256
+
+
+def _by_columns(m):
+    """Whether m's last-axis reductions run over its columns: fewer than 8
+    of them, where numpy sums left to right as a column pass does (from 8 on
+    it sums pairwise), and at least ROWS_MIN rows."""
+    K = m.shape[-1]
+    return 0 < K < 8 and m.size >= ROWS_MIN * K
+
+
+def row_max(m):
+    """m.max(axis=-1) of a float64 (..., K) array, bit for bit."""
+    if not _by_columns(m):
+        return m.max(axis=-1)
+    cols = m.reshape(-1, m.shape[-1])
+    out = cols[:, 0].copy()
+    for j in range(1, cols.shape[1]):
+        np.maximum(out, cols[:, j], out=out)
+    return out.reshape(m.shape[:-1])
+
+
+def row_sum(m):
+    """m.sum(axis=-1) of a float64 (..., K) array, bit for bit."""
+    if not _by_columns(m):
+        return m.sum(axis=-1)
+    cols = m.reshape(-1, m.shape[-1])
+    out = cols[:, 0] + 0.0  # numpy's sum starts from +0.0, so -0.0 rows sum to +0.0
+    for j in range(1, cols.shape[1]):
+        np.add(out, cols[:, j], out=out)
+    return out.reshape(m.shape[:-1])
+
+
 def softmax_rows(logits):
-    """Row-wise softmax of a 2-D array."""
+    """Softmax over the last axis of an (..., K) array."""
     logits = np.asarray(logits, dtype=np.float64)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
+    if not _by_columns(logits):
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        e /= e.sum(axis=-1, keepdims=True)
+        return e
+    e = np.exp(logits - row_max(logits)[..., None])
+    e /= row_sum(e)[..., None]
     return e
 
 

@@ -34,6 +34,12 @@ class PredictorSpec:
     def input_width(self):
         return self.state_width + 2 * self.n_freqs
 
+    @property
+    def n_params(self):
+        """The MLP's parameter count: each layer's weights and biases."""
+        widths = (self.input_width, *self.hidden, self.output_width)
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+
 
 def time_features(spec, t):
     """Encode times (scalar or (B,)) as (B, 2 * n_freqs) Fourier features."""
@@ -61,10 +67,11 @@ class MLP:
 
     Parameters live in one flat float64 vector; ``layout`` maps slice
     offsets to (name, shape) so the vector round-trips losslessly through
-    checkpoints.
+    checkpoints.  ``params``, when given, is that vector, taken as is, and
+    no initial weights are drawn.
     """
 
-    def __init__(self, spec, seed=0):
+    def __init__(self, spec, seed=0, params=None):
         self.spec = spec
         widths = [spec.input_width, *spec.hidden, spec.output_width]
         self.layout = []
@@ -76,6 +83,10 @@ class MLP:
             self.layout.append((f"b{li}", (fan_out,), offset))
             offset += fan_out
         self.n_params = offset
+        self._tape = None
+        if params is not None:
+            self.params = params
+            return
         self.params = np.zeros(self.n_params)
         rng = Rng(seed, _path=(0xA11,))
         n_layers = len(self.layout) // 2
@@ -86,7 +97,6 @@ class MLP:
                 fan_in = shape[0]
                 w = rng.standard_normal(shape) / np.sqrt(fan_in)
                 self.params[off : off + w.size] = w.ravel()
-        self._tape = None
 
     @property
     def params(self):

@@ -437,10 +437,9 @@ def load_checkpoint(path):
         cfg_dict = dict(header["config"])
         cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
         config = TrainConfig(**cfg_dict)
-        mlp = MLP(config.predictor_spec(), seed=config.seed)
+        n = config.predictor_spec().n_params
     except (KeyError, TypeError) as exc:
         raise ValueError(f"checkpoint config is malformed: {exc!r}") from None
-    n = mlp.n_params
     blob = raw[16 + hlen :]
     if len(blob) != 32 * n:
         raise ValueError(
@@ -448,12 +447,10 @@ def load_checkpoint(path):
             f"params, EMA, m and v of {n} float64 values each"
         )
     params, ema, m, v = (row.copy() for row in np.frombuffer(blob, dtype="<f8").reshape(4, n))
-    mlp.params = params
+    mlp = MLP(config.predictor_spec(), params=params)
     return TrainResult(mlp=mlp, ema_params=ema, moments_m=m, moments_v=v, history=[], config=config), header
 
 
 def ema_predictor(result):
     """The evaluation-time predictor: the MLP carrying the EMA parameters."""
-    mlp = MLP(result.config.predictor_spec(), seed=result.config.seed)
-    mlp.params = result.ema_params.copy()
-    return mlp
+    return MLP(result.config.predictor_spec(), params=result.ema_params.copy())

@@ -383,12 +383,13 @@ class TestIngestCommand:
         ("bad-alphabet", r"ingest: --alphabet .*a\.txt: alphabet symbols must be single characters"),
         ("short-text", r"ingest: --input .*corpus\.txt: text shorter than one sequence"),
         ("unwritable-output", r"ingest: --output .*file/c\.ds: Not a directory"),
-    ], ids=["missing-input", "bad-alphabet", "short-text", "unwritable-output"])
+        ("empty-text", r"ingest: --input .*corpus\.txt: the text holds no lines$"),
+    ], ids=["missing-input", "bad-alphabet", "short-text", "unwritable-output", "empty-text"])
     def test_bad_input_is_usage_error(self, tmp_path, case, message):
         alpha = tmp_path / "a.txt"
         data.save_alphabet(alpha, ["ab", "c"] if case == "bad-alphabet" else data.ALPHABET_27)
         src = tmp_path / "corpus.txt"
-        src.write_text("abc")
+        src.write_text("\n\n" if case == "empty-text" else "abc")
         (tmp_path / "file").write_text("")
         args = {
             "--input": str(tmp_path / "absent.txt" if case == "missing-input" else src),

@@ -135,6 +135,11 @@ class TestTextIngest:
         with pytest.raises(ValueError):
             data.ingest_text("abc\nab", data.ALPHABET_27)
 
+    def test_text_of_only_newlines_rejected(self):
+        # the length check once ran on no lines: "lines have unequal lengths []"
+        with pytest.raises(ValueError, match="^the text holds no lines$"):
+            data.ingest_text("\n\n", data.ALPHABET_27)
+
     def test_chunked_stream(self):
         ds = data.ingest_text("abcdefgh", data.ALPHABET_27, seq_len=3)
         assert ds.items.shape == (2, 3)  # incomplete tail dropped

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bflow import kernels
+from bflow.numerics import ROWS_MIN, row_max, row_sum, softmax_rows
 
 
 def test_erf_matches_libm():
@@ -149,3 +152,99 @@ def test_erf_bitwise_equal_to_three_branch_reference_over_range_and_specials():
     grid = np.linspace(-7.0, 7.0, 48).reshape(6, 8)[::2, ::2]
     assert not grid.flags["C_CONTIGUOUS"] and grid.shape == (3, 4)
     _assert_same_bits(kernels.erf_vec(grid), _erf_three_branch(grid))
+
+
+def _softmax_reference(logits):
+    """The row softmax before row_max and row_sum, kept to pin its bits."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _logsumexp_reference(m):
+    """The row log-sum-exp before row_max and row_sum, kept to pin its bits."""
+    hi = np.max(m, axis=1)
+    empty = hi == -np.inf
+    if empty.any():
+        out = np.full(m.shape[0], -np.inf)
+        out[~empty] = _logsumexp_reference(m[~empty])
+        return out
+    return hi + np.log(np.sum(np.exp(m - hi[:, None]), axis=1))
+
+
+@st.composite
+def _row_batches(draw):
+    """(rows, K) arrays on both sides of ROWS_MIN with NaN rows, +inf
+    entries, all -inf rows and rows of tied -0.0 and +0.0 mixed in."""
+    rows = draw(st.one_of(st.integers(1, ROWS_MIN - 1), st.integers(ROWS_MIN, 3 * ROWS_MIN),
+                          st.sampled_from([ROWS_MIN - 1, ROWS_MIN])))
+    K = draw(st.sampled_from([*range(1, 10), 27]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((rows, K)) * draw(st.sampled_from([1e-3, 1.0, 30.0, 800.0]))
+    specials = st.tuples(st.integers(0, rows - 1), st.integers(0, K - 1),
+                         st.sampled_from(["nan", "+inf", "-inf", "-inf row", "zero tie"]))
+    for r, c, kind in draw(st.lists(specials, max_size=8)):
+        if kind == "nan":
+            m[r, c] = np.nan
+        elif kind == "+inf":
+            m[r, c] = np.inf
+        elif kind == "-inf":
+            m[r, c] = -np.inf
+        elif kind == "-inf row":
+            m[r] = -np.inf
+        else:
+            m[r] = -np.abs(m[r])
+            m[r, rng.random(K) < 0.5] = 0.0
+            m[r, c] = -0.0
+    return m
+
+
+@given(_row_batches())
+@settings(max_examples=300, deadline=None)
+def test_row_kernels_bitwise_equal_to_numpy_reductions(m):
+    K = m.shape[1]
+    with np.errstate(all="ignore"):
+        _assert_same_bits(softmax_rows(m), _softmax_reference(m))
+        _assert_same_bits(kernels.logsumexp_rows(m), _logsumexp_reference(m))
+        _assert_same_bits(row_max(m), m.max(axis=-1))
+        _assert_same_bits(row_sum(m), m.sum(axis=-1))
+        if m.shape[0] % 2 == 0:  # (B, D, K) batches are gated on B*D rows
+            m3 = m.reshape(-1, 2, K)
+            _assert_same_bits(softmax_rows(m3), _softmax_reference(m3))
+            _assert_same_bits(row_sum(m3), m3.sum(axis=-1))
+
+
+def test_row_sum_of_negative_zeros_is_positive_zero():
+    # numpy's sum starts from +0.0, so a row of -0.0 sums to +0.0
+    m = np.full((ROWS_MIN, 3), -0.0)
+    _assert_same_bits(row_sum(m), np.zeros(ROWS_MIN))
+
+
+@pytest.mark.parametrize("K", [2, 3, 5, 27])
+def test_row_kernels_do_not_depend_on_batch_size(K):
+    # a batch of ROWS_MIN + 17 rows reduces over columns and one row alone
+    # reduces per row; row i must come out the same either way
+    rows = ROWS_MIN + 17
+    rng = np.random.default_rng(K)
+    m = rng.standard_normal((rows, K)) * 20.0
+    soft = softmax_rows(m)
+    m[5] = -np.inf  # logsumexp_rows gathers the other rows
+    lse = kernels.logsumexp_rows(m)
+    for i in range(rows):
+        one = slice(i, i + 1)
+        if i != 5:
+            _assert_same_bits(softmax_rows(m[one]), soft[one])
+        _assert_same_bits(kernels.logsumexp_rows(m[one]), lse[one])
+
+
+def test_mixture_logpdf_does_not_depend_on_batch_size():
+    rows = ROWS_MIN + 17
+    rng = np.random.default_rng(3)
+    y = rng.uniform(-2, 2, size=rows)
+    logw = np.log(softmax_rows(rng.standard_normal((rows, 3))))
+    means = np.array([-1.0, 0.0, 1.0])
+    var = rng.uniform(0.1, 1.0, size=rows)
+    mix = kernels.mixture_logpdf(y, logw, means, var)
+    for i in range(rows):
+        one = slice(i, i + 1)
+        _assert_same_bits(kernels.mixture_logpdf(y[one], logw[one], means, var[one]), mix[one])

@@ -59,6 +59,20 @@ class TestMLP:
         assert np.array_equal(a.forward_batch(x, 0.3), b.forward_batch(x, 0.3))
         assert np.array_equal(a.params, b.params)
 
+    @pytest.mark.parametrize("hidden", [(), (4,), (8, 5, 3)])
+    def test_given_params_taken_as_is(self, hidden):
+        spec = PredictorSpec(3, 6, hidden=hidden, n_freqs=2)
+        drawn = MLP(spec, seed=7)
+        assert spec.n_params == drawn.n_params
+        flat = np.arange(spec.n_params, dtype=np.float64)
+        built = MLP(spec, params=flat)
+        assert built.params is flat
+        drawn.params = flat.copy()
+        x = np.array([[0.1, -0.2, 0.4]])
+        assert np.array_equal(built.forward_batch(x, 0.3), drawn.forward_batch(x, 0.3))
+        with pytest.raises(ValueError, match="params must be a float64 array"):
+            MLP(spec, params=flat[:-1])
+
     def test_wrong_input_width(self):
         mlp = MLP(PredictorSpec(3, 3, hidden=(4,)), seed=0)
         with pytest.raises(ValueError):
