@@ -15,10 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data
-from . import discrete as dd
-from . import harness, training
+from . import data, harness, training
 from .numerics import Rng
+from .schedule import sample_chain
 
 # the run keys beside the model's: where the data live and the image shape
 RUN_KEYS = {"dataset": str, "width": int, "height": int}
@@ -193,15 +192,10 @@ def cmd_sample(args):
     _load("sample", f"--out {args.out}", lambda: os.makedirs(args.out, exist_ok=True))
     if args.count == 0:
         return 0
-    # one call draws every sample: sample idx from stream idx of the seed
+    # one call draws every sample, over the modality's chain ops: sample idx
+    # from stream idx of the seed
     rngs = [Rng(args.seed).split(idx) for idx in range(args.count)]
-    # discrete.generate keeps its (rng, predictor, sched, n, K, D) signature,
-    # which perfbench calls positionally; the benchmark revision of ROADMAP
-    # item 1 gives it the shared one and removes this branch
-    if config.modality == "discrete":
-        samples = dd.generate(rngs, predictor, config.schedule, args.steps, config.K, config.D)
-    else:
-        samples = ops.generate(rngs, predictor, config.flow, args.steps)
+    samples = sample_chain(ops, rngs, predictor, config.flow, args.steps)
     w, h = _sample_shape(header.get("run_config", {}), config.D)
     for idx, content in enumerate(ops.render(config.flow, samples, alphabet)):
         text = isinstance(content, str)  # else PGM grey levels

@@ -4,17 +4,19 @@ transmission losses and ancestral sampling.
 The belief state over D-dimensional data is a diagonal Gaussian with a
 shared scalar precision.  Precision is data-independent (every update adds
 the same accuracy to every dimension), so along a schedule it can always be
-recomputed as ``1 + beta(t)``; the sampling loop uses that closed form so
-the final precision is exact rather than an accumulated float sum.
+recomputed as ``1 + beta(t)``; the sampler's ``update`` uses that closed
+form so the final precision is exact rather than an accumulated float sum.
 The ops take one ``schedule.FlowConfig`` holding a ``ContinuousSigma``
 schedule; the reconstruction loss needs its ``recon_sigma`` > 0.
+``schedule.sample_chain`` runs the chain ops ``prior``, ``estimate`` and
+``update``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, gaussian_sample
+from .numerics import gaussian_sample
 from .predictor import forward_rows
 from .schedule import step_time
 
@@ -31,9 +33,16 @@ class CtsParams:
     mean: np.ndarray
     precision: float
 
+    def __getitem__(self, b):
+        """Row b of a batched state; a precision shared by the rows stays."""
+        precision = self.precision if np.ndim(self.precision) == 0 else self.precision[b]
+        return CtsParams(mean=self.mean[b], precision=precision)
 
-def prior(D):
-    return CtsParams(mean=np.zeros(D), precision=1.0)
+
+def prior(cfg, B):
+    """The beliefs of B streams before any update: zero means (B, D) at
+    precision 1."""
+    return CtsParams(mean=np.zeros((B, cfg.D)), precision=1.0)
 
 
 def check_data(cfg, x):
@@ -162,14 +171,16 @@ def net_out(predictor, cfg, mu, t, width):
     return out
 
 
-def _x_hat(predictor, cfg, mu, t):
-    """Clipped data estimates (B, D) at belief means mu (B, D) and times t.
+def estimate(predictor, cfg, state, t, rngs):
+    """Clipped data estimates (B, D) at beliefs state and times t, the
+    sampler's and the losses' x_hat; they draw nothing from rngs, and below
+    t_min they are zero without reaching the predictor.
 
     Predictors emit noise estimates by default.  A predictor carrying a
     truthy ``predicts_data`` attribute emits data estimates directly.
     """
     predicts_data = getattr(predictor, "predicts_data", False)
-    return output_map(cfg, mu, t, net_out(predictor, cfg, mu, t, cfg.D), predicts_data)[0]
+    return output_map(cfg, state.mean, t, net_out(predictor, cfg, state.mean, t, cfg.D), predicts_data)[0]
 
 
 def loss_n(rng, predictor, cfg, x, n, i):
@@ -185,7 +196,7 @@ def loss_n(rng, predictor, cfg, x, n, i):
     x = np.asarray(x, dtype=np.float64)
     t = step_time(i, n)
     p = flow_sample(rng, cfg, x, t)
-    resid = x - _x_hat(predictor, cfg, p.mean, t)
+    resid = x - estimate(predictor, cfg, p, t, None)
     weight = n * (1.0 - cfg.schedule.sigma1 ** (2.0 / n)) / (2.0 * cfg.schedule.sigma1 ** (2.0 * i / n))
     # vecdot is np.dot row by row; a row sum would differ from it in the last bit
     return weight * np.vecdot(resid, resid)
@@ -209,42 +220,14 @@ def recon(rng, predictor, cfg, x):
         raise ValueError("recon_sigma must be positive")
     x = np.asarray(x, dtype=np.float64)
     p = flow_sample(rng, cfg, x, 1.0)
-    resid = x - _x_hat(predictor, cfg, p.mean, 1.0)
+    resid = x - estimate(predictor, cfg, p, 1.0, None)
     return np.vecdot(resid, resid) / (2.0 * cfg.recon_sigma**2)
 
 
-def generate(rng, predictor, cfg, n, return_params=False):
-    """n-step ancestral sampling (sample_chain); returns the final clipped
-    data estimate.  The first step sits below t_min, where the estimate is
-    pinned to zero without reaching the predictor.
-    """
-    return sample_chain(rng, cfg, n, lambda mean, t, rngs: _x_hat(predictor, cfg, mean, t), return_params)
-
-
-def sample_chain(rng, cfg, n, estimate, return_params):
-    """n-step ancestral sampling for the Gaussian beliefs.
-
-    rng is one Rng, which gives one (D,) sample, or a sequence of B Rngs,
-    which gives (B, D) samples and a (B, D) belief mean; row b draws from
-    stream b as a one-stream call does.  estimate(mean, t, rngs) gives the
-    (B, D) data estimates at belief means (B, D) and time t, one batched
-    predictor call.  Step i sends the estimate at t = (i - 1) / n through
-    the sender, and the estimate at t = 1 is the sample.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sched = cfg.schedule
-    rngs = [rng] if isinstance(rng, Rng) else list(rng)
-    p = CtsParams(mean=np.zeros((len(rngs), cfg.D)), precision=1.0)
-    z = np.empty((len(rngs), cfg.D))
-    for i in range(1, n + 1):
-        x_hat = estimate(p.mean, (i - 1) / n, rngs)
-        alpha = sched.step_alpha(i, n)
-        for b, r in enumerate(rngs):
-            z[b] = r.standard_normal(cfg.D)
-        y = gaussian_sample(None, x_hat, 1.0 / alpha, z)
-        p = bayes_update(p, y, alpha, 1.0 + sched.beta(i / n))
-    out = estimate(p.mean, 1.0, rngs)
-    if isinstance(rng, Rng):
-        out, p = out[0], CtsParams(mean=p.mean[0], precision=p.precision)
-    return (out, p) if return_params else out
+def update(cfg, state, estimate, i, n, rngs):
+    """The beliefs after step i of n: each stream sends its row of the
+    estimate (B, D) at the step's accuracy alpha with its own D normals,
+    N(estimate, 1 / alpha), and the precision is 1 + beta(i / n)."""
+    alpha = cfg.schedule.step_alpha(i, n)
+    z = np.array([r.standard_normal(cfg.D) for r in rngs])
+    return bayes_update(state, gaussian_sample(None, estimate, 1.0 / alpha, z), alpha, 1.0 + cfg.schedule.beta(i / n))

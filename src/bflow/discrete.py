@@ -13,15 +13,18 @@ and a logistic sigmoid produces the class-1 output probability; the K>2
 path keeps the redundant class and uses a row softmax.
 
 The ops take one ``schedule.FlowConfig`` holding a ``DiscreteQuadratic``
-schedule and the class count K.
+schedule and the class count K; ``schedule.sample_chain`` runs the chain
+ops ``prior``, ``estimate`` and ``update``.
 """
+
+import sys
 
 import numpy as np
 
 from .kernels import logsumexp_rows
-from .numerics import Rng, gaussian_sample, neg_log_true_class, row_sum, sample_categorical_rows, softmax_rows
+from .numerics import gaussian_sample, neg_log_true_class, row_sum, sample_categorical_rows, softmax_rows
 from .predictor import forward_rows
-from .schedule import FlowConfig, step_time
+from .schedule import FlowConfig, sample_chain, step_time
 
 
 # the default alphabet of K=27 data: a to z, then space
@@ -243,42 +246,38 @@ def recon(rng, predictor, cfg, x):
     return neg_log_true_class(output_map(_net_out(predictor, cfg, theta, 1.0), cfg.K), x)
 
 
-def generate(rng, predictor, sched, n, K, D, return_theta=False):
-    """n-step ancestral sampling; returns 1-based class indices.
+def prior(cfg, B):
+    """The sampling state of B streams before any update: the summed sender
+    draws (B, D, K), zero at first; the beliefs are its row softmax, since
+    the uniform prior adds the same constant to every logit."""
+    return np.zeros((B, cfg.D, cfg.K))
 
-    rng is one Rng, which gives one (D,) sample, or a sequence of B Rngs,
-    which gives (B, D) samples and a (B, D, K) state.  Row b draws
-    from stream b as a one-stream call does: per step a categorical
-    uniform per dimension, then the sender normals.  The predictor runs
-    once per step on the batch; every other op is row-local.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cfg = FlowConfig(sched, D, K)
-    rngs = [rng] if isinstance(rng, Rng) else list(rng)
-    B = len(rngs)
-    # the state is the softmax of the summed sender draws: the uniform prior
-    # adds the same constant to every logit, so it drops out
-    logits = np.zeros((B, D, K))
-    theta = np.full((B, D, K), 1.0 / K)
-    u, z, mean = np.empty((B, D, 1)), np.empty((B, D, K)), np.empty((B, D, K))
-    # step n + 1 is the final draw, from the output distribution at t = 1
-    for i in range(1, n + 2):
-        for b, r in enumerate(rngs):
-            u[b] = r.uniform(size=(D, 1))
-        k = sample_categorical_rows(output_map(_net_out(predictor, cfg, theta, (i - 1) / n), K), u)
-        if i > n:
-            break
-        for b, r in enumerate(rngs):
-            z[b] = r.standard_normal((D, K))
-        # sender_sample's draw, same bits; k from sample_categorical_rows is in 1..K
-        alpha = sched.step_alpha(i, n)
-        mean.fill(-alpha)
-        mean.reshape(-1, K)[np.arange(B * D), k.ravel() - 1] = alpha * (K - 1.0)
-        z *= np.sqrt(alpha * K)
-        z += mean
-        logits += z
-        theta = softmax_rows(logits)
-    if isinstance(rng, Rng):
-        k, theta = k[0], theta[0]
-    return (k, theta) if return_theta else k
+
+def estimate(predictor, cfg, state, t, rngs):
+    """The sampler's estimate at summed logits state and time t: class
+    indices (B, D) drawn from the output distribution, each stream drawing
+    one categorical uniform per dimension."""
+    u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])
+    return sample_categorical_rows(output_map(_net_out(predictor, cfg, softmax_rows(state), t), cfg.K), u)
+
+
+def update(cfg, state, estimate, i, n, rngs):
+    """The summed logits after step i of n: each stream sends its row of
+    the estimate (B, D), class indices, at the step's accuracy with its own
+    D K normals."""
+    K = cfg.K
+    alpha = cfg.schedule.step_alpha(i, n)
+    z = np.array([r.standard_normal((cfg.D, K)) for r in rngs])
+    # sender_sample's draw, same bits, in place; the estimate is in 1..K
+    mean = np.full(state.shape, -alpha)
+    mean.reshape(-1, K)[np.arange(estimate.size), estimate.ravel() - 1] = alpha * (K - 1.0)
+    z *= np.sqrt(alpha * K)
+    z += mean
+    z += state
+    return z
+
+
+def generate(rng, predictor, sched, n, K, D):
+    """Class indices by schedule.sample_chain over this module's ops.  The
+    benchmark calls it with these positional arguments."""
+    return sample_chain(sys.modules[__name__], rng, predictor, FlowConfig(sched, D, K), n)

@@ -1,8 +1,10 @@
 """Discretised data: K bins tiling [-1, 1], clipped-Gaussian bin masses,
 the expected bin centre, mixture receiver, losses and sampling.
 
-Belief state, schedule, sender and flow are shared with the continuous
-module; only the prediction side changes.  The predictor emits a
+Belief state, schedule, sender and flow, and so the sampler's ``prior``
+and ``update``, are shared with the continuous module; only the
+prediction side changes, down to the sampler's ``estimate``, a drawn bin
+centre per dimension.  The predictor emits a
 (noise-mean, log-noise-std) pair per dimension, which is mapped to a
 Gaussian over data space whose tails fold into the end bins.  The
 continuous-time loss needs only the expected bin centre, whose edge sums
@@ -87,6 +89,8 @@ def bin_probs_from_gaussian(mu_x, sigma_x, K):
 
 check_data = continuous.check_data
 net_input = continuous.net_input
+prior = continuous.prior
+update = continuous.update
 
 
 def net_widths(cfg):
@@ -295,16 +299,9 @@ def recon(rng, predictor, cfg, x):
     return neg_log_true_class(probs(predictor, cfg, p.mean, 1.0), idx)
 
 
-def generate(rng, predictor, cfg, n, return_params=False):
-    """n-step ancestral sampling (continuous.sample_chain); returns bin
-    centres.  Each step's estimate is a bin centre per dimension drawn from
-    the output bin masses with one categorical uniform per dimension from
-    each stream, before the sender normals.
-    """
-    centers = BinGeometry(cfg.K).centers
-
-    def draw_centres(mean, t, rngs):
-        u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])
-        return centers[sample_categorical_rows(probs(predictor, cfg, mean, t), u) - 1]
-
-    return continuous.sample_chain(rng, cfg, n, draw_centres, return_params)
+def estimate(predictor, cfg, state, t, rngs):
+    """The sampler's estimate at beliefs state and time t: bin centres
+    (B, D) drawn from the output bin masses, each stream drawing one
+    categorical uniform per dimension."""
+    u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])
+    return BinGeometry(cfg.K).centers[sample_categorical_rows(probs(predictor, cfg, state.mean, t), u) - 1]

@@ -155,17 +155,17 @@ def _centred_log(theta):
 
 
 def _cts_chain(noise, alphas, rows, x=0.5):
-    """The states of `rows` chains of cts.bayes_update from the prior, one
-    update per accuracy in alphas, observed through gaussian_sample with
-    the stream noise[i]."""
-    p = cts.prior(rows)
+    """The states of `rows` one-dimensional chains of cts.bayes_update from
+    the prior, one update per accuracy in alphas, observed through
+    gaussian_sample with the stream noise[i]."""
+    p = cts.prior(FlowConfig(None, D=1), rows)  # the prior reads only D
     for src, a in zip(noise, alphas):
-        p = cts.bayes_update(p, gaussian_sample(src, np.full(rows, x), 1 / a), a)
+        p = cts.bayes_update(p, gaussian_sample(src, np.full((rows, 1), x), 1 / a), a)
     return p
 
 
 def _cts_means(noise, alphas, rows):
-    return _cts_chain(noise, alphas, rows).mean[:, None]
+    return _cts_chain(noise, alphas, rows).mean
 
 
 def _dd_chain(noise, alphas, rows, K=3):

@@ -10,13 +10,15 @@ Schedules are immutable value objects; every quantity is a cheap closed
 form, so nothing is cached.  ``beta`` and ``alpha`` take a float or an
 array of times, and ``step_alpha`` an integer step or an integer array of
 steps.  ``FlowConfig`` bundles a schedule with what else a modality's ops
-take.
+take; ``sample_chain`` samples any modality over its chain ops.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import Rng
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,29 @@ def step_time(i, n):
     time per row for an integer array."""
     _check_step(i, n)
     return (i - 1) / n
+
+
+def sample_chain(ops, rng, predictor, cfg, n, return_state=False):
+    """n-step ancestral sampling over a modality module's chain ops.
+
+    From ``ops.prior``, step i of n draws ``ops.estimate`` at t = (i - 1) / n
+    and sends it through ``ops.update`` at the accuracy of step i; the
+    estimate drawn at t = 1 is the sample.  rng is one Rng, which gives one
+    (D,) sample, or a sequence of B Rngs, which gives (B, D) samples: row b
+    draws from stream b as a one-stream call does, and the predictor runs
+    once per step on the batch.  With return_state, also returns the final
+    state.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rngs = [rng] if isinstance(rng, Rng) else list(rng)
+    state = ops.prior(cfg, len(rngs))
+    for i in range(1, n + 1):
+        state = ops.update(cfg, state, ops.estimate(predictor, cfg, state, (i - 1) / n, rngs), i, n, rngs)
+    sample = ops.estimate(predictor, cfg, state, 1.0, rngs)
+    if isinstance(rng, Rng):
+        sample, state = sample[0], state[0]
+    return (sample, state) if return_state else sample
 
 
 # Default hyperparameter presets (finely vs coarsely discretised images,

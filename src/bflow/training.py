@@ -25,6 +25,7 @@ exactly that for all three modalities.
 
 import itertools
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -333,7 +334,6 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
         raise ValueError(f"passes must be >= 1, got {passes}")
     dataset = np.asarray(dataset)
     N = len(dataset)
-    ln2 = np.log(2.0)
     rows = []
     for li, kind in enumerate([int(n) for n in n_values] + ["inf", "recon"]):
         if kind == "recon" and not config.has_recon:
@@ -358,7 +358,7 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
             "nats": mean,
             "se_nats": se,
             "nats_per_dim": mean / config.D,
-            "bits_per_dim": mean / config.D / ln2,
+            "bits_per_dim": mean / config.D / math.log(2.0),
             "samples": int(samples.size),
         })
     return rows

@@ -20,7 +20,7 @@ from bflow import harness, training
 from bflow.harness import FiniteMSimulator
 from bflow.numerics import Rng
 from bflow.predictor import MLP
-from bflow.schedule import PRESETS, ContinuousSigma, DiscreteQuadratic
+from bflow.schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig
 
 SEED = 7
 
@@ -51,7 +51,7 @@ def test_criterion_01_exact_identities():
     assert worst < 1e-12
     # continuous posterior precision additivity is exact
     for aa, ab in [(0.25, 0.5), (1.0, 2.0), (0.375, 0.125), (1.5, 2.25)]:
-        base = cts.prior(1)
+        base = cts.prior(FlowConfig(PRESETS["cts-256bin"], D=1), 1)[0]
         two_p = cts.bayes_update(cts.bayes_update(base, np.zeros(1), aa), np.zeros(1), ab).precision
         one_p = cts.bayes_update(base, np.zeros(1), aa + ab).precision
         assert two_p == one_p

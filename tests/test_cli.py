@@ -562,10 +562,10 @@ def test_entry_point_subprocess(tmp_path, child_env):
     assert "1/1 properties passed" in proc.stdout
 
 
-def test_cli_compares_modality_names_in_two_places():
-    # ROADMAP item 13: the modality modules decide everything else, so a
-    # modality name is compared only in ingest's --bins check and in the
-    # discrete.generate branch that perfbench's positional call pins
+def test_cli_compares_a_modality_name_only_in_ingest():
+    # ROADMAP items 13 and 15: the modality modules decide everything else,
+    # sampling included, so a modality name is compared only in ingest's
+    # --bins check
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     owner = {node: fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
 
@@ -574,4 +574,4 @@ def test_cli_compares_modality_names_in_two_places():
 
     found = sorted((owner.get(node), ast.unparse(node))
                    for node in ast.walk(tree) if isinstance(node, ast.Compare) and names_a_modality(node))
-    assert found == [("cmd_ingest", "args.modality != 'continuous'"), ("cmd_sample", "config.modality == 'discrete'")]
+    assert found == [("cmd_ingest", "args.modality != 'continuous'")]

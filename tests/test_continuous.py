@@ -8,7 +8,7 @@ import pytest
 from bflow import continuous as cts
 from bflow.numerics import Rng, gaussian_sample, log_gaussian_pdf
 from bflow.predictor import MLP, ConstantPredictor, PredictorSpec
-from bflow.schedule import ContinuousSigma, FlowConfig
+from bflow.schedule import ContinuousSigma, FlowConfig, sample_chain
 from oracle_predictors import CtsDatumPredictor
 
 CFG = FlowConfig(ContinuousSigma(0.02), D=1)
@@ -16,7 +16,7 @@ CFG = FlowConfig(ContinuousSigma(0.02), D=1)
 
 class TestBayesUpdate:
     def test_direct_arithmetic(self):
-        p = cts.bayes_update(cts.prior(1), np.array([1.0]), 1.0)
+        p = cts.bayes_update(cts.prior(CFG, 1)[0], np.array([1.0]), 1.0)
         assert p.precision == 2.0
         assert p.mean[0] == pytest.approx(0.5)
 
@@ -28,7 +28,7 @@ class TestBayesUpdate:
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
-            cts.bayes_update(cts.prior(1), np.array([0.0]), 0.0)
+            cts.bayes_update(cts.prior(CFG, 1)[0], np.array([0.0]), 0.0)
 
     def test_sequential_vs_merged_observation(self):
         # two updates equal one update with the precision-weighted merged
@@ -42,7 +42,7 @@ class TestBayesUpdate:
         assert two.precision == pytest.approx(merged.precision, rel=1e-15)
 
     def test_precision_additivity_exact_for_dyadic(self):
-        base = cts.prior(1)
+        base = cts.prior(CFG, 1)[0]
         y = np.array([0.5])
         for aa, ab in [(0.25, 0.5), (1.0, 2.0), (0.125, 0.375)]:
             two = cts.bayes_update(cts.bayes_update(base, y, aa), y, ab)
@@ -96,8 +96,8 @@ class TestFlowSample:
 class TestOutputPrediction:
     def test_below_tmin_is_zero(self):
         pred = ConstantPredictor(np.array([9.9]))
-        p = cts.CtsParams(mean=np.array([0.7]), precision=1.0)
-        assert cts._x_hat(pred, CFG, p.mean[None], 0.0)[0, 0] == 0.0
+        p = cts.CtsParams(mean=np.array([[0.7]]), precision=1.0)
+        assert cts.estimate(pred, CFG, p, 0.0, None)[0, 0] == 0.0
 
     def test_noise_inversion_recovers_datum(self):
         x = np.array([0.43])
@@ -105,25 +105,23 @@ class TestOutputPrediction:
         r = Rng(4)
         for t in (0.2, 0.6, 0.95):
             p = cts.flow_sample(r, CFG, x[None], t)
-            np.testing.assert_allclose(cts._x_hat(pred, CFG, p.mean, t)[0], x, atol=1e-12)
+            np.testing.assert_allclose(cts.estimate(pred, CFG, p, t, None)[0], x, atol=1e-12)
 
     def test_zero_noise_estimate(self):
         # gamma = 0.5 at t = ln(0.5)/(2 ln sigma1); x_hat = mean / gamma
         t = np.log(0.5) / (2 * np.log(CFG.schedule.sigma1))
         pred = ConstantPredictor(np.array([0.0]))
-        p = cts.CtsParams(mean=np.array([0.3]), precision=1.0)
-        assert cts._x_hat(pred, CFG, p.mean[None], t)[0, 0] == pytest.approx(0.6, rel=1e-12)
+        p = cts.CtsParams(mean=np.array([[0.3]]), precision=1.0)
+        assert cts.estimate(pred, CFG, p, t, None)[0, 0] == pytest.approx(0.6, rel=1e-12)
 
     def test_wrong_width_rejected(self):
         pred = ConstantPredictor(np.zeros(3))
-        p = cts.prior(1)
         with pytest.raises(ValueError):
-            cts._x_hat(pred, CFG, p.mean[None], 0.5)
+            cts.estimate(pred, CFG, cts.prior(CFG, 1), 0.5, None)
 
     def test_clipping(self):
         pred = ConstantPredictor(np.array([5.0]), predicts_data=True)
-        p = cts.prior(1)
-        assert cts._x_hat(pred, CFG, p.mean[None], 0.5)[0, 0] == cts.X_MAX
+        assert cts.estimate(pred, CFG, cts.prior(CFG, 1), 0.5, None)[0, 0] == cts.X_MAX
 
 
 class TestLossNStep:
@@ -243,7 +241,7 @@ class TestGenerate:
     def test_constant_oracle_converges(self):
         c = 0.37
         pred = ConstantPredictor(np.array([c]), predicts_data=True)
-        out = cts.generate(Rng(12), pred, CFG, 50)
+        out = sample_chain(cts, Rng(12), pred, CFG, 50)
         assert abs(out[0] - c) <= 3 * CFG.schedule.sigma1
 
     def test_predictor_called_exactly_twice_for_one_step(self):
@@ -255,27 +253,27 @@ class TestGenerate:
                 return super().forward_batch(X, t)
 
         pred = Counting(np.array([0.1]), predicts_data=True)
-        cts.generate(Rng(13), pred, CFG, 1)
+        sample_chain(cts, Rng(13), pred, CFG, 1)
         # first call lands below t_min so only the t=1 call reaches the
         # predictor; the loop itself runs twice
         assert len(calls) == 1
-        cts.generate(Rng(13), pred, CFG, 2)
+        sample_chain(cts, Rng(13), pred, CFG, 2)
 
     def test_deterministic_under_seed(self):
         pred = CtsDatumPredictor(np.array([0.2]), CFG.schedule.sigma1)
-        a = cts.generate(Rng(14), pred, CFG, 10)
-        b = cts.generate(Rng(14), pred, CFG, 10)
+        a = sample_chain(cts, Rng(14), pred, CFG, 10)
+        b = sample_chain(cts, Rng(14), pred, CFG, 10)
         assert np.array_equal(a, b)
 
     def test_final_precision(self):
         pred = ConstantPredictor(np.array([0.0]), predicts_data=True)
         for n in (1, 7, 32):
-            _, p = cts.generate(Rng(15), pred, CFG, n, return_params=True)
+            _, p = sample_chain(cts, Rng(15), pred, CFG, n, return_state=True)
             assert p.precision == 1.0 + CFG.schedule.beta(1.0)
 
     def test_output_in_range(self):
         pred = ConstantPredictor(np.array([3.0]))
-        out = cts.generate(Rng(16), pred, CFG, 5)
+        out = sample_chain(cts, Rng(16), pred, CFG, 5)
         assert cts.X_MIN <= out[0] <= cts.X_MAX
 
 
@@ -302,9 +300,13 @@ class TestSampleChainMatchesReference:
         cfg = FlowConfig(ContinuousSigma(0.02), D=3)
         mlp = MLP(PredictorSpec(3, 3, hidden=(16, 16)), seed=5)
         mlp.params += 0.5 * Rng(51).standard_normal(mlp.n_params)
+
+        def estimate(mean, t, rngs):
+            return cts.estimate(mlp, cfg, cts.CtsParams(mean, 1.0), t, rngs)
+
         for rng in (lambda: Rng(52), lambda: [Rng(53).split(j) for j in range(5)]):
-            out, p = cts.generate(rng(), mlp, cfg, n, return_params=True)
-            ref, p_ref = _sample_chain_reference(rng(), cfg, n, lambda mean, t, rngs: cts._x_hat(mlp, cfg, mean, t))
+            out, p = sample_chain(cts, rng(), mlp, cfg, n, return_state=True)
+            ref, p_ref = _sample_chain_reference(rng(), cfg, n, estimate)
             assert np.array_equal(out, ref) and np.array_equal(p.mean, p_ref.mean) and p.precision == p_ref.precision
 
 
@@ -316,7 +318,7 @@ class TestAdditivityDistribution:
         x = np.array([0.5])
         aa, ab = 1.0, 1.0
         trials = 400_000
-        base = cts.prior(1)
+        base = cts.prior(CFG, 1)[0]
 
         ya = gaussian_sample(r, np.full(trials, x[0]), 1 / aa)
         m1 = (base.mean[0] * base.precision + ya * aa) / (base.precision + aa)

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bflow import continuous as cts
 from bflow import discrete as dd
-from bflow.numerics import Rng, log_gaussian_pdf
+from bflow import discretised as dsc
+from bflow.numerics import Rng, log_gaussian_pdf, softmax_rows
 from bflow.predictor import MLP, ConstantPredictor, ConstantProbsPredictor, PredictorSpec
-from bflow.schedule import DiscreteQuadratic, FlowConfig
+from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, sample_chain
 from oracle_predictors import DiscreteOneHotPredictor
 
 SCHED = DiscreteQuadratic(0.75)
@@ -342,7 +344,8 @@ class TestGenerate:
 
     def test_theta_rows_remain_simplex(self):
         pred = ConstantPredictor(np.zeros(6))
-        _, theta = dd.generate(Rng(21), pred, DiscreteQuadratic(50.0), 40, 3, 2, return_theta=True)
+        _, logits = sample_chain(dd, Rng(21), pred, FlowConfig(DiscreteQuadratic(50.0), 2, 3), 40, return_state=True)
+        theta = softmax_rows(logits)
         np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(theta >= 0)
 
@@ -381,38 +384,69 @@ def _generate_reference(rng, predictor, sched, n, K, D):
     return k, theta
 
 
+class _LoggedRng(Rng):
+    """Stream j of seed 34 that logs each draw's kind and size."""
+
+    def __init__(self, j):
+        super().__init__(34, (j,))
+        self.log = []
+
+    def uniform(self, size=None):
+        self.log.append(("uniform", int(np.prod(size))))
+        return super().uniform(size)
+
+    def standard_normal(self, size=None):
+        self.log.append(("normal", int(np.prod(size))))
+        return super().standard_normal(size)
+
+
 class TestGenerateMatchesReference:
-    """The buffer-reusing loop gives the reference loop's samples and states
-    bit for bit, for one stream and for a batch of streams."""
+    """The shared sampler over the discrete ops gives the reference loop's
+    samples and states bit for bit, for one stream and for a batch of
+    streams."""
 
     @pytest.mark.parametrize("K, D", [(27, 4), (2, 5)])
     @pytest.mark.parametrize("n", [1, 12])
     def test_bits(self, K, D, n):
         sched = DiscreteQuadratic(3.0)
-        mlp = MLP(PredictorSpec(*dd.net_widths(FlowConfig(sched, D, K)), hidden=(16, 16)), seed=3)
+        cfg = FlowConfig(sched, D, K)
+        mlp = MLP(PredictorSpec(*dd.net_widths(cfg), hidden=(16, 16)), seed=3)
         mlp.params += 0.5 * Rng(31).standard_normal(mlp.n_params)
         for rng in (lambda: Rng(32), lambda: [Rng(33).split(j) for j in range(5)]):
-            k, theta = dd.generate(rng(), mlp, sched, n, K, D, return_theta=True)
+            k, logits = sample_chain(dd, rng(), mlp, cfg, n, return_state=True)
             k_ref, theta_ref = _generate_reference(rng(), mlp, sched, n, K, D)
-            assert np.array_equal(k, k_ref) and np.array_equal(theta, theta_ref)
+            assert np.array_equal(k, k_ref) and np.array_equal(softmax_rows(logits), theta_ref)
             assert np.array_equal(dd.generate(rng(), mlp, sched, n, K, D), k_ref)
 
     @pytest.mark.parametrize("B", [1, 3])
     def test_stream_layout(self, B):
-        """Byte-identical samples rest on this layout: n + 1 predictor calls,
-        and per stream (n + 1) D uniforms and n D K normals."""
+        """Byte-identical samples rest on this layout, for each modality: the
+        predictor's call times, and per stream the draws of each step in
+        order, (n + 1) D categorical uniforms for discrete and discretised
+        data and n sender blocks of D K or D normals.  Continuous data
+        draws no uniform.  Below t_min the Gaussian beliefs' output maps
+        ignore the network, so their t = 0 estimate never reaches the
+        predictor."""
         n, K, D = 6, 5, 3
-        calls = []
+        sigma = ContinuousSigma(0.02)
+        cases = [  # ops, config, output width, first step that calls the predictor, draws of a step
+            (dd, FlowConfig(SCHED, D, K), D * K, 1, [("uniform", D), ("normal", D * K)]),
+            (dsc, FlowConfig(sigma, D, K), 2 * D, 2, [("uniform", D), ("normal", D)]),
+            (cts, FlowConfig(sigma, D), D, 2, [("normal", D)]),
+        ]
+        for ops, cfg, width, first, step in cases:
+            calls = []
 
-        class Counting(ConstantPredictor):
-            def forward_batch(self, X, t):
-                calls.append(t)
-                return super().forward_batch(X, t)
+            class Counting(ConstantPredictor):
+                def forward_batch(self, X, t):
+                    calls.append(t)
+                    return super().forward_batch(X, t)
 
-        rngs = [Rng(34).split(j) for j in range(B)]
-        dd.generate(rngs, Counting(np.zeros(D * K)), SCHED, n, K, D)
-        assert calls == [(i - 1) / n for i in range(1, n + 2)]
-        assert [r.draws for r in rngs] == [(n + 1) * D + n * D * K] * B
+            rngs = [_LoggedRng(j) for j in range(B)]
+            sample_chain(ops, rngs, Counting(np.zeros(width)), cfg, n)
+            assert calls == [(i - 1) / n for i in range(first, n + 2)]
+            final = [("uniform", D)] if ops is not cts else []
+            assert [r.log for r in rngs] == [step * n + final] * B
 
 
 class TestDistributionalAdditivity:

@@ -12,7 +12,7 @@ from bflow import continuous as cts
 from bflow import discretised as dsc
 from bflow.numerics import Rng, gaussian_sample, neg_log_true_class
 from bflow.predictor import ConstantPredictor, DiscretisedDatumPredictor
-from bflow.schedule import ContinuousSigma, FlowConfig
+from bflow.schedule import ContinuousSigma, FlowConfig, sample_chain
 
 CFG = FlowConfig(ContinuousSigma(math.sqrt(0.001)), D=1, K=16)
 
@@ -136,7 +136,7 @@ class TestDiscretisedCdf:
 class TestOutputDistribution:
     def test_prior_branch_below_tmin(self):
         pred = ConstantPredictor(np.full(2, 99.0))
-        probs = dsc.probs(pred, CFG, cts.prior(1).mean[None], 0.0)[0]
+        probs = dsc.probs(pred, CFG, cts.prior(CFG, 1).mean, 0.0)[0]
         # standard-normal masses with tails folded into the end bins
         g = dsc.BinGeometry(16)
         expect = np.zeros(16)
@@ -180,7 +180,7 @@ class TestOutputDistribution:
     def test_wrong_predictor_width(self):
         pred = ConstantPredictor(np.zeros(3))
         with pytest.raises(ValueError):
-            dsc.probs(pred, CFG, cts.prior(1).mean[None], 0.5)
+            dsc.probs(pred, CFG, cts.prior(CFG, 1).mean, 0.5)
 
 
 class TestKHat:
@@ -422,19 +422,19 @@ class TestGenerate:
         g = dsc.BinGeometry(K)
         target = np.array([g.center(13)])
         pred = DiscretisedDatumPredictor(target, 1e-9, CFG.schedule.sigma1)
-        out = dsc.generate(Rng(14), pred, CFG, 12)
+        out = sample_chain(dsc, Rng(14), pred, CFG, 12)
         assert out[0] == g.center(13)
 
     def test_seed_determinism(self):
         cfg = replace(CFG, K=8)
         pred = DiscretisedDatumPredictor(np.array([0.1]), 0.2, CFG.schedule.sigma1)
-        a = dsc.generate(Rng(15), pred, cfg, 6)
-        b = dsc.generate(Rng(15), pred, cfg, 6)
+        a = sample_chain(dsc, Rng(15), pred, cfg, 6)
+        b = sample_chain(dsc, Rng(15), pred, cfg, 6)
         assert np.array_equal(a, b)
 
     def test_final_precision(self):
         pred = DiscretisedDatumPredictor(np.array([0.1]), 0.2, CFG.schedule.sigma1)
-        _, p = dsc.generate(Rng(16), pred, replace(CFG, K=8), 9, return_params=True)
+        _, p = sample_chain(dsc, Rng(16), pred, replace(CFG, K=8), 9, return_state=True)
         assert p.precision == 1.0 + CFG.schedule.beta(1.0)
 
 

@@ -12,7 +12,7 @@ from bflow import discretised as dsc
 from bflow import training
 from bflow.numerics import Rng
 from bflow.predictor import MLP, DiscretisedDatumPredictor
-from bflow.schedule import ContinuousSigma, FlowConfig
+from bflow.schedule import ContinuousSigma, FlowConfig, sample_chain
 
 
 @pytest.fixture(scope="module")
@@ -87,11 +87,9 @@ class TestGenerationStatistics:
         geom = dsc.BinGeometry(cfg.K)
         target = np.array([geom.center(13)])
         pred = DiscretisedDatumPredictor(target, 0.01, cfg.schedule.sigma1)
-        rng = Rng(66)
-        hits = sum(
-            dsc.generate(rng.split(j), pred, cfg, 50)[0] == target[0] for j in range(200)
-        )
-        assert hits / 200 > 0.99
+        # one batched call: stream j draws what a one-stream call on it draws
+        samples = sample_chain(dsc, [Rng(66).split(j) for j in range(200)], pred, cfg, 50)
+        assert np.sum(samples[:, 0] == target[0]) / 200 > 0.99
 
 
 class TestReconstructionShare:
@@ -130,9 +128,7 @@ def _random_mlp(modality, seed, **overrides):
 
 
 def _generate(rng, pred, config, n):
-    if config.modality == "discrete":
-        return dd.generate(rng, pred, config.schedule, n, config.K, config.D)
-    return training.OPS[config.modality].generate(rng, pred, config.flow, n)
+    return sample_chain(training.OPS[config.modality], rng, pred, config.flow, n)
 
 
 class TestBatchedGenerate:

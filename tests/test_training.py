@@ -255,7 +255,7 @@ class TestHeadGradients:
         out = mlp.forward_batch(state["state_in"], state["t"])
         loss_vec, _ = training.head_loss_and_grad(config, state, out)
         for b in range(config.batch_size):
-            x_hat = cts._x_hat(mlp, config.flow, state["theta"].mean[b][None], float(state["t"][b]))[0]
+            x_hat = cts.estimate(mlp, config.flow, state["theta"][b : b + 1], float(state["t"][b]), None)[0]
             resid = x[b] - x_hat
             w = -np.log(config.sigma1) * config.sigma1 ** (-2 * state["t"][b])
             assert loss_vec[b] == pytest.approx(w * resid @ resid, rel=1e-12)
@@ -758,6 +758,21 @@ class TestNatsBitsReporting:
             assert r["bits_per_dim"] == pytest.approx(r["nats_per_dim"] / np.log(2), rel=1e-12)
             assert r["nats_per_dim"] == pytest.approx(r["nats"] / config.D, rel=1e-12)
 
+    def test_csv_fields_are_numbers(self):
+        # every field after the row label reads back with float() as the
+        # table's value, bit for bit
+        config = _make_config("discrete", steps=3)
+        data = Rng(9).integers(1, config.K + 1, size=(6, config.D))
+        result = training.train(Rng(10), data, config)
+        rows = training.evaluate(Rng(11), training.ema_predictor(result), config, data, n_values=(4,), passes=1)
+        lines = training.eval_rows_to_csv(rows).splitlines()
+        keys = lines[0].split(",")
+        assert len(lines) == 1 + len(rows)
+        for line, r in zip(lines[1:], rows):
+            label, *fields = line.split(",")
+            assert label == r["label"]
+            assert [float(f) for f in fields] == [r[k] for k in keys[1:]]
+
 
 class _RowLocal:
     """Outputs elementwise in (state, t), so a row's output does not depend
@@ -1134,6 +1149,9 @@ OP_SET = {
     "loss_cts": ["rng", "predictor", "cfg", "x", "t"],
     "recon": ["rng", "predictor", "cfg", "x"],
     "render": ["cfg", "samples", "alphabet"],
+    "prior": ["cfg", "B"],
+    "estimate": ["predictor", "cfg", "state", "t", "rngs"],
+    "update": ["cfg", "state", "estimate", "i", "n", "rngs"],
 }
 
 
@@ -1147,8 +1165,6 @@ class TestOpSet:
     def test_module_exports_the_op_set(self, modality):
         ops = training.OPS[modality]
         assert {name: self._required(getattr(ops, name)) for name in OP_SET} == OP_SET
-        if modality != "discrete":  # discrete.generate keeps (rng, predictor, sched, n, K, D)
-            assert self._required(ops.generate) == ["rng", "predictor", "cfg", "n"]
 
     def test_table_covers_the_modalities(self):
         assert tuple(training.OPS) == ("continuous", "discretised", "discrete")
