@@ -155,6 +155,7 @@ def adamw_step(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, e
     c1 = 1.0 - beta1**step
     c2 = 1.0 - beta2**step
     decay = lr * weight_decay
+    decays = 1.0 - decay != 1.0
     n = params.size
     s1 = np.empty(min(n, ADAMW_CHUNK))
     s2 = np.empty_like(s1)
@@ -175,9 +176,11 @@ def adamw_step(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, e
         np.sqrt(t2, out=t2)
         np.add(t2, eps, out=t2)
         np.divide(t1, t2, out=t1)
-        np.multiply(p, decay, out=t2)
+        if decays:
+            np.multiply(p, decay, out=t2)
         np.subtract(p, t1, out=p)
-        np.subtract(p, t2, out=p)
+        if decays:
+            np.subtract(p, t2, out=p)
         np.multiply(ec, ema_decay, out=ec)
         np.multiply(p, 1.0 - ema_decay, out=t1)
         np.add(ec, t1, out=ec)
