@@ -153,9 +153,12 @@ class TestTrain:
         ("hidden=0", r"hidden widths must be >= 1, got 0"),
         ("hidden=32,-4", r"hidden widths must be >= 1, got 32,-4"),
         ("alphabet=/nonexistent/alpha.txt", r"unknown config key 'alphabet'"),
+        ("weight_decay=nan", r"weight_decay must be finite and >= 0, got nan"),
+        ("weight_decay=inf", r"weight_decay must be finite and >= 0, got inf"),
+        ("learning_rate=inf", r"learning_rate must be finite and >= 0, got inf"),
     ], ids=["unknown-preset", "preset-of-other-family", "batch-size-0", "steps-0", "eval-every-negative",
             "deleted-activation", "deleted-adam-beta", "n-freqs-negative", "n-freqs-0", "hidden-0",
-            "hidden-negative", "deleted-alphabet"])
+            "hidden-negative", "deleted-alphabet", "weight-decay-nan", "weight-decay-inf", "learning-rate-inf"])
     def test_bad_setting_is_usage_error_before_compute(self, toy_run, monkeypatch, setting, message):
         monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained on a bad setting"))
         with pytest.raises(SystemExit, match=rf"train: config .*train\.cfg: {message}"):

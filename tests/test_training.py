@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,7 +42,14 @@ class TestAdamW:
         lr, wd = 1e-2, 0.1
         p2, _, _, _ = adamw_step(p.copy(), np.zeros(2), np.zeros(2), np.zeros(2), p.copy(),
                                  1, lr, wd, 0.9, 0.98, 0.99)
-        np.testing.assert_allclose(p2, p * (1 - lr * wd), rtol=1e-15)
+        # m and v stay 0, so the update term is exactly 0 and only the
+        # decay factor 1 - lr*wd touches the parameters
+        np.testing.assert_array_equal(p2, p * (1 - lr * wd))
+
+    def test_zero_ema_decay_copies_params(self):
+        state = {name: np.full(5, i + 1.0) for i, name in enumerate(("params", "grads", "m", "v", "ema"))}
+        p, _, _, ema = adamw_step(*state.values(), 3, 1e-2, 0.1, 0.9, 0.98, 0.0)
+        np.testing.assert_array_equal(ema, p)
 
     def test_three_step_hand_trace(self):
         # single scalar parameter, constant gradient, no decay; the oracle
@@ -67,6 +75,19 @@ class TestAdamW:
         first = adamw_step(np.array([0.0]), np.array([g]), np.zeros(1), np.zeros(1), np.zeros(1),
                            1, lr, 0.0, b1, b2, 0.0, eps)[0]
         assert first[0] == pytest.approx(-lr, rel=1e-6)
+
+    def test_peak_allocation_is_the_two_scratch_chunks(self):
+        # the strings model's 291,760 parameters, with the decay pass on: one
+        # parameter-sized temporary would add 2.3 MB.  The slack covers the
+        # chunk views and loop objects, a few KiB.
+        state = [np.full(291_760, 0.5) for _ in range(5)]
+        tracemalloc.start()
+        try:
+            adamw_step(*state, 1, 1e-3, 0.01, 0.9, 0.98, 0.99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * training.ADAMW_CHUNK * 8 + 16_384
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -123,15 +144,28 @@ class TestAdamW:
 
 
 def _adamw_ema_reference(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, ema_decay, eps=1e-8):
-    """The out-of-place update plus the separate EMA line that the in-place
-    chunked adamw_step replaced, kept to pin its bits."""
+    """adamw_step out of place: the same operation order, so the same bits,
+    with parameter-sized temporaries in place of the chunked passes."""
+    m = beta1 * m + (1.0 - beta1) * grads
+    v = beta2 * v + (1.0 - beta2) * grads * grads
+    root_c2 = math.sqrt(1.0 - beta2**step)
+    scale = lr * root_c2 / (1.0 - beta1**step)
+    params = params * (1.0 - lr * weight_decay) - m * scale / (np.sqrt(v) + eps * root_c2)
+    ema = ema_decay * ema + (1.0 - ema_decay) * params
+    return params, m, v, ema
+
+
+def _adamw_ema_old_order(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, ema_decay, eps=1e-8):
+    """The textbook order that adamw_step used before folding the bias
+    corrections into one step scale; also returns the update term u."""
     m = beta1 * m + (1.0 - beta1) * grads
     v = beta2 * v + (1.0 - beta2) * grads * grads
     m_hat = m / (1.0 - beta1**step)
     v_hat = v / (1.0 - beta2**step)
-    params = params - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * params
+    u = lr * m_hat / (np.sqrt(v_hat) + eps)
+    params = params - u - lr * weight_decay * params
     ema = ema_decay * ema + (1.0 - ema_decay) * params
-    return params, m, v, ema
+    return params, m, v, ema, u
 
 
 def _make_config(modality, **kw):
@@ -632,7 +666,8 @@ class TestBatchedFlow:
 
 class TestInPlaceOptimizer:
     """train() with the in-place chunked adamw_step gives the bits of a run
-    driven by the out-of-place update and EMA line it replaced."""
+    driven by the same update out of place, and one step lands within a few
+    roundings of the textbook order."""
 
     @staticmethod
     def _config(case, seed):
@@ -660,6 +695,28 @@ class TestInPlaceOptimizer:
             assert _same_bits(getattr(got, field), getattr(ref, field)), field
         assert _same_bits(got.mlp.params, ref.mlp.params)
         assert got.history == ref.history
+
+    @pytest.mark.parametrize("case", ["strings", "discretised", "small"])
+    def test_one_step_matches_the_old_order(self, case):
+        # from a trained state, one step of adamw_step against the order with
+        # m/c1, v/c2 and a separate decay term: m and v keep their bits, and p
+        # moves by a few roundings of |p| + |u|.  A bound in ulps of the new p
+        # would mean nothing where p - u cancels.  The EMA sum can also round
+        # the other way, an ulp of the EMA, which may sit far from p.
+        config, items = self._config(case, 7)
+        trained = training.train(Rng(7), items, config)
+        rng = Rng(8)
+        batch = items[rng.integers(0, len(items), size=config.batch_size)]
+        _, grad = training.batch_loss_and_grad(trained.mlp, config, training.sample_head_state(rng, config, batch))
+        args = (config.steps + 1, config.learning_rate, config.weight_decay, *training.ADAM_BETAS, config.ema_decay)
+        p0, m0, v0, ema0 = trained.mlp.params, trained.moments_m, trained.moments_v, trained.ema_params
+        old_p, old_m, old_v, old_ema, u = _adamw_ema_old_order(p0, grad, m0, v0, ema0, *args)
+        p, m, v, ema = adamw_step(p0.copy(), grad, m0.copy(), v0.copy(), ema0.copy(), *args)
+        assert _same_bits(m, old_m) and _same_bits(v, old_v)
+        bound = 8 * np.finfo(np.float64).eps * (np.abs(p0) + np.abs(u))
+        assert np.all(np.abs(p - old_p) <= bound)
+        assert np.all(np.abs(ema - old_ema) <= bound + 8 * np.finfo(np.float64).eps * np.abs(ema0))
+        assert not _same_bits(p, old_p)  # the reorder does move last bits
 
 
 class TestTrainLoop:
@@ -1254,3 +1311,18 @@ class TestTrainConfig:
         # a negative one once dropped a continuous model's recon row silently
         with pytest.raises(ValueError, match=f"recon_sigma must be >= 0, got {value}"):
             _make_config("continuous", recon_sigma=value)
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", -1e-3), ("learning_rate", math.inf), ("learning_rate", math.nan),
+        ("weight_decay", -0.01), ("weight_decay", math.inf), ("weight_decay", math.nan),
+    ])
+    def test_optimizer_setting_outside_its_range_rejected(self, name, value):
+        # a NaN weight decay once turned every parameter NaN at step 1 and
+        # surfaced only as a non-finite loss at step 2
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {value}"):
+            _make_config("continuous", **{name: value})
+
+    @pytest.mark.parametrize("value", [1.0, -0.5, math.inf, math.nan])
+    def test_ema_decay_outside_its_range_rejected(self, value):
+        with pytest.raises(ValueError, match=rf"ema_decay must lie in \[0, 1\), got {value}"):
+            _make_config("continuous", ema_decay=value)
