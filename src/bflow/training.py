@@ -116,8 +116,8 @@ ADAM_BETAS = (0.9, 0.98)
 # travels to and from memory once per step.  For the 291k-parameter strings
 # model on a 2-core x86_64 VM (2 MiB of L2 a core) the 15-pass update took
 # 2.03 ms in 8k-element passes, 1.86 ms in 16k, 1.81 ms in 32k and 1.89 ms
-# in 64k (medians of 16 alternating rounds of 200 calls); 32k doubles the
-# scratch for a gain inside the rounds' spread.
+# in 64k (medians of 12 to 16 alternating rounds of 200 calls); 32k doubles
+# the scratch for a gain inside the rounds' spread.
 ADAMW_CHUNK = 16384
 
 

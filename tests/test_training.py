@@ -716,7 +716,6 @@ class TestInPlaceOptimizer:
         bound = 8 * np.finfo(np.float64).eps * (np.abs(p0) + np.abs(u))
         assert np.all(np.abs(p - old_p) <= bound)
         assert np.all(np.abs(ema - old_ema) <= bound + 8 * np.finfo(np.float64).eps * np.abs(ema0))
-        assert not _same_bits(p, old_p)  # the reorder does move last bits
 
 
 class TestTrainLoop:
