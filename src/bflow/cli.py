@@ -31,38 +31,32 @@ def parse_config_text(text):
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in RUN_CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, val)
+        if line:
+            key, value = _config_pair(line, f"line {lineno}")
+            out[key] = value
     return out
 
 
-def _coerce(key, val):
+def _config_pair(text, where):
+    """(key, value) of one "key = value" pair, the value coerced to the
+    key's type; errors name where, a config line or --set."""
+    if "=" not in text:
+        raise ValueError(f"{where}: expected key = value, got {text!r}")
+    key, val = (part.strip() for part in text.split("=", 1))
+    if key not in RUN_CONFIG_KEYS:
+        raise ValueError(f"{where}: unknown config key {key!r}")
     kind = RUN_CONFIG_KEYS[key]
-    if kind is tuple:
-        return tuple(int(v) for v in val.split(",") if v.strip())
-    if kind is int:
-        return int(val)
-    if kind is float:
-        return float(val)
-    return val
+    try:
+        value = tuple(int(v) for v in val.split(",") if v.strip()) if kind is tuple else kind(val)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {key}: {exc}") from None
+    return key, value
 
 
 def load_run_config(path, overrides=()):
     with open(path, encoding="utf-8") as fh:
         cfg = parse_config_text(fh.read())
-    for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, val = (part.strip() for part in item.split("=", 1))
-        if key not in RUN_CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        cfg[key] = _coerce(key, val)
+    cfg.update(_config_pair(item, "--set") for item in overrides)
     return cfg
 
 
@@ -96,6 +90,8 @@ def _load(command, what, load, *args):
 
 
 def cmd_ingest(args):
+    if args.dim < 0:
+        raise SystemExit(f"ingest: --dim must be >= 1, got {args.dim}")
     source = Path(args.input)
     if args.alphabet:
         alphabet = _load("ingest", f"--alphabet {args.alphabet}", data.load_alphabet, args.alphabet)

@@ -6,10 +6,11 @@ shared scalar precision.  Precision is data-independent (every update adds
 the same accuracy to every dimension), so along a schedule it can always be
 recomputed as ``1 + beta(t)``; the sampler's ``update`` uses that closed
 form so the final precision is exact rather than an accumulated float sum.
-The ops take one ``schedule.FlowConfig`` holding a ``ContinuousSigma``
-schedule; the reconstruction loss needs its ``recon_sigma`` > 0.
-``schedule.sample_chain`` runs the chain ops ``prior``, ``estimate`` and
-``update``.
+The network emits noise estimates e, whose data estimate at belief mean
+mu is mu / gamma - sqrt((1 - gamma) / gamma) e.  The ops take one
+``schedule.FlowConfig`` holding a ``ContinuousSigma`` schedule; the
+reconstruction loss needs its ``recon_sigma`` > 0.
+``schedule.sample_chain`` and ``schedule.loss_cts`` run them.
 """
 
 from dataclasses import dataclass
@@ -51,11 +52,6 @@ def check_data(cfg, x):
         raise ValueError("values outside [-1, 1]")
 
 
-def gamma(cfg, t):
-    """Fraction of the data present in the expected belief mean at time t."""
-    return 1.0 - cfg.schedule.sigma1 ** (2.0 * t)
-
-
 def bayes_update(p, y, alpha, precision=None):
     """Precision-weighted posterior after observing y at accuracy alpha;
     precision, when given, is p.precision + alpha in a closed form."""
@@ -85,7 +81,7 @@ def flow_sample(rng, cfg, x, t, z=None):
     if x.min() < X_MIN or x.max() > X_MAX:
         raise ValueError(f"data outside [{X_MIN}, {X_MAX}]")
     precision = np.full(x.shape[0], 1.0 + cfg.schedule.beta(t))
-    g = np.full(x.shape[0], gamma(cfg, t))[:, None]
+    g = np.full(x.shape[0], cfg.schedule.gamma(t))[:, None]
     if z is None:
         z = rng.standard_normal(x.shape)
     return CtsParams(mean=g * x + np.sqrt(g * (1.0 - g)) * z, precision=precision)
@@ -102,26 +98,20 @@ def noise_terms(cfg, t, B):
     vectorised power differs from it in the last bit for about one input
     in twenty.
     """
-    g = np.maximum(np.full(B, gamma(cfg, t))[:, None], 1e-300)
+    g = np.maximum(np.full(B, cfg.schedule.gamma(t))[:, None], 1e-300)
     live = np.full(B, t >= cfg.t_min)[:, None]
     return g, live, np.sqrt((1.0 - g) / g)
 
 
-def output_map(cfg, mu, t, net_out, predicts_data=False):
+def output_map(cfg, mu, t, net_out):
     """Clipped data estimates x_hat (B, D) from the network's noise estimates
-    at belief means mu (B, D) and times t; zero on rows below t_min.
-
-    A data predictor (predicts_data) skips the noise transform.  Also
+    at belief means mu (B, D) and times t; zero on rows below t_min.  Also
     returns where x_hat moves with net_out and the slope there.
     """
     g, live, ratio = noise_terms(cfg, t, mu.shape[0])
-    if predicts_data:
-        x_raw, slope = np.where(live, net_out, 0.0), 1.0
-    else:
-        x_raw = np.where(live, mu / g - ratio * net_out, 0.0)
-        slope = -ratio
+    x_raw = np.where(live, mu / g - ratio * net_out, 0.0)
     inside = (x_raw > X_MIN) & (x_raw < X_MAX) & live
-    return np.clip(x_raw, X_MIN, X_MAX), inside, slope
+    return np.clip(x_raw, X_MIN, X_MAX), inside, -ratio
 
 
 def net_widths(cfg):
@@ -145,11 +135,11 @@ def net_input(cfg, state):
     return state.mean
 
 
-def loss_inf(cfg, x, state, t, net_out, grad=False, predicts_data=False):
+def loss_inf(cfg, x, state, t, net_out, grad=False):
     """Continuous-time loss (alpha(t) / 2) |x - x_hat|^2 per row of a (B, D)
     batch at flow states state and times t, (B,) or one float for every
     row; with grad, also its gradient w.r.t. net_out."""
-    x_hat, inside, slope = output_map(cfg, state.mean, t, net_out, predicts_data)
+    x_hat, inside, slope = output_map(cfg, state.mean, t, net_out)
     w = 0.5 * np.full(x.shape[0], cfg.schedule.alpha(t))
     resid = x - x_hat
     loss = w * np.sum(resid * resid, axis=1)
@@ -158,10 +148,11 @@ def loss_inf(cfg, x, state, t, net_out, grad=False, predicts_data=False):
     return loss, np.where(inside, w[:, None] * 2.0 * (x_hat - x) * slope, 0.0)
 
 
-def net_out(predictor, cfg, mu, t, width):
-    """The predictor's (B, width) outputs at belief means mu (B, D) and
-    times t; zeros on rows below t_min, where the output maps ignore them,
-    so the predictor never sees those rows."""
+def net_out(predictor, cfg, state, t, width=None):
+    """The predictor's (B, width) outputs, width D unless given, at beliefs
+    state and times t; zeros on rows below t_min, where the output maps
+    ignore them, so the predictor never sees those rows."""
+    mu, width = state.mean, width or cfg.D
     live = np.full(mu.shape[0], t >= cfg.t_min)
     if live.all():
         return forward_rows(predictor, mu, t, width)
@@ -174,13 +165,8 @@ def net_out(predictor, cfg, mu, t, width):
 def estimate(predictor, cfg, state, t, rngs):
     """Clipped data estimates (B, D) at beliefs state and times t, the
     sampler's and the losses' x_hat; they draw nothing from rngs, and below
-    t_min they are zero without reaching the predictor.
-
-    Predictors emit noise estimates by default.  A predictor carrying a
-    truthy ``predicts_data`` attribute emits data estimates directly.
-    """
-    predicts_data = getattr(predictor, "predicts_data", False)
-    return output_map(cfg, state.mean, t, net_out(predictor, cfg, state.mean, t, cfg.D), predicts_data)[0]
+    t_min they are zero without reaching the predictor."""
+    return output_map(cfg, state.mean, t, net_out(predictor, cfg, state, t))[0]
 
 
 def loss_n(rng, predictor, cfg, x, n, i):
@@ -200,16 +186,6 @@ def loss_n(rng, predictor, cfg, x, n, i):
     weight = n * (1.0 - cfg.schedule.sigma1 ** (2.0 / n)) / (2.0 * cfg.schedule.sigma1 ** (2.0 * i / n))
     # vecdot is np.dot row by row; a row sum would differ from it in the last bit
     return weight * np.vecdot(resid, resid)
-
-
-def loss_cts(rng, predictor, cfg, x, t):
-    """Continuous-time loss estimates (B,), in nats, for a (B, D) batch at
-    times t, one float for every row or (B,): each row draws its flow
-    state, and the predictor runs once on the batch."""
-    x = np.asarray(x, dtype=np.float64)
-    p = flow_sample(rng, cfg, x, t)
-    out = net_out(predictor, cfg, p.mean, t, cfg.D)
-    return loss_inf(cfg, x, p, t, out, predicts_data=getattr(predictor, "predicts_data", False))
 
 
 def recon(rng, predictor, cfg, x):

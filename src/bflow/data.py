@@ -47,6 +47,8 @@ class Dataset:
 
     def __post_init__(self):
         self.items = np.asarray(self.items)
+        if self.D < 1:
+            raise ValueError(f"D must be >= 1, got {self.D}")
         if self.items.ndim != 2 or self.items.shape[1] != self.D:
             raise ValueError("items must have shape (count, D)")
         if self.modality == "continuous":
@@ -164,6 +166,8 @@ def ingest_text(text, alphabet, seq_len=None):
     else:
         if not seq_len:
             raise ValueError("seq_len is required for unstructured text")
+        if seq_len < 1:
+            raise ValueError(f"seq_len, the item length D, must be >= 1, got {seq_len}")
         n = len(text) // seq_len
         if n == 0:
             raise ValueError("text shorter than one sequence")
@@ -184,6 +188,8 @@ def ingest_bytes(raw, D, modality, K=0):
     discretised, other K: scaled then quantised to the nearest centre.
     discrete: byte values are class codes 0..K-1, stored 1-based.
     """
+    if D < 1:
+        raise ValueError(f"D must be >= 1, got {D}")
     buf = np.frombuffer(raw, dtype=np.uint8)
     if buf.size == 0 or buf.size % D != 0:
         raise ValueError(f"payload of {buf.size} bytes is not a multiple of D={D}")

@@ -13,8 +13,8 @@ and a logistic sigmoid produces the class-1 output probability; the K>2
 path keeps the redundant class and uses a row softmax.
 
 The ops take one ``schedule.FlowConfig`` holding a ``DiscreteQuadratic``
-schedule and the class count K; ``schedule.sample_chain`` runs the chain
-ops ``prior``, ``estimate`` and ``update``.
+schedule and the class count K; ``schedule.sample_chain`` and
+``schedule.loss_cts`` run them.
 """
 
 import sys
@@ -178,10 +178,9 @@ def loss_inf(cfg, x, state, t, net_out, grad=False):
     return loss, (probs * (dL_dp - inner)).reshape(B, -1)
 
 
-def _net_out(predictor, cfg, theta, t):
-    """The predictor's (B, width) outputs at states theta (B, D, K) and
-    times t."""
-    X = net_input(cfg, theta)
+def net_out(predictor, cfg, state, t):
+    """The predictor's (B, width) outputs at beliefs state (B, D, K), times t."""
+    X = net_input(cfg, state)
     return forward_rows(predictor, X, t, X.shape[1])
 
 
@@ -224,17 +223,8 @@ def loss_n(rng, predictor, cfg, x, n, i):
     z = rng.standard_normal((x.shape[0], 2) + x.shape[1:] + (K,))
     theta = flow_sample(rng, cfg, x, t, z[:, 0])
     y = sender_sample(rng, x, alpha, K, z[:, 1])
-    probs = output_map(_net_out(predictor, cfg, theta, t), K)
+    probs = output_map(net_out(predictor, cfg, theta, t), K)
     return n * log_ratio(y, x, probs, alpha, K)
-
-
-def loss_cts(rng, predictor, cfg, x, t):
-    """Continuous-time loss estimates (B,) for a (B, D) batch of class
-    indices at times t, one float for every row or (B,): each row draws
-    its flow state, and the predictor runs once."""
-    x = np.asarray(x, dtype=np.int64)
-    theta = flow_sample(rng, cfg, x, t)
-    return loss_inf(cfg, x, theta, t, _net_out(predictor, cfg, theta, t))
 
 
 def recon(rng, predictor, cfg, x):
@@ -243,7 +233,7 @@ def recon(rng, predictor, cfg, x):
     drawn at t=1 for each row."""
     x = np.asarray(x, dtype=np.int64)
     theta = flow_sample(rng, cfg, x, 1.0)
-    return neg_log_true_class(output_map(_net_out(predictor, cfg, theta, 1.0), cfg.K), x)
+    return neg_log_true_class(output_map(net_out(predictor, cfg, theta, 1.0), cfg.K), x)
 
 
 def prior(cfg, B):
@@ -258,7 +248,7 @@ def estimate(predictor, cfg, state, t, rngs):
     indices (B, D) drawn from the output distribution, each stream drawing
     one categorical uniform per dimension."""
     u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])
-    return sample_categorical_rows(output_map(_net_out(predictor, cfg, softmax_rows(state), t), cfg.K), u)
+    return sample_categorical_rows(output_map(net_out(predictor, cfg, softmax_rows(state), t), cfg.K), u)
 
 
 def update(cfg, state, estimate, i, n, rngs):

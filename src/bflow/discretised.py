@@ -35,7 +35,7 @@ class BinGeometry:
 
     def center(self, k):
         self._check(k)
-        return (2.0 * k - 1.0) / self.K - 1.0
+        return float(self.centers[k - 1])
 
     def _check(self, k):
         if not (1 <= k <= self.K):
@@ -235,13 +235,16 @@ def loss_inf(cfg, x, state, t, net_out, grad=False):
     return loss, np.concatenate([d_mu_eps, d_ln_sigma], axis=1)
 
 
-def probs(predictor, cfg, mu, t):
-    """Bin masses (B, D, K) at belief means mu (B, D) and times t; a unit
-    Gaussian at zero below t_min."""
-    B, D = mu.shape
-    net_out = continuous.net_out(predictor, cfg, mu, t, 2 * cfg.D)
-    mu_x, sigma_x = output_map(cfg, mu, t, net_out)[:2]
-    return bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), cfg.K).reshape(B, D, cfg.K)
+def net_out(predictor, cfg, state, t):
+    """(noise mean, log noise std) pairs (B, 2D) by continuous.net_out."""
+    return continuous.net_out(predictor, cfg, state, t, 2 * cfg.D)
+
+
+def probs(predictor, cfg, state, t):
+    """Bin masses (B, D, K) at beliefs state and times t; a unit Gaussian
+    at zero below t_min."""
+    mu_x, sigma_x = output_map(cfg, state.mean, t, net_out(predictor, cfg, state, t))[:2]
+    return bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), cfg.K).reshape(*mu_x.shape, cfg.K)
 
 
 def receiver_log_likelihood(y, probs, K, alpha):
@@ -276,17 +279,8 @@ def loss_n(rng, predictor, cfg, x, n, i):
     z = rng.standard_normal((x.shape[0], 2) + x.shape[1:])
     p = continuous.flow_sample(rng, cfg, x, t, z[:, 0])
     y = gaussian_sample(rng, x, var if np.isscalar(var) else var[:, None], z[:, 1])
-    recv = receiver_log_likelihood(y, probs(predictor, cfg, p.mean, t), cfg.K, alpha)
+    recv = receiver_log_likelihood(y, probs(predictor, cfg, p, t), cfg.K, alpha)
     return n * (log_gaussian_pdf(y, x, var) - recv)
-
-
-def loss_cts(rng, predictor, cfg, x, t):
-    """Continuous-time loss estimates (B,) for a (B, D) batch of bin
-    centres at times t, one float for every row or (B,): each row draws
-    its flow state, and the predictor runs once."""
-    x = np.asarray(x, dtype=np.float64)
-    p = continuous.flow_sample(rng, cfg, x, t)
-    return loss_inf(cfg, x, p, t, continuous.net_out(predictor, cfg, p.mean, t, 2 * cfg.D))
 
 
 def recon(rng, predictor, cfg, x):
@@ -296,7 +290,7 @@ def recon(rng, predictor, cfg, x):
     x = np.asarray(x, dtype=np.float64)
     idx = quantise(x, cfg.K)
     p = continuous.flow_sample(rng, cfg, x, 1.0)
-    return neg_log_true_class(probs(predictor, cfg, p.mean, 1.0), idx)
+    return neg_log_true_class(probs(predictor, cfg, p, 1.0), idx)
 
 
 def estimate(predictor, cfg, state, t, rngs):
@@ -304,4 +298,4 @@ def estimate(predictor, cfg, state, t, rngs):
     (B, D) drawn from the output bin masses, each stream drawing one
     categorical uniform per dimension."""
     u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])
-    return BinGeometry(cfg.K).centers[sample_categorical_rows(probs(predictor, cfg, state.mean, t), u) - 1]
+    return BinGeometry(cfg.K).centers[sample_categorical_rows(probs(predictor, cfg, state, t), u) - 1]

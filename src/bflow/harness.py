@@ -50,8 +50,8 @@ from . import continuous as cts
 from . import discrete as dd
 from . import discretised as dsc
 from .numerics import Rng, gaussian_sample, log_gaussian_pdf, row_sum
-from .predictor import ConstantPredictor, ConstantProbsPredictor, DiscretisedDatumPredictor
-from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig, step_time
+from .predictor import ConstantProbsPredictor, CtsDatumPredictor, DiscretisedDatumPredictor
+from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, step_time
 
 
 @dataclass
@@ -498,20 +498,20 @@ def _convergence_report(prop_id, modality, gaps, final_tol, samples, seed, param
 def check_loss_convergence(seed, modality):
     """Stratified expectation of the n-step loss vs the continuous-time mean.
 
-    The predictors are state-independent oracles, which makes the per-t
-    loss deterministic; the n-step expectation is assembled stratum by
-    stratum (exactly for the continuous modality, via Gauss-Hermite over
-    the sender draw otherwise, every n's strata and the gate's batched
-    together).  A sampled consistency gate ties the stochastic op to
-    the stratum values.  The discretised report's doubled= is the largest
-    change of a gap when its 80-node rule takes twice the nodes.
+    The oracles' output distributions ignore the belief state, up to the
+    noise inversion's rounding, so the per-t loss is deterministic.  The
+    n-step expectation is assembled stratum by stratum (exactly for the
+    continuous modality, via Gauss-Hermite over the sender draw otherwise,
+    every n's strata and the gate's batched together); a sampled gate ties
+    the stochastic op to the stratum values.  The discretised report's
+    doubled= is the largest gap change when its 80-node rule doubles.
     """
     rng = Rng(seed, _path=(5,))
     if modality == "continuous":
         cfg = FlowConfig(ContinuousSigma(0.02), D=1)
         x = np.array([0.5])
-        pred = ConstantPredictor(x + 0.1, predicts_data=True)
-        linf = _simpson(cts.loss_cts(rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
+        pred = CtsDatumPredictor(x + 0.1, cfg.schedule.sigma1)
+        linf = _simpson(loss_cts(cts, rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
         # every step of an n-step run in one call: the exact stratified mean
         gaps = [(cts.loss_n(rng, pred, cfg, np.tile(x, (n, 1)), n, np.arange(1, n + 1)).mean() - linf) / linf
                 for n in N_LIST]
@@ -526,13 +526,13 @@ def check_loss_convergence(seed, modality):
         geom = dsc.BinGeometry(K)
         x = np.array([geom.center(11)])
         pred = DiscretisedDatumPredictor(x + 0.15, 0.06, sched.sigma1)
-        linf = _simpson(dsc.loss_cts(rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
+        linf = _simpson(loss_cts(dsc, rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
         # every stratum's receiver at its own time (the belief mean is
         # immaterial to the oracle), then its Gauss-Hermite expectation over
         # the sender draw y ~ N(x, 1/alpha) of the sender minus the receiver
         # log-density, all strata in one call, at 80 nodes and at 160
         alpha = _strata(sched.step_alpha)
-        probs = dsc.probs(pred, cfg, np.zeros((alpha.size, 1)), _strata(step_time))
+        probs = dsc.probs(pred, cfg, cts.prior(cfg, alpha.size), _strata(step_time))
 
         def strata(nodes):
             g, w = _hermgauss(nodes)
@@ -558,7 +558,7 @@ def check_loss_convergence(seed, modality):
     p_star = np.array([0.5, 1.0 / 3.0, 1.0 / 6.0])
     probs_rows = np.stack([np.roll(p_star, xi - 1) for xi in x])  # mass 1/2 on the true class
     pred = ConstantProbsPredictor(probs_rows)
-    linf = _simpson(dd.loss_cts(rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
+    linf = _simpson(loss_cts(dd, rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
     gaps, ref = _strata_gaps(_dd_log_ratio_means(_strata(sched.step_alpha), x, probs_rows, K), linf)
     draws = dd.loss_n(rng, pred, cfg, np.tile(x, (GATE_DRAWS, 1)), GATE_N, GATE_I)
     return _convergence_report(

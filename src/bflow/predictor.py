@@ -1,7 +1,7 @@
 """Predictors: the trainable MLP with hand-written reverse-mode gradients,
-plus the three oracle predictors the verification harness uses: a constant
-output, fixed class probabilities per dimension, and a discretised
-predictor that places its data Gaussian at a fixed point.
+plus the three oracle predictors the verification harness uses: fixed
+class probabilities per dimension, and noise estimates placing the data
+estimate or the discretised data Gaussian at a fixed point.
 
 A predictor maps a modality-encoded state vector and a process time to a
 raw output vector; each modality module's ``net_widths`` gives the two
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Rng
+from .schedule import ContinuousSigma
 
 
 @dataclass(frozen=True)
@@ -177,29 +178,6 @@ def forward_rows(predictor, X, t, width):
     return out
 
 
-def _gamma(sigma1, t):
-    """1 - sigma1^(2t): a float for a float t (Python arithmetic, as the
-    modality ops compute it), else a (B, 1) column."""
-    t = float(t) if np.isscalar(t) else np.asarray(t, dtype=np.float64)[:, None]
-    return 1.0 - sigma1 ** (2.0 * t)
-
-
-class ConstantPredictor:
-    """Emits a fixed vector regardless of input; no learnable state.
-
-    With ``predicts_data=True`` the continuous adapter treats the vector
-    as a data estimate rather than a noise estimate, so a constant equal
-    to the true datum is a perfect predictor with exactly zero residual.
-    """
-
-    def __init__(self, values, predicts_data=False):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.predicts_data = bool(predicts_data)
-
-    def forward_batch(self, X, t):
-        return np.tile(self.values, (len(X), 1))
-
-
 class ConstantProbsPredictor:
     """Logits of fixed class probability rows (D, K), one row per
     dimension, independent of the belief state; for K=2 the class-1
@@ -216,19 +194,33 @@ class ConstantProbsPredictor:
         return np.tile(row, (len(X), 1))
 
 
-class DiscretisedDatumPredictor:
-    """(noise mean, log noise std) pair placing the data Gaussian at
-    mu_star with width sigma_star, independent of the belief state."""
+class CtsDatumPredictor:
+    """Noise estimates (X / gamma - x_star) / sqrt((1 - gamma) / gamma) at
+    belief means X, which the continuous output map inverts to x_star, up
+    to rounding, whatever the belief state."""
 
-    def __init__(self, mu_star, sigma_star, sigma1):
-        self.mu_star = np.asarray(mu_star, dtype=np.float64)
-        self.sigma_star = float(sigma_star)
-        self.sigma1 = float(sigma1)
+    def __init__(self, x_star, sigma1):
+        self.x_star = np.asarray(x_star, dtype=np.float64)
+        self.schedule = ContinuousSigma(float(sigma1))
 
     def forward_batch(self, X, t):
-        X = np.asarray(X, dtype=np.float64)
-        g = _gamma(self.sigma1, t)
+        return self._noise_mean(X, t)[0]
+
+    def _noise_mean(self, X, t):
+        # also the noise scale; a float t keeps gamma a Python float, as in the output maps
+        g = self.schedule.gamma(float(t) if np.isscalar(t) else np.asarray(t, dtype=np.float64)[:, None])
         ratio = np.sqrt((1.0 - g) / g)
-        mu_eps = (X / g - self.mu_star) / ratio
-        ln_sigma_eps = np.full_like(X, np.log(self.sigma_star / ratio))
-        return np.concatenate([mu_eps, ln_sigma_eps], axis=1)
+        return (np.asarray(X, dtype=np.float64) / g - self.x_star) / ratio, ratio
+
+
+class DiscretisedDatumPredictor(CtsDatumPredictor):
+    """(noise mean, log noise std) pairs placing the data Gaussian at
+    x_star with width sigma_star, independent of the belief state."""
+
+    def __init__(self, x_star, sigma_star, sigma1):
+        super().__init__(x_star, sigma1)
+        self.sigma_star = float(sigma_star)
+
+    def forward_batch(self, X, t):
+        mu_eps, ratio = self._noise_mean(X, t)
+        return np.concatenate([mu_eps, np.full_like(mu_eps, np.log(self.sigma_star / ratio))], axis=1)

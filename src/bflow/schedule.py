@@ -7,10 +7,10 @@ Two closed forms cover both data families:
 * ``DiscreteQuadratic(beta1)``: beta(t) = beta1 * t**2.
 
 Schedules are immutable value objects; every quantity is a cheap closed
-form, so nothing is cached.  ``beta`` and ``alpha`` take a float or an
-array of times, and ``step_alpha`` an integer step or an integer array of
+form, so nothing is cached.  ``beta``, ``alpha`` and ``gamma`` take a
+float or an array of times, ``step_alpha`` an integer step or array of
 steps.  ``FlowConfig`` bundles a schedule with what else a modality's ops
-take; ``sample_chain`` samples any modality over its chain ops.
+take; ``sample_chain`` and ``loss_cts`` sample and score any modality.
 """
 
 import math
@@ -42,6 +42,11 @@ class ContinuousSigma:
     def step_alpha(self, i, n):
         _check_step(i, n)
         return self.sigma1 ** (-2.0 * i / n) * (1.0 - self.sigma1 ** (2.0 / n))
+
+    def gamma(self, t):
+        """The data's share 1 - sigma1**(2t) of the expected belief mean."""
+        _check_t(t)
+        return 1.0 - self.sigma1 ** (2.0 * t)
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,13 @@ def sample_chain(ops, rng, predictor, cfg, n, return_state=False):
     if isinstance(rng, Rng):
         sample, state = sample[0], state[0]
     return (sample, state) if return_state else sample
+
+
+def loss_cts(ops, rng, predictor, cfg, x, t):
+    """Continuous-time loss estimates (B,), in nats, of a (B, D) batch at
+    times t, a float or (B,), by a modality module's ops."""
+    state = ops.flow_sample(rng, cfg, x, t)
+    return ops.loss_inf(cfg, x, state, t, ops.net_out(predictor, cfg, state, t))
 
 
 # Default hyperparameter presets (finely vs coarsely discretised images,

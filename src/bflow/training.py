@@ -14,9 +14,9 @@ through the recorded tape, which writes the gradient straight into one
 flat vector.  ``adamw_step`` then updates the parameters, both moments and
 the EMA in place, in one cache-sized pass per chunk of the vector, so a
 step allocates no parameter-sized temporaries beyond that gradient.
-Evaluation scores a chunk of items per call of the modality's batched
-``loss_cts`` (the same ``loss_inf``, without the gradient), ``loss_n`` or
-``recon``.
+Evaluation scores a chunk of items per call of ``schedule.loss_cts`` over
+the modality's ops (the same ``loss_inf``, without the gradient), or of
+its batched ``loss_n`` or ``recon``.
 
 The gradients are deterministic functions of the sampled state, so they
 can be checked against central finite differences; the test suite does
@@ -35,7 +35,7 @@ from . import continuous as cts
 from . import discrete as dd
 from . import discretised as dsc
 from .predictor import MLP, PredictorSpec
-from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig
+from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts
 
 CHECKPOINT_MAGIC = b"BFCK"
 CHECKPOINT_VERSION = 4
@@ -277,19 +277,16 @@ def train(rng, dataset, config):
 
 
 def estimate_mean_loss(rng, mlp, params, config, dataset, n_draws=4):
-    """Mean continuous-time loss under the given parameter vector."""
-    saved = mlp.params
-    mlp.params = params
-    try:
-        take = min(len(dataset), 64)
-        losses = []
-        for _ in range(n_draws):
-            x_batch = dataset[rng.integers(0, len(dataset), size=take)]
-            t = rng.uniform(size=take)
-            losses.append(item_losses(rng, mlp, config, x_batch, "inf", t).mean())
-        return float(np.mean(losses))
-    finally:
-        mlp.params = saved
+    """Mean continuous-time loss of mlp's network under the given parameter
+    vector; mlp itself is left as it is."""
+    net = MLP(mlp.spec, params=params)
+    take = min(len(dataset), 64)
+    losses = []
+    for _ in range(n_draws):
+        x_batch = dataset[rng.integers(0, len(dataset), size=take)]
+        t = rng.uniform(size=take)
+        losses.append(item_losses(rng, net, config, x_batch, "inf", t).mean())
+    return float(np.mean(losses))
 
 
 def history_to_csv(history):
@@ -306,12 +303,12 @@ def history_to_csv(history):
 
 
 def item_losses(rng, predictor, config, x, kind, arg):
-    """Per-item losses (B,), in nats, for a (B, D) batch by the modality's
-    batched op: kind "inf" is loss_cts at times arg (B,), "recon" is recon,
-    and an int n is loss_n at steps arg (B,) of n."""
+    """Per-item losses (B,), in nats, for a (B, D) batch by one batched op:
+    kind "inf" is loss_cts at times arg (B,), "recon" is recon, and an int
+    n is loss_n at steps arg (B,) of n."""
     ops = OPS[config.modality]
     if kind == "inf":
-        return ops.loss_cts(rng, predictor, config.flow, x, arg)
+        return loss_cts(ops, rng, predictor, config.flow, x, arg)
     if kind == "recon":
         return ops.recon(rng, predictor, config.flow, x)
     return ops.loss_n(rng, predictor, config.flow, x, kind, arg)

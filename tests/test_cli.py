@@ -99,6 +99,24 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             cli.load_run_config(p, overrides=["nonsense"])
 
+    @pytest.mark.parametrize("pair, message", [
+        ("nonsense", "expected key = value, got 'nonsense'"),
+        ("lr = 0.1", "unknown config key 'lr'"),
+        ("steps = ten", "steps: invalid literal for int() with base 10: 'ten'"),
+        ("hidden = 8,x", "hidden: invalid literal for int() with base 10: 'x'"),
+    ], ids=["no-equals", "unknown-key", "bad-int", "bad-tuple"])
+    def test_file_line_and_set_share_one_parser(self, tmp_path, pair, message):
+        # the same pair fails the same way in a config file and in --set,
+        # and the message names the line or --set
+        p = tmp_path / "c.cfg"
+        p.write_text(f"modality = discrete\n{pair}\n")
+        with pytest.raises(ValueError) as in_file:
+            cli.load_run_config(p)
+        p.write_text("modality = discrete\n")
+        with pytest.raises(ValueError) as in_set:
+            cli.load_run_config(p, overrides=[pair])
+        assert (str(in_file.value), str(in_set.value)) == (f"line 2: {message}", f"--set: {message}")
+
 
 @pytest.fixture(scope="module")
 def toy_run(tmp_path_factory):
@@ -146,13 +164,13 @@ class TestTrain:
         ("batch_size=0", r"batch_size must be >= 1, got 0"),
         ("steps=0", r"steps must be >= 1, got 0"),
         ("eval_every=-1", r"eval_every must be >= 0, got -1"),
-        ("activation=tanh", r"unknown config key 'activation'"),
-        ("adam_beta1=0.8", r"unknown config key 'adam_beta1'"),
+        ("activation=tanh", r"--set: unknown config key 'activation'"),
+        ("adam_beta1=0.8", r"--set: unknown config key 'adam_beta1'"),
         ("n_freqs=-1", r"n_freqs must be >= 1, got -1"),
         ("n_freqs=0", r"n_freqs must be >= 1, got 0"),
         ("hidden=0", r"hidden widths must be >= 1, got 0"),
         ("hidden=32,-4", r"hidden widths must be >= 1, got 32,-4"),
-        ("alphabet=/nonexistent/alpha.txt", r"unknown config key 'alphabet'"),
+        ("alphabet=/nonexistent/alpha.txt", r"--set: unknown config key 'alphabet'"),
         ("weight_decay=nan", r"weight_decay must be finite and >= 0, got nan"),
         ("weight_decay=inf", r"weight_decay must be finite and >= 0, got inf"),
         ("learning_rate=inf", r"learning_rate must be finite and >= 0, got inf"),
@@ -402,6 +420,18 @@ class TestIngestCommand:
         }
         with pytest.raises(SystemExit, match=message):
             run_cli("ingest", "--modality", "discrete", *(x for kv in args.items() for x in kv))
+
+    @pytest.mark.parametrize("text", [False, True], ids=["bytes", "text"])
+    def test_negative_dim_is_usage_error(self, tmp_path, text):
+        # on text -2 once reached numpy's "can only specify one unknown dimension"
+        src = tmp_path / "in.raw"
+        src.write_bytes(b"abcdefgh")
+        alpha = tmp_path / "a.txt"
+        data.save_alphabet(alpha, data.ALPHABET_27)
+        extra = ("--alphabet", str(alpha)) if text else ("--bins", "256")
+        with pytest.raises(SystemExit, match=r"^ingest: --dim must be >= 1, got -2$"):
+            run_cli("ingest", "--modality", "discrete", "--input", str(src), "--dim", "-2",
+                    "--output", str(tmp_path / "c.ds"), *extra)
 
     @pytest.mark.parametrize("modality", ["continuous", "discretised"])
     def test_alphabet_with_other_modality_is_usage_error(self, tmp_path, modality):

@@ -7,9 +7,9 @@ import pytest
 
 from bflow import continuous as cts
 from bflow.numerics import Rng, gaussian_sample, log_gaussian_pdf
-from bflow.predictor import MLP, ConstantPredictor, PredictorSpec
-from bflow.schedule import ContinuousSigma, FlowConfig, sample_chain
-from oracle_predictors import CtsDatumPredictor
+from bflow.predictor import MLP, CtsDatumPredictor, PredictorSpec
+from bflow.schedule import ContinuousSigma, FlowConfig, loss_cts, sample_chain, step_time
+from oracle_predictors import ConstantPredictor, inversion_bound
 
 CFG = FlowConfig(ContinuousSigma(0.02), D=1)
 
@@ -120,31 +120,42 @@ class TestOutputPrediction:
             cts.estimate(pred, CFG, cts.prior(CFG, 1), 0.5, None)
 
     def test_clipping(self):
-        pred = ConstantPredictor(np.array([5.0]), predicts_data=True)
+        pred = CtsDatumPredictor(np.array([5.0]), CFG.schedule.sigma1)
         assert cts.estimate(pred, CFG, cts.prior(CFG, 1), 0.5, None)[0, 0] == cts.X_MAX
 
 
 class TestLossNStep:
-    def test_perfect_predictor_zero_for_all_n(self):
+    def test_perfect_oracle_costs_its_estimate_error(self):
         # away from the t=0 step (where the prediction is pinned to zero)
-        # a perfect predictor gives exactly zero loss
+        # the datum oracle's loss is the step weight, as loss_n writes it,
+        # times |x - x_hat|^2 for the estimate at the flow state drawn from
+        # the same stream; x_hat is x up to the inversion's rounding, and
+        # exactly x on most rows, whose loss is exactly zero
         x = np.array([0.31, -0.6])
         cfg = FlowConfig(ContinuousSigma(0.02), D=2)
-        pred = ConstantPredictor(x, predicts_data=True)
-        r = Rng(5)
+        s1 = cfg.schedule.sigma1
+        pred = CtsDatumPredictor(x, s1)
+        X = np.tile(x, (20, 1))
         for n in (2, 5, 30):
-            i = r.integers(2, n + 1, size=20)
-            assert np.all(cts.loss_n(r, pred, cfg, np.tile(x, (20, 1)), n, i) == 0.0)
-        # the zero datum is perfectly predicted even at i=1 (t < t_min branch)
+            i = Rng(n).integers(2, n + 1, size=20)
+            got = cts.loss_n(Rng(5), pred, cfg, X, n, i)
+            t = step_time(i, n)
+            state = cts.flow_sample(Rng(5), cfg, X, t)
+            err = x - cts.estimate(pred, cfg, state, t, None)
+            weight = n * (1.0 - s1 ** (2.0 / n)) / (2.0 * s1 ** (2.0 * i / n))
+            assert np.array_equal(got, weight * np.vecdot(err, err))
+            assert np.all(np.abs(err) <= inversion_bound(x, state.mean, cfg.schedule.gamma(t)[:, None]))
+            assert 0 < np.sum(got == 0.0) < len(got)
+        # the zero datum is perfectly predicted at i=1 (t < t_min branch)
         zero = np.zeros((1, 2))
-        zpred = ConstantPredictor(zero[0], predicts_data=True)
+        zpred = CtsDatumPredictor(zero[0], s1)
         for n in (1, 2, 5, 30):
-            assert cts.loss_n(r, zpred, cfg, zero, n, r.integers(1, n + 1, size=1))[0] == 0.0
+            assert cts.loss_n(Rng(6), zpred, cfg, zero, n, 1)[0] == 0.0
 
     def test_single_step_closed_form(self):
         # n=1 forces i=1, t=0, zero prediction
         x = np.array([0.5])
-        pred = ConstantPredictor(x, predicts_data=True)
+        pred = CtsDatumPredictor(x, CFG.schedule.sigma1)
         expected = (1 - CFG.schedule.sigma1**2) / 2 * 0.25 / CFG.schedule.sigma1**2
         assert cts.loss_n(Rng(6), pred, CFG, x[None], 1, 1)[0] == pytest.approx(expected, rel=1e-12)
 
@@ -153,7 +164,7 @@ class TestLossNStep:
         # over (i, noise) reduces to a sum over i computable exactly
         x = np.array([0.4])
         e = 0.1
-        pred = ConstantPredictor(x + e, predicts_data=True)
+        pred = CtsDatumPredictor(x + e, CFG.schedule.sigma1)
         n = 8
         r = Rng(7)
         trials = 100_000
@@ -207,28 +218,28 @@ class TestLossNBatch:
 class TestLossCtsTime:
     def test_perfect_predictor_zero(self):
         x = np.array([0.2])
-        pred = ConstantPredictor(x, predicts_data=True)
-        assert cts.loss_cts(Rng(8), pred, CFG, x[None], 0.7)[0] == 0.0
+        pred = CtsDatumPredictor(x, CFG.schedule.sigma1)
+        assert loss_cts(cts, Rng(8), pred, CFG, x[None], 0.7)[0] == 0.0
 
     def test_constant_error_closed_form(self):
         x = np.array([0.1, 0.2])
         cfg = FlowConfig(ContinuousSigma(0.02), D=2)
         e = 0.05
-        pred = ConstantPredictor(x + e, predicts_data=True)
+        pred = CtsDatumPredictor(x + e, cfg.schedule.sigma1)
         t = 0.43
         expected = -np.log(cfg.schedule.sigma1) * cfg.schedule.sigma1 ** (-2 * t) * 2 * e**2
-        assert cts.loss_cts(Rng(9), pred, cfg, x[None], t)[0] == pytest.approx(expected, rel=1e-12)
+        assert loss_cts(cts, Rng(9), pred, cfg, x[None], t)[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestReconstructionLoss:
     def test_perfect_zero(self):
         x = np.array([0.9])
-        pred = ConstantPredictor(x, predicts_data=True)
+        pred = CtsDatumPredictor(x, CFG.schedule.sigma1)
         assert cts.recon(Rng(10), pred, replace(CFG, recon_sigma=0.1), x[None])[0] == 0.0
 
     def test_constant_error(self):
         x = np.array([0.0])
-        pred = ConstantPredictor(x + 0.2, predicts_data=True)
+        pred = CtsDatumPredictor(x + 0.2, CFG.schedule.sigma1)
         got = cts.recon(Rng(11), pred, replace(CFG, recon_sigma=0.5), x[None])[0]
         assert got == pytest.approx(0.2**2 / (2 * 0.25), rel=1e-12)
 
@@ -240,19 +251,19 @@ class TestReconstructionLoss:
 class TestGenerate:
     def test_constant_oracle_converges(self):
         c = 0.37
-        pred = ConstantPredictor(np.array([c]), predicts_data=True)
+        pred = CtsDatumPredictor(np.array([c]), CFG.schedule.sigma1)
         out = sample_chain(cts, Rng(12), pred, CFG, 50)
         assert abs(out[0] - c) <= 3 * CFG.schedule.sigma1
 
     def test_predictor_called_exactly_twice_for_one_step(self):
         calls = []
 
-        class Counting(ConstantPredictor):
+        class Counting(CtsDatumPredictor):
             def forward_batch(self, X, t):
                 calls.append(t)
                 return super().forward_batch(X, t)
 
-        pred = Counting(np.array([0.1]), predicts_data=True)
+        pred = Counting(np.array([0.1]), CFG.schedule.sigma1)
         sample_chain(cts, Rng(13), pred, CFG, 1)
         # first call lands below t_min so only the t=1 call reaches the
         # predictor; the loop itself runs twice
@@ -266,7 +277,7 @@ class TestGenerate:
         assert np.array_equal(a, b)
 
     def test_final_precision(self):
-        pred = ConstantPredictor(np.array([0.0]), predicts_data=True)
+        pred = CtsDatumPredictor(np.array([0.0]), CFG.schedule.sigma1)
         for n in (1, 7, 32):
             _, p = sample_chain(cts, Rng(15), pred, CFG, n, return_state=True)
             assert p.precision == 1.0 + CFG.schedule.beta(1.0)

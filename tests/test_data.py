@@ -53,6 +53,13 @@ class TestDatasetFile:
         with pytest.raises(ValueError, match=f"payload is {actual} bytes, expected 24"):
             data.load_dataset(p)
 
+    def test_header_with_no_dimensions_rejected(self, tmp_path):
+        # D=0 with 5 items once loaded as items of shape (5, 0)
+        p = tmp_path / "d.ds"
+        p.write_bytes(data._HEADER.pack(data.MAGIC, data.VERSION, data.MODALITY_CODES["continuous"], 0, 0, 5))
+        with pytest.raises(ValueError, match="^D must be >= 1, got 0$"):
+            data.load_dataset(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.ds"
         p.write_bytes(b"not a dataset at all........." + b"\0" * 16)
@@ -144,6 +151,12 @@ class TestTextIngest:
         ds = data.ingest_text("abcdefgh", data.ALPHABET_27, seq_len=3)
         assert ds.items.shape == (2, 3)  # incomplete tail dropped
 
+    @pytest.mark.parametrize("seq_len", [-1, -2])
+    def test_negative_chunk_length_names_d(self, seq_len):
+        # -2 once ended in numpy's "can only specify one unknown dimension"
+        with pytest.raises(ValueError, match=f"^seq_len, the item length D, must be >= 1, got {seq_len}$"):
+            data.ingest_text("abcdefgh", data.ALPHABET_27, seq_len)
+
     def test_round_trip_export(self):
         text = "the cat\nsat mat\none two"
         ds = data.ingest_text(text, data.ALPHABET_27)
@@ -190,6 +203,13 @@ class TestByteIngest:
     def test_payload_size_mismatch(self):
         with pytest.raises(ValueError):
             data.ingest_bytes(bytes([1, 2, 3]), 2, "continuous")
+
+    @pytest.mark.parametrize("D", [0, -2])
+    def test_dimension_below_one_rejected(self, D):
+        # 0 once raised ZeroDivisionError and -2 numpy's reshape error
+        for modality, K in (("continuous", 0), ("discretised", 16), ("discrete", 4)):
+            with pytest.raises(ValueError, match=f"^D must be >= 1, got {D}$"):
+                data.ingest_bytes(bytes([1, 2, 3, 0]), D, modality, K)
 
 
 class TestToys:

@@ -11,9 +11,9 @@ from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
 from bflow.numerics import Rng, log_gaussian_pdf, softmax_rows
-from bflow.predictor import MLP, ConstantPredictor, ConstantProbsPredictor, PredictorSpec
-from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, sample_chain
-from oracle_predictors import DiscreteOneHotPredictor
+from bflow.predictor import MLP, ConstantProbsPredictor, PredictorSpec
+from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, sample_chain
+from oracle_predictors import ConstantPredictor, DiscreteOneHotPredictor
 
 SCHED = DiscreteQuadratic(0.75)
 
@@ -117,7 +117,7 @@ class TestFlowSample:
 
 def _output_probs(pred, theta, t, K):
     """Class probabilities (D, K) at one state: the batched map on one row."""
-    return dd.output_map(dd._net_out(pred, FlowConfig(SCHED, len(theta), K), np.asarray(theta)[None], t), K)[0]
+    return dd.output_map(dd.net_out(pred, FlowConfig(SCHED, len(theta), K), np.asarray(theta)[None], t), K)[0]
 
 
 class TestOutputDistribution:
@@ -291,14 +291,14 @@ class TestLossCtsTime:
     def test_one_hot_correct_zero(self):
         x = np.array([2, 2])
         pred = DiscreteOneHotPredictor(x, 3, sharpness=800.0)
-        assert dd.loss_cts(Rng(13), pred, FlowConfig(SCHED, 2, 3), x[None], 0.6)[0] == 0.0
+        assert loss_cts(dd, Rng(13), pred, FlowConfig(SCHED, 2, 3), x[None], 0.6)[0] == 0.0
 
     def test_uniform_output_closed_form(self):
         K, D = 4, 3
         x = np.array([1, 2, 4])
         pred = ConstantPredictor(np.zeros(K * D))
         t = 0.37
-        got = dd.loss_cts(Rng(14), pred, FlowConfig(SCHED, D, K), x[None], t)[0]
+        got = loss_cts(dd, Rng(14), pred, FlowConfig(SCHED, D, K), x[None], t)[0]
         expected = SCHED.beta1 * t * (K - 1) * D
         assert got == pytest.approx(expected, rel=1e-12)
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from bflow import continuous as cts
 from bflow import discretised as dsc
 from bflow.numerics import Rng, gaussian_sample, neg_log_true_class
-from bflow.predictor import ConstantPredictor, DiscretisedDatumPredictor
-from bflow.schedule import ContinuousSigma, FlowConfig, sample_chain
+from bflow.predictor import DiscretisedDatumPredictor
+from bflow.schedule import ContinuousSigma, FlowConfig, loss_cts, sample_chain
+from oracle_predictors import ConstantPredictor
 
 CFG = FlowConfig(ContinuousSigma(math.sqrt(0.001)), D=1, K=16)
 
@@ -41,6 +42,14 @@ class TestBinGeometry:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             dsc.BinGeometry(4).center(5)
+
+    @pytest.mark.parametrize("K", [2, 3, 5, 16, 27, 255, 256, 1000, 1024])
+    def test_centre_reads_the_centre_table(self, K):
+        # center(k) is a float of centers[k - 1], the closed form's bits
+        g = dsc.BinGeometry(K)
+        got = [g.center(k) for k in range(1, K + 1)]
+        assert all(type(c) is float for c in got)
+        assert got == [(2.0 * k - 1.0) / K - 1.0 for k in range(1, K + 1)]
 
 
 class TestQuantise:
@@ -136,7 +145,7 @@ class TestDiscretisedCdf:
 class TestOutputDistribution:
     def test_prior_branch_below_tmin(self):
         pred = ConstantPredictor(np.full(2, 99.0))
-        probs = dsc.probs(pred, CFG, cts.prior(CFG, 1).mean, 0.0)[0]
+        probs = dsc.probs(pred, CFG, cts.prior(CFG, 1), 0.0)[0]
         # standard-normal masses with tails folded into the end bins
         g = dsc.BinGeometry(16)
         expect = np.zeros(16)
@@ -151,7 +160,7 @@ class TestOutputDistribution:
         x = np.array([dsc.BinGeometry(16).center(5)])
         pred = DiscretisedDatumPredictor(x, 1e-9, CFG.schedule.sigma1)
         p = cts.flow_sample(Rng(0), CFG, x[None], 0.5)
-        probs = dsc.probs(pred, CFG, p.mean, 0.5)[0]
+        probs = dsc.probs(pred, CFG, p, 0.5)[0]
         assert probs[0, 4] == 1.0
         assert probs[0].sum() == 1.0
 
@@ -180,7 +189,7 @@ class TestOutputDistribution:
     def test_wrong_predictor_width(self):
         pred = ConstantPredictor(np.zeros(3))
         with pytest.raises(ValueError):
-            dsc.probs(pred, CFG, cts.prior(CFG, 1).mean, 0.5)
+            dsc.probs(pred, CFG, cts.prior(CFG, 1), 0.5)
 
 
 class TestKHat:
@@ -301,7 +310,7 @@ class TestLossNStep:
 
         t = (i - 1) / n
         p = cts.flow_sample(Rng(8), cfg, x[None], t)
-        probs = dsc.probs(pred, cfg, p.mean, t)[0, 0]
+        probs = dsc.probs(pred, cfg, p, t)[0, 0]
 
         def integrand(y):
             send = np.exp(-0.5 * alpha * (y - x[0]) ** 2) * math.sqrt(alpha / (2 * math.pi))
@@ -367,7 +376,7 @@ class TestLossCtsTime:
         g = dsc.BinGeometry(K)
         x = np.array([g.center(3)])
         pred = DiscretisedDatumPredictor(x, 1e-9, CFG.schedule.sigma1)
-        assert dsc.loss_cts(Rng(9), pred, CFG, x[None], 0.5)[0] == pytest.approx(0.0, abs=1e-12)
+        assert loss_cts(dsc, Rng(9), pred, CFG, x[None], 0.5)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_output_closed_form(self):
         # uniform rows have expected centre zero by symmetry, so the loss

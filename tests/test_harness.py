@@ -86,7 +86,7 @@ class TestExactMoments:
         cfg, t, x = FlowConfig(ContinuousSigma(0.02), D=1), 0.5, 0.5
         state = cts.flow_sample(harness._unit_noise(1, 1)[0], cfg, np.full((2, 1), x), t)
         mean, cov = harness._affine_moments(state.mean)
-        g = cts.gamma(cfg, t)
+        g = cfg.schedule.gamma(t)
         assert abs(mean[0] - g * x) < 1e-12 and abs(cov[0, 0] - g * (1 - g)) < 1e-12
 
     def test_discrete_flow(self):
@@ -187,8 +187,8 @@ class TestMutationSensitivity:
 
     def test_scaled_cts_time_weight_detected(self, monkeypatch):
         # a 1% error in the continuous-time weight breaks convergence
-        real = cts.loss_cts
-        monkeypatch.setattr(cts, "loss_cts", lambda *a: 1.01 * real(*a))
+        real = cts.loss_inf
+        monkeypatch.setattr(cts, "loss_inf", lambda *a, **k: 1.01 * real(*a, **k))
         assert not harness.check_loss_convergence(7, "continuous").passed
 
     def test_missing_n_factor_detected(self, monkeypatch):

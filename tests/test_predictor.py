@@ -7,9 +7,9 @@ from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
 from bflow.numerics import Rng
-from bflow.predictor import MLP, ConstantPredictor, PredictorSpec, time_features
+from bflow.predictor import MLP, CtsDatumPredictor, PredictorSpec, time_features
 from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig
-from oracle_predictors import CtsDatumPredictor, CtsPosteriorPredictor, DiscreteOneHotPredictor
+from oracle_predictors import ConstantPredictor, CtsPosteriorPredictor, DiscreteOneHotPredictor
 
 
 class TestSpecWidths:

@@ -12,7 +12,7 @@ from bflow import discretised as dsc
 from bflow import training
 from bflow.numerics import Rng
 from bflow.predictor import MLP, DiscretisedDatumPredictor
-from bflow.schedule import ContinuousSigma, FlowConfig, sample_chain
+from bflow.schedule import ContinuousSigma, FlowConfig, loss_cts, sample_chain
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ class TestEvalTableBehaviour:
         i = np.tile(np.arange(1, n + 1), 40 * len(items))
         ln_mean = float(np.mean(dd.loss_n(rng, predictor, cfg, x, n, i)))
         x = np.tile(items, (4000, 1))
-        linf_mean = float(np.mean(dd.loss_cts(rng, predictor, cfg, x, rng.uniform(size=len(x)))))
+        linf_mean = float(np.mean(loss_cts(dd, rng, predictor, cfg, x, rng.uniform(size=len(x)))))
         assert ln_mean == pytest.approx(linf_mean, rel=0.05)
 
 
