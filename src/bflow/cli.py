@@ -62,6 +62,10 @@ def load_run_config(path, overrides=()):
 
 def train_config_from_run(cfg):
     fields = {k: v for k, v in cfg.items() if k not in RUN_KEYS}
+    missing = [f.name for f in dataclasses.fields(training.TrainConfig)
+               if f.default is dataclasses.MISSING and f.name not in fields]
+    if missing:
+        raise ValueError(f"missing required key{'s' * (len(missing) > 1)} {', '.join(map(repr, missing))}")
     return training.TrainConfig(**fields)
 
 
@@ -95,15 +99,22 @@ def cmd_ingest(args):
     source = Path(args.input)
     if args.alphabet:
         alphabet = _load("ingest", f"--alphabet {args.alphabet}", data.load_alphabet, args.alphabet)
+        if args.bins and args.bins != len(alphabet):
+            raise SystemExit(f"ingest: --bins {args.bins}: the alphabet {args.alphabet} fixes K={len(alphabet)}")
         text = _load("ingest", f"--input {args.input}", source.read_text, "utf-8")
         if text.endswith("\n"):
             text = text[:-1]
         ds = _load("ingest", f"--input {args.input}", data.ingest_text, text, alphabet, args.dim)
+        if args.dim and args.dim != ds.D:  # lines fix D; --dim only chunks unbroken text
+            raise SystemExit(f"ingest: --dim {args.dim}: the lines of {args.input} hold {ds.D} symbols each")
         if ds.modality != args.modality:
             raise SystemExit(f"ingest: --alphabet ingests text as {ds.modality} data, not {args.modality}")
     else:
-        if args.modality != "continuous" and args.bins < 2:
-            raise SystemExit("ingest: --bins is required for discretised/discrete byte data")
+        if args.modality != "continuous":
+            if args.bins < 2:
+                raise SystemExit("ingest: --bins is required for discretised/discrete byte data")
+        elif args.bins:
+            raise SystemExit(f"ingest: --bins {args.bins}: continuous data takes no class count")
         if not args.dim:
             raise SystemExit("ingest: --dim is required for byte data")
         raw = _load("ingest", f"--input {args.input}", source.read_bytes)

@@ -1,19 +1,18 @@
 """Continuous data: Gaussian input beliefs, noise-parameterised prediction,
 transmission losses and ancestral sampling.
 
-The belief state over D-dimensional data is a diagonal Gaussian with a
-shared scalar precision.  Precision is data-independent (every update adds
-the same accuracy to every dimension), so along a schedule it can always be
-recomputed as ``1 + beta(t)``; the sampler's ``update`` uses that closed
-form so the final precision is exact rather than an accumulated float sum.
+The belief over D-dimensional data is a diagonal Gaussian whose precision
+is data-independent: every update adds the same accuracy to every
+dimension, so at time t it is ``1 + beta(t)`` in closed form.  A belief
+state is therefore just its (B, D) array of means; ``bayes_update`` takes
+the precisions before and after the update from its caller, and the
+sampler's ``update`` passes the closed forms at the step's two ends.
 The network emits noise estimates e, whose data estimate at belief mean
 mu is mu / gamma - sqrt((1 - gamma) / gamma) e.  The ops take one
 ``schedule.FlowConfig`` holding a ``ContinuousSigma`` schedule; the
 reconstruction loss needs its ``recon_sigma`` > 0.
 ``schedule.sample_chain`` and ``schedule.loss_cts`` run them.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,24 +25,10 @@ from .schedule import step_time
 X_MIN, X_MAX = -1.0, 1.0
 
 
-@dataclass
-class CtsParams:
-    """Input-distribution state: per-dimension mean, shared precision >= 1
-    (for a batch from flow_sample, a (B, D) mean and a (B,) precision)."""
-
-    mean: np.ndarray
-    precision: float
-
-    def __getitem__(self, b):
-        """Row b of a batched state; a precision shared by the rows stays."""
-        precision = self.precision if np.ndim(self.precision) == 0 else self.precision[b]
-        return CtsParams(mean=self.mean[b], precision=precision)
-
-
 def prior(cfg, B):
-    """The beliefs of B streams before any update: zero means (B, D) at
-    precision 1."""
-    return CtsParams(mean=np.zeros((B, cfg.D)), precision=1.0)
+    """The beliefs of B streams before any update: zero means (B, D); their
+    precision is 1."""
+    return np.zeros((B, cfg.D))
 
 
 def check_data(cfg, x):
@@ -52,27 +37,24 @@ def check_data(cfg, x):
         raise ValueError("values outside [-1, 1]")
 
 
-def bayes_update(p, y, alpha, precision=None):
-    """Precision-weighted posterior after observing y at accuracy alpha;
-    precision, when given, is p.precision + alpha in a closed form."""
+def bayes_update(mean, y, alpha, precision, new_precision):
+    """The posterior means after observing y at accuracy alpha, weighting the
+    means at precision and y at alpha; new_precision is precision + alpha,
+    which the caller may give in a closed form."""
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != p.mean.shape:
+    if y.shape != mean.shape:
         raise ValueError("observation length does not match state dimension")
-    if precision is None:
-        precision = p.precision + alpha
-    mean = (p.mean * p.precision + y * alpha) / precision
-    return CtsParams(mean=mean, precision=precision)
+    return (mean * precision + y * alpha) / new_precision
 
 
 def flow_sample(rng, cfg, x, t, z=None):
-    """Draw belief states at times t directly, collapsing all updates.
+    """Draw belief means at times t directly, collapsing all updates.
 
     x is a (B, D) batch with t (B,), one time per row, or one float for
-    every row: the state's mean is (B, D) and its precision (B,).
-    mean ~ N(gamma(t) x, gamma(t)(1 - gamma(t)) I) and
-    precision = 1 + beta(t).  Every row draws its block of noise; at t=0
+    every row; the means (B, D) are N(gamma(t) x, gamma(t)(1 - gamma(t)) I),
+    at precision 1 + beta(t).  Every row draws its block of noise; at t=0
     gamma is 0, so the noise is scaled by zero and the row is exactly the
     prior.  z, when given, is the draw's standard-normal noise, x's shape,
     and rng is not used.
@@ -80,11 +62,10 @@ def flow_sample(rng, cfg, x, t, z=None):
     x = np.asarray(x, dtype=np.float64)
     if x.min() < X_MIN or x.max() > X_MAX:
         raise ValueError(f"data outside [{X_MIN}, {X_MAX}]")
-    precision = np.full(x.shape[0], 1.0 + cfg.schedule.beta(t))
     g = np.full(x.shape[0], cfg.schedule.gamma(t))[:, None]
     if z is None:
         z = rng.standard_normal(x.shape)
-    return CtsParams(mean=g * x + np.sqrt(g * (1.0 - g)) * z, precision=precision)
+    return g * x + np.sqrt(g * (1.0 - g)) * z
 
 
 def noise_terms(cfg, t, B):
@@ -94,9 +75,9 @@ def noise_terms(cfg, t, B):
     meaningless there, and the output maps mask those rows.
 
     t is (B,) or one float for every row.  A float keeps gamma in Python
-    float arithmetic, as the per-item ops always computed it; numpy's
-    vectorised power differs from it in the last bit for about one input
-    in twenty.
+    float arithmetic, so a one-time batch and its one-row calls agree bit
+    for bit; numpy's vectorised power differs from it in the last bit for
+    about one input in twenty.
     """
     g = np.maximum(np.full(B, cfg.schedule.gamma(t))[:, None], 1e-300)
     live = np.full(B, t >= cfg.t_min)[:, None]
@@ -131,15 +112,15 @@ def render(cfg, samples, alphabet):
 
 
 def net_input(cfg, state):
-    """The network's (B, D) input for flow states: the belief means."""
-    return state.mean
+    """The network's (B, D) input for belief states: the means themselves."""
+    return state
 
 
 def loss_inf(cfg, x, state, t, net_out, grad=False):
     """Continuous-time loss (alpha(t) / 2) |x - x_hat|^2 per row of a (B, D)
     batch at flow states state and times t, (B,) or one float for every
     row; with grad, also its gradient w.r.t. net_out."""
-    x_hat, inside, slope = output_map(cfg, state.mean, t, net_out)
+    x_hat, inside, slope = output_map(cfg, state, t, net_out)
     w = 0.5 * np.full(x.shape[0], cfg.schedule.alpha(t))
     resid = x - x_hat
     loss = w * np.sum(resid * resid, axis=1)
@@ -149,24 +130,24 @@ def loss_inf(cfg, x, state, t, net_out, grad=False):
 
 
 def net_out(predictor, cfg, state, t, width=None):
-    """The predictor's (B, width) outputs, width D unless given, at beliefs
-    state and times t; zeros on rows below t_min, where the output maps
-    ignore them, so the predictor never sees those rows."""
-    mu, width = state.mean, width or cfg.D
-    live = np.full(mu.shape[0], t >= cfg.t_min)
+    """The predictor's (B, width) outputs, width D unless given, at belief
+    means state and times t; zeros on rows below t_min, where the output
+    maps ignore them, so the predictor never sees those rows."""
+    width = width or cfg.D
+    live = np.full(state.shape[0], t >= cfg.t_min)
     if live.all():
-        return forward_rows(predictor, mu, t, width)
-    out = np.zeros((mu.shape[0], width))
+        return forward_rows(predictor, state, t, width)
+    out = np.zeros((state.shape[0], width))
     if live.any():
-        out[live] = forward_rows(predictor, mu[live], np.asarray(t)[live], width)
+        out[live] = forward_rows(predictor, state[live], np.asarray(t)[live], width)
     return out
 
 
 def estimate(predictor, cfg, state, t, rngs):
-    """Clipped data estimates (B, D) at beliefs state and times t, the
+    """Clipped data estimates (B, D) at belief means state and times t, the
     sampler's and the losses' x_hat; they draw nothing from rngs, and below
     t_min they are zero without reaching the predictor."""
-    return output_map(cfg, state.mean, t, net_out(predictor, cfg, state, t))[0]
+    return output_map(cfg, state, t, net_out(predictor, cfg, state, t))[0]
 
 
 def loss_n(rng, predictor, cfg, x, n, i):
@@ -201,9 +182,12 @@ def recon(rng, predictor, cfg, x):
 
 
 def update(cfg, state, estimate, i, n, rngs):
-    """The beliefs after step i of n: each stream sends its row of the
+    """The belief means after step i of n: each stream sends its row of the
     estimate (B, D) at the step's accuracy alpha with its own D normals,
-    N(estimate, 1 / alpha), and the precision is 1 + beta(i / n)."""
-    alpha = cfg.schedule.step_alpha(i, n)
+    N(estimate, 1 / alpha), and the precision goes from 1 + beta((i - 1) / n)
+    to 1 + beta(i / n)."""
+    sched = cfg.schedule
+    alpha = sched.step_alpha(i, n)
     z = np.array([r.standard_normal(cfg.D) for r in rngs])
-    return bayes_update(state, gaussian_sample(None, estimate, 1.0 / alpha, z), alpha, 1.0 + cfg.schedule.beta(i / n))
+    y = gaussian_sample(None, estimate, 1.0 / alpha, z)
+    return bayes_update(state, y, alpha, 1.0 + sched.beta((i - 1) / n), 1.0 + sched.beta(i / n))

@@ -1,12 +1,14 @@
-"""Discrete (categorical) data: simplex belief states, Gaussian-logit
-sender, multiplicative Bayesian updates, losses and sampling.
+"""Discrete (categorical) data: summed-logit belief states, Gaussian-logit
+sender, additive Bayesian updates, losses and sampling.
 
-Data is a vector of D class indices in 1..K.  The belief state is one
-probability row per dimension.  Updates multiply each row by exp(y) and
-renormalise; all update arithmetic happens in log space, because repeated
-multiplicative updates underflow long before they converge.  Sender draws
-are stored as (D, K) blocks; the flattened K*D layout is an encoding
-detail.
+Data is a vector of D class indices in 1..K.  The belief over a dimension
+is a probability row, and a Bayesian update with a sender draw y
+multiplies it by exp(y) and renormalises: it adds y to the row's logits.
+So a belief state is the (B, D, K) array of summed logits, zero at the
+uniform prior, an update is one addition, exact and free of underflow, and
+the probabilities are the rows' softmax, which ``net_input`` takes.  The
+flow draws the same sum in one Gaussian draw.  Sender draws are stored as
+(D, K) blocks; the flattened K*D layout is an encoding detail.
 
 For binary data (K=2) only the class-1 probability is fed to the network
 and a logistic sigmoid produces the class-1 output probability; the K>2
@@ -22,17 +24,13 @@ import sys
 import numpy as np
 
 from .kernels import logsumexp_rows
-from .numerics import gaussian_sample, neg_log_true_class, row_sum, sample_categorical_rows, softmax_rows
+from .numerics import neg_log_true_class, row_sum, sample_categorical_rows, softmax_rows
 from .predictor import forward_rows
 from .schedule import FlowConfig, sample_chain, step_time
 
 
 # the default alphabet of K=27 data: a to z, then space
 ALPHABET_27 = [chr(c) for c in range(ord("a"), ord("z") + 1)] + [" "]
-
-
-def uniform_prior(D, K):
-    return np.full((D, K), 1.0 / K)
 
 
 def check_data(cfg, x):
@@ -42,17 +40,19 @@ def check_data(cfg, x):
 
 
 def one_hot(x, K):
-    """(..., K) projection of 1-based class indices."""
-    x = np.asarray(x, dtype=np.int64)
-    if x.min() < 1 or x.max() > K:
+    """(..., K) projection of 1-based class indices, as booleans, which
+    arithmetic reads as 1.0 and 0.0."""
+    hot = np.asarray(x, dtype=np.int64)[..., None] == np.arange(1, K + 1)
+    if np.count_nonzero(hot) != hot.size // K:  # an index outside 1..K matches no class
         raise ValueError(f"class index outside 1..{K}")
-    out = np.zeros(x.shape + (K,))
-    out.reshape(-1, K)[np.arange(x.size), x.ravel() - 1] = 1.0
-    return out
+    return hot
 
 
 def sender_mean(x, alpha, K):
-    return alpha * (K * one_hot(x, K) - 1.0)
+    """The sender's mean alpha (K e_x - 1), (..., D, K), for one accuracy or
+    accuracies broadcasting against it: alpha (K - 1) at the class and
+    -alpha elsewhere, the same bits."""
+    return np.where(one_hot(x, K), alpha * (K - 1.0), -alpha)
 
 
 def sender_sample(rng, x, alpha, K, z=None):
@@ -64,46 +64,30 @@ def sender_sample(rng, x, alpha, K, z=None):
     ok = alpha > 0.0  # NaN fails
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise ValueError("alpha must be positive")
-    return gaussian_sample(rng, sender_mean(x, alpha, K), alpha * K, z)
-
-
-def bayes_update(theta, y):
-    """Multiplicative update exp(y) * theta, renormalised per row.
-
-    Computed in log space; exact additivity holds: updating with y_a then
-    y_b equals one update with y_a + y_b.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim < 2:
-        raise ValueError("expected (..., D, K) probability rows")
-    if np.any(theta < 0.0):
-        raise ValueError("negative probability entry")
-    if np.any(np.abs(row_sum(theta) - 1.0) > 1e-9):
-        raise ValueError("row does not sum to 1")
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != theta.shape:
-        raise ValueError("observation shape does not match state shape")
-    with np.errstate(divide="ignore"):
-        logits = y + np.log(theta)
-    return softmax_rows(logits)
+    mean = sender_mean(x, alpha, K)
+    if z is None:
+        z = rng.standard_normal(mean.shape)
+    # gaussian_sample's draw without its variance check, which the alpha
+    # check above makes: the sampler's update pays for this op every step
+    return mean + np.sqrt(alpha * K) * z
 
 
 def flow_sample(rng, cfg, x, t, z=None):
-    """Belief states at times t: softmax of one Gaussian logit draw per row,
-    N(beta(t)(K e_x - 1), beta(t) K I).
+    """Belief states at times t: summed logits (B, D, K) drawn in one
+    Gaussian draw per row, N(beta(t)(K e_x - 1), beta(t) K I), the sender's
+    law at the accuracy beta(t).
 
     x is a (B, D) batch with t (B,), one time per row, or one float for
-    every row, and gives (B, D, K).  Every row draws its block of noise; at
-    t=0 beta is 0, so the logits are all zero and the row is exactly the
-    uniform prior.  z, when given, is the draw's standard-normal noise,
-    (B, D, K), and rng is not used.
+    every row.  Every row draws its block of noise; at t=0 beta is 0, so
+    the logits are all zero and the row is exactly the prior.  z, when
+    given, is the draw's standard-normal noise, (B, D, K), and rng is not
+    used.
     """
-    x = np.asarray(x, dtype=np.int64)
     K = cfg.K
-    beta = np.full(x.shape[0], cfg.schedule.beta(t))[:, None, None]
+    beta = np.full(np.shape(x)[0], cfg.schedule.beta(t))[:, None, None]
     if z is None:
-        z = rng.standard_normal(x.shape + (K,))
-    return softmax_rows(beta * (K * one_hot(x, K) - 1.0) + np.sqrt(beta * K) * z)
+        z = rng.standard_normal(np.shape(x) + (K,))
+    return sender_mean(x, beta, K) + np.sqrt(beta * K) * z
 
 
 def net_widths(cfg):
@@ -130,12 +114,12 @@ def render(cfg, samples, alphabet):
 
 
 def net_input(cfg, state):
-    """Network input encoding of (..., D, K) states: probabilities rescaled
-    to [-1, 1], one row per state.
+    """Network input encoding of (..., D, K) summed-logit states: the
+    beliefs, their row softmax, rescaled to [-1, 1], one row per state.
 
     K=2 feeds only the class-1 column; K>2 feeds the full flattened rows.
     """
-    theta = np.asarray(state, dtype=np.float64)
+    theta = softmax_rows(state)
     if cfg.K == 2:
         return 2.0 * theta[..., 0] - 1.0
     return (2.0 * theta - 1.0).reshape(theta.shape[:-2] + (-1,))
@@ -179,7 +163,8 @@ def loss_inf(cfg, x, state, t, net_out, grad=False):
 
 
 def net_out(predictor, cfg, state, t):
-    """The predictor's (B, width) outputs at beliefs state (B, D, K), times t."""
+    """The predictor's (B, width) outputs at summed logits state (B, D, K)
+    and times t."""
     X = net_input(cfg, state)
     return forward_rows(predictor, X, t, X.shape[1])
 
@@ -221,9 +206,9 @@ def loss_n(rng, predictor, cfg, x, n, i):
     if not np.isscalar(alpha):
         alpha = alpha[:, None, None]
     z = rng.standard_normal((x.shape[0], 2) + x.shape[1:] + (K,))
-    theta = flow_sample(rng, cfg, x, t, z[:, 0])
+    state = flow_sample(rng, cfg, x, t, z[:, 0])
     y = sender_sample(rng, x, alpha, K, z[:, 1])
-    probs = output_map(net_out(predictor, cfg, theta, t), K)
+    probs = output_map(net_out(predictor, cfg, state, t), K)
     return n * log_ratio(y, x, probs, alpha, K)
 
 
@@ -232,14 +217,13 @@ def recon(rng, predictor, cfg, x):
     class indices: -log of the true classes' probabilities at a flow state
     drawn at t=1 for each row."""
     x = np.asarray(x, dtype=np.int64)
-    theta = flow_sample(rng, cfg, x, 1.0)
-    return neg_log_true_class(output_map(net_out(predictor, cfg, theta, 1.0), cfg.K), x)
+    state = flow_sample(rng, cfg, x, 1.0)
+    return neg_log_true_class(output_map(net_out(predictor, cfg, state, 1.0), cfg.K), x)
 
 
 def prior(cfg, B):
-    """The sampling state of B streams before any update: the summed sender
-    draws (B, D, K), zero at first; the beliefs are its row softmax, since
-    the uniform prior adds the same constant to every logit."""
+    """The beliefs of B streams before any update: zero summed logits
+    (B, D, K), whose row softmax is the uniform prior."""
     return np.zeros((B, cfg.D, cfg.K))
 
 
@@ -248,23 +232,15 @@ def estimate(predictor, cfg, state, t, rngs):
     indices (B, D) drawn from the output distribution, each stream drawing
     one categorical uniform per dimension."""
     u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])
-    return sample_categorical_rows(output_map(net_out(predictor, cfg, softmax_rows(state), t), cfg.K), u)
+    return sample_categorical_rows(output_map(net_out(predictor, cfg, state, t), cfg.K), u)
 
 
 def update(cfg, state, estimate, i, n, rngs):
     """The summed logits after step i of n: each stream sends its row of
     the estimate (B, D), class indices, at the step's accuracy with its own
-    D K normals."""
-    K = cfg.K
-    alpha = cfg.schedule.step_alpha(i, n)
-    z = np.array([r.standard_normal((cfg.D, K)) for r in rngs])
-    # sender_sample's draw, same bits, in place; the estimate is in 1..K
-    mean = np.full(state.shape, -alpha)
-    mean.reshape(-1, K)[np.arange(estimate.size), estimate.ravel() - 1] = alpha * (K - 1.0)
-    z *= np.sqrt(alpha * K)
-    z += mean
-    z += state
-    return z
+    D K normals, and the draw adds to the logits."""
+    z = np.array([r.standard_normal((cfg.D, cfg.K)) for r in rngs])
+    return state + sender_sample(None, estimate, cfg.schedule.step_alpha(i, n), cfg.K, z)
 
 
 def generate(rng, predictor, sched, n, K, D):

@@ -1,10 +1,10 @@
 """Discretised data: K bins tiling [-1, 1], clipped-Gaussian bin masses,
 the expected bin centre, mixture receiver, losses and sampling.
 
-Belief state, schedule, sender and flow, and so the sampler's ``prior``
-and ``update``, are shared with the continuous module; only the
-prediction side changes, down to the sampler's ``estimate``, a drawn bin
-centre per dimension.  The predictor emits a
+Belief state (the (B, D) Gaussian means, at precision 1 + beta(t)),
+schedule, sender and flow, and so the sampler's ``prior`` and ``update``,
+are shared with the continuous module; only the prediction side changes,
+down to the sampler's ``estimate``, a drawn bin centre per dimension.  The predictor emits a
 (noise-mean, log-noise-std) pair per dimension, which is mapped to a
 Gaussian over data space whose tails fold into the end bins.  The
 continuous-time loss needs only the expected bin centre, whose edge sums
@@ -113,7 +113,7 @@ def render(cfg, samples, alphabet):
 
 
 def flow_sample(rng, cfg, x, t, z=None):
-    """Belief states at times t: the continuous flow (continuous.flow_sample)."""
+    """Belief means at times t: the continuous flow (continuous.flow_sample)."""
     return continuous.flow_sample(rng, cfg, x, t, z)
 
 
@@ -219,10 +219,10 @@ def expected_centre(mu_x, sigma_x, K, grad=False):
 
 def loss_inf(cfg, x, state, t, net_out, grad=False):
     """Continuous-time loss (alpha(t) / 2) |x - k_hat|^2 per row of a (B, D)
-    batch at flow states state, k_hat being the expected bin centre under
+    batch at belief means state, k_hat being the expected bin centre under
     the output bin masses; with grad, also its gradient w.r.t. net_out."""
     B, D = x.shape
-    mu_x, sigma_x, live, ratio = output_map(cfg, state.mean, t, net_out)
+    mu_x, sigma_x, live, ratio = output_map(cfg, state, t, net_out)
     w = 0.5 * np.full(B, cfg.schedule.alpha(t))
     centre, dkhat_dmu, dkhat_dsig = expected_centre(mu_x, sigma_x, cfg.K, grad)
     resid = x - centre
@@ -241,9 +241,9 @@ def net_out(predictor, cfg, state, t):
 
 
 def probs(predictor, cfg, state, t):
-    """Bin masses (B, D, K) at beliefs state and times t; a unit Gaussian
+    """Bin masses (B, D, K) at belief means state and times t; a unit Gaussian
     at zero below t_min."""
-    mu_x, sigma_x = output_map(cfg, state.mean, t, net_out(predictor, cfg, state, t))[:2]
+    mu_x, sigma_x = output_map(cfg, state, t, net_out(predictor, cfg, state, t))[:2]
     return bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), cfg.K).reshape(*mu_x.shape, cfg.K)
 
 
@@ -294,7 +294,7 @@ def recon(rng, predictor, cfg, x):
 
 
 def estimate(predictor, cfg, state, t, rngs):
-    """The sampler's estimate at beliefs state and time t: bin centres
+    """The sampler's estimate at belief means state and time t: bin centres
     (B, D) drawn from the output bin masses, each stream drawing one
     categorical uniform per dimension."""
     u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])

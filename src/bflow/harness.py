@@ -34,8 +34,9 @@ the run of one-row calls would.  A gate then draws real samples from the
 stochastic ops and requires agreement within 4 standard errors, so the
 sampled path cannot drift from the verified one and an op not affine in
 its noise still shows; the affine and KL checks' reports state the gate's
-false-alarm rate.  Categorical log-beliefs are compared less each row's
-mean: the update is invariant to a shift of a row's logits, so only that
+false-alarm rate.  Categorical belief states, the summed logits that the
+sampler holds, are compared less each row's mean: a row's beliefs are its
+softmax, which a common shift of its logits leaves alone, so only that
 quotient is meaningful.
 """
 
@@ -49,7 +50,7 @@ import numpy as np
 from . import continuous as cts
 from . import discrete as dd
 from . import discretised as dsc
-from .numerics import Rng, gaussian_sample, log_gaussian_pdf, row_sum
+from .numerics import Rng, gaussian_sample, log_gaussian_pdf, row_sum, softmax_rows
 from .predictor import ConstantProbsPredictor, CtsDatumPredictor, DiscretisedDatumPredictor
 from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, step_time
 
@@ -147,36 +148,33 @@ def _gate_text(dev, k):
     return f"gate={dev:.2f}se fa<{k * GATE_FA:.1e}"
 
 
-def _centred_log(theta):
-    """Log-beliefs less each row's mean: the update's shift-free part."""
-    logs = np.log(theta)
+def _centred(logits):
+    """Summed logits less each row's mean: the beliefs' shift-free part."""
     # numpy computes the mean as this sum over the count, so the bits match
-    return logs - (row_sum(logs) / logs.shape[-1])[..., None]
+    return logits - (row_sum(logits) / logits.shape[-1])[..., None]
 
 
 def _cts_chain(noise, alphas, rows, x=0.5):
-    """The states of `rows` one-dimensional chains of cts.bayes_update from
-    the prior, one update per accuracy in alphas, observed through
-    gaussian_sample with the stream noise[i]."""
-    p = cts.prior(FlowConfig(None, D=1), rows)  # the prior reads only D
+    """The belief means of `rows` one-dimensional chains of cts.bayes_update
+    from the prior, one update per accuracy in alphas, observed through
+    gaussian_sample with the stream noise[i]; the precision starts at 1 and
+    gains each accuracy."""
+    mean, precision = cts.prior(FlowConfig(None, D=1), rows), 1.0  # the prior reads only D
     for src, a in zip(noise, alphas):
-        p = cts.bayes_update(p, gaussian_sample(src, np.full((rows, 1), x), 1 / a), a)
-    return p
-
-
-def _cts_means(noise, alphas, rows):
-    return _cts_chain(noise, alphas, rows).mean
+        y = gaussian_sample(src, np.full((rows, 1), x), 1 / a)
+        mean, precision = cts.bayes_update(mean, y, a, precision, precision + a), precision + a
+    return mean
 
 
 def _dd_chain(noise, alphas, rows, K=3):
-    """The centred log-beliefs of `rows` class-1 chains of dd.bayes_update
-    from the uniform prior, one dd.sender_sample draw per accuracy in
-    alphas, with the stream noise[i]."""
+    """The centred summed logits of `rows` class-1 chains from dd.prior, one
+    dd.sender_sample draw per accuracy in alphas, with the stream noise[i],
+    added as the sampler's update adds them."""
     x = np.ones(rows, dtype=np.int64)
-    theta = dd.uniform_prior(rows, K)
+    state = dd.prior(FlowConfig(None, rows, K), 1)[0]  # the prior reads only D and K
     for src, a in zip(noise, alphas):
-        theta = dd.bayes_update(theta, dd.sender_sample(src, x, a, K))
-    return _centred_log(theta)
+        state = state + dd.sender_sample(src, x, a, K)
+    return _centred(state)
 
 
 def _step_alphas(sched, t, n):
@@ -185,34 +183,20 @@ def _step_alphas(sched, t, n):
 
 def check_additivity(seed, modality):
     """Updates at alpha_a then alpha_b against one at their sum: the worst
-    relative difference of the two laws' exact moments, a gate on both
-    sampled paths (four deviations), and exact precisions (continuous) or
-    the update identity over 1000 random cases (discrete)."""
+    relative difference of the two laws' exact moments, and a gate on both
+    sampled paths (four deviations)."""
     rng = Rng(seed, _path=(1,))
     alpha_a = alpha_b = 1.0
     stages = ((alpha_a, alpha_b), (alpha_a + alpha_b,))
-    chain, width = (_cts_means, 1) if modality == "continuous" else (_dd_chain, 3)
+    chain, width = (_cts_chain, 1) if modality == "continuous" else (_dd_chain, 3)
     ref = _chain_moments(chain, stages[1], width)
     stat = _affine_err(ref, _chain_moments(chain, stages[0], width))
     gate, gate_text = _gate(ref, *(chain([rng] * len(s), s, GATE_TRIALS) for s in stages))
-    params = {"alpha_a": alpha_a, "alpha_b": alpha_b}
-    if modality == "continuous":
-        two, one = (_cts_chain(_unit_noise(len(s), 1), s, 1 + len(s)).precision for s in stages)
-        exact_ok, exact = two == one, f"precision_exact={two == one}"
-    else:
-        # the exact functional identity over 1000 random two-row cases,
-        # drawn case by case and updated in one batch
-        gen = np.random.default_rng(seed)
-        cases = [(gen.dirichlet(np.ones(width), size=2), gen.normal(0, 3, size=(2, width)),
-                  gen.normal(0, 3, size=(2, width))) for _ in range(1000)]
-        theta, ya, yb = (np.concatenate(c) for c in zip(*cases))
-        worst = float(np.max(np.abs(dd.bayes_update(dd.bayes_update(theta, ya), yb) - dd.bayes_update(theta, ya + yb))))
-        exact_ok, exact = worst < 1e-12, f"identity_max={worst:.2e}"
-        params["K"] = width
+    params = {"alpha_a": alpha_a, "alpha_b": alpha_b} | ({"K": width} if modality == "discrete" else {})
     return PropertyReport(
         property_id=f"additivity-{modality}", modality=modality, statistic=stat, tolerance=EXACT_TOL,
-        passed=bool(exact_ok and stat < EXACT_TOL and gate <= GATE_SE), samples=2 * GATE_TRIALS, seed=seed,
-        params=params, detail=f"{exact} {gate_text}",
+        passed=bool(stat < EXACT_TOL and gate <= GATE_SE), samples=2 * GATE_TRIALS, seed=seed,
+        params=params, detail=gate_text,
     )
 
 
@@ -223,8 +207,7 @@ def check_additivity(seed, modality):
 
 def check_flow_equivalence(seed, modality):
     """Flow draws against chains of sequential updates: the worst relative
-    difference of their exact moments over the chain lengths (and of the
-    continuous chain's summed precision from the flow's), and a gate
+    difference of their exact moments over the chain lengths, and a gate
     holding a sampled flow draw and chain to the flow's moments (four
     deviations)."""
     rng = Rng(seed, _path=(2,))
@@ -232,24 +215,17 @@ def check_flow_equivalence(seed, modality):
         n_list, t, gate_n, width = (2, 16, 64), 0.5, 16, 1
         sched = ContinuousSigma(0.02)
         flow = lambda noise, rows: cts.flow_sample(noise, FlowConfig(sched, D=1), np.full((rows, 1), 0.5), t)
-        state = flow(_unit_noise(1, width)[0], 1 + width)
-        ref = _affine_moments(state.mean)
-        chains = [_cts_chain(_unit_noise(n, width), _step_alphas(sched, t, n), 1 + n) for n in n_list]
-        errs = [max(_affine_err(ref, _affine_moments(p.mean)), abs(p.precision / state.precision[0] - 1.0))
-                for p in chains]
-        gate, gate_text = _gate(ref, flow(rng, GATE_TRIALS).mean,
-                                _cts_means([rng] * gate_n, _step_alphas(sched, t, gate_n), GATE_TRIALS))
-        params = {"t": t, "n_list": list(n_list)}
+        chain, params = _cts_chain, {"t": t, "n_list": list(n_list)}
     else:
         n_list, t, gate_n, width = (32,), 0.7, 4, 3
         sched = DiscreteQuadratic(2.0)
-        flow = lambda noise, rows: _centred_log(
+        flow = lambda noise, rows: _centred(
             dd.flow_sample(noise, FlowConfig(sched, rows, width), np.ones((1, rows), dtype=np.int64), t)[0])
-        ref = _affine_moments(flow(_unit_noise(1, width)[0], 1 + width))
-        errs = [_affine_err(ref, _chain_moments(_dd_chain, _step_alphas(sched, t, n), width)) for n in n_list]
-        gate, gate_text = _gate(ref, flow(rng, GATE_TRIALS),
-                                _dd_chain([rng] * gate_n, _step_alphas(sched, t, gate_n), GATE_TRIALS))
-        params = {"t": t, "n": n_list[0], "K": width}
+        chain, params = _dd_chain, {"t": t, "n": n_list[0], "K": width}
+    ref = _affine_moments(flow(_unit_noise(1, width)[0], 1 + width))
+    errs = [_affine_err(ref, _chain_moments(chain, _step_alphas(sched, t, n), width)) for n in n_list]
+    gate, gate_text = _gate(ref, flow(rng, GATE_TRIALS),
+                            chain([rng] * gate_n, _step_alphas(sched, t, gate_n), GATE_TRIALS))
     stat = max(errs)
     return PropertyReport(
         property_id=f"flow-equivalence-{modality}", modality=modality, statistic=stat, tolerance=EXACT_TOL,
@@ -396,7 +372,7 @@ def check_finite_m_limit(seed, K):
     O(m^-1/2), O(1/m) for K=2), towards a limit L of L + b m^-1/2 + c/m
     through the three points, the statistic.  A gate holds sample_y at the
     largest m to its moments (two deviations), and the count posterior
-    must equal the update function."""
+    must equal the summed-logit update, softmax(log theta + y)."""
     rng = Rng(seed, _path=(4,))
     x, alpha, m_list, tol = 1, 0.25, np.array([100, 1000, 10_000]), 1e-3
     centre = np.eye(K) - 1.0 / K
@@ -409,13 +385,13 @@ def check_finite_m_limit(seed, K):
     stat = float(np.max(np.abs(limits)))
     sim = sims[-1]
     gate, gate_text = _gate(sim.centred_moments(x), sim.sample_y(rng, x, GATE_TRIALS) @ centre)
-    # posterior identity at the largest m, raw counts vs update function,
+    # posterior identity at the largest m, raw counts vs summed logits,
     # over 50 cases drawn case by case and updated in one batch
     gen = np.random.default_rng(seed)
     cases = [(gen.dirichlet(np.ones(K)), gen.multinomial(sim.m, np.full(K, 1.0 / K))) for _ in range(50)]
     theta, counts = (np.array(c) for c in zip(*cases))
     y = (counts - sim.m / K) * np.log(sim.xi)
-    ident_worst = float(np.max(np.abs(sim.posterior_from_counts(theta, counts) - dd.bayes_update(theta, y))))
+    ident_worst = float(np.max(np.abs(sim.posterior_from_counts(theta, counts) - softmax_rows(np.log(theta) + y))))
     law_ok = np.all(np.diff(errs) < 0) and np.all(slopes <= -0.4) and stat < tol
     return PropertyReport(
         property_id=f"finite-m-limit-K{K}", modality="discrete", statistic=stat, tolerance=tol,
@@ -601,7 +577,7 @@ def check_schedule_entropy(seed):
     K, draws = 3, 2000
     ts = np.linspace(0.1, 1.0, 10)
     cfg = FlowConfig(DiscreteQuadratic(3.0), draws, K)
-    theta = dd.flow_sample(rng, cfg, np.ones((ts.size, draws), dtype=np.int64), ts)
+    theta = softmax_rows(dd.flow_sample(rng, cfg, np.ones((ts.size, draws), dtype=np.int64), ts))
     with np.errstate(divide="ignore", invalid="ignore"):
         logt = np.where(theta > 0, np.log(theta), 0.0)
     ent = -np.sum(theta * logt, axis=(1, 2)) / draws

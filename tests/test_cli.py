@@ -147,6 +147,19 @@ class TestTrain:
         with pytest.raises(SystemExit):
             run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
 
+    @pytest.mark.parametrize("drop, message", [
+        (("modality",), r"^train: config .*c\.cfg: missing required key 'modality'$"),
+        (("modality", "D"), r"^train: config .*c\.cfg: missing required keys 'modality', 'D'$"),
+    ], ids=["modality", "modality-and-D"])
+    def test_missing_required_key_is_usage_error(self, toy_run, tmp_path, monkeypatch, drop, message):
+        # once a TypeError traceback from TrainConfig
+        monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained without a model key"))
+        cfg = tmp_path / "c.cfg"
+        lines = TRAIN_CFG.format(dataset=toy_run["paths"]["strings"]).splitlines(keepends=True)
+        cfg.write_text("".join(ln for ln in lines if ln.split("=")[0].strip() not in drop))
+        with pytest.raises(SystemExit, match=message):
+            run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+
     @pytest.mark.parametrize("text, message", [
         (TRAIN_CFG.replace("{dataset}", "absent.ds"), r"train: dataset .*absent\.ds: No such file"),
         (TRAIN_CFG + "lr = 0.1\n", r"train: config .*c\.cfg: line 14: unknown config key 'lr'"),
@@ -432,6 +445,36 @@ class TestIngestCommand:
         with pytest.raises(SystemExit, match=r"^ingest: --dim must be >= 1, got -2$"):
             run_cli("ingest", "--modality", "discrete", "--input", str(src), "--dim", "-2",
                     "--output", str(tmp_path / "c.ds"), *extra)
+
+    def test_dim_other_than_the_line_length_is_usage_error(self, tmp_path):
+        # lines fix D: --dim 5 on 3-symbol lines once wrote a D=3 dataset
+        alpha = tmp_path / "a.txt"
+        data.save_alphabet(alpha, data.ALPHABET_27)
+        src = tmp_path / "lines.txt"
+        src.write_text("abc\ndef\nghi\n")
+        out = tmp_path / "l.ds"
+        args = ("ingest", "--modality", "discrete", "--input", str(src), "--alphabet", str(alpha), "--output", str(out))
+        with pytest.raises(SystemExit, match=r"^ingest: --dim 5: the lines of .*lines\.txt hold 3 symbols each$"):
+            run_cli(*args, "--dim", "5")
+        assert not out.exists()
+        assert run_cli(*args, "--dim", "3") == 0 and data.load_dataset(out).D == 3
+
+    @pytest.mark.parametrize("text", [False, True], ids=["continuous-bytes", "alphabet"])
+    def test_bins_the_data_fixes_is_usage_error(self, tmp_path, text):
+        # --bins was once ignored where the modality or the alphabet fixes K
+        alpha = tmp_path / "a.txt"
+        data.save_alphabet(alpha, data.ALPHABET_27)
+        src = tmp_path / "in.raw"
+        src.write_bytes(b"abcdef")
+        out = tmp_path / "c.ds"
+        if text:
+            args, bins, message = ("discrete", "--alphabet", str(alpha)), "7", r"the alphabet .*a\.txt fixes K=27$"
+        else:
+            args, bins, message = ("continuous",), "5", r"continuous data takes no class count$"
+        with pytest.raises(SystemExit, match=rf"^ingest: --bins {bins}: {message}"):
+            run_cli("ingest", "--modality", *args, "--input", str(src), "--dim", "3", "--bins", bins,
+                    "--output", str(out))
+        assert not out.exists()
 
     @pytest.mark.parametrize("modality", ["continuous", "discretised"])
     def test_alphabet_with_other_modality_is_usage_error(self, tmp_path, modality):

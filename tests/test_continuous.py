@@ -16,57 +16,39 @@ CFG = FlowConfig(ContinuousSigma(0.02), D=1)
 
 class TestBayesUpdate:
     def test_direct_arithmetic(self):
-        p = cts.bayes_update(cts.prior(CFG, 1)[0], np.array([1.0]), 1.0)
-        assert p.precision == 2.0
-        assert p.mean[0] == pytest.approx(0.5)
+        mean = cts.bayes_update(cts.prior(CFG, 1)[0], np.array([1.0]), 1.0, 1.0, 2.0)
+        assert mean[0] == pytest.approx(0.5)
 
     def test_small_alpha_continuity(self):
-        base = cts.CtsParams(mean=np.array([0.3]), precision=4.0)
-        p = cts.bayes_update(base, np.array([1.0]), 1e-12)
-        assert p.mean[0] == pytest.approx(0.3, abs=1e-11)
-        assert p.precision == pytest.approx(4.0, abs=1e-11)
+        mean = cts.bayes_update(np.array([0.3]), np.array([1.0]), 1e-12, 4.0, 4.0 + 1e-12)
+        assert mean[0] == pytest.approx(0.3, abs=1e-11)
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
-            cts.bayes_update(cts.prior(CFG, 1)[0], np.array([0.0]), 0.0)
+            cts.bayes_update(cts.prior(CFG, 1)[0], np.array([0.0]), 0.0, 1.0, 1.0)
 
     def test_sequential_vs_merged_observation(self):
         # two updates equal one update with the precision-weighted merged
         # observation at the combined accuracy
-        base = cts.CtsParams(mean=np.array([0.1, -0.4]), precision=2.0)
+        base = np.array([0.1, -0.4])
         ya, yb = np.array([0.7, 0.2]), np.array([-0.3, 0.5])
         aa, ab = 0.8, 1.7
-        two = cts.bayes_update(cts.bayes_update(base, ya, aa), yb, ab)
-        merged = cts.bayes_update(base, (ya * aa + yb * ab) / (aa + ab), aa + ab)
-        np.testing.assert_allclose(two.mean, merged.mean, atol=1e-12)
-        assert two.precision == pytest.approx(merged.precision, rel=1e-15)
-
-    def test_precision_additivity_exact_for_dyadic(self):
-        base = cts.prior(CFG, 1)[0]
-        y = np.array([0.5])
-        for aa, ab in [(0.25, 0.5), (1.0, 2.0), (0.125, 0.375)]:
-            two = cts.bayes_update(cts.bayes_update(base, y, aa), y, ab)
-            one = cts.bayes_update(base, y, aa + ab)
-            assert two.precision == one.precision
+        two = cts.bayes_update(cts.bayes_update(base, ya, aa, 2.0, 2.0 + aa), yb, ab, 2.0 + aa, 2.0 + aa + ab)
+        merged = cts.bayes_update(base, (ya * aa + yb * ab) / (aa + ab), aa + ab, 2.0, 2.0 + aa + ab)
+        np.testing.assert_allclose(two, merged, atol=1e-12)
 
 
 class TestFlowSample:
     def test_degenerate_at_zero(self):
-        p = cts.flow_sample(Rng(0), CFG, np.array([[0.9]]), 0.0)
-        assert p.mean[0, 0] == 0.0
-        assert p.precision[0] == 1.0
+        assert cts.flow_sample(Rng(0), CFG, np.array([[0.9]]), 0.0)[0, 0] == 0.0
 
     def test_moments_at_one(self):
         r = Rng(1)
         x = np.array([0.8])
         g = 1 - 0.02**2
-        draws = np.array([cts.flow_sample(r, CFG, x[None], 1.0).mean[0, 0] for _ in range(100_000)])
+        draws = np.array([cts.flow_sample(r, CFG, x[None], 1.0)[0, 0] for _ in range(100_000)])
         se = np.sqrt(g * (1 - g) / draws.size)
         assert abs(draws.mean() - g * 0.8) < 4 * se
-
-    def test_precision_is_closed_form(self):
-        p = cts.flow_sample(Rng(2), CFG, np.array([[0.0]]), 0.6)
-        assert p.precision[0] == 1.0 + CFG.schedule.beta(0.6)
 
     def test_matches_sequential_updates(self):
         # flow at t must agree with n sequential noisy updates in
@@ -75,7 +57,7 @@ class TestFlowSample:
         x = np.array([0.5])
         t, n, trials = 0.5, 64, 100_000
         sched = CFG.schedule
-        direct = np.array([cts.flow_sample(r, CFG, x[None], t).mean[0, 0] for _ in range(trials)])
+        direct = np.array([cts.flow_sample(r, CFG, x[None], t)[0, 0] for _ in range(trials)])
         seq = np.zeros(trials)
         means = np.zeros(trials)
         prec = np.ones(trials)
@@ -96,8 +78,7 @@ class TestFlowSample:
 class TestOutputPrediction:
     def test_below_tmin_is_zero(self):
         pred = ConstantPredictor(np.array([9.9]))
-        p = cts.CtsParams(mean=np.array([[0.7]]), precision=1.0)
-        assert cts.estimate(pred, CFG, p, 0.0, None)[0, 0] == 0.0
+        assert cts.estimate(pred, CFG, np.array([[0.7]]), 0.0, None)[0, 0] == 0.0
 
     def test_noise_inversion_recovers_datum(self):
         x = np.array([0.43])
@@ -111,8 +92,7 @@ class TestOutputPrediction:
         # gamma = 0.5 at t = ln(0.5)/(2 ln sigma1); x_hat = mean / gamma
         t = np.log(0.5) / (2 * np.log(CFG.schedule.sigma1))
         pred = ConstantPredictor(np.array([0.0]))
-        p = cts.CtsParams(mean=np.array([[0.3]]), precision=1.0)
-        assert cts.estimate(pred, CFG, p, t, None)[0, 0] == pytest.approx(0.6, rel=1e-12)
+        assert cts.estimate(pred, CFG, np.array([[0.3]]), t, None)[0, 0] == pytest.approx(0.6, rel=1e-12)
 
     def test_wrong_width_rejected(self):
         pred = ConstantPredictor(np.zeros(3))
@@ -144,7 +124,7 @@ class TestLossNStep:
             err = x - cts.estimate(pred, cfg, state, t, None)
             weight = n * (1.0 - s1 ** (2.0 / n)) / (2.0 * s1 ** (2.0 * i / n))
             assert np.array_equal(got, weight * np.vecdot(err, err))
-            assert np.all(np.abs(err) <= inversion_bound(x, state.mean, cfg.schedule.gamma(t)[:, None]))
+            assert np.all(np.abs(err) <= inversion_bound(x, state, cfg.schedule.gamma(t)[:, None]))
             assert 0 < np.sum(got == 0.0) < len(got)
         # the zero datum is perfectly predicted at i=1 (t < t_min branch)
         zero = np.zeros((1, 2))
@@ -276,11 +256,13 @@ class TestGenerate:
         b = sample_chain(cts, Rng(14), pred, CFG, 10)
         assert np.array_equal(a, b)
 
-    def test_final_precision(self):
+    def test_final_precision(self, monkeypatch):
         pred = CtsDatumPredictor(np.array([0.0]), CFG.schedule.sigma1)
+        seen = _record_precisions(monkeypatch)
         for n in (1, 7, 32):
-            _, p = sample_chain(cts, Rng(15), pred, CFG, n, return_state=True)
-            assert p.precision == 1.0 + CFG.schedule.beta(1.0)
+            seen.clear()
+            sample_chain(cts, Rng(15), pred, CFG, n)
+            _assert_precisions_chain(seen, CFG.schedule, n)
 
     def test_output_in_range(self):
         pred = ConstantPredictor(np.array([3.0]))
@@ -288,21 +270,46 @@ class TestGenerate:
         assert cts.X_MIN <= out[0] <= cts.X_MAX
 
 
+def _record_precisions(monkeypatch):
+    """The (precision, new precision) pairs of every cts.bayes_update call
+    from here on, in call order."""
+    real, seen = cts.bayes_update, []
+
+    def recording(mean, y, alpha, precision, new_precision):
+        seen.append((precision, new_precision))
+        return real(mean, y, alpha, precision, new_precision)
+
+    monkeypatch.setattr(cts, "bayes_update", recording)
+    return seen
+
+
+def _assert_precisions_chain(seen, sched, n):
+    """The n updates of one sampling run weigh the prior at 1, each later
+    step at the last one's new precision, gain the step's accuracy, and end
+    at 1 + beta(1) exactly."""
+    starts, ends = zip(*seen)
+    assert len(seen) == n and starts[0] == 1.0 and starts[1:] == ends[:-1]
+    assert ends[-1] == 1.0 + sched.beta(1.0)
+    np.testing.assert_allclose(np.subtract(ends, starts), sched.step_alpha(np.arange(1, n + 1), n), rtol=1e-12)
+
+
 def _sample_chain_reference(rng, cfg, n, estimate):
     """continuous.sample_chain as it stood before the noise buffer was
-    reused: the per-stream noise rebuilt with np.array every step."""
+    reused: the per-stream noise rebuilt with np.array every step, and the
+    precision carried from step to step."""
     sched = cfg.schedule
     rngs = [rng] if isinstance(rng, Rng) else list(rng)
-    p = cts.CtsParams(mean=np.zeros((len(rngs), cfg.D)), precision=1.0)
+    mean, precision = np.zeros((len(rngs), cfg.D)), 1.0
     for i in range(1, n + 1):
-        x_hat = estimate(p.mean, (i - 1) / n, rngs)
+        x_hat = estimate(mean, (i - 1) / n, rngs)
         alpha = sched.step_alpha(i, n)
         z = np.array([r.standard_normal(cfg.D) for r in rngs])
-        p = cts.bayes_update(p, gaussian_sample(None, x_hat, 1.0 / alpha, z), alpha, 1.0 + sched.beta(i / n))
-    out = estimate(p.mean, 1.0, rngs)
+        y = gaussian_sample(None, x_hat, 1.0 / alpha, z)
+        mean, precision = cts.bayes_update(mean, y, alpha, precision, 1.0 + sched.beta(i / n)), 1.0 + sched.beta(i / n)
+    out = estimate(mean, 1.0, rngs)
     if isinstance(rng, Rng):
-        out, p = out[0], cts.CtsParams(mean=p.mean[0], precision=p.precision)
-    return out, p
+        out, mean = out[0], mean[0]
+    return out, mean
 
 
 class TestSampleChainMatchesReference:
@@ -313,12 +320,12 @@ class TestSampleChainMatchesReference:
         mlp.params += 0.5 * Rng(51).standard_normal(mlp.n_params)
 
         def estimate(mean, t, rngs):
-            return cts.estimate(mlp, cfg, cts.CtsParams(mean, 1.0), t, rngs)
+            return cts.estimate(mlp, cfg, mean, t, rngs)
 
         for rng in (lambda: Rng(52), lambda: [Rng(53).split(j) for j in range(5)]):
             out, p = sample_chain(cts, rng(), mlp, cfg, n, return_state=True)
             ref, p_ref = _sample_chain_reference(rng(), cfg, n, estimate)
-            assert np.array_equal(out, ref) and np.array_equal(p.mean, p_ref.mean) and p.precision == p_ref.precision
+            assert np.array_equal(out, ref) and np.array_equal(p, p_ref)
 
 
 class TestAdditivityDistribution:
@@ -329,18 +336,18 @@ class TestAdditivityDistribution:
         x = np.array([0.5])
         aa, ab = 1.0, 1.0
         trials = 400_000
-        base = cts.prior(CFG, 1)[0]
+        mean, precision = cts.prior(CFG, 1)[0, 0], 1.0
 
         ya = gaussian_sample(r, np.full(trials, x[0]), 1 / aa)
-        m1 = (base.mean[0] * base.precision + ya * aa) / (base.precision + aa)
-        p1 = base.precision + aa
+        m1 = (mean * precision + ya * aa) / (precision + aa)
+        p1 = precision + aa
         yb = gaussian_sample(r, np.full(trials, x[0]), 1 / ab)
         m2 = (m1 * p1 + yb * ab) / (p1 + ab)
 
         yc = gaussian_sample(r, np.full(trials, x[0]), 1 / (aa + ab))
-        m_one = (base.mean[0] * base.precision + yc * (aa + ab)) / (base.precision + aa + ab)
+        m_one = (mean * precision + yc * (aa + ab)) / (precision + aa + ab)
 
-        assert p1 + ab == base.precision + (aa + ab)
+        assert p1 + ab == precision + (aa + ab)
         assert abs(m2.mean() - m_one.mean()) / abs(m_one.mean()) < 0.01
         assert abs(m2.var() - m_one.var()) / m_one.var() < 0.01
 

@@ -45,51 +45,60 @@ class TestSenderSample:
 
 
 class TestBayesUpdate:
+    """The sampler's update: the summed logits plus one sender draw."""
+
     def test_uniform_prior_gives_softmax(self):
-        r = Rng(1)
-        y = r.standard_normal((2, 4))
-        theta = dd.bayes_update(dd.uniform_prior(2, 4), y)
-        from bflow.numerics import softmax_rows
-
-        np.testing.assert_allclose(theta, softmax_rows(y), atol=1e-12)
-
-    def test_zero_observation_is_identity(self):
-        rng = np.random.default_rng(2)
-        theta = rng.dirichlet(np.ones(5), size=3)
-        out = dd.bayes_update(theta, np.zeros((3, 5)))
-        np.testing.assert_allclose(out, theta, atol=1e-12)
+        cfg, x = FlowConfig(SCHED, 2, 4), np.array([[1, 3]])
+        state = dd.prior(cfg, 1)
+        np.testing.assert_array_equal(softmax_rows(state), 0.25)
+        y = dd.sender_sample(None, x, SCHED.step_alpha(1, 4), 4, Rng(1).standard_normal((1, 2, 4)))
+        after = dd.update(cfg, state, x, 1, 4, [Rng(1)])
+        np.testing.assert_array_equal(after, y)
+        np.testing.assert_allclose(dd.net_input(cfg, after), 2 * softmax_rows(y).reshape(1, -1) - 1, atol=1e-15)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_exact_additivity(self, seed):
-        rng = np.random.default_rng(seed)
-        theta = rng.dirichlet(np.ones(4), size=2)
-        ya = rng.normal(0, 3, size=(2, 4))
-        yb = rng.normal(0, 3, size=(2, 4))
-        two = dd.bayes_update(dd.bayes_update(theta, ya), yb)
-        one = dd.bayes_update(theta, ya + yb)
-        np.testing.assert_allclose(two, one, atol=1e-12)
+        # each update adds its stream's sender draw to the logits, bit for bit
+        gen = np.random.default_rng(seed)
+        K, B, D, n = int(gen.integers(2, 8)), 3, 2, 5
+        cfg = FlowConfig(SCHED, D, K)
+        rngs, copies = ([Rng(seed).split(b) for b in range(B)] for _ in range(2))
+        state = dd.prior(cfg, B)
+        want = dd.prior(cfg, B)
+        for i in (1, 2):
+            x = gen.integers(1, K + 1, size=(B, D))
+            state = dd.update(cfg, state, x, i, n, rngs)
+            z = np.array([r.standard_normal((D, K)) for r in copies])
+            want = want + dd.sender_sample(None, x, SCHED.step_alpha(i, n), K, z)
+        np.testing.assert_array_equal(state, want)
 
     def test_rows_stay_on_simplex(self):
-        rng = np.random.default_rng(3)
-        theta = dd.uniform_prior(4, 6)
-        for _ in range(200):
-            theta = dd.bayes_update(theta, rng.normal(0, 5, size=(4, 6)))
+        # summed logits grow without bound, and their softmax stays a row
+        # of probabilities
+        cfg, r = FlowConfig(DiscreteQuadratic(2000.0), 4, 6), Rng(3)
+        state = dd.prior(cfg, 1)
+        for i in range(1, 201):
+            state = dd.update(cfg, state, r.integers(1, 7, size=(1, 4)), i, 200, [r])
+            theta = softmax_rows(state)
             assert np.all(theta >= 0)
-            np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(theta.sum(axis=-1), 1.0, atol=1e-9)
+        assert np.abs(state).max() > 500 and theta.max() == 1.0
 
 
 class TestFlowSample:
     def test_prior_at_zero_time(self):
-        theta = dd.flow_sample(Rng(4), FlowConfig(SCHED, 2, 4), np.array([1, 3])[None], 0.0)[0]
-        np.testing.assert_array_equal(theta, dd.uniform_prior(2, 4))
+        cfg = FlowConfig(SCHED, 2, 4)
+        state = dd.flow_sample(Rng(4), cfg, np.array([1, 3])[None], 0.0)
+        np.testing.assert_array_equal(state, dd.prior(cfg, 1))
+        np.testing.assert_array_equal(softmax_rows(state), 0.25)
 
     def test_concentrates_at_high_accuracy(self):
         sched = DiscreteQuadratic(100.0)
         r = Rng(5)
         hits = 0
         for _ in range(200):
-            theta = dd.flow_sample(r, FlowConfig(sched, 1, 3), np.array([2])[None], 1.0)[0]
+            theta = softmax_rows(dd.flow_sample(r, FlowConfig(sched, 1, 3), np.array([2])[None], 1.0))[0]
             if theta[0, 1] > 0.999:
                 hits += 1
         assert hits / 200 > 0.99
@@ -102,7 +111,7 @@ class TestFlowSample:
         sched = DiscreteQuadratic(2.0)
         direct = np.zeros(trials)
         for j in range(trials):
-            direct[j] = dd.flow_sample(r, FlowConfig(sched, 1, K), x[None], t)[0, 0, 0]
+            direct[j] = softmax_rows(dd.flow_sample(r, FlowConfig(sched, 1, K), x[None], t))[0, 0, 0]
         seq = np.zeros(trials)
         logits = np.zeros((trials, K))
         for i in range(1, n + 1):
@@ -115,26 +124,27 @@ class TestFlowSample:
         assert abs(direct.mean() - seq.mean()) / seq.mean() < 0.01
 
 
-def _output_probs(pred, theta, t, K):
-    """Class probabilities (D, K) at one state: the batched map on one row."""
-    return dd.output_map(dd.net_out(pred, FlowConfig(SCHED, len(theta), K), np.asarray(theta)[None], t), K)[0]
+def _output_probs(pred, state, t, K):
+    """Class probabilities (D, K) at one summed-logit state: the batched map
+    on one row."""
+    return dd.output_map(dd.net_out(pred, FlowConfig(SCHED, len(state), K), np.asarray(state)[None], t), K)[0]
 
 
 class TestOutputDistribution:
     def test_zero_logits_uniform(self):
         pred = ConstantPredictor(np.zeros(8))
-        probs = _output_probs(pred, dd.uniform_prior(2, 4), 0.5, 4)
+        probs = _output_probs(pred, np.zeros((2, 4)), 0.5, 4)
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
     def test_binary_zero_logit(self):
         pred = ConstantPredictor(np.zeros(3))
-        probs = _output_probs(pred, dd.uniform_prior(3, 2), 0.5, 2)
+        probs = _output_probs(pred, np.zeros((3, 2)), 0.5, 2)
         np.testing.assert_allclose(probs, 0.5, atol=1e-12)
 
     def test_rows_sum_to_one_random_logits(self):
         rng = np.random.default_rng(7)
         pred = ConstantPredictor(rng.normal(0, 30, size=12))
-        probs = _output_probs(pred, dd.uniform_prior(3, 4), 0.2, 4)
+        probs = _output_probs(pred, np.zeros((3, 4)), 0.2, 4)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_binary_sigmoid_equals_two_class_softmax(self):
@@ -156,13 +166,14 @@ class TestOutputDistribution:
                 return np.zeros((1, 6))
 
         theta = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
-        _output_probs(Capture(), theta, 0.1, 3)
+        with np.errstate(divide="ignore"):
+            _output_probs(Capture(), np.log(theta), 0.1, 3)
         np.testing.assert_allclose(seen["state"], (2 * theta - 1).ravel())
 
     def test_wrong_width_rejected(self):
         pred = ConstantPredictor(np.zeros(5))
         with pytest.raises(ValueError):
-            _output_probs(pred, dd.uniform_prior(2, 3), 0.5, 3)
+            _output_probs(pred, np.zeros((2, 3)), 0.5, 3)
 
 
 class TestLossNStep:
@@ -365,7 +376,8 @@ def _generate_reference(rng, predictor, sched, n, K, D):
     theta = np.full((len(rngs), D, K), 1.0 / K)
     for i in range(1, n + 2):
         u = np.array([r.uniform(size=(D, 1)) for r in rngs])
-        out = predictor.forward_batch(dd.net_input(cfg, theta), (i - 1) / n)
+        X = 2.0 * theta[..., 0] - 1.0 if K == 2 else (2.0 * theta - 1.0).reshape(len(rngs), -1)
+        out = predictor.forward_batch(X, (i - 1) / n)
         if K == 2:
             p1 = 1.0 / (1.0 + np.exp(-out))
             probs = np.stack([p1, 1.0 - p1], axis=-1)
@@ -459,9 +471,8 @@ class TestDistributionalAdditivity:
         aa, ab = 0.6, 1.1
         z = r.standard_normal((trials, 3, K))
         ya, yb, yc = (dd.sender_sample(None, x, a, K, z[:, s]) for s, a in enumerate((aa, ab, aa + ab)))
-        theta0 = dd.uniform_prior(trials, K)
-        two = dd.bayes_update(dd.bayes_update(theta0, ya), yb)
-        one = dd.bayes_update(theta0, yc)
+        two = softmax_rows(ya + yb)
+        one = softmax_rows(yc)
         for k in range(K):
             denom = abs(one[:, k].mean())
             assert abs(two[:, k].mean() - one[:, k].mean()) / denom < 0.015
@@ -469,8 +480,8 @@ class TestDistributionalAdditivity:
 
 class TestFiniteCountConstruction:
     def test_posterior_identity_exact(self):
-        # posterior from raw counts equals the update function applied to
-        # the log-odds observation built from the same counts
+        # posterior from raw counts equals the summed-logit update with the
+        # log-odds observation built from the same counts
         rng = np.random.default_rng(23)
         for _ in range(20):
             K = int(rng.integers(2, 6))
@@ -482,5 +493,5 @@ class TestFiniteCountConstruction:
             post = (xi**c) * theta
             post /= post.sum()
             y = (c - m / K) * math.log(xi)
-            h = dd.bayes_update(theta[None, :], y[None, :])[0]
+            h = softmax_rows(np.log(theta) + y)
             np.testing.assert_allclose(h, post, atol=1e-10)

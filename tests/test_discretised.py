@@ -14,6 +14,7 @@ from bflow.numerics import Rng, gaussian_sample, neg_log_true_class
 from bflow.predictor import DiscretisedDatumPredictor
 from bflow.schedule import ContinuousSigma, FlowConfig, loss_cts, sample_chain
 from oracle_predictors import ConstantPredictor
+from test_continuous import _assert_precisions_chain, _record_precisions
 
 CFG = FlowConfig(ContinuousSigma(math.sqrt(0.001)), D=1, K=16)
 
@@ -441,10 +442,11 @@ class TestGenerate:
         b = sample_chain(dsc, Rng(15), pred, cfg, 6)
         assert np.array_equal(a, b)
 
-    def test_final_precision(self):
+    def test_final_precision(self, monkeypatch):
         pred = DiscretisedDatumPredictor(np.array([0.1]), 0.2, CFG.schedule.sigma1)
-        _, p = sample_chain(dsc, Rng(16), pred, replace(CFG, K=8), 9, return_state=True)
-        assert p.precision == 1.0 + CFG.schedule.beta(1.0)
+        seen = _record_precisions(monkeypatch)
+        sample_chain(dsc, Rng(16), pred, replace(CFG, K=8), 9)
+        _assert_precisions_chain(seen, CFG.schedule, 9)
 
 
 class TestKlOrdering:

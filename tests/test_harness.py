@@ -11,7 +11,9 @@ from bflow import discrete as dd
 from bflow import discretised as dsc
 from bflow import harness, numerics
 from bflow.harness import FiniteMSimulator
-from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig
+from bflow.numerics import Rng
+from bflow.predictor import MLP, PredictorSpec
+from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, sample_chain
 
 # the properties whose main statistic is exact: moments from noise rows
 AFFINE = ("additivity-continuous", "additivity-discrete", "flow-equivalence-continuous",
@@ -85,7 +87,7 @@ class TestExactMoments:
     def test_continuous_flow(self):
         cfg, t, x = FlowConfig(ContinuousSigma(0.02), D=1), 0.5, 0.5
         state = cts.flow_sample(harness._unit_noise(1, 1)[0], cfg, np.full((2, 1), x), t)
-        mean, cov = harness._affine_moments(state.mean)
+        mean, cov = harness._affine_moments(state)
         g = cfg.schedule.gamma(t)
         assert abs(mean[0] - g * x) < 1e-12 and abs(cov[0, 0] - g * (1 - g)) < 1e-12
 
@@ -93,8 +95,8 @@ class TestExactMoments:
         K, t = 3, 0.7
         sched = DiscreteQuadratic(2.0)
         noise = harness._unit_noise(1, K)[0]
-        theta = dd.flow_sample(noise, FlowConfig(sched, K + 1, K), np.ones((1, K + 1), dtype=np.int64), t)[0]
-        mean, cov = harness._affine_moments(harness._centred_log(theta))
+        state = dd.flow_sample(noise, FlowConfig(sched, K + 1, K), np.ones((1, K + 1), dtype=np.int64), t)[0]
+        mean, cov = harness._affine_moments(harness._centred(state))
         centre = np.eye(K) - 1.0 / K
         beta = sched.beta(t)
         assert np.abs(mean - centre @ dd.sender_mean(1, beta, K)).max() < 1e-12
@@ -246,34 +248,45 @@ class TestMutationSensitivity:
         assert not r.passed and "mc_gate" in r.detail
 
     def test_drifting_cts_update_detected(self, monkeypatch):
-        # a Bayesian update whose posterior precision runs 5% hot
+        # a Bayesian update that weighs the prior means at a precision 5% hot
         real = cts.bayes_update
-
-        def drifting(p, y, alpha):
-            q = real(p, y, alpha)
-            return cts.CtsParams(mean=q.mean, precision=1.05 * q.precision)
-
-        monkeypatch.setattr(cts, "bayes_update", drifting)
+        monkeypatch.setattr(cts, "bayes_update", lambda mean, y, alpha, precision, new_precision:
+                            real(mean, y, alpha, 1.05 * precision, new_precision))
         assert not harness.check_additivity(7, "continuous").passed
 
     def test_hot_discrete_sender_detected(self, monkeypatch):
-        # a sender drawing at 1.1x the scheduled accuracy
+        # a sender drawing at 1.1x the scheduled accuracy; the sampler's
+        # update draws through the same op, so its samples move too
+        cfg = FlowConfig(DiscreteQuadratic(0.75), 4, 27)
+        mlp = MLP(PredictorSpec(*dd.net_widths(cfg), hidden=(16, 16)), seed=3)
+        mlp.params += 0.5 * Rng(31).standard_normal(mlp.n_params)
+        rngs = lambda: [Rng(33).split(j) for j in range(5)]
+        honest = sample_chain(dd, rngs(), mlp, cfg, 12, return_state=True)
         real = dd.sender_sample
-        monkeypatch.setattr(dd, "sender_sample", lambda rng, x, alpha, K: real(rng, x, 1.1 * alpha, K))
+        monkeypatch.setattr(dd, "sender_sample", lambda rng, x, alpha, K, z=None: real(rng, x, 1.1 * alpha, K, z))
         assert not harness.check_flow_equivalence(7, "discrete").passed
+        hot = sample_chain(dd, rngs(), mlp, cfg, 12, return_state=True)
+        assert not np.array_equal(hot[1], honest[1]) and not np.array_equal(hot[0], honest[0])
 
     def test_non_affine_noise_caught_by_gate(self, monkeypatch):
         # noise z + 0.2 (z^3 - z) is exact at the noise rows' z in {0, 1},
         # so only the sampled gates can see it
-        real = numerics.gaussian_sample
+        real, real_sender = numerics.gaussian_sample, dd.sender_sample
+        bend = lambda z: z + 0.2 * (z**3 - z)
 
         def cubic(rng, mean, var, z=None):
             if z is None:
                 z = rng.standard_normal(np.shape(mean))
-            return real(None, mean, var, z + 0.2 * (z**3 - z))
+            return real(None, mean, var, bend(z))
 
-        for module in (numerics, cts, dd, harness):
+        def cubic_sender(rng, x, alpha, K, z=None):
+            if z is None:
+                z = rng.standard_normal(np.shape(x) + (K,))
+            return real_sender(None, x, alpha, K, bend(z))
+
+        for module in (numerics, cts, harness):
             monkeypatch.setattr(module, "gaussian_sample", cubic)
+        monkeypatch.setattr(dd, "sender_sample", cubic_sender)
         for pid in AFFINE[:4]:
             r = harness.run_all(7, pid)[0]
             assert not r.passed and r.statistic < r.tolerance, r.summary()

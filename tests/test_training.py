@@ -262,8 +262,7 @@ class TestHeadGradients:
         g = 1.0 - config.sigma1 ** (2.0 * t[:, None])
         ratio = np.sqrt((1.0 - g) / g)
         net_out = np.concatenate([(mu / g - mu_x) / ratio, np.log(sigma_x / ratio)], axis=1)
-        theta = cts.CtsParams(mean=mu, precision=1.0 + config.schedule.beta(t))
-        state = {"t": t, "theta": theta, "state_in": mu, "x": x}
+        state = {"t": t, "theta": mu, "state_in": mu, "x": x}
         _, d_out = training.head_loss_and_grad(config, state, net_out)
         for b in range(t.size):
             for j in range(2 * D):
@@ -333,7 +332,7 @@ class TestHeadGradients:
 def _dsc_output_map_reference(config, state, net_out):
     """Time weight, live rows, noise ratio and data-space Gaussians of the
     discretised head, restated."""
-    t, mu = state["t"], state["theta"].mean
+    t, mu = state["t"], state["theta"]
     B, D = mu.shape
     w = -np.log(config.sigma1) * config.sigma1 ** (-2.0 * t)
     g = 1.0 - config.sigma1 ** (2.0 * t)
@@ -514,8 +513,7 @@ class TestDiscretisedHeadReference:
         # hits the 1e-20 floor on sigma_x and +25 makes sigma_x very wide
         mu_eps = rng.choice([0.0, 0.5, -2.0, 40.0, -40.0], size=(B, D))
         ln_sigma_eps = rng.choice([-80.0, -6.0, 0.0, 2.0, 25.0], size=(B, D))
-        theta = cts.CtsParams(mean=mu, precision=1.0 + config.schedule.beta(t))
-        state = {"t": t, "theta": theta, "state_in": mu, "x": x}
+        state = {"t": t, "theta": mu, "state_in": mu, "x": x}
         net_out = np.concatenate([mu_eps, ln_sigma_eps], axis=1)
         self._assert_same_bits(config, state, net_out)
 
@@ -550,19 +548,19 @@ class TestDiscretisedHeadCost:
         training.head_loss_and_grad(config, state, net_out)
         at_256 = sum(counts)
         assert 0 < at_256 < 64 * 2048
-        mu_x, sigma_x = dsc.output_map(config.flow, state["theta"].mean, state["t"], net_out)[:2]
+        mu_x, sigma_x = dsc.output_map(config.flow, state["theta"], state["t"], net_out)[:2]
         counts.clear()
         dsc.expected_centre(mu_x, sigma_x, 1024, grad=True)
         assert sum(counts) <= at_256
 
 
 def _dd_flow_row_reference(rng, x, t, sched, K):
-    """One (D, K) discrete flow draw at a float t, written per row; a row
-    at t = 0 draws its block too."""
+    """One (D, K) discrete flow draw of summed logits at a float t, written
+    per row; a row at t = 0 draws its block too."""
     beta = sched.beta(t)
     onehot = np.eye(K)[np.asarray(x) - 1]
     z = rng.standard_normal(onehot.shape)
-    return softmax_rows(beta * (K * onehot - 1.0) + np.sqrt(beta * K) * z)
+    return beta * (K * onehot - 1.0) + np.sqrt(beta * K) * z
 
 
 def _cts_flow_row_reference(rng, cfg, x, t):
@@ -581,22 +579,16 @@ def _sample_head_state_reference(rng, config, x_batch):
     t = rng.uniform(size=B)
     if config.modality == "discrete":
         K = config.K
-        theta = np.stack([_dd_flow_row_reference(rng, x_batch[b], float(t[b]), config.schedule, K)
-                          for b in range(B)])
-        state_in = np.stack([2.0 * th[:, 0] - 1.0 if K == 2 else (2.0 * th - 1.0).ravel() for th in theta])
-        return {"t": t, "theta": theta, "state_in": state_in, "x": x_batch}
+        logits = np.stack([_dd_flow_row_reference(rng, x_batch[b], float(t[b]), config.schedule, K)
+                           for b in range(B)])
+        probs = [softmax_rows(row) for row in logits]
+        state_in = np.stack([2.0 * th[:, 0] - 1.0 if K == 2 else (2.0 * th - 1.0).ravel() for th in probs])
+        return {"t": t, "theta": logits, "state_in": state_in, "x": x_batch}
     g = 1.0 - config.sigma1 ** (2.0 * t)
     z = rng.standard_normal(x_batch.shape)
     mu = g[:, None] * x_batch + np.sqrt(np.maximum(g * (1.0 - g), 0.0))[:, None] * z
     mu[g == 0.0] = 0.0
-    theta = cts.CtsParams(mean=mu, precision=1.0 + config.schedule.beta(t))
-    return {"t": t, "theta": theta, "state_in": mu, "x": x_batch}
-
-
-def _arrays(value):
-    """A state dict entry as arrays: a continuous flow state is its mean and
-    its precision."""
-    return (value.mean, value.precision) if isinstance(value, cts.CtsParams) else (value,)
+    return {"t": t, "theta": mu, "state_in": mu, "x": x_batch}
 
 
 def _same_bits(a, b):
@@ -620,7 +612,7 @@ class TestBatchedFlow:
         ref = np.stack([_dd_flow_row_reference(r_ref, x[b], float(self.T[b]), sched, K) for b in range(6)])
         items = np.stack([dd.flow_sample(r_item, cfg, x[b][None], float(self.T[b]))[0] for b in range(6)])
         assert _same_bits(batched, ref) and _same_bits(items, ref)
-        assert np.all(batched[2] == 1.0 / K)
+        assert np.all(batched[2] == 0.0) and np.all(softmax_rows(batched[2]) == 1.0 / K)
         assert r_batch.draws == r_ref.draws == r_item.draws == 6 * 5 * K
 
     def test_continuous_rows_equal_per_row_draws(self):
@@ -628,13 +620,12 @@ class TestBatchedFlow:
         x = Rng(42).uniform(size=(6, 5)) * 2.0 - 1.0
         r_batch, r_rows, r_ref, r_item = Rng(43), Rng(43), Rng(43), Rng(43)
         batched = cts.flow_sample(r_batch, cfg, x, self.T)
-        rows = np.concatenate([cts.flow_sample(r_rows, cfg, x[b : b + 1], self.T[b : b + 1]).mean
-                               for b in range(6)])
-        assert _same_bits(batched.mean, rows)
-        assert np.all(batched.mean[2] == 0.0) and batched.precision[2] == 1.0
+        rows = np.concatenate([cts.flow_sample(r_rows, cfg, x[b : b + 1], self.T[b : b + 1]) for b in range(6)])
+        assert _same_bits(batched, rows)
+        assert np.all(batched[2] == 0.0)
         # a float t is the per-item op, computed in float arithmetic as before
         ref = np.stack([_cts_flow_row_reference(r_ref, cfg, x[b], float(self.T[b])) for b in range(6)])
-        items = np.stack([cts.flow_sample(r_item, cfg, x[b][None], float(self.T[b])).mean[0] for b in range(6)])
+        items = np.stack([cts.flow_sample(r_item, cfg, x[b][None], float(self.T[b]))[0] for b in range(6)])
         assert _same_bits(items, ref)
         assert r_batch.draws == r_rows.draws == r_ref.draws == r_item.draws == 6 * 5
 
@@ -648,7 +639,7 @@ class TestBatchedFlow:
         ref = _sample_head_state_reference(Rng(45), config, x)
         assert state.keys() == ref.keys()
         for key in state:
-            assert all(map(_same_bits, _arrays(state[key]), _arrays(ref[key]))), key
+            assert _same_bits(state[key], ref[key]), key
 
     @pytest.mark.parametrize("name", ["strings", "glyphs"])
     def test_train_matches_reference_driven_run(self, name, monkeypatch):
@@ -908,7 +899,7 @@ def _cts_oracle_pass(config, pred, x, label, prng):
     state = cts.flow_sample(prng, config.flow, x, t)
     err = x - cts.estimate(pred, config.flow, state, t, None)
     g, live, _ = cts.noise_terms(config.flow, t, 1)
-    bound = np.where(live, inversion_bound(x, state.mean, g), np.abs(x))
+    bound = np.where(live, inversion_bound(x, state, g), np.abs(x))
     assert np.all(np.abs(err) <= bound)
     return err, float(np.sum(weight * np.vecdot(bound, bound)) * (1 + 1e-12))
 
@@ -1279,6 +1270,21 @@ class TestOpSet:
             found += [(module.__name__, ast.unparse(node)) for node in ast.walk(tree)
                       if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("getattr", "hasattr")]
         assert found == []
+
+    @pytest.mark.parametrize("modality, K", [("continuous", 0), ("discretised", 8), ("discrete", 2), ("discrete", 4)])
+    def test_states_are_plain_arrays(self, modality, K):
+        # a belief state is one float64 array: the Gaussian means, or the
+        # summed logits; so a state class with stored fields (a precision
+        # beside the means, probabilities beside the logits) cannot come
+        # back unnoticed
+        config = _make_config(modality, K=K, batch_size=5)
+        ops = training.OPS[modality]
+        x = _random_batch(Rng(83), config)
+        states = (ops.prior(config.flow, 5), ops.flow_sample(Rng(84), config.flow, x, 0.5),
+                  ops.flow_sample(Rng(84), config.flow, x, Rng(85).uniform(size=5)))
+        for state in states:
+            assert type(state) is np.ndarray and state.dtype == np.float64 and state.flags.c_contiguous
+            assert state.shape == ((5, 3, K) if modality == "discrete" else (5, 3))
 
     @pytest.mark.parametrize("modality, K", [("continuous", 0), ("discretised", 8), ("discrete", 2), ("discrete", 4)])
     def test_net_widths_match_net_input_and_loss_gradient(self, modality, K):
