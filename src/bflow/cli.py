@@ -65,7 +65,7 @@ def train_config_from_run(cfg):
     missing = [f.name for f in dataclasses.fields(training.TrainConfig)
                if f.default is dataclasses.MISSING and f.name not in fields]
     if missing:
-        raise ValueError(f"missing required key{'s' * (len(missing) > 1)} {', '.join(map(repr, missing))}")
+        raise ValueError(f"missing required {'keys' if len(missing) > 1 else 'key'} {', '.join(map(repr, missing))}")
     return training.TrainConfig(**fields)
 
 

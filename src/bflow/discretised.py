@@ -4,14 +4,15 @@ the expected bin centre, mixture receiver, losses and sampling.
 Belief state (the (B, D) Gaussian means, at precision 1 + beta(t)),
 schedule, sender and flow, and so the sampler's ``prior`` and ``update``,
 are shared with the continuous module; only the prediction side changes,
-down to the sampler's ``estimate``, a drawn bin centre per dimension.  The predictor emits a
-(noise-mean, log-noise-std) pair per dimension, which is mapped to a
-Gaussian over data space whose tails fold into the end bins.  The
-continuous-time loss needs only the expected bin centre, whose edge sums
-cost O(1) in K a row: Euler-Maclaurin for Gaussians wide against the bins,
-a fixed window of edges for narrow ones.  The other losses and sampling use
-the (rows, K) bin masses.  The ops take one ``schedule.FlowConfig`` holding
-a ``ContinuousSigma`` schedule and the bin count K.
+down to the sampler's ``estimate``, a drawn bin centre per dimension.
+The predictor emits a (noise-mean, log-noise-std) pair per dimension,
+which is mapped to a Gaussian over data space whose tails fold into the
+end bins.  The continuous-time loss needs only the expected bin centre,
+whose edge sums cost O(1) in K a row: Euler-Maclaurin for Gaussians wide
+against the bins, a fixed window of edges for narrow ones.  The other
+losses and sampling use the (rows, K) bin masses.  The ops take one
+``schedule.FlowConfig`` holding a ``ContinuousSigma`` schedule and the bin
+count K.
 """
 
 import numpy as np

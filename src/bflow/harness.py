@@ -192,7 +192,9 @@ def check_additivity(seed, modality):
     ref = _chain_moments(chain, stages[1], width)
     stat = _affine_err(ref, _chain_moments(chain, stages[0], width))
     gate, gate_text = _gate(ref, *(chain([rng] * len(s), s, GATE_TRIALS) for s in stages))
-    params = {"alpha_a": alpha_a, "alpha_b": alpha_b} | ({"K": width} if modality == "discrete" else {})
+    params = {"alpha_a": alpha_a, "alpha_b": alpha_b}
+    if modality == "discrete":
+        params["K"] = width
     return PropertyReport(
         property_id=f"additivity-{modality}", modality=modality, statistic=stat, tolerance=EXACT_TOL,
         passed=bool(stat < EXACT_TOL and gate <= GATE_SE), samples=2 * GATE_TRIALS, seed=seed,
