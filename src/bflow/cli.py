@@ -203,8 +203,8 @@ def cmd_sample(args):
         return 0
     # one call draws every sample, over the modality's chain ops: sample idx
     # from stream idx of the seed
-    rngs = [Rng(args.seed).split(idx) for idx in range(args.count)]
-    samples = sample_chain(ops, rngs, predictor, config.flow, args.steps)
+    streams = [Rng(args.seed).split(idx) for idx in range(args.count)]
+    samples = sample_chain(ops, streams, predictor, config.flow, args.steps)
     w, h = _sample_shape(header.get("run_config", {}), config.D)
     for idx, content in enumerate(ops.render(config.flow, samples, alphabet)):
         text = isinstance(content, str)  # else PGM grey levels

@@ -143,9 +143,9 @@ def net_out(predictor, cfg, state, t, width=None):
     return out
 
 
-def estimate(predictor, cfg, state, t, rngs):
+def estimate(predictor, cfg, state, t, rng):
     """Clipped data estimates (B, D) at belief means state and times t, the
-    sampler's and the losses' x_hat; they draw nothing from rngs, and below
+    sampler's and the losses' x_hat; they draw nothing from rng, and below
     t_min they are zero without reaching the predictor."""
     return output_map(cfg, state, t, net_out(predictor, cfg, state, t))[0]
 
@@ -181,13 +181,11 @@ def recon(rng, predictor, cfg, x):
     return np.vecdot(resid, resid) / (2.0 * cfg.recon_sigma**2)
 
 
-def update(cfg, state, estimate, i, n, rngs):
-    """The belief means after step i of n: each stream sends its row of the
-    estimate (B, D) at the step's accuracy alpha with its own D normals,
-    N(estimate, 1 / alpha), and the precision goes from 1 + beta((i - 1) / n)
-    to 1 + beta(i / n)."""
+def update(cfg, state, estimate, i, n, rng):
+    """The belief means after step i of n: the estimate (B, D) is sent at
+    the step's accuracy alpha, N(estimate, 1 / alpha) drawn from rng, and
+    the precision goes from 1 + beta((i - 1) / n) to 1 + beta(i / n)."""
     sched = cfg.schedule
     alpha = sched.step_alpha(i, n)
-    z = np.array([r.standard_normal(cfg.D) for r in rngs])
-    y = gaussian_sample(None, estimate, 1.0 / alpha, z)
+    y = gaussian_sample(rng, estimate, 1.0 / alpha)
     return bayes_update(state, y, alpha, 1.0 + sched.beta((i - 1) / n), 1.0 + sched.beta(i / n))

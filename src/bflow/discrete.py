@@ -227,23 +227,23 @@ def prior(cfg, B):
     return np.zeros((B, cfg.D, cfg.K))
 
 
-def estimate(predictor, cfg, state, t, rngs):
+def estimate(predictor, cfg, state, t, rng):
     """The sampler's estimate at summed logits state and time t: class
-    indices (B, D) drawn from the output distribution, each stream drawing
-    one categorical uniform per dimension."""
-    u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])
+    indices (B, D) drawn from the output distribution with one (B, D, 1)
+    block of categorical uniforms from rng."""
+    u = rng.uniform((state.shape[0], cfg.D, 1))
     return sample_categorical_rows(output_map(net_out(predictor, cfg, state, t), cfg.K), u)
 
 
-def update(cfg, state, estimate, i, n, rngs):
-    """The summed logits after step i of n: each stream sends its row of
-    the estimate (B, D), class indices, at the step's accuracy with its own
-    D K normals, and the draw adds to the logits."""
-    z = np.array([r.standard_normal((cfg.D, cfg.K)) for r in rngs])
-    return state + sender_sample(None, estimate, cfg.schedule.step_alpha(i, n), cfg.K, z)
+def update(cfg, state, estimate, i, n, rng):
+    """The summed logits after step i of n: the estimate (B, D), class
+    indices, is sent at the step's accuracy with one sender draw from rng,
+    which adds to the logits."""
+    return state + sender_sample(rng, estimate, cfg.schedule.step_alpha(i, n), cfg.K)
 
 
 def generate(rng, predictor, sched, n, K, D):
-    """Class indices by schedule.sample_chain over this module's ops.  The
-    benchmark calls it with these positional arguments."""
-    return sample_chain(sys.modules[__name__], rng, predictor, FlowConfig(sched, D, K), n)
+    """The class indices (D,) of one stream, rng, by schedule.sample_chain
+    over this module's ops.  The benchmark calls it with these positional
+    arguments."""
+    return sample_chain(sys.modules[__name__], [rng], predictor, FlowConfig(sched, D, K), n)[0]

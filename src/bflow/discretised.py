@@ -294,9 +294,9 @@ def recon(rng, predictor, cfg, x):
     return neg_log_true_class(probs(predictor, cfg, p, 1.0), idx)
 
 
-def estimate(predictor, cfg, state, t, rngs):
+def estimate(predictor, cfg, state, t, rng):
     """The sampler's estimate at belief means state and time t: bin centres
-    (B, D) drawn from the output bin masses, each stream drawing one
-    categorical uniform per dimension."""
-    u = np.array([r.uniform(size=(cfg.D, 1)) for r in rngs])
+    (B, D) drawn from the output bin masses with one (B, D, 1) block of
+    categorical uniforms from rng."""
+    u = rng.uniform((state.shape[0], cfg.D, 1))
     return BinGeometry(cfg.K).centers[sample_categorical_rows(probs(predictor, cfg, state, t), u) - 1]

@@ -3,7 +3,7 @@
 Each check turns one mathematical statement into a pass/fail report with
 an explicit statistic, tolerance, sample count and seed:
 
-* update additivity (exact algebra and two-stage vs one-stage laws)
+* update additivity (two-step vs one-step chains of Bayesian updates)
 * flow draws vs chains of sequential Bayesian updates
 * closed-form transmission KLs vs quadrature of the production log-ratios
 * the multinomial-count construction of the categorical sender
@@ -12,7 +12,7 @@ an explicit statistic, tolerance, sample count and seed:
 
 Every check is a fixed property of its seed (plus the modality or K it
 covers), and runs on the production ops that train, eval and sample run:
-the updates, flow draws and samplers, the batched losses, the
+the sampler's prior and update, the flow draws, the batched losses, the
 discretised receiver log-density and the discrete sender-to-receiver
 log-ratio.  The harness restates none of them.  Its only formulas of its
 own are the closed forms under test, the multinomial's moments, the
@@ -23,21 +23,19 @@ Estimator notes.  Each main statistic is exact or quadrature, the same
 at every seed.  Where the claim is linear-Gaussian algebra (additivity,
 flow equivalence) the state is affine in the ops' standard-normal noise,
 so a zero row and one unit draw per noise coordinate, run through the
-ops, give its mean and covariance exactly; the finite-m construction uses
-the multinomial's moments.  The KL checks integrate the production
-log-ratio over Gauss-Hermite nodes of the sender draw.  The loss checks
-stratify the ops' own discrete randomness (step index, time grid) and
-integrate each stratum over Gauss-Hermite nodes, the discrete strata over
-the K - 1 noise differences their log-ratio depends on; a time grid, an n
-or a set of strata runs as one batched call, each drawing its stream as
-the run of one-row calls would.  A gate then draws real samples from the
+ops, give its mean and covariance exactly (each chain is one row of a
+batch, and one rng stand-in per update step hands out all the rows);
+the finite-m construction uses the multinomial's moments.  The KL checks
+integrate the production log-ratio over Gauss-Hermite nodes of the
+sender draw.  The loss checks stratify the ops' own discrete randomness
+(step index, time grid) and integrate each stratum over Gauss-Hermite
+nodes, the discrete strata over the K - 1 noise differences their
+log-ratio depends on; a time grid, an n or a set of strata runs as one
+batched call, each drawing its stream as the run of one-row calls would.  A gate then draws real samples from the
 stochastic ops and requires agreement within 4 standard errors, so the
 sampled path cannot drift from the verified one and an op not affine in
 its noise still shows; the affine and KL checks' reports state the gate's
-false-alarm rate.  Categorical belief states, the summed logits that the
-sampler holds, are compared less each row's mean: a row's beliefs are its
-softmax, which a common shift of its logits leaves alone, so only that
-quotient is meaningful.
+false-alarm rate.
 """
 
 import json
@@ -50,7 +48,7 @@ import numpy as np
 from . import continuous as cts
 from . import discrete as dd
 from . import discretised as dsc
-from .numerics import Rng, gaussian_sample, log_gaussian_pdf, row_sum, softmax_rows
+from .numerics import Rng, gaussian_sample, log_gaussian_pdf, softmax_rows
 from .predictor import ConstantProbsPredictor, CtsDatumPredictor, DiscretisedDatumPredictor
 from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, step_time
 
@@ -115,10 +113,6 @@ def _affine_moments(rows):
     return rows[0], jac.T @ jac
 
 
-def _chain_moments(chain, alphas, width):
-    return _affine_moments(chain(_unit_noise(len(alphas), width), alphas, 1 + len(alphas) * width))
-
-
 def _rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
@@ -148,57 +142,45 @@ def _gate_text(dev, k):
     return f"gate={dev:.2f}se fa<{k * GATE_FA:.1e}"
 
 
-def _centred(logits):
-    """Summed logits less each row's mean: the beliefs' shift-free part."""
-    # numpy computes the mean as this sum over the count, so the bits match
-    return logits - (row_sum(logits) / logits.shape[-1])[..., None]
+def _affine_setting(modality, sched):
+    """The ops, one-dimensional config, datum and report params of an affine
+    check: 0.5 for continuous data, class 1 of K=3 for discrete."""
+    if modality == "continuous":
+        return cts, FlowConfig(sched, D=1), 0.5, vars(sched)
+    return dd, FlowConfig(sched, 1, 3), 1, {**vars(sched), "K": 3}
 
 
-def _cts_chain(noise, alphas, rows, x=0.5):
-    """The belief means of `rows` one-dimensional chains of cts.bayes_update
-    from the prior, one update per accuracy in alphas, observed through
-    gaussian_sample with the stream noise[i]; the precision starts at 1 and
-    gains each accuracy."""
-    mean, precision = cts.prior(FlowConfig(None, D=1), rows), 1.0  # the prior reads only D
-    for src, a in zip(noise, alphas):
-        y = gaussian_sample(src, np.full((rows, 1), x), 1 / a)
-        mean, precision = cts.bayes_update(mean, y, a, precision, precision + a), precision + a
-    return mean
+def _chain(ops, cfg, noise, x, rows):
+    """The states (rows, -1) of `rows` streams after the len(noise) steps of
+    ops.update from ops.prior, every step sending the estimate x and step i
+    drawing from noise[i - 1]."""
+    state, estimate = ops.prior(cfg, rows), np.full((rows, cfg.D), x)
+    for i, rng in enumerate(noise, 1):
+        state = ops.update(cfg, state, estimate, i, len(noise), rng)
+    return state.reshape(rows, -1)
 
 
-def _dd_chain(noise, alphas, rows, K=3):
-    """The centred summed logits of `rows` class-1 chains from dd.prior, one
-    dd.sender_sample draw per accuracy in alphas, with the stream noise[i],
-    added as the sampler's update adds them."""
-    x = np.ones(rows, dtype=np.int64)
-    state = dd.prior(FlowConfig(None, rows, K), 1)[0]  # the prior reads only D and K
-    for src, a in zip(noise, alphas):
-        state = state + dd.sender_sample(src, x, a, K)
-    return _centred(state)
-
-
-def _step_alphas(sched, t, n):
-    return [sched.beta(t * i / n) - sched.beta(t * (i - 1) / n) for i in range(1, n + 1)]
+def _chain_moments(ops, cfg, x, n):
+    """The exact moments of an n-step _chain, from its noise rows."""
+    width = cfg.K or 1
+    return _affine_moments(_chain(ops, cfg, _unit_noise(n, width), x, 1 + n * width))
 
 
 def check_additivity(seed, modality):
-    """Updates at alpha_a then alpha_b against one at their sum: the worst
-    relative difference of the two laws' exact moments, and a gate on both
-    sampled paths (four deviations)."""
+    """The two updates of a two-step chain against the one update of a
+    one-step chain at their summed accuracy, 2: the worst relative
+    difference of the two laws' exact moments, and a gate on both sampled
+    paths (four deviations)."""
     rng = Rng(seed, _path=(1,))
-    alpha_a = alpha_b = 1.0
-    stages = ((alpha_a, alpha_b), (alpha_a + alpha_b,))
-    chain, width = (_cts_chain, 1) if modality == "continuous" else (_dd_chain, 3)
-    ref = _chain_moments(chain, stages[1], width)
-    stat = _affine_err(ref, _chain_moments(chain, stages[0], width))
-    gate, gate_text = _gate(ref, *(chain([rng] * len(s), s, GATE_TRIALS) for s in stages))
-    params = {"alpha_a": alpha_a, "alpha_b": alpha_b}
-    if modality == "discrete":
-        params["K"] = width
+    sched = ContinuousSigma(3**-0.5) if modality == "continuous" else DiscreteQuadratic(2.0)
+    ops, cfg, x, params = _affine_setting(modality, sched)
+    ref = _chain_moments(ops, cfg, x, 1)
+    stat = _affine_err(ref, _chain_moments(ops, cfg, x, 2))
+    gate, gate_text = _gate(ref, *(_chain(ops, cfg, [rng] * n, x, GATE_TRIALS) for n in (2, 1)))
     return PropertyReport(
         property_id=f"additivity-{modality}", modality=modality, statistic=stat, tolerance=EXACT_TOL,
         passed=bool(stat < EXACT_TOL and gate <= GATE_SE), samples=2 * GATE_TRIALS, seed=seed,
-        params=params, detail=gate_text,
+        params={**params, "alpha_a": sched.step_alpha(1, 2), "alpha_b": sched.step_alpha(2, 2)}, detail=gate_text,
     )
 
 
@@ -208,31 +190,26 @@ def check_additivity(seed, modality):
 
 
 def check_flow_equivalence(seed, modality):
-    """Flow draws against chains of sequential updates: the worst relative
-    difference of their exact moments over the chain lengths, and a gate
-    holding a sampled flow draw and chain to the flow's moments (four
-    deviations)."""
+    """Flow draws at t=1 against chains of sequential updates: the worst
+    relative difference of their exact moments over the chain lengths, and
+    a gate holding a sampled flow draw and chain to the flow's moments
+    (four deviations)."""
     rng = Rng(seed, _path=(2,))
     if modality == "continuous":
-        n_list, t, gate_n, width = (2, 16, 64), 0.5, 16, 1
-        sched = ContinuousSigma(0.02)
-        flow = lambda noise, rows: cts.flow_sample(noise, FlowConfig(sched, D=1), np.full((rows, 1), 0.5), t)
-        chain, params = _cts_chain, {"t": t, "n_list": list(n_list)}
+        sched, n_list, gate_n = ContinuousSigma(0.02**0.5), (2, 16, 64), 16
     else:
-        n_list, t, gate_n, width = (32,), 0.7, 4, 3
-        sched = DiscreteQuadratic(2.0)
-        flow = lambda noise, rows: _centred(
-            dd.flow_sample(noise, FlowConfig(sched, rows, width), np.ones((1, rows), dtype=np.int64), t)[0])
-        chain, params = _dd_chain, {"t": t, "n": n_list[0], "K": width}
+        sched, n_list, gate_n = DiscreteQuadratic(0.98), (32,), 4
+    ops, cfg, x, params = _affine_setting(modality, sched)
+    flow = lambda noise, rows: ops.flow_sample(noise, cfg, np.full((rows, 1), x), 1.0).reshape(rows, -1)
+    width = cfg.K or 1
     ref = _affine_moments(flow(_unit_noise(1, width)[0], 1 + width))
-    errs = [_affine_err(ref, _chain_moments(chain, _step_alphas(sched, t, n), width)) for n in n_list]
-    gate, gate_text = _gate(ref, flow(rng, GATE_TRIALS),
-                            chain([rng] * gate_n, _step_alphas(sched, t, gate_n), GATE_TRIALS))
+    errs = [_affine_err(ref, _chain_moments(ops, cfg, x, n)) for n in n_list]
+    gate, gate_text = _gate(ref, flow(rng, GATE_TRIALS), _chain(ops, cfg, [rng] * gate_n, x, GATE_TRIALS))
     stat = max(errs)
     return PropertyReport(
         property_id=f"flow-equivalence-{modality}", modality=modality, statistic=stat, tolerance=EXACT_TOL,
         passed=bool(stat < EXACT_TOL and gate <= GATE_SE), samples=2 * GATE_TRIALS, seed=seed,
-        params={**params, "gate_n": gate_n},
+        params={**params, "n_list": list(n_list), "gate_n": gate_n},
         detail=" ".join(f"n={n}:{e:.1e}" for n, e in zip(n_list, errs)) + f" {gate_text}",
     )
 

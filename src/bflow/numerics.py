@@ -51,6 +51,26 @@ class Rng:
         return out
 
 
+class RowStreams:
+    """B Rngs drawn as one rng: row b of a (B, ...) draw is stream b's own
+    draw of the rest of the shape, so a stream's bits do not depend on the
+    others.  A draw of other than B rows raises."""
+
+    def __init__(self, streams):
+        self.streams = list(streams)
+
+    def _rows(self, draw, size):
+        if size[0] != len(self.streams):
+            raise ValueError(f"a draw of {size[0]} rows from {len(self.streams)} streams")
+        return np.array([draw(r)(size[1:]) for r in self.streams])
+
+    def standard_normal(self, size):
+        return self._rows(lambda r: r.standard_normal, size)
+
+    def uniform(self, size):
+        return self._rows(lambda r: r.uniform, size)
+
+
 def gaussian_sample(rng, mean, var, z=None):
     """Draw mean + sqrt(var) * z with z iid standard normal.
 
@@ -60,7 +80,7 @@ def gaussian_sample(rng, mean, var, z=None):
     """
     mean = np.asarray(mean, dtype=np.float64)
     var = np.asarray(var, dtype=np.float64)
-    if np.any(var <= 0.0):
+    if not (var > 0.0).all():  # NaN fails
         raise ValueError("variance must be positive")
     if z is None:
         z = rng.standard_normal(mean.shape)
@@ -111,10 +131,6 @@ def row_sum(m):
 def softmax_rows(logits):
     """Softmax over the last axis of an (..., K) array."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not _by_columns(logits):
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        e /= e.sum(axis=-1, keepdims=True)
-        return e
     e = np.exp(logits - row_max(logits)[..., None])
     e /= row_sum(e)[..., None]
     return e
@@ -126,7 +142,7 @@ def log_gaussian_pdf(y, mean, var):
     y (..., D) gives (...); var is a scalar or one variance per row.
     """
     var = np.asarray(var, dtype=np.float64)
-    if (var <= 0.0).any():
+    if not (var > 0.0).all():  # NaN fails
         raise ValueError("variance must be positive")
     y = np.asarray(y, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)

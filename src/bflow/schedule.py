@@ -11,6 +11,8 @@ form, so nothing is cached.  ``beta``, ``alpha`` and ``gamma`` take a
 float or an array of times, ``step_alpha`` an integer step or array of
 steps.  ``FlowConfig`` bundles a schedule with what else a modality's ops
 take; ``sample_chain`` and ``loss_cts`` sample and score any modality.
+Every op draws (B, ...) blocks from one rng; ``sample_chain`` hands its
+B per-sample streams to the ops as one ``numerics.RowStreams``.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import RowStreams
 
 
 @dataclass(frozen=True)
@@ -111,26 +113,25 @@ def step_time(i, n):
     return (i - 1) / n
 
 
-def sample_chain(ops, rng, predictor, cfg, n, return_state=False):
-    """n-step ancestral sampling over a modality module's chain ops.
+def sample_chain(ops, streams, predictor, cfg, n, return_state=False):
+    """n-step ancestral sampling over a modality module's chain ops: (B, D)
+    samples from a sequence of B Rngs.
 
     From ``ops.prior``, step i of n draws ``ops.estimate`` at t = (i - 1) / n
     and sends it through ``ops.update`` at the accuracy of step i; the
-    estimate drawn at t = 1 is the sample.  rng is one Rng, which gives one
-    (D,) sample, or a sequence of B Rngs, which gives (B, D) samples: row b
-    draws from stream b as a one-stream call does, and the predictor runs
-    once per step on the batch.  With return_state, also returns the final
+    estimate drawn at t = 1 is the sample.  The ops draw (B, ...) blocks
+    from one ``numerics.RowStreams`` over the streams, so row b draws from
+    stream b alone, as a one-stream run does, and the predictor runs once
+    per step on the batch.  With return_state, also returns the final
     state.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rngs = [rng] if isinstance(rng, Rng) else list(rng)
-    state = ops.prior(cfg, len(rngs))
+    rng = RowStreams(streams)
+    state = ops.prior(cfg, len(rng.streams))
     for i in range(1, n + 1):
-        state = ops.update(cfg, state, ops.estimate(predictor, cfg, state, (i - 1) / n, rngs), i, n, rngs)
-    sample = ops.estimate(predictor, cfg, state, 1.0, rngs)
-    if isinstance(rng, Rng):
-        sample, state = sample[0], state[0]
+        state = ops.update(cfg, state, ops.estimate(predictor, cfg, state, (i - 1) / n, rng), i, n, rng)
+    sample = ops.estimate(predictor, cfg, state, 1.0, rng)
     return (sample, state) if return_state else sample
 
 

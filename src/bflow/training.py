@@ -77,6 +77,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not self.recon_sigma >= 0.0:  # NaN fails
             raise ValueError(f"recon_sigma must be >= 0, got {self.recon_sigma}")
+        # the other family's schedule field, and the continuous-only noise
+        ignored = ["sigma1" if self.modality == "discrete" else "beta1"]
+        ignored += ["recon_sigma"] if self.modality != "continuous" else []
+        for name in ignored:
+            if getattr(self, name) != 0.0:
+                raise ValueError(f"{self.modality} data takes no {name}, got {getattr(self, name)}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {','.join(map(str, self.hidden))}")
         if self.schedule_preset:  # its sigma1 or beta1 replaces the field's

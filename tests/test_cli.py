@@ -223,6 +223,23 @@ class TestTrain:
                     "--out", str(tmp_path / "o"))
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name, settings, message", [
+        ("train_strings", ["sigma1=0.5"], "discrete data takes no sigma1, got 0.5"),
+        ("train_strings", ["recon_sigma=0.3"], "discrete data takes no recon_sigma, got 0.3"),
+        ("train_mixture", ["beta1=2.0"], "continuous data takes no beta1, got 2.0"),
+        ("train_mixture", ["modality=discretised", "K=16"], "discretised data takes no recon_sigma, got 0.3"),
+        ("train_mixture", ["modality=discretised", "K=16", "recon_sigma=0", "beta1=2.0"],
+         "discretised data takes no beta1, got 2.0"),
+    ], ids=["discrete-sigma1", "discrete-recon-sigma", "continuous-beta1", "discretised-recon-sigma",
+            "discretised-beta1"])
+    def test_field_the_modality_ignores_is_usage_error(self, monkeypatch, tmp_path, name, settings, message):
+        # each once trained with the value silently dropped
+        monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained with an ignored field"))
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        with pytest.raises(SystemExit, match=rf"train: config .*{name}\.cfg: {message}"):
+            run_cli("train", "--config", str(CONFIG_DIR / f"{name}.cfg"), *sets, "--out", str(tmp_path / "o"))
+        assert not (tmp_path / "o").exists()
+
     def test_empty_dataset_is_usage_error_before_compute(self, tmp_path, monkeypatch):
         # it once stopped with a traceback from training.train
         cfg = tmp_path / "c.cfg"

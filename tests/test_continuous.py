@@ -232,8 +232,8 @@ class TestGenerate:
     def test_constant_oracle_converges(self):
         c = 0.37
         pred = CtsDatumPredictor(np.array([c]), CFG.schedule.sigma1)
-        out = sample_chain(cts, Rng(12), pred, CFG, 50)
-        assert abs(out[0] - c) <= 3 * CFG.schedule.sigma1
+        out = sample_chain(cts, [Rng(12)], pred, CFG, 50)
+        assert abs(out[0, 0] - c) <= 3 * CFG.schedule.sigma1
 
     def test_predictor_called_exactly_twice_for_one_step(self):
         calls = []
@@ -244,16 +244,16 @@ class TestGenerate:
                 return super().forward_batch(X, t)
 
         pred = Counting(np.array([0.1]), CFG.schedule.sigma1)
-        sample_chain(cts, Rng(13), pred, CFG, 1)
+        sample_chain(cts, [Rng(13)], pred, CFG, 1)
         # first call lands below t_min so only the t=1 call reaches the
         # predictor; the loop itself runs twice
         assert len(calls) == 1
-        sample_chain(cts, Rng(13), pred, CFG, 2)
+        sample_chain(cts, [Rng(13)], pred, CFG, 2)
 
     def test_deterministic_under_seed(self):
         pred = CtsDatumPredictor(np.array([0.2]), CFG.schedule.sigma1)
-        a = sample_chain(cts, Rng(14), pred, CFG, 10)
-        b = sample_chain(cts, Rng(14), pred, CFG, 10)
+        a = sample_chain(cts, [Rng(14)], pred, CFG, 10)
+        b = sample_chain(cts, [Rng(14)], pred, CFG, 10)
         assert np.array_equal(a, b)
 
     def test_final_precision(self, monkeypatch):
@@ -261,13 +261,13 @@ class TestGenerate:
         seen = _record_precisions(monkeypatch)
         for n in (1, 7, 32):
             seen.clear()
-            sample_chain(cts, Rng(15), pred, CFG, n)
+            sample_chain(cts, [Rng(15)], pred, CFG, n)
             _assert_precisions_chain(seen, CFG.schedule, n)
 
     def test_output_in_range(self):
         pred = ConstantPredictor(np.array([3.0]))
-        out = sample_chain(cts, Rng(16), pred, CFG, 5)
-        assert cts.X_MIN <= out[0] <= cts.X_MAX
+        out = sample_chain(cts, [Rng(16)], pred, CFG, 5)
+        assert cts.X_MIN <= out[0, 0] <= cts.X_MAX
 
 
 def _record_precisions(monkeypatch):
@@ -293,39 +293,55 @@ def _assert_precisions_chain(seen, sched, n):
     np.testing.assert_allclose(np.subtract(ends, starts), sched.step_alpha(np.arange(1, n + 1), n), rtol=1e-12)
 
 
-def _sample_chain_reference(rng, cfg, n, estimate):
+def _sample_chain_reference(rngs, cfg, n, estimate):
     """continuous.sample_chain as it stood before the noise buffer was
-    reused: the per-stream noise rebuilt with np.array every step, and the
-    precision carried from step to step."""
+    reused: the per-stream noise rebuilt with np.array every step, the
+    precision carried from step to step, and the sender draw and Bayesian
+    update written out, so that none of the ops under test builds the
+    reference."""
     sched = cfg.schedule
-    rngs = [rng] if isinstance(rng, Rng) else list(rng)
     mean, precision = np.zeros((len(rngs), cfg.D)), 1.0
     for i in range(1, n + 1):
-        x_hat = estimate(mean, (i - 1) / n, rngs)
+        x_hat = estimate(mean, (i - 1) / n)
         alpha = sched.step_alpha(i, n)
         z = np.array([r.standard_normal(cfg.D) for r in rngs])
-        y = gaussian_sample(None, x_hat, 1.0 / alpha, z)
-        mean, precision = cts.bayes_update(mean, y, alpha, precision, 1.0 + sched.beta(i / n)), 1.0 + sched.beta(i / n)
-    out = estimate(mean, 1.0, rngs)
-    if isinstance(rng, Rng):
-        out, mean = out[0], mean[0]
-    return out, mean
+        y = x_hat + np.sqrt(1.0 / alpha) * z
+        new_precision = 1.0 + sched.beta(i / n)
+        mean, precision = (mean * precision + y * alpha) / new_precision, new_precision
+    return estimate(mean, 1.0), mean
 
 
 class TestSampleChainMatchesReference:
-    @pytest.mark.parametrize("n", [1, 9])
-    def test_bits(self, n):
-        cfg = FlowConfig(ContinuousSigma(0.02), D=3)
+    cfg = FlowConfig(ContinuousSigma(0.02), D=3)
+
+    @classmethod
+    def _estimate(cls):
+        """cts.estimate on a perturbed MLP, as the reference's estimate."""
         mlp = MLP(PredictorSpec(3, 3, hidden=(16, 16)), seed=5)
         mlp.params += 0.5 * Rng(51).standard_normal(mlp.n_params)
+        return mlp, lambda mean, t: cts.estimate(mlp, cls.cfg, mean, t, None)
 
-        def estimate(mean, t, rngs):
-            return cts.estimate(mlp, cfg, mean, t, rngs)
-
-        for rng in (lambda: Rng(52), lambda: [Rng(53).split(j) for j in range(5)]):
-            out, p = sample_chain(cts, rng(), mlp, cfg, n, return_state=True)
-            ref, p_ref = _sample_chain_reference(rng(), cfg, n, estimate)
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_bits(self, n):
+        mlp, estimate = self._estimate()
+        for streams in (lambda: [Rng(52)], lambda: [Rng(53).split(j) for j in range(5)]):
+            out, p = sample_chain(cts, streams(), mlp, self.cfg, n, return_state=True)
+            ref, p_ref = _sample_chain_reference(streams(), self.cfg, n, estimate)
             assert np.array_equal(out, ref) and np.array_equal(p, p_ref)
+
+    @pytest.mark.parametrize("op, mutant", [
+        ("bayes_update", lambda real: lambda mean, y, alpha, p, new_p: real(mean, y, alpha, 1.05 * p, new_p)),
+        ("gaussian_sample", lambda real: lambda rng, mean, var, z=None: real(rng, mean, 1.1 * var, z)),
+    ], ids=["hot-prior-precision", "hot-sender-variance"])
+    def test_mutant_leaves_the_reference(self, monkeypatch, op, mutant):
+        # the reference writes the update and the sender draw out, so a
+        # mutant of either op moves the sampler alone
+        mlp, estimate = self._estimate()
+        monkeypatch.setattr(cts, op, mutant(getattr(cts, op)))
+        streams = lambda: [Rng(53).split(j) for j in range(5)]
+        out, p = sample_chain(cts, streams(), mlp, self.cfg, 9, return_state=True)
+        ref, p_ref = _sample_chain_reference(streams(), self.cfg, 9, estimate)
+        assert not (np.array_equal(out, ref) and np.array_equal(p, p_ref))
 
 
 class TestAdditivityDistribution:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
-from bflow.numerics import Rng, log_gaussian_pdf, softmax_rows
+from bflow.numerics import Rng, RowStreams, log_gaussian_pdf, softmax_rows
 from bflow.predictor import MLP, ConstantProbsPredictor, PredictorSpec
 from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, sample_chain
 from oracle_predictors import ConstantPredictor, DiscreteOneHotPredictor
@@ -52,7 +52,7 @@ class TestBayesUpdate:
         state = dd.prior(cfg, 1)
         np.testing.assert_array_equal(softmax_rows(state), 0.25)
         y = dd.sender_sample(None, x, SCHED.step_alpha(1, 4), 4, Rng(1).standard_normal((1, 2, 4)))
-        after = dd.update(cfg, state, x, 1, 4, [Rng(1)])
+        after = dd.update(cfg, state, x, 1, 4, Rng(1))
         np.testing.assert_array_equal(after, y)
         np.testing.assert_allclose(dd.net_input(cfg, after), 2 * softmax_rows(y).reshape(1, -1) - 1, atol=1e-15)
 
@@ -68,7 +68,7 @@ class TestBayesUpdate:
         want = dd.prior(cfg, B)
         for i in (1, 2):
             x = gen.integers(1, K + 1, size=(B, D))
-            state = dd.update(cfg, state, x, i, n, rngs)
+            state = dd.update(cfg, state, x, i, n, RowStreams(rngs))
             z = np.array([r.standard_normal((D, K)) for r in copies])
             want = want + dd.sender_sample(None, x, SCHED.step_alpha(i, n), K, z)
         np.testing.assert_array_equal(state, want)
@@ -79,7 +79,7 @@ class TestBayesUpdate:
         cfg, r = FlowConfig(DiscreteQuadratic(2000.0), 4, 6), Rng(3)
         state = dd.prior(cfg, 1)
         for i in range(1, 201):
-            state = dd.update(cfg, state, r.integers(1, 7, size=(1, 4)), i, 200, [r])
+            state = dd.update(cfg, state, r.integers(1, 7, size=(1, 4)), i, 200, r)
             theta = softmax_rows(state)
             assert np.all(theta >= 0)
             np.testing.assert_allclose(theta.sum(axis=-1), 1.0, atol=1e-9)
@@ -355,44 +355,44 @@ class TestGenerate:
 
     def test_theta_rows_remain_simplex(self):
         pred = ConstantPredictor(np.zeros(6))
-        _, logits = sample_chain(dd, Rng(21), pred, FlowConfig(DiscreteQuadratic(50.0), 2, 3), 40, return_state=True)
-        theta = softmax_rows(logits)
+        _, logits = sample_chain(dd, [Rng(21)], pred, FlowConfig(DiscreteQuadratic(50.0), 2, 3), 40, return_state=True)
+        theta = softmax_rows(logits[0])
         np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(theta >= 0)
 
 
-def _generate_reference(rng, predictor, sched, n, K, D):
+def _generate_reference(rngs, predictor, sched, n, K, D):
     """discrete.generate as its loop stood before the buffers were reused:
-    per-stream arrays rebuilt every step, the draw through sender_sample,
-    and softmax and the categorical draw in their allocating forms."""
+    per-stream arrays rebuilt every step, softmax and the categorical draw
+    in their allocating forms, and the sender draw written out, so that
+    none of the ops under test builds the reference."""
 
     def softmax(a):
         e = np.exp(a - np.max(a, axis=-1, keepdims=True))
         return e / np.sum(e, axis=-1, keepdims=True)
 
-    cfg = FlowConfig(sched, D, K)
-    rngs = [rng] if isinstance(rng, Rng) else list(rng)
-    logits = np.zeros((len(rngs), D, K))
-    theta = np.full((len(rngs), D, K), 1.0 / K)
+    B = len(rngs)
+    logits = np.zeros((B, D, K))
+    theta = np.full((B, D, K), 1.0 / K)
     for i in range(1, n + 2):
         u = np.array([r.uniform(size=(D, 1)) for r in rngs])
-        X = 2.0 * theta[..., 0] - 1.0 if K == 2 else (2.0 * theta - 1.0).reshape(len(rngs), -1)
+        X = 2.0 * theta[..., 0] - 1.0 if K == 2 else (2.0 * theta - 1.0).reshape(B, -1)
         out = predictor.forward_batch(X, (i - 1) / n)
         if K == 2:
             p1 = 1.0 / (1.0 + np.exp(-out))
             probs = np.stack([p1, 1.0 - p1], axis=-1)
         else:
-            probs = softmax(out.reshape(len(rngs), D, K))
+            probs = softmax(out.reshape(B, D, K))
         cum = np.cumsum(probs, axis=-1)
         cum[..., -1] = np.maximum(cum[..., -1], 1.0)
         k = 1 + np.sum(u > cum, axis=-1).astype(np.int64)
         if i > n:
             break
         z = np.array([r.standard_normal((D, K)) for r in rngs])
-        logits += dd.sender_sample(None, k, sched.step_alpha(i, n), K, z)
+        alpha = sched.step_alpha(i, n)
+        onehot = (k[..., None] == np.arange(1, K + 1)).astype(np.float64)
+        logits += alpha * (K * onehot - 1.0) + np.sqrt(alpha * K) * z
         theta = softmax(logits)
-    if isinstance(rng, Rng):
-        k, theta = k[0], theta[0]
     return k, theta
 
 
@@ -417,18 +417,38 @@ class TestGenerateMatchesReference:
     samples and states bit for bit, for one stream and for a batch of
     streams."""
 
+    @staticmethod
+    def _mlp(cfg):
+        mlp = MLP(PredictorSpec(*dd.net_widths(cfg), hidden=(16, 16)), seed=3)
+        mlp.params += 0.5 * Rng(31).standard_normal(mlp.n_params)
+        return mlp
+
     @pytest.mark.parametrize("K, D", [(27, 4), (2, 5)])
     @pytest.mark.parametrize("n", [1, 12])
     def test_bits(self, K, D, n):
         sched = DiscreteQuadratic(3.0)
         cfg = FlowConfig(sched, D, K)
-        mlp = MLP(PredictorSpec(*dd.net_widths(cfg), hidden=(16, 16)), seed=3)
-        mlp.params += 0.5 * Rng(31).standard_normal(mlp.n_params)
-        for rng in (lambda: Rng(32), lambda: [Rng(33).split(j) for j in range(5)]):
-            k, logits = sample_chain(dd, rng(), mlp, cfg, n, return_state=True)
-            k_ref, theta_ref = _generate_reference(rng(), mlp, sched, n, K, D)
+        mlp = self._mlp(cfg)
+        for streams in (lambda: [Rng(32)], lambda: [Rng(33).split(j) for j in range(5)]):
+            k, logits = sample_chain(dd, streams(), mlp, cfg, n, return_state=True)
+            k_ref, theta_ref = _generate_reference(streams(), mlp, sched, n, K, D)
             assert np.array_equal(k, k_ref) and np.array_equal(softmax_rows(logits), theta_ref)
-            assert np.array_equal(dd.generate(rng(), mlp, sched, n, K, D), k_ref)
+            # generate runs one stream: each stream's run is its row of the batch
+            for b, rng in enumerate(streams()):
+                assert np.array_equal(dd.generate(rng, mlp, sched, n, K, D), k_ref[b])
+
+    def test_hot_sender_leaves_the_reference(self, monkeypatch):
+        # the reference writes its sender draw out, so a sender drawing at
+        # 1.1x the scheduled accuracy moves the sampler alone
+        sched = DiscreteQuadratic(3.0)
+        cfg = FlowConfig(sched, 4, 27)
+        mlp = self._mlp(cfg)
+        real = dd.sender_sample
+        monkeypatch.setattr(dd, "sender_sample", lambda rng, x, alpha, K, z=None: real(rng, x, 1.1 * alpha, K, z))
+        streams = lambda: [Rng(33).split(j) for j in range(5)]
+        k, logits = sample_chain(dd, streams(), mlp, cfg, 12, return_state=True)
+        k_ref, theta_ref = _generate_reference(streams(), mlp, sched, 12, 27, 4)
+        assert not (np.array_equal(k, k_ref) and np.array_equal(softmax_rows(logits), theta_ref))
 
     @pytest.mark.parametrize("B", [1, 3])
     def test_stream_layout(self, B):

@@ -432,20 +432,20 @@ class TestGenerate:
         g = dsc.BinGeometry(K)
         target = np.array([g.center(13)])
         pred = DiscretisedDatumPredictor(target, 1e-9, CFG.schedule.sigma1)
-        out = sample_chain(dsc, Rng(14), pred, CFG, 12)
-        assert out[0] == g.center(13)
+        out = sample_chain(dsc, [Rng(14)], pred, CFG, 12)
+        assert out[0, 0] == g.center(13)
 
     def test_seed_determinism(self):
         cfg = replace(CFG, K=8)
         pred = DiscretisedDatumPredictor(np.array([0.1]), 0.2, CFG.schedule.sigma1)
-        a = sample_chain(dsc, Rng(15), pred, cfg, 6)
-        b = sample_chain(dsc, Rng(15), pred, cfg, 6)
+        a = sample_chain(dsc, [Rng(15)], pred, cfg, 6)
+        b = sample_chain(dsc, [Rng(15)], pred, cfg, 6)
         assert np.array_equal(a, b)
 
     def test_final_precision(self, monkeypatch):
         pred = DiscretisedDatumPredictor(np.array([0.1]), 0.2, CFG.schedule.sigma1)
         seen = _record_precisions(monkeypatch)
-        sample_chain(dsc, Rng(16), pred, replace(CFG, K=8), 9)
+        sample_chain(dsc, [Rng(16)], pred, replace(CFG, K=8), 9)
         _assert_precisions_chain(seen, CFG.schedule, 9)
 
 

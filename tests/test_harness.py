@@ -96,11 +96,10 @@ class TestExactMoments:
         sched = DiscreteQuadratic(2.0)
         noise = harness._unit_noise(1, K)[0]
         state = dd.flow_sample(noise, FlowConfig(sched, K + 1, K), np.ones((1, K + 1), dtype=np.int64), t)[0]
-        mean, cov = harness._affine_moments(harness._centred(state))
-        centre = np.eye(K) - 1.0 / K
+        mean, cov = harness._affine_moments(state)
         beta = sched.beta(t)
-        assert np.abs(mean - centre @ dd.sender_mean(1, beta, K)).max() < 1e-12
-        assert np.abs(cov - beta * K * centre).max() < 1e-12
+        assert np.abs(mean - dd.sender_mean(1, beta, K)).max() < 1e-12
+        assert np.abs(cov - beta * K * np.eye(K)).max() < 1e-12
 
     def test_multinomial_moments_match_sampled(self):
         sim = FiniteMSimulator(m=50, K=3, alpha=0.25)

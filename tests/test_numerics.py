@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bflow.kernels import erf_vec, logsumexp_rows
 from bflow.numerics import (
     Rng,
+    RowStreams,
     gaussian_sample,
     log_gaussian_pdf,
     sample_categorical_rows,
@@ -54,10 +55,36 @@ class TestRng:
         assert r.draws == 15
 
 
+class TestRowStreams:
+    def test_row_b_is_stream_b_own_draw(self):
+        # two draws of each kind in turn: row b of each is stream b's next draw
+        rng = RowStreams([Rng(7).split(b) for b in range(4)])
+        draws = [rng.uniform((4, 5, 1)), rng.standard_normal((4, 2, 3)), rng.uniform((4, 5, 1)),
+                 rng.standard_normal((4, 3))]
+        for b in range(4):
+            own = Rng(7).split(b)
+            want = [own.uniform((5, 1)), own.standard_normal((2, 3)), own.uniform((5, 1)), own.standard_normal(3)]
+            for got, ref in zip(draws, want):
+                assert np.array_equal(got[b], ref)
+
+    @pytest.mark.parametrize("draw", ["standard_normal", "uniform"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_leading_size_must_be_the_stream_count(self, draw, rows):
+        rng = RowStreams([Rng(8), Rng(9)])
+        with pytest.raises(ValueError, match=f"a draw of {rows} rows from 2 streams"):
+            getattr(rng, draw)((rows, 4))
+
+
 class TestGaussianSample:
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
             gaussian_sample(Rng(0), np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("var", [np.nan, np.array([1.0, np.nan, 2.0])], ids=["scalar", "one-of-three"])
+    def test_rejects_nan_variance(self, var):
+        # a NaN compares false both ways, so only "not all positive" rejects it
+        with pytest.raises(ValueError, match="variance must be positive"):
+            gaussian_sample(Rng(0), np.zeros(3), var)
         with pytest.raises(ValueError):
             gaussian_sample(Rng(0), np.zeros(2), np.array([1.0, -1.0]))
 
@@ -161,6 +188,11 @@ class TestLogGaussianPdf:
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):
             log_gaussian_pdf(np.zeros(1), np.zeros(1), 0.0)
+
+    @pytest.mark.parametrize("var", [np.nan, np.array([1.0, np.nan])], ids=["scalar", "one-per-row"])
+    def test_rejects_nan_variance(self, var):
+        with pytest.raises(ValueError, match="variance must be positive"):
+            log_gaussian_pdf(np.zeros((2, 1)), np.zeros((2, 1)), var)
 
     @pytest.mark.parametrize("per_row_var", [False, True])
     def test_one_dimension_matches_vecdot_bits(self, per_row_var):

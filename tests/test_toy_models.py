@@ -78,7 +78,7 @@ class TestGenerationStatistics:
         predictor = training.ema_predictor(result)
         rng = Rng(55)
         n_samples = 10_000
-        out = dd.generate([rng.split(j) for j in range(n_samples)], predictor, result.config.schedule, 10, 2, 1)
+        out = sample_chain(dd, [rng.split(j) for j in range(n_samples)], predictor, result.config.flow, 10)
         ones = int(np.sum(out[:, 0] == 1))
         assert abs(ones / n_samples - 0.5) <= 0.03
 
@@ -127,8 +127,8 @@ def _random_mlp(modality, seed, **overrides):
     return config, mlp
 
 
-def _generate(rng, pred, config, n):
-    return sample_chain(training.OPS[config.modality], rng, pred, config.flow, n)
+def _generate(streams, pred, config, n):
+    return sample_chain(training.OPS[config.modality], streams, pred, config.flow, n)
 
 
 class TestBatchedGenerate:
@@ -140,7 +140,7 @@ class TestBatchedGenerate:
         batched = _generate([Rng(40).split(j) for j in range(5)], pred, config, 20)
         assert batched.shape == (5, config.D)
         for j in range(5):
-            one = _generate(Rng(40).split(j), pred, config, 20)
+            one = _generate([Rng(40).split(j)], pred, config, 20)[0]
             if modality == "continuous":
                 np.testing.assert_allclose(batched[j], one, rtol=1e-12)
             else:
@@ -159,7 +159,7 @@ class TestBatchedGenerate:
         args = ["--count", "4", "--steps", "12", "--seed", "9", "--out", str(tmp_path / "s")]
         assert cli.main(["sample", "--checkpoint", str(ckpt), *args]) == 0
         for j in range(4):
-            out = _generate(Rng(9).split(j), pred, config, 12)
+            out = _generate([Rng(9).split(j)], pred, config, 12)[0]
             if modality == "discrete" and K == 27:  # the 27-symbol alphabet, a to z then space
                 got = (tmp_path / "s" / f"sample_{j:03d}.txt").read_bytes()
                 assert got == ("".join(" " if k == 27 else chr(ord("a") + k - 1) for k in out) + "\n").encode()

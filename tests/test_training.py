@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bflow import cli, schedule, training
+from bflow import cli, harness, schedule, training
 from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
@@ -837,7 +837,7 @@ class _RowLocal:
 
 def _eval_case(modality):
     """(config, dataset, row-local predictor) with 7 items."""
-    config = _make_config(modality, recon_sigma=0.3)
+    config = _make_config(modality, recon_sigma=0.3 if modality == "continuous" else 0.0)
     if modality == "discrete":
         data = Rng(60).integers(1, config.K + 1, size=(7, config.D))
     else:
@@ -1240,8 +1240,8 @@ OP_SET = {
     "recon": ["rng", "predictor", "cfg", "x"],
     "render": ["cfg", "samples", "alphabet"],
     "prior": ["cfg", "B"],
-    "estimate": ["predictor", "cfg", "state", "t", "rngs"],
-    "update": ["cfg", "state", "estimate", "i", "n", "rngs"],
+    "estimate": ["predictor", "cfg", "state", "t", "rng"],
+    "update": ["cfg", "state", "estimate", "i", "n", "rng"],
 }
 
 
@@ -1270,6 +1270,33 @@ class TestOpSet:
             found += [(module.__name__, ast.unparse(node)) for node in ast.walk(tree)
                       if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("getattr", "hasattr")]
         assert found == []
+
+    def test_ops_draw_from_one_rng(self):
+        # estimate and update once looped over a list of per-stream Rngs;
+        # every op now draws (B, ...) blocks from one rng, and the sampler
+        # hands its streams over as one numerics.RowStreams
+        found = []
+        for module in (*training.OPS.values(), schedule):
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            found += [(module.__name__, ast.unparse(node)) for node in ast.walk(tree)
+                      if isinstance(node, (ast.comprehension, ast.For)) and "rng" in ast.unparse(node.iter)]
+        assert found == []
+
+    @pytest.mark.parametrize("modality, K", [("continuous", 0), ("discretised", 8), ("discrete", 2), ("discrete", 4)])
+    def test_estimate_and_update_take_one_rng(self, modality, K):
+        # a plain Rng on a 5-row batch, and the harness's noise rows: one
+        # stand-in whose unit draws move one coordinate of the update each
+        config = _make_config(modality, K=K, batch_size=5)
+        ops, cfg = training.OPS[modality], config.flow
+        state = ops.flow_sample(Rng(86), cfg, _random_batch(Rng(87), config), 0.5)
+        estimate = ops.estimate(MLP(config.predictor_spec(), seed=88), cfg, state, 0.5, Rng(89))
+        assert estimate.shape == (5, 3)
+        assert ops.update(cfg, state, estimate, 2, 4, Rng(90)).shape == state.shape
+        width = state[0].size
+        rows = ops.update(cfg, ops.prior(cfg, 1 + width), np.repeat(estimate[:1], 1 + width, axis=0), 2, 4,
+                          harness._unit_noise(1, width)[0]).reshape(1 + width, -1)
+        jac = rows[1:] - rows[0]
+        assert np.all(jac == np.diag(np.diag(jac))) and np.all(np.diag(jac) > 0)
 
     @pytest.mark.parametrize("modality, K", [("continuous", 0), ("discretised", 8), ("discrete", 2), ("discrete", 4)])
     def test_states_are_plain_arrays(self, modality, K):
@@ -1354,7 +1381,7 @@ class TestTrainConfig:
         # the modality's net_widths runs once, in TrainConfig, not first in train
         monkeypatch.setattr(training, "MLP", lambda *a, **k: pytest.fail("built a network"))
         with pytest.raises(ValueError, match=message):
-            TrainConfig(modality=modality, D=4, K=K, sigma1=0.1, beta1=1.0)
+            TrainConfig(modality=modality, D=4, K=K, **({"beta1": 1.0} if modality == "discrete" else {"sigma1": 0.1}))
 
     def test_preset_of_the_family_applies(self):
         assert _make_config("discrete", schedule_preset="chars27").beta1 == 0.75
