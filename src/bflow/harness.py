@@ -30,8 +30,12 @@ integrate the production log-ratio over Gauss-Hermite nodes of the
 sender draw.  The loss checks stratify the ops' own discrete randomness
 (step index, time grid) and integrate each stratum over Gauss-Hermite
 nodes, the discrete strata over the K - 1 noise differences their
-log-ratio depends on; a time grid, an n or a set of strata runs as one
-batched call, each drawing its stream as the run of one-row calls would.  A gate then draws real samples from the
+log-ratio depends on.  A time grid or an n runs as one batched call,
+each row drawing its stream as a run of one-row calls would.  The
+strata's node values and the loss gates' draws run in row blocks of
+bounded memory (BLOCK_BYTES): a node value depends on its own stratum
+alone and a block draws the next rows of one stream, so no value moves
+with the block size.  A gate then draws real samples from the
 stochastic ops and requires agreement within 4 standard errors, so the
 sampled path cannot drift from the verified one and an op not affine in
 its noise still shows; the affine and KL checks' reports state the gate's
@@ -82,6 +86,22 @@ def _hermgauss(nodes):
     w = w / np.sqrt(2.0 * np.pi)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+# the bytes of a blocked call's largest temporary, summed over a block's rows
+BLOCK_BYTES = 1 << 20
+
+
+def _in_blocks(f, rows, row_bytes):
+    """f(s) over consecutive slices s of range(rows), concatenated in order
+    (one empty slice if rows is 0): each block holds as many rows as fit in
+    BLOCK_BYTES at row_bytes of largest temporary apiece, and at least one.
+    A row of f's result must not depend on the other rows of its call.  A
+    matrix product is not such a call: BLAS rounds a row's dot product by
+    its place in the call, so a caller blocks the values and weights them
+    in one product afterwards."""
+    step = max(1, BLOCK_BYTES // row_bytes)
+    return np.concatenate([f(slice(lo, lo + step)) for lo in range(0, max(rows, 1), step)])
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +439,10 @@ def _dd_log_ratio_means(alpha, x, probs, K):
     noise, so it depends on the noise only through the K - 1 differences
     z_k - z_x, Gaussian with covariance I + 11^T: a (K - 1)-dim product
     Gauss-Hermite rule, mapped through its Cholesky factor, enters
-    dd.sender_sample as z with z_x = 0.  Accuracies above 0.1 take 80 nodes
-    a side, the rest 24: the log-sum-exp bends within a unit of noise as
-    alpha grows, and at alpha = 0.75 a 24-node rule is off by 4e-8."""
+    dd.sender_sample as z with z_x = 0, in row blocks of accuracies.
+    Accuracies above 0.1 take 80 nodes a side, the rest 24: the log-sum-exp
+    bends within a unit of noise as alpha grows, and at alpha = 0.75 a
+    24-node rule is off by 4e-8."""
     mesh = lambda v: np.stack(np.meshgrid(*[v] * (K - 1), indexing="ij"), axis=-1).reshape(-1, K - 1)
     chol = np.linalg.cholesky(np.eye(K - 1) + 1.0)
     others = np.arange(K) != x[:, None] - 1  # (D, K): the classes other than x
@@ -431,9 +452,21 @@ def _dd_log_ratio_means(alpha, x, probs, K):
         z = np.zeros((nodes ** (K - 1),) + others.shape)
         z[:, others] = np.tile(mesh(g) @ chol.T, x.size)
         a = alpha[sel, None, None, None]
-        y = dd.sender_sample(None, x[None, None], a, K, z=z)
-        means[sel] = dd.log_ratio(y, x[None, None], probs, a, K) @ mesh(w).prod(axis=1)
+
+        def nodes_ratio(s):
+            return dd.log_ratio(dd.sender_sample(None, x[None, None], a[s], K, z=z), x[None, None], probs, a[s], K)
+
+        means[sel] = _in_blocks(nodes_ratio, a.shape[0], z.nbytes) @ mesh(w).prod(axis=1)
     return means
+
+
+def _gate_draws(ops, rng, pred, cfg, x):
+    """GATE_DRAWS n-step losses of the datum x (D,) at step GATE_I of
+    GATE_N, in row blocks that draw consecutive rows of rng's stream; a
+    row's largest temporary is at most two (D, K) arrays."""
+    rows = np.broadcast_to(x, (GATE_DRAWS, x.size))
+    return _in_blocks(lambda s: ops.loss_n(rng, pred, cfg, rows[s], GATE_N, GATE_I), GATE_DRAWS,
+                      16 * x.size * cfg.K)
 
 
 def _convergence_report(prop_id, modality, gaps, final_tol, samples, seed, params, gate_dev=None):
@@ -485,20 +518,24 @@ def check_loss_convergence(seed, modality):
         # every stratum's receiver at its own time (the belief mean is
         # immaterial to the oracle), then its Gauss-Hermite expectation over
         # the sender draw y ~ N(x, 1/alpha) of the sender minus the receiver
-        # log-density, all strata in one call, at 80 nodes and at 160
+        # log-density, in row blocks of strata, at 80 nodes and at 160
         alpha = _strata(sched.step_alpha)
         probs = dsc.probs(pred, cfg, cts.prior(cfg, alpha.size), _strata(step_time))
 
         def strata(nodes):
             g, w = _hermgauss(nodes)
-            y = x[0] + g / np.sqrt(alpha[:, None])
-            recv = dsc.receiver_log_likelihood(y.reshape(-1, 1), np.repeat(probs, nodes, axis=0),
-                                               K, np.repeat(alpha, nodes))
-            return (log_gaussian_pdf(y[..., None], x, 1 / alpha[:, None]) - recv.reshape(y.shape)) @ w
+
+            def nodes_ratio(s):
+                y = x[0] + g / np.sqrt(alpha[s, None])
+                recv = dsc.receiver_log_likelihood(y.reshape(-1, 1), np.repeat(probs[s], nodes, axis=0),
+                                                   K, np.repeat(alpha[s], nodes))
+                return log_gaussian_pdf(y[..., None], x, 1 / alpha[s, None]) - recv.reshape(y.shape)
+
+            return _in_blocks(nodes_ratio, alpha.size, probs[0].nbytes * nodes) @ w
 
         gaps, ref = _strata_gaps(strata(80), linf)
         doubled = _strata_gaps(strata(160), linf)[0]
-        draws = dsc.loss_n(rng, pred, cfg, np.tile(x, (GATE_DRAWS, 1)), GATE_N, GATE_I)
+        draws = _gate_draws(dsc, rng, pred, cfg, x)
         report = _convergence_report(
             "loss-convergence-discretised", "discretised", gaps, 0.01,
             GATE_DRAWS + TIME_GRID.size, seed, {"K": K, "sigma1": sched.sigma1}, _gate_dev(draws, ref),
@@ -515,7 +552,7 @@ def check_loss_convergence(seed, modality):
     pred = ConstantProbsPredictor(probs_rows)
     linf = _simpson(loss_cts(dd, rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
     gaps, ref = _strata_gaps(_dd_log_ratio_means(_strata(sched.step_alpha), x, probs_rows, K), linf)
-    draws = dd.loss_n(rng, pred, cfg, np.tile(x, (GATE_DRAWS, 1)), GATE_N, GATE_I)
+    draws = _gate_draws(dd, rng, pred, cfg, x)
     return _convergence_report(
         "loss-convergence-discrete", "discrete", gaps, 0.01,
         GATE_DRAWS + TIME_GRID.size, seed, {"K": K, "D": D, "beta1": sched.beta1}, _gate_dev(draws, ref),

@@ -30,13 +30,16 @@ class Rng:
         """Independent child stream; same stream_id -> same child."""
         return Rng(self.seed, self._path + (int(stream_id),))
 
-    def standard_normal(self, size=None):
-        out = self._gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        """Standard normals of shape size, written into the C-contiguous
+        float64 array out when it is given."""
+        out = self._gen.standard_normal(size, out=out)
         self.draws += int(np.size(out))
         return out
 
-    def uniform(self, size=None):
-        out = self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        """Uniforms on [0, 1) of shape size, written into out when given."""
+        out = self._gen.random(size, out=out)
         self.draws += int(np.size(out))
         return out
 
@@ -62,7 +65,10 @@ class RowStreams:
     def _rows(self, draw, size):
         if size[0] != len(self.streams):
             raise ValueError(f"a draw of {size[0]} rows from {len(self.streams)} streams")
-        return np.array([draw(r)(size[1:]) for r in self.streams])
+        out = np.empty(size)
+        for b, r in enumerate(self.streams):
+            draw(r)(size[1:], out=out[b, ...])
+        return out
 
     def standard_normal(self, size):
         return self._rows(lambda r: r.standard_normal, size)

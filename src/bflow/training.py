@@ -26,6 +26,7 @@ exactly that for all three modalities.
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -425,39 +426,46 @@ def load_checkpoint(path):
     """Read a checkpoint; a truncated or inconsistent file raises ValueError.
 
     Every returned array is its own C-contiguous copy, as ``adamw_step``
-    requires.
+    requires.  The header's length and the payload's size are checked
+    against the file's size before they are read, and each array is read
+    straight into its own buffer, so a load holds no second copy of the
+    payload and a damaged length field allocates nothing.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a checkpoint file (magic {raw[:4]!r})")
-    if len(raw) < 16:
-        raise ValueError("checkpoint truncated inside its fixed header")
-    version, hlen = struct.unpack_from("<IQ", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    if len(raw) - 16 < hlen:
-        raise ValueError(f"checkpoint truncated inside its {hlen}-byte JSON header")
-    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-        header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"checkpoint JSON header is corrupt: {exc}") from None
-    if "config" not in header:
-        raise ValueError("checkpoint header lacks config")
-    try:
-        cfg_dict = dict(header["config"])
-        cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
-        config = TrainConfig(**cfg_dict)
-        n = config.predictor_spec().n_params
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"checkpoint config is malformed: {exc!r}") from None
-    blob = raw[16 + hlen :]
-    if len(blob) != 32 * n:
-        raise ValueError(
-            f"checkpoint payload is {len(blob)} bytes, expected {32 * n}: "
-            f"params, EMA, m and v of {n} float64 values each"
-        )
-    params, ema, m, v = (row.copy() for row in np.frombuffer(blob, dtype="<f8").reshape(4, n))
+        size = os.fstat(fh.fileno()).st_size
+        fixed = fh.read(16)
+        if fixed[:4] != CHECKPOINT_MAGIC:
+            raise ValueError(f"not a checkpoint file (magic {fixed[:4]!r})")
+        if len(fixed) < 16:
+            raise ValueError("checkpoint truncated inside its fixed header")
+        version, hlen = struct.unpack_from("<IQ", fixed, 4)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        if size - 16 < hlen:
+            raise ValueError(f"checkpoint truncated inside its {hlen}-byte JSON header")
+        try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"checkpoint JSON header is corrupt: {exc}") from None
+        if not isinstance(header, dict) or "config" not in header:
+            raise ValueError("checkpoint header lacks config")
+        try:
+            cfg_dict = dict(header["config"])
+            cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
+            config = TrainConfig(**cfg_dict)
+            n = config.predictor_spec().n_params
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"checkpoint config is malformed: {exc!r}") from None
+        payload = size - 16 - hlen
+        if payload != 32 * n:
+            raise ValueError(
+                f"checkpoint payload is {payload} bytes, expected {32 * n}: "
+                f"params, EMA, m and v of {n} float64 values each"
+            )
+        params, ema, m, v = arrays = [np.empty(n, dtype="<f8") for _ in range(4)]
+        for arr in arrays:
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError("checkpoint file shrank while it was read")
     mlp = MLP(config.predictor_spec(), params=params)
     return TrainResult(mlp=mlp, ema_params=ema, moments_m=m, moments_v=v, history=[], config=config), header
 

@@ -19,7 +19,7 @@ from bflow import harness, training
 from bflow.harness import FiniteMSimulator
 from bflow.numerics import Rng, softmax_rows
 from bflow.predictor import MLP
-from bflow.schedule import PRESETS, ContinuousSigma, DiscreteQuadratic
+from bflow.schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, sample_chain
 
 SEED = 7
 
@@ -205,13 +205,12 @@ def test_criterion_09_toy_training():
     train_elapsed = time.time() - t0
     assert train_elapsed < 300
 
+    # 100 samples of 100 steps, one stream each, drawn in one batched call
     predictor = training.ema_predictor(result)
     targets = {tuple(row) for row in ds.items}
     gen_rng = Rng(77)
-    hits = sum(
-        tuple(dd.generate(gen_rng.split(j), predictor, config.schedule, 100, 27, 16)) in targets
-        for j in range(100)
-    )
+    samples = sample_chain(dd, [gen_rng.split(j) for j in range(100)], predictor, config.flow, 100)
+    hits = sum(tuple(row) in targets for row in samples)
     assert hits >= 90
 
     # continuous toy: one constant datum, loss under 1% of initial

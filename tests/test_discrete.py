@@ -403,13 +403,13 @@ class _LoggedRng(Rng):
         super().__init__(34, (j,))
         self.log = []
 
-    def uniform(self, size=None):
+    def uniform(self, size=None, out=None):
         self.log.append(("uniform", int(np.prod(size))))
-        return super().uniform(size)
+        return super().uniform(size, out)
 
-    def standard_normal(self, size=None):
+    def standard_normal(self, size=None, out=None):
         self.log.append(("normal", int(np.prod(size))))
-        return super().standard_normal(size)
+        return super().standard_normal(size, out)
 
 
 class TestGenerateMatchesReference:

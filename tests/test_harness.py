@@ -2,6 +2,7 @@
 seeded mutations of the formulas are detected."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,41 @@ class TestSeedSweep:
         for pid in ("kl-closed-form-continuous", "kl-closed-form-discretised"):
             rs = [harness.run_all(seed, pid)[0] for seed in (*range(20), 26, 37)]
             assert all(r.passed and r.statistic <= harness.EXACT_TOL for r in rs), [r.summary() for r in rs]
+
+
+class TestBoundedMemory:
+    """The loss-convergence strata and gates run in row blocks of at most
+    harness.BLOCK_BYTES of temporaries."""
+
+    LOSS = ("loss-convergence-continuous", "loss-convergence-discretised", "loss-convergence-discrete")
+
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+        default = [harness.run_all(7, pid)[0].to_line() for pid in self.LOSS]
+        blocks, in_blocks = [], harness._in_blocks
+
+        def counted(f, rows, row_bytes):
+            calls = []
+            out = in_blocks(lambda s: calls.append(s) or f(s), rows, row_bytes)
+            blocks.append(len(calls))
+            return out
+
+        monkeypatch.setattr(harness, "_in_blocks", counted)
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 1 << 16)
+        assert [harness.run_all(7, pid)[0].to_line() for pid in self.LOSS] == default
+        # two strata groups and a gate of each of the two modalities, and
+        # every one of the six calls cut into several blocks
+        assert len(blocks) == 6 and min(blocks) >= 4, blocks
+
+    def test_every_property_peaks_under_16_mib(self):
+        peaks = {}
+        for pid in harness.ALL_PROPERTIES:
+            tracemalloc.start()
+            try:
+                harness.run_all(7, pid)
+                peaks[pid] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) <= 16 << 20, {pid: f"{b / 2**20:.1f} MiB" for pid, b in peaks.items()}
 
 
 class TestRunAll:

@@ -54,6 +54,14 @@ class TestRng:
         r.uniform(size=5)
         assert r.draws == 15
 
+    @pytest.mark.parametrize("draw", ["standard_normal", "uniform"])
+    def test_draw_into_out_is_the_returned_draw(self, draw):
+        # RowStreams writes each stream's draw into its row of one array
+        a, b, out = Rng(6), Rng(6), np.full((2, 3, 4), np.nan)
+        got = getattr(a, draw)((3, 4), out=out[1, ...])
+        assert got.base is out and np.array_equal(out[1], getattr(b, draw)((3, 4)))
+        assert np.isnan(out[0]).all() and a.draws == b.draws == 12
+
 
 class TestRowStreams:
     def test_row_b_is_stream_b_own_draw(self):

@@ -10,6 +10,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1194,6 +1195,27 @@ class TestCheckpoint:
         raw[at] = byte
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=f"checkpoint JSON header is corrupt: .*{why}"):
+            training.load_checkpoint(path)
+
+    def test_file_shrunk_after_its_size_was_read_named(self, tmp_path, monkeypatch):
+        # the sizes are checked against fstat before the arrays are read; a
+        # file cut between the two leaves the last array short
+        path = self._saved_checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        fstat = training.os.fstat
+        grown = lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8)
+        monkeypatch.setattr(training, "os", SimpleNamespace(fstat=grown))
+        with pytest.raises(ValueError, match="checkpoint file shrank while it was read"):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [b"5", b"null", b'["config"]'])
+    def test_header_that_is_no_object_named(self, tmp_path, header):
+        # valid JSON, but no object to hold a config
+        import struct
+
+        path = tmp_path / "h.ckpt"
+        path.write_bytes(training.CHECKPOINT_MAGIC + struct.pack("<IQ", 4, len(header)) + header)
+        with pytest.raises(ValueError, match="checkpoint header lacks config"):
             training.load_checkpoint(path)
 
     @pytest.mark.parametrize("extra", [3, 16])
