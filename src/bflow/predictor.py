@@ -144,11 +144,17 @@ class MLP:
             self._tape = (tape, pre)
         return h
 
-    def backward_batch(self, d_out):
+    def backward_batch(self, d_out, worker=None):
         """Gradient of sum(output * d_out) w.r.t. params, as a flat vector;
         each layer's gradient is written straight into its slice of it.
 
-        Requires a preceding ``forward_batch(..., record=True)``.
+        Given a ``training.Worker``, a layer's weight and bias gradient
+        runs on it while this thread computes the next layer's delta.  Each
+        delta is a new array, so no pending call reads one that is being
+        written.  The first layer's gradient, which no delta follows, runs
+        here while the worker finishes the others.  Every product is the
+        same call on the same shapes either way.  Requires a preceding
+        ``forward_batch(..., record=True)``.
         """
         if self._tape is None:
             raise ValueError("no recorded forward pass")
@@ -157,12 +163,26 @@ class MLP:
         flat = np.empty_like(self.params)
         grads = self._views(flat)
         delta = d_out
-        for li in range(len(self._layers) - 1, -1, -1):
-            np.matmul(tape[li].T, delta, out=grads[f"W{li}"])
-            np.sum(delta, axis=0, out=grads[f"b{li}"])
-            if li > 0:
-                delta = (delta @ self._layers[li][0].T) * _silu_grad(pre[li - 1])
+        try:
+            for li in range(len(self._layers) - 1, -1, -1):
+                args = (tape[li], delta, grads[f"W{li}"], grads[f"b{li}"])
+                if worker is None or li == 0:
+                    _layer_grads(*args)
+                else:
+                    worker.submit(_layer_grads, *args)
+                if li > 0:
+                    delta = (delta @ self._layers[li][0].T) * _silu_grad(pre[li - 1])
+        finally:
+            if worker is not None:
+                worker.wait()
         return flat
+
+
+def _layer_grads(h, delta, gW, gb):
+    """One layer's weight and bias gradients, into gW and gb, from its
+    input h and its output delta."""
+    np.matmul(h.T, delta, out=gW)
+    np.sum(delta, axis=0, out=gb)
 
 
 def forward_rows(predictor, X, t, width):

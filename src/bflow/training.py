@@ -18,16 +18,29 @@ Evaluation scores a chunk of items per call of ``schedule.loss_cts`` over
 the modality's ops (the same ``loss_inf``, without the gradient), or of
 its batched ``loss_n`` or ``recon``.
 
+When the process may run on two or more CPUs, ``train`` starts one
+``Worker`` thread for the run and joins it before it returns or raises.
+numpy releases the GIL inside its ufuncs and BLAS calls, so the two
+threads compute at once: ``adamw_step`` splits the vectors into two
+contiguous halves, the caller walking one and the worker the other, and
+``MLP.backward_batch`` hands a layer's weight and bias gradient to the
+worker while the caller computes the next layer's delta.  Every element
+gets the same operations in the same order and every product is the same
+BLAS call on the same shapes, so the results do not depend on the number
+of CPUs.
+
 The gradients are deterministic functions of the sampled state, so they
 can be checked against central finite differences; the test suite does
 exactly that for all three modalities.
 """
 
+import contextvars
 import itertools
 import json
 import math
 import os
 import struct
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -117,67 +130,88 @@ class TrainConfig:
 # (beta1, beta2) of every training run's adamw_step.
 ADAM_BETAS = (0.9, 0.98)
 
-# Elements per pass of adamw_step.  A pass touches seven 128 KiB float64
-# slices (params, grads, m, v, ema and the two scratch buffers, 256 KiB of
-# the 896 KiB), which stay in a core's L2 cache, so each state element
-# travels to and from memory once per step.  For the 291k-parameter strings
-# model on a 2-core x86_64 VM (2 MiB of L2 a core) the 15-pass update took
-# 2.03 ms in 8k-element passes, 1.86 ms in 16k, 1.81 ms in 32k and 1.89 ms
-# in 64k (medians of 12 to 16 alternating rounds of 200 calls); 32k doubles
-# the scratch for a gain inside the rounds' spread.
-ADAMW_CHUNK = 16384
 
+class Worker:
+    """One helper thread that runs calls for the thread that made it.
 
-def adamw_step(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, ema_decay, eps=1e-8):
-    """One decoupled-weight-decay adaptive-moment update with bias
-    correction, then the EMA of the updated parameters.
-
-    Updates ``params``, ``m``, ``v`` and ``ema`` in place and returns them
-    as (params, m, v, ema).  It walks the vectors ADAMW_CHUNK elements at a
-    time with ``out=`` ufuncs into two chunk-sized scratch buffers: a
-    chunk's working set stays in L2 cache, so the update allocates no
-    full-size temporaries and reads and writes the state once.  Per element
-    it computes
-
-        m = b1*m + (1-b1)*g
-        v = b2*v + ((1-b2)*g)*g
-        p = p*shrink - (m*scale) / (sqrt(v) + eps_c)
-        ema = d*ema + (1-d)*p
-
-    in that operation order, with c1 = 1 - b1**step, c2 = 1 - b2**step and
-    the per-step scalars scale = lr*sqrt(c2)/c1, eps_c = eps*sqrt(c2) and
-    shrink = 1 - lr*wd.  That is Adam's update lr*(m/c1) / (sqrt(v/c2) + eps)
-    with the bias corrections folded into one step scale (Kingma & Ba, the
-    note under Algorithm 1) and the decoupled weight decay as a factor
-    (Loshchilov & Hutter).  A chunk takes 15 passes: three for m, four for
-    v, four for the update, one to subtract it, three for the EMA, and a
-    16th, ``p *= shrink``, unless shrink is 1.
-
-    The five arrays must be distinct, non-overlapping, C-contiguous float64
-    arrays of one shape: an in-place update on aliased arrays would corrupt
-    the state silently, so that raises ValueError.
+    ``submit(fn, *args)`` queues ``fn(*args)``; the helper runs the calls
+    one at a time, in submission order, each inside a copy of the
+    submitter's ``contextvars`` context, so numpy's ``errstate`` reaches
+    it.  ``wait()`` blocks until every submitted call has returned and
+    re-raises the first error.  Until then the submitter must not write
+    into any array a pending call reads or writes.  The submitter holds
+    each call's arguments until ``wait`` returns, so a call that returns
+    frees none of them on the helper thread.  ``close()`` lets the queued
+    calls finish, then joins the thread.
     """
-    arrays = {"params": params, "grads": grads, "m": m, "v": v, "ema": ema}
-    for name, a in arrays.items():
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous):
-            raise ValueError(f"{name} must be a C-contiguous float64 array")
-        if a.shape != params.shape:
-            raise ValueError(f"{name} has shape {a.shape}, params {params.shape}")
-    for (a, x), (b, y) in itertools.combinations(arrays.items(), 2):
-        # contiguous arrays share memory exactly when their extents overlap
-        if np.may_share_memory(x, y):
-            raise ValueError(f"{a} and {b} share memory")
-    c1 = 1.0 - beta1**step
-    root_c2 = math.sqrt(1.0 - beta2**step)
-    scale = lr * root_c2 / c1
-    eps_c = eps * root_c2
-    shrink = 1.0 - lr * weight_decay
-    n = params.size
-    s1 = np.empty(min(n, ADAMW_CHUNK))
-    s2 = np.empty_like(s1)
-    flat = [a.reshape(-1) for a in (params, grads, m, v, ema)]
-    for s in range(0, n, ADAMW_CHUNK):
-        p, g, mc, vc, ec = (a[s : s + ADAMW_CHUNK] for a in flat)
+
+    def __init__(self):
+        import queue  # here, not at module level: a run on one CPU never needs it
+
+        self._tasks = queue.SimpleQueue()
+        self._done = queue.SimpleQueue()
+        self._pending = []
+        self._thread = threading.Thread(target=self._serve, name="bflow-worker", daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while (task := self._tasks.get()) is not None:
+            context, fn, args = task
+            del task
+            try:
+                context.run(fn, *args)
+                error = None
+            except BaseException as exc:  # re-raised by wait() on the submitter
+                error = exc
+            del context, fn, args
+            self._done.put(error)
+            del error
+
+    def submit(self, fn, *args):
+        self._pending.append(args)
+        self._tasks.put((contextvars.copy_context(), fn, args))
+
+    def wait(self):
+        errors = [self._done.get() for _ in self._pending]
+        self._pending.clear()
+        for error in errors:
+            if error is not None:
+                raise error
+
+    def close(self):
+        self._tasks.put(None)
+        self._thread.join()
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Elements of each of adamw_step's two scratch buffers.  A pass walks at
+# most ADAMW_CHUNK // 2 elements and touches seven slices of that many
+# float64 values (params, grads, m, v, ema and a slice of each scratch
+# buffer, 1.75 MiB at 32k), which stay in a core's L2 cache, so each state
+# element travels to and from memory once per step.  A step split with a
+# Worker gives each half its own half of both buffers; a step on one
+# thread allocates only one half.  For the 291k-parameter strings model
+# on a 2-core x86_64 VM (2 MiB of L2 a core, one BLAS thread; medians of
+# 20 interleaved rounds of 100 calls) the update took 2.75, 2.40, 2.26
+# and 2.37 ms on one thread in passes of 8k, 16k, 32k and 64k elements,
+# and 3.98, 2.29, 1.51 and 1.48 ms split between two.  Below 32k the GIL
+# handoffs between a split step's ufunc calls eat its gain.
+ADAMW_CHUNK = 65536
+
+
+def _adamw_passes(flat, s1, s2, lo, hi, width, beta1, beta2, ema_decay, scale, eps_c, shrink):
+    """adamw_step's update of elements lo to hi of the five flat vectors,
+    in passes of at most ``width`` elements through the scratch buffers s1
+    and s2, each at least that long."""
+    for s in range(lo, hi, width):
+        p, g, mc, vc, ec = (a[s : min(s + width, hi)] for a in flat)
         t1, t2 = s1[: p.size], s2[: p.size]
         np.multiply(mc, beta1, out=mc)
         np.multiply(g, 1.0 - beta1, out=t1)
@@ -196,6 +230,69 @@ def adamw_step(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, e
         np.multiply(ec, ema_decay, out=ec)
         np.multiply(p, 1.0 - ema_decay, out=t1)
         np.add(ec, t1, out=ec)
+
+
+def adamw_step(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, ema_decay, eps=1e-8, worker=None):
+    """One decoupled-weight-decay adaptive-moment update with bias
+    correction, then the EMA of the updated parameters.
+
+    Updates ``params``, ``m``, ``v`` and ``ema`` in place and returns them
+    as (params, m, v, ema).  It walks the vectors in passes of at most
+    ADAMW_CHUNK // 2 elements with ``out=`` ufuncs into two scratch
+    buffers: a pass's working set stays in L2 cache, so the update
+    allocates no full-size temporaries and reads and writes the state
+    once.  Given a ``Worker`` and more than one pass of elements, it
+    splits the vectors at their middle: the worker walks the second half
+    while the caller walks the first, each in its own slice of the two
+    scratch buffers.  Otherwise the caller walks the whole vectors.  Per
+    element it computes
+
+        m = b1*m + (1-b1)*g
+        v = b2*v + ((1-b2)*g)*g
+        p = p*shrink - (m*scale) / (sqrt(v) + eps_c)
+        ema = d*ema + (1-d)*p
+
+    in that operation order, with c1 = 1 - b1**step, c2 = 1 - b2**step and
+    the per-step scalars scale = lr*sqrt(c2)/c1, eps_c = eps*sqrt(c2) and
+    shrink = 1 - lr*wd.  That is Adam's update lr*(m/c1) / (sqrt(v/c2) + eps)
+    with the bias corrections folded into one step scale (Kingma & Ba, the
+    note under Algorithm 1) and the decoupled weight decay as a factor
+    (Loshchilov & Hutter).  A pass makes 15 ufunc calls: three for m,
+    four for v, four for the update, one to subtract it, three for the
+    EMA, and a 16th, ``p *= shrink``, unless shrink is 1.  No element's
+    value depends on the pass it falls in or on the thread that walks it.
+
+    The five arrays must be distinct, non-overlapping, C-contiguous float64
+    arrays of one shape: an in-place update on aliased arrays would corrupt
+    the state silently, so that raises ValueError.
+    """
+    arrays = {"params": params, "grads": grads, "m": m, "v": v, "ema": ema}
+    for name, a in arrays.items():
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous):
+            raise ValueError(f"{name} must be a C-contiguous float64 array")
+        if a.shape != params.shape:
+            raise ValueError(f"{name} has shape {a.shape}, params {params.shape}")
+    for (a, x), (b, y) in itertools.combinations(arrays.items(), 2):
+        # contiguous arrays share memory exactly when their extents overlap
+        if np.may_share_memory(x, y):
+            raise ValueError(f"{a} and {b} share memory")
+    c1 = 1.0 - beta1**step
+    root_c2 = math.sqrt(1.0 - beta2**step)
+    scalars = (beta1, beta2, ema_decay, lr * root_c2 / c1, eps * root_c2, 1.0 - lr * weight_decay)
+    n = params.size
+    flat = [a.reshape(-1) for a in (params, grads, m, v, ema)]
+    if worker is None or n <= ADAMW_CHUNK // 2:
+        width = min(n, ADAMW_CHUNK // 2)
+        _adamw_passes(flat, np.empty(width), np.empty(width), 0, n, width, *scalars)
+        return params, m, v, ema
+    mid = n // 2
+    width = min(n - mid, ADAMW_CHUNK // 2)
+    s1, s2 = np.empty(2 * width), np.empty(2 * width)
+    worker.submit(_adamw_passes, flat, s1[width:], s2[width:], mid, n, width, *scalars)
+    try:
+        _adamw_passes(flat, s1[:width], s2[:width], 0, mid, width, *scalars)
+    finally:
+        worker.wait()
     return params, m, v, ema
 
 
@@ -219,11 +316,12 @@ def head_loss_and_grad(config, state, net_out):
     return OPS[config.modality].loss_inf(config.flow, state["x"], state["theta"], state["t"], net_out, grad=True)
 
 
-def batch_loss_and_grad(mlp, config, state):
-    """Mean loss over the batch and its gradient w.r.t. MLP parameters."""
+def batch_loss_and_grad(mlp, config, state, worker=None):
+    """Mean loss over the batch and its gradient w.r.t. MLP parameters;
+    ``worker`` as in ``MLP.backward_batch``."""
     out = mlp.forward_batch(state["state_in"], state["t"], record=True)
     loss, d_out = head_loss_and_grad(config, state, out)
-    grad = mlp.backward_batch(d_out / loss.shape[0])
+    grad = mlp.backward_batch(d_out / loss.shape[0], worker=worker)
     return float(loss.mean()), grad
 
 
@@ -246,7 +344,10 @@ def train(rng, dataset, config):
     """Minimise the continuous-time loss over the dataset.
 
     Every step uses the substream ``rng.split(step)``, so the diagnostic on
-    a non-finite loss pins down the exact batch randomness.
+    a non-finite loss pins down the exact batch randomness.  On two or more
+    usable CPUs one ``Worker`` shares the backward pass and the optimizer
+    step for the whole run; it is joined before train returns or raises,
+    and the results are the same bits as on one CPU.
     """
     dataset = np.asarray(dataset)
     if dataset.size == 0:
@@ -263,23 +364,28 @@ def train(rng, dataset, config):
     m = np.zeros_like(mlp.params)
     v = np.zeros_like(mlp.params)
     history = []
-    for step in range(1, config.steps + 1):
-        srng = rng.split(step)
-        idx = srng.integers(0, len(dataset), size=config.batch_size)
-        state = sample_head_state(srng, config, dataset[idx])
-        loss, grad = batch_loss_and_grad(mlp, config, state)
-        if not np.isfinite(loss):
-            raise RuntimeError(
-                f"non-finite loss at step {step} (batch stream id {step}, seed {config.seed})"
+    worker = Worker() if _usable_cpus() >= 2 else None
+    try:
+        for step in range(1, config.steps + 1):
+            srng = rng.split(step)
+            idx = srng.integers(0, len(dataset), size=config.batch_size)
+            state = sample_head_state(srng, config, dataset[idx])
+            loss, grad = batch_loss_and_grad(mlp, config, state, worker)
+            if not np.isfinite(loss):
+                raise RuntimeError(
+                    f"non-finite loss at step {step} (batch stream id {step}, seed {config.seed})"
+                )
+            mlp.params, m, v, ema = adamw_step(
+                mlp.params, grad, m, v, ema, step,
+                config.learning_rate, config.weight_decay, *ADAM_BETAS, config.ema_decay, worker=worker,
             )
-        mlp.params, m, v, ema = adamw_step(
-            mlp.params, grad, m, v, ema, step,
-            config.learning_rate, config.weight_decay, *ADAM_BETAS, config.ema_decay,
-        )
-        eval_loss = None
-        if config.eval_every and step % config.eval_every == 0:
-            eval_loss = estimate_mean_loss(rng.split(10**9 + step), mlp, ema, config, dataset)
-        history.append((step, loss, eval_loss))
+            eval_loss = None
+            if config.eval_every and step % config.eval_every == 0:
+                eval_loss = estimate_mean_loss(rng.split(10**9 + step), mlp, ema, config, dataset)
+            history.append((step, loss, eval_loss))
+    finally:
+        if worker is not None:
+            worker.close()
     return TrainResult(mlp=mlp, ema_params=ema, moments_m=m, moments_v=v, history=history, config=config)
 
 

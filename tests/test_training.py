@@ -7,6 +7,9 @@ import hashlib
 import inspect
 import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bflow import cli, harness, schedule, training
+from bflow import cli, harness, predictor, schedule, training
 from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
@@ -26,7 +29,7 @@ from bflow.kernels import erf_vec
 from bflow.numerics import Rng, softmax_rows
 from bflow.predictor import MLP, CtsDatumPredictor, DiscretisedDatumPredictor, PredictorSpec
 from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, step_time
-from bflow.training import TrainConfig, adamw_step
+from bflow.training import TrainConfig, Worker, adamw_step
 from oracle_predictors import DiscreteOneHotPredictor, inversion_bound
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -145,9 +148,11 @@ class TestAdamW:
             adamw_step(*state.values(), 1, 1e-3, 0.01, 0.9, 0.98, 0.99)
 
 
-def _adamw_ema_reference(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, ema_decay, eps=1e-8):
-    """adamw_step out of place: the same operation order, so the same bits,
-    with parameter-sized temporaries in place of the chunked passes."""
+def _adamw_ema_reference(params, grads, m, v, ema, step, lr, weight_decay, beta1, beta2, ema_decay, eps=1e-8,
+                         worker=None):
+    """adamw_step out of place on the calling thread: the same operation
+    order, so the same bits, with parameter-sized temporaries in place of
+    the chunked passes."""
     m = beta1 * m + (1.0 - beta1) * grads
     v = beta2 * v + (1.0 - beta2) * grads * grads
     root_c2 = math.sqrt(1.0 - beta2**step)
@@ -711,6 +716,207 @@ class TestInPlaceOptimizer:
         assert np.all(np.abs(ema - old_ema) <= bound + 8 * np.finfo(np.float64).eps * np.abs(ema0))
 
 
+def _cpus(monkeypatch, count):
+    """Make train() see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _bounded(fn, timeout=120.0):
+    """fn() on a helper thread joined within ``timeout`` seconds, so a
+    deadlock fails the test instead of hanging the suite; returns fn's
+    result or raises its error."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"no result within {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def _strings_config(steps, seed=7):
+    run = cli.load_run_config(CONFIG_DIR / "train_strings.cfg", (f"steps={steps}", "eval_every=0", f"seed={seed}"))
+    return cli.train_config_from_run(run)
+
+
+class TestWorker:
+    """A Worker thread shares the backward pass and the optimizer step, and
+    every result keeps the bits of the caller-only path.  Each test runs its
+    threads under ``_bounded``, so a deadlock fails it within two minutes."""
+
+    HALF = training.ADAMW_CHUNK // 2
+
+    @staticmethod
+    def _state(n, seed):
+        rng = np.random.default_rng(seed)
+        state = [rng.standard_normal(n) for _ in range(5)]
+        state[3] = np.abs(state[3])  # v >= 0
+        return state
+
+    @staticmethod
+    def _first_mismatch(n, seed, steps):
+        """Steps of adamw_step, split with a Worker and on the caller alone,
+        from the same state; the first step whose bits differ, or None."""
+        serial, split = TestWorker._state(n, seed), TestWorker._state(n, seed)
+        worker = Worker()
+        try:
+            for step in range(1, steps + 1):
+                adamw_step(*serial, step, 1e-3, 0.01, 0.9, 0.98, 0.99)
+                adamw_step(*split, step, 1e-3, 0.01, 0.9, 0.98, 0.99, worker=worker)
+                if not all(_same_bits(a, b) for a, b in zip(serial, split)):
+                    return step
+        finally:
+            worker.close()
+        return None
+
+    @pytest.mark.parametrize("n", [
+        1000,            # one short pass: the caller walks it alone
+        HALF,            # exactly one pass
+        HALF + 1,        # two passes of half a pass each
+        4 * HALF,        # an exact multiple: two whole passes a half
+        3 * HALF,        # an odd number of whole passes
+        3 * HALF + 7,    # an odd length: the halves differ by one element
+    ])
+    def test_split_step_matches_caller_only(self, n):
+        assert _bounded(lambda: self._first_mismatch(n, n, 3)) is None
+
+    def test_split_steps_match_under_constant_thread_switching(self):
+        # a switch interval of a microsecond hands the GIL over between
+        # nearly every pair of bytecodes, and two callers with a worker each
+        # put four threads on the cores, so the halves interleave as finely
+        # as they can; 200 steps must keep the caller-only bits
+        results = [None, None]
+
+        def caller(i):
+            results[i] = self._first_mismatch(3 * self.HALF + 7, 11 + i, 200)
+
+        def run():
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _bounded(run)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [None, None]
+
+    def test_split_step_allocates_the_two_scratch_chunks(self):
+        def run():
+            state = [np.full(291_760, 0.5) for _ in range(5)]
+            worker = Worker()
+            tracemalloc.start()
+            try:
+                adamw_step(*state, 1, 1e-3, 0.01, 0.9, 0.98, 0.99, worker=worker)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                worker.close()
+
+        assert _bounded(run) <= 2 * training.ADAMW_CHUNK * 8 + 16_384
+
+    def test_backward_matches_caller_only_on_the_strings_spec(self):
+        config = _strings_config(1)
+        mlp = MLP(config.predictor_spec(), seed=3)
+        mlp.params = mlp.params + Rng(4).standard_normal(mlp.n_params) * 0.01  # a nonzero last layer
+        x = toy_strings().items[Rng(5).integers(0, 4, size=32)]
+        state = training.sample_head_state(Rng(6), config, x)
+        out = mlp.forward_batch(state["state_in"], state["t"], record=True)
+        d_out = training.head_loss_and_grad(config, state, out)[1] / 32
+
+        def run():
+            worker = Worker()
+            try:
+                return mlp.backward_batch(d_out, worker=worker)
+            finally:
+                worker.close()
+
+        assert _same_bits(_bounded(run), mlp.backward_batch(d_out))
+
+    @pytest.mark.parametrize("case", ["strings", "small"])
+    def test_train_on_one_and_two_cpus_gives_the_same_bits(self, case, monkeypatch):
+        if case == "strings":  # two halves of five passes each
+            config, items = _strings_config(20), toy_strings().items
+        else:  # one pass, and a three-layer backward of 8-wide layers
+            config = _make_config("continuous", steps=20, weight_decay=0.02, ema_decay=0.9)
+            items = Rng(3).uniform(size=(12, config.D)) * 1.6 - 0.8
+        runs = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            runs.append(_bounded(lambda: training.train(Rng(9), items, config)))
+        one, two = runs
+        for field in ("ema_params", "moments_m", "moments_v"):
+            assert _same_bits(getattr(one, field), getattr(two, field)), field
+        assert _same_bits(one.mlp.params, two.mlp.params)
+        assert one.history == two.history
+
+    def test_errors_and_errstate_reach_the_submitter(self):
+        big = np.full(4, 1e300)
+        out = np.empty(4)
+
+        def run():
+            worker = Worker()
+            try:
+                with np.errstate(over="raise"):
+                    worker.submit(np.multiply, big, big, out)
+                    with pytest.raises(FloatingPointError):
+                        worker.wait()
+                with np.errstate(over="ignore"):
+                    worker.submit(np.multiply, big, big, out)
+                    worker.wait()
+            finally:
+                worker.close()
+
+        _bounded(run)
+        assert np.all(out == np.inf)
+
+    @pytest.mark.parametrize("how", ["returns", "raises", "worker raises"])
+    def test_no_thread_outlives_train(self, how, monkeypatch):
+        _cpus(monkeypatch, 2)
+        config = _make_config("continuous", steps=5, learning_rate=1e160 if how == "raises" else 1e-3)
+        data = Rng(3).uniform(size=(8, config.D)) - 0.5
+        if how == "worker raises":
+            layer_grads = predictor._layer_grads
+
+            def fail_on_the_worker(*args):
+                if threading.current_thread().name == "bflow-worker":
+                    raise ArithmeticError("gradient call failed on the worker")
+                layer_grads(*args)
+
+            monkeypatch.setattr(predictor, "_layer_grads", fail_on_the_worker)
+
+        left = []
+
+        def run():
+            # counted on the calling thread the moment train returns or raises
+            before = threading.active_count()
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    training.train(Rng(4), data, config)
+            finally:
+                left.append(threading.active_count() - before)
+                left.extend(t.name for t in threading.enumerate() if t.name == "bflow-worker")
+
+        if how == "returns":
+            _bounded(run)
+        else:
+            with pytest.raises(RuntimeError if how == "raises" else ArithmeticError):
+                _bounded(run)
+        assert left == [0]
+
+
 class TestTrainLoop:
     def test_zero_learning_rate_keeps_params(self):
         config = _make_config("discrete", learning_rate=0.0, weight_decay=0.0, steps=8)
@@ -764,6 +970,25 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match=r"step \d+ \(batch stream id \d+"):
                 training.train(Rng(4), data, config)
+
+    def test_non_finite_loss_aborts_with_step_on_two_threads(self, monkeypatch):
+        # the strings spec's 291,760 parameters take both halves of the
+        # split step.  A decay factor 1 - lr*wd of -1e8 overflows the
+        # worker's half of the parameters steps before the loss turns
+        # non-finite, so numpy's errstate must reach the worker thread, or
+        # its ufuncs warn instead of the step's error being raised
+        _cpus(monkeypatch, 2)
+        config = TrainConfig(modality="discrete", D=16, K=27, beta1=3.0, learning_rate=1e10,
+                             weight_decay=0.01, steps=50, hidden=(256, 256))
+        assert MLP(config.predictor_spec()).n_params > training.ADAMW_CHUNK
+        data = toy_strings().items
+
+        def run():
+            with np.errstate(over="ignore", invalid="ignore"):
+                training.train(Rng(4), data, config)
+
+        with pytest.raises(RuntimeError, match=r"step \d+ \(batch stream id \d+"):
+            _bounded(run)
 
     def test_history_csv_shape(self):
         config = _make_config("continuous", steps=4, eval_every=2)
