@@ -120,6 +120,8 @@ def row_max(m):
     out = cols[:, 0].copy()
     for j in range(1, cols.shape[1]):
         np.maximum(out, cols[:, j], out=out)
+    if np.isnan(out).any():  # numpy's reduction picks a NaN's sign bit its own way
+        return m.max(axis=-1)
     return out.reshape(m.shape[:-1])
 
 

@@ -214,6 +214,17 @@ def test_row_kernels_bitwise_equal_to_numpy_reductions(m):
             _assert_same_bits(row_sum(m3), m3.sum(axis=-1))
 
 
+def test_row_max_of_a_row_led_by_a_negative_nan_matches_numpy():
+    # numpy's max of [-nan, -0.0] is +nan while np.maximum keeps -nan, so
+    # the column pass once gave softmax_rows the other NaN sign bit
+    m = np.full((ROWS_MIN, 2), 0.5)
+    m[3] = [-np.abs(np.nan), -0.0]
+    with np.errstate(invalid="ignore"):
+        _assert_same_bits(row_max(m), m.max(axis=-1))
+        _assert_same_bits(softmax_rows(m), _softmax_reference(m))
+        _assert_same_bits(kernels.logsumexp_rows(m), _logsumexp_reference(m))
+
+
 def test_row_sum_of_negative_zeros_is_positive_zero():
     # numpy's sum starts from +0.0, so a row of -0.0 sums to +0.0
     m = np.full((ROWS_MIN, 3), -0.0)

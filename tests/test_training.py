@@ -793,7 +793,7 @@ class TestWorker:
         # nearly every pair of bytecodes, and two callers with a worker each
         # put four threads on the cores, so the halves interleave as finely
         # as they can; 200 steps must keep the caller-only bits
-        results = [None, None]
+        results = ["unfinished", "unfinished"]
 
         def caller(i):
             results[i] = self._first_mismatch(3 * self.HALF + 7, 11 + i, 200)
