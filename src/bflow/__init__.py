@@ -15,3 +15,7 @@ Subpackages by role:
 """
 
 __version__ = "0.1.0"
+
+from .numerics import use_one_blas_thread
+
+use_one_blas_thread()

@@ -3,9 +3,9 @@
 Configuration comes from a UTF-8 ``key = value`` file (one pair per line,
 ``#`` comments) plus ``--set key=value`` overrides; the resolved snapshot
 is embedded in every checkpoint.  All commands taking ``--seed`` are
-bit-reproducible at a fixed BLAS thread count: the network's matrix
-products block by thread count, so a training run's last bits can differ
-between one thread and two.  ``OPENBLAS_NUM_THREADS=1`` pins it.
+bit-reproducible, whatever the number of CPUs or ``OPENBLAS_NUM_THREADS``:
+importing bflow runs numpy's OpenBLAS at one thread
+(``numerics.use_one_blas_thread``).
 """
 
 import argparse

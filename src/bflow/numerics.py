@@ -8,9 +8,15 @@ two guarantees the rest of the library relies on:
   across processes and platforms;
 * ``split`` produces statistically independent streams and re-splitting
   with the same stream id is reproducible.
+
+Importing bflow runs numpy's BLAS at one thread (``use_one_blas_thread``),
+so matrix products round the same whatever the environment asks for.
 """
 
+import ctypes
 import hashlib
+import os
+import sys
 
 import numpy as np
 
@@ -183,3 +189,28 @@ def sample_categorical_rows(probs, u):
     # guard against rounding in the final column
     np.maximum(cum[..., -1], 1.0, out=cum[..., -1])
     return 1 + (u > cum).sum(axis=-1, dtype=np.int64)
+
+
+def use_one_blas_thread():
+    """Run numpy's OpenBLAS at one thread, for the whole process.
+
+    OpenBLAS splits a matrix product by its thread count, and the network's
+    products round differently at one thread than at two, so without this
+    a training run's bits would follow ``OPENBLAS_NUM_THREADS``.  numpy's
+    wheels bundle their OpenBLAS beside the package (``numpy.libs``, or
+    ``numpy/.dylibs`` on macOS); opening that file again returns the copy
+    numpy loaded, and its setter holds for every later product in the
+    process, bflow's or not.  Without a setter it says so on stderr.
+    """
+    package = os.path.dirname(np.__file__)
+    for folder in (os.path.join(package, os.pardir, "numpy.libs"), os.path.join(package, ".dylibs")):
+        names = sorted(os.listdir(folder)) if os.path.isdir(folder) else []
+        for lib in (ctypes.CDLL(os.path.join(folder, name)) for name in names if "openblas" in name):
+            for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+                if hasattr(lib, symbol):  # the 64- and 32-bit-integer builds
+                    setter = getattr(lib, symbol)
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(1)
+                    return
+    print("bflow: found no OpenBLAS thread setter in numpy's bundled libraries; results may "
+          "depend on the BLAS thread count (OPENBLAS_NUM_THREADS=1 pins it)", file=sys.stderr)

@@ -19,15 +19,16 @@ the modality's ops (the same ``loss_inf``, without the gradient), or of
 its batched ``loss_n`` or ``recon``.
 
 When the process may run on two or more CPUs, ``train`` starts one
-``Worker`` thread for the run and joins it before it returns or raises.
-numpy releases the GIL inside its ufuncs and BLAS calls, so the two
-threads compute at once: ``adamw_step`` splits the vectors into two
-contiguous halves, the caller walking one and the worker the other, and
-``MLP.backward_batch`` hands a layer's weight and bias gradient to the
-worker while the caller computes the next layer's delta.  Every element
-gets the same operations in the same order and every product is the same
-BLAS call on the same shapes, so the results do not depend on the number
-of CPUs.
+``Worker``, a one-thread ``concurrent.futures.ThreadPoolExecutor``, for
+the run and joins it before it returns or raises.  numpy releases the GIL
+inside its ufuncs and BLAS calls, so the two threads compute at once:
+``adamw_step`` splits the vectors into two contiguous halves, the caller
+walking one and the worker the other, and ``MLP.backward_batch`` hands a
+layer's weight and bias gradient to the worker while the caller computes
+the next layer's delta.  Every element gets the same operations in the
+same order and every product is the same BLAS call on the same shapes,
+run at one BLAS thread (``numerics.use_one_blas_thread``), so the results
+depend neither on the number of CPUs nor on the BLAS thread setting.
 
 The gradients are deterministic functions of the sampled state, so they
 can be checked against central finite differences; the test suite does
@@ -40,7 +41,6 @@ import json
 import math
 import os
 import struct
-import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -132,55 +132,35 @@ ADAM_BETAS = (0.9, 0.98)
 
 
 class Worker:
-    """One helper thread that runs calls for the thread that made it.
-
-    ``submit(fn, *args)`` queues ``fn(*args)``; the helper runs the calls
-    one at a time, in submission order, each inside a copy of the
-    submitter's ``contextvars`` context, so numpy's ``errstate`` reaches
-    it.  ``wait()`` blocks until every submitted call has returned and
-    re-raises the first error.  Until then the submitter must not write
-    into any array a pending call reads or writes.  The submitter holds
-    each call's arguments until ``wait`` returns, so a call that returns
-    frees none of them on the helper thread.  ``close()`` lets the queued
-    calls finish, then joins the thread.
-    """
+    """One helper thread that runs ``submit(fn, *args)`` calls in submission
+    order, each in a copy of the submitter's ``contextvars`` context, so
+    numpy's ``errstate`` reaches it.  ``wait()`` lets every call finish,
+    then re-raises the first error; until it returns, the submitter must
+    not write into an array a pending call uses, and it holds each call's
+    arguments, so none is freed on the helper.  ``close()`` joins it."""
 
     def __init__(self):
-        import queue  # here, not at module level: a run on one CPU never needs it
-
-        self._tasks = queue.SimpleQueue()
-        self._done = queue.SimpleQueue()
+        from concurrent.futures import ThreadPoolExecutor  # not at module level: a one-CPU run never needs it
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="bflow-worker")
         self._pending = []
-        self._thread = threading.Thread(target=self._serve, name="bflow-worker", daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while (task := self._tasks.get()) is not None:
-            context, fn, args = task
-            del task
-            try:
-                context.run(fn, *args)
-                error = None
-            except BaseException as exc:  # re-raised by wait() on the submitter
-                error = exc
-            del context, fn, args
-            self._done.put(error)
-            del error
 
     def submit(self, fn, *args):
-        self._pending.append(args)
-        self._tasks.put((contextvars.copy_context(), fn, args))
+        box = [(contextvars.copy_context(), fn, args)]  # _run empties it: the executor keeps it past the call
+        self._pending.append((args, self._executor.submit(_run, box)))
 
     def wait(self):
-        errors = [self._done.get() for _ in self._pending]
-        self._pending.clear()
-        for error in errors:
+        pending, self._pending = self._pending, []
+        for error in [future.exception() for _, future in pending]:  # the list waits for every call
             if error is not None:
                 raise error
 
     def close(self):
-        self._tasks.put(None)
-        self._thread.join()
+        self._executor.shutdown()
+
+
+def _run(box):
+    context, fn, args = box.pop()
+    context.run(fn, *args)
 
 
 def _usable_cpus():
@@ -451,6 +431,8 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
     dataset = np.asarray(dataset)
+    if dataset.size == 0:
+        raise ValueError("dataset is empty")
     N = len(dataset)
     rows = []
     for li, kind in enumerate([int(n) for n in n_values] + ["inf", "recon"]):
@@ -466,8 +448,6 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
             for s in range(0, N, EVAL_CHUNK):
                 part = None if kind == "recon" else arg[s : s + EVAL_CHUNK]
                 samples.append(item_losses(prng, predictor, config, dataset[s : s + EVAL_CHUNK], kind, part))
-        if not samples:
-            continue
         samples = np.concatenate(samples)
         mean = float(samples.mean())
         se = float(samples.std(ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else 0.0

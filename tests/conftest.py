@@ -1,11 +1,22 @@
 """Fixtures shared by the test files."""
 
 import os
+import threading
 from pathlib import Path
 
 import pytest
 
 import bflow
+
+
+@pytest.fixture(autouse=True)
+def no_worker_thread_left():
+    """Fail a test that leaves a training ``Worker`` thread alive: its
+    threads are named ``bflow-worker*``, and whoever starts one, ``train``
+    or a test, must close it before returning or raising."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith("bflow-worker")]
+    assert not left, f"Worker threads left alive: {', '.join(left)}"
 
 
 @pytest.fixture

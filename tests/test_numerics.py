@@ -17,6 +17,7 @@ from bflow.numerics import (
     log_gaussian_pdf,
     sample_categorical_rows,
     softmax_rows,
+    use_one_blas_thread,
 )
 
 
@@ -236,3 +237,12 @@ def test_sample_categorical_rows_frequencies():
     draws = sample_categorical_rows(probs, r.uniform(size=(20000, 1, 1))).ravel()
     freq = np.bincount(draws, minlength=4)[1:] / draws.size
     np.testing.assert_allclose(freq, [0.2, 0.5, 0.3], atol=0.02)
+
+
+def test_a_missing_blas_thread_setter_is_one_line_on_stderr(monkeypatch, tmp_path, capsys):
+    # a numpy without bundled OpenBLAS beside it: nothing to set
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    use_one_blas_thread()
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and "no OpenBLAS thread setter" in out.err

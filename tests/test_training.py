@@ -2,15 +2,20 @@
 
 import ast
 import bisect
+import contextvars
 import dataclasses
 import hashlib
 import inspect
 import itertools
 import math
+import operator
 import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -882,6 +887,75 @@ class TestWorker:
         _bounded(run)
         assert np.all(out == np.inf)
 
+    def test_calls_run_in_submission_order(self):
+        seen = []
+
+        def run():
+            worker = Worker()
+            try:
+                for i in range(100):
+                    worker.submit(seen.append, i)
+                worker.wait()
+            finally:
+                worker.close()
+
+        _bounded(run)
+        assert seen == list(range(100))
+
+    def test_wait_raises_the_first_error_after_every_call_finished(self):
+        finished = []
+
+        def slow():
+            time.sleep(0.2)
+            finished.append("slow")
+
+        def run():
+            worker = Worker()
+            try:
+                worker.submit(math.sqrt, -1.0)  # ValueError
+                worker.submit(slow)
+                worker.submit(operator.truediv, 1, 0)  # ZeroDivisionError
+                with pytest.raises(ValueError):
+                    worker.wait()
+                return list(finished)  # as it was when wait() raised
+            finally:
+                worker.close()
+
+        assert _bounded(run) == ["slow"]
+
+    def test_arguments_are_freed_on_the_submitting_thread(self):
+        # The helper must drop every reference it took for a call, the
+        # copied context included, before the call counts as finished; the
+        # submitter holds the arguments until wait() returns.  Here the
+        # context holds an object whose release sleeps, so a helper that
+        # released the context after wait() returned would still hold the
+        # array once the submitter dropped it, and free it itself.
+        slow_var = contextvars.ContextVar("slow_var")
+
+        class SlowToFree:
+            def __del__(self):
+                time.sleep(0.05)
+
+        freed_on = []
+
+        def run():
+            worker = Worker()
+            try:
+                for _ in range(5):
+                    a = np.zeros(4)
+                    weakref.finalize(a, lambda: freed_on.append(threading.current_thread().name))
+                    token = slow_var.set(SlowToFree())
+                    worker.submit(np.copyto, a, 1.0)
+                    slow_var.reset(token)  # only the call's copied context holds it now
+                    worker.wait()
+                    del a
+            finally:
+                worker.close()
+            return threading.current_thread().name
+
+        submitter = _bounded(run)
+        assert freed_on == [submitter] * 5
+
     @pytest.mark.parametrize("how", ["returns", "raises", "worker raises"])
     def test_no_thread_outlives_train(self, how, monkeypatch):
         _cpus(monkeypatch, 2)
@@ -891,7 +965,7 @@ class TestWorker:
             layer_grads = predictor._layer_grads
 
             def fail_on_the_worker(*args):
-                if threading.current_thread().name == "bflow-worker":
+                if threading.current_thread().name.startswith("bflow-worker"):
                     raise ArithmeticError("gradient call failed on the worker")
                 layer_grads(*args)
 
@@ -907,7 +981,7 @@ class TestWorker:
                     training.train(Rng(4), data, config)
             finally:
                 left.append(threading.active_count() - before)
-                left.extend(t.name for t in threading.enumerate() if t.name == "bflow-worker")
+                left.extend(t.name for t in threading.enumerate() if t.name.startswith("bflow-worker"))
 
         if how == "returns":
             _bounded(run)
@@ -915,6 +989,42 @@ class TestWorker:
             with pytest.raises(RuntimeError if how == "raises" else ArithmeticError):
                 _bounded(run)
         assert left == [0]
+
+
+# A child process that trains 20 steps of the strings spec, samples four
+# streams from its EMA network and prints a digest of each output.
+_TRAIN_AND_SAMPLE = """
+import hashlib, sys
+import numpy as np
+from bflow import cli, training
+from bflow.data import toy_strings
+from bflow.numerics import Rng
+from bflow.schedule import sample_chain
+
+config = cli.train_config_from_run(cli.load_run_config(sys.argv[1], ("steps=20", "eval_every=0", "seed=5")))
+result = training.train(Rng(5), toy_strings().items, config)
+streams = [Rng(5).split(i) for i in range(4)]
+samples = sample_chain(training.OPS[config.modality], streams, training.ema_predictor(result), config.flow, 20)
+for name, a in (("params", result.mlp.params), ("ema", result.ema_params), ("m", result.moments_m),
+                ("v", result.moments_v), ("samples", samples)):
+    print(name, hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(child_env):
+    # OpenBLAS splits the strings spec's first-layer products by thread
+    # count, so unless bflow runs it at one thread the parameters differ
+    # between these processes; the samples alone can still agree
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRAIN_AND_SAMPLE, str(CONFIG_DIR / "train_strings.cfg")],
+            capture_output=True, text=True, env=dict(child_env, OPENBLAS_NUM_THREADS=threads), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.splitlines())
+    assert len(digests[0]) == 5
+    assert digests[0] == digests[1]
 
 
 class TestTrainLoop:
@@ -1233,6 +1343,13 @@ class TestEvaluate:
         pred = MLP(config.predictor_spec(), seed=2)
         with pytest.raises(ValueError, match=f"passes must be >= 1, got {passes}"):
             training.evaluate(Rng(16), pred, config, np.ones((3, 2), dtype=np.int64), passes=passes)
+
+    def test_empty_dataset_rejected(self):
+        # as train does; evaluate once returned an empty table
+        config = _make_config("discrete", K=4, D=2)
+        pred = MLP(config.predictor_spec(), seed=2)
+        with pytest.raises(ValueError, match="dataset is empty"):
+            training.evaluate(Rng(16), pred, config, np.ones((0, 2), dtype=np.int64))
 
 
 def _estimate_mean_loss_reference(rng, mlp, params, config, dataset, n_draws=4):
