@@ -191,26 +191,41 @@ def sample_categorical_rows(probs, u):
     return 1 + (u > cum).sum(axis=-1, dtype=np.int64)
 
 
-def use_one_blas_thread():
-    """Run numpy's OpenBLAS at one thread, for the whole process.
+def openblas_thread_calls():
+    """The thread-count setter and getter of the OpenBLAS that numpy
+    loaded, or None when numpy bundles no OpenBLAS beside it.
 
-    OpenBLAS splits a matrix product by its thread count, and the network's
-    products round differently at one thread than at two, so without this
-    a training run's bits would follow ``OPENBLAS_NUM_THREADS``.  numpy's
-    wheels bundle their OpenBLAS beside the package (``numpy.libs``, or
-    ``numpy/.dylibs`` on macOS); opening that file again returns the copy
-    numpy loaded, and its setter holds for every later product in the
-    process, bflow's or not.  Without a setter it says so on stderr.
+    numpy's wheels bundle their OpenBLAS beside the package
+    (``numpy.libs``, or ``numpy/.dylibs`` on macOS); opening that file
+    again returns the copy numpy loaded.
     """
     package = os.path.dirname(np.__file__)
     for folder in (os.path.join(package, os.pardir, "numpy.libs"), os.path.join(package, ".dylibs")):
         names = sorted(os.listdir(folder)) if os.path.isdir(folder) else []
         for lib in (ctypes.CDLL(os.path.join(folder, name)) for name in names if "openblas" in name):
-            for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
-                if hasattr(lib, symbol):  # the 64- and 32-bit-integer builds
-                    setter = getattr(lib, symbol)
+            for suffix in ("64_", ""):  # the 64- and 32-bit-integer builds
+                if hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
+                    setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
                     setter.argtypes, setter.restype = [ctypes.c_int], None
-                    setter(1)
-                    return
-    print("bflow: found no OpenBLAS thread setter in numpy's bundled libraries; results may "
-          "depend on the BLAS thread count (OPENBLAS_NUM_THREADS=1 pins it)", file=sys.stderr)
+                    return setter, getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+    return None
+
+
+def use_one_blas_thread():
+    """Run numpy's OpenBLAS at one thread, for the whole process.
+
+    OpenBLAS splits some products by its thread count, and the training
+    step's products round differently at one thread than at two, so
+    without this a training run's bits would follow
+    ``OPENBLAS_NUM_THREADS``.  The setting holds for every later product
+    in the process, bflow's or not, and it costs a large sampling batch
+    the speed of further BLAS threads.  Without a setter it names numpy's
+    BLAS on stderr.
+    """
+    calls = openblas_thread_calls()
+    if calls is not None:
+        calls[0](1)
+        return
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {}).get("name", "unknown")
+    print(f"bflow: cannot set the thread count of numpy's BLAS ({blas}); results may depend on "
+          "it unless that BLAS runs at one thread", file=sys.stderr)

@@ -245,4 +245,7 @@ def test_a_missing_blas_thread_setter_is_one_line_on_stderr(monkeypatch, tmp_pat
     use_one_blas_thread()
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.count("\n") == 1 and "no OpenBLAS thread setter" in out.err
+    assert out.err.count("\n") == 1 and "cannot set the thread count of numpy's BLAS" in out.err
+    # it names the BLAS numpy reports, not a variable of one BLAS
+    assert np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] in out.err
+    assert "OPENBLAS_NUM_THREADS" not in out.err

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bflow import cli, harness, predictor, schedule, training
+from bflow import cli, harness, numerics, predictor, schedule, training
 from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
@@ -991,12 +991,21 @@ class TestWorker:
         assert left == [0]
 
 
-# A child process that trains 20 steps of the strings spec, samples four
-# streams from its EMA network and prints a digest of each output.
+# A child process that prints its OpenBLAS thread count before and after
+# importing bflow, read through numerics.py loaded on its own (importing
+# bflow.numerics would import bflow first), then trains 20 steps of the
+# strings spec, samples four streams from its EMA network and prints a
+# digest of each output.
 _TRAIN_AND_SAMPLE = """
-import hashlib, sys
+import hashlib, importlib.util, sys
 import numpy as np
+spec = importlib.util.spec_from_file_location("numerics_alone", sys.argv[2])
+numerics_alone = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(numerics_alone)
+get_threads = numerics_alone.openblas_thread_calls()[1]
+before = get_threads()
 from bflow import cli, training
+print("threads", before, get_threads())
 from bflow.data import toy_strings
 from bflow.numerics import Rng
 from bflow.schedule import sample_chain
@@ -1011,18 +1020,22 @@ for name, a in (("params", result.mlp.params), ("ema", result.ema_params), ("m",
 """
 
 
+@pytest.mark.skipif(training._usable_cpus() < 2, reason="OpenBLAS runs one thread on one CPU, so both runs are alike")
 def test_outputs_do_not_depend_on_the_blas_thread_count(child_env):
-    # OpenBLAS splits the strings spec's first-layer products by thread
-    # count, so unless bflow runs it at one thread the parameters differ
-    # between these processes; the samples alone can still agree
+    # OpenBLAS splits some of the strings spec's training products by
+    # thread count, so unless bflow runs it at one thread the parameters
+    # differ between these processes; the samples alone can still agree
     digests = []
     for threads in ("1", "2"):
         proc = subprocess.run(
-            [sys.executable, "-c", _TRAIN_AND_SAMPLE, str(CONFIG_DIR / "train_strings.cfg")],
+            [sys.executable, "-c", _TRAIN_AND_SAMPLE, str(CONFIG_DIR / "train_strings.cfg"), numerics.__file__],
             capture_output=True, text=True, env=dict(child_env, OPENBLAS_NUM_THREADS=threads), timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.splitlines())
+        lines = proc.stdout.splitlines()
+        # OpenBLAS ran the thread count asked for until bflow set it to one
+        assert lines[0] == f"threads {threads} 1"
+        digests.append(lines[1:])
     assert len(digests[0]) == 5
     assert digests[0] == digests[1]
 
