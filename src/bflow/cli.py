@@ -28,12 +28,14 @@ RUN_CONFIG_KEYS = {f.name: f.type for f in dataclasses.fields(training.TrainConf
 
 
 def parse_config_text(text):
-    out = {}
+    out, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             key, value = _config_pair(line, f"line {lineno}")
-            out[key] = value
+            if key in seen:
+                raise ValueError(f"line {lineno}: config key {key!r} already set on line {seen[key]}")
+            out[key], seen[key] = value, lineno
     return out
 
 
@@ -104,6 +106,8 @@ def cmd_ingest(args):
         text = _load("ingest", f"--input {args.input}", source.read_text, "utf-8")
         if text.endswith("\n"):
             text = text[:-1]
+        if "\n" not in text and not args.dim:
+            raise SystemExit("ingest: --dim is required for text without line breaks")
         ds = _load("ingest", f"--input {args.input}", data.ingest_text, text, alphabet, args.dim)
         if args.dim and args.dim != ds.D:  # lines fix D; --dim only chunks unbroken text
             raise SystemExit(f"ingest: --dim {args.dim}: the lines of {args.input} hold {ds.D} symbols each")

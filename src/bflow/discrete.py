@@ -34,7 +34,12 @@ ALPHABET_27 = [chr(c) for c in range(ord("a"), ord("z") + 1)] + [" "]
 
 
 def check_data(cfg, x):
-    """Raise unless every entry of the dataset x is a class index in 1..K."""
+    """Raise unless every entry of the dataset x is a class index in 1..K;
+    a fractional entry is named, not truncated to a class."""
+    frac = np.argwhere(x % 1 != 0)
+    if frac.size:
+        raise ValueError(f"class indices must be whole numbers, the first {x[tuple(frac[0])]} "
+                         f"at index {tuple(frac[0].tolist())}")
     if np.any(x < 1) or np.any(x > cfg.K):
         raise ValueError(f"class indices outside 1..{cfg.K}")
 

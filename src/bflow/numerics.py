@@ -30,7 +30,6 @@ class Rng:
         digest = hashlib.sha256(repr((self.seed,) + self._path).encode("ascii")).digest()
         key = int.from_bytes(digest[:16], "little")
         self._gen = np.random.Generator(np.random.Philox(key=key))
-        self.draws = 0
 
     def split(self, stream_id):
         """Independent child stream; same stream_id -> same child."""
@@ -39,25 +38,17 @@ class Rng:
     def standard_normal(self, size=None, out=None):
         """Standard normals of shape size, written into the C-contiguous
         float64 array out when it is given."""
-        out = self._gen.standard_normal(size, out=out)
-        self.draws += int(np.size(out))
-        return out
+        return self._gen.standard_normal(size, out=out)
 
     def uniform(self, size=None, out=None):
         """Uniforms on [0, 1) of shape size, written into out when given."""
-        out = self._gen.random(size, out=out)
-        self.draws += int(np.size(out))
-        return out
+        return self._gen.random(size, out=out)
 
     def integers(self, low, high, size=None):
-        out = self._gen.integers(low, high, size=size)
-        self.draws += int(np.size(out))
-        return out
+        return self._gen.integers(low, high, size=size)
 
     def multinomial(self, n, pvals, size=None):
-        out = self._gen.multinomial(n, pvals, size=size)
-        self.draws += int(np.size(out))
-        return out
+        return self._gen.multinomial(n, pvals, size=size)
 
 
 class RowStreams:

@@ -320,15 +320,9 @@ class TrainResult:
     config: TrainConfig = None
 
 
-def train(rng, dataset, config):
-    """Minimise the continuous-time loss over the dataset.
-
-    Every step uses the substream ``rng.split(step)``, so the diagnostic on
-    a non-finite loss pins down the exact batch randomness.  On two or more
-    usable CPUs one ``Worker`` shares the backward pass and the optimizer
-    step for the whole run; it is joined before train returns or raises,
-    and the results are the same bits as on one CPU.
-    """
+def check_dataset(config, dataset):
+    """The dataset as an array; raise unless it holds items, every value is
+    finite and the modality's ``check_data`` accepts it."""
     dataset = np.asarray(dataset)
     if dataset.size == 0:
         raise ValueError("dataset is empty")
@@ -339,6 +333,19 @@ def train(rng, dataset, config):
             f"the first {dataset[tuple(bad[0])]} at index {tuple(bad[0].tolist())}"
         )
     OPS[config.modality].check_data(config.flow, dataset)
+    return dataset
+
+
+def train(rng, dataset, config):
+    """Minimise the continuous-time loss over the dataset.
+
+    Every step uses the substream ``rng.split(step)``, so the diagnostic on
+    a non-finite loss pins down the exact batch randomness.  On two or more
+    usable CPUs one ``Worker`` shares the backward pass and the optimizer
+    step for the whole run; it is joined before train returns or raises,
+    and the results are the same bits as on one CPU.
+    """
+    dataset = check_dataset(config, dataset)
     mlp = MLP(config.predictor_spec(), seed=config.seed)
     ema = mlp.params.copy()
     m = np.zeros_like(mlp.params)
@@ -430,9 +437,7 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
     """
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
-    dataset = np.asarray(dataset)
-    if dataset.size == 0:
-        raise ValueError("dataset is empty")
+    dataset = check_dataset(config, dataset)
     N = len(dataset)
     rows = []
     for li, kind in enumerate([int(n) for n in n_values] + ["inf", "recon"]):

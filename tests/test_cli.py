@@ -164,7 +164,8 @@ class TestTrain:
         (TRAIN_CFG.replace("{dataset}", "absent.ds"), r"train: dataset .*absent\.ds: No such file"),
         (TRAIN_CFG + "lr = 0.1\n", r"train: config .*c\.cfg: line 14: unknown config key 'lr'"),
         (TRAIN_CFG.replace("= discrete", "= discreet"), r"train: config .*c\.cfg: unknown modality 'discreet'"),
-    ], ids=["missing-dataset-file", "unknown-key", "unknown-modality"])
+        (TRAIN_CFG + "steps = 2000\n", r"train: config .*c\.cfg: line 14: config key 'steps' already set on line 7$"),
+    ], ids=["missing-dataset-file", "unknown-key", "unknown-modality", "duplicate-key"])
     def test_bad_input_is_usage_error(self, toy_run, tmp_path, text, message):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text.format(dataset=toy_run["paths"]["strings"]))
@@ -435,12 +436,13 @@ class TestIngestCommand:
         ("short-text", r"ingest: --input .*corpus\.txt: text shorter than one sequence"),
         ("unwritable-output", r"ingest: --output .*file/c\.ds: Not a directory"),
         ("empty-text", r"ingest: --input .*corpus\.txt: the text holds no lines$"),
-    ], ids=["missing-input", "bad-alphabet", "short-text", "unwritable-output", "empty-text"])
+        ("one-line-text", r"^ingest: --dim is required for text without line breaks$"),
+    ], ids=["missing-input", "bad-alphabet", "short-text", "unwritable-output", "empty-text", "one-line-text"])
     def test_bad_input_is_usage_error(self, tmp_path, case, message):
         alpha = tmp_path / "a.txt"
         data.save_alphabet(alpha, ["ab", "c"] if case == "bad-alphabet" else data.ALPHABET_27)
         src = tmp_path / "corpus.txt"
-        src.write_text("\n\n" if case == "empty-text" else "abc")
+        src.write_text({"empty-text": "\n\n", "one-line-text": "abc\n"}.get(case, "abc"))
         (tmp_path / "file").write_text("")
         args = {
             "--input": str(tmp_path / "absent.txt" if case == "missing-input" else src),
@@ -448,6 +450,8 @@ class TestIngestCommand:
             "--dim": "4" if case == "short-text" else "3",
             "--output": str(tmp_path / ("file/c.ds" if case == "unwritable-output" else "c.ds")),
         }
+        if case == "one-line-text":  # the trailing newline is the file's only one
+            del args["--dim"]
         with pytest.raises(SystemExit, match=message):
             run_cli("ingest", "--modality", "discrete", *(x for kv in args.items() for x in kv))
 

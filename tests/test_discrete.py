@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
+from bflow import harness
 from bflow.numerics import Rng, RowStreams, log_gaussian_pdf, softmax_rows
 from bflow.predictor import MLP, ConstantProbsPredictor, PredictorSpec
 from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, sample_chain
@@ -22,16 +23,12 @@ class TestSenderSample:
     def test_block_mean_and_variance_formula(self):
         m = dd.sender_mean(np.array([1]), 4.0, 2)
         np.testing.assert_allclose(m, [[4.0, -4.0]])
-
-    def test_empirical_block_mean(self):
-        r = Rng(0)
+        # a draw's exact moments, from its values at the harness's noise rows
         alpha, K = 1.5, 3
-        x = np.array([2])
-        draws = np.stack([dd.sender_sample(r, x, alpha, K)[0] for _ in range(100_000)])
-        target = alpha * (K * np.eye(K)[1] - 1)
-        tol = 4 * math.sqrt(alpha * K / 100_000)
-        assert np.all(np.abs(draws.mean(axis=0) - target) < tol)
-        assert abs(draws.var(axis=0, ddof=1).mean() - alpha * K) / (alpha * K) < 0.02
+        rows = dd.sender_sample(harness._unit_noise(1, K)[0], np.full((1 + K, 1), 2), alpha, K)
+        mean, cov = harness._affine_moments(rows)
+        assert np.abs(mean - alpha * (K * np.eye(K)[1] - 1)).max() < 1e-12
+        assert np.abs(cov - alpha * K * np.eye(K)).max() < 1e-12
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
@@ -103,26 +100,6 @@ class TestFlowSample:
                 hits += 1
         assert hits / 200 > 0.99
 
-    def test_matches_sequential_updates(self):
-        # one flow draw at time t vs n sequential sender/update rounds
-        r = Rng(6)
-        t, n, K, trials = 0.7, 32, 3, 100_000
-        x = np.array([1])
-        sched = DiscreteQuadratic(2.0)
-        direct = np.zeros(trials)
-        for j in range(trials):
-            direct[j] = softmax_rows(dd.flow_sample(r, FlowConfig(sched, 1, K), x[None], t))[0, 0, 0]
-        seq = np.zeros(trials)
-        logits = np.zeros((trials, K))
-        for i in range(1, n + 1):
-            a = sched.beta(t * i / n) - sched.beta(t * (i - 1) / n)
-            mean = a * (K * np.eye(K)[0] - 1)
-            logits += mean + r.standard_normal((trials, K)) * math.sqrt(a * K)
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        seq = (e / e.sum(axis=1, keepdims=True))[:, 0]
-        assert abs(direct.mean() - seq.mean()) / seq.mean() < 0.01
-
 
 def _output_probs(pred, state, t, K):
     """Class probabilities (D, K) at one summed-logit state: the batched map
@@ -169,11 +146,6 @@ class TestOutputDistribution:
         with np.errstate(divide="ignore"):
             _output_probs(Capture(), np.log(theta), 0.1, 3)
         np.testing.assert_allclose(seen["state"], (2 * theta - 1).ravel())
-
-    def test_wrong_width_rejected(self):
-        pred = ConstantPredictor(np.zeros(5))
-        with pytest.raises(ValueError):
-            _output_probs(pred, np.zeros((2, 3)), 0.5, 3)
 
 
 class TestLossNStep:
@@ -257,47 +229,6 @@ class TestLogRatio:
         assert np.isnan(dd.log_ratio(y, x, probs, 0.5, self.K)[0])
 
 
-class _StateLogits:
-    """Logits 3 state + t, elementwise, so a row's output does not depend
-    on the batch around it."""
-
-    def forward_batch(self, X, t):
-        return 3.0 * X + np.reshape(t, (-1, 1))
-
-
-class TestLossNBatch:
-    """Batched loss_n draws each row's noise (flow block, then sender
-    block) as one-row loss_n calls on the same stream do."""
-
-    cfg = FlowConfig(SCHED, 3, 4)
-    x = np.random.default_rng(5).integers(1, 5, size=(16, 3))
-
-    def test_one_step_matches_sequential_calls(self):
-        a, b = Rng(26), Rng(26)
-        got = dd.loss_n(a, _StateLogits(), self.cfg, self.x, 10, 4)
-        want = [dd.loss_n(b, _StateLogits(), self.cfg, row[None], 10, 4)[0] for row in self.x]
-        assert np.array_equal(got, want)
-        assert a.draws == b.draws == 16 * 2 * 3 * 4
-
-    def test_first_step_single_row_draws_sender_only(self):
-        """Step 1 sits at t=0, where the flow state is the prior; the row
-        still draws its flow block, scaled by zero, before the sender's."""
-        a, b = Rng(27), Rng(27)
-        got = dd.loss_n(a, _StateLogits(), self.cfg, self.x[:1], 10, 1)
-        assert got[0] == dd.loss_n(b, _StateLogits(), self.cfg, self.x[:1], 10, 1)[0]
-        assert a.draws == b.draws == 2 * 3 * 4
-
-    def test_mixed_steps_match_per_row_calls(self):
-        """Per-row steps make t an array, and numpy's vectorised power can
-        differ from Python's in the last bit, so rows agree to 1e-12."""
-        i = np.arange(16) % 10 + 1
-        a, b = Rng(28), Rng(28)
-        got = dd.loss_n(a, _StateLogits(), self.cfg, self.x, 10, i)
-        want = [dd.loss_n(b, _StateLogits(), self.cfg, row[None], 10, int(k))[0] for row, k in zip(self.x, i)]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert a.draws == b.draws
-
-
 class TestLossCtsTime:
     def test_one_hot_correct_zero(self):
         x = np.array([2, 2])
@@ -346,12 +277,6 @@ class TestGenerate:
         pred = DiscreteOneHotPredictor(x, 4, sharpness=800.0)
         out = dd.generate(Rng(19), pred, SCHED, 8, 4, 2)
         np.testing.assert_array_equal(out, x)
-
-    def test_seed_determinism(self):
-        pred = ConstantPredictor(np.zeros(6))
-        a = dd.generate(Rng(20), pred, SCHED, 5, 3, 2)
-        b = dd.generate(Rng(20), pred, SCHED, 5, 3, 2)
-        np.testing.assert_array_equal(a, b)
 
     def test_theta_rows_remain_simplex(self):
         pred = ConstantPredictor(np.zeros(6))
@@ -479,39 +404,3 @@ class TestGenerateMatchesReference:
             assert calls == [(i - 1) / n for i in range(first, n + 2)]
             final = [("uniform", D)] if ops is not cts else []
             assert [r.log for r in rngs] == [step * n + final] * B
-
-
-class TestDistributionalAdditivity:
-    def test_two_stage_vs_one_stage_mean(self):
-        # one row per trial; one draw holds every trial's three sender
-        # noises in the order a per-trial loop draws them: ya, yb, yc
-        r = Rng(22)
-        K, trials = 3, 100_000
-        x = np.ones(trials, dtype=np.int64)
-        aa, ab = 0.6, 1.1
-        z = r.standard_normal((trials, 3, K))
-        ya, yb, yc = (dd.sender_sample(None, x, a, K, z[:, s]) for s, a in enumerate((aa, ab, aa + ab)))
-        two = softmax_rows(ya + yb)
-        one = softmax_rows(yc)
-        for k in range(K):
-            denom = abs(one[:, k].mean())
-            assert abs(two[:, k].mean() - one[:, k].mean()) / denom < 0.015
-
-
-class TestFiniteCountConstruction:
-    def test_posterior_identity_exact(self):
-        # posterior from raw counts equals the summed-logit update with the
-        # log-odds observation built from the same counts
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            K = int(rng.integers(2, 6))
-            m = int(rng.integers(10, 500))
-            omega = float(rng.uniform(0.01, 0.5))
-            theta = rng.dirichlet(np.ones(K))
-            c = rng.multinomial(m, np.full(K, 1.0 / K))
-            xi = 1 + omega * K / (1 - omega)
-            post = (xi**c) * theta
-            post /= post.sum()
-            y = (c - m / K) * math.log(xi)
-            h = softmax_rows(np.log(theta) + y)
-            np.testing.assert_allclose(h, post, atol=1e-10)

@@ -1,7 +1,6 @@
 """Discretised-data operations: bins, CDF clipping, mixture losses."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from bflow.numerics import Rng, gaussian_sample, neg_log_true_class
 from bflow.predictor import DiscretisedDatumPredictor
 from bflow.schedule import ContinuousSigma, FlowConfig, loss_cts, sample_chain
 from oracle_predictors import ConstantPredictor
-from test_continuous import _assert_precisions_chain, _record_precisions
 
 CFG = FlowConfig(ContinuousSigma(math.sqrt(0.001)), D=1, K=16)
 
@@ -187,11 +185,6 @@ class TestOutputDistribution:
         probs = dsc.bin_probs_from_gaussian(mus, sigs, 16)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_wrong_predictor_width(self):
-        pred = ConstantPredictor(np.zeros(3))
-        with pytest.raises(ValueError):
-            dsc.probs(pred, CFG, cts.prior(CFG, 1), 0.5)
-
 
 class TestKHat:
     def test_one_hot_row(self):
@@ -337,40 +330,6 @@ class TestLossNStep:
         assert sched.step_alpha(6, 16) == pytest.approx(sched.beta(6 / 16) - sched.beta(5 / 16), rel=1e-10)
 
 
-class TestLossNBatch:
-    """Batched loss_n draws each row's noise (flow block, then sender
-    block) as one-row loss_n calls on the same stream do."""
-
-    cfg = FlowConfig(ContinuousSigma(math.sqrt(0.001)), D=2, K=8)
-    x = dsc.BinGeometry(8).centers[np.random.default_rng(4).integers(0, 8, size=(16, 2))]
-    pred = DiscretisedDatumPredictor(np.array([0.1, -0.4]), 0.3, cfg.schedule.sigma1)
-
-    def test_one_step_matches_sequential_calls(self):
-        a, b = Rng(23), Rng(23)
-        got = dsc.loss_n(a, self.pred, self.cfg, self.x, 10, 4)
-        want = [dsc.loss_n(b, self.pred, self.cfg, row[None], 10, 4)[0] for row in self.x]
-        assert np.array_equal(got, want)
-        assert a.draws == b.draws == 64
-
-    def test_first_step_single_row_draws_sender_only(self):
-        """Step 1 sits at t=0, where the flow state is the prior; the row
-        still draws its flow block, scaled by zero, before the sender's."""
-        a, b = Rng(24), Rng(24)
-        got = dsc.loss_n(a, self.pred, self.cfg, self.x[:1], 10, 1)
-        assert got[0] == dsc.loss_n(b, self.pred, self.cfg, self.x[:1], 10, 1)[0]
-        assert a.draws == b.draws == 2 * 2
-
-    def test_mixed_steps_match_per_row_calls(self):
-        """Per-row steps make t an array, and numpy's vectorised power can
-        differ from Python's in the last bit, so rows agree to 1e-12."""
-        i = np.arange(16) % 10 + 1
-        a, b = Rng(25), Rng(25)
-        got = dsc.loss_n(a, self.pred, self.cfg, self.x, 10, i)
-        want = [dsc.loss_n(b, self.pred, self.cfg, row[None], 10, int(k))[0] for row, k in zip(self.x, i)]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert a.draws == b.draws
-
-
 class TestLossCtsTime:
     def test_one_hot_correct_is_zero(self):
         K = 16
@@ -378,20 +337,6 @@ class TestLossCtsTime:
         x = np.array([g.center(3)])
         pred = DiscretisedDatumPredictor(x, 1e-9, CFG.schedule.sigma1)
         assert loss_cts(dsc, Rng(9), pred, CFG, x[None], 0.5)[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_uniform_output_closed_form(self):
-        # uniform rows have expected centre zero by symmetry, so the loss
-        # reduces to the time weight times x^2
-        K = 16
-        centers = dsc.BinGeometry(K).centers
-        probs = np.full((1, K), 1 / K)
-        assert (probs @ centers)[0] == pytest.approx(0.0, abs=1e-15)
-        x = np.array([centers[11]])
-        t = 0.4
-        weight = -math.log(CFG.schedule.sigma1) * CFG.schedule.sigma1 ** (-2 * t)
-        expected = weight * x[0] ** 2
-        resid = x - probs @ centers
-        assert weight * float(resid @ resid) == pytest.approx(expected, rel=1e-12)
 
 
 class TestReconstructionLoss:
@@ -406,15 +351,6 @@ class TestReconstructionLoss:
         probs = np.full((1, 3, K), 1 / K)
         got = neg_log_true_class(probs, np.array([[4, 1, 16]]))[0]
         assert got == pytest.approx(3 * math.log(K), rel=1e-12)
-
-    def test_log_prob_oracle(self):
-        rng = np.random.default_rng(12)
-        K = 8
-        probs = rng.dirichlet(np.ones(K), size=4)
-        idx = np.array([1, 5, 8, 2])
-        ref = -sum(math.log(probs[d, idx[d] - 1]) for d in range(4))
-        picked = probs[np.arange(4), idx - 1]
-        assert -float(np.sum(np.log(picked))) == pytest.approx(ref, abs=1e-12)
 
     def test_floor_keeps_loss_finite(self):
         K = 16
@@ -434,19 +370,6 @@ class TestGenerate:
         pred = DiscretisedDatumPredictor(target, 1e-9, CFG.schedule.sigma1)
         out = sample_chain(dsc, [Rng(14)], pred, CFG, 12)
         assert out[0, 0] == g.center(13)
-
-    def test_seed_determinism(self):
-        cfg = replace(CFG, K=8)
-        pred = DiscretisedDatumPredictor(np.array([0.1]), 0.2, CFG.schedule.sigma1)
-        a = sample_chain(dsc, [Rng(15)], pred, cfg, 6)
-        b = sample_chain(dsc, [Rng(15)], pred, cfg, 6)
-        assert np.array_equal(a, b)
-
-    def test_final_precision(self, monkeypatch):
-        pred = DiscretisedDatumPredictor(np.array([0.1]), 0.2, CFG.schedule.sigma1)
-        seen = _record_precisions(monkeypatch)
-        sample_chain(dsc, [Rng(16)], pred, replace(CFG, K=8), 9)
-        _assert_precisions_chain(seen, CFG.schedule, 9)
 
 
 class TestKlOrdering:

@@ -86,11 +86,12 @@ class TestExactMoments:
     """The noise-row moments of the flow ops against their closed forms."""
 
     def test_continuous_flow(self):
-        cfg, t, x = FlowConfig(ContinuousSigma(0.02), D=1), 0.5, 0.5
-        state = cts.flow_sample(harness._unit_noise(1, 1)[0], cfg, np.full((2, 1), x), t)
-        mean, cov = harness._affine_moments(state)
-        g = cfg.schedule.gamma(t)
-        assert abs(mean[0] - g * x) < 1e-12 and abs(cov[0, 0] - g * (1 - g)) < 1e-12
+        cfg, x = FlowConfig(ContinuousSigma(0.02), D=1), 0.5
+        for t in (0.5, 1.0):
+            state = cts.flow_sample(harness._unit_noise(1, 1)[0], cfg, np.full((2, 1), x), t)
+            mean, cov = harness._affine_moments(state)
+            g = cfg.schedule.gamma(t)
+            assert abs(mean[0] - g * x) < 1e-12 and abs(cov[0, 0] - g * (1 - g)) < 1e-12
 
     def test_discrete_flow(self):
         K, t = 3, 0.7

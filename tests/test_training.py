@@ -33,9 +33,9 @@ from bflow.data import toy_glyphs, toy_mixture, toy_strings
 from bflow.kernels import erf_vec
 from bflow.numerics import Rng, softmax_rows
 from bflow.predictor import MLP, CtsDatumPredictor, DiscretisedDatumPredictor, PredictorSpec
-from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, step_time
+from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, sample_chain, step_time
 from bflow.training import TrainConfig, Worker, adamw_step
-from oracle_predictors import DiscreteOneHotPredictor, inversion_bound
+from oracle_predictors import ConstantPredictor, DiscreteOneHotPredictor, inversion_bound
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -602,6 +602,14 @@ def _sample_head_state_reference(rng, config, x_batch):
     return {"t": t, "theta": mu, "state_in": mu, "x": x_batch}
 
 
+def _after(seed, n):
+    """The next standard normal of a fresh Rng(seed) after n of them: an rng
+    of that seed that has drawn n normals draws it next."""
+    rng = Rng(seed)
+    rng.standard_normal(n)
+    return rng.standard_normal()
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -624,7 +632,7 @@ class TestBatchedFlow:
         items = np.stack([dd.flow_sample(r_item, cfg, x[b][None], float(self.T[b]))[0] for b in range(6)])
         assert _same_bits(batched, ref) and _same_bits(items, ref)
         assert np.all(batched[2] == 0.0) and np.all(softmax_rows(batched[2]) == 1.0 / K)
-        assert r_batch.draws == r_ref.draws == r_item.draws == 6 * 5 * K
+        assert [r.standard_normal() for r in (r_batch, r_ref, r_item)] == [_after(41, 6 * 5 * K)] * 3
 
     def test_continuous_rows_equal_per_row_draws(self):
         cfg = FlowConfig(ContinuousSigma(0.02), D=5)
@@ -638,7 +646,7 @@ class TestBatchedFlow:
         ref = np.stack([_cts_flow_row_reference(r_ref, cfg, x[b], float(self.T[b])) for b in range(6)])
         items = np.stack([cts.flow_sample(r_item, cfg, x[b][None], float(self.T[b]))[0] for b in range(6)])
         assert _same_bits(items, ref)
-        assert r_batch.draws == r_rows.draws == r_ref.draws == r_item.draws == 6 * 5
+        assert [r.standard_normal() for r in (r_batch, r_rows, r_ref, r_item)] == [_after(43, 6 * 5)] * 4
 
     @pytest.mark.parametrize("modality,K", [("discrete", 27), ("discrete", 2),
                                             ("continuous", 0), ("discretised", 16)])
@@ -1364,6 +1372,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="dataset is empty"):
             training.evaluate(Rng(16), pred, config, np.ones((0, 2), dtype=np.int64))
 
+    @pytest.mark.parametrize("modality, items, message", [
+        ("discrete", [[1.5, 2.0], [2.9, 1.0]], r"class indices must be whole numbers, the first 1\.5 at index \(0, 0\)"),
+        ("discrete", [[0, 1]], r"class indices outside 1\.\.3"),
+        ("continuous", [[0.1, np.nan]], r"non-finite values \(1 of 2\), the first nan at index \(0, 1\)"),
+    ], ids=["fractional-class", "class-0", "nan"])
+    def test_evaluate_checks_the_dataset_as_train_does(self, modality, items, message):
+        # evaluate once ran no data check: [[1.5, 2.9]] gave the table of [[1, 2]]
+        config = _make_config(modality, D=2, **({"K": 3} if modality == "discrete" else {}))
+        pred = MLP(config.predictor_spec(), seed=2)
+        for run in (lambda x: training.train(Rng(0), x, config), lambda x: training.evaluate(Rng(16), pred, config, x)):
+            with pytest.raises(ValueError, match=message):
+                run(np.array(items))
+
 
 def _estimate_mean_loss_reference(rng, mlp, params, config, dataset, n_draws=4):
     """estimate_mean_loss as it was before it called the loss_cts dispatch:
@@ -1703,6 +1724,78 @@ class TestOpSet:
         assert d_out.shape == (5, output_width)
         spec = config.predictor_spec()
         assert (spec.state_width, spec.output_width) == (state_width, output_width)
+
+
+def _record_precisions(monkeypatch):
+    """The (precision, new precision) pairs of every cts.bayes_update call
+    from here on, in call order."""
+    real, seen = cts.bayes_update, []
+
+    def recording(mean, y, alpha, precision, new_precision):
+        seen.append((precision, new_precision))
+        return real(mean, y, alpha, precision, new_precision)
+
+    monkeypatch.setattr(cts, "bayes_update", recording)
+    return seen
+
+
+def _assert_precisions_chain(seen, sched, n):
+    """The n updates of one sampling run weigh the prior at 1, each later
+    step at the last one's new precision, gain the step's accuracy, and end
+    at 1 + beta(1) exactly."""
+    starts, ends = zip(*seen)
+    assert len(seen) == n and starts[0] == 1.0 and starts[1:] == ends[:-1]
+    assert ends[-1] == 1.0 + sched.beta(1.0)
+    np.testing.assert_allclose(np.subtract(ends, starts), sched.step_alpha(np.arange(1, n + 1), n), rtol=1e-12)
+
+
+class TestOpContract:
+    """The op set's contract, checked once for every modality of
+    training.OPS on _eval_case's batch and row-local predictor."""
+
+    @pytest.mark.parametrize("modality", tuple(training.OPS))
+    def test_loss_n_batch_matches_one_row_calls(self, modality):
+        """Batched loss_n draws each row's noise (the flow block, then for
+        the mixture receivers the sender block) as one-row calls on the same
+        stream do; a row at step 1, t = 0, draws its blocks too.  Per-row
+        steps make t an array, and numpy's vectorised power can differ from
+        Python's in the last bit, so those rows agree to 1e-12."""
+        config, x, pred = _eval_case(modality)
+        ops, cfg = training.OPS[modality], config.flow
+        normals = len(x) * cfg.D * {"continuous": 1, "discretised": 2, "discrete": 2 * cfg.K}[modality]
+        for seed, i in ((20, 4), (21, np.arange(len(x)) % 10 + 1)):
+            a, b = Rng(seed), Rng(seed)
+            got = ops.loss_n(a, pred, cfg, x, 10, i)
+            want = [ops.loss_n(b, pred, cfg, row[None], 10, int(k))[0]
+                    for row, k in zip(x, np.broadcast_to(i, len(x)))]
+            np.testing.assert_allclose(got, want, rtol=0 if np.isscalar(i) else 1e-12, atol=0)
+            assert a.standard_normal() == b.standard_normal() == _after(seed, normals)
+
+    @pytest.mark.parametrize("modality", tuple(training.OPS))
+    def test_seed_determinism(self, modality):
+        config, _, pred = _eval_case(modality)
+        ops = training.OPS[modality]
+        a, b = (sample_chain(ops, [Rng(14)], pred, config.flow, 10, return_state=True) for _ in range(2))
+        assert all(_same_bits(u, v) for u, v in zip(a, b))
+
+    @pytest.mark.parametrize("modality", ["continuous", "discretised"])
+    def test_final_precision(self, modality, monkeypatch):
+        config, _, pred = _eval_case(modality)
+        seen = _record_precisions(monkeypatch)
+        for n in (1, 7, 32):
+            seen.clear()
+            sample_chain(training.OPS[modality], [Rng(15)], pred, config.flow, n)
+            _assert_precisions_chain(seen, config.flow.schedule, n)
+
+    @pytest.mark.parametrize("modality", tuple(training.OPS))
+    def test_wrong_predictor_width_rejected(self, modality):
+        config, x, _ = _eval_case(modality)
+        ops, cfg = training.OPS[modality], config.flow
+        state = ops.flow_sample(Rng(16), cfg, x, 0.5)
+        width = ops.net_widths(cfg)[1]
+        for wrong in (width - 1, width + 1):
+            with pytest.raises(ValueError, match="predictor returned shape"):
+                ops.estimate(ConstantPredictor(np.zeros(wrong)), cfg, state, 0.5, Rng(17))
 
 
 def _bundled_config(name):
