@@ -1753,23 +1753,51 @@ class TestOpContract:
     """The op set's contract, checked once for every modality of
     training.OPS on _eval_case's batch and row-local predictor."""
 
-    @pytest.mark.parametrize("modality", tuple(training.OPS))
-    def test_loss_n_batch_matches_one_row_calls(self, modality):
-        """Batched loss_n draws each row's noise (the flow block, then for
-        the mixture receivers the sender block) as one-row calls on the same
-        stream do; a row at step 1, t = 0, draws its blocks too.  Per-row
-        steps make t an array, and numpy's vectorised power can differ from
-        Python's in the last bit, so those rows agree to 1e-12."""
-        config, x, pred = _eval_case(modality)
+    @staticmethod
+    def _loss_n_rows(modality, seed, x, i):
+        """Batched loss_n on rows x at steps i, and the one-row calls on a
+        second stream of the same seed; both streams after the calls."""
+        config, _, pred = _eval_case(modality)
         ops, cfg = training.OPS[modality], config.flow
-        normals = len(x) * cfg.D * {"continuous": 1, "discretised": 2, "discrete": 2 * cfg.K}[modality]
-        for seed, i in ((20, 4), (21, np.arange(len(x)) % 10 + 1)):
-            a, b = Rng(seed), Rng(seed)
-            got = ops.loss_n(a, pred, cfg, x, 10, i)
-            want = [ops.loss_n(b, pred, cfg, row[None], 10, int(k))[0]
-                    for row, k in zip(x, np.broadcast_to(i, len(x)))]
-            np.testing.assert_allclose(got, want, rtol=0 if np.isscalar(i) else 1e-12, atol=0)
-            assert a.standard_normal() == b.standard_normal() == _after(seed, normals)
+        a, b = Rng(seed), Rng(seed)
+        got = ops.loss_n(a, pred, cfg, x, 10, i)
+        want = [ops.loss_n(b, pred, cfg, row[None], 10, int(k))[0]
+                for row, k in zip(x, np.broadcast_to(i, len(x)))]
+        return got, want, a, b
+
+    @staticmethod
+    def _normals_per_row(modality):
+        """Normals one loss_n row draws: the flow block, then for the
+        mixture receivers the sender block."""
+        cfg = _eval_case(modality)[0].flow
+        return cfg.D * {"continuous": 1, "discretised": 2, "discrete": 2 * cfg.K}[modality]
+
+    @pytest.mark.parametrize("modality", tuple(training.OPS))
+    def test_one_step_matches_sequential_calls(self, modality):
+        """Batched loss_n draws each row's noise as one-row calls on the
+        same stream do."""
+        x = _eval_case(modality)[1]
+        got, want, a, b = self._loss_n_rows(modality, 20, x, 4)
+        assert np.array_equal(got, want)
+        assert a.standard_normal() == b.standard_normal() == _after(20, len(x) * self._normals_per_row(modality))
+
+    @pytest.mark.parametrize("modality", tuple(training.OPS))
+    def test_first_step_single_row_draws_its_blocks(self, modality):
+        """Step 1 sits at t = 0, where the flow state is the prior; the row
+        still draws its flow block, scaled by zero, and any sender block."""
+        x = _eval_case(modality)[1][:1]
+        got, want, a, b = self._loss_n_rows(modality, 21, x, 1)
+        assert got[0] == want[0]
+        assert a.standard_normal() == b.standard_normal() == _after(21, self._normals_per_row(modality))
+
+    @pytest.mark.parametrize("modality", tuple(training.OPS))
+    def test_mixed_steps_match_per_row_calls(self, modality):
+        """Per-row steps make t an array, and numpy's vectorised power can
+        differ from Python's in the last bit, so rows agree to 1e-12."""
+        x = _eval_case(modality)[1]
+        got, want, a, b = self._loss_n_rows(modality, 22, x, np.arange(len(x)) % 10 + 1)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert a.standard_normal() == b.standard_normal() == _after(22, len(x) * self._normals_per_row(modality))
 
     @pytest.mark.parametrize("modality", tuple(training.OPS))
     def test_seed_determinism(self, modality):
