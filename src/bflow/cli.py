@@ -58,7 +58,12 @@ def _config_pair(text, where):
 def load_run_config(path, overrides=()):
     with open(path, encoding="utf-8") as fh:
         cfg = parse_config_text(fh.read())
-    cfg.update(_config_pair(item, "--set") for item in overrides)
+    given = {}
+    for item in overrides:
+        key, cfg[key] = _config_pair(item, "--set")
+        if key in given:
+            raise ValueError(f"--set {item!r}: config key {key!r} already set by --set {given[key]!r}")
+        given[key] = item
     return cfg
 
 

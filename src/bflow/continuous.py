@@ -129,24 +129,17 @@ def loss_inf(cfg, x, state, t, net_out, grad=False):
     return loss, np.where(inside, w[:, None] * 2.0 * (x_hat - x) * slope, 0.0)
 
 
-def net_out(predictor, cfg, state, t, width=None):
-    """The predictor's (B, width) outputs, width D unless given, at belief
-    means state and times t; zeros on rows below t_min, where the output
-    maps ignore them, so the predictor never sees those rows."""
-    width = width or cfg.D
-    live = np.full(state.shape[0], t >= cfg.t_min)
-    if live.all():
-        return forward_rows(predictor, state, t, width)
-    out = np.zeros((state.shape[0], width))
-    if live.any():
-        out[live] = forward_rows(predictor, state[live], np.asarray(t)[live], width)
-    return out
+def net_out(predictor, cfg, state, t):
+    """The predictor's (B, D) noise estimates at belief means state and
+    times t.  It sees every row, so no row's output moves with another's
+    time; the output maps mask the rows below t_min."""
+    return forward_rows(predictor, state, t, cfg.D)
 
 
 def estimate(predictor, cfg, state, t, rng):
     """Clipped data estimates (B, D) at belief means state and times t, the
-    sampler's and the losses' x_hat; they draw nothing from rng, and below
-    t_min they are zero without reaching the predictor."""
+    sampler's and the losses' x_hat; they draw nothing from rng, and are
+    zero below t_min."""
     return output_map(cfg, state, t, net_out(predictor, cfg, state, t))[0]
 
 

@@ -33,24 +33,27 @@ from .schedule import FlowConfig, sample_chain, step_time
 ALPHABET_27 = [chr(c) for c in range(ord("a"), ord("z") + 1)] + [" "]
 
 
-def check_data(cfg, x):
-    """Raise unless every entry of the dataset x is a class index in 1..K;
-    a fractional entry is named, not truncated to a class."""
-    frac = np.argwhere(x % 1 != 0)
-    if frac.size:
+def class_indices(x, K):
+    """x as int64 class indices; raise unless every entry is a whole number
+    in 1..K, naming the first fractional one.  Integer arrays skip that test."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu" and (frac := np.argwhere(x % 1 != 0)).size:
         raise ValueError(f"class indices must be whole numbers, the first {x[tuple(frac[0])]} "
                          f"at index {tuple(frac[0].tolist())}")
-    if np.any(x < 1) or np.any(x > cfg.K):
-        raise ValueError(f"class indices outside 1..{cfg.K}")
+    if ((x < 1) | (x > K)).any():
+        raise ValueError(f"class indices outside 1..{K}")
+    return x.astype(np.int64, copy=False)
+
+
+def check_data(cfg, x):
+    """Raise unless every entry of the dataset x is a class index in 1..K."""
+    class_indices(x, cfg.K)
 
 
 def one_hot(x, K):
     """(..., K) projection of 1-based class indices, as booleans, which
     arithmetic reads as 1.0 and 0.0."""
-    hot = np.asarray(x, dtype=np.int64)[..., None] == np.arange(1, K + 1)
-    if np.count_nonzero(hot) != hot.size // K:  # an index outside 1..K matches no class
-        raise ValueError(f"class index outside 1..{K}")
-    return hot
+    return class_indices(x, K)[..., None] == np.arange(1, K + 1)
 
 
 def sender_mean(x, alpha, K):
@@ -187,7 +190,7 @@ def log_ratio(y, x, probs, alpha, K):
     is u_x - logsumexp_k(log p_k + u_k).
     """
     u = np.asarray(y, dtype=np.float64) + alpha
-    ux = np.take_along_axis(u, np.asarray(x, dtype=np.int64)[..., None] - 1, axis=-1)[..., 0]
+    ux = np.take_along_axis(u, class_indices(x, K)[..., None] - 1, axis=-1)[..., 0]
     with np.errstate(divide="ignore"):
         logw = np.log(np.asarray(probs, dtype=np.float64))
     lse = logsumexp_rows((logw + u).reshape(-1, K)).reshape(u.shape[:-1])
@@ -204,9 +207,9 @@ def loss_n(rng, predictor, cfg, x, n, i):
     predictor runs once on the batch.  Row b equals the b-th of B one-row
     calls as in continuous.loss_n.
     """
-    x = np.asarray(x, dtype=np.int64)
-    t = step_time(i, n)
     K = cfg.K
+    x = class_indices(x, K)
+    t = step_time(i, n)
     alpha = cfg.schedule.step_alpha(i, n)
     if not np.isscalar(alpha):
         alpha = alpha[:, None, None]
@@ -221,7 +224,7 @@ def recon(rng, predictor, cfg, x):
     """Reconstruction loss estimates (B,), in nats, for a (B, D) batch of
     class indices: -log of the true classes' probabilities at a flow state
     drawn at t=1 for each row."""
-    x = np.asarray(x, dtype=np.int64)
+    x = class_indices(x, cfg.K)
     state = flow_sample(rng, cfg, x, 1.0)
     return neg_log_true_class(output_map(net_out(predictor, cfg, state, 1.0), cfg.K), x)
 

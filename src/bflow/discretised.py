@@ -20,6 +20,7 @@ import numpy as np
 from . import continuous
 from .kernels import erf_vec, mixture_logpdf
 from .numerics import gaussian_sample, log_gaussian_pdf, neg_log_true_class, sample_categorical_rows
+from .predictor import forward_rows
 from .schedule import step_time
 
 _SQRT2 = np.sqrt(2.0)
@@ -237,8 +238,8 @@ def loss_inf(cfg, x, state, t, net_out, grad=False):
 
 
 def net_out(predictor, cfg, state, t):
-    """(noise mean, log noise std) pairs (B, 2D) by continuous.net_out."""
-    return continuous.net_out(predictor, cfg, state, t, 2 * cfg.D)
+    """(noise mean, log noise std) pairs (B, 2D) on every row, as continuous.net_out."""
+    return forward_rows(predictor, state, t, 2 * cfg.D)
 
 
 def probs(predictor, cfg, state, t):

@@ -227,8 +227,9 @@ class CtsDatumPredictor:
         return self._noise_mean(X, t)[0]
 
     def _noise_mean(self, X, t):
-        # also the noise scale; a float t keeps gamma a Python float, as in the output maps
+        # also the noise scale; gamma as in the output maps: a Python float power at a float t, floored at 1e-300
         g = self.schedule.gamma(float(t) if np.isscalar(t) else np.asarray(t, dtype=np.float64)[:, None])
+        g = np.maximum(g, 1e-300)
         ratio = np.sqrt((1.0 - g) / g)
         return (np.asarray(X, dtype=np.float64) / g - self.x_star) / ratio, ratio
 

@@ -41,7 +41,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -91,12 +91,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not self.recon_sigma >= 0.0:  # NaN fails
             raise ValueError(f"recon_sigma must be >= 0, got {self.recon_sigma}")
-        # the other family's schedule field, and the continuous-only noise
-        ignored = ["sigma1" if self.modality == "discrete" else "beta1"]
+        # the other family's schedule field, discrete data's t_min and the continuous-only noise keep defaults
+        ignored = ["sigma1", "t_min"] if self.modality == "discrete" else ["beta1"]
         ignored += ["recon_sigma"] if self.modality != "continuous" else []
-        for name in ignored:
-            if getattr(self, name) != 0.0:
-                raise ValueError(f"{self.modality} data takes no {name}, got {getattr(self, name)}")
+        for f in fields(self):
+            if f.name in ignored and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.modality} data takes no {f.name}, got {getattr(self, f.name)}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {','.join(map(str, self.hidden))}")
         if self.schedule_preset:  # its sigma1 or beta1 replaces the field's
@@ -318,6 +318,7 @@ class TrainResult:
     moments_v: np.ndarray
     history: list = field(default_factory=list)  # (step, train_loss, eval_loss|None)
     config: TrainConfig = None
+    step: int = 0  # the optimizer steps taken, which a checkpoint keeps
 
 
 def check_dataset(config, dataset):
@@ -340,7 +341,9 @@ def train(rng, dataset, config):
     """Minimise the continuous-time loss over the dataset.
 
     Every step uses the substream ``rng.split(step)``, so the diagnostic on
-    a non-finite loss pins down the exact batch randomness.  On two or more
+    a non-finite loss pins down the exact batch randomness.  The history's
+    eval loss, every ``eval_every`` steps, is the ∞ row of ``evaluate`` at
+    the EMA on up to 64 items drawn from ``rng.split(10**9 + step)``.  On two or more
     usable CPUs one ``Worker`` shares the backward pass and the optimizer
     step for the whole run; it is joined before train returns or raises,
     and the results are the same bits as on one CPU.
@@ -368,25 +371,15 @@ def train(rng, dataset, config):
             )
             eval_loss = None
             if config.eval_every and step % config.eval_every == 0:
-                eval_loss = estimate_mean_loss(rng.split(10**9 + step), mlp, ema, config, dataset)
+                erng = rng.split(10**9 + step)
+                items = dataset[erng.integers(0, len(dataset), size=min(len(dataset), 64))]
+                eval_loss = evaluate(erng, MLP(mlp.spec, params=ema), config, items, n_values=(), passes=4)[0]["nats"]
             history.append((step, loss, eval_loss))
     finally:
         if worker is not None:
             worker.close()
-    return TrainResult(mlp=mlp, ema_params=ema, moments_m=m, moments_v=v, history=history, config=config)
-
-
-def estimate_mean_loss(rng, mlp, params, config, dataset, n_draws=4):
-    """Mean continuous-time loss of mlp's network under the given parameter
-    vector; mlp itself is left as it is."""
-    net = MLP(mlp.spec, params=params)
-    take = min(len(dataset), 64)
-    losses = []
-    for _ in range(n_draws):
-        x_batch = dataset[rng.integers(0, len(dataset), size=take)]
-        t = rng.uniform(size=take)
-        losses.append(item_losses(rng, net, config, x_batch, "inf", t).mean())
-    return float(np.mean(losses))
+    return TrainResult(mlp=mlp, ema_params=ema, moments_m=m, moments_v=v, history=history, config=config,
+                       step=config.steps)
 
 
 def history_to_csv(history):
@@ -428,9 +421,10 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
     Pass p of table row li draws a step or time for every item from
     ``rng.split(li * 1_000_003 + p)``, then the items' noise, EVAL_CHUNK
     items per call.  Every item draws the same size of noise block at any
-    step or time, t = 0 included, so an item's loss depends only on the
-    seed, the item and its position, not on the other items' steps.  The
-    recon row is left out unless config.has_recon.
+    step or time, t = 0 included, and the network sees every item's row,
+    so an item's loss depends only on the seed, the item and its position,
+    not on the other items' steps.  The recon row is left out unless
+    config.has_recon.
 
     Returns a list of dicts with nats, nats per dimension, bits per
     dimension and the standard error of the mean.
@@ -504,7 +498,7 @@ def save_checkpoint(path, result, run_config=None):
         "version": CHECKPOINT_VERSION,
         "config": asdict(result.config),
         "run_config": run_config or {},
-        "step": len(result.history),
+        "step": result.step,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -540,6 +534,8 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint JSON header is corrupt: {exc}") from None
         if not isinstance(header, dict) or "config" not in header:
             raise ValueError("checkpoint header lacks config")
+        if type(step := header.get("step")) is not int or step < 0:
+            raise ValueError(f"checkpoint step must be an int >= 0, got {step!r}")
         try:
             cfg_dict = dict(header["config"])
             cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
@@ -558,7 +554,7 @@ def load_checkpoint(path):
             if fh.readinto(arr) != arr.nbytes:
                 raise ValueError("checkpoint file shrank while it was read")
     mlp = MLP(config.predictor_spec(), params=params)
-    return TrainResult(mlp=mlp, ema_params=ema, moments_m=m, moments_v=v, history=[], config=config), header
+    return TrainResult(mlp=mlp, ema_params=ema, moments_m=m, moments_v=v, config=config, step=step), header
 
 
 def ema_predictor(result):

@@ -188,6 +188,11 @@ def test_criterion_08_schedule_checks():
     _report(8, time.time() - t0, "telescoping, entropy linearity and presets all hold")
 
 
+def _cts_time_loss(rng, predictor, config, items, passes):
+    """The continuous-time row of evaluate: the mean loss over passes."""
+    return training.evaluate(rng, predictor, config, items, n_values=(), passes=passes)[0]["nats"]
+
+
 def test_criterion_09_toy_training():
     t0 = time.time()
     # discrete toy: 4 strings over the 27-symbol alphabet
@@ -197,10 +202,9 @@ def test_criterion_09_toy_training():
         steps=2000, learning_rate=1e-3, weight_decay=0.0, seed=5,
         hidden=(256, 256), ema_decay=0.99,
     )
-    mlp0 = MLP(config.predictor_spec(), seed=config.seed)
-    init_loss = training.estimate_mean_loss(Rng(99), mlp0, mlp0.params, config, ds.items, n_draws=50)
+    init_loss = _cts_time_loss(Rng(99), MLP(config.predictor_spec(), seed=config.seed), config, ds.items, 50)
     result = training.train(Rng(6), ds.items, config)
-    final_loss = training.estimate_mean_loss(Rng(99), result.mlp, result.mlp.params, config, ds.items, n_draws=50)
+    final_loss = _cts_time_loss(Rng(99), result.mlp, config, ds.items, 50)
     assert final_loss < 0.1 * init_loss
     train_elapsed = time.time() - t0
     assert train_elapsed < 300
@@ -220,10 +224,9 @@ def test_criterion_09_toy_training():
         hidden=(64, 64), t_min=1e-3, n_freqs=10,
     )
     datum = np.tile([[0.4, -0.2]], (1, 1))
-    mlp0 = MLP(cfg2.predictor_spec(), seed=cfg2.seed)
-    init2 = training.estimate_mean_loss(Rng(991), mlp0, mlp0.params, cfg2, datum, n_draws=6000)
+    init2 = _cts_time_loss(Rng(991), MLP(cfg2.predictor_spec(), seed=cfg2.seed), cfg2, datum, 6000)
     res2 = training.train(Rng(6), datum, cfg2)
-    final2 = training.estimate_mean_loss(Rng(991), res2.mlp, res2.mlp.params, cfg2, datum, n_draws=6000)
+    final2 = _cts_time_loss(Rng(991), res2.mlp, cfg2, datum, 6000)
     assert final2 < 0.01 * init2
     elapsed = time.time() - t0
     _report(
@@ -277,7 +280,6 @@ def test_criterion_10_determinism(tmp_path, child_env):
 
     # checkpoint save -> load -> save is byte-identical
     result, header = training.load_checkpoint(tmp_path / "run_a/model.ckpt")
-    result.history = [(i, 0.0, None) for i in range(20)]  # restore the step count
     training.save_checkpoint(tmp_path / "roundtrip.ckpt", result, run_config=header["run_config"])
     assert (tmp_path / "roundtrip.ckpt").read_bytes() == (tmp_path / "run_a/model.ckpt").read_bytes()
     _report(10, time.time() - t0, "train/sample/eval/verify byte-identical across runs; checkpoint round-trips")

@@ -160,17 +160,22 @@ class TestTrain:
         with pytest.raises(SystemExit, match=message):
             run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
 
-    @pytest.mark.parametrize("text, message", [
-        (TRAIN_CFG.replace("{dataset}", "absent.ds"), r"train: dataset .*absent\.ds: No such file"),
-        (TRAIN_CFG + "lr = 0.1\n", r"train: config .*c\.cfg: line 14: unknown config key 'lr'"),
-        (TRAIN_CFG.replace("= discrete", "= discreet"), r"train: config .*c\.cfg: unknown modality 'discreet'"),
-        (TRAIN_CFG + "steps = 2000\n", r"train: config .*c\.cfg: line 14: config key 'steps' already set on line 7$"),
-    ], ids=["missing-dataset-file", "unknown-key", "unknown-modality", "duplicate-key"])
-    def test_bad_input_is_usage_error(self, toy_run, tmp_path, text, message):
+    @pytest.mark.parametrize("text, sets, message", [
+        (TRAIN_CFG.replace("{dataset}", "absent.ds"), (), r"train: dataset .*absent\.ds: No such file"),
+        (TRAIN_CFG + "lr = 0.1\n", (), r"train: config .*c\.cfg: line 14: unknown config key 'lr'"),
+        (TRAIN_CFG.replace("= discrete", "= discreet"), (), r"train: config .*c\.cfg: unknown modality 'discreet'"),
+        (TRAIN_CFG + "steps = 2000\n", (), r"train: config .*c\.cfg: line 14: config key 'steps' already set on line 7$"),
+        # a repeated --set key once kept its last value silently
+        (TRAIN_CFG, ("steps=5", "eval_every=0", "steps = 10"),
+         r"train: config .*c\.cfg: --set 'steps = 10': config key 'steps' already set by --set 'steps=5'$"),
+    ], ids=["missing-dataset-file", "unknown-key", "unknown-modality", "duplicate-key", "duplicate-set-key"])
+    def test_bad_input_is_usage_error(self, toy_run, tmp_path, monkeypatch, text, sets, message):
+        monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained on bad input"))
         cfg = tmp_path / "c.cfg"
         cfg.write_text(text.format(dataset=toy_run["paths"]["strings"]))
         with pytest.raises(SystemExit, match=message):
-            run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+            run_cli("train", "--config", str(cfg), *(arg for item in sets for arg in ("--set", item)),
+                    "--out", str(tmp_path / "o"))
 
     @pytest.mark.parametrize("setting, message", [
         ("schedule_preset=foo", r"schedule_preset 'foo' is not a discrete preset; expected one of binary, chars27"),

@@ -93,7 +93,7 @@ class TestLossNStep:
             assert np.array_equal(got, weight * np.vecdot(err, err))
             assert np.all(np.abs(err) <= inversion_bound(x, state, cfg.schedule.gamma(t)[:, None]))
             assert 0 < np.sum(got == 0.0) < len(got)
-        # the zero datum is perfectly predicted at i=1 (t < t_min branch)
+        # the zero datum is perfectly predicted at i=1, where t < t_min masks the output
         zero = np.zeros((1, 2))
         zpred = CtsDatumPredictor(zero[0], s1)
         for n in (1, 2, 5, 30):
@@ -178,10 +178,9 @@ class TestGenerate:
 
         pred = Counting(np.array([0.1]), CFG.schedule.sigma1)
         sample_chain(cts, [Rng(13)], pred, CFG, 1)
-        # first call lands below t_min so only the t=1 call reaches the
-        # predictor; the loop itself runs twice
-        assert len(calls) == 1
-        sample_chain(cts, [Rng(13)], pred, CFG, 2)
+        # the step's estimate at t = 0, below t_min, where the output map
+        # masks the network's output, and the sample's at t = 1
+        assert calls == [0.0, 1.0]
 
     def test_output_in_range(self):
         pred = ConstantPredictor(np.array([3.0]))

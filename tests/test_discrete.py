@@ -40,6 +40,19 @@ class TestSenderSample:
         with pytest.raises(ValueError):
             dd.sender_mean(np.array([3]), 1.0, 2)
 
+    @pytest.mark.parametrize("op", ["loss_n", "recon", "one_hot", "log_ratio"])
+    def test_fractional_class_named(self, op):
+        # the ops once cast x to int64, so [[1.5, 2.9]] scored as [[1, 2]]
+        cfg, x, pred = FlowConfig(SCHED, 2, 4), np.array([[2.0, 1.5], [2.9, 1.0]]), ConstantPredictor(np.zeros(8))
+        calls = {
+            "loss_n": lambda: dd.loss_n(Rng(1), pred, cfg, x, 10, 4),
+            "recon": lambda: dd.recon(Rng(1), pred, cfg, x),
+            "one_hot": lambda: dd.one_hot(x, 4),
+            "log_ratio": lambda: dd.log_ratio(np.zeros((2, 2, 4)), x, np.full((2, 2, 4), 0.25), 0.5, 4),
+        }
+        with pytest.raises(ValueError, match=r"class indices must be whole numbers, the first 1\.5 at index \(0, 1\)"):
+            calls[op]()
+
 
 class TestBayesUpdate:
     """The sampler's update: the summed logits plus one sender draw."""
@@ -378,20 +391,18 @@ class TestGenerateMatchesReference:
     @pytest.mark.parametrize("B", [1, 3])
     def test_stream_layout(self, B):
         """Byte-identical samples rest on this layout, for each modality: the
-        predictor's call times, and per stream the draws of each step in
-        order, (n + 1) D categorical uniforms for discrete and discretised
-        data and n sender blocks of D K or D normals.  Continuous data
-        draws no uniform.  Below t_min the Gaussian beliefs' output maps
-        ignore the network, so their t = 0 estimate never reaches the
-        predictor."""
+        predictor's call times, one call per step and one at t = 1, and per
+        stream the draws of each step in order, (n + 1) D categorical
+        uniforms for discrete and discretised data and n sender blocks of
+        D K or D normals.  Continuous data draws no uniform."""
         n, K, D = 6, 5, 3
         sigma = ContinuousSigma(0.02)
-        cases = [  # ops, config, output width, first step that calls the predictor, draws of a step
-            (dd, FlowConfig(SCHED, D, K), D * K, 1, [("uniform", D), ("normal", D * K)]),
-            (dsc, FlowConfig(sigma, D, K), 2 * D, 2, [("uniform", D), ("normal", D)]),
-            (cts, FlowConfig(sigma, D), D, 2, [("normal", D)]),
+        cases = [  # ops, config, output width, draws of a step
+            (dd, FlowConfig(SCHED, D, K), D * K, [("uniform", D), ("normal", D * K)]),
+            (dsc, FlowConfig(sigma, D, K), 2 * D, [("uniform", D), ("normal", D)]),
+            (cts, FlowConfig(sigma, D), D, [("normal", D)]),
         ]
-        for ops, cfg, width, first, step in cases:
+        for ops, cfg, width, step in cases:
             calls = []
 
             class Counting(ConstantPredictor):
@@ -401,6 +412,6 @@ class TestGenerateMatchesReference:
 
             rngs = [_LoggedRng(j) for j in range(B)]
             sample_chain(ops, rngs, Counting(np.zeros(width)), cfg, n)
-            assert calls == [(i - 1) / n for i in range(first, n + 2)]
+            assert calls == [(i - 1) / n for i in range(1, n + 2)]
             final = [("uniform", D)] if ops is not cts else []
             assert [r.log for r in rngs] == [step * n + final] * B

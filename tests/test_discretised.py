@@ -25,9 +25,6 @@ def _simpson(f, a, b, n=4096):
 
 
 class TestBinGeometry:
-    def test_golden_centre(self):
-        assert dsc.BinGeometry(256).center(110) == -0.14453125
-
     def test_edges(self):
         g = dsc.BinGeometry(16)
         assert g.center(1) - 1 / 16 == -1.0

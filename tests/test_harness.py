@@ -41,29 +41,6 @@ class TestReports:
 
 
 class TestIndividualChecks:
-    def test_additivity_continuous(self):
-        r = harness.check_additivity(7, "continuous")
-        assert r.passed and r.statistic < r.tolerance
-
-    def test_additivity_discrete(self):
-        r = harness.check_additivity(7, "discrete")
-        assert r.passed
-
-    def test_flow_equivalence_both(self):
-        assert harness.check_flow_equivalence(7, "continuous").passed
-        assert harness.check_flow_equivalence(7, "discrete").passed
-
-    def test_kl_closed_forms(self):
-        assert harness.check_kl_closed_forms(7, "continuous").passed
-        assert harness.check_kl_closed_forms(7, "discretised").passed
-
-    def test_finite_m_limit(self):
-        # full trial count: the 1% gate sits only just above the sampling
-        # noise floor for K=2, where the construction is essentially exact
-        for K in (2, 5):
-            r = harness.check_finite_m_limit(7, K=K)
-            assert r.passed, r.detail
-
     def test_finite_m_domain_guard(self):
         with pytest.raises(ValueError):
             FiniteMSimulator(m=1, K=2, alpha=4.0).omega

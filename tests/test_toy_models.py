@@ -107,7 +107,7 @@ class TestReconstructionShare:
         predictor = result.mlp
         rng = Rng(77)
         recon = np.mean(training.item_losses(rng, predictor, config, np.tile(items[:64], (20, 1)), "recon", None))
-        total = training.estimate_mean_loss(Rng(88), result.mlp, result.mlp.params, config, items, n_draws=200)
+        total = training.evaluate(Rng(88), result.mlp, config, items, n_values=(), passes=50)[0]["nats"]
         assert recon / (recon + total) < 0.02
 
 
