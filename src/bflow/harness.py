@@ -14,10 +14,13 @@ Every check is a fixed property of its seed (plus the modality or K it
 covers), and runs on the production ops that train, eval and sample run:
 the sampler's prior and update, the flow draws, the batched losses, the
 discretised receiver log-density and the discrete sender-to-receiver
-log-ratio.  The harness restates none of them.  Its only formulas of its
-own are the closed forms under test, the multinomial's moments, the
-noise-row construction below and a trapezoid reference integral.  A
-mutation test patches the op it breaks.
+log-ratio.  The exact loss strata build the n-step loss from those
+smaller ops: the discretised strata write out ``discretised.loss_n``'s
+sender-minus-receiver difference, and the discrete strata chain
+``discrete.sender_sample`` into ``discrete.log_ratio``; the sampled gate
+runs ``loss_n`` itself.  The harness's other formulas of its own are the
+closed forms under test, the multinomial's moments, the noise-row
+construction below and a trapezoid reference integral.
 
 Estimator notes.  Each main statistic is exact or quadrature, the same
 at every seed.  Where the claim is linear-Gaussian algebra (additivity,

@@ -373,7 +373,7 @@ def train(rng, dataset, config):
             if config.eval_every and step % config.eval_every == 0:
                 erng = rng.split(10**9 + step)
                 items = dataset[erng.integers(0, len(dataset), size=min(len(dataset), 64))]
-                eval_loss = evaluate(erng, MLP(mlp.spec, params=ema), config, items, n_values=(), passes=4)[0]["nats"]
+                eval_loss = evaluate_row(erng, MLP(mlp.spec, params=ema), config, items, 0, "inf", 4)["nats"]
             history.append((step, loss, eval_loss))
     finally:
         if worker is not None:
@@ -432,33 +432,29 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
     dataset = check_dataset(config, dataset)
+    kinds = [int(n) for n in n_values] + ["inf", "recon"][: 2 if config.has_recon else 1]
+    return [evaluate_row(rng, predictor, config, dataset, li, kind, passes) for li, kind in enumerate(kinds)]
+
+
+def evaluate_row(rng, predictor, config, dataset, li, kind, passes):
+    """Row li of ``evaluate``'s table, of kind an int n, "inf" or "recon",
+    over a dataset array that ``check_dataset`` passed."""
     N = len(dataset)
-    rows = []
-    for li, kind in enumerate([int(n) for n in n_values] + ["inf", "recon"]):
-        if kind == "recon" and not config.has_recon:
-            continue
-        samples = []
-        for p in range(passes):
-            prng = rng.split(li * 1_000_003 + p)
-            if kind == "inf":
-                arg = prng.uniform(size=N)
-            elif kind != "recon":
-                arg = prng.integers(1, kind + 1, size=N)
-            for s in range(0, N, EVAL_CHUNK):
-                part = None if kind == "recon" else arg[s : s + EVAL_CHUNK]
-                samples.append(item_losses(prng, predictor, config, dataset[s : s + EVAL_CHUNK], kind, part))
-        samples = np.concatenate(samples)
-        mean = float(samples.mean())
-        se = float(samples.std(ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else 0.0
-        rows.append({
-            "label": str(kind),
-            "nats": mean,
-            "se_nats": se,
-            "nats_per_dim": mean / config.D,
-            "bits_per_dim": mean / config.D / math.log(2.0),
-            "samples": int(samples.size),
-        })
-    return rows
+    samples = []
+    for p in range(passes):
+        prng = rng.split(li * 1_000_003 + p)
+        if kind == "inf":
+            arg = prng.uniform(size=N)
+        elif kind != "recon":
+            arg = prng.integers(1, kind + 1, size=N)
+        for s in range(0, N, EVAL_CHUNK):
+            part = None if kind == "recon" else arg[s : s + EVAL_CHUNK]
+            samples.append(item_losses(prng, predictor, config, dataset[s : s + EVAL_CHUNK], kind, part))
+    samples = np.concatenate(samples)
+    mean = float(samples.mean())
+    se = float(samples.std(ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else 0.0
+    return {"label": str(kind), "nats": mean, "se_nats": se, "nats_per_dim": mean / config.D,
+            "bits_per_dim": mean / config.D / math.log(2.0), "samples": int(samples.size)}
 
 
 def format_eval_table(rows):

@@ -49,15 +49,6 @@ class TestIndividualChecks:
         sim = FiniteMSimulator(m=10_000, K=2, alpha=0.25)
         assert sim.alpha == pytest.approx(sim.m * sim.omega**2, rel=1e-12)
 
-    @pytest.mark.parametrize("modality", ["continuous", "discretised", "discrete"])
-    def test_loss_convergence(self, modality):
-        r = harness.check_loss_convergence(7, modality)
-        assert r.passed, r.detail
-
-    def test_schedule_checks(self):
-        assert harness.check_schedule_telescoping(7).passed
-        assert harness.check_schedule_entropy(7).passed
-
 
 class TestExactMoments:
     """The noise-row moments of the flow ops against their closed forms."""

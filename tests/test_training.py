@@ -33,9 +33,9 @@ from bflow.data import toy_glyphs, toy_strings
 from bflow.kernels import erf_vec
 from bflow.numerics import Rng, softmax_rows
 from bflow.predictor import MLP, CtsDatumPredictor, DiscretisedDatumPredictor, PredictorSpec
-from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, sample_chain, step_time
+from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, sample_chain
 from bflow.training import TrainConfig, Worker, adamw_step
-from oracle_predictors import ConstantPredictor, DiscreteOneHotPredictor, inversion_bound
+from oracle_predictors import ConstantPredictor, DiscreteOneHotPredictor
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -264,58 +264,6 @@ class TestHeadGradients:
                 fd = (lp - lm) / (2 * h)
                 tol = 1e-6 * max(abs(fd), abs(d_out[b, j])) + 1e-7 * np.max(np.abs(d_out[b]))
                 assert abs(d_out[b, j] - fd) <= tol
-
-    def test_head_matches_sampling_op(self):
-        # the head's loss must equal the sampling op evaluated at the same
-        # (t, flow state) for the continuous modality
-        from bflow import continuous as cts
-
-        config = _make_config("continuous")
-        mlp = MLP(config.predictor_spec(), seed=5)
-        r = Rng(300)
-        x = _random_batch(r, config)
-        state = training.sample_head_state(r, config, x)
-        out = mlp.forward_batch(state["state_in"], state["t"])
-        loss_vec, _ = training.head_loss_and_grad(config, state, out)
-        for b in range(config.batch_size):
-            x_hat = cts.estimate(mlp, config.flow, state["theta"][b : b + 1], float(state["t"][b]), None)[0]
-            resid = x[b] - x_hat
-            w = -np.log(config.sigma1) * config.sigma1 ** (-2 * state["t"][b])
-            assert loss_vec[b] == pytest.approx(w * resid @ resid, rel=1e-12)
-
-    def test_discretised_head_matches_sampling_op(self):
-        from bflow import discretised as dsc
-
-        config = _make_config("discretised")
-        mlp = MLP(config.predictor_spec(), seed=6)
-        r = Rng(301)
-        x = _random_batch(r, config)
-        state = training.sample_head_state(r, config, x)
-        out = mlp.forward_batch(state["state_in"], state["t"])
-        loss_vec, _ = training.head_loss_and_grad(config, state, out)
-        for b in range(config.batch_size):
-            probs = dsc.probs(mlp, config.flow, state["theta"][b : b + 1], float(state["t"][b]))[0]
-            resid = x[b] - probs @ dsc.BinGeometry(config.K).centers
-            w = -np.log(config.sigma1) * config.sigma1 ** (-2 * state["t"][b])
-            assert loss_vec[b] == pytest.approx(w * resid @ resid, rel=1e-10)
-
-    def test_discrete_head_matches_sampling_op(self):
-        from bflow import discrete as dd
-
-        config = _make_config("discrete")
-        mlp = MLP(config.predictor_spec(), seed=7)
-        r = Rng(302)
-        x = _random_batch(r, config)
-        state = training.sample_head_state(r, config, x)
-        out = mlp.forward_batch(state["state_in"], state["t"])
-        loss_vec, _ = training.head_loss_and_grad(config, state, out)
-        sched = config.schedule
-        for b in range(config.batch_size):
-            net_out = dd.net_out(mlp, config.flow, state["theta"][b][None], float(state["t"][b]))
-            probs = dd.output_map(net_out, config.K)[0]
-            resid = dd.one_hot(x[b], config.K) - probs
-            ref = 0.5 * config.K * sched.alpha(float(state["t"][b])) * float(np.sum(resid * resid))
-            assert loss_vec[b] == pytest.approx(ref, rel=1e-10)
 
 
 def _dsc_output_map_reference(config, state, net_out):
@@ -1099,6 +1047,17 @@ class TestTrainLoop:
         with pytest.raises(RuntimeError, match=r"step \d+ \(batch stream id \d+"):
             _bounded(run)
 
+    def test_eval_column_is_evaluates_inf_row_alone(self, monkeypatch):
+        # train once computed evaluate's recon row as well, and threw it away
+        config = _make_config("discrete", steps=4, eval_every=4)
+        data = Rng(3).integers(1, config.K + 1, size=(6, config.D))
+        monkeypatch.setattr(dd, "recon", lambda *a: pytest.fail("train computed a recon row"))
+        result = training.train(Rng(7), data, config)
+        monkeypatch.undo()
+        erng = Rng(7).split(10**9 + 4)
+        items, ema = data[erng.integers(0, 6, size=6)], MLP(result.mlp.spec, params=result.ema_params)
+        assert result.history[-1][2] == training.evaluate(erng, ema, config, items, n_values=(), passes=4)[0]["nats"]
+
     def test_history_csv_shape(self):
         config = _make_config("continuous", steps=4, eval_every=2)
         data = Rng(3).uniform(size=(6, config.D)) - 0.5
@@ -1180,6 +1139,19 @@ def _eval_case(modality):
     return config, data, _RowLocal(config.predictor_spec())
 
 
+def _oracle_case(modality):
+    """(config, datum (D,), a predictor that knows it) on _eval_case's config."""
+    config = _eval_case(modality)[0]
+    if modality == "continuous":
+        x = np.array([0.3, -0.5, 0.8])
+        return config, x, CtsDatumPredictor(x, config.sigma1)
+    if modality == "discretised":
+        x = dsc.BinGeometry(config.K).centers[[1, 6, 3]]
+        return config, x, DiscretisedDatumPredictor(x, 1e-9, config.sigma1)
+    x = np.array([1, 3, 2])
+    return config, x, DiscreteOneHotPredictor(x, config.K, sharpness=800.0)
+
+
 class TestRowIndependence:
     """Results depend only on (seed, item): with a row-local predictor, a
     row's loss does not move when another row's step or value changes."""
@@ -1246,71 +1218,7 @@ class TestRowIndependence:
         assert not np.array_equal(per_item[1][:, 2], per_item[0][:, 2])
 
 
-def _cts_oracle_pass(config, pred, x, label, prng):
-    """The continuous datum oracle's estimate error (1, D) at one evaluate
-    pass over the one-item dataset x, rebuilt from the pass's stream prng,
-    and a bound on the pass's loss: the op's weight times the squared
-    inversion bound, or |x|^2 below t_min, where the estimate is zero."""
-    sched = config.schedule
-    if label == "recon":
-        t, weight = 1.0, 1.0 / (2.0 * config.recon_sigma**2)
-    elif label == "inf":
-        t = prng.uniform(size=1)
-        weight = sched.alpha(t) / 2
-    else:
-        n = int(label)
-        i = prng.integers(1, n + 1, size=1)
-        t, weight = step_time(i, n), n * sched.step_alpha(i, n) / 2
-    state = cts.flow_sample(prng, config.flow, x, t)
-    err = x - cts.estimate(pred, config.flow, state, t, None)
-    g, live, _ = cts.noise_terms(config.flow, t, 1)
-    bound = np.where(live, inversion_bound(x, state, g), np.abs(x))
-    assert np.all(np.abs(err) <= bound)
-    return err, float(np.sum(weight * np.vecdot(bound, bound)) * (1 + 1e-12))
-
-
 class TestEvaluate:
-    def test_perfect_oracle_all_zero(self):
-        config = _make_config("discrete", K=4)
-        x = np.array([[1, 3, 2]])
-        pred = DiscreteOneHotPredictor(x[0], 4, sharpness=800.0)
-        rows = training.evaluate(Rng(12), pred, config, x, n_values=(2, 8), passes=3)
-        for r in rows:
-            assert r["nats"] == 0.0
-            assert r["se_nats"] == 0.0
-
-    def test_perfect_oracle_near_zero_continuous(self):
-        # the prediction is pinned to zero below t_min, so the step-1 cost of
-        # a nonzero datum is real: only the zero datum is near-perfect at
-        # every step.  Elsewhere the datum oracle's estimate is the datum up
-        # to the inversion's rounding, so a row is exactly zero when every
-        # pass's estimate on its draw is exact, and within the weight times
-        # the squared rounding bound otherwise
-        config = _make_config("continuous", recon_sigma=0.25)
-        cases = ((np.array([[0.3, -0.5, 0.8]]), (), {"inf", "recon"}), (np.zeros((1, 3)), (2, 8), {"8", "inf"}))
-        for x, n_values, exact in cases:
-            pred = CtsDatumPredictor(x[0], config.sigma1)
-            rows = training.evaluate(Rng(12), pred, config, x, n_values=n_values, passes=3)
-            assert [r["label"] for r in rows] == [str(n) for n in n_values] + ["inf", "recon"]
-            for li, r in enumerate(rows):
-                errs, bounds = zip(*(_cts_oracle_pass(config, pred, x, r["label"], Rng(12).split(li * 1_000_003 + p))
-                                     for p in range(3)))
-                if r["label"] in exact:
-                    assert r["nats"] == 0.0 and r["se_nats"] == 0.0 and not np.any(errs)
-                else:
-                    assert np.any(errs) and 0.0 < r["nats"] <= max(bounds) and r["se_nats"] <= max(bounds)
-
-    def test_perfect_oracle_near_zero_discretised(self):
-        # below t_min the output is a unit Gaussian at zero, so n-step rows
-        # pay for step 1; the continuous-time and reconstruction rows vanish
-        config = _make_config("discretised", K=16)
-        x = dsc.BinGeometry(16).centers[[[3, 12, 7]]]
-        pred = DiscretisedDatumPredictor(x[0], 1e-9, config.sigma1)
-        rows = training.evaluate(Rng(12), pred, config, x, n_values=(), passes=3)
-        assert [r["label"] for r in rows] == ["inf", "recon"]
-        for r in rows:
-            assert abs(r["nats"]) < 1e-9
-
     @pytest.mark.parametrize("modality", ["continuous", "discretised", "discrete"])
     def test_table_independent_of_chunk_size(self, modality, monkeypatch):
         config, data, pred = _eval_case(modality)
@@ -1776,6 +1684,24 @@ class TestOpContract:
             seen.clear()
             sample_chain(training.OPS[modality], [Rng(15)], pred, config.flow, n)
             _assert_precisions_chain(seen, config.flow.schedule, n)
+
+    # the most a perfect oracle pays at a draw of loss_n, loss_cts and recon:
+    # the discrete output saturates to a one-hot, the discretised n-step loss
+    # is n times a difference of two O(1) log-densities, and the continuous
+    # estimate is off by the noise inversion's rounding, squared and weighted
+    PERFECT_TOL = {"continuous": (1e-24, 1e-24, 0.0), "discretised": (1e-12, 0.0, 0.0), "discrete": (0.0, 0.0, 0.0)}
+
+    @pytest.mark.parametrize("modality", tuple(training.OPS))
+    def test_perfect_predictor_costs_nothing(self, modality):
+        """An oracle that knows the datum pays nothing at 50 draws of each
+        loss, up to the rounding of its estimates.  Step 1 is left out: it
+        sits below t_min, where the output maps ignore the network."""
+        config, x, pred = _oracle_case(modality)
+        ops, cfg, rows, r = training.OPS[modality], config.flow, np.tile(x, (50, 1)), Rng(12)
+        losses = (ops.loss_n(r, pred, cfg, rows, 8, r.integers(2, 9, size=50)),
+                  loss_cts(ops, r, pred, cfg, rows, r.uniform(size=50)), ops.recon(r, pred, cfg, rows))
+        for loss, tol in zip(losses, self.PERFECT_TOL[modality]):
+            assert np.all(np.abs(loss) <= tol), loss
 
     @pytest.mark.parametrize("modality", tuple(training.OPS))
     def test_wrong_predictor_width_rejected(self, modality):
