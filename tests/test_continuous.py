@@ -126,6 +126,11 @@ class TestLossNStep:
 
 
 class TestLossCtsTime:
+    def test_perfect_predictor_zero(self):
+        x = np.array([0.2])
+        pred = CtsDatumPredictor(x, CFG.schedule.sigma1)
+        assert loss_cts(cts, Rng(8), pred, CFG, x[None], 0.7)[0] == 0.0
+
     def test_constant_error_closed_form(self):
         x = np.array([0.1, 0.2])
         cfg = FlowConfig(ContinuousSigma(0.02), D=2)
@@ -137,6 +142,11 @@ class TestLossCtsTime:
 
 
 class TestReconstructionLoss:
+    def test_perfect_zero(self):
+        x = np.array([0.9])
+        pred = CtsDatumPredictor(x, CFG.schedule.sigma1)
+        assert cts.recon(Rng(10), pred, replace(CFG, recon_sigma=0.1), x[None])[0] == 0.0
+
     def test_constant_error(self):
         x = np.array([0.0])
         pred = CtsDatumPredictor(x + 0.2, CFG.schedule.sigma1)

@@ -156,6 +156,13 @@ class TestOutputDistribution:
 
 
 class TestLossNStep:
+    def test_one_hot_correct_zero_every_draw(self):
+        x = np.array([1, 3, 2])
+        pred = DiscreteOneHotPredictor(x, 4, sharpness=800.0)
+        r = Rng(10)
+        i = r.integers(1, 7, size=50)
+        assert np.all(dd.loss_n(r, pred, FlowConfig(SCHED, 3, 4), np.tile(x, (50, 1)), 6, i) == 0.0)
+
     def test_binary_quadrature_oracle(self):
         # K=2, D=1: MC mean vs numeric integration of the mixture KL
         K, n, i = 2, 4, 3
@@ -230,6 +237,11 @@ class TestLogRatio:
 
 
 class TestLossCtsTime:
+    def test_one_hot_correct_zero(self):
+        x = np.array([2, 2])
+        pred = DiscreteOneHotPredictor(x, 3, sharpness=800.0)
+        assert loss_cts(dd, Rng(13), pred, FlowConfig(SCHED, 2, 3), x[None], 0.6)[0] == 0.0
+
     def test_uniform_output_closed_form(self):
         K, D = 4, 3
         x = np.array([1, 2, 4])
@@ -241,6 +253,11 @@ class TestLossCtsTime:
 
 
 class TestReconstructionLoss:
+    def test_one_hot_correct_zero(self):
+        x = np.array([3])
+        pred = DiscreteOneHotPredictor(x, 4, sharpness=800.0)
+        assert dd.recon(Rng(15), pred, FlowConfig(SCHED, 1, 4), x[None])[0] == 0.0
+
     def test_uniform_value(self):
         K, D = 5, 4
         x = np.array([1, 2, 3, 4])

@@ -11,7 +11,7 @@ from bflow import continuous as cts
 from bflow import discretised as dsc
 from bflow.numerics import Rng, gaussian_sample, neg_log_true_class
 from bflow.predictor import DiscretisedDatumPredictor
-from bflow.schedule import ContinuousSigma, FlowConfig, sample_chain
+from bflow.schedule import ContinuousSigma, FlowConfig, loss_cts, sample_chain
 from oracle_predictors import ConstantPredictor
 
 CFG = FlowConfig(ContinuousSigma(math.sqrt(0.001)), D=1, K=16)
@@ -25,6 +25,16 @@ def _simpson(f, a, b, n=4096):
 
 
 class TestBinGeometry:
+    def test_edges(self):
+        g = dsc.BinGeometry(16)
+        assert g.center(1) - 1 / 16 == -1.0
+        assert g.center(16) + 1 / 16 == 1.0
+        assert np.all(np.diff(g.centers) > 0)
+
+    def test_centre_formula(self):
+        g = dsc.BinGeometry(4)
+        np.testing.assert_allclose(g.centers, [-0.75, -0.25, 0.25, 0.75])
+
     def test_bad_index(self):
         with pytest.raises(ValueError):
             dsc.BinGeometry(4).center(5)
@@ -266,6 +276,15 @@ class TestExpectedCentre:
 
 
 class TestLossNStep:
+    def test_one_hot_correct_is_zero_every_draw(self):
+        K = 16
+        g = dsc.BinGeometry(K)
+        x = np.array([g.center(11)])
+        pred = DiscretisedDatumPredictor(x, 1e-9, CFG.schedule.sigma1)
+        r = Rng(6)
+        i = r.integers(2, 9, size=50)
+        assert np.all(np.abs(dsc.loss_n(r, pred, CFG, np.tile(x, (50, 1)), 8, i)) < 1e-9)
+
     def test_two_bin_quadrature_oracle(self):
         # K=2, D=1: Monte-Carlo mean must match numeric integration of the
         # KL between the sender Gaussian and the two-component mixture
@@ -301,7 +320,22 @@ class TestLossNStep:
         assert abs(mc.mean() - ref) <= 3 * se
 
 
+class TestLossCtsTime:
+    def test_one_hot_correct_is_zero(self):
+        K = 16
+        g = dsc.BinGeometry(K)
+        x = np.array([g.center(3)])
+        pred = DiscretisedDatumPredictor(x, 1e-9, CFG.schedule.sigma1)
+        assert loss_cts(dsc, Rng(9), pred, CFG, x[None], 0.5)[0] == pytest.approx(0.0, abs=1e-12)
+
+
 class TestReconstructionLoss:
+    def test_one_hot_correct_zero(self):
+        K = 16
+        x = np.array([dsc.BinGeometry(K).center(9)])
+        pred = DiscretisedDatumPredictor(x, 1e-9, CFG.schedule.sigma1)
+        assert dsc.recon(Rng(10), pred, CFG, x[None])[0] == 0.0
+
     def test_uniform_value(self):
         K = 16
         probs = np.full((1, 3, K), 1 / K)

@@ -33,9 +33,9 @@ from bflow.data import toy_glyphs, toy_strings
 from bflow.kernels import erf_vec
 from bflow.numerics import Rng, softmax_rows
 from bflow.predictor import MLP, CtsDatumPredictor, DiscretisedDatumPredictor, PredictorSpec
-from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, sample_chain
+from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, sample_chain, step_time
 from bflow.training import TrainConfig, Worker, adamw_step
-from oracle_predictors import ConstantPredictor, DiscreteOneHotPredictor
+from oracle_predictors import ConstantPredictor, DiscreteOneHotPredictor, inversion_bound
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -1218,7 +1218,71 @@ class TestRowIndependence:
         assert not np.array_equal(per_item[1][:, 2], per_item[0][:, 2])
 
 
+def _cts_oracle_pass(config, pred, x, label, prng):
+    """The continuous datum oracle's estimate error (1, D) at one evaluate
+    pass over the one-item dataset x, rebuilt from the pass's stream prng,
+    and a bound on the pass's loss: the op's weight times the squared
+    inversion bound, or |x|^2 below t_min, where the estimate is zero."""
+    sched = config.schedule
+    if label == "recon":
+        t, weight = 1.0, 1.0 / (2.0 * config.recon_sigma**2)
+    elif label == "inf":
+        t = prng.uniform(size=1)
+        weight = sched.alpha(t) / 2
+    else:
+        n = int(label)
+        i = prng.integers(1, n + 1, size=1)
+        t, weight = step_time(i, n), n * sched.step_alpha(i, n) / 2
+    state = cts.flow_sample(prng, config.flow, x, t)
+    err = x - cts.estimate(pred, config.flow, state, t, None)
+    g, live, _ = cts.noise_terms(config.flow, t, 1)
+    bound = np.where(live, inversion_bound(x, state, g), np.abs(x))
+    assert np.all(np.abs(err) <= bound)
+    return err, float(np.sum(weight * np.vecdot(bound, bound)) * (1 + 1e-12))
+
+
 class TestEvaluate:
+    def test_perfect_oracle_all_zero(self):
+        config = _make_config("discrete", K=4)
+        x = np.array([[1, 3, 2]])
+        pred = DiscreteOneHotPredictor(x[0], 4, sharpness=800.0)
+        rows = training.evaluate(Rng(12), pred, config, x, n_values=(2, 8), passes=3)
+        for r in rows:
+            assert r["nats"] == 0.0
+            assert r["se_nats"] == 0.0
+
+    def test_perfect_oracle_near_zero_continuous(self):
+        # the prediction is pinned to zero below t_min, so the step-1 cost of
+        # a nonzero datum is real: only the zero datum is near-perfect at
+        # every step.  Elsewhere the datum oracle's estimate is the datum up
+        # to the inversion's rounding, so a row is exactly zero when every
+        # pass's estimate on its draw is exact, and within the weight times
+        # the squared rounding bound otherwise
+        config = _make_config("continuous", recon_sigma=0.25)
+        cases = ((np.array([[0.3, -0.5, 0.8]]), (), {"inf", "recon"}), (np.zeros((1, 3)), (2, 8), {"8", "inf"}))
+        for x, n_values, exact in cases:
+            pred = CtsDatumPredictor(x[0], config.sigma1)
+            rows = training.evaluate(Rng(12), pred, config, x, n_values=n_values, passes=3)
+            assert [r["label"] for r in rows] == [str(n) for n in n_values] + ["inf", "recon"]
+            for li, r in enumerate(rows):
+                errs, bounds = zip(*(_cts_oracle_pass(config, pred, x, r["label"], Rng(12).split(li * 1_000_003 + p))
+                                     for p in range(3)))
+                if r["label"] in exact:
+                    assert r["nats"] == 0.0 and r["se_nats"] == 0.0 and not np.any(errs)
+                else:
+                    assert np.any(errs) and 0.0 < r["nats"] <= max(bounds) and r["se_nats"] <= max(bounds)
+
+    def test_perfect_oracle_near_zero_discretised(self):
+        # below t_min the output is a unit Gaussian at zero, so n-step rows
+        # pay for step 1; the continuous-time and reconstruction rows vanish
+        config = _make_config("discretised", K=16)
+        x = dsc.BinGeometry(16).centers[[[3, 12, 7]]]
+        pred = DiscretisedDatumPredictor(x[0], 1e-9, config.sigma1)
+        rows = training.evaluate(Rng(12), pred, config, x, n_values=(), passes=3)
+        assert [r["label"] for r in rows] == ["inf", "recon"]
+        for r in rows:
+            assert abs(r["nats"]) < 1e-9
+
     @pytest.mark.parametrize("modality", ["continuous", "discretised", "discrete"])
     def test_table_independent_of_chunk_size(self, modality, monkeypatch):
         config, data, pred = _eval_case(modality)
