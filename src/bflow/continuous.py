@@ -17,8 +17,7 @@ reconstruction loss needs its ``recon_sigma`` > 0.
 import numpy as np
 
 from .numerics import gaussian_sample
-from .predictor import forward_rows
-from .schedule import step_time
+from .schedule import forward_rows, step_time
 
 
 # the data range; datasets, quantise and check_data fix it too
@@ -133,7 +132,7 @@ def net_out(predictor, cfg, state, t):
     """The predictor's (B, D) noise estimates at belief means state and
     times t.  It sees every row, so no row's output moves with another's
     time; the output maps mask the rows below t_min."""
-    return forward_rows(predictor, state, t, cfg.D)
+    return forward_rows(predictor, state, t, net_widths(cfg)[1])
 
 
 def estimate(predictor, cfg, state, t, rng):

@@ -25,8 +25,7 @@ import numpy as np
 
 from .kernels import logsumexp_rows
 from .numerics import neg_log_true_class, row_sum, sample_categorical_rows, softmax_rows
-from .predictor import forward_rows
-from .schedule import FlowConfig, sample_chain, step_time
+from .schedule import FlowConfig, forward_rows, sample_chain, step_time
 
 
 # the default alphabet of K=27 data: a to z, then space
@@ -173,8 +172,7 @@ def loss_inf(cfg, x, state, t, net_out, grad=False):
 def net_out(predictor, cfg, state, t):
     """The predictor's (B, width) outputs at summed logits state (B, D, K)
     and times t."""
-    X = net_input(cfg, state)
-    return forward_rows(predictor, X, t, X.shape[1])
+    return forward_rows(predictor, net_input(cfg, state), t, net_widths(cfg)[1])
 
 
 def log_ratio(y, x, probs, alpha, K):

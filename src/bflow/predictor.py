@@ -12,13 +12,13 @@ framework, which keeps the package self-contained and makes the
 finite-difference checks in the test suite meaningful.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import continuous
 from .numerics import Rng
-from .schedule import ContinuousSigma
+from .schedule import ContinuousSigma, FlowConfig
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,15 @@ class PredictorSpec:
         return self.state_width + 2 * self.n_freqs
 
     @property
+    def layers(self):
+        """Each layer's (fan_in, fan_out) pair, input to output."""
+        widths = (self.input_width, *self.hidden, self.output_width)
+        return tuple(zip(widths, widths[1:]))
+
+    @property
     def n_params(self):
         """The MLP's parameter count: each layer's weights and biases."""
-        widths = (self.input_width, *self.hidden, self.output_width)
-        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layers)
 
 
 def time_features(spec, t):
@@ -66,38 +71,24 @@ def _silu_grad(z):
 class MLP:
     """Fully-connected predictor with a recorded-tape backward pass.
 
-    Parameters live in one flat float64 vector; ``layout`` maps slice
-    offsets to (name, shape) so the vector round-trips losslessly through
-    checkpoints.  ``params``, when given, is that vector, taken as is, and
-    no initial weights are drawn.
+    Parameters live in one flat float64 vector of ``spec.n_params`` values,
+    which is also the checkpoint payload: for each layer of ``spec.layers``
+    in turn, its (fan_in, fan_out) weights row-major, then its fan_out
+    biases.  ``params``, when given, is that vector, taken as is, and no
+    initial weights are drawn.
     """
 
     def __init__(self, spec, seed=0, params=None):
         self.spec = spec
-        widths = [spec.input_width, *spec.hidden, spec.output_width]
-        self.layout = []
-        offset = 0
-        for li in range(len(widths) - 1):
-            fan_in, fan_out = widths[li], widths[li + 1]
-            self.layout.append((f"W{li}", (fan_in, fan_out), offset))
-            offset += fan_in * fan_out
-            self.layout.append((f"b{li}", (fan_out,), offset))
-            offset += fan_out
-        self.n_params = offset
         self._tape = None
-        if params is not None:
-            self.params = params
-            return
-        self.params = np.zeros(self.n_params)
-        rng = Rng(seed, _path=(0xA11,))
-        n_layers = len(self.layout) // 2
-        for name, shape, off in self.layout:
+        if params is None:
+            params = np.zeros(spec.n_params)
+            rng = Rng(seed, _path=(0xA11,))
             # output layer starts at zero so the initial prediction is the
             # all-zero vector, a sane starting estimate for every modality
-            if name.startswith("W") and name != f"W{n_layers - 1}":
-                fan_in = shape[0]
-                w = rng.standard_normal(shape) / np.sqrt(fan_in)
-                self.params[off : off + w.size] = w.ravel()
+            for W, _ in self._views(params)[:-1]:
+                W[...] = rng.standard_normal(W.shape) / np.sqrt(W.shape[0])
+        self.params = params
 
     @property
     def params(self):
@@ -107,18 +98,23 @@ class MLP:
 
     @params.setter
     def params(self, flat):
-        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.shape == (self.n_params,)):
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.shape == (self.spec.n_params,)):
             got = f"{flat.dtype} {flat.shape}" if isinstance(flat, np.ndarray) else type(flat).__name__
-            raise ValueError(f"params must be a float64 array of shape ({self.n_params},), got {got}")
+            raise ValueError(f"params must be a float64 array of shape ({self.spec.n_params},), got {got}")
         if not flat.flags.c_contiguous:
             raise ValueError("params must be C-contiguous, got a strided view")
         self._params = flat
-        w = self._views(flat)
-        self._layers = [(w[f"W{li}"], w[f"b{li}"]) for li in range(len(self.layout) // 2)]
+        self._layers = self._views(flat)
 
     def _views(self, flat):
-        """Per-layer views, by layout name, into a flat parameter-sized vector."""
-        return {name: flat[off : off + math.prod(shape)].reshape(shape) for name, shape, off in self.layout}
+        """Each layer's (W, b) views into a flat parameter-sized vector, in
+        the vector's order."""
+        views, off = [], 0
+        for fan_in, fan_out in self.spec.layers:
+            end = off + fan_in * fan_out
+            views.append((flat[off:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
+            off = end + fan_out
+        return views
 
     def forward_batch(self, X, t, record=False):
         """(B, state_width), (B,) -> (B, output_width)."""
@@ -165,7 +161,7 @@ class MLP:
         delta = d_out
         try:
             for li in range(len(self._layers) - 1, -1, -1):
-                args = (tape[li], delta, grads[f"W{li}"], grads[f"b{li}"])
+                args = (tape[li], delta, *grads[li])
                 if worker is None or li == 0:
                     _layer_grads(*args)
                 else:
@@ -183,19 +179,6 @@ def _layer_grads(h, delta, gW, gb):
     input h and its output delta."""
     np.matmul(h.T, delta, out=gW)
     np.sum(delta, axis=0, out=gb)
-
-
-def forward_rows(predictor, X, t, width):
-    """The predictor's (B, width) outputs at states X (B, state width) and
-    times t, one float for every row or (B,); a wrong output shape raises.
-
-    Every predictor answers ``forward_batch(X, t)``; a one-row call is a
-    batch of one.
-    """
-    out = np.asarray(predictor.forward_batch(X, t), dtype=np.float64)
-    if out.shape != (X.shape[0], width):
-        raise ValueError(f"predictor returned shape {out.shape}, expected {(X.shape[0], width)}")
-    return out
 
 
 class ConstantProbsPredictor:
@@ -221,16 +204,14 @@ class CtsDatumPredictor:
 
     def __init__(self, x_star, sigma1):
         self.x_star = np.asarray(x_star, dtype=np.float64)
-        self.schedule = ContinuousSigma(float(sigma1))
+        self.cfg = FlowConfig(ContinuousSigma(float(sigma1)), self.x_star.size)
 
     def forward_batch(self, X, t):
         return self._noise_mean(X, t)[0]
 
     def _noise_mean(self, X, t):
-        # also the noise scale; gamma as in the output maps: a Python float power at a float t, floored at 1e-300
-        g = self.schedule.gamma(float(t) if np.isscalar(t) else np.asarray(t, dtype=np.float64)[:, None])
-        g = np.maximum(g, 1e-300)
-        ratio = np.sqrt((1.0 - g) / g)
+        # also the noise scale: gamma and the scale as the output maps take them
+        g, _, ratio = continuous.noise_terms(self.cfg, t, len(X))
         return (np.asarray(X, dtype=np.float64) / g - self.x_star) / ratio, ratio
 
 

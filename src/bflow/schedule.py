@@ -10,7 +10,8 @@ Schedules are immutable value objects; every quantity is a cheap closed
 form, so nothing is cached.  ``beta``, ``alpha`` and ``gamma`` take a
 float or an array of times, ``step_alpha`` an integer step or array of
 steps.  ``FlowConfig`` bundles a schedule with what else a modality's ops
-take; ``sample_chain`` and ``loss_cts`` sample and score any modality.
+take; ``sample_chain``, ``loss_cts`` and ``forward_rows`` sample, score
+and run the predictor for any modality.
 Every op draws (B, ...) blocks from one rng; ``sample_chain`` hands its
 B per-sample streams to the ops as one ``numerics.RowStreams``.
 """
@@ -111,6 +112,19 @@ def step_time(i, n):
     time per row for an integer array."""
     _check_step(i, n)
     return (i - 1) / n
+
+
+def forward_rows(predictor, X, t, width):
+    """The predictor's (B, width) outputs at states X (B, state width) and
+    times t, one float for every row or (B,); a wrong output shape raises.
+
+    Every predictor answers ``forward_batch(X, t)``; a one-row call is a
+    batch of one.
+    """
+    out = np.asarray(predictor.forward_batch(X, t), dtype=np.float64)
+    if out.shape != (X.shape[0], width):
+        raise ValueError(f"predictor returned shape {out.shape}, expected {(X.shape[0], width)}")
+    return out
 
 
 def sample_chain(ops, streams, predictor, cfg, n, return_state=False):

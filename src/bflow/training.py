@@ -327,14 +327,19 @@ def check_dataset(config, dataset):
     dataset = np.asarray(dataset)
     if dataset.size == 0:
         raise ValueError("dataset is empty")
-    bad = np.argwhere(~np.isfinite(dataset))
-    if bad.size:
-        raise ValueError(
-            f"dataset holds non-finite values ({len(bad)} of {dataset.size}), "
-            f"the first {dataset[tuple(bad[0])]} at index {tuple(bad[0].tolist())}"
-        )
+    _check_finite("dataset", dataset)
     OPS[config.modality].check_data(config.flow, dataset)
     return dataset
+
+
+def _check_finite(what, array):
+    """Raise unless every value of array is finite, naming what and the first bad value."""
+    bad = np.argwhere(~np.isfinite(array))
+    if bad.size:
+        raise ValueError(
+            f"{what} holds non-finite values ({len(bad)} of {array.size}), "
+            f"the first {array[tuple(bad[0])]} at index {tuple(bad[0].tolist())}"
+        )
 
 
 def train(rng, dataset, config):
@@ -431,6 +436,8 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
     """
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
+    if bad := [n for n in n_values if not (n >= 1 and n % 1 == 0)]:  # NaN fails
+        raise ValueError(f"step counts must be whole numbers >= 1, got {bad[0]}")
     dataset = check_dataset(config, dataset)
     kinds = [int(n) for n in n_values] + ["inf", "recon"][: 2 if config.has_recon else 1]
     return [evaluate_row(rng, predictor, config, dataset, li, kind, passes) for li, kind in enumerate(kinds)]
@@ -504,7 +511,7 @@ def save_checkpoint(path, result, run_config=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; a truncated or inconsistent file raises ValueError.
+    """Read a checkpoint; a truncated, inconsistent or non-finite one raises ValueError.
 
     Every returned array is its own C-contiguous copy, as ``adamw_step``
     requires.  The header's length and the payload's size are checked
@@ -546,9 +553,10 @@ def load_checkpoint(path):
                 f"params, EMA, m and v of {n} float64 values each"
             )
         params, ema, m, v = arrays = [np.empty(n, dtype="<f8") for _ in range(4)]
-        for arr in arrays:
+        for name, arr in zip(("params", "EMA", "m", "v"), arrays):
             if fh.readinto(arr) != arr.nbytes:
                 raise ValueError("checkpoint file shrank while it was read")
+            _check_finite(f"checkpoint {name}", arr)
     mlp = MLP(config.predictor_spec(), params=params)
     return TrainResult(mlp=mlp, ema_params=ema, moments_m=m, moments_v=v, config=config, step=step), header
 

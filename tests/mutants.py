@@ -31,8 +31,9 @@ def _m(name, module, snippet, replacement, *tests):
 ACC, CLI, KER = "tests/test_acceptance.py::test_criterion_", "tests/test_cli.py::Test", "tests/test_kernels.py::test_"
 HAR, CTS, DSC = "tests/test_harness.py::Test", "tests/test_continuous.py::Test", "tests/test_discretised.py::Test"
 DD, TRN, TOY = "tests/test_discrete.py::Test", "tests/test_training.py::Test", "tests/test_toy_models.py::Test"
-OPC = TRN + "OpContract::test_"
+OPC, PRD = TRN + "OpContract::test_", "tests/test_predictor.py::Test"
 ZERO, SEQ = OPC + "perfect_predictor_costs_nothing", OPC + "one_step_matches_sequential_calls"
+GIVEN = OPC + "loss_n_at_given_noise"
 C02, C04 = ACC + "02_distributional_additivity_and_flow", ACC + "04_loss_convergence_all_modalities"
 C06, C08 = ACC + "06_gradient_correctness", ACC + "08_schedule_checks"
 VERIFY, LIBM = CLI + "VerifyCommand::test_filter_runs_subset", KER + "erf_matches_libm"
@@ -54,7 +55,7 @@ MUTANTS = [
     _m("continuous.estimate: 1.01x", CT, "return output_map(cfg, state, t, net_out(",
        "return 1.01 * output_map(cfg, state, t, net_out(", CTS + "OutputPrediction::test_zero_noise_estimate"),
     _m("continuous.loss_n: 1.01x step weight (loss-convergence-continuous)", CT, "weight = n *", "weight = 1.01 * n *",
-       C04),
+       GIVEN + "[continuous]", C04),
     _m("continuous.loss_n: one extra normal drawn", CT, "    p = flow_sample(rng, cfg, x, t)\n",
        "    rng.standard_normal(1)\n    p = flow_sample(rng, cfg, x, t)\n", SEQ + "[continuous]"),
     _m("continuous.recon: 1.01x the datum", CT, "x - estimate(predictor, cfg, p, 1.0",
@@ -71,8 +72,10 @@ MUTANTS = [
        OPC + "final_precision[discretised]"),
     _m("discretised.estimate: the next bin's centre", DS, "t), u) - 1]", "t), u) % cfg.K]",
        DSC + "Generate::test_forced_bin"),
-    _m("discretised.loss_n: receiver at 1.5x accuracy, which only the sampled gate sees", "discretised",
-       "cfg.K, alpha)", "cfg.K, 1.5 * alpha)", C04),
+    _m("discretised.loss_n: receiver at 1.5x accuracy", DS, "cfg.K, alpha)", "cfg.K, 1.5 * alpha)",
+       GIVEN + "[discretised]", C04),
+    _m("discretised.loss_n: sender draw reuses the flow noise", DS, "var[:, None], z[:, 1])",
+       "var[:, None], z[:, 0])", GIVEN + "[discretised]"),
     _m("discretised.loss_n: sender density at 1.01x the datum", DS, "log_gaussian_pdf(y, x, var)",
        "log_gaussian_pdf(y, 1.01 * x, var)", ZERO + "[discretised]"),
     _m("discretised.loss_n: one extra normal drawn", DS, "    var = 1.0 / alpha\n",
@@ -92,9 +95,9 @@ MUTANTS = [
     _m("discrete.estimate: the next class", DC, "cfg.K), u)", "cfg.K), u) % cfg.K + 1",
        DD + "Generate::test_forced_class"),
     _m("discrete.loss_n: sender draw reuses the flow noise", DC, "K, z[:, 1])", "K, z[:, 0])",
-       TOY + "EvalTableBehaviour::test_n100_close_to_continuous_limit"),
-    _m("discrete.loss_n: weight n + 1, which only the sampled gate sees (loss-convergence-discrete)", DC,
-       "return n * log_ratio(", "return (n + 1) * log_ratio(", C04),
+       GIVEN + "[discrete]", TOY + "EvalTableBehaviour::test_n100_close_to_continuous_limit"),
+    _m("discrete.loss_n: weight n + 1 (loss-convergence-discrete)", DC,
+       "return n * log_ratio(", "return (n + 1) * log_ratio(", GIVEN + "[discrete]", C04),
     _m("discrete.loss_n: the ratio of the next class", DC, "log_ratio(y, x, probs, alpha, K)\n",
        "log_ratio(y, x % K + 1, probs, alpha, K)\n", ZERO + "[discrete]"),
     _m("discrete.loss_n: one extra normal drawn", DC, "    if not np.isscalar(alpha):\n",
@@ -126,8 +129,15 @@ MUTANTS = [
     # shared code and the op contracts
     _m("sample_chain: fresh unseeded streams", "schedule", "RowStreams(streams)",
        "RowStreams([type(s)(int(np.random.randint(2**31))) for s in streams])", OPC + "seed_determinism[continuous]"),
-    _m("forward_rows: checks the row count only", "predictor", "if out.shape != (X.shape[0], width):",
+    _m("forward_rows: checks the row count only", "schedule", "if out.shape != (X.shape[0], width):",
        "if out.shape[0] != X.shape[0]:", OPC + "wrong_predictor_width_rejected[continuous]"),
+    _m("MLP._views: biases start one element early", "predictor", "flat[end : end + fan_out]",
+       "flat[end - 1 : end + fan_out - 1]", PRD + "ParamsContract::test_forward_bits_match_reference[1-silu-fourier]"),
+    _m("MLP init: weights scaled by 1/sqrt(fan_out)", "predictor", "np.sqrt(W.shape[0])", "np.sqrt(W.shape[1])",
+       TRN + "TrainConfig::test_initial_network_unchanged[mixture]"),
+    _m("MLP.backward_batch: bias gradient of the first row only", "predictor", "np.sum(delta, axis=0, out=gb)",
+       "np.sum(delta[:1], axis=0, out=gb)", PRD + "MLP::test_tape_gradient_vs_finite_differences[silu]",
+       C06),
     _m("neg_log_true_class: 1.01x", "numerics", "return -np.sum(", "return -1.01 * np.sum(",
        DSC + "ReconstructionLoss::test_uniform_value"),
     _m("discrete.sender_mean: +0.05", DC, "(K - 1.0), -alpha)", "(K - 1.0), -alpha) + 0.05",

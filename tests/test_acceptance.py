@@ -146,7 +146,7 @@ def test_criterion_06_gradient_correctness():
         _, grad = training.batch_loss_and_grad(mlp, config, state)
         h = 1e-5
         gen = np.random.default_rng(0)
-        for j in gen.choice(mlp.n_params, size=50, replace=False):
+        for j in gen.choice(mlp.spec.n_params, size=50, replace=False):
             saved = mlp.params[j]
             mlp.params[j] = saved + h
             lp = _mean_head_loss(mlp, config, state)

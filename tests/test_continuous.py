@@ -210,7 +210,7 @@ class TestSampleChainMatchesReference:
     def _estimate(cls):
         """cts.estimate on a perturbed MLP, as the reference's estimate."""
         mlp = MLP(PredictorSpec(3, 3, hidden=(16, 16)), seed=5)
-        mlp.params += 0.5 * Rng(51).standard_normal(mlp.n_params)
+        mlp.params += 0.5 * Rng(51).standard_normal(mlp.spec.n_params)
         return mlp, lambda mean, t: cts.estimate(mlp, cls.cfg, mean, t, None)
 
     @pytest.mark.parametrize("n", [1, 9])

@@ -352,7 +352,7 @@ class TestGenerateMatchesReference:
     @staticmethod
     def _mlp(cfg):
         mlp = MLP(PredictorSpec(*dd.net_widths(cfg), hidden=(16, 16)), seed=3)
-        mlp.params += 0.5 * Rng(31).standard_normal(mlp.n_params)
+        mlp.params += 0.5 * Rng(31).standard_normal(mlp.spec.n_params)
         return mlp
 
     @pytest.mark.parametrize("K, D", [(27, 4), (2, 5)])

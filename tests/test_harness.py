@@ -263,7 +263,7 @@ class TestMutationSensitivity:
         # update draws through the same op, so its samples move too
         cfg = FlowConfig(DiscreteQuadratic(0.75), 4, 27)
         mlp = MLP(PredictorSpec(*dd.net_widths(cfg), hidden=(16, 16)), seed=3)
-        mlp.params += 0.5 * Rng(31).standard_normal(mlp.n_params)
+        mlp.params += 0.5 * Rng(31).standard_normal(mlp.spec.n_params)
         rngs = lambda: [Rng(33).split(j) for j in range(5)]
         honest = sample_chain(dd, rngs(), mlp, cfg, 12, return_state=True)
         real = dd.sender_sample

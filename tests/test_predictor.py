@@ -63,7 +63,7 @@ class TestMLP:
     def test_given_params_taken_as_is(self, hidden):
         spec = PredictorSpec(3, 6, hidden=hidden, n_freqs=2)
         drawn = MLP(spec, seed=7)
-        assert spec.n_params == drawn.n_params
+        assert drawn.params.shape == (spec.n_params,)
         flat = np.arange(spec.n_params, dtype=np.float64)
         built = MLP(spec, params=flat)
         assert built.params is flat
@@ -92,10 +92,10 @@ class TestMLP:
         mlp.forward_batch(x, t, record=True)
         up = np.array([[2.0, -3.0]])
         grad = mlp.backward_batch(up)
-        w = {name: grad[off : off + int(np.prod(shape))].reshape(shape) for name, shape, off in mlp.layout}
+        ((gW, gb),) = mlp._views(grad)
         inp = np.concatenate([x[0], time_features(spec, t)[0]])
-        np.testing.assert_allclose(w["W0"], np.outer(inp, up[0]), atol=1e-14)
-        np.testing.assert_allclose(w["b0"], up[0], atol=1e-14)
+        np.testing.assert_allclose(gW, np.outer(inp, up[0]), atol=1e-14)
+        np.testing.assert_allclose(gb, up[0], atol=1e-14)
 
     def test_zero_upstream_zero_gradient(self):
         mlp = MLP(PredictorSpec(3, 6, hidden=(8,)), seed=4)
@@ -105,7 +105,10 @@ class TestMLP:
 
     @pytest.mark.parametrize("spec", [PredictorSpec(3, 3, hidden=(6, 5))], ids=["silu"])
     def test_tape_gradient_vs_finite_differences(self, spec):
-        mlp = MLP(spec, seed=5)
+        # perturbed, and every parameter: a fresh MLP's zero output layer
+        # leaves every other layer's gradient zero, and 40 parameters once
+        # drawn of the 173 held none of the output biases
+        mlp = _perturbed_mlp(spec, seed=5)
         rng = np.random.default_rng(0)
         X = rng.normal(size=(4, 3))
         t = rng.uniform(size=4)
@@ -113,8 +116,7 @@ class TestMLP:
         mlp.forward_batch(X, t, record=True)
         grad = mlp.backward_batch(up)
         h = 1e-6
-        idxs = rng.choice(mlp.n_params, size=40, replace=False)
-        for j in idxs:
+        for j in range(mlp.spec.n_params):
             saved = mlp.params[j]
             mlp.params[j] = saved + h
             up_plus = float(np.sum(mlp.forward_batch(X, t) * up))
@@ -127,24 +129,30 @@ class TestMLP:
 
 def _forward_reference(mlp, X, t):
     """forward_batch as it stood before the layer views were cached: views
-    rebuilt per call, z = h @ W + b, and SiLU as z * (1 / (1 + exp(-z)))
+    rebuilt per call from the widths, each layer's weights row-major and
+    then its biases, z = h @ W + b, and SiLU as z * (1 / (1 + exp(-z)))
     with a new array per step."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     ang = (2.0 ** np.arange(mlp.spec.n_freqs))[None, :] * np.pi * t[:, None]
     feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
     h = np.concatenate([X, np.broadcast_to(feats, (X.shape[0], feats.shape[1]))], axis=1)
-    w = {name: mlp.params[off : off + int(np.prod(shape))].reshape(shape) for name, shape, off in mlp.layout}
-    n_layers = len(mlp.layout) // 2
-    for li in range(n_layers):
-        h = h @ w[f"W{li}"] + w[f"b{li}"]
-        if li < n_layers - 1:
+    widths = [X.shape[1] + 2 * mlp.spec.n_freqs, *mlp.spec.hidden, mlp.spec.output_width]
+    off = 0
+    for li in range(len(widths) - 1):
+        fan_in, fan_out = widths[li], widths[li + 1]
+        W = mlp.params[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+        off += fan_in * fan_out
+        h = h @ W + mlp.params[off : off + fan_out]
+        off += fan_out
+        if li < len(widths) - 2:
             h = h * (1.0 / (1.0 + np.exp(-h)))
+    assert off == mlp.params.size
     return h
 
 
 def _perturbed_mlp(spec, seed=2):
     mlp = MLP(spec, seed=seed)
-    mlp.params += 0.3 * Rng(seed + 100).standard_normal(mlp.n_params)
+    mlp.params += 0.3 * Rng(seed + 100).standard_normal(mlp.spec.n_params)
     return mlp
 
 
@@ -169,7 +177,7 @@ class TestParamsContract:
         mlp = MLP(self.SPEC, seed=1)
         before = mlp.params
         with pytest.raises(ValueError, match=fault):
-            mlp.params = make(mlp.n_params)
+            mlp.params = make(mlp.spec.n_params)
         assert mlp.params is before
 
     @pytest.mark.parametrize("spec", [SPEC], ids=["silu-fourier"])
@@ -190,9 +198,9 @@ class TestParamsContract:
         mlp = MLP(self.SPEC, seed=1)
         X = np.full((1, 12), 0.25)
         before = mlp.forward_batch(X, 0.5)
-        # the output layer's weights start at zero, so output 0 is its bias
-        last_bias = mlp.layout[-1][2]
-        mlp.params[last_bias] += 0.125
+        # the output layer's weights start at zero, so output 0 is its bias,
+        # and the output layer's biases end the vector
+        mlp.params[-self.SPEC.output_width] += 0.125
         after = mlp.forward_batch(X, 0.5)
         assert after[0, 0] == before[0, 0] + 0.125
         assert np.array_equal(after[0, 1:], before[0, 1:])

@@ -122,8 +122,9 @@ def _random_mlp(modality, seed, **overrides):
     """A small MLP whose output layer is random too (at init it is zero)."""
     config = training.TrainConfig(modality=modality, hidden=(32, 32), **(_SMALL_CONFIGS[modality] | overrides))
     mlp = MLP(config.predictor_spec(), seed=seed)
-    _, (fan_in, _), off = mlp.layout[-2]
-    mlp.params[off:] = 2.0 * Rng(seed).standard_normal(mlp.n_params - off) / np.sqrt(fan_in)
+    W, b = mlp._views(mlp.params)[-1]
+    tail = W.size + b.size  # the output layer ends the vector
+    mlp.params[-tail:] = 2.0 * Rng(seed).standard_normal(tail) / np.sqrt(W.shape[0])
     return config, mlp
 
 

@@ -224,7 +224,7 @@ class TestHeadGradients:
         _, grad = training.batch_loss_and_grad(mlp, config, state)
         h = 1e-5
         rng = np.random.default_rng(1)
-        for j in rng.choice(mlp.n_params, size=25, replace=False):
+        for j in rng.choice(mlp.spec.n_params, size=25, replace=False):
             saved = mlp.params[j]
             mlp.params[j] = saved + h
             lp = _mean_head_loss(mlp, config, state)
@@ -623,7 +623,7 @@ class TestInPlaceOptimizer:
     @pytest.mark.parametrize("case", ["strings", "discretised", "small"])
     def test_train_matches_out_of_place_reference(self, case, seed, monkeypatch):
         config, items = self._config(case, seed)
-        n = MLP(config.predictor_spec()).n_params
+        n = config.predictor_spec().n_params
         assert n < training.ADAMW_CHUNK if case == "small" else n % training.ADAMW_CHUNK != 0
         got = training.train(Rng(seed), items, config)
         monkeypatch.setattr(training, "adamw_step", _adamw_ema_reference)
@@ -769,7 +769,7 @@ class TestWorker:
     def test_backward_matches_caller_only_on_the_strings_spec(self):
         config = _strings_config(1)
         mlp = MLP(config.predictor_spec(), seed=3)
-        mlp.params = mlp.params + Rng(4).standard_normal(mlp.n_params) * 0.01  # a nonzero last layer
+        mlp.params = mlp.params + Rng(4).standard_normal(mlp.spec.n_params) * 0.01  # a nonzero last layer
         x = toy_strings().items[Rng(5).integers(0, 4, size=32)]
         state = training.sample_head_state(Rng(6), config, x)
         out = mlp.forward_batch(state["state_in"], state["t"], record=True)
@@ -1037,7 +1037,7 @@ class TestTrainLoop:
         _cpus(monkeypatch, 2)
         config = TrainConfig(modality="discrete", D=16, K=27, beta1=3.0, learning_rate=1e10,
                              weight_decay=0.01, steps=50, hidden=(256, 256))
-        assert MLP(config.predictor_spec()).n_params > training.ADAMW_CHUNK
+        assert config.predictor_spec().n_params > training.ADAMW_CHUNK
         data = toy_strings().items
 
         def run():
@@ -1182,7 +1182,7 @@ class TestRowIndependence:
             config = TrainConfig(**dataclasses.asdict(config) | dict(modality="discretised", D=1, K=16,
                                                                      recon_sigma=0.0))
         mlp = MLP(config.predictor_spec(), seed=config.seed)
-        mlp.params += 0.3 * Rng(80).standard_normal(mlp.n_params)
+        mlp.params += 0.3 * Rng(80).standard_normal(mlp.spec.n_params)
         items = dsc.BinGeometry(16).centers[Rng(81).integers(0, 16, size=(128, config.D))]
         steps = Rng(82).integers(6, 11, size=128)
         times = 0.5 + 0.5 * Rng(83).uniform(size=128)
@@ -1345,6 +1345,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"passes must be >= 1, got {passes}"):
             training.evaluate(Rng(16), pred, config, np.ones((3, 2), dtype=np.int64), passes=passes)
 
+    @pytest.mark.parametrize("n", [2.5, 0, -3, math.nan])
+    def test_step_count_not_a_whole_number_from_one_rejected(self, n):
+        # 2.5 once scored n = 2 under the label "2", and 0 raised numpy's "low >= high"
+        config = _make_config("discrete", K=4, D=2)
+        pred = MLP(config.predictor_spec(), seed=2)
+        with pytest.raises(ValueError, match=f"step counts must be whole numbers >= 1, got {n}"):
+            training.evaluate(Rng(16), pred, config, np.ones((3, 2), dtype=np.int64), n_values=(10, n))
+
     def test_empty_dataset_rejected(self):
         # as train does; evaluate once returned an empty table
         config = _make_config("discrete", K=4, D=2)
@@ -1482,7 +1490,7 @@ class TestCheckpoint:
             training.load_checkpoint(path)
 
     def _payload_message(self, path, found):
-        n = training.load_checkpoint(path)[0].mlp.n_params
+        n = training.load_checkpoint(path)[0].mlp.spec.n_params
         return rf"checkpoint payload is {found} bytes, expected {32 * n}: params, EMA, m and v of {n} float64"
 
     @pytest.mark.parametrize("cut", [200, 203])
@@ -1538,6 +1546,24 @@ class TestCheckpoint:
         (hlen,) = struct.unpack("<Q", raw[8:16])
         message = self._payload_message(path, len(raw) - 16 - hlen + extra)
         path.write_bytes(raw + bytes(extra))
+        with pytest.raises(ValueError, match=message):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("array", ["params", "EMA", "m", "v"])
+    def test_non_finite_array_named(self, tmp_path, array):
+        # a checkpoint whose EMA held NaN once loaded, and sampling from it
+        # drew class 1 in every dimension
+        import struct
+
+        path = self._saved_checkpoint(tmp_path)
+        raw = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        n = (len(raw) - 16 - hlen) // 32
+        start = 16 + hlen + 8 * n * ["params", "EMA", "m", "v"].index(array)
+        for index, value in ((5, math.nan), (9, -math.inf)):
+            raw[start + 8 * index : start + 8 * index + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        message = rf"checkpoint {array} holds non-finite values \(2 of {n}\), the first nan at index \(5,\)"
         with pytest.raises(ValueError, match=message):
             training.load_checkpoint(path)
 
@@ -1660,6 +1686,67 @@ class TestOpSet:
         assert (spec.state_width, spec.output_width) == (state_width, output_width)
 
 
+class _GivenNoise:
+    """A stand-in rng whose one normal draw is a given block."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z
+
+
+def _log_normal(y, mean, var):
+    return -0.5 * np.log(2.0 * np.pi * var) - (y - mean) ** 2 / (2.0 * var)
+
+
+def _log_sum_exp(a, axis):
+    top = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(top, axis) + np.log(np.sum(np.exp(a - top), axis=axis))
+
+
+def _softmax(a):
+    return np.exp(a - _log_sum_exp(a, -1)[..., None])
+
+
+def _loss_n_written_out(modality, config, pred, x, z, n, i):
+    """n times the sender minus the receiver log-density of the sender draw,
+    summed over dimensions, at rows x and steps i (B,) of n, from the flow
+    noise z[:, 0] and the sender noise z[:, 1]; for continuous data, whose
+    receiver is the sender moved to x_hat, the closed form n alpha / 2
+    |x - x_hat|^2 at the flow noise z."""
+    t, alpha = (i - 1) / n, config.flow.schedule.step_alpha(i, n)
+    B, D, K = x.shape[0], config.D, config.K
+    if modality == "discrete":
+        beta, a = (config.beta1 * t * t)[:, None, None], alpha[:, None, None]
+        e = (x[..., None] == np.arange(1, K + 1)).astype(np.float64)
+        state = beta * (K * e - 1.0) + np.sqrt(beta * K) * z[:, 0]
+        y = a * (K * e - 1.0) + np.sqrt(a * K) * z[:, 1]
+        probs = _softmax(pred.forward_batch((2.0 * _softmax(state) - 1.0).reshape(B, D * K), t).reshape(B, D, K))
+        # the log-density of y under each class j's sender, mean alpha (K e_j - 1)
+        means = a[..., None] * (K * np.eye(K) - 1.0)
+        component = np.sum(_log_normal(y[:, :, None, :], means, (a * K)[..., None]), axis=-1)
+        sender = np.sum(_log_normal(y, a * (K * e - 1.0), a * K), axis=-1)
+        return n * np.sum(sender - _log_sum_exp(np.log(probs) + component, -1), axis=1)
+    g = (1.0 - config.sigma1 ** (2.0 * t))[:, None]
+    mu = g * x + np.sqrt(g * (1.0 - g)) * (z if modality == "continuous" else z[:, 0])
+    out = pred.forward_batch(mu, t)
+    ratio = np.sqrt((1.0 - g) / g)
+    if modality == "continuous":
+        x_hat = np.clip(mu / g - ratio * out, -1.0, 1.0)
+        return n * alpha / 2.0 * np.sum((x - x_hat) ** 2, axis=1)
+    mean, std = mu / g - ratio * out[:, :D], ratio * np.exp(out[:, D:])
+    edges = np.linspace(-1.0, 1.0, K + 1)
+    cdf = 0.5 * (1.0 + np.vectorize(math.erf)((edges - mean[..., None]) / (std[..., None] * math.sqrt(2.0))))
+    cdf[..., 0], cdf[..., -1] = 0.0, 1.0  # the tails fold into the end bins
+    var = 1.0 / alpha[:, None]
+    y = x + np.sqrt(var) * z[:, 1]
+    centres = (edges[:-1] + edges[1:]) / 2.0
+    receiver = _log_sum_exp(np.log(np.diff(cdf, axis=-1)) + _log_normal(y[..., None], centres, var[..., None]), -1)
+    return n * np.sum(_log_normal(y, x, var) - receiver, axis=1)
+
+
 def _record_precisions(monkeypatch):
     """The (precision, new precision) pairs of every cts.bayes_update call
     from here on, in call order."""
@@ -1734,6 +1821,17 @@ class TestOpContract:
         assert a.standard_normal() == b.standard_normal() == _after(22, len(x) * self._normals_per_row(modality))
 
     @pytest.mark.parametrize("modality", tuple(training.OPS))
+    def test_loss_n_at_given_noise(self, modality):
+        """loss_n on a given noise block equals its formula written out, with
+        a predictor that reads the belief state, at steps 2 to 9 of 10."""
+        config, x, pred = _eval_case(modality)
+        n, i = 10, np.arange(len(x)) % 8 + 2
+        shape = x.shape + ((config.K,) if modality == "discrete" else ())
+        z = Rng(30).standard_normal(shape if modality == "continuous" else (shape[0], 2) + shape[1:])
+        got = training.OPS[modality].loss_n(_GivenNoise(z), pred, config.flow, x, n, i)
+        np.testing.assert_allclose(got, _loss_n_written_out(modality, config, pred, x, z, n, i), rtol=1e-12)
+
+    @pytest.mark.parametrize("modality", tuple(training.OPS))
     def test_seed_determinism(self, modality):
         config, _, pred = _eval_case(modality)
         ops = training.OPS[modality]
@@ -1802,7 +1900,7 @@ class TestTrainConfig:
         # derived the widths from the modality name itself
         config = make()
         mlp = MLP(config.predictor_spec(), config.seed)
-        assert mlp.n_params == n_params
+        assert mlp.params.size == n_params
         assert hashlib.sha256(mlp.params.tobytes()).hexdigest() == sha256
 
     def test_field_count(self):
