@@ -8,9 +8,11 @@ down to the sampler's ``estimate``, a drawn bin centre per dimension.
 The predictor emits a (noise-mean, log-noise-std) pair per dimension,
 which is mapped to a Gaussian over data space whose tails fold into the
 end bins.  The continuous-time loss needs only the expected bin centre,
-whose edge sums cost O(1) in K a row: Euler-Maclaurin for Gaussians wide
-against the bins, a fixed window of edges for narrow ones.  The other
-losses and sampling use the (rows, K) bin masses.  The ops take one
+whose edge sums cost O(1) in K a row: Euler-Maclaurin, with the terms the
+row needs, for Gaussians wide against the bins or with both ends of the
+edge range far in their tails, and for the others their edges within six
+widths sqrt(2) sigma of the mean.  The other losses and sampling use the
+(rows, K) bin masses.  The ops take one
 ``schedule.FlowConfig`` holding a ``ContinuousSigma`` schedule and the bin
 count K.
 """
@@ -59,8 +61,8 @@ def quantise(x_raw, K):
 # Edges of bin_probs_from_gaussian's (rows, K+1) edge grid per pass, as
 # many rows as fit whole.  At K=256 a pass is 128 rows, whose 260 KB
 # float64 temporaries stay in a core's L2 cache; on a 2-core x86_64 VM 2048
-# rows at K=256 took 11.5 ms in 128-row passes, 11.8 ms in 256, 12.8 ms in
-# 64, 17 ms in 1024 and 23 ms in one.  Its callers are eval's loss_n and
+# rows at K=256 took 9.9 ms in 128-row passes, 10.2 ms in 256, 10.7 ms in
+# 64, 17.5 ms in 1024 and 20.7 ms in one (medians of 31).  Its callers are eval's loss_n and
 # recon (EVAL_CHUNK * D rows a call, 8192 for 8x8 images), sampling (one
 # row per stream and dimension) and the harness.
 EDGES_PER_PASS = 128 * 257
@@ -138,54 +140,97 @@ def output_map(cfg, mu, t, net_out):
 # per _BERNOULLI term: against math.fsum on 500 rows with h in [0.15, 0.25]
 # and mu_x near +-1, 6 terms missed by 4.6e-13 of the largest u exp(-u^2)
 # sum (K=256), 8 by 1.2e-15, and 9 read rounding at K = 5, 16 and 256.
-# Spans b - a < 1 take the integrals as _TAYLOR_TERMS of a series about the
-# midpoint: 12 terms read rounding for spans up to 1, 11 missed by 1.8e-15.
-# Other rows gather _WINDOW edges from the first with u > -_U_SAT; erf_vec
-# is exactly -1 or +1 beyond them.
+# A row takes term k only if h >= _H_TERM[k-1]: below that, Cramer's bound
+# |H_n(u)| exp(-u^2/2) <= 1.0865 sqrt(2^n n!) puts the term under 2^-60.
+# A row with both ends at |u| >= _U_FAR takes none, since there each term is
+# below 4e-21 for h <= _H_FAR; such rows take the closed form up to
+# h = _H_FAR, where the sums' aliasing error, about exp(-pi^2 / h^2) / h^2,
+# is below 1e-19.  Spans b - a < 1 take the integrals as _TAYLOR_TERMS of a
+# series about the midpoint: 12 terms read rounding for spans up to 1, 11
+# missed by 1.8e-15.  Other rows sum their edges with |u| < _U_SAT, at most
+# 2 * _U_SAT / h of them: erf_vec is exactly -1 or +1 beyond, and
+# exp(-u^2) < 3e-16.
 _H_WIDE = 0.25
+_H_FAR = 0.45
 _TAYLOR_TERMS = 13
 _U_SAT = 6.0
-_WINDOW = int(np.ceil(2 * _U_SAT / _H_WIDE)) + 1
+_U_FAR = 7.0
 _BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
               1 / 74724249600, -3617 / 10670622842880000, 43867 / 5109094217170944000)  # B_2k/(2k)!
+_H_TERM = (0.0, 0.0, 0.00064, 0.006, 0.0204, 0.0435, 0.0726, 0.1047, 0.1375)
 _SQRT_PI = np.sqrt(np.pi)
 # f^(n) = (-1)^(n+1) _DERIV[i] H_(n-1+i)(u) exp(-u^2) for n >= 1 and the
 # i-th f of erf, exp(-u^2) and u exp(-u^2)
 _DERIV = np.array([[2.0 / _SQRT_PI], [-1.0], [-0.5]])
+_EM_COEF = np.array(_BERNOULLI)[:, None, None] * _DERIV
+# the series' k-th term takes f^(2k) at the midpoint, H_(2k-1+i) for the
+# i-th f, and w^2 / ((2k)(2k+1)) more than the last
+_TAYLOR_ORDERS = np.arange(1, 2 * _TAYLOR_TERMS - 1, 2)[:, None] + np.arange(3)
+_TAYLOR_DIV = np.array([[2.0 * k * (2 * k + 1)] for k in range(1, _TAYLOR_TERMS)])
 
 
-def _em_sums(m, c, edges, K):
+def _hermite_gauss(u, rows):
+    """H_k(u) exp(-u^2) by H_k+1 = 2u H_k - 2k H_k-1 for k = 0..len(rows)-1,
+    each on the first rows[k] entries of u (the rest unset), in one
+    (len(rows),) + u.shape array; past |u| = 26.5 all are < 1e-260."""
+    u = np.clip(u, -26.5, 26.5)
+    g = np.empty((len(rows),) + u.shape)
+    np.exp(-u * u, out=g[0])
+    two_u = 2.0 * u
+    np.multiply(two_u, g[0], out=g[1])
+    for k in range(1, len(rows) - 1):
+        r = rows[k + 1]
+        np.multiply(two_u[:r], g[k, :r], out=g[k + 1, :r])
+        g[k + 1, :r] -= 2.0 * k * g[k - 1, :r]
+    return g
+
+
+def _em_sums(m, h, a, b, terms, taylor, e, edges, K):
     """The (3, rows) sums of f over the edges of wide rows, from the span
-    [a, b] of u and the derivatives of f at a, b and the midpoint."""
-    a, b = (edges[0] - m) / c, (edges[-1] - m) / c
-    h, w = (2.0 / K) / c, (b - a) / 2
-    ends = np.stack([a, b, (a + b) / 2])
-    e = erf_vec(ends)
-    # H_k(u) exp(-u^2) by H_k+1 = 2u H_k - 2k H_k-1; past |u| = 26.5 all are < 1e-260
-    u = np.clip(ends, -26.5, 26.5)
-    g = [np.exp(-u * u)]
-    g.append(2.0 * u * g[0])
-    for k in range(1, max(2 * len(_BERNOULLI), 2 * _TAYLOR_TERMS - 1)):
-        g.append(2.0 * u * g[k] - 2.0 * k * g[k - 1])
-    g = np.array(g)
+    [a, b] of u, the spacing h, each row's number of Euler-Maclaurin terms
+    (terms, from the most), the rows whose integrals take the series
+    (taylor), erf at a, at b and at those rows' midpoints (e, flat in that
+    order), and the derivatives of f there."""
+    n = a.size
+    t = np.flatnonzero(taylor)
+    # term k runs on a prefix of the rows and needs H_j exp(-u^2) at the ends
+    # to j = 2k; the series rows' midpoints need it to 2 * _TAYLOR_TERMS - 1
+    rows = np.searchsorted(-terms, -np.arange(1, len(_BERNOULLI) + 1), side="right")
+    at_ends = np.zeros(2 * _TAYLOR_TERMS, dtype=np.intp)  # rows whose ends need order j
+    at_ends[0], at_ends[1 : 2 * rows.size + 1] = n, np.repeat(rows, 2)
+    g = _hermite_gauss(np.concatenate([(a[t] + b[t]) / 2, np.stack([a, b], axis=1).ravel()]), t.size + 2 * at_ends)
+    gm, ga, gb = g[:, : t.size], g[:, t.size :: 2], g[:, t.size + 1 :: 2]
     # half the end terms, then B_2k/(2k)! h^(2k-1) (f^(2k-1)(b) - f^(2k-1)(a))
-    s = np.stack([e[0] + e[1], g[0, 0] + g[0, 1], (g[1, 0] + g[1, 1]) / 2]) / 2
-    hk = h
-    for k, coef in enumerate(_BERNOULLI, 1):
-        s += coef * hk * _DERIV * (g[2 * k - 2 : 2 * k + 1, 1] - g[2 * k - 2 : 2 * k + 1, 0])
-        hk = hk * h * h
+    s = np.stack([e[:n] + e[n : 2 * n], ga[0] + gb[0], (ga[1] + gb[1]) / 2]) / 2
+    hk, h2 = h, h * h
+    for k, r in enumerate(rows, 1):
+        s[:, :r] += _EM_COEF[k - 1] * hk[:r] * (gb[2 * k - 2 : 2 * k + 1, :r] - ga[2 * k - 2 : 2 * k + 1, :r])
+        hk = hk[:r] * h2[:r]
     # the integrals over [a, b] divided by h: on narrow spans (K-2) times
     # sum_k f^(2k)(mid) w^2k/(2k+1)!, else the antiderivatives, taking
     # u erf(u) as |u| - |u| erfc(|u|) so that far rows do not cancel
-    taylor = np.stack([e[2], g[0, 2], g[1, 2] / 2])
-    wk = np.ones_like(w)
-    for k in range(1, _TAYLOR_TERMS):
-        wk = wk * (w * w) / (2 * k * (2 * k + 1))
-        taylor -= _DERIV * g[2 * k - 1 : 2 * k + 2, 2] * wk
-    tail = np.abs(ends[:2]) * (1.0 - np.abs(e[:2])) - g[0, :2] / _SQRT_PI
+    w = (b[t] - a[t]) / 2
+    wk = np.cumprod((w * w) / _TAYLOR_DIV, axis=0)  # w^2k / (2k+1)!, k = 1, 2, ...
+    series = np.stack([e[2 * n :], gm[0], gm[1] / 2]) - np.sum(_DERIV * gm[_TAYLOR_ORDERS] * wk[:, None], axis=0)
+    tail = np.abs([a, b]) * (1.0 - np.abs([e[:n], e[n : 2 * n]])) - [ga[0], gb[0]] / _SQRT_PI
     full = np.stack([((edges[0] + edges[-1]) / 2 - np.clip(m, edges[0], edges[-1])) * K - (tail[1] - tail[0]) / h,
-                     (_SQRT_PI / 2) * (e[1] - e[0]) / h, (g[0, 0] - g[0, 1]) / (2.0 * h)])
-    return s + np.where(w < 0.5, (K - 2) * taylor, full)
+                     (_SQRT_PI / 2) * (e[n : 2 * n] - e[:n]) / h, (ga[0] - gb[0]) / (2.0 * h)])
+    full[:, t] = (K - 2) * series
+    s += full
+    return s
+
+
+def _edge_window(m, c, edges):
+    """The edges with |u| < _U_SAT of each narrow row, flat in row order:
+    their u, each row's start in u, and per row the count of edges
+    below and above its window."""
+    lo = np.searchsorted(edges, m - _U_SAT * c)
+    hi = np.searchsorted(edges, m + _U_SAT * c, side="right")
+    n = hi - lo
+    first = np.cumsum(n) - n
+    u = edges[np.arange(n.sum()) + np.repeat(lo - first, n)] - np.repeat(m, n)
+    u /= np.repeat(c, n)
+    return u, first, lo, edges.size - hi
 
 
 def expected_centre(mu_x, sigma_x, K, grad=False):
@@ -195,22 +240,47 @@ def expected_centre(mu_x, sigma_x, K, grad=False):
     edges e_j of the uniform bins gives k_hat = -(1/K) sum_j erf(u_j),
     u_j = (e_j - mu_x) / (sigma_x sqrt 2), whose derivatives are sums of
     exp(-u_j^2) and u_j exp(-u_j^2).  Rows with edge spacing h <= 0.25 in u
-    (sigma_x >= 0.022 at K=256) sum by Euler-Maclaurin in closed form; the
-    others on a window of 49 edges, with -1 or +1 for each edge outside it.
+    (sigma_x >= 0.022 at K=256), or h <= 0.45 with both end edges at
+    |u| >= 7, sum by Euler-Maclaurin in closed form; the others over their
+    edges with |u| < 6, at most 12 / h of them, with -1 or +1 for each edge
+    beyond.  One erf_vec call serves both, and each row's bits depend on
+    that row alone.
     """
     shape = np.shape(mu_x)
     m = np.ravel(mu_x)
     sig = np.maximum(sigma_x, 1e-20).ravel()  # degenerate widths give a step at mu_x
     c = sig * _SQRT2
     edges = BinGeometry(K).centers[1:] - 1.0 / K
-    wide = (2.0 / K) / c <= _H_WIDE
+    h = (2.0 / K) / c
+    a, b = (edges[0] - m) / c, (edges[-1] - m) / c
+    far = np.minimum(np.abs(a), np.abs(b)) >= _U_FAR
+    wide = (h <= _H_WIDE) | far & (h <= _H_FAR)
+    iw, inr = np.flatnonzero(wide), np.flatnonzero(~wide)
+    terms = np.where(far[iw], 0, np.searchsorted(_H_TERM, h[iw], side="right"))
+    order = np.argsort(-terms, kind="stable")  # most terms first: each term runs on a prefix
+    iw, terms = iw[order], terms[order]
+    a, b = a[iw], b[iw]
+    taylor = (b - a) / 2 < 0.5
+    u, first, below, above = _edge_window(m[inr], c[inr], edges)
+    e = erf_vec(np.concatenate([u, a, b, (a[taylor] + b[taylor]) / 2]))
     sums = np.empty((3, m.size))
-    sums[:, wide] = _em_sums(m[wide], c[wide], edges, K)
-    W, m, c = min(_WINDOW, K - 1), m[~wide], c[~wide]
-    j0 = np.minimum(np.searchsorted(edges, m - _U_SAT * c), K - 1 - W)
-    u = (edges[j0[:, None] + np.arange(W)] - m[:, None]) / c[:, None]
-    pdf = np.exp(-np.minimum(u * u, 700.0))  # subnormal exps are 15-150x slower
-    sums[:, ~wide] = np.sum(erf_vec(u), axis=1) + (K - 1 - W - 2 * j0), np.sum(pdf, axis=1), np.sum(pdf * u, axis=1)
+    sums[:, iw] = _em_sums(m[iw], h[iw], a, b, terms, taylor, e[u.size :], edges, K)
+    # per narrow row, np.add.reduceat sums over its window: erf's remainder
+    # after its nearest integer (exact, and small, so that only small terms
+    # round), exp(-u^2), u exp(-u^2) and the integers, which add exactly.  A
+    # column of zeros after the last window holds the start of any empty
+    # windows at the end
+    bounds = np.append(first, u.size)
+    parts = np.zeros((4, u.size + 1))
+    whole = np.rint(e[: u.size], out=parts[3, :-1])
+    np.subtract(e[: u.size], whole, out=parts[0, :-1])
+    pdf = np.exp(-(u * u), out=parts[1, :-1])
+    np.multiply(pdf, u, out=parts[2, :-1])
+    win = np.add.reduceat(parts, bounds, axis=1)[:, :-1]
+    win[:, first == bounds[1:]] = 0.0  # reduceat reads an empty window's next edge
+    sums[:, inr] = win[:3]
+    sums[0, inr] += win[3] + (above - below)
+    sums[:, inr[np.isnan(m[inr] + c[inr])]] = np.nan  # no window holds a NaN row
     centre = (sums[0] / -K).reshape(shape)
     if not grad:
         return centre, None, None

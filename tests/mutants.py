@@ -37,6 +37,7 @@ GIVEN = OPC + "loss_n_at_given_noise"
 C02, C04 = ACC + "02_distributional_additivity_and_flow", ACC + "04_loss_convergence_all_modalities"
 C06, C08 = ACC + "06_gradient_correctness", ACC + "08_schedule_checks"
 VERIFY, LIBM = CLI + "VerifyCommand::test_filter_runs_subset", KER + "erf_matches_libm"
+FSUM = DSC + "ExpectedCentre::test_closed_form_matches_fsum_of_bin_masses"
 
 CT, DS, DC = "continuous", "discretised", "discrete"
 
@@ -151,12 +152,16 @@ MUTANTS = [
     _m("BinGeometry: centres off by 0.005 of a bin", DS, "K + 1) - 1.0)", "K + 1) - 1.01)",
        DSC + "BinGeometry::test_centre_reads_the_centre_table[4]"),
     # the kernels and the schedules
-    _m("erf_vec: near range +1e-300", "kernels", "xs * n0 / d0", "xs * n0 / d0 + 1e-300",
+    _m("erf_vec: near range +1e-300", "kernels", "xs * _horner(z, _P0) / _horner(z, _Q0)",
+       "xs * _horner(z, _P0) / _horner(z, _Q0) + 1e-300",
        KER + "erf_bitwise_equal_to_three_branch_reference_over_range_and_specials"),
     _m("erf_vec: saturates at 0.999", "kernels", "np.copysign(1.0, x)", "np.copysign(0.999, x)", LIBM),
-    _m("erf_vec: mid range loses its sign", "kernels", "np.copysign(1.0 - v, x[mid])", "1.0 - v", LIBM),
+    _m("erf_vec: mid range loses its sign", "kernels", "np.copysign(1.0 - v, xf[mid])", "1.0 - v", LIBM),
     _m("erf_vec: mid range 1e-6 relative off", "kernels", "v = np.exp(-(a * a))", "v = np.exp(-(a * a)) * 1.000001",
        LIBM),
+    _m("expected_centre: windows end at |u| = 5", DS, "_U_SAT = 6.0", "_U_SAT = 5.0", FSUM),
+    _m("expected_centre: the Taylor series on spans up to 2", DS, "taylor = (b - a) / 2 < 0.5",
+       "taylor = (b - a) / 2 < 1.0", FSUM),
     _m("logsumexp_rows: +1e-9", "kernels", "hi[:, None])))", "hi[:, None]))) + 1e-9", KER + "logsumexp_rows_vs_naive"),
     _m("logsumexp_rows: shifts by the first column, not the maximum", "kernels", "hi = row_max(m)",
        "hi = m[:, 0].copy()", KER + "logsumexp_rows_handles_neg_inf"),

@@ -234,7 +234,8 @@ class TestExpectedCentre:
         widest sigma_x; then rows on each side of the wide-row threshold h*
         on the edge spacing h = (2/K) / (sigma_x sqrt 2) and exactly at it,
         wide rows, mu_x far outside [-1, 1] and sigma_x at or below the
-        1e-20 floor, each at 15 mu_x."""
+        1e-20 floor, each at 15 mu_x; rows about h_far have near and far
+        ends among them."""
         K = self.K
         rng = np.random.default_rng(12)
         mu = rng.uniform(-1.3, 1.3, size=200)
@@ -247,7 +248,9 @@ class TestExpectedCentre:
         s_star = (2.0 / K) / (h_star * math.sqrt(2.0))
         while (2.0 / K) / (s_star * math.sqrt(2.0)) != h_star:
             s_star = np.nextafter(s_star, 0.0 if (2.0 / K) / (s_star * math.sqrt(2.0)) < h_star else 1.0)
-        sides = [(2.0 / K) / (h * math.sqrt(2.0)) for h in (h_star * (1 - 1e-9), h_star * (1 + 1e-9), 0.2, 0.3)]
+        h_far = dsc._H_FAR
+        sides = [(2.0 / K) / (h * math.sqrt(2.0))
+                 for h in (h_star * (1 - 1e-9), h_star * (1 + 1e-9), 0.2, 0.3, 0.4, h_far * (1 - 1e-9), h_far * (1 + 1e-9))]
         sigmas = [s_star, np.nextafter(s_star, 0.0), np.nextafter(s_star, 1.0), *sides,
                   20.0, 1e3, 1e10, 1e-20, 1e-25, 0.0]
         mus = [-1.3, -1.0, -0.99, -0.3, 0.0, 0.002, 0.5, 0.995, 1.0, 1.2, 3.0, -40.0, 40.0, 1e3, -1e3]
@@ -273,6 +276,61 @@ class TestExpectedCentre:
         sig = np.maximum(sigma, 1e-20)
         for got, want in ((d_mu * sig, ref[:, 1]), (d_sig * sig, ref[:, 2])):
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+    def test_nan_rows_stay_nan(self):
+        # a NaN mean or width falls in no edge window; its row must not read
+        # as the saturated edges' finite count
+        mu = np.array([np.nan, 0.1, np.nan, 0.3])
+        sigma = np.array([1e-3, np.nan, 1.0, 1e-3])
+        out = np.array(dsc.expected_centre(mu, sigma, self.K, grad=True))
+        assert np.isnan(out[:, :3]).all() and np.isfinite(out[:, 3]).all()
+
+    def test_em_terms_a_row_skips_are_below_2_to_the_minus_60(self):
+        """Term k of Euler-Maclaurin is B_2k/(2k)! h^(2k-1) times the
+        differences of H_n(u) exp(-u^2) at the ends, n = 2k-2..2k, scaled
+        by 2/sqrt(pi), 1 or 1/2.  Below its h threshold Cramer's bound
+        |H_n(u)| exp(-u^2) <= 1.0865 sqrt(2^n n!) keeps it under 2^-60, and
+        so does |H_n(u)| exp(-u^2) at |u| >= u_far for any h <= h_far."""
+        from numpy.polynomial.hermite import hermval
+
+        deriv = (2.0 / math.sqrt(math.pi), 1.0, 0.5)
+        u = np.linspace(dsc._U_FAR, dsc._U_FAR + 30.0, 30001)
+        for k, (coef, h) in enumerate(zip(dsc._BERNOULLI, dsc._H_TERM), 1):
+            orders = [2 * k - 2 + i for i in range(3)]
+            cramer = max(d * 1.0865 * math.sqrt(2.0**n * math.factorial(n)) for d, n in zip(deriv, orders))
+            assert 2 * abs(coef) * h ** (2 * k - 1) * cramer <= 2.0**-60
+            far = max(d * np.max(np.abs(hermval(u, np.eye(n + 1)[n])) * np.exp(-u * u)) for d, n in zip(deriv, orders))
+            assert 2 * abs(coef) * dsc._H_FAR ** (2 * k - 1) * far <= 2.0**-60
+
+    @pytest.mark.parametrize("K", [16, 256])
+    def test_each_row_alone_in_a_batch_and_shuffled(self, K):
+        """A row's (centre, d/dmu, d/dsigma) bits do not depend on the rows
+        computed with it: alone, in a 2048-row batch and in that batch
+        shuffled.  Rows sit on both sides of h* and h_far, with near and
+        far ends; sigma_x at and below the 1e-20 floor puts mu_x exactly on
+        an edge, where the centre is that edge."""
+        rng = np.random.default_rng(21)
+        edges = dsc.BinGeometry(K).centers[1:] - 1.0 / K
+        mu = rng.uniform(-1.3, 1.3, size=2048)
+        h = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), size=2048))
+        sides = [dsc._H_WIDE, dsc._H_FAR]
+        h[:128] = np.repeat([x * f for x in sides for f in (1 - 1e-9, 1.0, 1 + 1e-9, 1.1)], 16)
+        sigma = (2.0 / K) / (h * math.sqrt(2.0))
+        on_edge = np.arange(128, 160)
+        mu[on_edge] = edges[rng.integers(0, K - 1, size=on_edge.size)]
+        sigma[on_edge] = np.tile([1e-20, 1e-25, 0.0, 1e-21], 8)
+        batch = np.array(dsc.expected_centre(mu, sigma, K, grad=True))
+        perm = rng.permutation(mu.size)
+        shuffled = np.empty_like(batch)
+        shuffled[:, perm] = dsc.expected_centre(mu[perm], sigma[perm], K, grad=True)
+        alone = np.array([dsc.expected_centre(mu[i : i + 1], sigma[i : i + 1], K, grad=True)
+                          for i in range(mu.size)])[..., 0].T
+        assert np.array_equal(batch.view(np.uint64), alone.view(np.uint64))
+        assert np.array_equal(shuffled.view(np.uint64), alone.view(np.uint64))
+        ref = [self._oracle(float(m), float(s), K)[0] for m, s in zip(mu[on_edge], sigma[on_edge])]
+        np.testing.assert_allclose(batch[0, on_edge], mu[on_edge], rtol=0, atol=4e-16)
+        np.testing.assert_allclose(batch[0, on_edge], ref, rtol=0, atol=4e-16)
 
 
 class TestLossNStep:
