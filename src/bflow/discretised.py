@@ -12,9 +12,8 @@ whose edge sums cost O(1) in K a row: Euler-Maclaurin, with the terms the
 row needs, for Gaussians wide against the bins or with both ends of the
 edge range far in their tails, and for the others their edges within six
 widths sqrt(2) sigma of the mean.  The other losses and sampling use the
-(rows, K) bin masses.  The ops take one
-``schedule.FlowConfig`` holding a ``ContinuousSigma`` schedule and the bin
-count K.
+(rows, K) bin masses.  The ops take one ``schedule.FlowConfig`` holding a
+``ContinuousSigma`` schedule and the bin count K.
 """
 
 import numpy as np
@@ -62,9 +61,9 @@ def quantise(x_raw, K):
 # many rows as fit whole.  At K=256 a pass is 128 rows, whose 260 KB
 # float64 temporaries stay in a core's L2 cache; on a 2-core x86_64 VM 2048
 # rows at K=256 took 9.9 ms in 128-row passes, 10.2 ms in 256, 10.7 ms in
-# 64, 17.5 ms in 1024 and 20.7 ms in one (medians of 31).  Its callers are eval's loss_n and
-# recon (EVAL_CHUNK * D rows a call, 8192 for 8x8 images), sampling (one
-# row per stream and dimension) and the harness.
+# 64, 17.5 ms in 1024 and 20.7 ms in one (medians of 31).  Its callers are
+# eval's loss_n and recon (EVAL_CHUNK * D rows a call, 8192 for 8x8
+# images), sampling (one row per stream and dimension) and the harness.
 EDGES_PER_PASS = 128 * 257
 
 

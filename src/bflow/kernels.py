@@ -24,12 +24,12 @@ host libm.  Max absolute error is ~2e-16 against high-precision references.
 Each element runs only the branch its range needs: the indices of a range
 (``np.flatnonzero`` of its mask) gather its elements, that range's
 polynomials run on them alone, and the results are scattered back by the
-same indices, which costs a fraction of a boolean-mask gather.  From |x| >= 6 on the result is exactly copysign(1, x),
-since erfc(6) ~ 2e-17 is below half an ulp of 1 and the tail formula rounds
-to 1 there.  A branch performs the same operations in the same order on an
-element as the form that evaluates all three branches on every element and
-selects one, so every output bit is unchanged; the tests keep that form as
-the reference.  NaN fails every range comparison, falls into the computed
+same indices, which costs a fraction of a boolean-mask gather.  From
+|x| >= 6 on the result is exactly copysign(1, x), since erfc(6) ~ 2e-17 is
+below half an ulp of 1 and the tail formula rounds to 1 there.  A branch
+performs the same operations in the same order on an element as the form
+that evaluates all three branches on every element and selects one, so
+every output bit is unchanged; the tests keep that form as the reference.  NaN fails every range comparison, falls into the computed
 tail branch and stays NaN.
 """
 
@@ -82,7 +82,7 @@ def erf_vec(x):
     mid = ax <= 4.0
     # NaN fails every comparison, so it lands in the tail branch and stays NaN
     tail = np.flatnonzero(~(mid | (ax >= 6.0)))
-    mid = np.flatnonzero(mid > near)
+    mid = np.flatnonzero(mid > near)  # in mid and not near
     near = np.flatnonzero(near)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         # near zero

@@ -249,8 +249,8 @@ class TestExpectedCentre:
         while (2.0 / K) / (s_star * math.sqrt(2.0)) != h_star:
             s_star = np.nextafter(s_star, 0.0 if (2.0 / K) / (s_star * math.sqrt(2.0)) < h_star else 1.0)
         h_far = dsc._H_FAR
-        sides = [(2.0 / K) / (h * math.sqrt(2.0))
-                 for h in (h_star * (1 - 1e-9), h_star * (1 + 1e-9), 0.2, 0.3, 0.4, h_far * (1 - 1e-9), h_far * (1 + 1e-9))]
+        hs = (h_star * (1 - 1e-9), h_star * (1 + 1e-9), 0.2, 0.3, 0.4, h_far * (1 - 1e-9), h_far * (1 + 1e-9))
+        sides = [(2.0 / K) / (h * math.sqrt(2.0)) for h in hs]
         sigmas = [s_star, np.nextafter(s_star, 0.0), np.nextafter(s_star, 1.0), *sides,
                   20.0, 1e3, 1e10, 1e-20, 1e-25, 0.0]
         mus = [-1.3, -1.0, -0.99, -0.3, 0.0, 0.002, 0.5, 0.995, 1.0, 1.2, 3.0, -40.0, 40.0, 1e3, -1e3]
