@@ -1,5 +1,6 @@
 """Discretised data: K bins tiling [-1, 1], clipped-Gaussian bin masses,
-the expected bin centre, mixture receiver, losses and sampling.
+the expected bin centre, the sender-to-receiver log-ratio, losses and
+sampling.
 
 Belief state (the (B, D) Gaussian means, at precision 1 + beta(t)),
 schedule, sender and flow, and so the sampler's ``prior`` and ``update``,
@@ -12,15 +13,17 @@ whose edge sums cost O(1) in K a row: Euler-Maclaurin, with the terms the
 row needs, for Gaussians wide against the bins or with both ends of the
 edge range far in their tails, and for the others their edges within six
 widths sqrt(2) sigma of the mean.  The other losses and sampling use the
-(rows, K) bin masses.  The ops take one ``schedule.FlowConfig`` holding a
-``ContinuousSigma`` schedule and the bin count K.
+(rows, K) bin masses; the n-step loss scores its sender draw by
+``log_ratio``, one log-sum-exp over a row's bins.  The ops take one
+``schedule.FlowConfig`` holding a ``ContinuousSigma`` schedule and the bin
+count K.
 """
 
 import numpy as np
 
 from . import continuous
-from .kernels import erf_vec, mixture_logpdf
-from .numerics import gaussian_sample, log_gaussian_pdf, neg_log_true_class, sample_categorical_rows
+from .kernels import erf_vec, logsumexp_rows
+from .numerics import gaussian_sample, neg_log_true_class, row_sum, sample_categorical_rows
 from .schedule import forward_rows, step_time
 
 _SQRT2 = np.sqrt(2.0)
@@ -317,19 +320,28 @@ def probs(predictor, cfg, state, t):
     return bin_probs_from_gaussian(mu_x.ravel(), sigma_x.ravel(), cfg.K).reshape(*mu_x.shape, cfg.K)
 
 
-def receiver_log_likelihood(y, probs, K, alpha):
-    """Log-density of observations under the per-dimension mixture receiver.
+def log_ratio(y, x, probs, alpha, K):
+    """Sender minus receiver log-density of (..., D) sender draws y of bin
+    centres x, summed over D; probs are the receiver's (..., D, K) bin
+    masses, and x, probs (less its K axis) and alpha, one accuracy or one
+    per draw, broadcast against y.
 
-    y: (..., D) sender draws; probs: (..., D, K) bin masses; alpha: one
-    accuracy, or one per row of a (B, D) y.  Each dimension mixes
-    Gaussians at the bin centres with variance 1/alpha; summed over D.
+    Per dimension the sender is N(x, 1/alpha) and the receiver mixes
+    N(k_c, 1/alpha) over the bin centres k_c weighted by probs.  The two
+    share one variance, so the normalisers and the y^2 term cancel and the
+    ratio is -logsumexp_k(log p_k + alpha (k_c - x)(y - (k_c + x)/2)).  Each
+    term is a product of differences, with no term of size alpha to cancel.
     """
-    geom = BinGeometry(K)
-    y = np.asarray(y, dtype=np.float64)
-    var = 1.0 / alpha if np.isscalar(alpha) else np.repeat(1.0 / np.asarray(alpha), y.shape[-1])
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape[-1:] != (K,):
+        raise ValueError(f"probs must hold K={K} bin masses on their last axis, got shape {probs.shape}")
+    y, x, alpha = (np.asarray(v, dtype=np.float64)[..., None] for v in (y, x, alpha))
+    centers = BinGeometry(K).centers
+    terms = y - (centers + x) / 2
+    terms *= alpha * (centers - x)
     with np.errstate(divide="ignore"):
-        logw = np.log(probs).reshape(-1, K)
-    return np.sum(mixture_logpdf(y.ravel(), logw, geom.centers, var).reshape(y.shape), axis=-1)
+        terms += np.log(probs)
+    return -row_sum(logsumexp_rows(terms.reshape(-1, K)).reshape(terms.shape[:-1]))
 
 
 def loss_n(rng, predictor, cfg, x, n, i):
@@ -345,12 +357,12 @@ def loss_n(rng, predictor, cfg, x, n, i):
     x = np.asarray(x, dtype=np.float64)
     t = step_time(i, n)
     alpha = cfg.schedule.step_alpha(i, n)
-    var = 1.0 / alpha
+    if not np.isscalar(alpha):
+        alpha = alpha[:, None]
     z = rng.standard_normal((x.shape[0], 2) + x.shape[1:])
     p = continuous.flow_sample(rng, cfg, x, t, z[:, 0])
-    y = gaussian_sample(rng, x, var if np.isscalar(var) else var[:, None], z[:, 1])
-    recv = receiver_log_likelihood(y, probs(predictor, cfg, p, t), cfg.K, alpha)
-    return n * (log_gaussian_pdf(y, x, var) - recv)
+    y = gaussian_sample(rng, x, 1.0 / alpha, z[:, 1])
+    return n * log_ratio(y, x, probs(predictor, cfg, p, t), alpha, cfg.K)
 
 
 def recon(rng, predictor, cfg, x):

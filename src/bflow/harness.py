@@ -12,15 +12,15 @@ an explicit statistic, tolerance, sample count and seed:
 
 Every check is a fixed property of its seed (plus the modality or K it
 covers), and runs on the production ops that train, eval and sample run:
-the sampler's prior and update, the flow draws, the batched losses, the
-discretised receiver log-density and the discrete sender-to-receiver
-log-ratio.  The exact loss strata build the n-step loss from those
-smaller ops: the discretised strata write out ``discretised.loss_n``'s
-sender-minus-receiver difference, and the discrete strata chain
-``discrete.sender_sample`` into ``discrete.log_ratio``; the sampled gate
-runs ``loss_n`` itself.  The harness's other formulas of its own are the
-closed forms under test, the multinomial's moments, the noise-row
-construction below and a trapezoid reference integral.
+the sampler's prior and update, the flow draws, the batched losses and
+the discretised and discrete sender-to-receiver log-ratios.  The exact
+loss strata build the n-step loss from those smaller ops: the discretised
+strata score Gauss-Hermite sender draws with ``discretised.log_ratio``,
+and the discrete strata chain ``discrete.sender_sample`` into
+``discrete.log_ratio``; the sampled gate runs ``loss_n`` itself.  The
+harness's other formulas of its own are the closed forms under test, the
+Gaussian log-ratio of the continuous KL, the multinomial's moments, the
+noise-row construction below and a trapezoid reference integral.
 
 Estimator notes.  Each main statistic is exact or quadrature, the same
 at every seed.  Where the claim is linear-Gaussian algebra (additivity,
@@ -242,34 +242,31 @@ def check_flow_equivalence(seed, modality):
 # ---------------------------------------------------------------------------
 
 
-def _kl_scores(rng, x, alpha, ref, receiver, nodes):
+def _kl_scores(rng, x, alpha, ref, log_ratio, nodes):
     """One KL config: the Gauss-Hermite expectation Q, under the sender
-    N(x, 1/alpha), of the sender log-density less receiver(y); its error
-    against ref and Q's change at twice the nodes, both relative to the
-    larger of ref and the mean |sender log-density|; and the gate's
-    deviation of GATE_TRIALS sampled log-ratios from Q."""
-
-    def log_ratio(y):
-        sender = log_gaussian_pdf(y, x, 1 / alpha)
-        return sender - receiver(y), sender
-
+    N(x, 1/alpha), of log_ratio(y), the sender less the receiver
+    log-density of (draws, 1) sender draws y; its error against ref and Q's
+    change at twice the nodes, both relative to the larger of ref and the
+    mean |sender log-density|; and the gate's deviation of GATE_TRIALS
+    sampled log-ratios from Q."""
     quad = []
     for n in (nodes, 2 * nodes):
         g, w = _hermgauss(n)
-        lr, sender = log_ratio((x + g / np.sqrt(alpha))[:, None])
-        quad.append((w @ lr, w @ np.abs(sender)))
+        y = (x + g / np.sqrt(alpha))[:, None]
+        quad.append((w @ log_ratio(y), w @ np.abs(log_gaussian_pdf(y, x, 1 / alpha))))
     (q, scale), (q2, _) = quad
     scale = max(ref, scale)
-    draws = log_ratio(gaussian_sample(rng, np.full((GATE_TRIALS, 1), x), 1 / alpha))[0]
+    draws = log_ratio(gaussian_sample(rng, np.full((GATE_TRIALS, 1), x), 1 / alpha))
     return abs(q - ref) / scale, abs(q2 - q) / scale, _gate_dev(draws, q)
 
 
 def check_kl_closed_forms(seed, modality):
     """The transmission KL R against the Gauss-Hermite expectation Q of the
-    production log-ratio: R is the closed form alpha/2 (x - x_hat)^2
-    (continuous, 8 nodes, exact for a log-ratio linear in y) or, for the
-    discretised mixture receiver, the harness's own trapezoid, the one
-    reference that does not call the op under test (80 nodes).  The
+    log-ratio: for continuous data the two Gaussians' log-densities less
+    each other against the closed form alpha/2 (x - x_hat)^2 (8 nodes, exact
+    for a log-ratio linear in y), and for the discretised mixture receiver
+    the production ``dsc.log_ratio`` against the harness's own trapezoid,
+    the one reference that does not call the op under test (80 nodes).  The
     statistic is the worst |Q - R| over the configs, relative to R or to the
     mean |sender log-density| where that is larger: a KL far below the
     log-densities is a difference of nearly equal values, whose rounding is
@@ -282,8 +279,8 @@ def check_kl_closed_forms(seed, modality):
         params = {"configs": 5, "nodes": 8}
         for _ in range(5):
             x, x_hat, alpha = float(gen.uniform(-1, 1)), float(gen.uniform(-1, 1)), float(gen.uniform(0.5, 4.0))
-            receiver = lambda y: log_gaussian_pdf(y, x_hat, 1 / alpha)
-            scores.append(_kl_scores(rng, x, alpha, alpha / 2 * (x - x_hat) ** 2, receiver, 8))
+            ratio = lambda y: log_gaussian_pdf(y, x, 1 / alpha) - log_gaussian_pdf(y, x_hat, 1 / alpha)
+            scores.append(_kl_scores(rng, x, alpha, alpha / 2 * (x - x_hat) ** 2, ratio, 8))
     else:
         K = 2
         params = {"K": K, "nodes": 80}
@@ -308,8 +305,7 @@ def check_kl_closed_forms(seed, modality):
                 for k in range(K)
             )
             ref = np.trapezoid(send_pdf * (np.log(send_pdf) - np.log(recv_pdf)), grid)
-            receiver = lambda y: dsc.receiver_log_likelihood(y, np.broadcast_to(probs, y.shape + (K,)), K, alpha)
-            scores.append(_kl_scores(rng, x, alpha, ref, receiver, 80))
+            scores.append(_kl_scores(rng, x, alpha, ref, lambda y: dsc.log_ratio(y, x, probs, alpha, K), 80))
     errs, doubled, devs = zip(*scores)
     stat, gate = float(max(errs)), max(devs)
     return PropertyReport(
@@ -519,9 +515,9 @@ def check_loss_convergence(seed, modality):
         pred = DiscretisedDatumPredictor(x + 0.15, 0.06, sched.sigma1)
         linf = _simpson(loss_cts(dsc, rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
         # every stratum's receiver at its own time (the belief mean is
-        # immaterial to the oracle), then its Gauss-Hermite expectation over
-        # the sender draw y ~ N(x, 1/alpha) of the sender minus the receiver
-        # log-density, in row blocks of strata, at 80 nodes and at 160
+        # immaterial to the oracle), then the Gauss-Hermite expectation of
+        # dsc.log_ratio over the sender draw y ~ N(x, 1/alpha), in row blocks
+        # of strata, at 80 nodes and at 160
         alpha = _strata(sched.step_alpha)
         probs = dsc.probs(pred, cfg, cts.prior(cfg, alpha.size), _strata(step_time))
 
@@ -530,9 +526,7 @@ def check_loss_convergence(seed, modality):
 
             def nodes_ratio(s):
                 y = x[0] + g / np.sqrt(alpha[s, None])
-                recv = dsc.receiver_log_likelihood(y.reshape(-1, 1), np.repeat(probs[s], nodes, axis=0),
-                                                   K, np.repeat(alpha[s], nodes))
-                return log_gaussian_pdf(y[..., None], x, 1 / alpha[s, None]) - recv.reshape(y.shape)
+                return dsc.log_ratio(y[..., None], x, probs[s, None], alpha[s, None, None], K)
 
             return _in_blocks(nodes_ratio, alpha.size, probs[0].nbytes * nodes) @ w
 

@@ -1,11 +1,10 @@
 """Hot numeric kernels in vectorised numpy.
 
-Three elementwise/row-wise kernels: the error function, row-wise
-log-sum-exp and the log-density of a 1-D Gaussian mixture.  erf's main
-users are the discretised head (the expected bin centre) and the bin
-masses of its n-step loss, reconstruction loss and sampler; the mixture
-log-density is the discretised receiver, and log-sum-exp runs inside it
-and in the discrete log-ratio.
+Two kernels: the elementwise error function and row-wise log-sum-exp.
+erf's main users are the discretised head (the expected bin centre) and
+the bin masses of its n-step loss, reconstruction loss and sampler;
+log-sum-exp runs in the discretised and the discrete log-ratios, the
+sender-to-receiver scores of the two n-step losses.
 
 Log-sum-exp takes each row's maximum and sum through ``numerics.row_max``
 and ``numerics.row_sum``.  numpy reduces a short last axis row by row, at
@@ -29,8 +28,9 @@ same indices, which costs a fraction of a boolean-mask gather.  From
 below half an ulp of 1 and the tail formula rounds to 1 there.  A branch
 performs the same operations in the same order on an element as the form
 that evaluates all three branches on every element and selects one, so
-every output bit is unchanged; the tests keep that form as the reference.  NaN fails every range comparison, falls into the computed
-tail branch and stays NaN.
+every output bit is unchanged; the tests keep that form as the reference.
+NaN fails every range comparison, falls into the computed tail branch and
+stays NaN.
 """
 
 import numpy as np
@@ -122,24 +122,3 @@ def logsumexp_rows(m):
         return out
     return hi + np.log(row_sum(np.exp(m - hi[:, None])))
 
-
-def mixture_logpdf(y, logw, means, var):
-    """Log-density of per-row Gaussian mixtures at scalar observations.
-
-    y: (M,) observations; logw: (M, K) log mixture weights per row;
-    means: (K,) component means; var: the components' variance, shared or
-    one per row (M,).  Rows with some zero weights are fine as long as one
-    weight is positive.
-    """
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    logw = np.ascontiguousarray(logw, dtype=np.float64)
-    means = np.ascontiguousarray(means, dtype=np.float64)
-    if logw.shape != (y.shape[0], means.shape[0]):
-        raise ValueError("logw must have shape (len(y), len(means))")
-    var = np.asarray(var, dtype=np.float64)
-    d = y[:, None] - means[None, :]
-    with np.errstate(under="ignore"):
-        t = logw - d * d * (0.5 / var)[..., None]
-    out = logsumexp_rows(t)
-    out += -0.5 * np.log(2.0 * np.pi * var)
-    return out

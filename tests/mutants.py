@@ -73,14 +73,16 @@ MUTANTS = [
        OPC + "final_precision[discretised]"),
     _m("discretised.estimate: the next bin's centre", DS, "t), u) - 1]", "t), u) % cfg.K]",
        DSC + "Generate::test_forced_bin"),
-    _m("discretised.loss_n: receiver at 1.5x accuracy", DS, "cfg.K, alpha)", "cfg.K, 1.5 * alpha)",
-       GIVEN + "[discretised]", C04),
-    _m("discretised.loss_n: sender draw reuses the flow noise", DS, "var[:, None], z[:, 1])",
-       "var[:, None], z[:, 0])", GIVEN + "[discretised]"),
-    _m("discretised.loss_n: sender density at 1.01x the datum", DS, "log_gaussian_pdf(y, x, var)",
-       "log_gaussian_pdf(y, 1.01 * x, var)", ZERO + "[discretised]"),
-    _m("discretised.loss_n: one extra normal drawn", DS, "    var = 1.0 / alpha\n",
-       "    var = 1.0 / alpha\n    rng.standard_normal(1)\n", SEQ + "[discretised]"),
+    _m("discretised.loss_n: receiver (and sender) at 1.5x accuracy", DS, "t), alpha, cfg.K)",
+       "t), 1.5 * alpha, cfg.K)", GIVEN + "[discretised]", C04),
+    _m("discretised.loss_n: sender draw reuses the flow noise", DS, "1.0 / alpha, z[:, 1])",
+       "1.0 / alpha, z[:, 0])", GIVEN + "[discretised]"),
+    _m("discretised.loss_n: sender density at 1.01x the datum", DS, "log_ratio(y, x, probs(",
+       "log_ratio(y, 1.01 * x, probs(", ZERO + "[discretised]"),
+    _m("discretised.loss_n: one extra normal drawn", DS, "    z = rng.standard_normal((x.shape[0], 2)",
+       "    rng.standard_normal(1)\n    z = rng.standard_normal((x.shape[0], 2)", SEQ + "[discretised]"),
+    _m("discretised.log_ratio: (k_c + x) not halved", DS, "(centers + x) / 2", "(centers + x)",
+       DSC + "LogRatio::test_matches_decimal_reference[16]"),
     _m("discretised.recon: the next bin's mass", DS, "idx = quantise(x, cfg.K)",
        "idx = np.minimum(quantise(x, cfg.K) + 1, cfg.K)", ZERO + "[discretised]"),
     _m("discretised.loss_inf: 1.01x time weight (loss-convergence-discretised)", DS, "w = 0.5 *", "w = 0.505 *", C04),
@@ -121,8 +123,8 @@ MUTANTS = [
        "- 0.505 * sq / var", ACC + "03_kl_closed_form_continuous"),
     _m("kl-closed-form-continuous: Gaussian draws +0.05", "numerics", "return mean + np.sqrt(var) * z",
        "return mean + 0.05 + np.sqrt(var) * z", ACC + "03_kl_closed_form_continuous"),
-    _m("kl-closed-form-discretised: 1.01x receiver variance", DS, "var = 1.0 / alpha if", "var = 1.01 / alpha if",
-       HAR + "SeedSweep::test_kl_properties_pass_with_exact_statistics"),
+    _m("kl-closed-form-discretised: log-ratio at 1.01x accuracy", DS, "terms *= alpha",
+       "terms *= 1.01 * alpha", HAR + "SeedSweep::test_kl_properties_pass_with_exact_statistics"),
     _m("finite-m-limit-K2: count weight 1.01x off", "harness", "1.0 + self.omega", "1.0 + 1.01 * self.omega",
        ACC + "05_multinomial_limit"),
     _m("finite-m-limit-K5: count posterior at 1.01 xi", "harness", "theta * self.xi **", "theta * (1.01 * self.xi) **",

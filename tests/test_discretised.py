@@ -1,6 +1,8 @@
 """Discretised-data operations: bins, CDF clipping, mixture losses."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from bflow import continuous as cts
 from bflow import discretised as dsc
-from bflow.numerics import Rng, gaussian_sample, neg_log_true_class
+from bflow.numerics import ROWS_MIN, Rng, gaussian_sample, neg_log_true_class
 from bflow.predictor import DiscretisedDatumPredictor
 from bflow.schedule import ContinuousSigma, FlowConfig, loss_cts, sample_chain
 from oracle_predictors import ConstantPredictor
@@ -333,6 +335,108 @@ class TestExpectedCentre:
         np.testing.assert_allclose(batch[0, on_edge], ref, rtol=0, atol=4e-16)
 
 
+def _two_density_ratio(y, x, probs, alpha, K):
+    """The sender minus the receiver log-density of (B, D) draws, summed
+    over D, each density written out and the mixture summed directly."""
+    centres = dsc.BinGeometry(K).centers
+    a = np.broadcast_to(alpha, np.shape(y))[..., None]
+    normal = lambda mean: np.exp(-0.5 * a * (y[..., None] - mean) ** 2) * np.sqrt(a / (2 * math.pi))
+    return np.sum(np.log(normal(x[..., None])[..., 0]) - np.log(np.sum(probs * normal(centres), axis=-1)), axis=-1)
+
+
+def _decimal_ratio(y, x, p, alpha, K):
+    """The sender minus the receiver log-density of one draw y of datum x
+    at accuracy alpha, receiver masses p, in 40-digit decimal arithmetic:
+    the densities' shared normaliser cancels, and the receiver's log-sum-exp
+    is taken about its largest term."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        y, x, half = Decimal(float(y)), Decimal(float(x)), Decimal(float(alpha)) / 2
+        terms = [Decimal(float(pk)).ln() - half * (y - Decimal(2 * k - 1) / K + 1) ** 2
+                 for k, pk in enumerate(p, 1) if pk > 0]
+        top = max(terms)
+        return float(-half * (y - x) ** 2 - top - sum((t - top).exp() for t in terms).ln())
+
+
+def _accuracy_grid(K, alpha, rows=60):
+    """(y, x, probs) rows at the accuracy alpha, one or one per row: data x
+    on bin centres, receivers centred 3 to 6 bins away from x, every third
+    row with one bin's mass set to zero (and at K=256 many more underflow),
+    y drawn from the sender."""
+    gen = np.random.default_rng(K)
+    x = dsc.BinGeometry(K).centers[gen.integers(0, K, rows)]
+    mu = np.clip(x + gen.choice([-1.0, 1.0], rows) * gen.uniform(3, 6, rows) * 2 / K, -1.0, 1.0)
+    probs = dsc.bin_probs_from_gaussian(mu, gen.uniform(0.3, 4.0, rows) * 2 / K, K)
+    probs[::3, gen.integers(0, K)] = 0.0
+    return x + gen.standard_normal(rows) / np.sqrt(alpha), x, probs
+
+
+class TestLogRatio:
+    # the largest error of log_ratio against the decimal reference, relative
+    # to max(1, |ratio|), measured 3.7e-16 on this grid (the two-density
+    # form, log_gaussian_pdf less the mixture's log-sum-exp, read 1.05e-15);
+    # the bound leaves 2.7x
+    DECIMAL_TOL = 1e-15
+
+    def test_matches_two_density_formula(self):
+        rng = np.random.default_rng(11)
+        K, B, D = 5, 40, 3
+        y = rng.uniform(-2, 2, size=(B, D))
+        x = dsc.BinGeometry(K).centers[rng.integers(0, K, size=(B, D))]
+        probs = rng.uniform(0.1, 1.0, size=(B, D, K))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        alpha = rng.uniform(0.3, 3.0, size=(B, 1))
+        np.testing.assert_allclose(dsc.log_ratio(y, x, probs, alpha, K),
+                                   _two_density_ratio(y, x, probs, alpha, K), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dsc.log_ratio(y, x, probs, 0.7, K),
+                                   _two_density_ratio(y, x, probs, 0.7, K), rtol=0, atol=1e-12)
+
+    def test_zero_mass_bins(self):
+        # one-hot rows collapse the receiver to one Gaussian; a row with
+        # some zero masses mixes only the others
+        y, x = np.array([[0.3], [-0.2], [0.1]]), np.array([[0.75], [-0.75], [0.25]])
+        probs = np.array([[[1.0, 0.0, 0.0, 0.0]], [[0.0, 1.0, 0.0, 0.0]], [[0.0, 0.25, 0.0, 0.75]]])
+        alpha, centres = 10.0, dsc.BinGeometry(4).centers
+        got = dsc.log_ratio(y, x, probs, alpha, 4)
+        one_gaussian = alpha / 2 * ((y[:2, 0] - centres[:2]) ** 2 - (y[:2, 0] - x[:2, 0]) ** 2)
+        np.testing.assert_allclose(got[:2], one_gaussian, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[2:], _two_density_ratio(y[2:], x[2:], probs[2:], alpha, 4), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("K", [2, 16])
+    def test_row_alone_matches_its_batch_row(self, K):
+        # a batch of ROWS_MIN + 17 rows of two dimensions reduces over
+        # columns and one row alone per row; row b must come out the same
+        B = ROWS_MIN + 17
+        rng = np.random.default_rng(3)
+        x = dsc.BinGeometry(K).centers[rng.integers(0, K, size=(B, 2))]
+        alpha = rng.uniform(0.5, 50.0, size=(B, 1))
+        y = x + rng.standard_normal((B, 2)) / np.sqrt(alpha)
+        probs = dsc.bin_probs_from_gaussian(rng.uniform(-1, 1, 2 * B), rng.uniform(0.01, 1.0, 2 * B), K)
+        probs = probs.reshape(B, 2, K)
+        batch = dsc.log_ratio(y, x, probs, alpha, K)
+        for b in range(B):
+            one = slice(b, b + 1)
+            alone = dsc.log_ratio(y[one], x[one], probs[one], alpha[one], K)
+            assert alone.tobytes() == batch[one].tobytes()
+
+    def test_shape_mismatch_raises(self):
+        y = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="K=4 bin masses"):
+            dsc.log_ratio(y, y, np.full((3, 2, 5), 0.2), 1.0, 4)
+        with pytest.raises(ValueError):
+            dsc.log_ratio(y, np.zeros((3, 3)), np.full((3, 2, 4), 0.25), 1.0, 4)
+
+    @pytest.mark.parametrize("K", [2, 16, 256])
+    def test_matches_decimal_reference(self, K):
+        # one accuracy per row from 0.05 to 1e6, then one for all rows
+        for alpha in (np.geomspace(0.05, 1e6, 60), 0.05, 1e6):
+            y, x, probs = _accuracy_grid(K, alpha)
+            ref = [_decimal_ratio(*row, K) for row in zip(y, x, probs, np.broadcast_to(alpha, y.shape))]
+            a = alpha if np.isscalar(alpha) else alpha[:, None]
+            got = dsc.log_ratio(y[:, None], x[:, None], probs[:, None], a, K)
+            assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= self.DECIMAL_TOL
+
+
 class TestLossNStep:
     def test_one_hot_correct_is_zero_every_draw(self):
         K = 16
@@ -434,14 +538,8 @@ class TestKlOrdering:
             alpha = 400.0
             probs = dsc.bin_probs_from_gaussian(np.array([mu_pred]), np.array([s]), K)
             n = 1_000_000
-            y = gaussian_sample(r, np.full(n, x), 1 / alpha)
-            with np.errstate(divide="ignore"):
-                logw = np.broadcast_to(np.log(probs[0]), (n, K))
-            from bflow.kernels import mixture_logpdf
-
-            recv = mixture_logpdf(y, np.ascontiguousarray(logw), g.centers, 1 / alpha)
-            send = -0.5 * alpha * (y - x) ** 2 + 0.5 * math.log(alpha / (2 * math.pi))
-            mix_kl = (send - recv).mean()
-            se = (send - recv).std(ddof=1) / math.sqrt(n)
+            ratio = dsc.log_ratio(gaussian_sample(r, np.full((n, 1), x), 1 / alpha), x, probs, alpha, K)
+            mix_kl = ratio.mean()
+            se = ratio.std(ddof=1) / math.sqrt(n)
             dirac_kl = alpha / 2 * (x - mu_pred) ** 2
             assert mix_kl <= dirac_kl + 3 * se

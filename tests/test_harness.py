@@ -225,8 +225,8 @@ class TestMutationSensitivity:
 
     def test_shifted_mixture_receiver_detected(self, monkeypatch):
         # a bias far below the sampled standard error (about 1e-3 nats)
-        real = dsc.receiver_log_likelihood
-        monkeypatch.setattr(dsc, "receiver_log_likelihood", lambda *a: real(*a) + 1e-6)
+        real = dsc.log_ratio
+        monkeypatch.setattr(dsc, "log_ratio", lambda *a: real(*a) - 1e-6)
         r = harness.check_kl_closed_forms(7, "discretised")
         assert not r.passed and r.statistic > r.tolerance, r.summary()
 

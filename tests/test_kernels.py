@@ -46,37 +46,9 @@ def test_logsumexp_rows_nan_row_stays_nan():
     assert out[2:].tobytes() == kernels.logsumexp_rows(finite).tobytes()
 
 
-def test_mixture_logpdf_vs_naive():
-    rng = np.random.default_rng(11)
-    y = rng.uniform(-2, 2, size=40)
-    means = np.linspace(-1, 1, 5)
-    w = rng.uniform(0.1, 1.0, size=(40, 5))
-    w /= w.sum(axis=1, keepdims=True)
-    var = 0.3
-    out = kernels.mixture_logpdf(y, np.log(w), means, var)
-    dens = np.sum(
-        w * np.exp(-0.5 * (y[:, None] - means[None, :]) ** 2 / var) / np.sqrt(2 * np.pi * var),
-        axis=1,
-    )
-    np.testing.assert_allclose(out, np.log(dens), rtol=0, atol=1e-12)
-
-
-def test_mixture_logpdf_zero_weights():
-    # one-hot weight rows: mixture collapses to a single Gaussian
-    y = np.array([0.3, -0.2])
-    means = np.array([-0.5, 0.5])
-    with np.errstate(divide="ignore"):
-        logw = np.log(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    out = kernels.mixture_logpdf(y, logw, means, 0.1)
-    ref = -0.5 * np.log(2 * np.pi * 0.1) - 0.5 * (y - np.array([-0.5, 0.5])) ** 2 / 0.1
-    np.testing.assert_allclose(out, ref, atol=1e-12)
-
-
 def test_public_dispatch_shapes():
     x = np.linspace(-2, 2, 12).reshape(3, 4)
     assert kernels.erf_vec(x).shape == (3, 4)
-    with pytest.raises(ValueError):
-        kernels.mixture_logpdf(np.zeros(3), np.zeros((2, 4)), np.zeros(4), 1.0)
 
 
 def _erf_three_branch(x):
@@ -246,16 +218,3 @@ def test_row_kernels_do_not_depend_on_batch_size(K):
         if i != 5:
             _assert_same_bits(softmax_rows(m[one]), soft[one])
         _assert_same_bits(kernels.logsumexp_rows(m[one]), lse[one])
-
-
-def test_mixture_logpdf_does_not_depend_on_batch_size():
-    rows = ROWS_MIN + 17
-    rng = np.random.default_rng(3)
-    y = rng.uniform(-2, 2, size=rows)
-    logw = np.log(softmax_rows(rng.standard_normal((rows, 3))))
-    means = np.array([-1.0, 0.0, 1.0])
-    var = rng.uniform(0.1, 1.0, size=rows)
-    mix = kernels.mixture_logpdf(y, logw, means, var)
-    for i in range(rows):
-        one = slice(i, i + 1)
-        _assert_same_bits(kernels.mixture_logpdf(y[one], logw[one], means, var[one]), mix[one])
