@@ -7,7 +7,7 @@ Subpackages by role:
 * ``continuous`` -- Gaussian-belief instantiation (real-valued data)
 * ``discretised``-- K-bin instantiation (quantised real data)
 * ``discrete``   -- categorical instantiation (class-valued data)
-* ``predictor``  -- MLP with manual gradients, plus exact oracles
+* ``predictor``  -- MLP with manual gradients, and the analytic predictors
 * ``training``   -- AdamW loop, EMA, checkpoints, evaluation tables
 * ``harness``    -- executable verification of the model's analytic claims
 * ``data``       -- dataset file format, text/byte ingestion, bundled toys

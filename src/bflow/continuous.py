@@ -156,7 +156,7 @@ def loss_n(rng, predictor, cfg, x, n, i):
     t = step_time(i, n)
     p = flow_sample(rng, cfg, x, t)
     resid = x - estimate(predictor, cfg, p, t, None)
-    weight = n * (1.0 - cfg.schedule.sigma1 ** (2.0 / n)) / (2.0 * cfg.schedule.sigma1 ** (2.0 * i / n))
+    weight = n * cfg.schedule.step_alpha(i, n) / 2.0
     # vecdot is np.dot row by row; a row sum would differ from it in the last bit
     return weight * np.vecdot(resid, resid)
 

@@ -56,7 +56,7 @@ from . import continuous as cts
 from . import discrete as dd
 from . import discretised as dsc
 from .numerics import Rng, gaussian_sample, log_gaussian_pdf, softmax_rows
-from .predictor import ConstantProbsPredictor, CtsDatumPredictor, DiscretisedDatumPredictor
+from .predictor import ConstantPredictor, CtsDatumPredictor, DiscretisedDatumPredictor
 from .schedule import PRESETS, ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, step_time
 
 
@@ -546,7 +546,7 @@ def check_loss_convergence(seed, modality):
     x = np.array([1, 2])
     p_star = np.array([0.5, 1.0 / 3.0, 1.0 / 6.0])
     probs_rows = np.stack([np.roll(p_star, xi - 1) for xi in x])  # mass 1/2 on the true class
-    pred = ConstantProbsPredictor(probs_rows)
+    pred = ConstantPredictor.from_probs(probs_rows)
     linf = _simpson(loss_cts(dd, rng, pred, cfg, np.tile(x, (TIME_GRID.size, 1)), TIME_GRID))
     gaps, ref = _strata_gaps(_dd_log_ratio_means(_strata(sched.step_alpha), x, probs_rows, K), linf)
     draws = _gate_draws(dd, rng, pred, cfg, x)

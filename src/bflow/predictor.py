@@ -1,7 +1,9 @@
 """Predictors: the trainable MLP with hand-written reverse-mode gradients,
-plus the three oracle predictors the verification harness uses: fixed
-class probabilities per dimension, and noise estimates placing the data
-estimate or the discretised data Gaussian at a fixed point.
+and below it every analytic predictor, whose outputs are closed forms: a
+fixed output row (raw, class probabilities or one-hot logits), noise
+estimates placing the data estimate or the discretised data Gaussian at a
+fixed point, and the exact posterior mean of a few continuous atoms.  The
+harness and the tests import them from here.
 
 A predictor maps a modality-encoded state vector and a process time to a
 raw output vector; each modality module's ``net_widths`` gives the two
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import continuous
-from .numerics import Rng
+from .numerics import Rng, softmax_rows
 from .schedule import ContinuousSigma, FlowConfig
 
 
@@ -181,26 +183,43 @@ def _layer_grads(h, delta, gW, gb):
     np.sum(delta, axis=0, out=gb)
 
 
-class ConstantProbsPredictor:
-    """Logits of fixed class probability rows (D, K), one row per
-    dimension, independent of the belief state; for K=2 the class-1
-    log-odds, as the discrete output map reads them."""
+# ---------------------------------------------------------------------------
+# Analytic predictors: outputs in closed form, for the harness and the tests
 
-    def __init__(self, rows):
-        self.logits = np.log(np.asarray(rows, dtype=np.float64))
+
+class ConstantPredictor:
+    """A fixed raw output row, the same for every belief state and time."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    @classmethod
+    def from_probs(cls, rows):
+        """Fixed class probability rows (D, K), one row per dimension, as
+        the discrete output map reads them: log-probabilities, or at K=2 the
+        class-1 log-odds."""
+        logp = np.log(np.asarray(rows, dtype=np.float64))
+        return cls(logp[:, 0] - logp[:, 1] if logp.shape[1] == 2 else logp.ravel())
+
+    @classmethod
+    def one_hot(cls, x, K, sharpness=40.0):
+        """Logits that softmax to a one-hot at the classes x (D,), within
+        1e-6 at the default sharpness."""
+        x = np.asarray(x, dtype=np.int64)
+        if K == 2:
+            return cls(sharpness * np.where(x == 1, 1.0, -1.0))
+        logits = np.zeros((x.size, K))
+        logits[np.arange(x.size), x - 1] = sharpness
+        return cls(logits.ravel())
 
     def forward_batch(self, X, t):
-        if self.logits.shape[1] == 2:
-            row = self.logits[:, 0] - self.logits[:, 1]
-        else:
-            row = self.logits.ravel()
-        return np.tile(row, (len(X), 1))
+        return np.tile(self.values, (len(X), 1))
 
 
 class CtsDatumPredictor:
     """Noise estimates (X / gamma - x_star) / sqrt((1 - gamma) / gamma) at
     belief means X, which the continuous output map inverts to x_star, up
-    to rounding, whatever the belief state."""
+    to rounding (``inversion_bound``), whatever the belief state."""
 
     def __init__(self, x_star, sigma1):
         self.x_star = np.asarray(x_star, dtype=np.float64)
@@ -215,6 +234,22 @@ class CtsDatumPredictor:
         return (np.asarray(X, dtype=np.float64) / g - self.x_star) / ratio, ratio
 
 
+def inversion_bound(x_star, mean, g):
+    """Bound on |x_hat - x_star| for the data estimates x_hat that the
+    continuous output map makes of ``CtsDatumPredictor(x_star)``'s noise
+    estimates at belief means mean, gamma g, on rows at or above t_min.
+
+    With a = fl(mean / g) and r the noise scale, the oracle emits
+    fl(fl(a - x_star) / r) and the map returns fl(a - fl(r * that)).  Each
+    of the four roundings is within u = eps / 2 relative, so to first order
+    |x_hat - x_star| <= u |x_star| + 3 u |a - x_star|, which
+    eps (|x_star| + 2 |a - x_star|) covers; clipping to [-1, 1] only moves
+    x_hat towards x_star.
+    """
+    a = mean / g
+    return np.finfo(np.float64).eps * (np.abs(x_star) + 2.0 * np.abs(a - x_star))
+
+
 class DiscretisedDatumPredictor(CtsDatumPredictor):
     """(noise mean, log noise std) pairs placing the data Gaussian at
     x_star with width sigma_star, independent of the belief state."""
@@ -226,3 +261,37 @@ class DiscretisedDatumPredictor(CtsDatumPredictor):
     def forward_batch(self, X, t):
         mu_eps, ratio = self._noise_mean(X, t)
         return np.concatenate([mu_eps, np.full_like(mu_eps, np.log(self.sigma_star / ratio))], axis=1)
+
+
+class CtsPosteriorPredictor:
+    """Exact noise estimates for continuous data drawn uniformly from a few
+    atoms (N <= 64, D): the continuous output map inverts them to each
+    row's posterior mean of the data given its belief mean.
+
+    A float t is taken as a (B,) t of that value, and every sum runs along
+    one row, so a row's bits do not depend on the rest of the batch.
+    """
+
+    def __init__(self, atoms, sigma1):
+        self.atoms = np.asarray(atoms, dtype=np.float64)
+        if self.atoms.ndim != 2 or len(self.atoms) > 64:
+            raise ValueError("atoms must be (N<=64, D)")
+        self.cfg = FlowConfig(ContinuousSigma(float(sigma1)), self.atoms.shape[1])
+
+    def posterior_mean(self, X, t):
+        """E[x | belief means X] (B, D) at times t, (B,) or one float."""
+        return self._posterior(X, t)[0]
+
+    def forward_batch(self, X, t):
+        x_hat, g, ratio = self._posterior(X, t)
+        return (np.asarray(X, dtype=np.float64) / g - x_hat) / ratio
+
+    def _posterior(self, X, t):
+        # also gamma (B, 1) and the noise scale, as the output map takes them
+        X = np.asarray(X, dtype=np.float64)
+        g, _, ratio = continuous.noise_terms(self.cfg, np.full(len(X), t, dtype=np.float64), len(X))
+        # each atom's log-likelihood of the belief mean, N(g x, g (1 - g))
+        d = X[:, None, :] - g[:, :, None] * self.atoms
+        logw = -0.5 * np.sum(d * d, axis=2) / (g * (1.0 - g))
+        w = softmax_rows(logw)
+        return np.sum(w[..., None] * self.atoms, axis=1), g, ratio

@@ -55,8 +55,8 @@ MUTANTS = [
        OPC + "final_precision[continuous]"),
     _m("continuous.estimate: 1.01x", CT, "return output_map(cfg, state, t, net_out(",
        "return 1.01 * output_map(cfg, state, t, net_out(", CTS + "OutputPrediction::test_zero_noise_estimate"),
-    _m("continuous.loss_n: 1.01x step weight (loss-convergence-continuous)", CT, "weight = n *", "weight = 1.01 * n *",
-       GIVEN + "[continuous]", C04),
+    _m("continuous.loss_n: 1.01x step weight (loss-convergence-continuous)", CT, "n * cfg.schedule.step_alpha",
+       "1.01 * n * cfg.schedule.step_alpha", GIVEN + "[continuous]", C04),
     _m("continuous.loss_n: one extra normal drawn", CT, "    p = flow_sample(rng, cfg, x, t)\n",
        "    rng.standard_normal(1)\n    p = flow_sample(rng, cfg, x, t)\n", SEQ + "[continuous]"),
     _m("continuous.recon: 1.01x the datum", CT, "x - estimate(predictor, cfg, p, 1.0",
@@ -141,6 +141,16 @@ MUTANTS = [
     _m("MLP.backward_batch: bias gradient of the first row only", "predictor", "np.sum(delta, axis=0, out=gb)",
        "np.sum(delta[:1], axis=0, out=gb)", PRD + "MLP::test_tape_gradient_vs_finite_differences[silu]",
        C06),
+    _m("CtsPosteriorPredictor: atom likelihoods at variance g, not g(1 - g)", "predictor", "/ (g * (1.0 - g))", "/ g",
+       PRD + "Oracles::test_posterior_oracle_enumeration"),
+    _m("ConstantPredictor.from_probs: K=2 log-odds of class 2", "predictor", "logp[:, 0] - logp[:, 1]",
+       "logp[:, 1] - logp[:, 0]", DD + "LossNStep::test_binary_quadrature_oracle"),
+    _m("_kl_scores: error times the scale", "harness", "abs(q - ref) / scale", "abs(q - ref) * scale",
+       HAR + "KlScores::test_error_is_relative_to_the_larger_of_ref_and_the_sender_scale[0.5]"),
+    _m("TrainConfig: learning-rate default 1.001e-4", "training", "learning_rate: float = 1e-4",
+       "learning_rate: float = 1.001e-4", CLI + "ConfigParsing::test_defaults_of_keys_a_file_leaves_out"),
+    _m("TrainConfig: a hidden width of 1 rejected", "training", "width < 1 for", "width <= 1 for",
+       TRN + "TrainConfig::test_hidden_width_of_one_accepted"),
     _m("neg_log_true_class: 1.01x", "numerics", "return -np.sum(", "return -1.01 * np.sum(",
        DSC + "ReconstructionLoss::test_uniform_value"),
     _m("discrete.sender_mean: +0.05", DC, "(K - 1.0), -alpha)", "(K - 1.0), -alpha) + 0.05",

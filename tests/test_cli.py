@@ -57,6 +57,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="key = value"):
             cli.parse_config_text("just words\n")
 
+    def test_defaults_of_keys_a_file_leaves_out(self):
+        # every bundled config sets these keys, so no run reads the defaults
+        config = cli.train_config_from_run(cli.parse_config_text("modality = discrete\nD = 4\nK = 2\nbeta1 = 1.0\n"))
+        got = {name: getattr(config, name) for name in ("batch_size", "steps", "learning_rate", "weight_decay",
+                                                        "ema_decay", "seed", "eval_every", "hidden", "n_freqs")}
+        assert got == {"batch_size": 32, "steps": 1000, "learning_rate": 1e-4, "weight_decay": 0.01,
+                       "ema_decay": 0.9999, "seed": 0, "eval_every": 0, "hidden": (256, 256), "n_freqs": 8}
+
     def test_overrides(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("modality = discrete\nD = 4\nK = 2\nbeta1 = 1.0\n")

@@ -7,9 +7,8 @@ import pytest
 
 from bflow import continuous as cts
 from bflow.numerics import Rng
-from bflow.predictor import MLP, CtsDatumPredictor, PredictorSpec
+from bflow.predictor import MLP, ConstantPredictor, CtsDatumPredictor, PredictorSpec, inversion_bound
 from bflow.schedule import ContinuousSigma, FlowConfig, loss_cts, sample_chain, step_time
-from oracle_predictors import ConstantPredictor, inversion_bound
 
 CFG = FlowConfig(ContinuousSigma(0.02), D=1)
 
@@ -86,7 +85,7 @@ class TestLossNStep:
             t = step_time(i, n)
             state = cts.flow_sample(Rng(5), cfg, X, t)
             err = x - cts.estimate(pred, cfg, state, t, None)
-            weight = n * (1.0 - s1 ** (2.0 / n)) / (2.0 * s1 ** (2.0 * i / n))
+            weight = n * cfg.schedule.step_alpha(i, n) / 2.0
             assert np.array_equal(got, weight * np.vecdot(err, err))
             assert np.all(np.abs(err) <= inversion_bound(x, state, cfg.schedule.gamma(t)[:, None]))
             assert 0 < np.sum(got == 0.0) < len(got)

@@ -12,9 +12,8 @@ from bflow import discrete as dd
 from bflow import discretised as dsc
 from bflow import harness
 from bflow.numerics import Rng, RowStreams, log_gaussian_pdf, softmax_rows
-from bflow.predictor import MLP, ConstantProbsPredictor, PredictorSpec
+from bflow.predictor import MLP, ConstantPredictor, PredictorSpec
 from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, sample_chain
-from oracle_predictors import ConstantPredictor, DiscreteOneHotPredictor
 
 SCHED = DiscreteQuadratic(0.75)
 
@@ -158,7 +157,7 @@ class TestOutputDistribution:
 class TestLossNStep:
     def test_one_hot_correct_zero_every_draw(self):
         x = np.array([1, 3, 2])
-        pred = DiscreteOneHotPredictor(x, 4, sharpness=800.0)
+        pred = ConstantPredictor.one_hot(x, 4, sharpness=800.0)
         r = Rng(10)
         i = r.integers(1, 7, size=50)
         assert np.all(dd.loss_n(r, pred, FlowConfig(SCHED, 3, 4), np.tile(x, (50, 1)), 6, i) == 0.0)
@@ -168,7 +167,7 @@ class TestLossNStep:
         K, n, i = 2, 4, 3
         x = np.array([1])
         p_star = np.array([0.65, 0.35])
-        pred = ConstantProbsPredictor(np.tile(p_star, (1, 1)))
+        pred = ConstantPredictor.from_probs(np.tile(p_star, (1, 1)))
         sched = DiscreteQuadratic(2.0)
         alpha = sched.step_alpha(i, n)
         r = Rng(11)
@@ -195,7 +194,7 @@ class TestLossNStep:
         # i=1 uses t=0: flow is exactly uniform, so with a fixed seed the
         # estimate is a deterministic function of the sender draw only
         x = np.array([2])
-        pred = ConstantProbsPredictor(np.tile(np.array([0.3, 0.3, 0.4]), (1, 1)))
+        pred = ConstantPredictor.from_probs(np.tile(np.array([0.3, 0.3, 0.4]), (1, 1)))
         cfg = FlowConfig(SCHED, 1, 3)
         a = dd.loss_n(Rng(12), pred, cfg, x[None], 5, 1)
         b = dd.loss_n(Rng(12), pred, cfg, x[None], 5, 1)
@@ -239,7 +238,7 @@ class TestLogRatio:
 class TestLossCtsTime:
     def test_one_hot_correct_zero(self):
         x = np.array([2, 2])
-        pred = DiscreteOneHotPredictor(x, 3, sharpness=800.0)
+        pred = ConstantPredictor.one_hot(x, 3, sharpness=800.0)
         assert loss_cts(dd, Rng(13), pred, FlowConfig(SCHED, 2, 3), x[None], 0.6)[0] == 0.0
 
     def test_uniform_output_closed_form(self):
@@ -255,7 +254,7 @@ class TestLossCtsTime:
 class TestReconstructionLoss:
     def test_one_hot_correct_zero(self):
         x = np.array([3])
-        pred = DiscreteOneHotPredictor(x, 4, sharpness=800.0)
+        pred = ConstantPredictor.one_hot(x, 4, sharpness=800.0)
         assert dd.recon(Rng(15), pred, FlowConfig(SCHED, 1, 4), x[None])[0] == 0.0
 
     def test_uniform_value(self):
@@ -281,7 +280,7 @@ class TestReconstructionLoss:
 class TestGenerate:
     def test_forced_class(self):
         x = np.array([3, 1])
-        pred = DiscreteOneHotPredictor(x, 4, sharpness=800.0)
+        pred = ConstantPredictor.one_hot(x, 4, sharpness=800.0)
         out = dd.generate(Rng(19), pred, SCHED, 8, 4, 2)
         np.testing.assert_array_equal(out, x)
 

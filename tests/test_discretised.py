@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from bflow import continuous as cts
 from bflow import discretised as dsc
 from bflow.numerics import ROWS_MIN, Rng, gaussian_sample, neg_log_true_class
-from bflow.predictor import DiscretisedDatumPredictor
+from bflow.predictor import ConstantPredictor, DiscretisedDatumPredictor
 from bflow.schedule import ContinuousSigma, FlowConfig, loss_cts, sample_chain
-from oracle_predictors import ConstantPredictor
 
 CFG = FlowConfig(ContinuousSigma(math.sqrt(0.001)), D=1, K=16)
 

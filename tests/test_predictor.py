@@ -7,9 +7,9 @@ from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
 from bflow.numerics import Rng
-from bflow.predictor import MLP, CtsDatumPredictor, PredictorSpec, time_features
+from bflow.predictor import (MLP, ConstantPredictor, CtsDatumPredictor, CtsPosteriorPredictor, PredictorSpec,
+                             time_features)
 from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig
-from oracle_predictors import ConstantPredictor, CtsPosteriorPredictor, DiscreteOneHotPredictor
 
 
 class TestSpecWidths:
@@ -223,7 +223,7 @@ class TestOracles:
         np.testing.assert_array_equal(p.forward_batch(np.zeros((1, 9)), 0.9), [[1.0, 2.0]])
 
     def test_discrete_one_hot_softmaxes_to_one_hot(self):
-        p = DiscreteOneHotPredictor(np.array([2, 1]), 3)
+        p = ConstantPredictor.one_hot(np.array([2, 1]), 3)
         logits = p.forward_batch(np.zeros((1, 6)), 0.5).reshape(2, 3)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         sm = e / e.sum(axis=1, keepdims=True)
@@ -241,7 +241,7 @@ class TestOracles:
         cfg = FlowConfig(ContinuousSigma(0.02), D=1)
         data = np.array([[-0.6], [0.6]])
         oracle = CtsPosteriorPredictor(data, cfg.schedule.sigma1)
-        assert oracle.posterior_mean(np.array([0.0]), 0.5)[0] == pytest.approx(0.0, abs=1e-12)
+        assert oracle.posterior_mean(np.array([[0.0]]), 0.5)[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_posterior_oracle_enumeration(self):
         # brute-force posterior mean over 8 atoms
@@ -255,7 +255,29 @@ class TestOracles:
         w = np.exp(-np.sum((mean - g * data) ** 2, axis=1) / (2 * g * (1 - g)))
         w /= w.sum()
         ref = w @ data
-        np.testing.assert_allclose(oracle.posterior_mean(mean, t), ref, atol=1e-10)
+        np.testing.assert_allclose(oracle.posterior_mean(mean[None], t)[0], ref, atol=1e-10)
+
+    @pytest.mark.parametrize("n_atoms, D", [(3, 1), (8, 3), (64, 2)])
+    def test_posterior_oracle_rows_do_not_depend_on_the_batch(self, n_atoms, D):
+        # a row alone, and a float time, give the bits of that row in a
+        # 16-row batch with one time per row; t=0 rows raise no warning
+        gen = np.random.default_rng(n_atoms)
+        oracle = CtsPosteriorPredictor(gen.uniform(-1, 1, size=(n_atoms, D)), 0.1)
+        X = gen.uniform(-1, 1, size=(16, D))
+        t = np.concatenate([[0.0], gen.uniform(0, 1, size=15)])
+        batch = oracle.forward_batch(X, t)
+        for b in range(16):
+            assert np.array_equal(oracle.forward_batch(X[b : b + 1], t[b : b + 1]), batch[b : b + 1])
+            assert np.array_equal(oracle.forward_batch(X[b : b + 1], float(t[b])), batch[b : b + 1])
+        assert np.array_equal(oracle.forward_batch(X, 0.37), oracle.forward_batch(X, np.full(16, 0.37)))
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_from_probs_reads_back_through_the_output_map(self, K):
+        rows = np.random.default_rng(K).dirichlet(np.ones(K), size=4)
+        pred = ConstantPredictor.from_probs(rows)
+        cfg = FlowConfig(DiscreteQuadratic(0.75), 4, K)
+        probs = dd.output_map(dd.net_out(pred, cfg, np.zeros((2, 4, K)), 0.5), K)
+        np.testing.assert_allclose(probs, np.broadcast_to(rows, (2, 4, K)), rtol=0, atol=1e-15)
 
     def test_datum_oracle_perfect_recovery(self):
         cfg = FlowConfig(ContinuousSigma(0.02), D=1)

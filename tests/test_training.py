@@ -32,10 +32,10 @@ from bflow import discretised as dsc
 from bflow.data import toy_glyphs, toy_strings
 from bflow.kernels import erf_vec
 from bflow.numerics import Rng, softmax_rows
-from bflow.predictor import MLP, CtsDatumPredictor, DiscretisedDatumPredictor, PredictorSpec
+from bflow.predictor import (MLP, ConstantPredictor, CtsDatumPredictor, DiscretisedDatumPredictor, PredictorSpec,
+                             inversion_bound)
 from bflow.schedule import ContinuousSigma, DiscreteQuadratic, FlowConfig, loss_cts, sample_chain, step_time
 from bflow.training import TrainConfig, Worker, adamw_step
-from oracle_predictors import ConstantPredictor, DiscreteOneHotPredictor, inversion_bound
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -1168,7 +1168,7 @@ def _oracle_case(modality):
         x = dsc.BinGeometry(config.K).centers[[1, 6, 3]]
         return config, x, DiscretisedDatumPredictor(x, 1e-9, config.sigma1)
     x = np.array([1, 3, 2])
-    return config, x, DiscreteOneHotPredictor(x, config.K, sharpness=800.0)
+    return config, x, ConstantPredictor.one_hot(x, config.K, sharpness=800.0)
 
 
 class TestRowIndependence:
@@ -1264,7 +1264,7 @@ class TestEvaluate:
     def test_perfect_oracle_all_zero(self):
         config = _make_config("discrete", K=4)
         x = np.array([[1, 3, 2]])
-        pred = DiscreteOneHotPredictor(x[0], 4, sharpness=800.0)
+        pred = ConstantPredictor.one_hot(x[0], 4, sharpness=800.0)
         rows = training.evaluate(Rng(12), pred, config, x, n_values=(2, 8), passes=3)
         for r in rows:
             assert r["nats"] == 0.0
@@ -1959,6 +1959,10 @@ class TestTrainConfig:
     def test_count_below_its_floor_rejected(self, name, value, low):
         with pytest.raises(ValueError, match=f"{name} must be >= {low}, got {value}"):
             _make_config("continuous", **{name: value})
+
+    def test_hidden_width_of_one_accepted(self):
+        config = _make_config("continuous", hidden=(1,))
+        assert config.predictor_spec().layers == ((config.D + 16, 1), (1, config.D))
 
     @pytest.mark.parametrize("value", [-0.3, math.nan])
     def test_recon_sigma_below_zero_rejected(self, value):
