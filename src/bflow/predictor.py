@@ -1,9 +1,8 @@
 """Predictors: the trainable MLP with hand-written reverse-mode gradients,
 and below it every analytic predictor, whose outputs are closed forms: a
-fixed output row (raw, class probabilities or one-hot logits), noise
-estimates placing the data estimate or the discretised data Gaussian at a
-fixed point, and the exact posterior mean of a few continuous atoms.  The
-harness and the tests import them from here.
+fixed output row, noise estimates placing the data estimate or the
+discretised data Gaussian at a fixed point, and the exact posterior mean
+of a few continuous atoms.
 
 A predictor maps a modality-encoded state vector and a process time to a
 raw output vector; each modality module's ``net_widths`` gives the two
@@ -183,10 +182,6 @@ def _layer_grads(h, delta, gW, gb):
     np.sum(delta, axis=0, out=gb)
 
 
-# ---------------------------------------------------------------------------
-# Analytic predictors: outputs in closed form, for the harness and the tests
-
-
 class ConstantPredictor:
     """A fixed raw output row, the same for every belief state and time."""
 
@@ -195,22 +190,19 @@ class ConstantPredictor:
 
     @classmethod
     def from_probs(cls, rows):
-        """Fixed class probability rows (D, K), one row per dimension, as
-        the discrete output map reads them: log-probabilities, or at K=2 the
-        class-1 log-odds."""
-        logp = np.log(np.asarray(rows, dtype=np.float64))
-        return cls(logp[:, 0] - logp[:, 1] if logp.shape[1] == 2 else logp.ravel())
+        """Fixed class probability rows (D, K), one row per dimension."""
+        return cls._from_logits(np.log(np.asarray(rows, dtype=np.float64)))
 
     @classmethod
     def one_hot(cls, x, K, sharpness=40.0):
-        """Logits that softmax to a one-hot at the classes x (D,), within
-        1e-6 at the default sharpness."""
-        x = np.asarray(x, dtype=np.int64)
-        if K == 2:
-            return cls(sharpness * np.where(x == 1, 1.0, -1.0))
-        logits = np.zeros((x.size, K))
-        logits[np.arange(x.size), x - 1] = sharpness
-        return cls(logits.ravel())
+        """Logits that softmax to a one-hot at the classes x (D,)."""
+        return cls._from_logits(sharpness * np.eye(K)[np.asarray(x, dtype=np.int64) - 1])
+
+    @classmethod
+    def _from_logits(cls, logits):
+        # the row the discrete output map reads: the (D, K) logits, or at
+        # K=2 the class-1 log-odds
+        return cls(logits[:, 0] - logits[:, 1] if logits.shape[1] == 2 else logits.ravel())
 
     def forward_batch(self, X, t):
         return np.tile(self.values, (len(X), 1))
@@ -265,12 +257,9 @@ class DiscretisedDatumPredictor(CtsDatumPredictor):
 
 class CtsPosteriorPredictor:
     """Exact noise estimates for continuous data drawn uniformly from a few
-    atoms (N <= 64, D): the continuous output map inverts them to each
-    row's posterior mean of the data given its belief mean.
-
-    A float t is taken as a (B,) t of that value, and every sum runs along
-    one row, so a row's bits do not depend on the rest of the batch.
-    """
+    atoms (N <= 64, D), which the output map inverts to each row's
+    posterior mean.  A float t is taken as a (B,) t of that value, and
+    every sum runs along one row, so no row's bits depend on the batch."""
 
     def __init__(self, atoms, sigma1):
         self.atoms = np.asarray(atoms, dtype=np.float64)

@@ -143,10 +143,10 @@ MUTANTS = [
        C06),
     _m("CtsPosteriorPredictor: atom likelihoods at variance g, not g(1 - g)", "predictor", "/ (g * (1.0 - g))", "/ g",
        PRD + "Oracles::test_posterior_oracle_enumeration"),
-    _m("ConstantPredictor.from_probs: K=2 log-odds of class 2", "predictor", "logp[:, 0] - logp[:, 1]",
-       "logp[:, 1] - logp[:, 0]", DD + "LossNStep::test_binary_quadrature_oracle"),
+    _m("ConstantPredictor.from_probs: K=2 log-odds of class 2", "predictor", "logits[:, 0] - logits[:, 1]",
+       "logits[:, 1] - logits[:, 0]", DD + "LossNStep::test_binary_quadrature_oracle"),
     _m("_kl_scores: error times the scale", "harness", "abs(q - ref) / scale", "abs(q - ref) * scale",
-       HAR + "KlScores::test_error_is_relative_to_the_larger_of_ref_and_the_sender_scale[0.5]"),
+       HAR + "IndividualChecks::test_error_is_relative_to_the_larger_of_ref_and_the_sender_scale[0.5]"),
     _m("TrainConfig: learning-rate default 1.001e-4", "training", "learning_rate: float = 1e-4",
        "learning_rate: float = 1.001e-4", CLI + "ConfigParsing::test_defaults_of_keys_a_file_leaves_out"),
     _m("TrainConfig: a hidden width of 1 rejected", "training", "width < 1 for", "width <= 1 for",

@@ -49,6 +49,19 @@ class TestIndividualChecks:
         sim = FiniteMSimulator(m=10_000, K=2, alpha=0.25)
         assert sim.alpha == pytest.approx(sim.m * sim.omega**2, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1e6])
+    def test_error_is_relative_to_the_larger_of_ref_and_the_sender_scale(self, alpha):
+        # a log-ratio linear in y integrates to its value at x; the sender
+        # scale, the mean |sender log-density|, is not 1 at either accuracy
+        x = 0.3
+        g, w = harness._hermgauss(8)
+        scale = w @ np.abs(numerics.log_gaussian_pdf((x + g / np.sqrt(alpha))[:, None], x, 1 / alpha))
+        assert abs(scale - 1.0) > 0.1
+        for ref in (0.5 * scale, 4.0 * scale):
+            log_ratio = lambda y: ref + 0.25 + (y[:, 0] - x)
+            err = harness._kl_scores(Rng(0), x, alpha, ref, log_ratio, 8)[0]
+            assert err == pytest.approx(0.25 / max(ref, scale), rel=1e-9)
+
 
 class TestExactMoments:
     """The noise-row moments of the flow ops against their closed forms."""
@@ -130,21 +143,6 @@ class TestSeedSweep:
         for pid in ("kl-closed-form-continuous", "kl-closed-form-discretised"):
             rs = [harness.run_all(seed, pid)[0] for seed in (*range(20), 26, 37)]
             assert all(r.passed and r.statistic <= harness.EXACT_TOL for r in rs), [r.summary() for r in rs]
-
-
-class TestKlScores:
-    @pytest.mark.parametrize("alpha", [0.5, 1e6])
-    def test_error_is_relative_to_the_larger_of_ref_and_the_sender_scale(self, alpha):
-        # a log-ratio linear in y integrates to its value at x; the sender
-        # scale, the mean |sender log-density|, is not 1 at either accuracy
-        x = 0.3
-        g, w = harness._hermgauss(8)
-        scale = w @ np.abs(numerics.log_gaussian_pdf((x + g / np.sqrt(alpha))[:, None], x, 1 / alpha))
-        assert abs(scale - 1.0) > 0.1
-        for ref in (0.5 * scale, 4.0 * scale):
-            log_ratio = lambda y: ref + 0.25 + (y[:, 0] - x)
-            err = harness._kl_scores(Rng(0), x, alpha, ref, log_ratio, 8)[0]
-            assert err == pytest.approx(0.25 / max(ref, scale), rel=1e-9)
 
 
 class TestBoundedMemory:

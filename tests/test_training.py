@@ -1961,8 +1961,7 @@ class TestTrainConfig:
             _make_config("continuous", **{name: value})
 
     def test_hidden_width_of_one_accepted(self):
-        config = _make_config("continuous", hidden=(1,))
-        assert config.predictor_spec().layers == ((config.D + 16, 1), (1, config.D))
+        assert _make_config("continuous", hidden=(1,)).predictor_spec().hidden == (1,)
 
     @pytest.mark.parametrize("value", [-0.3, math.nan])
     def test_recon_sigma_below_zero_rejected(self, value):
