@@ -161,10 +161,8 @@ def cmd_eval(args):
     config = result.config
     _check_dataset("eval", args.dataset, ds, config)
     n_values = _load("eval", f"--n {args.n}", lambda: tuple(int(v) for v in args.n.split(",") if v.strip()))
-    if any(n < 1 for n in n_values):
-        raise SystemExit(f"eval: step counts must be >= 1, got {args.n}")
-    if args.passes < 1:
-        raise SystemExit(f"eval: --passes must be >= 1, got {args.passes}")
+    _load("eval", f"--n {args.n}", training.check_eval_counts, n_values)
+    _load("eval", f"--passes {args.passes}", training.check_eval_counts, (), args.passes)
     predictor = training.ema_predictor(result)
     items = data.model_items(ds)
     rows = training.evaluate(Rng(args.seed), predictor, config, items, n_values=n_values, passes=args.passes)

@@ -20,15 +20,14 @@ its batched ``loss_n`` or ``recon``.
 
 When the process may run on two or more CPUs, ``train`` starts one
 ``Worker``, a one-thread ``concurrent.futures.ThreadPoolExecutor``, for
-the run and joins it before it returns or raises.  numpy releases the GIL
-inside its ufuncs and BLAS calls, so the two threads compute at once:
-``adamw_step`` splits the vectors into two contiguous halves, the caller
-walking one and the worker the other, and ``MLP.backward_batch`` hands a
-layer's weight and bias gradient to the worker while the caller computes
-the next layer's delta.  Every element gets the same operations in the
-same order and every product is the same BLAS call on the same shapes,
-run at one BLAS thread (``numerics.use_one_blas_thread``), so the results
-depend neither on the number of CPUs nor on the BLAS thread setting.
+the run and joins it before it returns or raises.  The worker shares only
+AdamW + EMA: ``adamw_step`` splits the vectors into two contiguous halves,
+the caller walking one and the worker the other, and numpy releases the
+GIL inside its ufuncs, so the two threads compute at once.  The forward
+and backward passes run on the caller.  Every element gets the same
+operations in the same order and every product runs at one BLAS thread
+(``numerics.use_one_blas_thread``), so the results depend neither on the
+number of CPUs nor on the BLAS thread setting.
 
 The gradients are deterministic functions of the sampled state, so they
 can be checked against central finite differences; the test suite does
@@ -296,12 +295,11 @@ def head_loss_and_grad(config, state, net_out):
     return OPS[config.modality].loss_inf(config.flow, state["x"], state["theta"], state["t"], net_out, grad=True)
 
 
-def batch_loss_and_grad(mlp, config, state, worker=None):
-    """Mean loss over the batch and its gradient w.r.t. MLP parameters;
-    ``worker`` as in ``MLP.backward_batch``."""
+def batch_loss_and_grad(mlp, config, state):
+    """Mean loss over the batch and its gradient w.r.t. MLP parameters."""
     out = mlp.forward_batch(state["state_in"], state["t"], record=True)
     loss, d_out = head_loss_and_grad(config, state, out)
-    grad = mlp.backward_batch(d_out / loss.shape[0], worker=worker)
+    grad = mlp.backward_batch(d_out / loss.shape[0])
     return float(loss.mean()), grad
 
 
@@ -348,10 +346,10 @@ def train(rng, dataset, config):
     Every step uses the substream ``rng.split(step)``, so the diagnostic on
     a non-finite loss pins down the exact batch randomness.  The history's
     eval loss, every ``eval_every`` steps, is the ∞ row of ``evaluate`` at
-    the EMA on up to 64 items drawn from ``rng.split(10**9 + step)``.  On two or more
-    usable CPUs one ``Worker`` shares the backward pass and the optimizer
-    step for the whole run; it is joined before train returns or raises,
-    and the results are the same bits as on one CPU.
+    the EMA on up to 64 items drawn from ``rng.split(10**9 + step)``.  On
+    two or more usable CPUs one ``Worker`` shares the optimizer step
+    (AdamW + EMA) for the whole run; it is joined before train returns or
+    raises, and the results are the same bits as on one CPU.
     """
     dataset = check_dataset(config, dataset)
     mlp = MLP(config.predictor_spec(), seed=config.seed)
@@ -365,7 +363,7 @@ def train(rng, dataset, config):
             srng = rng.split(step)
             idx = srng.integers(0, len(dataset), size=config.batch_size)
             state = sample_head_state(srng, config, dataset[idx])
-            loss, grad = batch_loss_and_grad(mlp, config, state, worker)
+            loss, grad = batch_loss_and_grad(mlp, config, state)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at step {step} (batch stream id {step}, seed {config.seed})"
@@ -434,13 +432,20 @@ def evaluate(rng, predictor, config, dataset, n_values=(10, 25, 50, 100), passes
     Returns a list of dicts with nats, nats per dimension, bits per
     dimension and the standard error of the mean.
     """
+    check_eval_counts(n_values, passes)
+    dataset = check_dataset(config, dataset)
+    kinds = [int(n) for n in n_values] + ["inf", "recon"][: 2 if config.has_recon else 1]
+    return [evaluate_row(rng, predictor, config, dataset, li, kind, passes) for li, kind in enumerate(kinds)]
+
+
+def check_eval_counts(n_values=(), passes=1):
+    """Raise ValueError unless passes >= 1 and every step count is a whole
+    number >= 1: ``evaluate``'s two rules, which ``bflow eval`` checks one
+    option at a time."""
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
     if bad := [n for n in n_values if not (n >= 1 and n % 1 == 0)]:  # NaN fails
         raise ValueError(f"step counts must be whole numbers >= 1, got {bad[0]}")
-    dataset = check_dataset(config, dataset)
-    kinds = [int(n) for n in n_values] + ["inf", "recon"][: 2 if config.has_recon else 1]
-    return [evaluate_row(rng, predictor, config, dataset, li, kind, passes) for li, kind in enumerate(kinds)]
 
 
 def evaluate_row(rng, predictor, config, dataset, li, kind, passes):

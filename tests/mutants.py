@@ -107,6 +107,8 @@ MUTANTS = [
        "    rng.standard_normal(1)\n    if not np.isscalar(alpha):\n", SEQ + "[discrete]"),
     _m("discrete.recon: the next class's probability", DC, "cfg.K), x)", "cfg.K), x % cfg.K + 1)",
        DD + "ReconstructionLoss::test_direct_log_prob_oracle"),
+    _m("discrete.output_map: K=2 sigmoid of the negated logit", DC, "np.exp(-net_out)", "np.exp(net_out)",
+       DD + "OutputDistribution::test_binary_sigmoid_equals_two_class_softmax"),
     _m("discrete.loss_inf: 1.01x time weight", DC, "weight = 0.5 * K", "weight = 0.505 * K",
        DD + "LossCtsTime::test_uniform_output_closed_form"),
     _m("discrete.loss_inf: the next class's one-hot", DC, "onehot = one_hot(x, K)", "onehot = one_hot(x % K + 1, K)",
@@ -147,6 +149,8 @@ MUTANTS = [
        "logits[:, 1] - logits[:, 0]", DD + "LossNStep::test_binary_quadrature_oracle"),
     _m("_kl_scores: error times the scale", "harness", "abs(q - ref) / scale", "abs(q - ref) * scale",
        HAR + "IndividualChecks::test_error_is_relative_to_the_larger_of_ref_and_the_sender_scale[0.5]"),
+    _m("adamw_step: the worker's half starts one element late", "training", "s2[width:], mid, n,",
+       "s2[width:], mid + 1, n,", TRN + "Worker::test_split_step_matches_caller_only[32769]"),
     _m("TrainConfig: learning-rate default 1.001e-4", "training", "learning_rate: float = 1e-4",
        "learning_rate: float = 1.001e-4", CLI + "ConfigParsing::test_defaults_of_keys_a_file_leaves_out"),
     _m("TrainConfig: a hidden width of 1 rejected", "training", "width < 1 for", "width <= 1 for",

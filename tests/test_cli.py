@@ -349,7 +349,7 @@ class TestEval:
             run_cli("eval", "--checkpoint", str(toy_run["ckpt"]), "--dataset", str(empty))
 
     def test_step_count_below_one_rejected(self, toy_run):
-        with pytest.raises(SystemExit, match="step counts must be >= 1"):
+        with pytest.raises(SystemExit, match="eval: --n 4,0: step counts must be whole numbers >= 1, got 0"):
             run_cli(
                 "eval", "--checkpoint", str(toy_run["ckpt"]),
                 "--dataset", str(toy_run["paths"]["strings"]), "--n", "4,0",
@@ -358,7 +358,7 @@ class TestEval:
     @pytest.mark.parametrize("passes", ["0", "-1"])
     def test_passes_below_one_rejected(self, toy_run, passes, capsys):
         # both once printed an empty table and exited 0
-        with pytest.raises(SystemExit, match=f"eval: --passes must be >= 1, got {passes}"):
+        with pytest.raises(SystemExit, match=f"eval: --passes {passes}: passes must be >= 1, got {passes}"):
             run_cli(
                 "eval", "--checkpoint", str(toy_run["ckpt"]),
                 "--dataset", str(toy_run["paths"]["strings"]), "--passes", passes,

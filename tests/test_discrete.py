@@ -131,13 +131,12 @@ class TestOutputDistribution:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_binary_sigmoid_equals_two_class_softmax(self):
-        # the K=2 sigmoid path must equal the softmax path on logits (z, 0)
-        rng = np.random.default_rng(8)
-        z = rng.normal(0, 4, size=5)
-        p_sig = 1 / (1 + np.exp(-z))
-        pair = np.stack([z, np.zeros(5)], axis=1)
-        e = np.exp(pair - pair.max(axis=1, keepdims=True))
-        p_soft = (e / e.sum(axis=1, keepdims=True))[:, 0]
+        # the K=2 sigmoid path on class-1 logits z (B, D) must equal the
+        # softmax path on the logit pairs (z, 0), class 2 included
+        z = np.random.default_rng(8).normal(0, 4, size=(5, 3))
+        p_sig = dd.output_map(z, 2)
+        p_soft = softmax_rows(np.stack([z, np.zeros_like(z)], axis=-1))
+        assert p_sig.shape == (5, 3, 2)
         np.testing.assert_allclose(p_sig, p_soft, atol=1e-12)
 
     def test_network_input_rescaled(self):

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bflow import cli, harness, numerics, predictor, schedule, training
+from bflow import cli, harness, numerics, schedule, training
 from bflow import continuous as cts
 from bflow import discrete as dd
 from bflow import discretised as dsc
@@ -706,8 +706,8 @@ def _strings_config(steps, seed=7):
 
 
 class TestWorker:
-    """A Worker thread shares the backward pass and the optimizer step, and
-    every result keeps the bits of the caller-only path.  Each test runs its
+    """A Worker thread shares the optimizer step (AdamW + EMA), and every
+    result keeps the bits of the caller-only path.  Each test runs its
     threads under ``_bounded``, so a deadlock fails it within two minutes."""
 
     HALF = training.ADAMW_CHUNK // 2
@@ -785,29 +785,11 @@ class TestWorker:
 
         assert _bounded(run) <= 2 * training.ADAMW_CHUNK * 8 + 16_384
 
-    def test_backward_matches_caller_only_on_the_strings_spec(self):
-        config = _strings_config(1)
-        mlp = MLP(config.predictor_spec(), seed=3)
-        mlp.params = mlp.params + Rng(4).standard_normal(mlp.spec.n_params) * 0.01  # a nonzero last layer
-        x = toy_strings().items[Rng(5).integers(0, 4, size=32)]
-        state = training.sample_head_state(Rng(6), config, x)
-        out = mlp.forward_batch(state["state_in"], state["t"], record=True)
-        d_out = training.head_loss_and_grad(config, state, out)[1] / 32
-
-        def run():
-            worker = Worker()
-            try:
-                return mlp.backward_batch(d_out, worker=worker)
-            finally:
-                worker.close()
-
-        assert _same_bits(_bounded(run), mlp.backward_batch(d_out))
-
     @pytest.mark.parametrize("case", ["strings", "small"])
     def test_train_on_one_and_two_cpus_gives_the_same_bits(self, case, monkeypatch):
         if case == "strings":  # two halves of five passes each
             config, items = _strings_config(20), toy_strings().items
-        else:  # one pass, and a three-layer backward of 8-wide layers
+        else:  # 8-wide layers: one AdamW pass, so the step stays unsplit on two CPUs
             config = _make_config("continuous", steps=20, weight_decay=0.02, ema_decay=0.9)
             items = Rng(3).uniform(size=(12, config.D)) * 1.6 - 0.8
         runs = []
@@ -912,17 +894,19 @@ class TestWorker:
     @pytest.mark.parametrize("how", ["returns", "raises", "worker raises"])
     def test_no_thread_outlives_train(self, how, monkeypatch):
         _cpus(monkeypatch, 2)
-        config = _make_config("continuous", steps=5, learning_rate=1e160 if how == "raises" else 1e-3)
+        # the worker's case needs more than one AdamW pass, so that the step splits
+        hidden = (256, 256) if how == "worker raises" else (8, 8)
+        config = _make_config("continuous", steps=5, learning_rate=1e160 if how == "raises" else 1e-3, hidden=hidden)
         data = Rng(3).uniform(size=(8, config.D)) - 0.5
         if how == "worker raises":
-            layer_grads = predictor._layer_grads
+            adamw_passes = training._adamw_passes
 
             def fail_on_the_worker(*args):
                 if threading.current_thread().name.startswith("bflow-worker"):
-                    raise ArithmeticError("gradient call failed on the worker")
-                layer_grads(*args)
+                    raise ArithmeticError("AdamW pass failed on the worker")
+                adamw_passes(*args)
 
-            monkeypatch.setattr(predictor, "_layer_grads", fail_on_the_worker)
+            monkeypatch.setattr(training, "_adamw_passes", fail_on_the_worker)
 
         left = []
 
